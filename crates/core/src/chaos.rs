@@ -68,13 +68,14 @@ use crate::engine::{
 use crate::exec::status;
 use crate::exec::{run_dispatch_with_io, DispatchOptions, FaultedIo, StdIo};
 use crate::farm::{transcode_batch_resilient, EngineBatchReport, EngineJob};
+use crate::journal::record::{self, Record};
 use crate::journal::{
-    load_job_record, run_batch_journaled, run_batch_journaled_with_io, JournalConfig, JournalError,
+    run_batch_journaled, run_batch_journaled_with_io, JournalConfig, JournalError,
 };
 use crate::resilience::ResilienceConfig;
 use vfault::{FaultPlan, IoFaultPlan};
 use vframe::{FrameSource, Video};
-use vtrace::json::{self, Value};
+use vtrace::json;
 
 /// Resume attempts allowed per trial before the auditor declares the
 /// batch non-convergent. A schedule can crash at most once per run
@@ -228,7 +229,7 @@ impl ChaosReport {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str("  \"schema\": \"vbench.chaos.v1\",\n");
-        out.push_str(&format!("  \"scenario\": {},\n", jstr(self.scenario.name())));
+        out.push_str(&format!("  \"scenario\": {},\n", json::string(self.scenario.name())));
         out.push_str(&format!("  \"seed\": {},\n", self.seed));
         out.push_str(&format!("  \"trials\": {},\n", self.trials.len()));
         out.push_str(&format!("  \"violations\": {},\n", self.violations()));
@@ -240,13 +241,13 @@ impl ChaosReport {
                  \"faults_injected\": {}, \"violations\": [{}]}}{}\n",
                 t.plan.trial,
                 t.plan.seed,
-                jstr(&t.plan.crash_spec),
-                jstr(&t.plan.io_spec),
+                json::string(&t.plan.crash_spec),
+                json::string(&t.plan.io_spec),
                 t.resumes,
                 t.replayed_final,
                 t.encodes_final,
                 t.faults_injected,
-                t.violations.iter().map(|v| jstr(v)).collect::<Vec<_>>().join(", "),
+                t.violations.iter().map(|v| json::string(v)).collect::<Vec<_>>().join(", "),
                 if i + 1 < self.trials.len() { "," } else { "" },
             ));
         }
@@ -259,12 +260,6 @@ impl ChaosReport {
     pub fn write(&self, path: &Path) -> std::io::Result<()> {
         crate::exec::write_atomic(path, &self.to_json())
     }
-}
-
-/// JSON string literal via vtrace's escaper (the same rules the trace
-/// writer uses).
-fn jstr(s: &str) -> String {
-    vtrace::FieldValue::Str(s.to_string()).to_json()
 }
 
 /// splitmix64: the standard 64-bit mixer — every trial's schedule is a
@@ -419,22 +414,17 @@ impl Transcoder for CountingEngine<'_> {
     }
 }
 
-/// The valid (parseable, CRC-verified, name-matched) job records in
+/// The valid (committed, CRC-verified, name-matched) job records in
 /// `text`, as raw lines keyed by job index. A job with several valid
 /// records maps to all of them — I3 demands the count be exactly one at
 /// the end.
 fn valid_records(text: &str, jobs: &[EngineJob]) -> BTreeMap<usize, Vec<String>> {
     let mut map: BTreeMap<usize, Vec<String>> = BTreeMap::new();
-    let terminated = text.ends_with('\n');
-    let lines: Vec<&str> = text.split('\n').collect();
-    let count = if terminated { lines.len().saturating_sub(1) } else { lines.len() };
-    for line in &lines[..count] {
-        let Ok(parsed) = json::parse(line) else { continue };
-        if parsed.get("kind").and_then(Value::as_str) != Some("job") {
-            continue;
-        }
-        if let Some(record) = load_job_record(&parsed, jobs) {
-            map.entry(record.job).or_default().push((*line).to_string());
+    for entry in record::scan(text) {
+        if let Some(Record::Job(rec)) = &entry.record {
+            if rec.load(jobs).is_some() {
+                map.entry(rec.job).or_default().push(entry.line.to_string());
+            }
         }
     }
     map
@@ -443,7 +433,7 @@ fn valid_records(text: &str, jobs: &[EngineJob]) -> BTreeMap<usize, Vec<String>>
 /// Reads the journal (empty when absent — a power cut can erase a file
 /// whose creation was never made durable).
 fn journal_text(path: &Path) -> String {
-    std::fs::read(path).map(|b| String::from_utf8_lossy(&b).into_owned()).unwrap_or_default()
+    record::read_text(&StdIo, path).unwrap_or_default()
 }
 
 /// Checks I1 between two snapshots: every record durable at `before`

@@ -28,13 +28,11 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use super::io::{JournalIo, StdIo};
-use super::ledger::{append_record, expire_line, replay_ledger};
-use super::status;
-use crate::farm::{BatchError, BatchSummary, EngineBatchReport, EngineJob, EngineJobResult};
-use crate::journal::{
-    batch_fingerprint, io_err, load_job_record, open_journal, JournalConfig, JournalError,
-    LoadedRecord,
-};
+use super::ledger::replay_ledger;
+use super::{status, ChainResult};
+use crate::farm::{BatchError, EngineBatchReport, EngineJob};
+use crate::journal::record::{self, Record};
+use crate::journal::{io_err, open_journal, JournalConfig, JournalError};
 use crate::resilience::ResilienceConfig;
 use vfault::FileClass;
 use vtrace::json::{self, Value};
@@ -132,14 +130,7 @@ pub fn run_dispatch_with_io(
         return Err(JournalError::Batch(BatchError::NoWorkers));
     }
     let started = Instant::now();
-    let fingerprint = batch_fingerprint(jobs, policy);
-    let opened = open_journal(&opts.journal, fingerprint, jobs, io)?;
-    if opened.replayed > 0 {
-        vtrace::counter("journal.records_replayed", opened.replayed);
-    }
-    if opened.quarantined > 0 {
-        vtrace::counter("journal.records_quarantined", opened.quarantined);
-    }
+    let opened = open_journal(&opts.journal, jobs, policy, io)?;
     let run = opened.run_index;
     // Reopen in O_APPEND mode: the handle from `open_journal` tracks its
     // own write position, which is wrong the moment workers append
@@ -181,22 +172,22 @@ pub fn run_dispatch_with_io(
         }
     };
 
-    let result = (|| -> Result<(), JournalError> {
+    // On success, the all-done journal text the last poll read: the
+    // report is built from it, with no extra read.
+    let result = (|| -> Result<String, JournalError> {
         for _ in 0..opts.procs {
             workers.push(spawn_worker(opts, run, &mut next_id, &mut worker_traces)?);
         }
         loop {
-            let text = io
-                .read(FileClass::Journal, &opts.journal.path)
-                .map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
-                .map_err(|e| io_err("poll journal", e))?;
+            let text =
+                record::read_text(io, &opts.journal.path).map_err(|e| io_err("poll journal", e))?;
             let view = replay_ledger(&text, jobs.len());
             if polls.is_multiple_of(STATUS_EVERY) || view.all_done() {
                 write_status(&text);
             }
             polls += 1;
             if view.all_done() {
-                return Ok(());
+                return Ok(text);
             }
 
             // Reap exited children first; only then expire their
@@ -213,7 +204,7 @@ pub fn run_dispatch_with_io(
                     }
                     None => {
                         let seen =
-                            view.heartbeats.get(&(workers[i].id as u64)).copied().unwrap_or(0);
+                            view.workers.get(&(workers[i].id as u64)).map_or(0, |w| w.hb_seq);
                         if seen > workers[i].hb_seen {
                             workers[i].hb_seen = seen;
                             workers[i].hb_at = Instant::now();
@@ -228,15 +219,16 @@ pub fn run_dispatch_with_io(
                 }
             }
             if !dead.is_empty() {
-                let text = io
-                    .read(FileClass::Journal, &opts.journal.path)
-                    .map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
+                let text = record::read_text(io, &opts.journal.path)
                     .map_err(|e| io_err("re-read journal after reap", e))?;
                 let view = replay_ledger(&text, jobs.len());
                 for pid in dead {
                     for (job, lease) in view.leases_of_pid(pid) {
-                        append_record(ledger_file.as_mut(), &expire_line(job, lease))
-                            .map_err(|e| io_err("append expire record", e))?;
+                        record::append_ephemeral(
+                            ledger_file.as_mut(),
+                            &record::expire_line(job, lease),
+                        )
+                        .map_err(|e| io_err("append expire record", e))?;
                         vtrace::counter("exec.leases_expired", 1);
                         expired += 1;
                     }
@@ -259,13 +251,14 @@ pub fn run_dispatch_with_io(
         }
     })();
 
-    match result {
-        Ok(()) => {
+    let text = match result {
+        Ok(text) => {
             // Batch complete: workers observe all-done and exit on
             // their own; collect them so none outlive the dispatcher.
             for mut w in workers.drain(..) {
                 let _ = w.child.wait();
             }
+            text
         }
         Err(e) => {
             for mut w in workers.drain(..) {
@@ -274,7 +267,7 @@ pub fn run_dispatch_with_io(
             }
             return Err(e);
         }
-    }
+    };
 
     if span.id().is_some() {
         span.record("jobs", jobs.len());
@@ -284,7 +277,7 @@ pub fn run_dispatch_with_io(
     }
     drop(span);
 
-    let report = assemble_report(jobs, &opts.journal, run, started)?;
+    let report = assemble_report(jobs, &text, run, started)?;
     Ok(DispatchReport { report, worker_traces })
 }
 
@@ -323,85 +316,44 @@ fn spawn_worker(
     Ok(WorkerProc { id, child, hb_seen: 0, hb_at: Instant::now() })
 }
 
-/// Reads the completed journal back into an [`EngineBatchReport`]: one
+/// Folds the all-done journal text into an [`EngineBatchReport`]: one
 /// verified record per job (last record wins), live records (tagged
-/// with this run's index) contributing attempts and CPU-seconds,
+/// with this run's index) keeping their attempts and CPU-seconds,
 /// everything else counted as replayed.
 fn assemble_report(
     jobs: &[EngineJob],
-    journal: &JournalConfig,
+    text: &str,
     run: u32,
     started: Instant,
 ) -> Result<EngineBatchReport, JournalError> {
-    let text =
-        std::fs::read_to_string(&journal.path).map_err(|e| io_err("read journal for report", e))?;
-    let mut records: Vec<Option<LoadedRecord>> = Vec::new();
-    records.resize_with(jobs.len(), || None);
-    for line in text.lines() {
-        let Ok(parsed) = json::parse(line) else { continue };
-        if parsed.get("kind").and_then(Value::as_str) == Some("job") {
-            if let Some(rec) = load_job_record(&parsed, jobs) {
-                let slot = rec.job;
-                records[slot] = Some(rec);
-            }
+    let mut chains: Vec<Option<ChainResult>> = Vec::new();
+    chains.resize_with(jobs.len(), || None);
+    for rec in record::records(text) {
+        let Record::Job(rec) = rec else { continue };
+        if let Some(chain) = rec.load(jobs) {
+            let live = rec.run == Some(run);
+            chains[rec.job] = Some(if live { chain } else { ChainResult::replayed(chain.outcome) });
         }
     }
-
     let wall_secs = started.elapsed().as_secs_f64().max(1e-9);
-    let mut summary = BatchSummary::default();
-    let mut results = Vec::with_capacity(jobs.len());
-    let mut cpu_secs = 0.0f64;
-    for (job, rec) in jobs.iter().zip(records) {
-        let Some(rec) = rec else {
-            // The ledger said Done for every job, but this record did
-            // not verify on read-back — journal damage after commit.
-            return Err(io_err(
-                "load job record",
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("job '{}' has no verifiable journal record", job.name),
-                ),
-            ));
-        };
-        let live = rec.run == Some(run);
-        let (attempts, degraded, deadline_missed) =
-            if live { (rec.attempts, rec.degraded, rec.deadline_missed) } else { (0, 0, false) };
-        match &rec.outcome {
-            Ok(outcome) => {
-                summary.completed += 1;
-                if let Some(peak) = outcome.peak_resident_frames() {
-                    summary.peak_resident_frames = summary.peak_resident_frames.max(peak);
-                }
-                if live {
-                    cpu_secs += outcome.timings().total();
-                }
-            }
-            Err(_) => summary.failed += 1,
-        }
-        summary.replayed += usize::from(!live);
-        summary.retries += u64::from(attempts.saturating_sub(1));
-        summary.deadline_misses += u64::from(deadline_missed);
-        summary.degraded += u64::from(degraded > 0);
-        results.push(EngineJobResult {
-            name: job.name.clone(),
-            outcome: rec.outcome,
-            attempts,
-            hedged: false,
-            degraded,
-            deadline_missed,
-        });
-    }
-    if summary.failed > 0 {
-        vtrace::counter("farm.jobs_failed", summary.failed as u64);
-    }
-    let total_pixels: u64 = jobs.iter().map(|j| j.source.total_pixels()).sum();
-    Ok(EngineBatchReport {
-        results,
-        summary,
-        wall_secs,
-        aggregate_pps: total_pixels as f64 / wall_secs,
-        cpu_secs,
-    })
+    // The ledger said Done for every job; a record that does not
+    // verify on read-back is journal damage after commit.
+    let chains = jobs
+        .iter()
+        .zip(chains)
+        .map(|(job, chain)| {
+            chain.map(|c| (c, false)).ok_or_else(|| {
+                io_err(
+                    "load job record",
+                    std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!("job '{}' has no verifiable journal record", job.name),
+                    ),
+                )
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(EngineBatchReport::from_chains(jobs, chains, 0, wall_secs))
 }
 
 /// Appends worker trace files onto the dispatcher's flushed trace,
@@ -512,6 +464,37 @@ fn bump_field(line: &mut String, key: &str, offset: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::record::testing::{jobs, ok_chain};
+
+    /// The report reads what every other reader reads: a garbage line
+    /// (here the U+FFFD a lossy decode leaves behind) between valid
+    /// records is skipped, not a hard error on a complete batch.
+    #[test]
+    fn report_folds_the_poll_text_and_skips_garbage_lines() {
+        let jobs = jobs(&["a", "b"]);
+        let text = [
+            record::manifest_line(7, 2),
+            record::run_line(3),
+            record::job_line(0, "a", &ok_chain(b"replayed", 2), Some((0, 2))),
+            "\u{FFFD}\u{FFFD}{{{not json\n".to_string(),
+            record::job_line(1, "b", &ok_chain(b"stale", 1), Some((1, 3))),
+            record::job_line(1, "b", &ok_chain(b"live", 2), Some((0, 3))),
+        ]
+        .concat();
+        let report = assemble_report(&jobs, &text, 3, Instant::now()).expect("garbage is skipped");
+        let bytes: Vec<&[u8]> =
+            report.results.iter().map(|r| r.success().expect("ok").bytes()).collect();
+        assert_eq!(bytes, [&b"replayed"[..], b"live"], "last record wins");
+        // Only run 3's record is live work; run 2's is a replay.
+        assert_eq!((report.results[0].attempts, report.results[1].attempts), (0, 2));
+        assert_eq!((report.summary.replayed, report.summary.retries), (1, 1));
+        assert_eq!(report.cpu_secs, 2.75, "the live job's transfer + pipeline seconds");
+
+        let missing = text.replace("\"name\":\"b\"", "\"name\":\"z\"");
+        let err =
+            assemble_report(&jobs, &missing, 3, Instant::now()).expect_err("job b unverifiable");
+        assert!(matches!(err, JournalError::Io { .. }), "{err}");
+    }
 
     #[test]
     fn bump_field_shifts_id_and_respects_null_parent() {

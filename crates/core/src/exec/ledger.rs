@@ -1,32 +1,31 @@
-//! The lease ledger: multi-process work-queue state, replayed from the
-//! shared journal's ephemeral records.
+//! The lease ledger: multi-process work-queue state, folded from the
+//! shared journal's records.
 //!
 //! The journal file doubles as the coordination channel between a
 //! dispatcher and its worker processes. Three ephemeral record kinds
-//! ride alongside the durable manifest/run/job records:
+//! ride alongside the durable manifest/run/job records (fields and
+//! writers: the "Journal record format" table in DESIGN.md §Durability;
+//! bytes: [`crate::journal::record`]):
 //!
-//! * `{"kind":"lease","job":J,"worker":W,"nonce":N,"pid":P}` — worker
-//!   `W` (process `P`) claims job `J`. Appended *optimistically*: two
+//! * `lease` — a worker claims a job. Appended *optimistically*: two
 //!   workers may both append a lease for the same free job, and the
-//!   ledger replay arbitrates — **first lease in file order wins**
+//!   ledger fold arbitrates — **first lease in file order wins**
 //!   (O_APPEND gives all writers one total file order to agree on).
 //!   The loser re-reads, sees it is not the holder, and moves on.
-//! * `{"kind":"expire","job":J,"worker":W,"nonce":N,"pid":P}` — the
-//!   dispatcher voids the matching lease. Appended only after the
-//!   holder's process has been reaped (`waitpid`), so a dead worker can
-//!   never publish a record for a job someone else re-leases: the
-//!   process was provably gone before the job became free again.
-//! * `{"kind":"hb","worker":W,"seq":S,"pid":P,"t_ms":T}` — worker
-//!   liveness, for the dispatcher's stuck-worker detection and the
-//!   `vbench top` monitor (`t_ms` is wall-clock milliseconds since the
-//!   Unix epoch, so an observer can render heartbeat age).
+//! * `expire` — the dispatcher voids the matching lease. Appended only
+//!   after the holder's process has been reaped (`waitpid`), so a dead
+//!   worker can never publish a record for a job someone else
+//!   re-leases: the process was provably gone before the job became
+//!   free again.
+//! * `hb` — worker liveness, for the dispatcher's stuck-worker
+//!   detection and the `vbench top` monitor.
 //!
 //! None of these are fsync'd and none survive a resume: the journal
 //! scan skips them and compaction scrubs them. The fsync'd job record
 //! remains the only commit point — a job is Done exactly when its
 //! record is in the file, which is the same rule `--resume` uses.
 //!
-//! Per-job state machine, replayed in file order:
+//! Per-job state machine, folded in file order:
 //!
 //! ```text
 //!          lease (first)            job record
@@ -38,9 +37,8 @@
 
 use std::collections::BTreeMap;
 
-use vtrace::json::{self, Value};
-
-use super::io::DurableFile;
+use super::status::WorkerStatus;
+use crate::journal::record::{self, Record};
 
 /// Who holds (or held) a lease: enough identity to match an expire
 /// record to its lease and to find the holder's process.
@@ -80,14 +78,15 @@ pub(crate) struct LedgerView {
     /// Whether any lease on this job was ever expired (reclaim
     /// telemetry).
     pub(crate) expired: Vec<bool>,
-    /// Latest heartbeat sequence number per worker id.
-    pub(crate) heartbeats: BTreeMap<u64, u64>,
-    /// Latest heartbeat wall-clock time (ms since the Unix epoch) per
-    /// worker id — what a read-only observer renders as heartbeat age.
-    pub(crate) heartbeat_wall_ms: BTreeMap<u64, u64>,
-    /// OS process id per worker id, learned from lease and heartbeat
-    /// records.
-    pub(crate) worker_pids: BTreeMap<u64, u64>,
+    /// What the records reveal about each worker — pid (from leases
+    /// and heartbeats), latest heartbeat sequence and wall time, tagged
+    /// job records committed — keyed by worker id. The fold leaves
+    /// `in_flight` to [`super::status`], which reads it off `states`.
+    pub(crate) workers: BTreeMap<u64, WorkerStatus>,
+    /// Attempts beyond the first, summed over job records.
+    pub(crate) retries: u64,
+    /// Expire records in the file, matching a live lease or not.
+    pub(crate) expire_records: u64,
 }
 
 impl LedgerView {
@@ -127,81 +126,61 @@ impl LedgerView {
     }
 }
 
-/// Replays the journal text into a [`LedgerView`] over `jobs` job
-/// indices. Tolerant by construction: unparsable lines (torn tails,
-/// foreign garbage) and out-of-range indices are skipped — the durable
-/// scan in `crate::journal` owns corruption accounting; this replay
-/// only needs a consistent coordination view, and every process
-/// replaying the same bytes gets the same view.
+/// Folds the journal text into a [`LedgerView`] over `jobs` job
+/// indices. Tolerant by construction: lines that are not committed
+/// records (torn tails, foreign garbage) and out-of-range indices are
+/// skipped — the durable scan in `crate::journal` owns corruption
+/// accounting; this fold only needs a consistent coordination view, and
+/// every process folding the same bytes gets the same view. Header-only:
+/// a job record counts as Done on its header alone, its payload is never
+/// decoded here.
 pub(crate) fn replay_ledger(text: &str, jobs: usize) -> LedgerView {
     let mut view = LedgerView {
         states: vec![JobState::Free; jobs],
         first_lease: vec![None; jobs],
         expired: vec![false; jobs],
-        heartbeats: BTreeMap::new(),
-        heartbeat_wall_ms: BTreeMap::new(),
-        worker_pids: BTreeMap::new(),
+        workers: BTreeMap::new(),
+        retries: 0,
+        expire_records: 0,
     };
-    for line in text.lines() {
-        let Ok(parsed) = json::parse(line) else { continue };
-        let u = |key: &str| parsed.get(key).and_then(Value::as_u64);
-        match parsed.get("kind").and_then(Value::as_str) {
-            Some("job") => {
-                if let Some(job) = u("job").map(|j| j as usize) {
-                    if job < jobs {
-                        view.states[job] = JobState::Done;
-                    }
+    fn worker(workers: &mut BTreeMap<u64, WorkerStatus>, id: u64) -> &mut WorkerStatus {
+        workers.entry(id).or_insert_with(|| WorkerStatus { worker: id, ..Default::default() })
+    }
+    for record in record::records(text) {
+        match record {
+            Record::Job(rec) => {
+                view.retries += u64::from(rec.attempts.saturating_sub(1));
+                if let Some(id) = rec.worker {
+                    let w = worker(&mut view.workers, id);
+                    *(if rec.ok { &mut w.completed } else { &mut w.failed }) += 1;
+                }
+                if let Some(state) = view.states.get_mut(rec.job) {
+                    *state = JobState::Done;
                 }
             }
-            Some("lease") => {
-                let (Some(job), Some(worker), Some(nonce), Some(pid)) =
-                    (u("job").map(|j| j as usize), u("worker"), u("nonce"), u("pid"))
-                else {
-                    continue;
-                };
-                if job >= jobs {
-                    continue;
-                }
-                let id = LeaseId { worker, nonce, pid };
-                view.worker_pids.insert(worker, pid);
-                if view.first_lease[job].is_none() {
-                    view.first_lease[job] = Some(id);
-                }
+            Record::Lease { job, id } if job < jobs => {
+                worker(&mut view.workers, id.worker).pid = Some(id.pid);
+                view.first_lease[job].get_or_insert(id);
                 // First lease on a free job wins; a lease raced onto an
                 // already-leased or done job is a no-op for its writer.
-                if matches!(view.states[job], JobState::Free) {
+                if view.states[job] == JobState::Free {
                     view.states[job] = JobState::Leased(id);
                 }
             }
-            Some("expire") => {
-                let (Some(job), Some(worker), Some(nonce), Some(pid)) =
-                    (u("job").map(|j| j as usize), u("worker"), u("nonce"), u("pid"))
-                else {
-                    continue;
-                };
-                if job >= jobs {
-                    continue;
-                }
-                let id = LeaseId { worker, nonce, pid };
+            Record::Expire { job, id } => {
+                view.expire_records += 1;
                 // Only the exact current holder can be expired: an
                 // expire that raced with a newer lease must not void it.
-                if view.states[job] == JobState::Leased(id) {
+                if view.states.get(job) == Some(&JobState::Leased(id)) {
                     view.states[job] = JobState::Free;
                     view.expired[job] = true;
                 }
             }
-            Some("hb") => {
-                if let (Some(worker), Some(seq)) = (u("worker"), u("seq")) {
-                    let slot = view.heartbeats.entry(worker).or_insert(0);
-                    *slot = (*slot).max(seq);
-                    if let Some(t_ms) = u("t_ms") {
-                        let wall = view.heartbeat_wall_ms.entry(worker).or_insert(0);
-                        *wall = (*wall).max(t_ms);
-                    }
-                    if let Some(pid) = u("pid") {
-                        view.worker_pids.insert(worker, pid);
-                    }
-                }
+            Record::Hb { worker: id, seq, pid, t_ms } => {
+                let w = worker(&mut view.workers, id);
+                w.hb_seq = w.hb_seq.max(seq);
+                w.hb_wall_ms = w.hb_wall_ms.max(t_ms);
+                w.pid = pid.or(w.pid);
             }
             _ => {}
         }
@@ -209,57 +188,30 @@ pub(crate) fn replay_ledger(text: &str, jobs: usize) -> LedgerView {
     view
 }
 
-/// A lease record line, newline-terminated for a single-write append.
-pub(crate) fn lease_line(job: usize, id: LeaseId) -> String {
-    format!(
-        "{{\"kind\":\"lease\",\"job\":{job},\"worker\":{},\"nonce\":{},\"pid\":{}}}\n",
-        id.worker, id.nonce, id.pid
-    )
-}
-
-/// An expire record line voiding exactly the lease `id` on `job`.
-pub(crate) fn expire_line(job: usize, id: LeaseId) -> String {
-    format!(
-        "{{\"kind\":\"expire\",\"job\":{job},\"worker\":{},\"nonce\":{},\"pid\":{}}}\n",
-        id.worker, id.nonce, id.pid
-    )
-}
-
-/// A heartbeat record line for worker `worker`, sequence `seq`, stamped
-/// with the worker's pid and the wall-clock time `t_ms` (ms since the
-/// Unix epoch).
-pub(crate) fn hb_line(worker: u64, seq: u64, pid: u64, t_ms: u64) -> String {
-    format!("{{\"kind\":\"hb\",\"worker\":{worker},\"seq\":{seq},\"pid\":{pid},\"t_ms\":{t_ms}}}\n")
-}
-
-/// Appends one pre-formed, newline-terminated record in a single write.
-/// With the file in `O_APPEND` mode a whole-line write lands atomically
-/// at the current end of file, so concurrent appenders interleave
-/// records, never bytes within a record. Ephemeral records are not
-/// fsync'd — losing them in a crash is harmless, the durable scan
-/// ignores them anyway.
-pub(crate) fn append_record(file: &mut dyn DurableFile, line: &str) -> std::io::Result<()> {
-    debug_assert!(line.ends_with('\n') && line.matches('\n').count() == 1);
-    file.append(line.as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A corrupt journal can put any index in a lease line; every view
+    /// A corrupt journal can put any index in a record; every view
     /// accessor must shrug, not panic.
     #[test]
     fn out_of_range_indices_are_ignored_everywhere() {
-        let text = "{\"kind\":\"lease\",\"job\":99,\"worker\":0,\"nonce\":0,\"pid\":7}\n\
-                    {\"kind\":\"job\",\"job\":42,\"name\":\"x\"}\n\
-                    {\"kind\":\"lease\",\"job\":1,\"worker\":1,\"nonce\":0,\"pid\":8}\n";
-        let view = replay_ledger(text, 2);
+        let id = |worker| LeaseId { worker, nonce: 0, pid: 7 + worker };
+        let text = [
+            record::manifest_line(7, 2),
+            record::lease_line(99, id(0)),
+            record::expire_line(99, id(0)),
+            record::job_line(42, "x", &record::testing::ok_chain(b"x", 1), None),
+            record::lease_line(1, id(1)),
+        ]
+        .concat();
+        let view = replay_ledger(&text, 2);
         assert_eq!(view.states[0], JobState::Free);
         assert!(matches!(view.states[1], JobState::Leased(_)));
         assert_eq!(view.holder(0), None);
         assert!(view.holder(1).is_some());
         assert_eq!(view.holder(99), None, "out-of-range holder query answers None");
         assert_eq!(view.first_free(), Some(0));
+        assert_eq!(view.workers.keys().copied().collect::<Vec<_>>(), [1]);
     }
 }

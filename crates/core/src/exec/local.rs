@@ -20,9 +20,7 @@ use std::time::Instant;
 
 use super::{ChainResult, WorkQueue};
 use crate::engine::Transcoder;
-use crate::farm::{
-    BatchError, BatchSummary, EngineBatchReport, EngineJob, EngineJobResult, JobError, JobOutcome,
-};
+use crate::farm::{BatchError, EngineBatchReport, EngineJob, JobError, JobOutcome};
 use crate::resilience::{degraded_request, FaultyTranscoder, ResilienceConfig};
 
 /// Post-job supervisor hook: `(job index, winning chain) -> continue?`.
@@ -417,41 +415,19 @@ pub(crate) fn run_engine_batch(
         return Err(BatchError::Aborted);
     }
     let wall_secs = started.elapsed().as_secs_f64().max(1e-9);
-    let mut results = Vec::with_capacity(jobs.len());
-    let mut summary =
-        BatchSummary { hedges: hedges_launched.load(Ordering::Relaxed), ..BatchSummary::default() };
-    for (job, slot) in jobs.iter().zip(queue.into_slots()) {
-        // Invariant: the scope joined every worker and `remaining` hit
-        // zero only after every slot was filled.
-        let chain = slot.result.expect("every job resolved");
-        match &chain.outcome {
-            Ok(outcome) => {
-                summary.completed += 1;
-                if let Some(peak) = outcome.peak_resident_frames() {
-                    summary.peak_resident_frames = summary.peak_resident_frames.max(peak);
-                }
-            }
-            Err(_) => summary.failed += 1,
-        }
-        summary.replayed += usize::from(chain.was_replayed());
-        summary.retries += u64::from(chain.attempts.saturating_sub(1));
-        summary.deadline_misses += u64::from(chain.deadline_missed);
-        summary.degraded += u64::from(chain.degraded > 0);
-        if matches!(chain.outcome, Err(JobError::Panicked { .. })) {
-            summary.panics += 1;
-        }
-        results.push(EngineJobResult {
-            name: job.name.clone(),
-            outcome: chain.outcome,
-            attempts: chain.attempts,
-            hedged: slot.hedge_launched,
-            degraded: chain.degraded,
-            deadline_missed: chain.deadline_missed,
-        });
-    }
-    if summary.failed > 0 {
-        vtrace::counter("farm.jobs_failed", summary.failed as u64);
-    }
+    // Invariant: the scope joined every worker and `remaining` hit zero
+    // only after every slot was filled.
+    let chains = queue
+        .into_slots()
+        .into_iter()
+        .map(|slot| (slot.result.expect("every job resolved"), slot.hedge_launched));
+    let report = EngineBatchReport::from_chains(
+        jobs,
+        chains,
+        hedges_launched.load(Ordering::Relaxed),
+        wall_secs,
+    );
+    let summary = &report.summary;
     if batch_span.id().is_some() {
         batch_span.record("jobs", jobs.len());
         batch_span.record("workers", spawned);
@@ -465,20 +441,5 @@ pub(crate) fn run_engine_batch(
         vtrace::gauge("farm.batch_utilization", utilization);
     }
     drop(batch_span);
-    let total_pixels: u64 = jobs.iter().map(|j| j.source.total_pixels()).sum();
-    // Replayed jobs carry the *original* run's timings; only work done in
-    // this process counts as CPU-seconds here.
-    let cpu_secs: f64 = results
-        .iter()
-        .filter(|r| r.attempts > 0)
-        .filter_map(|r| r.success())
-        .map(|o| o.timings().total())
-        .sum();
-    Ok(EngineBatchReport {
-        results,
-        summary,
-        wall_secs,
-        aggregate_pps: total_pixels as f64 / wall_secs,
-        cpu_secs,
-    })
+    Ok(report)
 }

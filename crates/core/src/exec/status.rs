@@ -21,11 +21,11 @@
 //! refreshing live view, both of which are handed their clock
 //! explicitly.
 
-use std::collections::BTreeMap;
 use std::path::Path;
 
 use super::ledger::{replay_ledger, JobState};
-use vtrace::json::{self, Value};
+use crate::journal::record::{self, Record};
+use vtrace::json;
 
 /// Schema version of the `status.json` snapshot.
 pub const STATUS_VERSION: u32 = 1;
@@ -129,7 +129,7 @@ impl StatusSnapshot {
              \"elapsed_secs\":{},\"jobs\":{},\"done\":{},\"failed\":{},\"leased\":{},\
              \"free\":{},\"retries\":{},\"expired_leases\":{},\"throughput_jps\":{},\
              \"eta_secs\":{},\"workers\":[",
-            jf64(elapsed_secs),
+            json::number(elapsed_secs),
             self.jobs,
             self.done,
             self.failed,
@@ -137,8 +137,8 @@ impl StatusSnapshot {
             self.free(),
             self.retries,
             self.expired_leases,
-            jf64(throughput),
-            jf64(eta_secs),
+            json::number(throughput),
+            json::number(eta_secs),
         );
         for (i, w) in self.workers.iter().enumerate() {
             if i > 0 {
@@ -163,77 +163,39 @@ impl StatusSnapshot {
 }
 
 /// Derives a snapshot from journal text. Returns `None` when the text
-/// has no manifest line — nothing to monitor yet (or not a journal).
+/// has no usable manifest — nothing to monitor yet (or not a journal).
 pub fn snapshot_from_text(text: &str) -> Option<StatusSnapshot> {
-    let mut jobs = None;
-    let mut per_worker: BTreeMap<u64, WorkerStatus> = BTreeMap::new();
-    let mut snap = StatusSnapshot::default();
-    for line in text.lines() {
-        let Ok(parsed) = json::parse(line) else { continue };
-        match parsed.get("kind").and_then(Value::as_str) {
-            Some("manifest") if jobs.is_none() => {
-                // Invariant: the manifest's job count sizes the ledger
-                // replay allocation. A corrupt or hostile count must not
-                // drive an unbounded `Vec` — cap it at a bound no real
-                // batch approaches and treat anything larger like a
-                // missing manifest (nothing to monitor).
-                jobs = parsed
-                    .get("jobs")
-                    .and_then(Value::as_u64)
-                    .filter(|&j| j <= MAX_MANIFEST_JOBS)
-                    .map(|j| j as usize);
-            }
-            Some("job") => {
-                let attempts = parsed.get("attempts").and_then(Value::as_u64).unwrap_or(0);
-                snap.retries += attempts.saturating_sub(1);
-                let ok = parsed.get("status").and_then(Value::as_str) == Some("ok");
-                if let Some(worker) = parsed.get("worker").and_then(Value::as_u64) {
-                    let slot = per_worker.entry(worker).or_default();
-                    if ok {
-                        slot.completed += 1;
-                    } else {
-                        slot.failed += 1;
-                    }
-                }
-            }
-            Some("expire") => snap.expired_leases += 1,
-            _ => {}
-        }
-    }
-    let jobs = jobs?;
-    snap.jobs = jobs;
-
-    let view = replay_ledger(text, jobs);
+    // Invariant: the manifest's job count sizes the ledger allocation.
+    // A corrupt or hostile count must not drive an unbounded `Vec` —
+    // cap it at a bound no real batch approaches and treat anything
+    // larger like a missing manifest (nothing to monitor).
+    let jobs = match record::records(text).next()? {
+        Record::Manifest { jobs, .. } if jobs <= MAX_MANIFEST_JOBS => jobs as usize,
+        _ => return None,
+    };
+    let mut view = replay_ledger(text, jobs);
+    let mut snap = StatusSnapshot {
+        jobs,
+        retries: view.retries,
+        expired_leases: view.expire_records,
+        ..Default::default()
+    };
     for (job, state) in view.states.iter().enumerate() {
         match state {
             JobState::Done => snap.done += 1,
             JobState::Leased(id) => {
                 snap.leased += 1;
-                per_worker.entry(id.worker).or_default().in_flight = Some(job);
+                if let Some(w) = view.workers.get_mut(&id.worker) {
+                    w.in_flight = Some(job);
+                }
             }
             JobState::Free => {}
         }
     }
-    for (worker, seq) in &view.heartbeats {
-        per_worker.entry(*worker).or_default().hb_seq = *seq;
-    }
-    for (worker, t_ms) in &view.heartbeat_wall_ms {
-        per_worker.entry(*worker).or_default().hb_wall_ms = Some(*t_ms);
-    }
-    for (worker, pid) in &view.worker_pids {
-        per_worker.entry(*worker).or_default().pid = Some(*pid);
-    }
-
     // Failure counts: durable failed records count toward `done` in the
     // lease machine; surface them separately too.
-    snap.failed = per_worker.values().map(|w| w.failed as usize).sum();
-    snap.workers = per_worker
-        .into_iter()
-        .map(|(worker, mut w)| {
-            w.worker = worker;
-            w
-        })
-        .collect();
+    snap.failed = view.workers.values().map(|w| w.failed as usize).sum();
+    snap.workers = view.workers.into_values().collect();
     Some(snap)
 }
 
@@ -244,13 +206,7 @@ pub fn snapshot_from_text(text: &str) -> Option<StatusSnapshot> {
 /// Propagates the read error; a readable file with no manifest yields
 /// `Ok(None)`.
 pub fn snapshot_from_journal(path: &Path) -> std::io::Result<Option<StatusSnapshot>> {
-    // Invariant: a monitor must tolerate any byte sequence a crash (or
-    // torn concurrent append) can leave behind. `read_to_string` fails
-    // on invalid UTF-8, which journal corruption can inject, so decode
-    // lossily — the garbage line fails to parse and is skipped, exactly
-    // like the resume scanner treats it.
-    let bytes = std::fs::read(path)?;
-    Ok(snapshot_from_text(&String::from_utf8_lossy(&bytes)))
+    Ok(snapshot_from_text(&record::read_text(&super::io::StdIo, path)?))
 }
 
 /// Atomically and *durably* replaces `path` with `content`: write a
@@ -323,32 +279,33 @@ pub(crate) fn remove_stale_status_temps(path: &Path) {
     super::io::remove_stale_temps(path);
 }
 
-/// JSON number literal; non-finite becomes `null`.
-fn jf64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const JOURNAL: &str = "\
-        {\"kind\":\"manifest\",\"version\":1,\"fingerprint\":7,\"jobs\":3}\n\
-        {\"kind\":\"run\",\"index\":0}\n\
-        {\"kind\":\"hb\",\"worker\":0,\"seq\":2,\"pid\":41,\"t_ms\":1000}\n\
-        {\"kind\":\"hb\",\"worker\":1,\"seq\":5,\"pid\":42,\"t_ms\":1200}\n\
-        {\"kind\":\"lease\",\"job\":0,\"worker\":0,\"nonce\":0,\"pid\":41}\n\
-        {\"kind\":\"job\",\"job\":0,\"name\":\"a\",\"attempts\":2,\"degraded\":0,\
-         \"deadline_missed\":false,\"status\":\"ok\",\"worker\":0,\"run\":0}\n\
-        {\"kind\":\"lease\",\"job\":1,\"worker\":1,\"nonce\":0,\"pid\":42}\n";
+    use crate::exec::ledger::LeaseId;
+    use crate::journal::record::testing::ok_chain;
+    use crate::journal::record::{hb_line, job_line, lease_line, manifest_line, run_line};
+    use vtrace::json::Value;
+
+    /// Three jobs, two workers: job 0 committed by worker 0 on its
+    /// second attempt, job 1 leased by worker 1, job 2 free.
+    fn journal() -> String {
+        [
+            manifest_line(7, 3),
+            run_line(0),
+            hb_line(0, 2, 41, 1000),
+            hb_line(1, 5, 42, 1200),
+            lease_line(0, LeaseId { worker: 0, nonce: 0, pid: 41 }),
+            job_line(0, "a", &ok_chain(b"a", 2), Some((0, 0))),
+            lease_line(1, LeaseId { worker: 1, nonce: 0, pid: 42 }),
+        ]
+        .concat()
+    }
 
     #[test]
     fn snapshot_reads_manifest_ledger_and_records() {
-        let snap = snapshot_from_text(JOURNAL).expect("has manifest");
+        let snap = snapshot_from_text(&journal()).expect("has manifest");
         assert_eq!(snap.jobs, 3);
         assert_eq!(snap.done, 1);
         assert_eq!(snap.leased, 1);
@@ -366,9 +323,9 @@ mod tests {
 
     #[test]
     fn render_is_deterministic_and_lists_every_worker() {
-        let snap = snapshot_from_text(JOURNAL).expect("has manifest");
+        let snap = snapshot_from_text(&journal()).expect("has manifest");
         let a = snap.render();
-        let b = snapshot_from_text(JOURNAL).expect("has manifest").render();
+        let b = snapshot_from_text(&journal()).expect("has manifest").render();
         assert_eq!(a, b);
         assert!(a.contains("jobs 3  done 1"), "{a}");
         for needle in ["idle", "#1", "41", "42"] {
@@ -378,7 +335,7 @@ mod tests {
 
     #[test]
     fn status_json_parses_and_carries_clock_derivations() {
-        let snap = snapshot_from_text(JOURNAL).expect("has manifest");
+        let snap = snapshot_from_text(&journal()).expect("has manifest");
         let doc = snap.to_json(2200, 4.0);
         let v = json::parse(&doc).expect("valid JSON");
         assert_eq!(v.get("version").and_then(Value::as_u64), Some(1));
@@ -394,21 +351,20 @@ mod tests {
 
     #[test]
     fn no_manifest_means_no_snapshot() {
-        assert!(snapshot_from_text("{\"kind\":\"run\",\"index\":0}\n").is_none());
+        assert!(snapshot_from_text(&run_line(0)).is_none());
     }
 
     /// A corrupt manifest advertising an absurd job count must not drive
     /// an unbounded allocation: past the cap it is not a manifest.
     #[test]
     fn insane_manifest_job_counts_are_rejected() {
-        let text = format!(
-            "{{\"kind\":\"manifest\",\"version\":1,\"fingerprint\":7,\"jobs\":{}}}\n",
-            u64::MAX
-        );
-        assert!(snapshot_from_text(&text).is_none());
+        for insane in [u64::MAX.to_string(), (MAX_MANIFEST_JOBS + 1).to_string()] {
+            let text = manifest_line(7, 4).replace("\"jobs\":4", &format!("\"jobs\":{insane}"));
+            assert!(snapshot_from_text(&text).is_none(), "{text}");
+        }
         // At the cap the manifest is still trusted.
-        let text = "{\"kind\":\"manifest\",\"version\":1,\"fingerprint\":7,\"jobs\":4}\n";
-        assert_eq!(snapshot_from_text(text).expect("sane manifest").jobs, 4);
+        let text = manifest_line(7, MAX_MANIFEST_JOBS as usize);
+        assert_eq!(snapshot_from_text(&text).expect("sane manifest").jobs, 1 << 20);
     }
 
     /// Crash garbage can inject invalid UTF-8 into the journal; the
@@ -417,7 +373,7 @@ mod tests {
     fn invalid_utf8_journal_bytes_do_not_fail_the_monitor() {
         let mut path = std::env::temp_dir();
         path.push(format!("vbench-status-utf8-{}.jsonl", std::process::id()));
-        let mut bytes = JOURNAL.as_bytes().to_vec();
+        let mut bytes = journal().into_bytes();
         bytes.extend_from_slice(b"\xff\xfe{torn");
         std::fs::write(&path, &bytes).expect("write journal");
         let snap = snapshot_from_journal(&path)
@@ -433,19 +389,18 @@ mod tests {
     /// append completes.
     #[test]
     fn tailing_mid_append_skips_the_partial_record_then_sees_it() {
-        let record = "{\"kind\":\"job\",\"job\":1,\"name\":\"b\",\"attempts\":1,\"degraded\":0,\
-                      \"deadline_missed\":false,\"status\":\"ok\",\"worker\":1,\"run\":0}";
-        let before = snapshot_from_text(JOURNAL).expect("has manifest");
+        let record = job_line(1, "b", &ok_chain(b"b", 1), Some((1, 0)));
+        let before = snapshot_from_text(&journal()).expect("has manifest");
         // Every strict prefix of the in-flight append leaves the
         // snapshot exactly where it was.
         for cut in [1, record.len() / 2, record.len() - 1] {
-            let mid = format!("{JOURNAL}{}", &record[..cut]);
+            let mid = format!("{}{}", journal(), &record[..cut]);
             let snap = snapshot_from_text(&mid).expect("has manifest");
             assert_eq!(snap.done, before.done, "partial record must not count (cut {cut})");
             assert_eq!(snap.leased, before.leased, "partial record must not count (cut {cut})");
         }
         // The completed line takes effect.
-        let after = snapshot_from_text(&format!("{JOURNAL}{record}\n")).expect("has manifest");
+        let after = snapshot_from_text(&(journal() + &record)).expect("has manifest");
         assert_eq!(after.done, before.done + 1);
         assert_eq!(after.workers[1].completed, 1);
         assert_eq!(after.workers[1].in_flight, None, "job 1 committed, lease terminal");

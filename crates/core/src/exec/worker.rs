@@ -28,16 +28,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use super::io::{append_retrying, DurableFile, JournalIo, StdIo};
+use super::io::{DurableFile, JournalIo, StdIo};
 use super::ledger::{self, LeaseId};
 use super::local::run_attempt_chain;
 use super::{ChainResult, WorkQueue};
 use crate::engine::Transcoder;
 use crate::farm::EngineJob;
+use crate::journal::record::{self, Record};
 use crate::journal::{self, JournalError};
 use crate::resilience::ResilienceConfig;
 use vfault::{CrashPoint, FileClass};
-use vtrace::json::{self, Value};
 
 /// How a worker process attaches to its dispatcher's journal.
 #[derive(Clone, Debug)]
@@ -78,32 +78,27 @@ struct JournalQueue<'a> {
 }
 
 impl JournalQueue<'_> {
-    fn read_journal(&self) -> Option<String> {
-        match self.io.read(FileClass::Journal, &self.path) {
-            Ok(bytes) => Some(String::from_utf8_lossy(&bytes).into_owned()),
-            Err(e) => {
-                self.fail_io(e);
-                None
-            }
-        }
+    /// The ledger as the journal holds it right now.
+    fn view(&self) -> Option<ledger::LedgerView> {
+        let text = self.ok(record::read_text(self.io, &self.path))?;
+        Some(ledger::replay_ledger(&text, self.jobs.len()))
     }
 
     fn append(&self, line: &str) -> bool {
-        let mut file = self.writer.lock().expect("journal writer");
-        match ledger::append_record(file.as_mut(), line) {
-            Ok(()) => true,
-            Err(e) => {
-                drop(file);
-                self.fail_io(e);
-                false
-            }
-        }
+        let wrote =
+            record::append_ephemeral(self.writer.lock().expect("journal writer").as_mut(), line);
+        self.ok(wrote).is_some()
     }
 
-    fn fail_io(&self, e: std::io::Error) {
-        let mut cell = self.io_error.lock().expect("io cell");
-        if cell.is_none() {
-            *cell = Some(e);
+    /// Unwraps a journal IO result; the first error is kept for
+    /// [`run_worker_with_io`] to return and stops further claims.
+    fn ok<T>(&self, result: std::io::Result<T>) -> Option<T> {
+        match result {
+            Ok(value) => Some(value),
+            Err(e) => {
+                self.io_error.lock().expect("io cell").get_or_insert(e);
+                None
+            }
         }
     }
 
@@ -118,8 +113,7 @@ impl WorkQueue for JournalQueue<'_> {
             if self.failed() {
                 return None;
             }
-            let text = self.read_journal()?;
-            let view = ledger::replay_ledger(&text, self.jobs.len());
+            let view = self.view()?;
             if view.all_done() {
                 return None;
             }
@@ -135,12 +129,11 @@ impl WorkQueue for JournalQueue<'_> {
                 nonce: self.nonce.fetch_add(1, Ordering::Relaxed),
                 pid: self.pid,
             };
-            if !self.append(&ledger::lease_line(job, id)) {
+            if !self.append(&record::lease_line(job, id)) {
                 return None;
             }
             // Re-read to arbitrate: the file's total order decides.
-            let text = self.read_journal()?;
-            let view = ledger::replay_ledger(&text, self.jobs.len());
+            let view = self.view()?;
             if view.holder(job) != Some(id) {
                 // Lost the race (or the job committed meanwhile).
                 continue;
@@ -164,8 +157,7 @@ impl WorkQueue for JournalQueue<'_> {
 
     fn publish(&self, job: usize, chain: ChainResult) -> bool {
         let id = self.active.lock().expect("active leases")[job].take();
-        let Some(text) = self.read_journal() else { return false };
-        let view = ledger::replay_ledger(&text, self.jobs.len());
+        let Some(view) = self.view() else { return false };
         // Revalidate before committing: if the dispatcher expired our
         // lease (it believed this process stuck or dead) the job may be
         // re-leased or even done — drop the result; whoever holds the
@@ -173,29 +165,15 @@ impl WorkQueue for JournalQueue<'_> {
         if view.holder(job) != id {
             return true;
         }
-        let mut line = journal::tagged_job_record_line(
-            job,
-            &self.jobs[job].name,
-            &chain,
-            self.worker as usize,
-            self.run,
-        );
-        line.push('\n');
-        let mut file = self.writer.lock().expect("journal writer");
-        let wrote = append_retrying(file.as_mut(), line.as_bytes()).and_then(|_| file.sync());
-        drop(file);
-        match wrote {
-            Ok(()) => {
-                vtrace::counter("exec.jobs_completed", 1);
-                vtrace::counter("journal.records_written", 1);
-                self.completed.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Err(e) => {
-                self.fail_io(e);
-                false
-            }
+        let line =
+            record::job_line(job, &self.jobs[job].name, &chain, Some((self.worker, self.run)));
+        let wrote = record::commit_job(self.writer.lock().expect("journal writer").as_mut(), &line);
+        if self.ok(wrote).is_none() {
+            return false;
         }
+        vtrace::counter("exec.jobs_completed", 1);
+        self.completed.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
     fn heartbeat(&self) {
@@ -204,7 +182,7 @@ impl WorkQueue for JournalQueue<'_> {
             .duration_since(std::time::SystemTime::UNIX_EPOCH)
             .map(|d| d.as_millis() as u64)
             .unwrap_or(0);
-        if self.append(&ledger::hb_line(self.worker, seq, self.pid, t_ms)) {
+        if self.append(&record::hb_line(self.worker, seq, self.pid, t_ms)) {
             vtrace::counter("exec.heartbeats", 1);
         }
     }
@@ -240,10 +218,8 @@ pub fn run_worker_with_io(
     opts: &WorkerOptions,
     io: &dyn JournalIo,
 ) -> Result<(), JournalError> {
-    let fingerprint = journal::batch_fingerprint(jobs, policy);
-    let text = io
-        .read(FileClass::Journal, &opts.journal)
-        .map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
+    let fingerprint = journal::manifest_fingerprint(jobs, policy);
+    let text = record::read_text(io, &opts.journal)
         .map_err(|e| journal::io_err("read journal for manifest", e))?;
     validate_manifest(&text, fingerprint)?;
     let file = io
@@ -304,22 +280,53 @@ pub fn run_worker_with_io(
 }
 
 /// Checks the journal's manifest against this worker's batch
-/// fingerprint — the same identity rule `--resume` enforces, so a
-/// worker can never lease jobs from a journal its dispatcher did not
-/// open for this exact batch.
+/// fingerprint — the same identity rule `--resume` enforces (same
+/// reader: a manifest of another version, or a malformed one, is not a
+/// manifest), so a worker can never lease jobs from a journal its
+/// dispatcher did not open for this exact batch.
 fn validate_manifest(text: &str, expected: u32) -> Result<(), JournalError> {
-    for line in text.lines() {
-        let Ok(parsed) = json::parse(line) else { continue };
-        if parsed.get("kind").and_then(Value::as_str) == Some("manifest") {
-            let found = parsed.get("fingerprint").and_then(Value::as_u64).unwrap_or(0) as u32;
-            if found == expected {
-                return Ok(());
-            }
-            return Err(JournalError::ManifestMismatch { expected, found });
+    match record::records(text).next() {
+        Some(Record::Manifest { fingerprint, .. }) if fingerprint == expected => Ok(()),
+        Some(Record::Manifest { fingerprint: found, .. }) => {
+            Err(JournalError::ManifestMismatch { expected, found })
         }
+        _ => Err(journal::io_err(
+            "find manifest",
+            std::io::Error::new(
+                std::io::ErrorKind::NotFound,
+                "journal has no usable manifest record",
+            ),
+        )),
     }
-    Err(journal::io_err(
-        "find manifest",
-        std::io::Error::new(std::io::ErrorKind::NotFound, "journal has no manifest record"),
-    ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A worker reads the manifest exactly like `--resume` does.
+    #[test]
+    fn manifest_check_matches_resume() {
+        let good = record::manifest_line(7, 3);
+        assert!(validate_manifest(&good, 7).is_ok());
+        assert!(matches!(
+            validate_manifest(&good, 8),
+            Err(JournalError::ManifestMismatch { expected: 8, found: 7 })
+        ));
+        // Another format version, or no fingerprint, is no manifest at
+        // all — not a mismatch against fingerprint 0.
+        let v2 = good.replace("\"version\":1", "\"version\":2");
+        let bare = good.replace("\"fingerprint\":7,", "");
+        for text in [v2, bare, record::run_line(0), String::new()] {
+            match validate_manifest(&text, 0) {
+                Err(JournalError::Io { source, .. }) => {
+                    assert_eq!(source.kind(), std::io::ErrorKind::NotFound, "{text}")
+                }
+                other => panic!("{text:?} must not validate, got {other:?}"),
+            }
+        }
+        // The first usable manifest decides, wherever it sits.
+        let late = [&*good.replace("\"version\":1", "\"version\":2"), &*good].concat();
+        assert!(validate_manifest(&late, 7).is_ok());
+    }
 }

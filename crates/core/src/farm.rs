@@ -18,10 +18,9 @@
 //!   takes an explicit policy: retries with capped exponential backoff,
 //!   per-job deadlines, straggler hedging, preset degradation, and
 //!   deterministic fault injection.
-//! * [`transcode_batch`] is the raw-software convenience wrapper: plain
-//!   [`vcodec::EncoderConfig`] jobs, lifted into engine requests via
-//!   [`TranscodeRequest::from_config`] (which reproduces every knob
-//!   bit-for-bit) and run through the same executor.
+//! * Raw [`vcodec::EncoderConfig`]s join a batch by lifting them with
+//!   [`TranscodeRequest::from_config`], which reproduces every knob
+//!   bit-for-bit.
 //!
 //! The engine path never dies wholesale: each attempt runs inside
 //! `catch_unwind`, so one poisoned job reports
@@ -30,64 +29,17 @@
 //! byte-identical to an unfaulted run.
 
 use crate::engine::{
-    Engine, StreamOutcome, TranscodeError, TranscodeOutcome, TranscodeRequest, Transcoder,
+    StreamOutcome, TranscodeError, TranscodeOutcome, TranscodeRequest, Transcoder,
 };
 use crate::exec::local::{run_engine_batch, BatchHooks};
+use crate::exec::ChainResult;
 use crate::measure::Measurement;
 use crate::resilience::ResilienceConfig;
-use vcodec::{EncodeOutput, EncodeStats, EncoderConfig};
+use vcodec::EncodeStats;
 use vframe::source::{FrameSource, VideoSource};
 use vframe::Video;
 use vhw::StageSeconds;
 use vsynth::SourceSpec;
-
-/// One raw-software transcode job: a source clip and the configuration to
-/// encode it with.
-#[derive(Clone, Debug)]
-pub struct TranscodeJob {
-    /// Job label (e.g. the suite video name).
-    pub name: String,
-    /// Source clip.
-    pub video: Video,
-    /// Encoder configuration.
-    pub config: EncoderConfig,
-}
-
-/// One finished raw-software job.
-#[derive(Debug)]
-pub struct TranscodeResult {
-    /// Job label.
-    pub name: String,
-    /// Encode output (bitstream, stats, reconstruction).
-    pub output: EncodeOutput,
-}
-
-/// Aggregate outcome of a raw-software batch.
-#[derive(Debug)]
-pub struct BatchReport {
-    /// Per-job results, in the order of the input jobs.
-    pub results: Vec<TranscodeResult>,
-    /// Wall-clock seconds for the whole batch.
-    pub wall_secs: f64,
-    /// Aggregate throughput: total source pixels / wall seconds.
-    pub aggregate_pps: f64,
-    /// Sum of per-job encode seconds (CPU-seconds of useful work).
-    pub cpu_secs: f64,
-}
-
-impl BatchReport {
-    /// Parallel speedup achieved: CPU-seconds of work divided by
-    /// wall-clock seconds (≈ effective busy workers).
-    pub fn speedup(&self) -> f64 {
-        speedup_of(self.cpu_secs, self.wall_secs)
-    }
-}
-
-/// The one speedup definition both report types share: CPU-seconds of
-/// useful work over wall-clock seconds (≈ effective busy workers).
-fn speedup_of(cpu_secs: f64, wall_secs: f64) -> f64 {
-    cpu_secs / wall_secs.max(1e-9)
-}
 
 /// Where an engine job's frames come from.
 ///
@@ -484,10 +436,67 @@ pub struct EngineBatchReport {
 }
 
 impl EngineBatchReport {
+    /// The one report fold every backend ends in: per-job results in job
+    /// order plus the summary, from each job's resolved chain and
+    /// whether a hedge copy was launched for it. Replayed chains
+    /// (zero attempts) count as replayed and contribute no CPU-seconds —
+    /// they carry the *original* run's timings, and only work done in
+    /// this invocation counts here.
+    pub(crate) fn from_chains(
+        jobs: &[EngineJob],
+        chains: impl IntoIterator<Item = (ChainResult, bool)>,
+        hedges: u64,
+        wall_secs: f64,
+    ) -> EngineBatchReport {
+        let mut results = Vec::with_capacity(jobs.len());
+        let mut summary = BatchSummary { hedges, ..BatchSummary::default() };
+        let mut cpu_secs = 0.0f64;
+        for (job, (chain, hedged)) in jobs.iter().zip(chains) {
+            match &chain.outcome {
+                Ok(outcome) => {
+                    summary.completed += 1;
+                    if let Some(peak) = outcome.peak_resident_frames() {
+                        summary.peak_resident_frames = summary.peak_resident_frames.max(peak);
+                    }
+                    if !chain.was_replayed() {
+                        cpu_secs += outcome.timings().total();
+                    }
+                }
+                Err(error) => {
+                    summary.failed += 1;
+                    summary.panics += u64::from(matches!(error, JobError::Panicked { .. }));
+                }
+            }
+            summary.replayed += usize::from(chain.was_replayed());
+            summary.retries += u64::from(chain.attempts.saturating_sub(1));
+            summary.deadline_misses += u64::from(chain.deadline_missed);
+            summary.degraded += u64::from(chain.degraded > 0);
+            results.push(EngineJobResult {
+                name: job.name.clone(),
+                outcome: chain.outcome,
+                attempts: chain.attempts,
+                hedged,
+                degraded: chain.degraded,
+                deadline_missed: chain.deadline_missed,
+            });
+        }
+        if summary.failed > 0 {
+            vtrace::counter("farm.jobs_failed", summary.failed as u64);
+        }
+        let total_pixels: u64 = jobs.iter().map(|j| j.source.total_pixels()).sum();
+        EngineBatchReport {
+            results,
+            summary,
+            wall_secs,
+            aggregate_pps: total_pixels as f64 / wall_secs,
+            cpu_secs,
+        }
+    }
+
     /// Parallel speedup achieved: transcode-seconds of work divided by
     /// wall-clock seconds (≈ effective busy workers).
     pub fn speedup(&self) -> f64 {
-        speedup_of(self.cpu_secs, self.wall_secs)
+        self.cpu_secs / self.wall_secs.max(1e-9)
     }
 
     /// The first failed job in job order, if any.
@@ -508,51 +517,6 @@ impl EngineBatchReport {
             }
         }
     }
-}
-
-/// Encodes raw-software `jobs` on `workers` OS threads and reports
-/// aggregate throughput. Each [`vcodec::EncoderConfig`] is lifted into
-/// an engine request with [`TranscodeRequest::from_config`] — which
-/// reproduces every knob, so the bitstreams are byte-identical to a
-/// direct [`vcodec::encode`] call — and the batch runs on the same
-/// executor as [`transcode_batch_with`]. An empty batch returns an
-/// empty report.
-///
-/// # Errors
-///
-/// [`BatchError::NoWorkers`] when `workers` is zero, and
-/// [`BatchError::JobFailed`] for the first failing job: this wrapper
-/// keeps the all-or-nothing contract (a panicking encode surfaces as
-/// [`JobError::Panicked`] instead of unwinding through the caller).
-pub fn transcode_batch(jobs: &[TranscodeJob], workers: usize) -> Result<BatchReport, BatchError> {
-    let engine_jobs: Vec<EngineJob> = jobs
-        .iter()
-        .map(|j| {
-            EngineJob::new(
-                j.name.clone(),
-                j.video.clone(),
-                TranscodeRequest::from_config(&j.config),
-            )
-        })
-        .collect();
-    let report = transcode_batch_with(&Engine, &engine_jobs, workers)?.require_complete()?;
-    let wall_secs = report.wall_secs;
-    let aggregate_pps = report.aggregate_pps;
-    let results: Vec<TranscodeResult> = report
-        .results
-        .into_iter()
-        .map(|r| TranscodeResult {
-            name: r.name,
-            output: r
-                .outcome
-                .ok()
-                .and_then(JobOutcome::into_full)
-                .expect("complete in-memory software batch")
-                .output,
-        })
-        .collect();
-    let cpu_secs: f64 = results.iter().map(|r| r.output.stats.encode_seconds).sum();
-    Ok(BatchReport { results, wall_secs, aggregate_pps, cpu_secs })
 }
 
 /// Runs `jobs` through `engine` on `workers` OS threads under the
@@ -608,10 +572,7 @@ pub fn transcode_batch_placed(
     }
     Ok(EngineBatchReport {
         results: slots.into_iter().map(|r| r.expect("placement is a permutation")).collect(),
-        summary: report.summary,
-        wall_secs: report.wall_secs,
-        aggregate_pps: report.aggregate_pps,
-        cpu_secs: report.cpu_secs,
+        ..report
     })
 }
 
@@ -644,7 +605,7 @@ pub fn transcode_batch_resilient(
 mod tests {
     use super::*;
     use crate::engine::{Engine, RateMode};
-    use vcodec::{CodecFamily, Preset, RateControl};
+    use vcodec::{CodecFamily, Preset};
     use vframe::color::{frame_from_fn, Yuv};
     use vframe::Resolution;
     use vhw::HwVendor;
@@ -661,27 +622,31 @@ mod tests {
         Video::new(frames, 30.0)
     }
 
-    fn job(name: &str, seed: u32) -> TranscodeJob {
-        TranscodeJob {
-            name: name.to_string(),
-            video: source(seed),
-            config: EncoderConfig::new(
+    fn job(name: &str, seed: u32) -> EngineJob {
+        EngineJob::new(
+            name,
+            source(seed),
+            TranscodeRequest::software(
                 CodecFamily::Avc,
                 Preset::Fast,
-                RateControl::ConstQuality { crf: 30.0 },
+                RateMode::ConstQuality { crf: 30.0 },
             ),
-        }
+        )
+    }
+
+    fn bytes_of(report: &EngineBatchReport) -> Vec<&[u8]> {
+        report.results.iter().map(|r| r.success().expect("job succeeds").bytes()).collect()
     }
 
     #[test]
     fn batch_completes_all_jobs_in_order() {
-        let jobs: Vec<TranscodeJob> = (0..7).map(|i| job(&format!("job{i}"), i)).collect();
-        let report = transcode_batch(&jobs, 4).expect("batch runs");
+        let jobs: Vec<EngineJob> = (0..7).map(|i| job(&format!("job{i}"), i)).collect();
+        let report = transcode_batch_with(&Engine, &jobs, 4).expect("batch runs");
         assert_eq!(report.results.len(), 7);
         for (i, r) in report.results.iter().enumerate() {
             assert_eq!(r.name, format!("job{i}"), "result order preserved");
-            assert!(!r.output.bytes.is_empty());
         }
+        assert!(bytes_of(&report).iter().all(|b| !b.is_empty()));
         assert!(report.aggregate_pps > 0.0);
     }
 
@@ -689,46 +654,32 @@ mod tests {
     fn parallel_output_matches_serial_output() {
         // Encoding is deterministic, so thread scheduling must not change
         // a single bit of any stream.
-        let jobs: Vec<TranscodeJob> = (0..4).map(|i| job(&format!("j{i}"), i)).collect();
-        let parallel = transcode_batch(&jobs, 4).expect("parallel batch");
-        let serial = transcode_batch(&jobs, 1).expect("serial batch");
-        for (p, s) in parallel.results.iter().zip(&serial.results) {
-            assert_eq!(p.output.bytes, s.output.bytes, "{}", p.name);
-        }
+        let jobs: Vec<EngineJob> = (0..4).map(|i| job(&format!("j{i}"), i)).collect();
+        let parallel = transcode_batch_with(&Engine, &jobs, 4).expect("parallel batch");
+        let serial = transcode_batch_with(&Engine, &jobs, 1).expect("serial batch");
+        assert_eq!(bytes_of(&parallel), bytes_of(&serial));
     }
 
     #[test]
     fn more_workers_do_not_lose_work() {
-        let jobs: Vec<TranscodeJob> = (0..3).map(|i| job(&format!("j{i}"), i)).collect();
+        let jobs: Vec<EngineJob> = (0..3).map(|i| job(&format!("j{i}"), i)).collect();
         // More workers than jobs is fine.
-        let report = transcode_batch(&jobs, 16).expect("batch runs");
-        assert_eq!(report.results.len(), 3);
+        let report = transcode_batch_with(&Engine, &jobs, 16).expect("batch runs");
+        assert_eq!(report.summary.completed, 3);
         assert!(report.speedup() > 0.0);
     }
 
     #[test]
     fn empty_batch_yields_empty_report() {
-        let report = transcode_batch(&[], 2).expect("empty batch is fine");
+        let report = transcode_batch_with(&Engine, &[], 2).expect("empty batch is fine");
         assert!(report.results.is_empty());
-        let engine_report =
-            transcode_batch_with(&Engine, &[], 2).expect("empty engine batch is fine");
-        assert!(engine_report.results.is_empty());
-        assert_eq!(engine_report.summary, BatchSummary::default());
+        assert_eq!(report.summary, BatchSummary::default());
     }
 
     #[test]
     fn zero_workers_is_a_typed_error() {
-        assert_eq!(transcode_batch(&[job("j", 0)], 0).unwrap_err(), BatchError::NoWorkers);
-        let jobs = [EngineJob::new(
-            "j",
-            source(0),
-            TranscodeRequest::software(
-                CodecFamily::Avc,
-                Preset::Fast,
-                RateMode::ConstQuality { crf: 30.0 },
-            ),
-        )];
-        assert_eq!(transcode_batch_with(&Engine, &jobs, 0).unwrap_err(), BatchError::NoWorkers);
+        let err = transcode_batch_with(&Engine, &[job("j", 0)], 0).unwrap_err();
+        assert_eq!(err, BatchError::NoWorkers);
     }
 
     #[test]

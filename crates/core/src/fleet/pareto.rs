@@ -10,6 +10,7 @@
 use std::collections::BTreeSet;
 
 use vhw::InstanceCatalog;
+use vtrace::json;
 
 use super::plan::{plan_fleet, scenario_deadline_slack, uniform_plan, PlanJob};
 use crate::engine::Transcoder;
@@ -86,8 +87,8 @@ impl ParetoReport {
              \"offered_load\":{},\"seed\":{},\"jobs\":{},\"instances\":[",
             PARETO_VERSION,
             self.scenario,
-            jf64(self.duration_secs),
-            jf64(self.offered_load),
+            json::number(self.duration_secs),
+            json::number(self.offered_load),
             self.seed,
             self.jobs,
         ));
@@ -108,11 +109,11 @@ impl ParetoReport {
             out.push_str(&format!(
                 "{{\"deadline_mult\":{},\"dollar_cost\":{},\"miss_rate\":{},\
                  \"baseline_dollar_cost\":{},\"baseline_miss_rate\":{},\"fleet\":[",
-                jf64(p.deadline_mult),
-                jf64(p.dollar_cost),
-                jf64(p.miss_rate),
-                jf64(p.baseline_dollar_cost),
-                jf64(p.baseline_miss_rate),
+                json::number(p.deadline_mult),
+                json::number(p.dollar_cost),
+                json::number(p.miss_rate),
+                json::number(p.baseline_dollar_cost),
+                json::number(p.baseline_miss_rate),
             ));
             for (k, n) in p.fleet.iter().enumerate() {
                 if k > 0 {
@@ -259,16 +260,6 @@ fn encode_proof(
         encode_crc32: vpack::crc32(&folded),
         encoded_bytes,
     })
-}
-
-/// JSON float formatting: shortest round-trip via `{:?}`, `null` for
-/// non-finite values (matching the journal writer's convention).
-fn jf64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
 }
 
 #[cfg(test)]

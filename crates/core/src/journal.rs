@@ -7,7 +7,11 @@
 //! fingerprint of the jobs, engine requests, and resilience policy,
 //! fault plan included) followed by one fsync'd record per completed or
 //! failed job, each carrying the [`vpack::crc32`] of its output
-//! bitstream.
+//! bitstream. The on-disk format — record kinds, fields, and the rules
+//! that make a line a committed record — is owned by [`record`] and
+//! tabulated in DESIGN.md §Durability ("Journal record format"); this
+//! module keeps the commit-point contract and the open/scan/compact
+//! lifecycle.
 //!
 //! On restart with [`JournalConfig::resume`], [`run_batch_journaled`]
 //! replays the journal instead of re-encoding:
@@ -64,7 +68,8 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
-use std::time::Instant;
+
+pub(crate) mod record;
 
 use crate::engine::Transcoder;
 use crate::exec::io::{
@@ -72,19 +77,10 @@ use crate::exec::io::{
 };
 use crate::exec::local::{run_engine_batch, BatchHooks};
 use crate::exec::ChainResult;
-use crate::farm::{
-    BatchError, EngineBatchReport, EngineJob, JobError, JobOutcome, ReplayedOutcome,
-};
-use crate::measure::Measurement;
+use crate::farm::{BatchError, EngineBatchReport, EngineJob};
 use crate::resilience::ResilienceConfig;
-use vcodec::EncodeStats;
+use record::Record;
 use vfault::{CrashPoint, FileClass};
-use vhw::StageSeconds;
-use vtrace::json::Value;
-use vtrace::FieldValue;
-
-/// The journal file format version this build writes and accepts.
-const JOURNAL_VERSION: u64 = 1;
 
 /// Where the journal lives and whether to replay it.
 #[derive(Clone, Debug)]
@@ -209,105 +205,66 @@ pub fn run_batch_journaled_with_io(
     journal: &JournalConfig,
     io: &dyn JournalIo,
 ) -> Result<EngineBatchReport, JournalError> {
-    let fingerprint = manifest_fingerprint(jobs, policy);
-    let opened = open_journal(journal, fingerprint, jobs, io)?;
-    if opened.replayed > 0 {
-        vtrace::counter("journal.records_replayed", opened.replayed);
-    }
-    if opened.quarantined > 0 {
-        vtrace::counter("journal.records_quarantined", opened.quarantined);
-    }
+    let opened = open_journal(journal, jobs, policy, io)?;
     let run_index = opened.run_index;
     let plan = &policy.fault_plan;
     let writer = Mutex::new(opened.file);
-    // Which scripted crash fired (there is at most one: the first one
-    // aborts the batch), and any journal-append IO error.
-    let crash_cell: Mutex<Option<(usize, CrashPoint)>> = Mutex::new(None);
-    let io_cell: Mutex<Option<std::io::Error>> = Mutex::new(None);
+    // Why a hook aborted the batch: the first scripted crash to fire or
+    // journal-append IO error to surface.
+    let abort: Mutex<Option<JournalError>> = Mutex::new(None);
+    let aborted = |why: JournalError| -> bool {
+        abort.lock().expect("abort cell").get_or_insert(why);
+        false
+    };
 
     let before_job = |job: usize| -> bool {
-        if plan.decide_crash(job, run_index) == Some(CrashPoint::PreEncode) {
-            *crash_cell.lock().expect("crash cell") = Some((job, CrashPoint::PreEncode));
-            return false;
+        match plan.decide_crash(job, run_index) {
+            Some(point @ CrashPoint::PreEncode) => aborted(JournalError::Crashed { job, point }),
+            _ => true,
         }
-        true
     };
     let after_job = |job: usize, chain: &ChainResult| -> bool {
-        match plan.decide_crash(job, run_index) {
-            Some(point @ CrashPoint::PostEncode) => {
-                // Died after the encode, before any journal bytes: the
-                // work is lost, the journal is clean.
-                *crash_cell.lock().expect("crash cell") = Some((job, point));
-                false
-            }
-            Some(point @ CrashPoint::PreJournalFlush) => {
-                // Died mid-append: leave a torn (partial, unsynced)
-                // line for resume to quarantine. A disk error *during*
-                // the simulated crash is a different event than the
-                // crash itself — surface it through the IO cell so it
-                // cannot silently change the test's meaning.
-                let line = job_record_line(job, &jobs[job].name, chain);
-                let torn = &line.as_bytes()[..line.len() / 2];
-                let mut file = writer.lock().expect("journal writer");
-                match file.append(torn) {
-                    Ok(()) => *crash_cell.lock().expect("crash cell") = Some((job, point)),
-                    Err(e) => *io_cell.lock().expect("io cell") = Some(e),
-                }
-                false
-            }
-            _ => {
-                // One write per record (line + newline in a single
-                // syscall): concurrent appenders — multi-process workers
-                // share this journal in O_APPEND mode — can interleave
-                // *records*, never bytes within one. Transient write
-                // errors retry with capped backoff; a sync error never
-                // does (the bytes it failed on are unaccounted for).
-                let mut line = job_record_line(job, &jobs[job].name, chain);
-                line.push('\n');
-                let mut file = writer.lock().expect("journal writer");
-                let t0 = Instant::now();
-                let wrote =
-                    append_retrying(file.as_mut(), line.as_bytes()).and_then(|_| file.sync());
-                match wrote {
-                    Ok(()) => {
-                        vtrace::histogram("journal.fsync_us", t0.elapsed().as_micros() as u64);
-                        vtrace::counter("journal.records_written", 1);
-                        true
-                    }
-                    Err(e) => {
-                        *io_cell.lock().expect("io cell") = Some(e);
-                        false
-                    }
-                }
-            }
+        let crash = plan.decide_crash(job, run_index);
+        if let Some(point @ CrashPoint::PostEncode) = crash {
+            // Died after the encode, before any journal bytes: the work
+            // is lost, the journal is clean.
+            return aborted(JournalError::Crashed { job, point });
         }
+        let line = record::job_line(job, &jobs[job].name, chain, None);
+        let mut file = writer.lock().expect("journal writer");
+        let wrote = match crash {
+            // Died mid-append: leave a torn (partial, unsynced) line for
+            // resume to quarantine. A disk error *during* the simulated
+            // crash is a different event than the crash itself — it
+            // surfaces as the IO error it is, so it cannot silently
+            // change the test's meaning.
+            Some(point @ CrashPoint::PreJournalFlush) => file
+                .append(&line.as_bytes()[..(line.len() - 1) / 2])
+                .map(|()| aborted(JournalError::Crashed { job, point })),
+            _ => record::commit_job(file.as_mut(), &line).map(|()| true),
+        };
+        wrote.unwrap_or_else(|e| aborted(io_err("append job record", e)))
     };
     let hooks = BatchHooks {
         prefilled: opened.prefilled,
         before_job: Some(&before_job),
         after_job: Some(&after_job),
     };
-    match run_engine_batch(engine, jobs, workers, policy, hooks) {
-        Ok(report) => Ok(report),
-        Err(BatchError::Aborted) => {
-            if let Some((job, point)) = crash_cell.into_inner().expect("crash cell") {
-                Err(JournalError::Crashed { job, point })
-            } else if let Some(source) = io_cell.into_inner().expect("io cell") {
-                Err(JournalError::Io { context: "append job record".to_string(), source })
-            } else {
-                Err(JournalError::Batch(BatchError::Aborted))
-            }
-        }
-        Err(e) => Err(JournalError::Batch(e)),
-    }
+    run_engine_batch(engine, jobs, workers, policy, hooks).map_err(|e| {
+        let why =
+            if e == BatchError::Aborted { abort.into_inner().expect("abort cell") } else { None };
+        why.unwrap_or(JournalError::Batch(e))
+    })
 }
 
 /// The batch's identity: a CRC-32 over a canonical description of every
 /// job (name, request, streaming flag, deadline, source shape) and the
 /// full resilience policy (fault plan and seed included). Any
 /// difference that could change an output bitstream changes the
-/// fingerprint.
-fn manifest_fingerprint(jobs: &[EngineJob], policy: &ResilienceConfig) -> u32 {
+/// fingerprint. Worker processes compute it too, to verify they were
+/// pointed at the journal their dispatcher opened (same jobs, same
+/// policy) before leasing anything.
+pub(crate) fn manifest_fingerprint(jobs: &[EngineJob], policy: &ResilienceConfig) -> u32 {
     let mut canonical = String::new();
     for job in jobs {
         canonical.push_str(&format!(
@@ -336,29 +293,28 @@ pub(crate) struct OpenedJournal {
     /// This invocation's run index: the count of *prior* run records,
     /// the key scripted crashes fire on.
     pub(crate) run_index: u32,
-    /// Job records successfully replayed.
-    pub(crate) replayed: u64,
-    /// Lines dropped as torn, corrupt, mismatched, or CRC-failed.
-    pub(crate) quarantined: u64,
 }
 
 /// Opens the journal: fresh-initializes it (truncate, manifest, run
 /// record) when not resuming or when nothing usable exists, otherwise
 /// scans, validates the manifest, quarantines corruption, compacts if
-/// needed, and appends this invocation's run record.
+/// needed, and appends this invocation's run record. Counts what the
+/// scan replayed and quarantined (`journal.records_replayed` /
+/// `journal.records_quarantined`).
 pub(crate) fn open_journal(
     config: &JournalConfig,
-    fingerprint: u32,
     jobs: &[EngineJob],
+    policy: &ResilienceConfig,
     io: &dyn JournalIo,
 ) -> Result<OpenedJournal, JournalError> {
+    let fingerprint = manifest_fingerprint(jobs, policy);
     // A writer that crashed mid-compaction (or mid-snapshot) leaves a
     // uniquely-named temp sibling behind; scrub them before this run
     // makes its own.
     remove_stale_temps(&config.path);
     let existing = if config.resume {
-        match io.read(FileClass::Journal, &config.path) {
-            Ok(bytes) if !bytes.is_empty() => Some(bytes),
+        match record::read_text(io, &config.path) {
+            Ok(text) if !text.is_empty() => Some(text),
             Ok(_) => None,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
             Err(e) => return Err(io_err("read journal", e)),
@@ -366,239 +322,97 @@ pub(crate) fn open_journal(
     } else {
         None
     };
-    let Some(bytes) = existing else {
+    let Some(text) = existing else {
         let file = init_fresh(&config.path, fingerprint, jobs.len(), io)?;
-        return Ok(OpenedJournal {
-            file,
-            prefilled: Vec::new(),
-            run_index: 0,
-            replayed: 0,
-            quarantined: 0,
-        });
+        return Ok(OpenedJournal { file, prefilled: Vec::new(), run_index: 0 });
     };
 
-    let scan = scan_journal(&bytes, fingerprint, jobs)?;
-    let prior_runs = scan.prior_runs;
-    let replayed = scan.prefilled.len() as u64;
+    let scan = scan_journal(&text, fingerprint, jobs)?;
     // Compact whenever anything was dropped — quarantined corruption or
     // stale lease/heartbeat records from a dead dispatcher (a stale
     // lease left in place would wedge the next multi-process run) — and
     // whenever the tail is not newline-terminated (a torn line would
     // otherwise merge with the next append).
-    let needs_compact = scan.quarantined > 0 || scan.ephemeral > 0 || bytes.last() != Some(&b'\n');
+    let needs_compact = scan.quarantined > 0 || scan.ephemeral > 0 || !text.ends_with('\n');
     let mut file = if needs_compact {
         compact(&config.path, fingerprint, jobs.len(), &scan.kept_lines, io)?
     } else {
         io.open_append(FileClass::Journal, &config.path)
             .map_err(|e| io_err("open journal for append", e))?
     };
-    append_run_record(file.as_mut(), prior_runs)?;
-    Ok(OpenedJournal {
-        file,
-        prefilled: scan.prefilled,
-        run_index: prior_runs,
-        replayed,
-        quarantined: scan.quarantined,
-    })
+    append_run_record(file.as_mut(), scan.prior_runs)?;
+    if !scan.prefilled.is_empty() {
+        vtrace::counter("journal.records_replayed", scan.prefilled.len() as u64);
+    }
+    if scan.quarantined > 0 {
+        vtrace::counter("journal.records_quarantined", scan.quarantined);
+    }
+    Ok(OpenedJournal { file, prefilled: scan.prefilled, run_index: scan.prior_runs })
 }
 
-/// What a resume scan recovered from the journal bytes.
-struct ScanOutcome {
+/// What a resume scan recovered from the journal text.
+#[derive(Default)]
+struct ScanOutcome<'a> {
     prefilled: Vec<(usize, ChainResult)>,
     prior_runs: u32,
+    /// Lines that are not committed records, plus job records that
+    /// failed verification (foreign name, bad CRC).
     quarantined: u64,
-    /// Valid but ephemeral coordination records (lease / expire /
-    /// heartbeat) from a multi-process run: never replayed, dropped on
-    /// compaction, and *not* corruption.
+    /// Valid but ephemeral records — multi-process coordination (lease /
+    /// expire / heartbeat, meaningful only while their dispatcher is
+    /// alive) and service shed events (telemetry about work that was
+    /// *refused*): never replayed, dropped on compaction so the next
+    /// run builds a fresh ledger, and *not* corruption.
     ephemeral: u64,
     /// The surviving raw lines (run and job records, manifest excluded),
     /// in file order — what a compaction rewrites.
-    kept_lines: Vec<String>,
+    kept_lines: Vec<&'a str>,
 }
 
-/// Walks every journal line: validates the manifest, counts run
-/// records, loads job records (last record wins for a job index), and
-/// quarantines everything unreadable. Never fails on corruption — only
-/// on a *valid* manifest that belongs to a different batch.
-fn scan_journal(
-    bytes: &[u8],
+/// Folds every journal line: validates the manifest, counts run
+/// records, loads job records (last record wins for a job index — a
+/// quarantined-then-re-encoded job appends a fresh record after its
+/// stale one), and quarantines everything else. Never fails on
+/// corruption — only on a *valid* manifest that belongs to a different
+/// batch. Without a usable manifest nothing is a record, so resume
+/// degenerates to a fresh start.
+fn scan_journal<'a>(
+    text: &'a str,
     fingerprint: u32,
     jobs: &[EngineJob],
-) -> Result<ScanOutcome, JournalError> {
-    // Corruption can inject arbitrary bytes; decode lossily so a bad
-    // region quarantines its line rather than poisoning the whole scan.
-    let text = String::from_utf8_lossy(bytes);
-    let terminated = text.ends_with('\n');
-    let lines: Vec<&str> = text.split('\n').collect();
-    // `split` yields a trailing "" for a terminated file; drop it. An
-    // unterminated final line is real (torn) content.
-    let line_count = if terminated { lines.len() - 1 } else { lines.len() };
-
-    let mut quarantined = 0u64;
-    let mut ephemeral = 0u64;
-    let mut prior_runs = 0u32;
-    let mut manifest_seen = false;
-    let mut records: Vec<Option<ChainResult>> = Vec::new();
-    records.resize_with(jobs.len(), || None);
-    let mut kept_lines: Vec<String> = Vec::new();
-
-    for (index, line) in lines[..line_count].iter().enumerate() {
-        let torn_tail = !terminated && index == line_count - 1;
-        let parsed = match vtrace::json::parse(line) {
-            Ok(v) => v,
-            Err(_) => {
-                quarantined += 1;
-                continue;
-            }
-        };
-        match parsed.get("kind").and_then(Value::as_str) {
-            Some("manifest") if !manifest_seen => {
-                let found = parsed.get("fingerprint").and_then(Value::as_u64);
-                let version = parsed.get("version").and_then(Value::as_u64);
-                match (found, version) {
-                    (Some(found), Some(JOURNAL_VERSION)) if found as u32 == fingerprint => {
-                        manifest_seen = true;
-                    }
-                    (Some(found), Some(JOURNAL_VERSION)) => {
-                        return Err(JournalError::ManifestMismatch {
-                            expected: fingerprint,
-                            found: found as u32,
-                        });
-                    }
-                    _ => quarantined += 1,
+) -> Result<ScanOutcome<'a>, JournalError> {
+    let mut scan = ScanOutcome::default();
+    let mut chains: Vec<Option<ChainResult>> = Vec::new();
+    chains.resize_with(jobs.len(), || None);
+    for entry in record::scan(text) {
+        match entry.record {
+            None => scan.quarantined += 1,
+            Some(Record::Manifest { fingerprint: found, .. }) => {
+                if found != fingerprint {
+                    return Err(JournalError::ManifestMismatch { expected: fingerprint, found });
                 }
             }
-            // A record before any valid manifest cannot be trusted to
-            // belong to this batch.
-            _ if !manifest_seen => quarantined += 1,
-            // Ephemeral records: multi-process coordination (lease /
-            // expire / heartbeat, meaningful only while their dispatcher
-            // is alive) and service shed events (telemetry about work
-            // that was *refused*, so there is nothing to replay).
-            // Skipped silently — they are not corruption — and not
-            // kept, so compaction scrubs them before the next run
-            // builds a fresh ledger.
-            Some("lease" | "expire" | "hb" | "shed") if !torn_tail => ephemeral += 1,
-            Some("run") if !torn_tail => {
-                prior_runs += 1;
-                kept_lines.push((*line).to_string());
+            Some(Record::Run { .. }) => {
+                scan.prior_runs += 1;
+                scan.kept_lines.push(entry.line);
             }
-            Some("job") if !torn_tail => match load_job_record(&parsed, jobs) {
-                Some(rec) => {
-                    // Last record wins: a quarantined-then-re-encoded
-                    // job appends a fresh record after its stale one.
-                    records[rec.job] = Some(ChainResult::replayed(rec.outcome));
-                    kept_lines.push((*line).to_string());
+            Some(Record::Job(rec)) => match rec.load(jobs) {
+                Some(chain) => {
+                    chains[rec.job] = Some(ChainResult::replayed(chain.outcome));
+                    scan.kept_lines.push(entry.line);
                 }
-                None => quarantined += 1,
+                None => scan.quarantined += 1,
             },
-            // A torn tail that happens to parse is still torn: its
-            // fsync never completed, so it never committed.
-            _ => quarantined += 1,
-        }
-    }
-    if !manifest_seen {
-        // Nothing usable (empty, fully torn, or foreign file without a
-        // parseable manifest): resume degenerates to a fresh start.
-        return Ok(ScanOutcome {
-            prefilled: Vec::new(),
-            prior_runs: 0,
-            quarantined,
-            ephemeral,
-            kept_lines: Vec::new(),
-        });
-    }
-    let prefilled = records
-        .into_iter()
-        .enumerate()
-        .filter_map(|(job, chain)| chain.map(|c| (job, c)))
-        .collect();
-    Ok(ScanOutcome { prefilled, prior_runs, quarantined, ephemeral, kept_lines })
-}
-
-/// A job record parsed and verified from the journal: the outcome plus
-/// the resilience history and provenance the record carries.
-/// `pub(crate)`: the multi-process dispatcher assembles its batch report
-/// from these.
-pub(crate) struct LoadedRecord {
-    /// The job's index in the batch manifest.
-    pub(crate) job: usize,
-    /// The journaled outcome (CRC-verified success or replayed failure).
-    pub(crate) outcome: Result<JobOutcome, JobError>,
-    /// Attempts the recording run made.
-    pub(crate) attempts: u32,
-    /// Effort notches shed by deadline-miss degradation.
-    pub(crate) degraded: u32,
-    /// Whether any attempt missed its deadline.
-    pub(crate) deadline_missed: bool,
-    /// The run index that wrote the record (tagged by multi-process
-    /// workers; `None` for in-process records).
-    pub(crate) run: Option<u32>,
-}
-
-/// Parses and verifies one job record. `None` = quarantine it.
-pub(crate) fn load_job_record(record: &Value, jobs: &[EngineJob]) -> Option<LoadedRecord> {
-    let job = record.get("job").and_then(Value::as_u64)? as usize;
-    let name = record.get("name").and_then(Value::as_str)?;
-    if job >= jobs.len() || name != jobs[job].name {
-        return None;
-    }
-    let attempts = record.get("attempts").and_then(Value::as_u64)? as u32;
-    let degraded = record.get("degraded").and_then(Value::as_u64)? as u32;
-    let deadline_missed = matches!(record.get("deadline_missed"), Some(Value::Bool(true)));
-    let run = record.get("run").and_then(Value::as_u64).map(|r| r as u32);
-    let outcome = match record.get("status").and_then(Value::as_str)? {
-        "ok" => {
-            let crc = record.get("crc32").and_then(Value::as_u64)? as u32;
-            let bytes = hex_decode(record.get("bytes").and_then(Value::as_str)?)?;
-            if vpack::crc32(&bytes) != crc {
-                // The recorded stream does not match its checksum: the
-                // record lies, so the job must re-encode.
-                return None;
+            Some(
+                Record::Lease { .. } | Record::Expire { .. } | Record::Hb { .. } | Record::Shed,
+            ) => {
+                scan.ephemeral += 1;
             }
-            let f = |key: &str| record.get(key).and_then(Value::as_f64);
-            let u = |key: &str| record.get(key).and_then(Value::as_u64);
-            let measurement = Measurement {
-                speed_pps: f("speed_pps")?,
-                bitrate_bpps: f("bitrate_bpps")?,
-                quality_db: f("quality_db")?,
-            };
-            let timings = StageSeconds {
-                submission: f("submission")?,
-                transfer: f("transfer")?,
-                pipeline: f("pipeline")?,
-            };
-            let chosen_bps = match record.get("chosen_bps") {
-                None | Some(Value::Null) => None,
-                Some(v) => Some(v.as_u64()?),
-            };
-            let stats = EncodeStats {
-                encode_seconds: f("encode_seconds")?,
-                bitstream_bytes: u("bitstream_bytes")?,
-                frames: u("frames")? as u32,
-                sb_intra: u("sb_intra")?,
-                sb_inter: u("sb_inter")?,
-                sb_skip: u("sb_skip")?,
-                sb_split: u("sb_split")?,
-                avg_qp: f("avg_qp")?,
-                kernels: Default::default(),
-            };
-            Ok(JobOutcome::Replayed(ReplayedOutcome {
-                bytes,
-                crc32: crc,
-                measurement,
-                timings,
-                chosen_bps,
-                stats,
-            }))
         }
-        "failed" => {
-            let message = record.get("message").and_then(Value::as_str)?.to_string();
-            Err(JobError::ReplayedFailure { message })
-        }
-        _ => return None,
-    };
-    Some(LoadedRecord { job, outcome, attempts, degraded, deadline_missed, run })
+    }
+    scan.prefilled =
+        chains.into_iter().enumerate().filter_map(|(job, chain)| Some((job, chain?))).collect();
+    Ok(scan)
 }
 
 /// Creates (or truncates) the journal and commits the manifest plus the
@@ -610,7 +424,7 @@ fn init_fresh(
     io: &dyn JournalIo,
 ) -> Result<Box<dyn DurableFile>, JournalError> {
     let mut file = io.create(FileClass::Journal, path).map_err(|e| io_err("create journal", e))?;
-    append_retrying(file.as_mut(), manifest_line(fingerprint, jobs).as_bytes())
+    append_retrying(file.as_mut(), record::manifest_line(fingerprint, jobs).as_bytes())
         .and_then(|_| file.sync())
         .map_err(|e| io_err("write manifest", e))?;
     append_run_record(file.as_mut(), 0)?;
@@ -624,13 +438,13 @@ fn compact(
     path: &Path,
     fingerprint: u32,
     jobs: usize,
-    kept_lines: &[String],
+    kept_lines: &[&str],
     io: &dyn JournalIo,
 ) -> Result<Box<dyn DurableFile>, JournalError> {
     let tmp = unique_temp(path);
     let mut file =
         io.create(FileClass::Journal, &tmp).map_err(|e| io_err("create compacted journal", e))?;
-    let mut contents = manifest_line(fingerprint, jobs);
+    let mut contents = record::manifest_line(fingerprint, jobs);
     for line in kept_lines {
         contents.push_str(line);
         contents.push('\n');
@@ -648,115 +462,17 @@ fn compact(
 /// Appends and syncs one run record (one per driver invocation; the
 /// count of these is the crash-fault run index).
 fn append_run_record(file: &mut dyn DurableFile, index: u32) -> Result<(), JournalError> {
-    let line = format!("{{\"kind\":\"run\",\"index\":{index}}}\n");
-    append_retrying(file, line.as_bytes())
+    append_retrying(file, record::run_line(index).as_bytes())
         .and_then(|_| file.sync())
         .map_err(|e| io_err("write run record", e))
-}
-
-fn manifest_line(fingerprint: u32, jobs: usize) -> String {
-    format!(
-        "{{\"kind\":\"manifest\",\"version\":{JOURNAL_VERSION},\
-         \"fingerprint\":{fingerprint},\"jobs\":{jobs}}}\n"
-    )
-}
-
-/// Serializes one finished chain as a journal record (no trailing
-/// newline). Multi-process workers extend this line with provenance
-/// tags via [`tagged_job_record_line`].
-pub(crate) fn job_record_line(job: usize, name: &str, chain: &ChainResult) -> String {
-    let mut line = format!(
-        "{{\"kind\":\"job\",\"job\":{job},\"name\":{},\"attempts\":{},\
-         \"degraded\":{},\"deadline_missed\":{}",
-        jstr(name),
-        chain.attempts,
-        chain.degraded,
-        chain.deadline_missed,
-    );
-    match &chain.outcome {
-        Ok(outcome) => {
-            let m = outcome.measurement();
-            let t = outcome.timings();
-            let s = outcome.stats();
-            let crc = vpack::crc32(outcome.bytes());
-            line.push_str(&format!(
-                ",\"status\":\"ok\",\"crc32\":{crc},\"speed_pps\":{},\"bitrate_bpps\":{},\
-                 \"quality_db\":{},\"submission\":{},\"transfer\":{},\"pipeline\":{}",
-                jf64(m.speed_pps),
-                jf64(m.bitrate_bpps),
-                jf64(m.quality_db),
-                jf64(t.submission),
-                jf64(t.transfer),
-                jf64(t.pipeline),
-            ));
-            line.push_str(&match outcome.chosen_bps() {
-                Some(bps) => format!(",\"chosen_bps\":{bps}"),
-                None => ",\"chosen_bps\":null".to_string(),
-            });
-            line.push_str(&format!(
-                ",\"encode_seconds\":{},\"bitstream_bytes\":{},\"frames\":{},\"sb_intra\":{},\
-                 \"sb_inter\":{},\"sb_skip\":{},\"sb_split\":{},\"avg_qp\":{},\"bytes\":{}",
-                jf64(s.encode_seconds),
-                s.bitstream_bytes,
-                s.frames,
-                s.sb_intra,
-                s.sb_inter,
-                s.sb_skip,
-                s.sb_split,
-                jf64(s.avg_qp),
-                jstr(&hex_encode(outcome.bytes())),
-            ));
-        }
-        Err(error) => {
-            line.push_str(&format!(
-                ",\"status\":\"failed\",\"message\":{}",
-                jstr(&error.to_string())
-            ));
-        }
-    }
-    line.push('}');
-    line
-}
-
-/// [`job_record_line`] plus the multi-process provenance tags: which
-/// worker wrote the record, in which run. The dispatcher uses `run` to
-/// tell live results from replays; `worker` is for the per-worker
-/// completion breakdown.
-pub(crate) fn tagged_job_record_line(
-    job: usize,
-    name: &str,
-    chain: &ChainResult,
-    worker: usize,
-    run: u32,
-) -> String {
-    let mut line = job_record_line(job, name, chain);
-    // The line closes with '}'; splice the tags in before it.
-    line.pop();
-    line.push_str(&format!(",\"worker\":{worker},\"run\":{run}}}"));
-    line
-}
-
-/// Serializes one service shed event as a journal record (no trailing
-/// newline). Shed records are durable telemetry — "this work was
-/// refused, here is why" — not replayable state: resume scans classify
-/// them as ephemeral and compaction scrubs them.
-pub(crate) fn shed_record_line(event: &crate::service::ShedEvent) -> String {
-    format!(
-        "{{\"kind\":\"shed\",\"seq\":{},\"at_us\":{},\"name\":{},\"rank\":{},\
-         \"value\":{},\"reason\":{}}}",
-        event.seq,
-        event.at_us,
-        jstr(event.name),
-        event.rank,
-        jf64(event.value),
-        jstr(event.reason.tag()),
-    )
 }
 
 /// Appends the service's shed events to an existing journal, one fsync
 /// for the whole batch. The service never sheds silently: after the
 /// encode batch commits, every shed decision lands here as a durable
-/// `shed` record alongside the job records it displaced.
+/// `shed` record alongside the job records it displaced. Shed records
+/// are telemetry, not replayable state: resume scans classify them as
+/// ephemeral and compaction scrubs them.
 ///
 /// # Errors
 ///
@@ -774,8 +490,7 @@ pub(crate) fn append_shed_records(
         .map_err(|e| io_err("reopen journal for shed records", e))?;
     let mut buf = String::with_capacity(events.len() * 96);
     for event in events {
-        buf.push_str(&shed_record_line(event));
-        buf.push('\n');
+        buf.push_str(&record::shed_line(event));
     }
     append_retrying(file.as_mut(), buf.as_bytes())
         .and_then(|_| file.sync())
@@ -786,52 +501,13 @@ pub(crate) fn io_err(context: &str, source: std::io::Error) -> JournalError {
     JournalError::Io { context: context.to_string(), source }
 }
 
-/// The manifest fingerprint this batch would write — exposed so worker
-/// processes can verify they were pointed at the journal their
-/// dispatcher opened (same jobs, same policy) before leasing anything.
-pub(crate) fn batch_fingerprint(jobs: &[EngineJob], policy: &ResilienceConfig) -> u32 {
-    manifest_fingerprint(jobs, policy)
-}
-
-/// JSON string literal via vtrace's escaper (the same one the trace
-/// sink uses, so the journal parses with [`vtrace::json`]).
-fn jstr(s: &str) -> String {
-    FieldValue::Str(s.to_string()).to_json()
-}
-
-/// JSON number literal with exact f64 round-trip.
-fn jf64(v: f64) -> String {
-    FieldValue::F64(v).to_json()
-}
-
-fn hex_encode(bytes: &[u8]) -> String {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push(HEX[(b >> 4) as usize] as char);
-        out.push(HEX[(b & 0xf) as usize] as char);
-    }
-    out
-}
-
-fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    let digit = |c: u8| -> Option<u8> {
-        match c {
-            b'0'..=b'9' => Some(c - b'0'),
-            b'a'..=b'f' => Some(c - b'a' + 10),
-            _ => None,
-        }
-    };
-    s.as_bytes().chunks(2).map(|pair| Some(digit(pair[0])? << 4 | digit(pair[1])?)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{Engine, RateMode, TranscodeRequest};
+    use crate::exec::ledger::LeaseId;
+    use crate::farm::JobError;
+    use record::testing::ok_chain;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use vcodec::{CodecFamily, Preset};
     use vframe::color::{frame_from_fn, Yuv};
@@ -944,12 +620,10 @@ mod tests {
             },
         ];
         append_shed_records(temp.path(), &events).expect("append sheds");
+        let sheds = |text: &str| record::records(text).filter(|r| *r == Record::Shed).count();
         let text = std::fs::read_to_string(temp.path()).expect("journal readable");
-        assert_eq!(text.matches("\"kind\":\"shed\"").count(), 2);
-        let line = text.lines().find(|l| l.contains("\"kind\":\"shed\"")).expect("shed line");
-        let parsed = vtrace::json::parse(line).expect("shed record is valid JSON");
-        assert_eq!(parsed.get("reason").and_then(Value::as_str), Some("low-value"));
-        assert_eq!(parsed.get("rank").and_then(Value::as_u64), Some(812));
+        assert_eq!(sheds(&text), 2);
+        assert!(text.contains("\"rank\":812,") && text.contains("\"reason\":\"low-value\""));
 
         // Resume replays every job — shed records are ephemeral, never
         // quarantined, and compaction scrubs them.
@@ -957,7 +631,7 @@ mod tests {
         assert_eq!(resumed.summary.completed, 3);
         assert_eq!(resumed.summary.replayed, 3, "sheds must not disturb replay");
         let compacted = std::fs::read_to_string(temp.path()).expect("journal readable");
-        assert!(!compacted.contains("\"kind\":\"shed\""), "compaction scrubs shed records");
+        assert_eq!(sheds(&compacted), 0, "compaction scrubs shed records");
     }
 
     #[test]
@@ -1088,5 +762,76 @@ mod tests {
             ),
             "failure message survives the journal"
         );
+    }
+
+    /// (c) What a resume scan recovers from each way a journal's lines
+    /// can fail to be committed records. The `(replayed, quarantined,
+    /// ephemeral)` counts are the ones the scan had before the record
+    /// module existed.
+    #[test]
+    fn scan_counts_for_torn_misplaced_duplicate_and_stale_lines() {
+        let jobs = record::testing::jobs(&["a", "b", "c"]);
+        let job =
+            |i: usize, bytes: &[u8]| record::job_line(i, &jobs[i].name, &ok_chain(bytes, 1), None);
+        let (manifest, run) = (record::manifest_line(7, 3), record::run_line(0));
+        let id = LeaseId { worker: 7, nonce: 3, pid: 12345 };
+        let cat = |parts: &[&str]| parts.concat();
+        let stale = cat(&[
+            &record::lease_line(1, id),
+            &record::hb_line(7, 42, 12345, 99),
+            // A heartbeat from before heartbeats carried pid and wall time.
+            &record::hb_line(7, 43, 0, 0).replace(",\"pid\":0,\"t_ms\":0", ""),
+            &record::expire_line(1, id),
+        ]);
+        let v2 = manifest.replace("\"version\":1", "\"version\":2");
+        let cases: [(&str, String, (usize, u64, u64)); 7] = [
+            (
+                "unterminated last line",
+                cat(&[&manifest, &run, &job(0, b"x"), &job(1, b"y"), &job(2, b"z")[..24]]),
+                (2, 1, 0),
+            ),
+            (
+                "parseable but unterminated last line",
+                cat(&[&manifest, &run, &job(0, b"x"), job(1, b"y").trim_end()]),
+                (1, 1, 0),
+            ),
+            (
+                "record before the manifest",
+                cat(&[&job(0, b"x"), &manifest, &run, &job(1, b"y")]),
+                (1, 1, 0),
+            ),
+            (
+                "duplicate job record",
+                cat(&[&manifest, &run, &job(0, b"stale"), &job(0, b"fresh")]),
+                (1, 0, 0),
+            ),
+            (
+                "stale lease / hb / expire",
+                cat(&[&manifest, &run, &job(0, b"x"), &stale]),
+                (1, 0, 4),
+            ),
+            (
+                "record of another batch's job",
+                cat(&[&manifest, &run, &job(0, b"x").replace("\"name\":\"a\"", "\"name\":\"z\"")]),
+                (0, 1, 0),
+            ),
+            ("manifest of another version", cat(&[&v2, &run, &job(0, b"x")]), (0, 3, 0)),
+        ];
+        for (what, text, want) in cases {
+            let scan = scan_journal(&text, 7, &jobs).expect(what);
+            let got = (scan.prefilled.len(), scan.quarantined, scan.ephemeral);
+            assert_eq!(got, want, "{what}");
+            if what == "duplicate job record" {
+                let (_, chain) = &scan.prefilled[0];
+                assert_eq!(
+                    chain.outcome.as_ref().expect("ok").bytes(),
+                    b"fresh",
+                    "last record wins"
+                );
+                assert!(chain.was_replayed());
+            }
+        }
+        let err = scan_journal(&manifest, 8, &jobs).err().expect("foreign fingerprint");
+        assert!(matches!(err, JournalError::ManifestMismatch { expected: 8, found: 7 }));
     }
 }

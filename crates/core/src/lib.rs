@@ -111,9 +111,9 @@ pub use engine::{
 };
 pub use exec::{ChainResult, PlacedQueue, PlacementError, PlacementPlan, WorkQueue};
 pub use farm::{
-    transcode_batch, transcode_batch_placed, transcode_batch_resilient, transcode_batch_with,
-    BatchError, BatchReport, BatchSummary, EngineBatchReport, EngineJob, EngineJobResult, JobError,
-    JobOutcome, JobSource, ReplayedOutcome, TranscodeJob, TranscodeResult,
+    transcode_batch_placed, transcode_batch_resilient, transcode_batch_with, BatchError,
+    BatchSummary, EngineBatchReport, EngineJob, EngineJobResult, JobError, JobOutcome, JobSource,
+    ReplayedOutcome,
 };
 pub use fleet::{
     cheapest_job_dollars, fleet_size_for, fleet_size_for_resilient, pareto_report, plan_fleet,

@@ -9,6 +9,7 @@
 
 use super::sim::ServicePoint;
 use super::{EncodeProof, ServiceConfig};
+use vtrace::json;
 
 /// Report format version; bump on any schema change.
 pub const SAT_VERSION: u32 = 1;
@@ -125,7 +126,7 @@ impl SatReport {
             self.scenario,
             self.capacity,
             self.queue_depth,
-            jf64(self.duration_secs),
+            json::number(self.duration_secs),
             self.seed,
             self.catalog,
             self.proof.unique_encodes,
@@ -141,7 +142,7 @@ impl SatReport {
                  \"degraded\":{},\"shed\":{},\"drained\":{},\"deadline_misses\":{},\
                  \"queue_peak\":{},\"sojourn_p50_us\":{},\"sojourn_p95_us\":{},\
                  \"sojourn_p99_us\":{},\"shed_rate\":{},\"admit_rate\":{},\"degrade_rate\":{}}}",
-                jf64(p.offered_load),
+                json::number(p.offered_load),
                 p.offered,
                 p.admitted,
                 p.completed,
@@ -153,23 +154,13 @@ impl SatReport {
                 p.sojourn_p50_us,
                 p.sojourn_p95_us,
                 p.sojourn_p99_us,
-                jf64(p.shed_rate),
-                jf64(p.admit_rate),
-                jf64(p.degrade_rate),
+                json::number(p.shed_rate),
+                json::number(p.admit_rate),
+                json::number(p.degrade_rate),
             ));
         }
         out.push_str("]}\n");
         out
-    }
-}
-
-/// JSON float formatting: shortest round-trip via `{:?}`, `null` for
-/// non-finite values (matching the journal writer's convention).
-fn jf64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -226,12 +217,5 @@ mod tests {
         let r = report();
         let max = r.max_shed_rate();
         assert!(r.points.iter().all(|p| p.shed_rate <= max));
-    }
-
-    #[test]
-    fn non_finite_floats_serialize_as_null() {
-        assert_eq!(jf64(f64::NAN), "null");
-        assert_eq!(jf64(1.5), "1.5");
-        assert_eq!(jf64(2.0), "2.0");
     }
 }

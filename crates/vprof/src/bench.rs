@@ -134,15 +134,20 @@ impl BenchDoc {
     /// Serializes the document (one line, schema above).
     pub fn to_json(&self) -> String {
         let stats = |s: &Stats| {
-            format!("{{\"mean\":{},\"min\":{},\"max\":{}}}", jf64(s.mean), jf64(s.min), jf64(s.max))
+            format!(
+                "{{\"mean\":{},\"min\":{},\"max\":{}}}",
+                json::number(s.mean),
+                json::number(s.min),
+                json::number(s.max)
+            )
         };
         let mut out = format!(
             "{{\"version\":{BENCH_VERSION},\"name\":{},\"runs\":{},\
              \"env\":{{\"os\":{},\"arch\":{},\"cpus\":{}}},\"scenarios\":[",
-            jstr(&self.name),
+            json::string(&self.name),
             self.runs,
-            jstr(&self.env.os),
-            jstr(&self.env.arch),
+            json::string(&self.env.os),
+            json::string(&self.env.arch),
             self.env.cpus,
         );
         for (i, (name, s)) in self.scenarios.iter().enumerate() {
@@ -152,7 +157,7 @@ impl BenchDoc {
             out.push_str(&format!(
                 "{{\"name\":{},\"encode_secs\":{},\"speed_pps\":{},\"quality_db\":{},\
                  \"bitrate_bpps\":{}}}",
-                jstr(name),
+                json::string(name),
                 stats(&s.encode_secs),
                 stats(&s.speed_pps),
                 stats(&s.quality_db),
@@ -295,29 +300,6 @@ pub fn render_compare(old: &BenchDoc, new: &BenchDoc, findings: &[Finding]) -> S
         }
     }
     out
-}
-
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn jf64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
 }
 
 #[cfg(test)]

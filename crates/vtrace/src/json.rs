@@ -9,6 +9,12 @@
 //! It is a *reader*: numbers all come back as `f64`, which is exact for
 //! the integer ranges the trace schema uses (ids, microseconds, counts
 //! up to 2^53).
+//!
+//! The matching scalar *writers* — [`string`] and [`number`] — live
+//! here too: every hand-rolled JSON document in the workspace (trace
+//! stream, journal, status, SAT/PARETO/CHAOS/BENCH reports) formats its
+//! strings and floats through them, so what is written always parses
+//! back.
 
 /// Maximum nesting depth accepted (the trace schema uses 2).
 const MAX_DEPTH: usize = 128;
@@ -326,6 +332,35 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// JSON string literal (quoted, escaped).
+pub fn string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// JSON number literal; non-finite values become `null` (JSON has no
+/// NaN/Infinity).
+pub fn number(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:?}")
+    } else {
+        "null".to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,5 +464,18 @@ mod tests {
     fn get_returns_the_first_duplicate_key() {
         let v = parse(r#"{"a":1,"a":2}"#).unwrap();
         assert_eq!(v.get("a").unwrap().as_u64(), Some(1));
+    }
+
+    #[test]
+    fn written_scalars_parse_back() {
+        for s in ["", "plain", "q\"b\\s", "a\nb\r\tc\u{0001}", "héllo — 世界 😀"] {
+            assert_eq!(parse(&string(s)).unwrap().as_str(), Some(s), "{s:?}");
+        }
+        for v in [0.0, -1.5, 2.0, 1e-9, 123456.789e12, f64::MIN_POSITIVE] {
+            assert_eq!(parse(&number(v)).unwrap().as_f64(), Some(v));
+        }
+        assert_eq!((number(1.5), number(2.0)), ("1.5".to_string(), "2.0".to_string()));
+        assert_eq!(number(f64::NAN), "null");
+        assert_eq!(number(f64::INFINITY), "null");
     }
 }

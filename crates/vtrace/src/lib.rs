@@ -103,8 +103,8 @@ impl FieldValue {
     pub fn to_json(&self) -> String {
         match self {
             FieldValue::U64(v) => v.to_string(),
-            FieldValue::F64(v) => report::json_number(*v),
-            FieldValue::Str(s) => report::json_string(s),
+            FieldValue::F64(v) => json::number(*v),
+            FieldValue::Str(s) => json::string(s),
             FieldValue::Bool(b) => b.to_string(),
         }
     }

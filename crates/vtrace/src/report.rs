@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 
 use crate::metrics::Log2Histogram;
-use crate::{FieldValue, LogLevel};
+use crate::{json, FieldValue, LogLevel};
 
 /// One completed span.
 #[derive(Clone, Debug)]
@@ -110,7 +110,7 @@ impl TraceReport {
                     Some(p) => p.to_string(),
                     None => "null".to_string(),
                 },
-                json_string(s.name),
+                json::string(s.name),
                 s.thread,
                 s.start_us,
                 s.dur_us,
@@ -119,7 +119,7 @@ impl TraceReport {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&json_string(key));
+                out.push_str(&json::string(key));
                 out.push(':');
                 out.push_str(&value.to_json());
             }
@@ -129,35 +129,35 @@ impl TraceReport {
             out.push_str(&format!(
                 "{{\"kind\":\"log\",\"t_us\":{},\"level\":{},\"target\":{},\"message\":{}}}\n",
                 l.t_us,
-                json_string(l.level.name()),
-                json_string(l.target),
-                json_string(&l.message),
+                json::string(l.level.name()),
+                json::string(l.target),
+                json::string(&l.message),
             ));
         }
         for (name, value) in &self.counters {
             out.push_str(&format!(
                 "{{\"kind\":\"counter\",\"name\":{},\"value\":{}}}\n",
-                json_string(name),
+                json::string(name),
                 value
             ));
         }
         for (name, value) in &self.gauges {
             out.push_str(&format!(
                 "{{\"kind\":\"gauge\",\"name\":{},\"value\":{}}}\n",
-                json_string(name),
-                json_number(*value)
+                json::string(name),
+                json::number(*value)
             ));
         }
         for (name, h) in &self.histograms {
             out.push_str(&format!(
                 "{{\"kind\":\"histogram\",\"name\":{},\"count\":{},\"sum\":{},\"min\":{},\
                  \"max\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p95\":{},\"p99\":{}}}\n",
-                json_string(name),
+                json::string(name),
                 h.count(),
                 h.sum(),
                 h.min(),
                 h.max(),
-                json_number(h.mean()),
+                json::number(h.mean()),
                 h.quantile(0.5),
                 h.quantile(0.9),
                 h.quantile(0.95),
@@ -277,34 +277,5 @@ fn fmt_dur_us(us: u64) -> String {
         format!("{:.2} ms", us as f64 / 1e3)
     } else {
         format!("{:.3} s", us as f64 / 1e6)
-    }
-}
-
-/// JSON string literal (quoted, escaped).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON number literal; non-finite values become `null` (JSON has no
-/// NaN/Infinity).
-pub(crate) fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
     }
 }

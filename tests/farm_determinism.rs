@@ -6,7 +6,7 @@
 //! jobs mixed in one batch.
 
 use vbench::engine::{Engine, RateMode, TranscodeRequest};
-use vbench::farm::{transcode_batch, transcode_batch_with, EngineJob, TranscodeJob};
+use vbench::farm::{transcode_batch_with, EngineJob};
 use vcodec::{CodecFamily, EncoderConfig, Preset, RateControl};
 use vframe::color::{frame_from_fn, Yuv};
 use vframe::{Resolution, Video};
@@ -95,9 +95,9 @@ fn one_worker_and_many_workers_agree_bit_for_bit() {
 }
 
 #[test]
-fn engine_farm_matches_legacy_software_farm() {
-    // The raw-software driver and the engine driver share one scheduler;
-    // for pure software jobs they must produce identical bitstreams.
+fn engine_farm_matches_direct_software_encodes() {
+    // A raw encoder config lifted into an engine request and fanned out
+    // by the farm must produce the bitstream a direct encode produces.
     let configs: Vec<(String, Video, EncoderConfig)> = (0..4)
         .map(|i| {
             (
@@ -111,26 +111,17 @@ fn engine_farm_matches_legacy_software_farm() {
             )
         })
         .collect();
-    let legacy_jobs: Vec<TranscodeJob> = configs
-        .iter()
-        .map(|(name, video, config)| TranscodeJob {
-            name: name.clone(),
-            video: video.clone(),
-            config: *config,
-        })
-        .collect();
     let engine_jobs: Vec<EngineJob> = configs
         .iter()
         .map(|(name, video, config)| {
             EngineJob::new(name.clone(), video.clone(), TranscodeRequest::from_config(config))
         })
         .collect();
-    let legacy = transcode_batch(&legacy_jobs, 4).expect("legacy batch");
     let engine = transcode_batch_with(&Engine, &engine_jobs, 4).expect("engine batch");
-    for (l, e) in legacy.results.iter().zip(&engine.results) {
-        assert_eq!(l.name, e.name);
+    for ((name, video, config), e) in configs.iter().zip(&engine.results) {
+        assert_eq!(name, &e.name);
         let eo = e.success().expect("engine job succeeds");
-        assert_eq!(l.output.bytes.as_slice(), eo.bytes(), "{}", l.name);
+        assert_eq!(vcodec::encode(video, config).bytes.as_slice(), eo.bytes(), "{name}");
     }
 }
 

@@ -2,7 +2,8 @@
 //! upload → ladder fan-out (parallel) → packaging → integrity-checked
 //! serving — on debug-friendly clip sizes.
 
-use vbench::farm::{transcode_batch, TranscodeJob};
+use vbench::engine::{Engine, RateMode, TranscodeRequest};
+use vbench::farm::{transcode_batch_with, EngineJob};
 use vbench::ladder::transcode_ladder;
 use vbench::suite::{Suite, SuiteOptions};
 use vcodec::{CodecFamily, EncoderConfig, Preset, RateControl};
@@ -41,25 +42,25 @@ fn ladder_rungs_survive_packaging() {
 #[test]
 fn parallel_batch_of_suite_videos_is_deterministic() {
     let suite = Suite::vbench(&SuiteOptions::tiny());
-    let jobs: Vec<TranscodeJob> = ["desktop", "cricket", "cat"]
+    let jobs: Vec<EngineJob> = ["desktop", "cricket", "cat"]
         .iter()
         .map(|name| {
-            let v = suite.by_name(name).unwrap();
-            TranscodeJob {
-                name: name.to_string(),
-                video: v.generate(),
-                config: EncoderConfig::new(
+            EngineJob::new(
+                *name,
+                suite.by_name(name).unwrap().generate(),
+                TranscodeRequest::software(
                     CodecFamily::Avc,
                     Preset::Fast,
-                    RateControl::ConstQuality { crf: 30.0 },
+                    RateMode::ConstQuality { crf: 30.0 },
                 ),
-            }
+            )
         })
         .collect();
-    let a = transcode_batch(&jobs, 3).expect("parallel batch");
-    let b = transcode_batch(&jobs, 1).expect("serial batch");
+    let a = transcode_batch_with(&Engine, &jobs, 3).expect("parallel batch");
+    let b = transcode_batch_with(&Engine, &jobs, 1).expect("serial batch");
     for (x, y) in a.results.iter().zip(&b.results) {
-        assert_eq!(x.output.bytes, y.output.bytes, "{}", x.name);
+        let (xo, yo) = (x.success().expect("job succeeds"), y.success().expect("job succeeds"));
+        assert_eq!(xo.bytes(), yo.bytes(), "{}", x.name);
     }
     assert!(a.aggregate_pps > 0.0);
 }
