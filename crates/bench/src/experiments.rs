@@ -16,9 +16,10 @@
 
 use varch::{cycle_breakdown, isa_ladder, IsaTier, MachineConfig, UarchReport, UarchSim};
 use vbench::engine::{transcode, Engine, RateMode, TranscodeError, TranscodeRequest};
-use vbench::farm::{transcode_batch_resilient, BatchError, EngineBatchReport, EngineJob};
+use vbench::exec::StdIo;
+use vbench::farm::{transcode_batch, BatchError, EngineBatchReport, EngineJob};
 use vbench::fleet::{predict_encode_secs, JobFeatures};
-use vbench::journal::{run_batch_journaled, JournalConfig, JournalError};
+use vbench::journal::{run_batch_journaled_with_io, JournalConfig, JournalError};
 use vbench::measure::Measurement;
 use vbench::reference::{
     reference_config, reference_encode_with_native, reference_request_with_native, target_bps,
@@ -704,8 +705,10 @@ fn farm_batch(
     journal: Option<&JournalConfig>,
 ) -> Result<EngineBatchReport, ExperimentError> {
     match journal {
-        None => Ok(transcode_batch_resilient(&Engine, jobs, workers, policy)?),
-        Some(config) => Ok(run_batch_journaled(&Engine, jobs, workers, policy, config)?),
+        None => Ok(transcode_batch(&Engine, jobs, workers, policy)?),
+        Some(config) => {
+            Ok(run_batch_journaled_with_io(&Engine, jobs, workers, policy, config, &StdIo)?)
+        }
     }
 }
 

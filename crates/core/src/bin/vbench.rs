@@ -169,16 +169,13 @@ use std::collections::HashMap;
 use vbench::chaos::{run_chaos, ChaosOptions, ChaosScenario};
 use vbench::cli;
 use vbench::engine::{transcode, Backend, Engine, RateMode, TranscodeRequest};
-use vbench::exec::PlacementPlan;
 use vbench::exec::{
-    merge_trace_files, run_dispatch, run_worker, run_worker_with_io, snapshot_from_journal,
-    write_atomic, DispatchOptions, FaultedIo, WorkerOptions,
+    merge_trace_files, run_dispatch_with_io, run_worker_with_io, snapshot_from_journal,
+    write_atomic_io, DispatchOptions, FaultedIo, JournalIo, PlacementPlan, StdIo, WorkerOptions,
 };
-use vbench::farm::{transcode_batch_resilient, EngineBatchReport, EngineJob, JobSource};
+use vbench::farm::{transcode_batch, EngineBatchReport, EngineJob, JobSource};
 use vbench::fleet::{pareto_report, plan_fleet, JobFeatures, PlanJob};
-use vbench::journal::{
-    run_batch_journaled, run_batch_journaled_with_io, JournalConfig, JournalError,
-};
+use vbench::journal::{run_batch_journaled_with_io, JournalConfig, JournalError};
 use vbench::reference::{reference_encode_with_native, reference_request_for, target_bps_for};
 use vbench::report::{fmt_ratio, fmt_score, TextTable};
 use vbench::resilience::{HedgePolicy, ResilienceConfig};
@@ -671,43 +668,47 @@ fn report_batch(
     s.failed
 }
 
-/// The `--io-fault-plan` spec, parsed (usage error on bad grammar).
-fn io_fault_plan_from_flags(flags: &HashMap<String, String>) -> Option<vfault::IoFaultPlan> {
-    flags
-        .get("io-fault-plan")
-        .map(|spec| vfault::IoFaultPlan::parse(spec).unwrap_or_else(|e| die(&e.to_string())))
+/// The durable-IO layer this process's journal writes go through,
+/// picked once: plain [`StdIo`], or with `--io-fault-plan SPEC` the
+/// storage-fault layer over the parsed plan (usage error on bad
+/// grammar).
+fn journal_io_from_flags(flags: &HashMap<String, String>) -> Box<dyn JournalIo> {
+    match flags.get("io-fault-plan") {
+        None => Box::new(StdIo),
+        Some(spec) => {
+            let plan = vfault::IoFaultPlan::parse(spec).unwrap_or_else(|e| die(&e.to_string()));
+            Box::new(FaultedIo::new(plan))
+        }
+    }
 }
 
 fn cmd_batch(opts: &SuiteOptions, flags: &HashMap<String, String>) {
     let workers = resolve_workers(flags);
     let policy = resilience_from_flags(flags);
     let journal = journal_from_flags(flags);
-    let io_plan = io_fault_plan_from_flags(flags);
-    if io_plan.is_some() && journal.is_none() {
+    if flags.contains_key("io-fault-plan") && journal.is_none() {
         die("--io-fault-plan requires --journal (it faults durable IO)");
     }
+    let io = journal_io_from_flags(flags);
     let jobs = build_batch_jobs(opts, flags);
     let report = match &journal {
-        None => transcode_batch_resilient(&Engine, &jobs, workers, &policy)
+        None => transcode_batch(&Engine, &jobs, workers, &policy)
             .unwrap_or_else(|e| fail(&e.to_string())),
-        Some(config) => match match io_plan {
-            None => run_batch_journaled(&Engine, &jobs, workers, &policy, config),
-            Some(plan) => {
-                let io = FaultedIo::new(plan);
-                run_batch_journaled_with_io(&Engine, &jobs, workers, &policy, config, &io)
+        Some(config) => {
+            match run_batch_journaled_with_io(&Engine, &jobs, workers, &policy, config, &*io) {
+                Ok(report) => report,
+                // A scripted crash fault fired: the process "died" with
+                // the journal exactly as a real crash would leave it.
+                // Exit 3 so harnesses can tell a simulated crash from a
+                // failure.
+                Err(e @ JournalError::Crashed { .. }) => {
+                    vtrace::error("vbench", e.to_string());
+                    finish_tracing();
+                    std::process::exit(3);
+                }
+                Err(e) => fail(&e.to_string()),
             }
-        } {
-            Ok(report) => report,
-            // A scripted crash fault fired: the process "died" with the
-            // journal exactly as a real crash would leave it. Exit 3 so
-            // harnesses can tell a simulated crash from a failure.
-            Err(e @ JournalError::Crashed { .. }) => {
-                vtrace::error("vbench", e.to_string());
-                finish_tracing();
-                std::process::exit(3);
-            }
-            Err(e) => fail(&e.to_string()),
-        },
+        }
     };
     let failed = report_batch(&report, workers, flags);
     if failed > 0 {
@@ -776,8 +777,10 @@ fn cmd_dispatch(opts: &SuiteOptions, flags: &HashMap<String, String>) {
         status_out: flags.get("status-out").map(std::path::PathBuf::from),
         worker_io_fault_spec: flags.get("io-fault-plan").cloned(),
     };
-    let outcome =
-        run_dispatch(&jobs, &policy, &dispatch_opts).unwrap_or_else(|e| fail(&e.to_string()));
+    // The dispatcher's own IO is never faulted: `--io-fault-plan` arms
+    // the workers (see `worker_io_fault_spec`).
+    let outcome = run_dispatch_with_io(&jobs, &policy, &dispatch_opts, &StdIo)
+        .unwrap_or_else(|e| fail(&e.to_string()));
     let failed = report_batch(&outcome.report, procs * threads, flags);
     // Epilogue without `fail()`: flush this process's trace first, then
     // splice the worker traces onto it — a second drain would truncate
@@ -808,14 +811,9 @@ fn cmd_worker(opts: &SuiteOptions, flags: &HashMap<String, String>) {
     let jobs = build_batch_jobs(opts, flags);
     let worker_opts =
         WorkerOptions { journal: std::path::PathBuf::from(journal), worker_id, run, threads };
-    match io_fault_plan_from_flags(flags) {
-        None => run_worker(&Engine, &jobs, &policy, &worker_opts),
-        Some(plan) => {
-            let io = FaultedIo::new(plan);
-            run_worker_with_io(&Engine, &jobs, &policy, &worker_opts, &io)
-        }
-    }
-    .unwrap_or_else(|e| fail(&e.to_string()));
+    let io = journal_io_from_flags(flags);
+    run_worker_with_io(&Engine, &jobs, &policy, &worker_opts, &*io)
+        .unwrap_or_else(|e| fail(&e.to_string()));
 }
 
 /// The storage-fault auditor: seeded crash + IO-fault trials against
@@ -992,7 +990,7 @@ fn cmd_bench(opts: &SuiteOptions, flags: &HashMap<String, String>) {
     let mut samples: std::collections::BTreeMap<String, Vec<[f64; 4]>> = Default::default();
     for _ in 0..runs {
         let jobs = build_batch_jobs(opts, flags);
-        let report = transcode_batch_resilient(&Engine, &jobs, workers, &policy)
+        let report = transcode_batch(&Engine, &jobs, workers, &policy)
             .unwrap_or_else(|e| fail(&e.to_string()));
         for r in &report.results {
             match &r.outcome {
@@ -1212,7 +1210,7 @@ fn cmd_saturate(opts: &SuiteOptions, flags: &HashMap<String, String>) {
     let report = run_saturation(&config, &loads, &profiles, &Engine, workers, journal.as_ref())
         .unwrap_or_else(|e| fail_service(e));
     let out = flags.get("out").cloned().unwrap_or_else(|| format!("SAT_{}.json", report.scenario));
-    write_atomic(std::path::Path::new(&out), &report.to_json())
+    write_atomic_io(&StdIo, std::path::Path::new(&out), &report.to_json())
         .unwrap_or_else(|e| fail(&format!("write {out}: {e}")));
     println!(
         "saturate {}: capacity {}  queue-depth {}  duration {}s  seed {}  catalog {}",
@@ -1254,7 +1252,7 @@ fn cmd_plan(opts: &SuiteOptions, flags: &HashMap<String, String>) {
         .unwrap_or_else(|e| fail(&e.to_string()));
     let out =
         flags.get("out").cloned().unwrap_or_else(|| format!("PARETO_{}.json", report.scenario));
-    write_atomic(std::path::Path::new(&out), &report.to_json())
+    write_atomic_io(&StdIo, std::path::Path::new(&out), &report.to_json())
         .unwrap_or_else(|e| fail(&format!("write {out}: {e}")));
     println!(
         "plan {}: duration {}s  offered-load {}  seed {}  jobs {}  instances {}",

@@ -39,7 +39,7 @@
 //!   Per-job bitstreams from the recovered batch equal a clean
 //!   baseline's, however many crashes and faults the trial injected.
 //! * **I5 — status snapshots are all-or-nothing.** A marker document
-//!   written through [`crate::exec::write_atomic`]'s discipline is,
+//!   written through [`crate::exec::write_atomic_io`]'s discipline is,
 //!   after the power cut, either absent or byte-exact — never a torn or
 //!   empty file. (`--inject-unsynced-rename` deliberately reintroduces
 //!   the classic rename-before-fsync bug to demonstrate the auditor
@@ -67,11 +67,9 @@ use crate::engine::{
 };
 use crate::exec::status;
 use crate::exec::{run_dispatch_with_io, DispatchOptions, FaultedIo, StdIo};
-use crate::farm::{transcode_batch_resilient, EngineBatchReport, EngineJob};
+use crate::farm::{transcode_batch, EngineBatchReport, EngineJob};
 use crate::journal::record::{self, Record};
-use crate::journal::{
-    run_batch_journaled, run_batch_journaled_with_io, JournalConfig, JournalError,
-};
+use crate::journal::{run_batch_journaled_with_io, JournalConfig, JournalError};
 use crate::resilience::ResilienceConfig;
 use vfault::{FaultPlan, IoFaultPlan};
 use vframe::{FrameSource, Video};
@@ -258,7 +256,7 @@ impl ChaosReport {
     /// Writes the JSON report atomically (through the same
     /// fsync-before-rename discipline the auditor verifies).
     pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        crate::exec::write_atomic(path, &self.to_json())
+        crate::exec::write_atomic_io(&StdIo, path, &self.to_json())
     }
 }
 
@@ -510,7 +508,7 @@ fn audit_recovery(
     let config = JournalConfig::new(journal_path).with_resume(true);
     for attempt in 1..=MAX_RESUMES {
         let before = counting.calls();
-        let outcome = run_batch_journaled(counting, jobs, workers, policy, &config);
+        let outcome = run_batch_journaled_with_io(counting, jobs, workers, policy, &config, &StdIo);
         let encodes = counting.calls() - before;
         let now = valid_records(&journal_text(journal_path), jobs);
         check_durable_kept(&durable, &now, &format!("after resume {attempt}"), violations);
@@ -722,9 +720,8 @@ pub fn run_chaos(
     let mut span = vtrace::span("chaos.run");
     // The uninterrupted reference: what every trial's recovered outputs
     // must be byte-identical to (I4).
-    let baseline =
-        transcode_batch_resilient(engine, jobs, opts.workers, &ResilienceConfig::default())
-            .map_err(JournalError::Batch)?;
+    let baseline = transcode_batch(engine, jobs, opts.workers, &ResilienceConfig::default())
+        .map_err(JournalError::Batch)?;
     let counting = CountingEngine::new(engine);
 
     let mut trials = Vec::with_capacity(opts.trials as usize);
@@ -765,11 +762,9 @@ pub fn run_chaos(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, RateMode};
+    use crate::engine::Engine;
+    use crate::journal::record::testing::encode_jobs as jobs;
     use std::sync::atomic::AtomicUsize;
-    use vcodec::{CodecFamily, Preset};
-    use vframe::color::{frame_from_fn, Yuv};
-    use vframe::Resolution;
 
     /// A per-test scratch directory, removed on drop.
     struct TempDir(PathBuf);
@@ -794,34 +789,6 @@ mod tests {
         fn drop(&mut self) {
             let _ = std::fs::remove_dir_all(&self.0);
         }
-    }
-
-    fn source(seed: u32) -> Video {
-        let res = Resolution::new(64, 48);
-        let frames = (0..6)
-            .map(|t| {
-                frame_from_fn(res, |x, y| {
-                    Yuv::new(((x * (3 + seed) + y * 2 + 5 * t) % 256) as u8, 128, 128)
-                })
-            })
-            .collect();
-        Video::new(frames, 30.0)
-    }
-
-    fn jobs(n: u32) -> Vec<EngineJob> {
-        (0..n)
-            .map(|i| {
-                EngineJob::new(
-                    format!("job{i}"),
-                    source(i),
-                    TranscodeRequest::software(
-                        CodecFamily::Avc,
-                        Preset::Fast,
-                        RateMode::ConstQuality { crf: 30.0 },
-                    ),
-                )
-            })
-            .collect()
     }
 
     #[test]
@@ -926,12 +893,13 @@ mod tests {
         let durable = valid_records(&journal_text(&path), &jobs);
         assert_eq!(durable.len(), 1, "one record was fsync-acknowledged before ENOSPC");
         let before = counting.calls();
-        let resumed = run_batch_journaled(
+        let resumed = run_batch_journaled_with_io(
             &counting,
             &jobs,
             1,
             &policy,
             &JournalConfig::new(&path).with_resume(true),
+            &StdIo,
         )
         .expect("resume completes");
         assert_eq!(resumed.summary.replayed, 1, "the acked record replays");

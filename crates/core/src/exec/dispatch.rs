@@ -2,7 +2,7 @@
 //! spawns worker processes, monitors liveness, reaps leases, and
 //! assembles the batch report from the journal's durable records.
 //!
-//! `run_dispatch` opens (or resumes) the shared journal through the
+//! [`run_dispatch_with_io`] opens (or resumes) the shared journal through the
 //! exact same [`crate::journal`] path as in-process journaled execution
 //! — manifest fingerprint validation, corruption quarantine, compaction
 //! — then spawns `procs` worker processes that lease jobs through the
@@ -27,7 +27,7 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use super::io::{JournalIo, StdIo};
+use super::io::JournalIo;
 use super::ledger::replay_ledger;
 use super::{status, ChainResult};
 use crate::farm::{BatchError, EngineBatchReport, EngineJob};
@@ -101,7 +101,10 @@ struct WorkerProc {
 /// Runs `jobs` across `opts.procs` worker processes coordinating
 /// through the shared journal. Blocks until every job has a durable
 /// record (reaping, expiring, and replacing lost workers along the
-/// way), then assembles the batch report from those records.
+/// way), then assembles the batch report from those records. `io`
+/// carries the dispatcher's own journal and status writes
+/// ([`StdIo`](super::StdIo) in production; the seam the chaos auditor
+/// faults) — workers do their IO in their own processes.
 ///
 /// # Errors
 ///
@@ -109,17 +112,6 @@ struct WorkerProc {
 /// batch's journal, [`JournalError::Io`] on filesystem or process
 /// failures (including a worker-loss cascade past the respawn budget),
 /// [`JournalError::Batch`] for zero processes.
-pub fn run_dispatch(
-    jobs: &[EngineJob],
-    policy: &ResilienceConfig,
-    opts: &DispatchOptions,
-) -> Result<DispatchReport, JournalError> {
-    run_dispatch_with_io(jobs, policy, opts, &StdIo)
-}
-
-/// [`run_dispatch`] with an explicit durable-IO backend for the
-/// dispatcher's own journal and status writes — the seam the chaos
-/// auditor uses; production callers go through [`run_dispatch`].
 pub fn run_dispatch_with_io(
     jobs: &[EngineJob],
     policy: &ResilienceConfig,
@@ -141,7 +133,7 @@ pub fn run_dispatch_with_io(
         .map_err(|e| io_err("reopen journal for ledger", e))?;
     if let Some(path) = &opts.status_out {
         // Scrub temp files abandoned by a dispatcher that died mid-snapshot.
-        status::remove_stale_status_temps(path);
+        super::io::remove_stale_temps(path);
     }
 
     let mut span = vtrace::span("exec.dispatch");

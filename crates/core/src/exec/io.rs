@@ -144,7 +144,7 @@ struct FaultedState {
     files: HashMap<PathBuf, FileTrack>,
     /// Faults injected so far (for reports and tests).
     injected: u64,
-    /// Directory syncs requested (the fixed `write_atomic` must issue
+    /// Directory syncs requested (the fixed `write_atomic_io` must issue
     /// one per replace; tests assert it).
     dir_syncs: u64,
 }

@@ -1,269 +1,160 @@
-//! The in-process executor backend: a work-stealing scheduler over OS
-//! threads.
+//! The in-process executor backend.
 //!
-//! [`LocalQueue`] implements the [`WorkQueue`] contract with a shared
-//! atomic cursor (claim = next unresolved index) and in-memory result
-//! slots (publish = first finisher wins). On top of it,
-//! [`run_engine_batch`] adds what only makes sense in-process: straggler
-//! hedging (a second copy of a slow job — safe because attempt chains
-//! are deterministic), supervisor hooks (the journal driver's
-//! prefill/commit/abort flow), and the farm's utilization telemetry.
+//! [`LocalQueue`] implements the [`WorkQueue`] contract over OS threads
+//! in one process: a shared atomic cursor hands out job indices, and
+//! in-memory result slots take chains first-finisher-wins. Everything
+//! that is queue policy lives here, not in the loop that drains it:
 //!
-//! Every `transcode_batch*` entry point in [`crate::farm`] and the
-//! journal driver run on this backend; its scheduling behavior and
-//! trace-event stream are pinned byte-identical to the pre-`exec` farm.
+//! * `claim` stops handing out work once the batch was told to abort,
+//!   fires the scripted pre-encode crash of a journaled batch, and —
+//!   once the cursor is exhausted — hedges stragglers: a hedge is a
+//!   second ticket for an unfinished job, safe because attempt chains
+//!   are deterministic. It blocks (polling) while unfinished jobs might
+//!   still need a hedge.
+//! * `publish` commits the race-winning chain under the job's slot
+//!   lock, so a hedge copy can never double-commit. For a journaled
+//!   batch the commit appends and fsyncs the job's record *before* the
+//!   slot is filled: the record is the commit point.
+//!
+//! [`run_engine_batch`] is "build the queue, run [`drain`], fold the
+//! slots into a report"; [`crate::farm::transcode_batch`] and the
+//! journal driver are its two callers.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use super::{ChainResult, WorkQueue};
+use super::io::DurableFile;
+use super::{drain, ChainResult, Ticket, WorkQueue};
 use crate::engine::Transcoder;
-use crate::farm::{BatchError, EngineBatchReport, EngineJob, JobError, JobOutcome};
-use crate::resilience::{degraded_request, FaultyTranscoder, ResilienceConfig};
-
-/// Post-job supervisor hook: `(job index, winning chain) -> continue?`.
-pub(crate) type AfterJobHook<'a> = &'a (dyn Fn(usize, &ChainResult) -> bool + Sync);
-
-/// Supervisor hooks for [`run_engine_batch`]: the mechanism the journal
-/// driver uses to persist results as they land and to simulate scripted
-/// process crashes without duplicating the scheduler.
-///
-/// A hook returning `false` aborts the whole batch
-/// ([`BatchError::Aborted`]): in-flight chains finish their current
-/// attempt, no new work starts, and no report is produced.
-#[derive(Default)]
-pub(crate) struct BatchHooks<'a> {
-    /// Pre-resolved chains, one per `(job index, result)` pair: the
-    /// scheduler seeds these slots and never runs those jobs. Live jobs
-    /// keep their original indices, so fault-plan decisions replay
-    /// identically whether or not slots were prefilled.
-    pub(crate) prefilled: Vec<(usize, ChainResult)>,
-    /// Runs before a job's first attempt starts (the journal driver's
-    /// pre-encode crash point).
-    pub(crate) before_job: Option<&'a (dyn Fn(usize) -> bool + Sync)>,
-    /// Runs once per job, for the race-winning chain only, while the
-    /// job's slot lock is held (so a hedge copy can never double-fire
-    /// it). This is where the journal driver appends and fsyncs the
-    /// job's record.
-    pub(crate) after_job: Option<AfterJobHook<'a>>,
-}
-
-/// Runs one job's full attempt chain: first attempt plus retries under
-/// the policy, with fault injection, panic isolation, deadline checks,
-/// backoff, and deadline-miss degradation. Pure with respect to
-/// scheduling: the chain's decisions depend only on
-/// `(job index, attempt)` and the outcome contents, so a hedge copy —
-/// or a worker in another process — re-running the chain lands on a
-/// byte-identical result.
-pub(crate) fn run_attempt_chain(
-    engine: &dyn Transcoder,
-    job_index: usize,
-    job: &EngineJob,
-    policy: &ResilienceConfig,
-) -> ChainResult {
-    let deadline = job.deadline_secs.or(policy.job_deadline_secs);
-    let mut degraded = 0u32;
-    let mut deadline_missed = false;
-    let mut attempt = 0u32;
-    loop {
-        let faulty =
-            FaultyTranscoder { inner: engine, plan: &policy.fault_plan, job: job_index, attempt };
-        let request = degraded_request(&job.request, degraded);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            if job.stream {
-                // A fresh pull stream per attempt: retries re-pull from
-                // frame zero, exactly like the in-memory path re-reads
-                // the clip.
-                let mut source = job.source.open();
-                faulty.transcode_stream(source.as_mut(), &request).map(JobOutcome::Streamed)
-            } else {
-                faulty.transcode(&job.source.materialize(), &request).map(JobOutcome::Full)
-            }
-        }));
-        let failure = match caught {
-            Ok(Ok(outcome)) => match deadline {
-                Some(limit) if outcome.timings().total() > limit => {
-                    deadline_missed = true;
-                    vtrace::counter("farm.deadline_misses", 1);
-                    Err(JobError::DeadlineExceeded {
-                        deadline_secs: limit,
-                        encode_secs: outcome.timings().total(),
-                    })
-                }
-                _ => Ok(outcome),
-            },
-            Ok(Err(e)) => Err(JobError::Transcode(e)),
-            Err(payload) => {
-                vtrace::counter("farm.panics_caught", 1);
-                Err(JobError::Panicked { message: panic_message(payload.as_ref()) })
-            }
-        };
-        match failure {
-            Ok(outcome) => {
-                return ChainResult {
-                    outcome: Ok(outcome),
-                    attempts: attempt + 1,
-                    degraded,
-                    deadline_missed,
-                };
-            }
-            Err(error) => {
-                let retryable = match &error {
-                    JobError::Transcode(e) => e.is_retryable(),
-                    JobError::Panicked { .. } | JobError::DeadlineExceeded { .. } => true,
-                    // Never produced by a live chain; replays only come
-                    // from prefilled journal slots.
-                    JobError::ReplayedFailure { .. } => false,
-                };
-                if attempt >= policy.max_retries || !retryable {
-                    return ChainResult {
-                        outcome: Err(error),
-                        attempts: attempt + 1,
-                        degraded,
-                        deadline_missed,
-                    };
-                }
-                if matches!(error, JobError::DeadlineExceeded { .. }) {
-                    if policy.degrade_on_deadline_miss {
-                        degraded += 1;
-                        vtrace::counter("farm.degraded", 1);
-                    }
-                } else {
-                    // Backoff applies to error/panic retries: a deadline
-                    // miss already *has* a result, waiting cannot help it.
-                    let wait = policy.backoff_secs(attempt + 1);
-                    if wait > 0.0 {
-                        vtrace::histogram("farm.backoff_wait_us", (wait * 1e6) as u64);
-                        std::thread::sleep(std::time::Duration::from_secs_f64(wait));
-                    }
-                }
-                vtrace::counter("farm.retries", 1);
-                attempt += 1;
-            }
-        }
-    }
-}
-
-/// The panic payload's message, when it carried one.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
+use crate::farm::{EngineBatchReport, EngineJob};
+use crate::journal::{io_err, record, JournalError, OpenedJournal};
+use crate::resilience::{HedgePolicy, ResilienceConfig};
+use vfault::CrashPoint;
 
 /// Per-job shared state for the in-process queue.
-pub(crate) struct JobSlot {
-    pub(crate) result: Option<ChainResult>,
+struct JobSlot {
+    result: Option<ChainResult>,
     /// When the primary copy started (hedge-eligibility clock).
-    pub(crate) started_at: Option<Instant>,
+    started_at: Option<Instant>,
     /// Whether a hedge copy has been claimed for this job.
-    pub(crate) hedge_launched: bool,
+    hedge_launched: bool,
 }
 
-/// The in-process [`WorkQueue`]: a shared atomic cursor hands out job
-/// indices, in-memory slots take results first-finisher-wins. Claims
-/// never expire (an OS thread cannot die without the whole process
-/// dying), so there is no lease bookkeeping and `heartbeat` is the
-/// default no-op.
+/// Where a journaled batch commits its chains.
+struct Sink {
+    /// The open journal, positioned at end-of-file.
+    file: Mutex<Box<dyn DurableFile>>,
+    /// This invocation's run index: the key scripted crashes fire on.
+    run_index: u32,
+}
+
+/// The in-process [`WorkQueue`]. Claims never expire (an OS thread
+/// cannot die without the whole process dying), so tickets carry no
+/// lease and `heartbeat` is the default no-op.
 pub(crate) struct LocalQueue<'a> {
+    jobs: &'a [EngineJob],
+    policy: &'a ResilienceConfig,
     cursor: AtomicUsize,
     slots: Vec<Mutex<JobSlot>>,
+    /// Unresolved jobs (claimed-but-unpublished or never claimed).
     remaining: AtomicUsize,
     /// Completed-chain wall times, the hedge threshold's sample.
     chain_secs: Mutex<Vec<f64>>,
-    hooks: BatchHooks<'a>,
-    abort: AtomicBool,
+    /// Hedge tickets handed out.
+    hedges: AtomicU64,
+    journal: Option<Sink>,
+    /// Why the batch must stop, once it must: the first scripted crash
+    /// to fire or journal-append error to surface. In-flight chains
+    /// finish their current attempt, no new work starts, and no report
+    /// is produced.
+    abort: Mutex<Option<JournalError>>,
 }
 
 impl<'a> LocalQueue<'a> {
-    /// A queue over `jobs` slots, with the hooks' prefilled (replayed)
-    /// chains already seeded so claims walk past them.
-    pub(crate) fn new(jobs: usize, mut hooks: BatchHooks<'a>) -> LocalQueue<'a> {
-        let mut slots: Vec<Mutex<JobSlot>> = (0..jobs)
+    /// A queue over `jobs`. With a journal, its replayed chains are
+    /// seeded into their slots — claims walk past them, and live jobs
+    /// keep their original indices, so fault-plan decisions replay
+    /// identically whether or not slots were prefilled — and every
+    /// winning chain is committed to it.
+    pub(crate) fn new(
+        jobs: &'a [EngineJob],
+        policy: &'a ResilienceConfig,
+        journal: Option<OpenedJournal>,
+    ) -> LocalQueue<'a> {
+        let mut slots: Vec<Mutex<JobSlot>> = (0..jobs.len())
             .map(|_| Mutex::new(JobSlot { result: None, started_at: None, hedge_launched: false }))
             .collect();
-        let mut prefilled_count = 0usize;
-        for (i, chain) in hooks.prefilled.drain(..) {
-            let slot = slots[i].get_mut().expect("slot lock");
-            assert!(slot.result.is_none(), "job {i} prefilled twice");
-            slot.result = Some(chain);
-            prefilled_count += 1;
-        }
+        let mut remaining = jobs.len();
+        let journal = journal.map(|opened| {
+            for (i, chain) in opened.prefilled {
+                let slot = slots[i].get_mut().expect("slot lock");
+                assert!(slot.result.is_none(), "job {i} prefilled twice");
+                slot.result = Some(chain);
+                remaining -= 1;
+            }
+            Sink { file: Mutex::new(opened.file), run_index: opened.run_index }
+        });
         LocalQueue {
+            jobs,
+            policy,
             cursor: AtomicUsize::new(0),
-            remaining: AtomicUsize::new(jobs - prefilled_count),
             slots,
+            remaining: AtomicUsize::new(remaining),
             chain_secs: Mutex::new(Vec::new()),
-            hooks,
-            abort: AtomicBool::new(false),
+            hedges: AtomicU64::new(0),
+            journal,
+            abort: Mutex::new(None),
         }
     }
 
-    /// Whether a hook or commit failure demanded a batch abort.
     fn aborted(&self) -> bool {
-        self.abort.load(Ordering::Acquire)
+        self.abort.lock().expect("abort cell").is_some()
     }
 
-    fn request_abort(&self) {
-        self.abort.store(true, Ordering::Release);
+    /// Stops the batch; the first reason wins.
+    fn abort_with(&self, why: JournalError) {
+        self.abort.lock().expect("abort cell").get_or_insert(why);
     }
 
-    /// Unresolved jobs (claimed-but-unpublished or never claimed).
-    fn remaining(&self) -> usize {
-        self.remaining.load(Ordering::Acquire)
+    /// The scripted crash for `job` in this run, if the batch is
+    /// journaled (in-memory batches have no run to crash).
+    fn crash_at(&self, job: usize) -> Option<CrashPoint> {
+        let sink = self.journal.as_ref()?;
+        self.policy.fault_plan.decide_crash(job, sink.run_index)
     }
 
-    /// Fires the supervisor's pre-job hook for a claimed index; `false`
-    /// aborts the batch.
-    fn before_job(&self, job: usize) -> bool {
-        match self.hooks.before_job {
-            Some(before) => before(job),
-            None => true,
+    /// Makes `job`'s winning chain durable: appends and fsyncs its
+    /// record, or dies at the scripted point on the way there. A no-op
+    /// without a journal.
+    fn commit(&self, job: usize, chain: &ChainResult) -> Result<(), JournalError> {
+        let Some(sink) = &self.journal else { return Ok(()) };
+        let crash = self.crash_at(job);
+        if let Some(point @ CrashPoint::PostEncode) = crash {
+            // Died after the encode, before any journal bytes: the work
+            // is lost, the journal is clean.
+            return Err(JournalError::Crashed { job, point });
         }
-    }
-
-    /// Marks the primary copy's start for the hedge-eligibility clock.
-    fn mark_started(&self, job: usize, t0: Instant) {
-        self.slots[job].lock().expect("slot lock").started_at = Some(t0);
-    }
-
-    /// [`WorkQueue::publish`] with the finishing copy's own start time,
-    /// so hedge finishers contribute their true chain wall time to the
-    /// hedge threshold sample.
-    fn publish_timed(&self, job: usize, t0: Instant, chain: ChainResult) -> bool {
-        {
-            let mut s = self.slots[job].lock().expect("slot lock");
-            if s.result.is_some() {
-                // The other copy won the race. Both copies ran the
-                // identical deterministic attempt sequence, so nothing
-                // is lost.
-                vtrace::counter("farm.hedge_losses", 1);
-                return true;
-            }
-            if let Some(after) = self.hooks.after_job {
-                if !after(job, &chain) {
-                    return false;
-                }
-            }
-            s.result = Some(chain);
+        let line = record::job_line(job, &self.jobs[job].name, chain, None);
+        let mut file = sink.file.lock().expect("journal writer");
+        if let Some(point @ CrashPoint::PreJournalFlush) = crash {
+            // Died mid-append: leave a torn (partial, unsynced) line for
+            // resume to quarantine. A disk error *during* the simulated
+            // crash is a different event than the crash itself — it
+            // surfaces as the IO error it is, so it cannot silently
+            // change the test's meaning.
+            file.append(&line.as_bytes()[..(line.len() - 1) / 2])
+                .map_err(|e| io_err("append job record", e))?;
+            return Err(JournalError::Crashed { job, point });
         }
-        vtrace::counter("exec.jobs_completed", 1);
-        self.chain_secs.lock().expect("chain times lock").push(t0.elapsed().as_secs_f64());
-        self.remaining.fetch_sub(1, Ordering::AcqRel);
-        true
+        record::commit_job(file.as_mut(), &line).map_err(|e| io_err("append job record", e))
     }
 
     /// Finds and claims one hedge candidate: an unfinished job whose
     /// primary has been running longer than the policy threshold and
     /// that has no hedge yet. Returns its index, with the claim recorded
     /// so no second hedge launches.
-    fn claim_hedge(&self, hedge: &crate::resilience::HedgePolicy) -> Option<usize> {
+    fn claim_hedge(&self, hedge: &HedgePolicy) -> Option<usize> {
         let threshold = {
             let times = self.chain_secs.lock().expect("chain times lock");
             if times.len() < hedge.min_samples.max(1) {
@@ -290,156 +181,173 @@ impl<'a> LocalQueue<'a> {
         None
     }
 
-    /// Consumes the queue into its per-job slots for report assembly.
-    fn into_slots(self) -> Vec<JobSlot> {
-        self.slots.into_iter().map(|s| s.into_inner().expect("slot lock")).collect()
+    /// Folds the drained queue into the batch report — or, when the
+    /// batch was stopped early, the reason.
+    fn into_report(self, wall_secs: f64) -> Result<EngineBatchReport, JournalError> {
+        if let Some(why) = self.abort.into_inner().expect("abort cell") {
+            return Err(why);
+        }
+        let hedges = self.hedges.into_inner();
+        // Invariant: without an abort, claims answer drained only after
+        // every slot was filled, and the loop joined every thread.
+        let chains = self.slots.into_iter().map(|slot| {
+            let slot = slot.into_inner().expect("slot lock");
+            (slot.result.expect("every job resolved"), slot.hedge_launched)
+        });
+        Ok(EngineBatchReport::from_chains(self.jobs, chains, hedges, wall_secs))
     }
 }
 
 impl WorkQueue for LocalQueue<'_> {
-    fn claim(&self) -> Option<usize> {
+    fn claim(&self) -> Option<Ticket> {
         loop {
-            let i = self.cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= self.slots.len() {
+            if self.aborted() {
                 return None;
             }
-            // Prefilled (replayed) slots are already resolved; the
-            // cursor just walks past them.
-            if self.slots[i].lock().expect("slot lock").result.is_some() {
-                continue;
+            let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+            if i < self.slots.len() {
+                let mut slot = self.slots[i].lock().expect("slot lock");
+                // Prefilled (replayed) slots are already resolved; the
+                // cursor just walks past them.
+                if slot.result.is_some() {
+                    continue;
+                }
+                vtrace::counter("exec.leases_granted", 1);
+                if let Some(point @ CrashPoint::PreEncode) = self.crash_at(i) {
+                    self.abort_with(JournalError::Crashed { job: i, point });
+                    return None;
+                }
+                let started = Instant::now();
+                slot.started_at = Some(started);
+                return Some(Ticket { job: i, started, lease: None });
             }
-            vtrace::counter("exec.leases_granted", 1);
-            return Some(i);
+            // Every job has a primary: hedge stragglers, or report
+            // drained once everything is done.
+            if self.remaining.load(Ordering::Acquire) == 0 {
+                return None;
+            }
+            let hedge = self.policy.hedge?;
+            match self.claim_hedge(&hedge) {
+                Some(job) => {
+                    vtrace::counter("farm.hedges", 1);
+                    self.hedges.fetch_add(1, Ordering::Relaxed);
+                    return Some(Ticket { job, started: Instant::now(), lease: None });
+                }
+                // No straggler past the threshold yet: let the
+                // in-flight primaries advance before rescanning.
+                None => std::thread::sleep(Duration::from_micros(200)),
+            }
         }
     }
 
-    fn publish(&self, job: usize, chain: ChainResult) -> bool {
-        let t0 = self.slots[job].lock().expect("slot lock").started_at;
-        self.publish_timed(job, t0.unwrap_or_else(Instant::now), chain)
+    fn publish(&self, ticket: Ticket, chain: ChainResult) -> bool {
+        {
+            let mut slot = self.slots[ticket.job].lock().expect("slot lock");
+            if slot.result.is_some() {
+                // The other copy won the race. Both copies ran the
+                // identical deterministic attempt sequence, so nothing
+                // is lost.
+                vtrace::counter("farm.hedge_losses", 1);
+                return true;
+            }
+            // Commit while the slot lock is held: exactly one copy of a
+            // hedged job reaches the journal.
+            if let Err(why) = self.commit(ticket.job, &chain) {
+                self.abort_with(why);
+                return false;
+            }
+            slot.result = Some(chain);
+        }
+        vtrace::counter("exec.jobs_completed", 1);
+        // The finishing copy's own wall time, hedge copies included.
+        let secs = ticket.started.elapsed().as_secs_f64();
+        self.chain_secs.lock().expect("chain times lock").push(secs);
+        self.remaining.fetch_sub(1, Ordering::AcqRel);
+        true
     }
 }
 
-/// The full scheduler behind `transcode_batch_resilient`, with
-/// supervisor hooks: prefilled (replayed) slots, per-job callbacks, and
-/// cooperative abort. The journal driver is the only other caller.
+/// Runs `jobs` on the in-process backend: builds the queue (seeded from
+/// and committing to `journal`, when there is one), drains it on
+/// `workers` threads, and folds the slots into the batch report.
+///
+/// # Errors
+///
+/// [`JournalError::Batch`] for zero workers; with a journal,
+/// [`JournalError::Crashed`] when a scripted crash fired and
+/// [`JournalError::Io`] when a record could not be committed. Without a
+/// journal only the first can happen.
 pub(crate) fn run_engine_batch(
     engine: &dyn Transcoder,
     jobs: &[EngineJob],
     workers: usize,
     policy: &ResilienceConfig,
-    hooks: BatchHooks<'_>,
-) -> Result<EngineBatchReport, BatchError> {
-    if workers == 0 {
-        return Err(BatchError::NoWorkers);
-    }
-    let spawned = workers.min(jobs.len());
+    journal: Option<OpenedJournal>,
+) -> Result<EngineBatchReport, JournalError> {
     let mut batch_span = vtrace::span("farm.batch");
-    let batch_id = batch_span.id();
     let started = Instant::now();
-    let hedges_launched = AtomicU64::new(0);
-    let busy_us = AtomicU64::new(0);
-    let queue = LocalQueue::new(jobs.len(), hooks);
-
-    std::thread::scope(|scope| {
-        for _ in 0..spawned {
-            scope.spawn(|| {
-                // Parent is passed explicitly: the batch span lives on the
-                // main thread's stack, invisible to this thread's.
-                let mut worker_span = vtrace::span_with_parent("farm.worker", batch_id);
-                let mut jobs_done = 0u64;
-                loop {
-                    if queue.aborted() {
-                        break;
-                    }
-                    if let Some(i) = queue.claim() {
-                        if !queue.before_job(i) {
-                            queue.request_abort();
-                            break;
-                        }
-                        if vtrace::enabled() {
-                            // Queue wait: how long the job sat between
-                            // batch start and this worker picking it up.
-                            vtrace::histogram(
-                                "farm.queue_wait_us",
-                                started.elapsed().as_micros() as u64,
-                            );
-                            if jobs_done > 0 {
-                                // Every grab after a worker's first is a
-                                // pull from the shared queue.
-                                vtrace::counter("farm.steals", 1);
-                            }
-                        }
-                        let t0 = Instant::now();
-                        queue.mark_started(i, t0);
-                        let chain = run_attempt_chain(engine, i, &jobs[i], policy);
-                        busy_us.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
-                        jobs_done += 1;
-                        if !queue.publish_timed(i, t0, chain) {
-                            queue.request_abort();
-                            break;
-                        }
-                        continue;
-                    }
-                    // Primary queue drained: hedge stragglers, or exit
-                    // when everything is done.
-                    if queue.remaining() == 0 {
-                        break;
-                    }
-                    let Some(hedge) = policy.hedge else { break };
-                    match queue.claim_hedge(&hedge) {
-                        Some(h) => {
-                            vtrace::counter("farm.hedges", 1);
-                            hedges_launched.fetch_add(1, Ordering::Relaxed);
-                            let t0 = Instant::now();
-                            let chain = run_attempt_chain(engine, h, &jobs[h], policy);
-                            busy_us.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
-                            if !queue.publish_timed(h, t0, chain) {
-                                queue.request_abort();
-                                break;
-                            }
-                        }
-                        // No straggler past the threshold yet: let the
-                        // in-flight primaries advance before rescanning.
-                        None => std::thread::sleep(std::time::Duration::from_micros(200)),
-                    }
-                }
-                if worker_span.id().is_some() {
-                    worker_span.record("jobs", jobs_done);
-                    vtrace::counter("farm.jobs_completed", jobs_done);
-                }
-            });
-        }
-    });
-
-    if queue.aborted() {
-        return Err(BatchError::Aborted);
-    }
+    let queue = LocalQueue::new(jobs, policy, journal);
+    let threads = drain(&queue, engine, jobs, workers, policy).map_err(JournalError::Batch)?;
     let wall_secs = started.elapsed().as_secs_f64().max(1e-9);
-    // Invariant: the scope joined every worker and `remaining` hit zero
-    // only after every slot was filled.
-    let chains = queue
-        .into_slots()
-        .into_iter()
-        .map(|slot| (slot.result.expect("every job resolved"), slot.hedge_launched));
-    let report = EngineBatchReport::from_chains(
-        jobs,
-        chains,
-        hedges_launched.load(Ordering::Relaxed),
-        wall_secs,
-    );
+    let report = queue.into_report(wall_secs)?;
     let summary = &report.summary;
     if batch_span.id().is_some() {
         batch_span.record("jobs", jobs.len());
-        batch_span.record("workers", spawned);
+        batch_span.record("workers", threads);
         batch_span.record("failed", summary.failed as u64);
         batch_span.record("retries", summary.retries);
         if summary.peak_resident_frames > 0 {
             vtrace::gauge("farm.peak_resident_frames", summary.peak_resident_frames as f64);
         }
-        let utilization =
-            busy_us.load(Ordering::Relaxed) as f64 / 1e6 / (spawned.max(1) as f64 * wall_secs);
-        vtrace::gauge("farm.batch_utilization", utilization);
     }
     drop(batch_span);
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::StdIo;
+    use crate::journal::record::testing::{jobs, ok_chain, TempJournal};
+    use crate::journal::record::Record;
+    use crate::journal::{open_journal, JournalConfig};
+
+    /// (c) A hedge is a second ticket for an unfinished job: both
+    /// tickets publish, the job is committed to the journal once, and
+    /// the summary counts the hedge.
+    #[test]
+    fn both_copies_of_a_hedged_job_publish_and_one_commits() {
+        let jobs = jobs(&["a", "b", "straggler"]);
+        // Any job still running once two chains have finished is a
+        // straggler.
+        let policy = ResilienceConfig::default().with_hedge(HedgePolicy {
+            quantile: 0.5,
+            factor: 0.0,
+            min_samples: 2,
+        });
+        let temp = TempJournal::new("hedge");
+        let opened = open_journal(&JournalConfig::new(temp.path()), &jobs, &policy, &StdIo);
+        let queue = LocalQueue::new(&jobs, &policy, Some(opened.expect("fresh journal")));
+
+        let tickets: Vec<Ticket> = (0..3).map(|_| queue.claim().expect("a primary")).collect();
+        let [a, b, primary] = <[Ticket; 3]>::try_from(tickets).ok().expect("three tickets");
+        assert_eq!((a.job, b.job, primary.job), (0, 1, 2));
+        assert!(queue.publish(a, ok_chain(b"a", 1)));
+        assert!(queue.publish(b, ok_chain(b"b", 1)));
+        let hedge = queue.claim().expect("the straggler's hedge");
+        assert_eq!(hedge.job, 2);
+        assert!(queue.publish(hedge, ok_chain(b"s", 1)), "the hedge copy wins");
+        assert!(queue.publish(primary, ok_chain(b"s", 1)), "the losing copy is dropped quietly");
+        assert!(queue.claim().is_none(), "drained");
+
+        let report = queue.into_report(1.0).expect("no abort");
+        assert_eq!(report.summary.hedges, 1);
+        let hedged: Vec<bool> = report.results.iter().map(|r| r.hedged).collect();
+        assert_eq!(hedged, [false, false, true]);
+        let text = std::fs::read_to_string(temp.path()).expect("journal readable");
+        let commits = record::records(&text)
+            .filter(|r| matches!(r, Record::Job(rec) if rec.job == 2))
+            .count();
+        assert_eq!(commits, 1, "exactly one commit for the hedged job");
+    }
 }

@@ -1,37 +1,51 @@
-//! The executor core: one claim/lease/publish contract, many backends.
+//! The executor core: one claim→encode→publish loop, two queue backends.
 //!
-//! Three orchestration paths used to live side by side in this crate —
-//! the in-process work-stealing farm, the resilience wrapper's retry
-//! machinery, and the journal's prefill/commit hooks — each with its own
-//! job-claiming and result-publishing logic. This module is the single
-//! core they all run on now:
+//! Every batch this crate runs — in memory, journaled, or spread over
+//! worker processes — is drained by the one loop in this module,
+//! `drain`: N scoped threads each running
+//! `while let Some(ticket) = queue.claim() { queue.publish(ticket, chain) }`.
+//! The loop is the only caller of the attempt-chain runner and the only
+//! place the per-thread `farm.worker` span, the queue-wait / steal /
+//! busy telemetry and the zero-threads check live. Everything that is
+//! *policy* — which job next, whether a claim is still valid at publish
+//! time, when a batch must stop — belongs to the `WorkQueue` behind
+//! it:
 //!
-//! * [`WorkQueue`] — the claim/lease/publish contract. A queue hands out
-//!   job indices ([`WorkQueue::claim`]), accepts finished attempt chains
-//!   ([`WorkQueue::publish`]), and may demand liveness signals
-//!   ([`WorkQueue::heartbeat`]) from lease-based backends.
-//! * [`local`] — the in-process backend: the work-stealing scheduler
-//!   over OS threads (shared atomic cursor, straggler hedging,
-//!   supervisor hooks). This is the engine behind every
-//!   `transcode_batch*` entry point and the journal driver, pinned
-//!   byte-identical to the pre-refactor farm.
-//! * [`placement`] — the cost plane's claim-order adapter: a validated
-//!   job permutation ([`PlacementPlan`]) plus a [`WorkQueue`] wrapper
-//!   ([`PlacedQueue`]) that dispatches in planned order while results
-//!   stay in job order, so any backend honors fleet placements.
+//! * `WorkQueue` — the contract. `WorkQueue::claim` **blocks until
+//!   there is work or the queue is drained** and returns a `Ticket`
+//!   (job index, claim instant, and for lease-based backends the lease
+//!   the claim was won with); `WorkQueue::publish` consumes the
+//!   ticket with the finished chain and answers whether the batch may
+//!   go on. A ticket is published exactly once; the first `false` stops
+//!   every thread of the loop.
+//! * [`local`] — the in-process backend (`LocalQueue`): a
+//!   shared atomic cursor over in-memory result slots. Its `claim` also
+//!   owns the abort check, the scripted pre-encode crash and straggler
+//!   hedging (a hedge is a second ticket for an unfinished job); its
+//!   `publish` commits the winning chain — to the journal first, when
+//!   the batch has one — under the job's slot lock. Every in-memory and
+//!   journaled batch runs on it.
+//! * [`ledger`] + [`worker`] + [`dispatch`] — the journal-backed
+//!   multi-process backend: a `vbench dispatch` parent and N
+//!   `vbench worker` children coordinate through lease + heartbeat
+//!   records appended to the shared journal. A worker's `JournalQueue`
+//!   claims by appending a lease and re-reading, and revalidates the
+//!   ticket's lease before committing. The fsync'd job record stays the
+//!   single commit point, so `--resume` and worker-loss recovery are
+//!   the same code path: a job either has a durable record (done,
+//!   replayable) or it does not (re-encode it).
+//! * [`placement`] — the cost plane's claim order: a validated job
+//!   permutation ([`PlacementPlan`]) that reorders the job list before
+//!   it is queued ([`PlacementPlan::apply`]) and puts per-job results
+//!   back afterwards ([`PlacementPlan::restore`]). Queues hand out
+//!   indices in order, so the permuted list *is* the placed claim
+//!   order; no backend knows about placements.
 //! * [`io`] — the durable-IO seam: every byte the journal, lease
 //!   ledger, and status snapshots put on disk flows through a
 //!   [`io::JournalIo`] ([`io::StdIo`] in production), so the seeded
 //!   storage-fault layer ([`io::FaultedIo`] + [`vfault::IoFaultPlan`])
 //!   and the `vbench chaos` auditor can prove recovery under torn
 //!   writes, EIO, ENOSPC, lying fsyncs, and simulated power cuts.
-//! * [`ledger`] + [`worker`] + [`dispatch`] — the journal-backed
-//!   multi-process backend: a `vbench dispatch` parent and N
-//!   `vbench worker` children coordinate through lease + heartbeat
-//!   records appended to the shared journal. The fsync'd job record
-//!   stays the single commit point, so `--resume` and worker-loss
-//!   recovery are the same code path: a job either has a durable record
-//!   (done, replayable) or it does not (re-encode it).
 //!
 //! Determinism contract, shared by every backend: encodes are pure
 //! functions of `(source, request, degradation)` and fault decisions key
@@ -39,7 +53,11 @@
 //! job never changes its bytes. Lease arbitration therefore only has to
 //! be safe (no duplicate publishes), never fair or ordered.
 //!
-//! Telemetry (all backends): `exec.leases_granted` counts won claims,
+//! Telemetry. From the loop, on every backend: one `farm.worker` span
+//! per thread (child of the caller's `farm.batch` or `exec.worker`
+//! span), `farm.queue_wait_us`, `farm.steals`, `farm.jobs_completed`,
+//! `farm.batch_utilization`.
+//! From the queues: `exec.leases_granted` counts won claims,
 //! `exec.jobs_completed` counts published results. The multi-process
 //! backend adds `exec.leases_expired` (dispatcher reaped a dead
 //! worker's lease), `exec.leases_reclaimed` (a surviving worker
@@ -54,18 +72,22 @@ pub mod placement;
 pub mod status;
 pub mod worker;
 
-pub use dispatch::{
-    merge_trace_files, run_dispatch, run_dispatch_with_io, DispatchOptions, DispatchReport,
-};
+pub use dispatch::{merge_trace_files, run_dispatch_with_io, DispatchOptions, DispatchReport};
 pub use io::{append_retrying, DurableFile, FaultedIo, JournalIo, StdIo};
-pub use placement::{PlacedQueue, PlacementError, PlacementPlan};
+pub use placement::{PlacementError, PlacementPlan};
 pub use status::{
-    snapshot_from_journal, snapshot_from_text, write_atomic, write_atomic_io, StatusSnapshot,
-    WorkerStatus,
+    snapshot_from_journal, snapshot_from_text, write_atomic_io, StatusSnapshot, WorkerStatus,
 };
-pub use worker::{run_worker, run_worker_with_io, WorkerOptions};
+pub use worker::{run_worker_with_io, WorkerOptions};
 
-use crate::farm::{JobError, JobOutcome};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::Instant;
+
+use crate::engine::Transcoder;
+use crate::farm::{BatchError, EngineJob, JobError, JobOutcome};
+use crate::resilience::{degraded_request, FaultyTranscoder, ResilienceConfig};
+use ledger::LeaseId;
 
 /// What one job's full attempt chain produced: the unit of work every
 /// backend publishes. Produced by the attempt-chain runner (first try
@@ -98,30 +120,402 @@ impl ChainResult {
     }
 }
 
-/// The claim/lease/publish contract every executor backend implements.
-///
-/// A queue owns job *indices*, never job payloads: the job list is
-/// fixed up front and identical for every participant (the journal's
-/// manifest fingerprint enforces this across processes), so an index is
-/// a complete claim ticket.
-///
-/// Safety contract: `claim` returning `Some(i)` grants an exclusive
-/// lease on job `i` — no other live worker holds it — and `publish`
-/// commits a result at most once per job. Backends where leases can
-/// outlive their holder (the journal ledger) revalidate the lease at
-/// publish time and drop the result of a lease lost in the meantime.
-pub trait WorkQueue {
-    /// Claims a lease on the next runnable job. `None` means drained:
-    /// every job is finished or will be finished by current leaseholders
-    /// this queue cannot override.
-    fn claim(&self) -> Option<usize>;
+/// A won claim: the right, and the obligation, to publish one chain for
+/// `job`. The job list is fixed up front and identical for every
+/// participant (the journal's manifest fingerprint enforces this across
+/// processes), so a ticket never carries a payload.
+pub(crate) struct Ticket {
+    /// The claimed job's index.
+    pub(crate) job: usize,
+    /// When the claim was won; the chain's wall time (the hedge
+    /// threshold's sample) runs from here.
+    pub(crate) started: Instant,
+    /// The lease the claim was won with, on backends where a lease can
+    /// outlive its holder: publish commits only while it is still the
+    /// job's current lease.
+    pub(crate) lease: Option<LeaseId>,
+}
 
-    /// Publishes the finished chain for a claimed job. Returns `false`
-    /// when the whole batch must abort (supervisor hook demanded it, or
-    /// the backend hit an unrecoverable commit error).
-    fn publish(&self, job: usize, chain: ChainResult) -> bool;
+/// The claim/publish contract every executor backend implements, and
+/// [`drain`] consumes.
+///
+/// Safety contract: a ticket grants the right to run its job now — no
+/// other live participant will commit a *different* result for it
+/// (chains are deterministic, so a hedge copy or a re-leased job lands
+/// on identical bytes) — and `publish` commits at most one chain per
+/// job. Backends where leases can outlive their holder (the journal
+/// ledger) revalidate the ticket's lease at publish time and drop the
+/// result of a lease lost in the meantime.
+pub(crate) trait WorkQueue {
+    /// Claims the next runnable job, **blocking until there is one or
+    /// the queue is drained**. `None` means drained — every job is
+    /// finished, or the batch was told to stop — and is final: no later
+    /// claim on this queue succeeds.
+    fn claim(&self) -> Option<Ticket>;
+
+    /// Publishes the finished chain for a ticket, consuming it. Returns
+    /// `false` when the whole batch must stop (a scripted crash fired,
+    /// or the backend hit an unrecoverable commit error); the queue
+    /// keeps the reason.
+    fn publish(&self, ticket: Ticket, chain: ChainResult) -> bool;
 
     /// Liveness signal for lease-based backends; in-process queues need
     /// none.
     fn heartbeat(&self) {}
+}
+
+/// The executor loop: drains `queue` on `threads` scoped OS threads,
+/// each claiming a ticket, running that job's attempt chain, and
+/// publishing the result, until a claim answers drained or a publish
+/// answers stop. Every batch entry point is "build a queue, run this,
+/// fold the result".
+///
+/// Never spawns more threads than there are jobs, so an empty batch
+/// returns without spawning (or claiming) at all. Returns the number of
+/// threads it ran, for the caller's span.
+///
+/// # Errors
+///
+/// [`BatchError::NoWorkers`] when `threads` is zero — on every
+/// topology, before anything is claimed.
+pub(crate) fn drain<Q: WorkQueue + Sync>(
+    queue: &Q,
+    engine: &dyn Transcoder,
+    jobs: &[EngineJob],
+    threads: usize,
+    policy: &ResilienceConfig,
+) -> Result<usize, BatchError> {
+    if threads == 0 {
+        return Err(BatchError::NoWorkers);
+    }
+    let threads = threads.min(jobs.len());
+    let started = Instant::now();
+    // The caller's span (`farm.batch` / `exec.worker`) lives on this
+    // thread's stack, invisible to the spawned threads': pass it down.
+    let parent = vtrace::current_span();
+    let stop = AtomicBool::new(false);
+    let busy_us = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| {
+                let mut worker_span = vtrace::span_with_parent("farm.worker", parent);
+                let mut jobs_done = 0u64;
+                while !stop.load(Ordering::Acquire) {
+                    let Some(ticket) = queue.claim() else { break };
+                    if vtrace::enabled() {
+                        // Queue wait: how long the job sat between
+                        // batch start and this thread picking it up.
+                        vtrace::histogram(
+                            "farm.queue_wait_us",
+                            started.elapsed().as_micros() as u64,
+                        );
+                        if jobs_done > 0 {
+                            // Every grab after a thread's first is a
+                            // pull from the shared queue.
+                            vtrace::counter("farm.steals", 1);
+                        }
+                    }
+                    let t0 = Instant::now();
+                    let chain = run_attempt_chain(engine, ticket.job, &jobs[ticket.job], policy);
+                    busy_us.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+                    jobs_done += 1;
+                    if !queue.publish(ticket, chain) {
+                        stop.store(true, Ordering::Release);
+                    }
+                }
+                if worker_span.id().is_some() {
+                    worker_span.record("jobs", jobs_done);
+                    vtrace::counter("farm.jobs_completed", jobs_done);
+                }
+            });
+        }
+    });
+    // Share of the threads' wall time spent inside attempt chains.
+    let busy_secs = busy_us.load(Ordering::Relaxed) as f64 / 1e6;
+    let lane_secs = threads.max(1) as f64 * started.elapsed().as_secs_f64().max(1e-9);
+    vtrace::gauge("farm.batch_utilization", busy_secs / lane_secs);
+    Ok(threads)
+}
+
+/// Runs one job's full attempt chain: first attempt plus retries under
+/// the policy, with fault injection, panic isolation, deadline checks,
+/// backoff, and deadline-miss degradation. Pure with respect to
+/// scheduling: the chain's decisions depend only on
+/// `(job index, attempt)` and the outcome contents, so a hedge copy —
+/// or a worker in another process — re-running the chain lands on a
+/// byte-identical result.
+fn run_attempt_chain(
+    engine: &dyn Transcoder,
+    job_index: usize,
+    job: &EngineJob,
+    policy: &ResilienceConfig,
+) -> ChainResult {
+    let deadline = job.deadline_secs.or(policy.job_deadline_secs);
+    let mut degraded = 0u32;
+    let mut deadline_missed = false;
+    let mut attempt = 0u32;
+    loop {
+        let faulty =
+            FaultyTranscoder { inner: engine, plan: &policy.fault_plan, job: job_index, attempt };
+        let request = degraded_request(&job.request, degraded);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            if job.stream {
+                // A fresh pull stream per attempt: retries re-pull from
+                // frame zero, exactly like the in-memory path re-reads
+                // the clip.
+                let mut source = job.source.open();
+                faulty.transcode_stream(source.as_mut(), &request).map(JobOutcome::Streamed)
+            } else {
+                faulty.transcode(&job.source.materialize(), &request).map(JobOutcome::Full)
+            }
+        }));
+        let failure = match caught {
+            Ok(Ok(outcome)) => match deadline {
+                Some(limit) if outcome.timings().total() > limit => {
+                    deadline_missed = true;
+                    vtrace::counter("farm.deadline_misses", 1);
+                    Err(JobError::DeadlineExceeded {
+                        deadline_secs: limit,
+                        encode_secs: outcome.timings().total(),
+                    })
+                }
+                _ => Ok(outcome),
+            },
+            Ok(Err(e)) => Err(JobError::Transcode(e)),
+            Err(payload) => {
+                vtrace::counter("farm.panics_caught", 1);
+                Err(JobError::Panicked { message: panic_message(payload.as_ref()) })
+            }
+        };
+        match failure {
+            Ok(outcome) => {
+                return ChainResult {
+                    outcome: Ok(outcome),
+                    attempts: attempt + 1,
+                    degraded,
+                    deadline_missed,
+                };
+            }
+            Err(error) => {
+                let retryable = match &error {
+                    JobError::Transcode(e) => e.is_retryable(),
+                    JobError::Panicked { .. } | JobError::DeadlineExceeded { .. } => true,
+                    // Never produced by a live chain; replays only come
+                    // from prefilled journal slots.
+                    JobError::ReplayedFailure { .. } => false,
+                };
+                if attempt >= policy.max_retries || !retryable {
+                    return ChainResult {
+                        outcome: Err(error),
+                        attempts: attempt + 1,
+                        degraded,
+                        deadline_missed,
+                    };
+                }
+                if matches!(error, JobError::DeadlineExceeded { .. }) {
+                    if policy.degrade_on_deadline_miss {
+                        degraded += 1;
+                        vtrace::counter("farm.degraded", 1);
+                    }
+                } else {
+                    // Backoff applies to error/panic retries: a deadline
+                    // miss already *has* a result, waiting cannot help it.
+                    let wait = policy.backoff_secs(attempt + 1);
+                    if wait > 0.0 {
+                        vtrace::histogram("farm.backoff_wait_us", (wait * 1e6) as u64);
+                        std::thread::sleep(std::time::Duration::from_secs_f64(wait));
+                    }
+                }
+                vtrace::counter("farm.retries", 1);
+                attempt += 1;
+            }
+        }
+    }
+}
+
+/// The panic payload's message, when it carried one.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{Engine, TranscodeError, TranscodeOutcome, TranscodeRequest};
+    use crate::farm::transcode_batch;
+    use crate::journal::record::testing::{jobs, TempJournal};
+    use crate::journal::{open_journal, run_batch_journaled_with_io, JournalConfig, JournalError};
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Mutex;
+    use vframe::Video;
+
+    /// A transcoder that refuses every request on the spot (and is not
+    /// retried: a backend mismatch is structural).
+    struct Refuse;
+
+    impl Transcoder for Refuse {
+        fn transcode(
+            &self,
+            _src: &Video,
+            _req: &TranscodeRequest,
+        ) -> Result<TranscodeOutcome, TranscodeError> {
+            Err(TranscodeError::BackendMismatch { engine: "refuse" })
+        }
+    }
+
+    /// A queue that is nothing but the contract. Tickets are numbered —
+    /// the serial rides in the lease nonce — and ticket `n` is for job
+    /// `n % jobs`.
+    struct FakeQueue {
+        jobs: usize,
+        /// The serial from which claims answer drained.
+        drained_at: usize,
+        /// The serial whose publish answers stop.
+        stop_at: Option<usize>,
+        next: AtomicUsize,
+        claimed: Mutex<Vec<u64>>,
+        /// `(serial, job, whether the chain succeeded)`.
+        published: Mutex<Vec<(u64, usize, bool)>>,
+    }
+
+    impl FakeQueue {
+        fn new(jobs: usize, drained_at: usize, stop_at: Option<usize>) -> FakeQueue {
+            FakeQueue {
+                jobs,
+                drained_at,
+                stop_at,
+                next: AtomicUsize::new(0),
+                claimed: Mutex::new(Vec::new()),
+                published: Mutex::new(Vec::new()),
+            }
+        }
+
+        /// Claimed and published serials, each sorted.
+        fn serials(&self) -> (Vec<u64>, Vec<u64>) {
+            let mut claimed = self.claimed.lock().unwrap().clone();
+            let mut published: Vec<u64> =
+                self.published.lock().unwrap().iter().map(|p| p.0).collect();
+            claimed.sort_unstable();
+            published.sort_unstable();
+            (claimed, published)
+        }
+    }
+
+    impl WorkQueue for FakeQueue {
+        fn claim(&self) -> Option<Ticket> {
+            let serial = self.next.fetch_add(1, Ordering::SeqCst);
+            if serial >= self.drained_at {
+                return None;
+            }
+            self.claimed.lock().unwrap().push(serial as u64);
+            let lease = LeaseId { worker: 0, nonce: serial as u64, pid: 0 };
+            Some(Ticket { job: serial % self.jobs, started: Instant::now(), lease: Some(lease) })
+        }
+
+        fn publish(&self, ticket: Ticket, chain: ChainResult) -> bool {
+            let serial = ticket.lease.expect("fake tickets carry their serial").nonce;
+            self.published.lock().unwrap().push((serial, ticket.job, chain.outcome.is_ok()));
+            self.stop_at != Some(serial as usize)
+        }
+    }
+
+    /// (a) Every claimed ticket is published exactly once, until the
+    /// queue drains.
+    #[test]
+    fn every_claimed_ticket_is_published_exactly_once() {
+        let jobs = jobs(&["a", "b", "c"]);
+        let queue = FakeQueue::new(jobs.len(), 40, None);
+        let threads = drain(&queue, &Refuse, &jobs, 8, &ResilienceConfig::default()).expect("ran");
+        assert_eq!(threads, 3, "never more threads than jobs");
+        let (claimed, published) = queue.serials();
+        assert_eq!(claimed, (0..40).collect::<Vec<u64>>());
+        assert_eq!(published, claimed);
+    }
+
+    /// (a) The first refused publish stops every thread, though the
+    /// queue itself would go on for another hundred thousand tickets;
+    /// the tickets already out are still published.
+    #[test]
+    fn first_refused_publish_stops_every_thread() {
+        let jobs = jobs(&["a", "b", "c", "d"]);
+        let queue = FakeQueue::new(jobs.len(), 100_000, Some(10));
+        drain(&queue, &Refuse, &jobs, 4, &ResilienceConfig::default()).expect("ran");
+        let (claimed, published) = queue.serials();
+        assert!(claimed.contains(&10));
+        assert!(claimed.len() < 100_000, "the loop stopped before the queue drained");
+        assert_eq!(published, claimed, "no ticket dropped, none published twice");
+    }
+
+    /// (b) A panicking transcoder fails its own job's chain and no
+    /// other: the thread survives to run its next ticket.
+    #[test]
+    fn a_panicking_transcoder_is_isolated_to_its_jobs_chain() {
+        let jobs = jobs(&["a", "b", "c"]);
+        let policy = ResilienceConfig::default()
+            .with_fault_plan(vfault::FaultPlan::new().with_panic(1, u32::MAX));
+        let queue = FakeQueue::new(jobs.len(), 6, None);
+        drain(&queue, &Engine, &jobs, 1, &policy).expect("ran");
+        let mut published = queue.published.into_inner().unwrap();
+        published.sort_unstable();
+        let ok: Vec<(usize, bool)> = published.iter().map(|p| (p.1, p.2)).collect();
+        assert_eq!(ok, [(0, true), (1, false), (2, true), (0, true), (1, false), (2, true)]);
+    }
+
+    fn dispatch_opts(procs: usize, journal: &TempJournal) -> DispatchOptions {
+        DispatchOptions {
+            procs,
+            worker_exe: "/nonexistent/vbench".into(),
+            worker_args: Vec::new(),
+            worker_trace_base: None,
+            journal: JournalConfig::new(journal.path()),
+            status_out: None,
+            worker_io_fault_spec: None,
+        }
+    }
+
+    /// Zero threads is the same typed error on every topology.
+    #[test]
+    fn zero_threads_is_no_workers_on_every_topology() {
+        let jobs = jobs(&["a", "b"]);
+        let policy = ResilienceConfig::default();
+        let temp = TempJournal::new("zero");
+        let config = JournalConfig::new(temp.path());
+        let no_workers = |e: JournalError| matches!(e, JournalError::Batch(BatchError::NoWorkers));
+
+        assert_eq!(transcode_batch(&Engine, &jobs, 0, &policy).unwrap_err(), BatchError::NoWorkers);
+        let journaled = run_batch_journaled_with_io(&Engine, &jobs, 0, &policy, &config, &StdIo);
+        assert!(no_workers(journaled.unwrap_err()));
+        let dispatched = run_dispatch_with_io(&jobs, &policy, &dispatch_opts(0, &temp), &StdIo);
+        assert!(no_workers(dispatched.unwrap_err()));
+        // The journaled run above left a manifest for exactly this batch.
+        let opts =
+            WorkerOptions { journal: temp.path().to_path_buf(), worker_id: 0, run: 0, threads: 0 };
+        let worked = run_worker_with_io(&Engine, &jobs, &policy, &opts, &StdIo);
+        assert!(no_workers(worked.unwrap_err()));
+    }
+
+    /// An empty job list is a finished batch: nothing is spawned,
+    /// nothing hangs waiting for work.
+    #[test]
+    fn empty_batches_finish_without_work() {
+        let policy = ResilienceConfig::default();
+        let temp = TempJournal::new("empty");
+        let config = JournalConfig::new(temp.path());
+
+        let report = transcode_batch(&Refuse, &[], 3, &policy).expect("in-memory");
+        assert!(report.results.is_empty());
+        let report = run_batch_journaled_with_io(&Refuse, &[], 3, &policy, &config, &StdIo)
+            .expect("journaled");
+        assert!(report.results.is_empty());
+        drop(open_journal(&config, &[], &policy, &StdIo).expect("manifest for the empty batch"));
+        let opts =
+            WorkerOptions { journal: temp.path().to_path_buf(), worker_id: 0, run: 0, threads: 3 };
+        run_worker_with_io(&Refuse, &[], &policy, &opts, &StdIo).expect("worker");
+    }
 }

@@ -4,14 +4,13 @@
 //! class each job should run on; this module is how that decision
 //! reaches the executor without changing any backend. A
 //! [`PlacementPlan`] is a validated permutation of job indices — the
-//! claim order, jobs grouped by their assigned instance — and
-//! [`PlacedQueue`] wraps any [`WorkQueue`] so claims hand out jobs in
-//! that order while publishes land on the original indices. Results,
-//! reports, and journal records therefore stay in job order: a
-//! placement changes *when* a job is claimed, never *what* it produces,
-//! preserving the executor's determinism contract byte for byte.
-
-use super::{ChainResult, WorkQueue};
+//! claim order, jobs grouped by their assigned instance. Every queue
+//! hands out job indices in order, so queueing the permuted job list
+//! ([`PlacementPlan::apply`]) *is* dispatching in placed order, and
+//! [`PlacementPlan::restore`] puts the per-job results back in job
+//! order afterwards. A placement changes *when* a job is claimed, never
+//! *what* it produces, preserving the executor's determinism contract
+//! byte for byte.
 
 /// Why a job ordering was rejected as a placement.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -62,33 +61,9 @@ impl PlacementPlan {
         Ok(PlacementPlan { order, slot_of })
     }
 
-    /// The identity placement: claim order is job order.
-    pub fn identity(len: usize) -> PlacementPlan {
-        PlacementPlan { order: (0..len).collect(), slot_of: (0..len).collect() }
-    }
-
     /// The claim order (a permutation of `0..len`).
     pub fn order(&self) -> &[usize] {
         &self.order
-    }
-
-    /// The claim slot that dispatches `job`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `job` is outside the placement.
-    pub fn slot_of(&self, job: usize) -> usize {
-        self.slot_of[job]
-    }
-
-    /// Number of placed jobs.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Whether the placement is empty.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
     }
 
     /// `items` reordered into claim order (`out[k] = items[order[k]]`).
@@ -96,119 +71,33 @@ impl PlacementPlan {
         assert_eq!(items.len(), self.order.len(), "placement covers the whole batch");
         self.order.iter().map(|&j| items[j].clone()).collect()
     }
-}
 
-/// A [`WorkQueue`] adapter that dispatches jobs in a placement's claim
-/// order. The inner queue keeps owning lease arbitration (its indices
-/// become claim *slots*); this wrapper translates slots to job indices
-/// on claim and back on publish, so the backend's safety contract —
-/// exclusive leases, at-most-once publish — carries over unchanged.
-#[derive(Debug)]
-pub struct PlacedQueue<'a, Q: WorkQueue> {
-    inner: &'a Q,
-    plan: &'a PlacementPlan,
-}
-
-impl<'a, Q: WorkQueue> PlacedQueue<'a, Q> {
-    /// Wraps `inner` so claims follow `plan`'s order. The inner queue
-    /// must span exactly the placed jobs.
-    pub fn new(inner: &'a Q, plan: &'a PlacementPlan) -> PlacedQueue<'a, Q> {
-        PlacedQueue { inner, plan }
-    }
-}
-
-impl<Q: WorkQueue> WorkQueue for PlacedQueue<'_, Q> {
-    fn claim(&self) -> Option<usize> {
-        self.inner.claim().map(|slot| self.plan.order()[slot])
-    }
-
-    fn publish(&self, job: usize, chain: ChainResult) -> bool {
-        self.inner.publish(self.plan.slot_of(job), chain)
-    }
-
-    fn heartbeat(&self) {
-        self.inner.heartbeat();
+    /// The inverse of [`PlacementPlan::apply`]: `items` in claim order
+    /// put back in job order (`out[order[k]] = items[k]`).
+    pub fn restore<T>(&self, items: Vec<T>) -> Vec<T> {
+        assert_eq!(items.len(), self.order.len(), "placement covers the whole batch");
+        let mut placed: Vec<Option<T>> = items.into_iter().map(Some).collect();
+        self.slot_of.iter().map(|&slot| placed[slot].take().expect("a permutation")).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
     #[test]
     fn permutations_validate() {
         assert!(PlacementPlan::new(vec![2, 0, 1]).is_ok());
         assert_eq!(PlacementPlan::new(vec![0, 0, 1]), Err(PlacementError::Duplicate(0)));
         assert_eq!(PlacementPlan::new(vec![0, 3, 1]), Err(PlacementError::OutOfRange(3)));
-        assert!(PlacementPlan::new(Vec::new()).unwrap().is_empty());
+        assert!(PlacementPlan::new(Vec::new()).unwrap().order().is_empty());
     }
 
     #[test]
-    fn identity_is_a_fixed_point() {
-        let id = PlacementPlan::identity(4);
-        assert_eq!(id.order(), &[0, 1, 2, 3]);
-        let items = vec!["a", "b", "c", "d"];
-        assert_eq!(id.apply(&items), items);
-        for j in 0..4 {
-            assert_eq!(id.slot_of(j), j);
-        }
-    }
-
-    #[test]
-    fn apply_reorders_and_slot_of_inverts() {
+    fn apply_reorders_and_restore_inverts() {
         let plan = PlacementPlan::new(vec![2, 0, 3, 1]).unwrap();
+        assert_eq!(plan.order(), &[2, 0, 3, 1]);
         assert_eq!(plan.apply(&["a", "b", "c", "d"]), vec!["c", "a", "d", "b"]);
-        for (slot, &job) in plan.order().iter().enumerate() {
-            assert_eq!(plan.slot_of(job), slot);
-        }
-    }
-
-    /// A toy queue: hands out slots sequentially, records publishes.
-    struct SeqQueue {
-        next: std::sync::atomic::AtomicUsize,
-        len: usize,
-        published: Mutex<Vec<usize>>,
-    }
-
-    impl WorkQueue for SeqQueue {
-        fn claim(&self) -> Option<usize> {
-            let slot = self.next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            (slot < self.len).then_some(slot)
-        }
-
-        fn publish(&self, job: usize, _chain: ChainResult) -> bool {
-            self.published.lock().unwrap().push(job);
-            true
-        }
-    }
-
-    fn chain() -> ChainResult {
-        ChainResult {
-            outcome: Err(crate::farm::JobError::Panicked { message: "toy".to_string() }),
-            attempts: 1,
-            degraded: 0,
-            deadline_missed: false,
-        }
-    }
-
-    #[test]
-    fn placed_queue_claims_in_plan_order_and_publishes_job_indices() {
-        let inner = SeqQueue {
-            next: std::sync::atomic::AtomicUsize::new(0),
-            len: 4,
-            published: Mutex::new(Vec::new()),
-        };
-        let plan = PlacementPlan::new(vec![3, 1, 0, 2]).unwrap();
-        let q = PlacedQueue::new(&inner, &plan);
-        let mut claimed = Vec::new();
-        while let Some(job) = q.claim() {
-            claimed.push(job);
-            assert!(q.publish(job, chain()));
-        }
-        assert_eq!(claimed, vec![3, 1, 0, 2], "claims follow the placement");
-        // Publishes reached the inner queue as slots — original order —
-        // so downstream accounting never sees the permutation.
-        assert_eq!(*inner.published.lock().unwrap(), vec![0, 1, 2, 3]);
+        assert_eq!(plan.restore(vec!["c", "a", "d", "b"]), vec!["a", "b", "c", "d"]);
     }
 }

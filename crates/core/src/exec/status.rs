@@ -209,7 +209,10 @@ pub fn snapshot_from_journal(path: &Path) -> std::io::Result<Option<StatusSnapsh
     Ok(snapshot_from_text(&record::read_text(&super::io::StdIo, path)?))
 }
 
-/// Atomically and *durably* replaces `path` with `content`: write a
+/// Atomically and *durably* replaces `path` with `content`, through
+/// the caller's durable-IO layer ([`super::io::StdIo`] in production; a
+/// [`super::io::FaultedIo`] when the chaos auditor proves the
+/// fsync-before-rename discipline under power cuts): write a
 /// uniquely-named sibling temp file, fsync it, rename it over `path`,
 /// then fsync the parent directory. Readers see either the old
 /// document or the new one, never a prefix — and after a power cut the
@@ -218,14 +221,8 @@ pub fn snapshot_from_journal(path: &Path) -> std::io::Result<Option<StatusSnapsh
 /// survives the cut, the bytes do not). The per-writer unique temp
 /// name means a crashed or concurrent writer can never collide on a
 /// fixed `.tmp` sibling; stale temps from crashed writers are scrubbed
-/// by [`remove_stale_status_temps`].
-pub fn write_atomic(path: &Path, content: &str) -> std::io::Result<()> {
-    write_atomic_io(&super::io::StdIo, path, content)
-}
-
-/// [`write_atomic`] through an explicit durable-IO layer — what the
-/// chaos auditor drives with a [`super::io::FaultedIo`] to prove the
-/// fsync-before-rename discipline holds under power cuts.
+/// at dispatcher startup (`io::remove_stale_temps` on its `--status-out`
+/// target).
 pub fn write_atomic_io(
     io: &dyn super::io::JournalIo,
     path: &Path,
@@ -271,18 +268,11 @@ fn write_atomic_impl(
     result
 }
 
-/// Removes stale [`write_atomic`] temp files a crashed writer abandoned
-/// next to `path`. Called once at dispatcher startup for its
-/// `--status-out` target; best-effort (an unremovable temp wastes disk
-/// but can never be read as the document).
-pub(crate) fn remove_stale_status_temps(path: &Path) {
-    super::io::remove_stale_temps(path);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use crate::exec::io::StdIo;
     use crate::exec::ledger::LeaseId;
     use crate::journal::record::testing::ok_chain;
     use crate::journal::record::{hb_line, job_line, lease_line, manifest_line, run_line};
@@ -406,21 +396,21 @@ mod tests {
         assert_eq!(after.workers[1].in_flight, None, "job 1 committed, lease terminal");
     }
 
-    /// `write_atomic` leaves no partially-written `status.json` behind:
+    /// `write_atomic_io` leaves no partially-written `status.json` behind:
     /// the destination is only ever replaced whole.
     #[test]
     fn write_atomic_replaces_whole_documents() {
         let mut path = std::env::temp_dir();
         path.push(format!("vbench-status-atomic-{}.json", std::process::id()));
-        write_atomic(&path, "{\"version\":1}").expect("first write");
-        write_atomic(&path, "{\"version\":1,\"jobs\":3}").expect("second write");
+        write_atomic_io(&StdIo, &path, "{\"version\":1}").expect("first write");
+        write_atomic_io(&StdIo, &path, "{\"version\":1,\"jobs\":3}").expect("second write");
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"version\":1,\"jobs\":3}");
         assert!(!path.with_extension("tmp").exists(), "temp file must be renamed away");
-        super::remove_stale_status_temps(&path);
+        crate::exec::io::remove_stale_temps(&path);
         let _ = std::fs::remove_file(&path);
     }
 
-    /// The fsync-before-rename discipline: a document `write_atomic`
+    /// The fsync-before-rename discipline: a document `write_atomic_io`
     /// acknowledged survives a simulated power cut byte-for-byte. The
     /// deliberately unsynced variant (the bug this module used to
     /// have) loses the bytes — which is exactly what `vbench chaos
@@ -460,7 +450,7 @@ mod tests {
         use super::super::io::FaultedIo;
         let dir = std::env::temp_dir();
         let path = dir.join(format!("vbench-status-fault-{}.json", std::process::id()));
-        write_atomic(&path, "old-doc").expect("seed");
+        write_atomic_io(&StdIo, &path, "old-doc").expect("seed");
         for spec in ["short=status@0", "eio=status@0", "fsync-eio=status@0", "rename-fail=status@0"]
         {
             let io = FaultedIo::new(vfault::IoFaultPlan::parse(spec).expect("plan"));
@@ -472,7 +462,7 @@ mod tests {
         let stale =
             dir.join(format!("{}.99999-0.tmp", path.file_name().unwrap().to_string_lossy()));
         std::fs::write(&stale, "half-written").expect("plant stale temp");
-        super::remove_stale_status_temps(&path);
+        crate::exec::io::remove_stale_temps(&path);
         assert!(!stale.exists(), "stale temp scrubbed");
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "old-doc");
         let _ = std::fs::remove_file(&path);

@@ -26,12 +26,11 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use super::io::{DurableFile, JournalIo, StdIo};
+use super::io::{DurableFile, JournalIo};
 use super::ledger::{self, LeaseId};
-use super::local::run_attempt_chain;
-use super::{ChainResult, WorkQueue};
+use super::{drain, ChainResult, Ticket, WorkQueue};
 use crate::engine::Transcoder;
 use crate::farm::EngineJob;
 use crate::journal::record::{self, Record};
@@ -70,10 +69,6 @@ struct JournalQueue<'a> {
     nonce: AtomicU64,
     hb_seq: AtomicU64,
     completed: AtomicU64,
-    /// The lease each claimed-but-unpublished job was won with, so a
-    /// publish can verify it still holds *this* lease (not a newer one
-    /// granted after an expiry).
-    active: Mutex<Vec<Option<LeaseId>>>,
     io_error: Mutex<Option<std::io::Error>>,
 }
 
@@ -108,7 +103,7 @@ impl JournalQueue<'_> {
 }
 
 impl WorkQueue for JournalQueue<'_> {
-    fn claim(&self) -> Option<usize> {
+    fn claim(&self) -> Option<Ticket> {
         loop {
             if self.failed() {
                 return None;
@@ -150,19 +145,20 @@ impl WorkQueue for JournalQueue<'_> {
                 // exactly like a SIGKILL between claim and publish.
                 std::process::abort();
             }
-            self.active.lock().expect("active leases")[job] = Some(id);
-            return Some(job);
+            return Some(Ticket { job, started: Instant::now(), lease: Some(id) });
         }
     }
 
-    fn publish(&self, job: usize, chain: ChainResult) -> bool {
-        let id = self.active.lock().expect("active leases")[job].take();
+    fn publish(&self, ticket: Ticket, chain: ChainResult) -> bool {
+        let job = ticket.job;
         let Some(view) = self.view() else { return false };
-        // Revalidate before committing: if the dispatcher expired our
-        // lease (it believed this process stuck or dead) the job may be
-        // re-leased or even done — drop the result; whoever holds the
-        // job now produces byte-identical output.
-        if view.holder(job) != id {
+        // Revalidate before committing: the job must still be held by
+        // the lease this ticket was won with, not a newer one granted
+        // after an expiry. If the dispatcher expired ours (it believed
+        // this process stuck or dead) the job may be re-leased or even
+        // done — drop the result; whoever holds the job now produces
+        // byte-identical output.
+        if view.holder(job) != ticket.lease {
             return true;
         }
         let line =
@@ -192,25 +188,17 @@ impl WorkQueue for JournalQueue<'_> {
 /// the manifest, then drains the lease ledger on `opts.threads` threads
 /// (plus a heartbeat thread) until every job in the batch has a durable
 /// record. Returns once the batch is globally complete — workers do not
-/// know or care which process finished which job.
+/// know or care which process finished which job. All durable IO goes
+/// through `io`: [`super::StdIo`] in production, a
+/// [`super::FaultedIo`] to subject a live worker to torn writes, EIO,
+/// and lying fsyncs (`vbench worker --io-fault-plan`).
 ///
 /// # Errors
 ///
 /// [`JournalError::ManifestMismatch`] when the journal belongs to a
-/// different batch than the jobs this worker was given, and
-/// [`JournalError::Io`] on filesystem failures.
-pub fn run_worker(
-    engine: &dyn Transcoder,
-    jobs: &[EngineJob],
-    policy: &ResilienceConfig,
-    opts: &WorkerOptions,
-) -> Result<(), JournalError> {
-    run_worker_with_io(engine, jobs, policy, opts, &StdIo)
-}
-
-/// [`run_worker`] with an explicit durable-IO backend — the seam the
-/// storage-fault layer uses to subject a live worker process to torn
-/// writes, EIO, and lying fsyncs (`vbench worker --io-fault-plan`).
+/// different batch than the jobs this worker was given,
+/// [`JournalError::Io`] on filesystem failures, and
+/// [`JournalError::Batch`] for zero threads.
 pub fn run_worker_with_io(
     engine: &dyn Transcoder,
     jobs: &[EngineJob],
@@ -237,36 +225,26 @@ pub fn run_worker_with_io(
         nonce: AtomicU64::new(0),
         hb_seq: AtomicU64::new(0),
         completed: AtomicU64::new(0),
-        active: Mutex::new(vec![None; jobs.len()]),
         io_error: Mutex::new(None),
     };
 
     let mut span = vtrace::span("exec.worker");
     let done = AtomicBool::new(false);
-    std::thread::scope(|outer| {
-        outer.spawn(|| {
+    let threads = std::thread::scope(|scope| {
+        scope.spawn(|| {
             while !done.load(Ordering::Acquire) {
                 queue.heartbeat();
                 std::thread::sleep(Duration::from_millis(100));
             }
         });
-        std::thread::scope(|inner| {
-            for _ in 0..opts.threads.max(1) {
-                inner.spawn(|| {
-                    while let Some(job) = queue.claim() {
-                        let chain = run_attempt_chain(engine, job, &jobs[job], policy);
-                        if !queue.publish(job, chain) {
-                            break;
-                        }
-                    }
-                });
-            }
-        });
+        let threads = drain(&queue, engine, jobs, opts.threads, policy);
         done.store(true, Ordering::Release);
-    });
+        threads
+    })
+    .map_err(JournalError::Batch)?;
     if span.id().is_some() {
         span.record("worker", opts.worker_id);
-        span.record("threads", opts.threads.max(1));
+        span.record("threads", threads);
         span.record("jobs", queue.completed.load(Ordering::Relaxed));
     }
     drop(span);

@@ -7,17 +7,17 @@
 //! over OS threads, used to measure aggregate box throughput and to
 //! transcode the suite in parallel.
 //!
-//! Every entry point here runs on the executor core in [`crate::exec`]
-//! (the in-process [`crate::exec::local`] backend — one scheduler loop,
-//! shared with the journal driver and the multi-process dispatcher):
+//! It runs on the executor core in [`crate::exec`] (the in-process
+//! [`crate::exec::local`] backend, drained by the one executor loop the
+//! journal driver and the multi-process workers share):
 //!
-//! * [`transcode_batch_with`] drives [`EngineJob`]s through any
+//! * [`transcode_batch`] drives [`EngineJob`]s through any
 //!   [`Transcoder`] — software and hardware requests mix freely in one
-//!   batch (this is how Tables 3/4/5 fan out). It runs under the default
-//!   (zero-overhead) [`ResilienceConfig`]; [`transcode_batch_resilient`]
-//!   takes an explicit policy: retries with capped exponential backoff,
-//!   per-job deadlines, straggler hedging, preset degradation, and
-//!   deterministic fault injection.
+//!   batch (this is how Tables 3/4/5 fan out) — under a
+//!   [`ResilienceConfig`]: the default is zero-overhead (panic
+//!   isolation only); an explicit policy adds retries with capped
+//!   exponential backoff, per-job deadlines, straggler hedging, preset
+//!   degradation, and deterministic fault injection.
 //! * Raw [`vcodec::EncoderConfig`]s join a batch by lifting them with
 //!   [`TranscodeRequest::from_config`], which reproduces every knob
 //!   bit-for-bit.
@@ -31,8 +31,9 @@
 use crate::engine::{
     StreamOutcome, TranscodeError, TranscodeOutcome, TranscodeRequest, Transcoder,
 };
-use crate::exec::local::{run_engine_batch, BatchHooks};
+use crate::exec::local::run_engine_batch;
 use crate::exec::ChainResult;
+use crate::journal::JournalError;
 use crate::measure::Measurement;
 use crate::resilience::ResilienceConfig;
 use vcodec::EncodeStats;
@@ -211,11 +212,6 @@ pub enum BatchError {
         /// Why it failed.
         error: JobError,
     },
-    /// A supervisor hook stopped the batch mid-run. Only journaled
-    /// execution installs such hooks (scripted [`vfault::CrashPoint`]
-    /// aborts); the journal driver maps this to its own typed crash
-    /// error, so plain batch callers never observe it.
-    Aborted,
 }
 
 impl std::fmt::Display for BatchError {
@@ -223,7 +219,6 @@ impl std::fmt::Display for BatchError {
         match self {
             BatchError::NoWorkers => write!(f, "batch needs at least one worker"),
             BatchError::JobFailed { job, error } => write!(f, "job '{job}' failed: {error}"),
-            BatchError::Aborted => write!(f, "batch aborted by a supervisor hook"),
         }
     }
 }
@@ -519,67 +514,14 @@ impl EngineBatchReport {
     }
 }
 
-/// Runs `jobs` through `engine` on `workers` OS threads under the
-/// default zero-overhead policy (no retries, no deadline, no hedging, no
-/// faults — panic isolation only). Job order is preserved in the results
-/// regardless of scheduling; every job gets a slot whether it succeeded
-/// or failed.
-///
-/// # Errors
-///
-/// [`BatchError::NoWorkers`] when `workers` is zero. Per-job failures do
-/// not error the batch — see [`EngineBatchReport::require_complete`].
-pub fn transcode_batch_with(
-    engine: &dyn Transcoder,
-    jobs: &[EngineJob],
-    workers: usize,
-) -> Result<EngineBatchReport, BatchError> {
-    transcode_batch_resilient(engine, jobs, workers, &ResilienceConfig::default())
-}
-
-/// [`transcode_batch_resilient`] under a fleet placement: jobs are
-/// claimed in the plan's order (grouped by assigned instance class),
-/// results return in job order. Equivalent to running the local backend
-/// through [`crate::exec::PlacedQueue`] — the in-process queue hands
-/// out sequential claim slots, so dispatching the placement-permuted
-/// job list *is* the placed claim order — and byte-identical to the
-/// unplaced batch per job, since encodes are pure functions of the job.
-/// Emits one `fleet.placements` count per placed job.
-///
-/// # Errors
-///
-/// [`BatchError::NoWorkers`] when `workers` is zero.
-///
-/// # Panics
-///
-/// Panics if the placement does not span exactly `jobs.len()` jobs.
-pub fn transcode_batch_placed(
-    engine: &dyn Transcoder,
-    jobs: &[EngineJob],
-    workers: usize,
-    policy: &ResilienceConfig,
-    placement: &crate::exec::PlacementPlan,
-) -> Result<EngineBatchReport, BatchError> {
-    assert_eq!(placement.len(), jobs.len(), "placement must cover the batch");
-    let placed_jobs = placement.apply(jobs);
-    let report = transcode_batch_resilient(engine, &placed_jobs, workers, policy)?;
-    vtrace::counter("fleet.placements", jobs.len() as u64);
-    // Results came back in claim order; restore job order so callers
-    // (and fingerprints over results) never see the permutation.
-    let mut slots: Vec<Option<EngineJobResult>> = (0..jobs.len()).map(|_| None).collect();
-    for (slot, result) in report.results.into_iter().enumerate() {
-        slots[placement.order()[slot]] = Some(result);
-    }
-    Ok(EngineBatchReport {
-        results: slots.into_iter().map(|r| r.expect("placement is a permutation")).collect(),
-        ..report
-    })
-}
-
-/// [`transcode_batch_with`] under an explicit resilience policy: retries
-/// with capped exponential backoff, per-job deadlines, straggler
-/// hedging, deadline-miss preset degradation, and deterministic fault
-/// injection.
+/// Runs `jobs` through `engine` on `workers` OS threads under `policy`:
+/// [`ResilienceConfig::default`] is the zero-overhead policy (no
+/// retries, no deadline, no hedging, no faults — panic isolation only);
+/// an explicit one adds retries with capped exponential backoff,
+/// per-job deadlines, straggler hedging, deadline-miss preset
+/// degradation, and deterministic fault injection. Job order is
+/// preserved in the results regardless of scheduling; every job gets a
+/// slot whether it succeeded or failed.
 ///
 /// Determinism: every per-job field that does not measure wall time —
 /// bitstream bytes, chosen bitrate, success/failure status, attempt
@@ -589,49 +531,41 @@ pub fn transcode_batch_placed(
 /// sequence. The `hedged` flags and [`BatchSummary::hedges`] are the
 /// exception: whether a hedge fires depends on observed wall time.
 ///
+/// To run under a fleet placement, queue the jobs in claim order
+/// ([`crate::exec::PlacementPlan::apply`]) and put the results back
+/// with [`crate::exec::PlacementPlan::restore`].
+///
 /// # Errors
 ///
-/// [`BatchError::NoWorkers`] when `workers` is zero.
-pub fn transcode_batch_resilient(
+/// [`BatchError::NoWorkers`] when `workers` is zero. Per-job failures do
+/// not error the batch — see [`EngineBatchReport::require_complete`].
+pub fn transcode_batch(
     engine: &dyn Transcoder,
     jobs: &[EngineJob],
     workers: usize,
     policy: &ResilienceConfig,
 ) -> Result<EngineBatchReport, BatchError> {
-    run_engine_batch(engine, jobs, workers, policy, BatchHooks::default())
+    run_engine_batch(engine, jobs, workers, policy, None).map_err(|e| match e {
+        JournalError::Batch(e) => e,
+        other => unreachable!("only a journal can stop a batch early: {other}"),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{Engine, RateMode};
+    use crate::journal::record::testing::{request, source};
     use vcodec::{CodecFamily, Preset};
-    use vframe::color::{frame_from_fn, Yuv};
-    use vframe::Resolution;
     use vhw::HwVendor;
 
-    fn source(seed: u32) -> Video {
-        let res = Resolution::new(64, 48);
-        let frames = (0..6)
-            .map(|t| {
-                frame_from_fn(res, |x, y| {
-                    Yuv::new(((x * (3 + seed) + y * 2 + 5 * t) % 256) as u8, 128, 128)
-                })
-            })
-            .collect();
-        Video::new(frames, 30.0)
+    fn job(name: &str, seed: u32) -> EngineJob {
+        EngineJob::new(name, source(seed), request())
     }
 
-    fn job(name: &str, seed: u32) -> EngineJob {
-        EngineJob::new(
-            name,
-            source(seed),
-            TranscodeRequest::software(
-                CodecFamily::Avc,
-                Preset::Fast,
-                RateMode::ConstQuality { crf: 30.0 },
-            ),
-        )
+    /// A batch under the default (zero-overhead) policy.
+    fn run(jobs: &[EngineJob], workers: usize) -> Result<EngineBatchReport, BatchError> {
+        transcode_batch(&Engine, jobs, workers, &ResilienceConfig::default())
     }
 
     fn bytes_of(report: &EngineBatchReport) -> Vec<&[u8]> {
@@ -641,7 +575,7 @@ mod tests {
     #[test]
     fn batch_completes_all_jobs_in_order() {
         let jobs: Vec<EngineJob> = (0..7).map(|i| job(&format!("job{i}"), i)).collect();
-        let report = transcode_batch_with(&Engine, &jobs, 4).expect("batch runs");
+        let report = run(&jobs, 4).expect("batch runs");
         assert_eq!(report.results.len(), 7);
         for (i, r) in report.results.iter().enumerate() {
             assert_eq!(r.name, format!("job{i}"), "result order preserved");
@@ -655,8 +589,8 @@ mod tests {
         // Encoding is deterministic, so thread scheduling must not change
         // a single bit of any stream.
         let jobs: Vec<EngineJob> = (0..4).map(|i| job(&format!("j{i}"), i)).collect();
-        let parallel = transcode_batch_with(&Engine, &jobs, 4).expect("parallel batch");
-        let serial = transcode_batch_with(&Engine, &jobs, 1).expect("serial batch");
+        let parallel = run(&jobs, 4).expect("parallel batch");
+        let serial = run(&jobs, 1).expect("serial batch");
         assert_eq!(bytes_of(&parallel), bytes_of(&serial));
     }
 
@@ -664,21 +598,21 @@ mod tests {
     fn more_workers_do_not_lose_work() {
         let jobs: Vec<EngineJob> = (0..3).map(|i| job(&format!("j{i}"), i)).collect();
         // More workers than jobs is fine.
-        let report = transcode_batch_with(&Engine, &jobs, 16).expect("batch runs");
+        let report = run(&jobs, 16).expect("batch runs");
         assert_eq!(report.summary.completed, 3);
         assert!(report.speedup() > 0.0);
     }
 
     #[test]
     fn empty_batch_yields_empty_report() {
-        let report = transcode_batch_with(&Engine, &[], 2).expect("empty batch is fine");
+        let report = run(&[], 2).expect("empty batch is fine");
         assert!(report.results.is_empty());
         assert_eq!(report.summary, BatchSummary::default());
     }
 
     #[test]
     fn zero_workers_is_a_typed_error() {
-        let err = transcode_batch_with(&Engine, &[job("j", 0)], 0).unwrap_err();
+        let err = run(&[job("j", 0)], 0).unwrap_err();
         assert_eq!(err, BatchError::NoWorkers);
     }
 
@@ -700,7 +634,7 @@ mod tests {
                 TranscodeRequest::hardware(HwVendor::Nvenc, RateMode::Bitrate { bps: 400_000 }),
             ),
         ];
-        let report = transcode_batch_with(&Engine, &jobs, 2).expect("batch runs");
+        let report = run(&jobs, 2).expect("batch runs");
         assert_eq!(report.results[0].name, "sw");
         assert_eq!(report.results[1].name, "hw");
         // The hardware job reports modelled stage timings.
@@ -733,7 +667,7 @@ mod tests {
                 ),
             ),
         ];
-        let report = transcode_batch_with(&Engine, &jobs, 2).expect("batch still runs");
+        let report = run(&jobs, 2).expect("batch still runs");
         assert!(report.results[0].error().is_some(), "bad job failed in its slot");
         assert!(report.results[1].success().is_some(), "good job unaffected");
         assert_eq!(report.summary.failed, 1);
@@ -757,7 +691,7 @@ mod tests {
             ),
         )];
         let policy = ResilienceConfig::default().with_max_retries(5);
-        let report = transcode_batch_resilient(&Engine, &jobs, 1, &policy).expect("batch runs");
+        let report = transcode_batch(&Engine, &jobs, 1, &policy).expect("batch runs");
         assert_eq!(report.results[0].attempts, 1, "non-retryable error fails fast");
         assert_eq!(report.summary.retries, 0);
     }

@@ -15,7 +15,7 @@ use vtrace::json;
 use super::plan::{plan_fleet, scenario_deadline_slack, uniform_plan, PlanJob};
 use crate::engine::Transcoder;
 use crate::exec::PlacementPlan;
-use crate::farm::{transcode_batch_placed, BatchError, EngineJob, JobSource};
+use crate::farm::{transcode_batch, BatchError, EngineJob, JobSource};
 use crate::reference::reference_request_for;
 use crate::resilience::ResilienceConfig;
 use crate::service::arrivals::generate_arrivals;
@@ -204,9 +204,10 @@ pub fn pareto_report(
 }
 
 /// Encodes each unique video in the planned job set once, at the
-/// scenario reference request, through [`transcode_batch_placed`] in
-/// the mult-1.0 plan's claim order — real encodes behind the plan, with
-/// the same CRC folding as the service proof.
+/// scenario reference request, in the mult-1.0 plan's claim order (jobs
+/// grouped by assigned instance class; one `fleet.placements` count per
+/// placed job) — real encodes behind the plan, fingerprinted in job
+/// order with the same fold as the service proof.
 fn encode_proof(
     config: &ServiceConfig,
     profiles: &[VideoProfile],
@@ -214,20 +215,12 @@ fn encode_proof(
     engine: &dyn Transcoder,
     workers: usize,
 ) -> Result<EncodeProof, BatchError> {
-    let jobs = plan_jobs(config, profiles, 1.0);
-    let videos: BTreeSet<usize> = jobs.iter().map(|j| j.video).collect();
-    let unique: Vec<PlanJob> = videos
-        .iter()
-        .map(|&v| {
-            // One planner job per unique video, deadline at mult 1.0.
-            let slack = scenario_deadline_slack(config.scenario);
-            PlanJob {
-                features: profiles[v].features(),
-                deadline_secs: profiles[v].play_secs * slack,
-                video: v,
-            }
-        })
-        .collect();
+    // One planner job per unique video, in video order: at one deadline
+    // multiplier every arrival of a video plans identically.
+    let mut seen = BTreeSet::new();
+    let mut unique = plan_jobs(config, profiles, 1.0);
+    unique.retain(|j| seen.insert(j.video));
+    unique.sort_by_key(|j| j.video);
     let plan = plan_fleet(&unique, catalog, config.duration_secs);
     let placement =
         PlacementPlan::new(plan.claim_order(catalog.len())).expect("claim order is a permutation");
@@ -239,27 +232,13 @@ fn encode_proof(
             EngineJob::streaming(p.name, JobSource::Synth(p.spec.clone()), request)
         })
         .collect();
-    let report = transcode_batch_placed(
-        engine,
-        &engine_jobs,
-        workers,
-        &ResilienceConfig::default(),
-        &placement,
-    )?
-    .require_complete()?;
-    let mut folded = Vec::with_capacity(report.results.len() * 4);
-    let mut encoded_bytes = 0u64;
-    for r in &report.results {
-        if let Ok(outcome) = &r.outcome {
-            folded.extend_from_slice(&vpack::crc32(outcome.bytes()).to_be_bytes());
-            encoded_bytes += outcome.bytes().len() as u64;
-        }
-    }
-    Ok(EncodeProof {
-        unique_encodes: engine_jobs.len(),
-        encode_crc32: vpack::crc32(&folded),
-        encoded_bytes,
-    })
+    let placed = placement.apply(&engine_jobs);
+    let mut report = transcode_batch(engine, &placed, workers, &ResilienceConfig::default())?;
+    vtrace::counter("fleet.placements", placed.len() as u64);
+    // Results came back in claim order; the fingerprint is over job
+    // order, so it never sees the permutation.
+    report.results = placement.restore(report.results);
+    Ok(EncodeProof::from_report(&report.require_complete()?))
 }
 
 #[cfg(test)]

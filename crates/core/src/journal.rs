@@ -13,8 +13,9 @@
 //! module keeps the commit-point contract and the open/scan/compact
 //! lifecycle.
 //!
-//! On restart with [`JournalConfig::resume`], [`run_batch_journaled`]
-//! replays the journal instead of re-encoding:
+//! On restart with [`JournalConfig::resume`],
+//! [`run_batch_journaled_with_io`] replays the journal instead of
+//! re-encoding:
 //!
 //! * a job with a valid record is loaded back as
 //!   [`JobOutcome::Replayed`] (successes) or
@@ -32,7 +33,7 @@
 //!
 //! Crash-consistency contract: a job's journal record is its commit
 //! point. The record is appended and `fdatasync`'d *before* the job is
-//! published to the batch (the farm's `after_job` hook runs under the
+//! published to the batch (the in-process queue commits under the
 //! job's slot lock), so any journal state a crash can leave behind is
 //! either "record durable" (job replays) or "record absent/torn" (job
 //! re-encodes). Both resumes converge on the same byte-identical
@@ -40,11 +41,11 @@
 //! `(source, request, degradation)`.
 //!
 //! Scripted crashes ([`vfault::CrashPoint`]) make that contract
-//! testable in-process at any worker count: the driver consults
-//! [`vfault::FaultPlan::decide_crash`] with the journal's *run index*
-//! (the count of prior invocations recorded in the file), aborts at the
-//! scripted point, and — because resume increments the run index — the
-//! same plan does not re-fire on the next run.
+//! testable in-process at any worker count: the in-process queue
+//! consults [`vfault::FaultPlan::decide_crash`] with the journal's *run
+//! index* (the count of prior invocations recorded in the file), aborts
+//! at the scripted point, and — because resume increments the run index
+//! — the same plan does not re-fire on the next run.
 //!
 //! Multi-process execution ([`crate::exec::dispatch`]) shares this
 //! exact file and commit point: worker processes append ephemeral
@@ -67,15 +68,12 @@
 //! histogram over the per-record commit latency.
 
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 pub(crate) mod record;
 
 use crate::engine::Transcoder;
-use crate::exec::io::{
-    append_retrying, remove_stale_temps, unique_temp, DurableFile, JournalIo, StdIo,
-};
-use crate::exec::local::{run_engine_batch, BatchHooks};
+use crate::exec::io::{append_retrying, remove_stale_temps, unique_temp, DurableFile, JournalIo};
+use crate::exec::local::run_engine_batch;
 use crate::exec::ChainResult;
 use crate::farm::{BatchError, EngineBatchReport, EngineJob};
 use crate::resilience::ResilienceConfig;
@@ -166,9 +164,13 @@ impl std::error::Error for JournalError {
     }
 }
 
-/// [`crate::farm::transcode_batch_resilient`] with durability: journal
-/// every completed job to `journal.path` and, when `journal.resume` is
-/// set, replay an existing journal instead of re-encoding.
+/// [`crate::farm::transcode_batch`] with durability: journal every
+/// completed job to `journal.path` and, when `journal.resume` is set,
+/// replay an existing journal instead of re-encoding. Every append,
+/// fsync, and rename goes through `io`: production callers pass
+/// [`crate::exec::StdIo`]; `vbench chaos` passes a
+/// [`crate::exec::FaultedIo`] so each can fail (or lie) on a scripted,
+/// replayable schedule.
 ///
 /// Resume invariant: for any prefix of completed jobs — however the
 /// previous run died — the resumed batch's per-job bitstreams are
@@ -182,21 +184,6 @@ impl std::error::Error for JournalError {
 /// by a different batch; [`JournalError::Io`] on filesystem failures;
 /// [`JournalError::Crashed`] when a scripted crash fault fired;
 /// [`JournalError::Batch`] for underlying scheduler errors.
-pub fn run_batch_journaled(
-    engine: &dyn Transcoder,
-    jobs: &[EngineJob],
-    workers: usize,
-    policy: &ResilienceConfig,
-    journal: &JournalConfig,
-) -> Result<EngineBatchReport, JournalError> {
-    run_batch_journaled_with_io(engine, jobs, workers, policy, journal, &StdIo)
-}
-
-/// [`run_batch_journaled`] with an explicit durable-IO layer. Production
-/// callers pass [`crate::exec::StdIo`]; `vbench chaos` passes a
-/// [`crate::exec::FaultedIo`] so every append, fsync, and rename the
-/// journal performs can fail (or lie) on a scripted, replayable
-/// schedule.
 pub fn run_batch_journaled_with_io(
     engine: &dyn Transcoder,
     jobs: &[EngineJob],
@@ -206,55 +193,7 @@ pub fn run_batch_journaled_with_io(
     io: &dyn JournalIo,
 ) -> Result<EngineBatchReport, JournalError> {
     let opened = open_journal(journal, jobs, policy, io)?;
-    let run_index = opened.run_index;
-    let plan = &policy.fault_plan;
-    let writer = Mutex::new(opened.file);
-    // Why a hook aborted the batch: the first scripted crash to fire or
-    // journal-append IO error to surface.
-    let abort: Mutex<Option<JournalError>> = Mutex::new(None);
-    let aborted = |why: JournalError| -> bool {
-        abort.lock().expect("abort cell").get_or_insert(why);
-        false
-    };
-
-    let before_job = |job: usize| -> bool {
-        match plan.decide_crash(job, run_index) {
-            Some(point @ CrashPoint::PreEncode) => aborted(JournalError::Crashed { job, point }),
-            _ => true,
-        }
-    };
-    let after_job = |job: usize, chain: &ChainResult| -> bool {
-        let crash = plan.decide_crash(job, run_index);
-        if let Some(point @ CrashPoint::PostEncode) = crash {
-            // Died after the encode, before any journal bytes: the work
-            // is lost, the journal is clean.
-            return aborted(JournalError::Crashed { job, point });
-        }
-        let line = record::job_line(job, &jobs[job].name, chain, None);
-        let mut file = writer.lock().expect("journal writer");
-        let wrote = match crash {
-            // Died mid-append: leave a torn (partial, unsynced) line for
-            // resume to quarantine. A disk error *during* the simulated
-            // crash is a different event than the crash itself — it
-            // surfaces as the IO error it is, so it cannot silently
-            // change the test's meaning.
-            Some(point @ CrashPoint::PreJournalFlush) => file
-                .append(&line.as_bytes()[..(line.len() - 1) / 2])
-                .map(|()| aborted(JournalError::Crashed { job, point })),
-            _ => record::commit_job(file.as_mut(), &line).map(|()| true),
-        };
-        wrote.unwrap_or_else(|e| aborted(io_err("append job record", e)))
-    };
-    let hooks = BatchHooks {
-        prefilled: opened.prefilled,
-        before_job: Some(&before_job),
-        after_job: Some(&after_job),
-    };
-    run_engine_batch(engine, jobs, workers, policy, hooks).map_err(|e| {
-        let why =
-            if e == BatchError::Aborted { abort.into_inner().expect("abort cell") } else { None };
-        why.unwrap_or(JournalError::Batch(e))
-    })
+    run_engine_batch(engine, jobs, workers, policy, Some(opened))
 }
 
 /// The batch's identity: a CRC-32 over a canonical description of every
@@ -478,13 +417,13 @@ fn append_run_record(file: &mut dyn DurableFile, index: u32) -> Result<(), Journ
 ///
 /// [`JournalError::Io`] when the journal cannot be reopened or written.
 pub(crate) fn append_shed_records(
-    path: &std::path::Path,
+    path: &Path,
     events: &[crate::service::ShedEvent],
+    io: &dyn JournalIo,
 ) -> Result<(), JournalError> {
     if events.is_empty() {
         return Ok(());
     }
-    let io = StdIo;
     let mut file = io
         .open_append(FileClass::Journal, path)
         .map_err(|e| io_err("reopen journal for shed records", e))?;
@@ -504,74 +443,18 @@ pub(crate) fn io_err(context: &str, source: std::io::Error) -> JournalError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, RateMode, TranscodeRequest};
+    use crate::engine::Engine;
     use crate::exec::ledger::LeaseId;
+    use crate::exec::{FaultedIo, StdIo};
     use crate::farm::JobError;
-    use record::testing::ok_chain;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use vcodec::{CodecFamily, Preset};
-    use vframe::color::{frame_from_fn, Yuv};
-    use vframe::{Resolution, Video};
-
-    /// A per-test scratch journal path, removed on drop.
-    struct TempJournal(PathBuf);
-
-    impl TempJournal {
-        fn new(tag: &str) -> TempJournal {
-            static SEQ: AtomicUsize = AtomicUsize::new(0);
-            let n = SEQ.fetch_add(1, Ordering::Relaxed);
-            let path = std::env::temp_dir()
-                .join(format!("vbench-journal-{tag}-{}-{n}.jsonl", std::process::id()));
-            let _ = std::fs::remove_file(&path);
-            TempJournal(path)
-        }
-
-        fn path(&self) -> &Path {
-            &self.0
-        }
-    }
-
-    impl Drop for TempJournal {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_file(&self.0);
-            let _ = std::fs::remove_file(self.0.with_extension("compact-tmp"));
-        }
-    }
-
-    fn source(seed: u32) -> Video {
-        let res = Resolution::new(64, 48);
-        let frames = (0..6)
-            .map(|t| {
-                frame_from_fn(res, |x, y| {
-                    Yuv::new(((x * (3 + seed) + y * 2 + 5 * t) % 256) as u8, 128, 128)
-                })
-            })
-            .collect();
-        Video::new(frames, 30.0)
-    }
-
-    fn jobs(n: u32) -> Vec<EngineJob> {
-        (0..n)
-            .map(|i| {
-                EngineJob::new(
-                    format!("job{i}"),
-                    source(i),
-                    TranscodeRequest::software(
-                        CodecFamily::Avc,
-                        Preset::Fast,
-                        RateMode::ConstQuality { crf: 30.0 },
-                    ),
-                )
-            })
-            .collect()
-    }
+    use record::testing::{encode_jobs as jobs, ok_chain, TempJournal};
 
     fn run(
         jobs: &[EngineJob],
         policy: &ResilienceConfig,
         config: &JournalConfig,
     ) -> Result<EngineBatchReport, JournalError> {
-        run_batch_journaled(&Engine, jobs, 2, policy, config)
+        run_batch_journaled_with_io(&Engine, jobs, 2, policy, config, &StdIo)
     }
 
     #[test]
@@ -594,14 +477,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn shed_records_are_durable_telemetry_not_replay_state() {
-        let temp = TempJournal::new("shed");
-        let jobs = jobs(3);
-        let policy = ResilienceConfig::default();
-        let config = JournalConfig::new(temp.path());
-        run(&jobs, &policy, &config).expect("fresh run");
-        let events = [
+    fn shed_events() -> [crate::service::ShedEvent; 2] {
+        [
             crate::service::ShedEvent {
                 seq: 0,
                 at_us: 1_500,
@@ -618,9 +495,21 @@ mod tests {
                 value: 0.003,
                 reason: crate::service::ShedReason::Infeasible,
             },
-        ];
-        append_shed_records(temp.path(), &events).expect("append sheds");
-        let sheds = |text: &str| record::records(text).filter(|r| *r == Record::Shed).count();
+        ]
+    }
+
+    fn sheds(text: &str) -> usize {
+        record::records(text).filter(|r| *r == Record::Shed).count()
+    }
+
+    #[test]
+    fn shed_records_are_durable_telemetry_not_replay_state() {
+        let temp = TempJournal::new("shed");
+        let jobs = jobs(3);
+        let policy = ResilienceConfig::default();
+        let config = JournalConfig::new(temp.path());
+        run(&jobs, &policy, &config).expect("fresh run");
+        append_shed_records(temp.path(), &shed_events(), &StdIo).expect("append sheds");
         let text = std::fs::read_to_string(temp.path()).expect("journal readable");
         assert_eq!(sheds(&text), 2);
         assert!(text.contains("\"rank\":812,") && text.contains("\"reason\":\"low-value\""));
@@ -632,6 +521,31 @@ mod tests {
         assert_eq!(resumed.summary.replayed, 3, "sheds must not disturb replay");
         let compacted = std::fs::read_to_string(temp.path()).expect("journal readable");
         assert_eq!(sheds(&compacted), 0, "compaction scrubs shed records");
+    }
+
+    /// The shed append is a durable write like any other: it goes
+    /// through the caller's IO layer, so a disk error surfaces typed and
+    /// unsynced shed bytes do not survive a power cut.
+    #[test]
+    fn shed_append_goes_through_the_io_seam() {
+        let temp = TempJournal::new("shed-io");
+        let fresh = [record::manifest_line(7, 0), record::run_line(0)].concat();
+        std::fs::write(temp.path(), &fresh).expect("seed journal");
+
+        // EIO on the append, past the transient-retry budget.
+        let spec = "eio=journal@0,eio=journal@1,eio=journal@2,eio=journal@3";
+        let io = FaultedIo::new(vfault::IoFaultPlan::parse(spec).expect("plan"));
+        let err = append_shed_records(temp.path(), &shed_events(), &io).expect_err("EIO surfaces");
+        assert!(matches!(err, JournalError::Io { .. }), "{err}");
+        assert_eq!(std::fs::read_to_string(temp.path()).expect("readable"), fresh);
+
+        // A power cut before the shed records' fsync took effect (the
+        // fsync lied) leaves none of them behind.
+        let io = FaultedIo::new(vfault::IoFaultPlan::parse("lie=journal@0").expect("plan"));
+        append_shed_records(temp.path(), &shed_events(), &io).expect("append acknowledged");
+        assert_eq!(sheds(&std::fs::read_to_string(temp.path()).expect("readable")), 2);
+        io.power_cut().expect("power cut");
+        assert_eq!(std::fs::read_to_string(temp.path()).expect("readable"), fresh);
     }
 
     #[test]

@@ -436,20 +436,68 @@ pub(crate) mod testing {
         ChainResult { outcome: Err(error), attempts, degraded: 0, deadline_missed: false }
     }
 
+    /// A per-test scratch journal path, removed on drop.
+    pub(crate) struct TempJournal(std::path::PathBuf);
+
+    impl TempJournal {
+        pub(crate) fn new(tag: &str) -> TempJournal {
+            use std::sync::atomic::{AtomicUsize, Ordering};
+            static SEQ: AtomicUsize = AtomicUsize::new(0);
+            let n = SEQ.fetch_add(1, Ordering::Relaxed);
+            let path = std::env::temp_dir()
+                .join(format!("vbench-journal-{tag}-{}-{n}.jsonl", std::process::id()));
+            let _ = std::fs::remove_file(&path);
+            TempJournal(path)
+        }
+
+        pub(crate) fn path(&self) -> &std::path::Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempJournal {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+
+    /// The request every test job runs: AVC fast, constant quality.
+    pub(crate) fn request() -> TranscodeRequest {
+        TranscodeRequest::software(
+            CodecFamily::Avc,
+            Preset::Fast,
+            RateMode::ConstQuality { crf: 30.0 },
+        )
+    }
+
     /// One-frame jobs with the given names: enough batch for a record's
     /// name to verify against.
     pub(crate) fn jobs(names: &[&str]) -> Vec<EngineJob> {
         let frame =
             frame_from_fn(Resolution::new(16, 16), |x, y| Yuv::new((x + y) as u8, 128, 128));
-        let request = TranscodeRequest::software(
-            CodecFamily::Avc,
-            Preset::Fast,
-            RateMode::ConstQuality { crf: 30.0 },
-        );
         names
             .iter()
-            .map(|name| EngineJob::new(*name, Video::new(vec![frame.clone()], 30.0), request))
+            .map(|name| EngineJob::new(*name, Video::new(vec![frame.clone()], 30.0), request()))
             .collect()
+    }
+
+    /// A six-frame 64×48 clip whose content depends on `seed`: small
+    /// enough to encode in milliseconds, distinct per seed.
+    pub(crate) fn source(seed: u32) -> Video {
+        let res = Resolution::new(64, 48);
+        let frames = (0..6)
+            .map(|t| {
+                frame_from_fn(res, |x, y| {
+                    Yuv::new(((x * (3 + seed) + y * 2 + 5 * t) % 256) as u8, 128, 128)
+                })
+            })
+            .collect();
+        Video::new(frames, 30.0)
+    }
+
+    /// `n` real encode jobs, `job0..`, job `i` over [`source`]`(i)`.
+    pub(crate) fn encode_jobs(n: u32) -> Vec<EngineJob> {
+        (0..n).map(|i| EngineJob::new(format!("job{i}"), source(i), request())).collect()
     }
 }
 

@@ -7,9 +7,10 @@
 //! driver that produces every rung from one source.
 
 use crate::engine::{Backend, Engine, RateMode, TranscodeRequest, Transcoder};
-use crate::farm::{transcode_batch_with, BatchError, EngineJob};
+use crate::farm::{transcode_batch, BatchError, EngineJob};
 use crate::measure::Measurement;
 use crate::reference::target_bps;
+use crate::resilience::ResilienceConfig;
 use vcodec::{CodecFamily, EncodeOutput, Preset};
 use vframe::scale::resize_video;
 use vframe::{Resolution, Video};
@@ -147,7 +148,8 @@ pub fn transcode_ladder_with(
             EngineJob::new(rung.name, video.clone(), TranscodeRequest::new(backend, preset, rate))
         })
         .collect();
-    let report = transcode_batch_with(engine, &jobs, workers)?.require_complete()?;
+    let report = transcode_batch(engine, &jobs, workers, &ResilienceConfig::default())?
+        .require_complete()?;
     Ok(sources
         .into_iter()
         .zip(report.results)

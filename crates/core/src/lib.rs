@@ -18,10 +18,10 @@
 //! * [`engine`] — the unified transcode engine: one [`Transcoder`] trait
 //!   over the software codec families and the hardware encoder models,
 //!   with the paper's quality-target bisection built in;
-//! * [`exec`] — the executor core: the [`exec::WorkQueue`]
-//!   claim/lease/publish contract, the in-process work-stealing backend,
-//!   and the journal-backed multi-process dispatcher/worker backend;
-//! * [`farm`] — the parallel batch driver API over [`exec`], generalized
+//! * [`exec`] — the executor core: one claim→encode→publish loop over
+//!   a work-queue contract, the in-process work-stealing backend, and
+//!   the journal-backed multi-process dispatcher/worker backend;
+//! * [`farm`] — the in-memory batch entry point over [`exec`], generalized
 //!   over any [`Transcoder`], with per-job panic isolation, retries,
 //!   deadlines, and straggler hedging;
 //! * [`resilience`] — the farm's policy layer: retry/backoff/deadline/
@@ -109,11 +109,10 @@ pub use engine::{
     Backend, Engine, HardwareEngine, RateMode, SoftwareEngine, StreamOutcome, TranscodeError,
     TranscodeOutcome, TranscodeRequest, Transcoder,
 };
-pub use exec::{ChainResult, PlacedQueue, PlacementError, PlacementPlan, WorkQueue};
+pub use exec::{ChainResult, PlacementError, PlacementPlan};
 pub use farm::{
-    transcode_batch_placed, transcode_batch_resilient, transcode_batch_with, BatchError,
-    BatchSummary, EngineBatchReport, EngineJob, EngineJobResult, JobError, JobOutcome, JobSource,
-    ReplayedOutcome,
+    transcode_batch, BatchError, BatchSummary, EngineBatchReport, EngineJob, EngineJobResult,
+    JobError, JobOutcome, JobSource, ReplayedOutcome,
 };
 pub use fleet::{
     cheapest_job_dollars, fleet_size_for, fleet_size_for_resilient, pareto_report, plan_fleet,
@@ -121,7 +120,7 @@ pub use fleet::{
     simulate_fleet_with_faults, uniform_plan, FaultModel, FleetConfig, FleetPlan, FleetReport,
     JobFeatures, ParetoPoint, ParetoReport, PlanAssignment, PlanJob, UploadWorkload,
 };
-pub use journal::{run_batch_journaled, JournalConfig, JournalError};
+pub use journal::{run_batch_journaled_with_io, JournalConfig, JournalError};
 pub use ladder::{
     standard_ladder, transcode_ladder, transcode_ladder_with, LadderOutput, LadderRung,
 };

@@ -37,7 +37,7 @@
 //! Virtual time decides *what* runs; real encodes prove the work. After
 //! the simulation, the admitted mix is deduplicated to its unique
 //! (video, degradation) pairs and pushed through
-//! [`crate::farm::transcode_batch_resilient`] on real worker threads.
+//! [`crate::farm::transcode_batch`] on real worker threads.
 //! The worker count only changes wall-clock time — the report embeds
 //! the deterministic CRC-32 of the produced bitstreams, so a replay at
 //! a different `--workers` must be byte-identical end to end.
@@ -50,8 +50,9 @@ pub mod sim;
 use std::collections::BTreeSet;
 
 use crate::engine::Transcoder;
-use crate::farm::{transcode_batch_resilient, BatchError, EngineJob, JobSource};
-use crate::journal::{run_batch_journaled, JournalConfig, JournalError};
+use crate::exec::StdIo;
+use crate::farm::{transcode_batch, BatchError, EngineBatchReport, EngineJob, JobSource};
+use crate::journal::{run_batch_journaled_with_io, JournalConfig, JournalError};
 use crate::reference::reference_request_for;
 use crate::resilience::{degraded_request, ResilienceConfig};
 use crate::scenario::{live_deadline_secs_for, Scenario};
@@ -258,6 +259,26 @@ pub struct EncodeProof {
     pub encoded_bytes: u64,
 }
 
+impl EncodeProof {
+    /// Fingerprints a finished batch: the CRC-32 of every produced
+    /// bitstream, folded big-endian in result order into one CRC, plus
+    /// the byte total — equal bytes at any worker count, or the report
+    /// is not replayable.
+    pub fn from_report(report: &EngineBatchReport) -> EncodeProof {
+        let mut folded = Vec::with_capacity(report.results.len() * 4);
+        let mut encoded_bytes = 0u64;
+        for outcome in report.results.iter().filter_map(|r| r.success()) {
+            folded.extend_from_slice(&vpack::crc32(outcome.bytes()).to_be_bytes());
+            encoded_bytes += outcome.bytes().len() as u64;
+        }
+        EncodeProof {
+            unique_encodes: report.results.len(),
+            encode_crc32: vpack::crc32(&folded),
+            encoded_bytes,
+        }
+    }
+}
+
 /// What a full service run produced: the virtual-time point plus the
 /// real-encode proof.
 #[derive(Debug)]
@@ -321,7 +342,7 @@ pub fn run_service(
     let point = simulate_service(config, profiles);
     let proof = encode_mix(config, profiles, &point.admitted_mix, engine, workers, journal)?;
     if let Some(journal) = journal {
-        crate::journal::append_shed_records(&journal.path, &point.shed_events)?;
+        crate::journal::append_shed_records(&journal.path, &point.shed_events, &StdIo)?;
     }
     Ok(ServiceOutcome { point, proof })
 }
@@ -354,7 +375,7 @@ pub fn run_saturation(
     }
     let proof = encode_mix(config, profiles, &mix, engine, workers, journal)?;
     if let Some(journal) = journal {
-        crate::journal::append_shed_records(&journal.path, &sheds)?;
+        crate::journal::append_shed_records(&journal.path, &sheds, &StdIo)?;
     }
     Ok(SatReport::new(config, &points, proof))
 }
@@ -385,25 +406,12 @@ fn encode_mix(
         .collect();
     let policy = ResilienceConfig::default();
     let report = match journal {
-        None => transcode_batch_resilient(engine, &jobs, workers, &policy)?,
-        Some(config) => run_batch_journaled(engine, &jobs, workers, &policy, config)?,
-    };
-    let report = report.require_complete()?;
-    // Fold the per-job bitstream CRCs (mix order) into one fingerprint:
-    // equal bytes at any worker count, or the report is not replayable.
-    let mut folded = Vec::with_capacity(report.results.len() * 4);
-    let mut encoded_bytes = 0u64;
-    for r in &report.results {
-        if let Ok(outcome) = &r.outcome {
-            folded.extend_from_slice(&vpack::crc32(outcome.bytes()).to_be_bytes());
-            encoded_bytes += outcome.bytes().len() as u64;
+        None => transcode_batch(engine, &jobs, workers, &policy)?,
+        Some(config) => {
+            run_batch_journaled_with_io(engine, &jobs, workers, &policy, config, &StdIo)?
         }
-    }
-    Ok(EncodeProof {
-        unique_encodes: jobs.len(),
-        encode_crc32: vpack::crc32(&folded),
-        encoded_bytes,
-    })
+    };
+    Ok(EncodeProof::from_report(&report.require_complete()?))
 }
 
 #[cfg(test)]

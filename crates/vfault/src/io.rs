@@ -34,7 +34,7 @@
 //! assert_eq!(plan.decide(FileClass::Journal, IoOp::Write, 3), None);
 //! ```
 
-use crate::PlanParseError;
+use crate::{spec_terms, PlanParseError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -293,9 +293,8 @@ impl IoFaultPlan {
         let mut plan = IoFaultPlan::new();
         let mut seed = 0u64;
         let mut rate: Option<f64> = None;
-        for term in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-            let (key, value) =
-                term.split_once('=').ok_or_else(|| PlanParseError { term: term.to_string() })?;
+        for term in spec_terms(spec) {
+            let (term, key, value) = term?;
             let bad = || PlanParseError { term: term.to_string() };
             match key {
                 "seed" => seed = value.parse().map_err(|_| bad())?,

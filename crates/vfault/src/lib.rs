@@ -280,8 +280,8 @@ impl FaultPlan {
     /// Scripts a process crash on the *first* journaled run: the batch
     /// driver aborts at `point` of job `job`. Resume (the second run)
     /// does not re-fire it. Only journaled execution
-    /// (`vbench::journal::run_batch_journaled`) consults crash faults;
-    /// the plain farm scheduler ignores them.
+    /// (`vbench::journal::run_batch_journaled_with_io`) consults crash
+    /// faults; the plain farm scheduler ignores them.
     pub fn with_crash(self, job: usize, point: CrashPoint) -> FaultPlan {
         self.with_crash_on_run(job, point, 0)
     }
@@ -367,9 +367,8 @@ impl FaultPlan {
         let mut seed = 0u64;
         let mut rate: Option<f64> = None;
         let mut straggle_secs = RandomFaults::default().straggle_secs;
-        for term in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-            let (key, value) =
-                term.split_once('=').ok_or_else(|| PlanParseError { term: term.to_string() })?;
+        for term in spec_terms(spec) {
+            let (term, key, value) = term?;
             let bad = || PlanParseError { term: term.to_string() };
             match key {
                 "transient" => {
@@ -432,6 +431,20 @@ fn parse_job_attempts(value: &str, default_attempts: u32) -> Option<(usize, u32)
         None => Some((value.parse().ok()?, default_attempts)),
         Some((job, attempts)) => Some((job.parse().ok()?, attempts.parse().ok()?)),
     }
+}
+
+/// The one splitter behind both plan grammars ([`FaultPlan::parse`],
+/// [`IoFaultPlan::parse`]): a spec is comma-separated `key=value` terms,
+/// blanks skipped. Yields `(term, key, value)` — each grammar is a
+/// `match key` over it — or the error for a term with no `=`.
+pub(crate) fn spec_terms(
+    spec: &str,
+) -> impl Iterator<Item = Result<(&str, &str, &str), PlanParseError>> {
+    spec.split(',').map(str::trim).filter(|term| !term.is_empty()).map(|term| {
+        let (key, value) =
+            term.split_once('=').ok_or_else(|| PlanParseError { term: term.to_string() })?;
+        Ok((term, key, value))
+    })
 }
 
 /// A fault-plan spec term that could not be parsed.

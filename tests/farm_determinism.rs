@@ -6,7 +6,8 @@
 //! jobs mixed in one batch.
 
 use vbench::engine::{Engine, RateMode, TranscodeRequest};
-use vbench::farm::{transcode_batch_with, EngineJob};
+use vbench::farm::{transcode_batch, EngineJob};
+use vbench::resilience::ResilienceConfig;
 use vcodec::{CodecFamily, EncoderConfig, Preset, RateControl};
 use vframe::color::{frame_from_fn, Yuv};
 use vframe::{Resolution, Video};
@@ -76,8 +77,10 @@ fn mixed_jobs() -> Vec<EngineJob> {
 #[test]
 fn one_worker_and_many_workers_agree_bit_for_bit() {
     let jobs = mixed_jobs();
-    let serial = transcode_batch_with(&Engine, &jobs, 1).expect("serial batch");
-    let parallel = transcode_batch_with(&Engine, &jobs, 8).expect("parallel batch");
+    let serial =
+        transcode_batch(&Engine, &jobs, 1, &ResilienceConfig::default()).expect("serial batch");
+    let parallel =
+        transcode_batch(&Engine, &jobs, 8, &ResilienceConfig::default()).expect("parallel batch");
     assert_eq!(serial.results.len(), jobs.len());
     assert_eq!(parallel.results.len(), jobs.len());
     for ((job, s), p) in jobs.iter().zip(&serial.results).zip(&parallel.results) {
@@ -117,7 +120,8 @@ fn engine_farm_matches_direct_software_encodes() {
             EngineJob::new(name.clone(), video.clone(), TranscodeRequest::from_config(config))
         })
         .collect();
-    let engine = transcode_batch_with(&Engine, &engine_jobs, 4).expect("engine batch");
+    let engine = transcode_batch(&Engine, &engine_jobs, 4, &ResilienceConfig::default())
+        .expect("engine batch");
     for ((name, video, config), e) in configs.iter().zip(&engine.results) {
         assert_eq!(name, &e.name);
         let eo = e.success().expect("engine job succeeds");
@@ -130,8 +134,8 @@ fn worker_count_does_not_change_table_values() {
     // The acceptance shape for Tables 3/4/5: per-job deterministic fields
     // survive any fan-out width, including more workers than jobs.
     let jobs = mixed_jobs();
-    let a = transcode_batch_with(&Engine, &jobs, 3).expect("batch");
-    let b = transcode_batch_with(&Engine, &jobs, 32).expect("batch");
+    let a = transcode_batch(&Engine, &jobs, 3, &ResilienceConfig::default()).expect("batch");
+    let b = transcode_batch(&Engine, &jobs, 32, &ResilienceConfig::default()).expect("batch");
     for (x, y) in a.results.iter().zip(&b.results) {
         let xo = x.success().expect("job succeeds");
         let yo = y.success().expect("job succeeds");

@@ -7,7 +7,7 @@
 //! plan does *not* touch produces bytes identical to an uninjected run.
 
 use vbench::engine::{Engine, RateMode, TranscodeRequest};
-use vbench::farm::{transcode_batch_resilient, EngineBatchReport, EngineJob, JobError};
+use vbench::farm::{transcode_batch, EngineBatchReport, EngineJob, JobError};
 use vbench::resilience::{HedgePolicy, ResilienceConfig};
 use vbench::suite::{Suite, SuiteOptions};
 use vcodec::{CodecFamily, Preset};
@@ -64,11 +64,11 @@ fn acceptance_one_panic_one_transient() {
     // job is reported failed; the transient job succeeds on retry; every
     // other job's bytes are identical to an uninjected run.
     let jobs = jobs();
-    let clean = transcode_batch_resilient(&Engine, &jobs, 2, &ResilienceConfig::default())
-        .expect("clean batch");
+    let clean =
+        transcode_batch(&Engine, &jobs, 2, &ResilienceConfig::default()).expect("clean batch");
     let plan = FaultPlan::new().with_panic(1, u32::MAX).with_transient(3, 1);
     let policy = ResilienceConfig::default().with_max_retries(2).with_fault_plan(plan);
-    let report = transcode_batch_resilient(&Engine, &jobs, 2, &policy).expect("faulted batch");
+    let report = transcode_batch(&Engine, &jobs, 2, &policy).expect("faulted batch");
 
     assert!(
         matches!(report.results[1].outcome, Err(JobError::Panicked { .. })),
@@ -87,8 +87,7 @@ fn acceptance_one_panic_one_transient() {
 
     // Same plan, any worker count: identical report.
     for workers in [1usize, 4, 8] {
-        let again =
-            transcode_batch_resilient(&Engine, &jobs, workers, &policy).expect("replayed batch");
+        let again = transcode_batch(&Engine, &jobs, workers, &policy).expect("replayed batch");
         assert_eq!(fingerprint(&report), fingerprint(&again), "workers={workers}");
     }
 }
@@ -98,10 +97,9 @@ fn seeded_random_plans_replay_across_worker_counts() {
     let jobs = jobs();
     let plan = FaultPlan::new().with_random(42, RandomFaults { rate: 0.5, straggle_secs: 0.02 });
     let policy = ResilienceConfig::default().with_max_retries(3).with_fault_plan(plan);
-    let serial = transcode_batch_resilient(&Engine, &jobs, 1, &policy).expect("serial");
+    let serial = transcode_batch(&Engine, &jobs, 1, &policy).expect("serial");
     for workers in [2usize, 5] {
-        let parallel =
-            transcode_batch_resilient(&Engine, &jobs, workers, &policy).expect("parallel");
+        let parallel = transcode_batch(&Engine, &jobs, workers, &policy).expect("parallel");
         assert_eq!(fingerprint(&serial), fingerprint(&parallel), "workers={workers}");
     }
     // Different seed, different plan (with a 50% rate, 6 jobs × 4
@@ -130,12 +128,12 @@ fn transient_faults_recover_within_retry_budget_and_fail_beyond_it() {
     // Two faulted attempts need two retries.
     let plan = || FaultPlan::new().with_transient(0, 2);
     let enough = ResilienceConfig::default().with_max_retries(2).with_fault_plan(plan());
-    let report = transcode_batch_resilient(&Engine, &jobs, 2, &enough).expect("batch");
+    let report = transcode_batch(&Engine, &jobs, 2, &enough).expect("batch");
     assert!(report.results[0].outcome.is_ok());
     assert_eq!(report.results[0].attempts, 3);
 
     let starved = ResilienceConfig::default().with_max_retries(1).with_fault_plan(plan());
-    let report = transcode_batch_resilient(&Engine, &jobs, 2, &starved).expect("batch");
+    let report = transcode_batch(&Engine, &jobs, 2, &starved).expect("batch");
     assert!(
         matches!(
             report.results[0].outcome,
@@ -148,7 +146,7 @@ fn transient_faults_recover_within_retry_budget_and_fail_beyond_it() {
     let permanent = ResilienceConfig::default()
         .with_max_retries(5)
         .with_fault_plan(FaultPlan::new().with_permanent(2));
-    let report = transcode_batch_resilient(&Engine, &jobs, 2, &permanent).expect("batch");
+    let report = transcode_batch(&Engine, &jobs, 2, &permanent).expect("batch");
     assert_eq!(report.results[2].attempts, 1, "permanent faults fail fast");
     assert!(report.results[2].outcome.is_err());
 }
@@ -158,12 +156,12 @@ fn hedged_results_are_byte_identical_to_unhedged() {
     let jobs = jobs();
     let plan = FaultPlan::new().with_straggler(1, 5.0);
     let unhedged = ResilienceConfig::default().with_fault_plan(plan.clone());
-    let baseline = transcode_batch_resilient(&Engine, &jobs, 3, &unhedged).expect("unhedged");
+    let baseline = transcode_batch(&Engine, &jobs, 3, &unhedged).expect("unhedged");
     // An aggressive hedge policy so the straggler (which sleeps a real
     // bounded interval) reliably trips it.
     let hedged_policy =
         unhedged.clone().with_hedge(HedgePolicy { quantile: 0.5, factor: 1.2, min_samples: 2 });
-    let hedged = transcode_batch_resilient(&Engine, &jobs, 3, &hedged_policy).expect("hedged");
+    let hedged = transcode_batch(&Engine, &jobs, 3, &hedged_policy).expect("hedged");
     assert_eq!(
         fingerprint(&baseline),
         fingerprint(&hedged),
@@ -195,7 +193,7 @@ fn deadline_misses_degrade_presets_when_asked() {
         .with_job_deadline(50.0)
         .with_degradation()
         .with_fault_plan(plan);
-    let report = transcode_batch_resilient(&Engine, &jobs, 1, &policy).expect("batch");
+    let report = transcode_batch(&Engine, &jobs, 1, &policy).expect("batch");
     let r = &report.results[0];
     assert!(r.deadline_missed, "attempt 0 exceeded the deadline");
     assert_eq!(r.degraded, 1, "retry downshifted one notch");
@@ -208,7 +206,7 @@ fn deadline_misses_degrade_presets_when_asked() {
         .with_max_retries(1)
         .with_job_deadline(50.0)
         .with_fault_plan(FaultPlan::new().with_transient_straggler(0, 1, 100.0));
-    let report = transcode_batch_resilient(&Engine, &jobs, 1, &plain).expect("batch");
+    let report = transcode_batch(&Engine, &jobs, 1, &plain).expect("batch");
     assert_eq!(report.results[0].degraded, 0);
     assert!(report.results[0].outcome.is_ok());
 }
@@ -235,7 +233,7 @@ fn live_deadline_derives_from_realtime_pixel_rate() {
     .with_deadline(deadline);
     let policy = ResilienceConfig::default()
         .with_fault_plan(FaultPlan::new().with_straggler(0, deadline + 100.0));
-    let report = transcode_batch_resilient(&Engine, &[job], 1, &policy).expect("batch");
+    let report = transcode_batch(&Engine, &[job], 1, &policy).expect("batch");
     assert!(
         matches!(report.results[0].outcome, Err(JobError::DeadlineExceeded { .. })),
         "straggling past the clip duration misses the live deadline"
@@ -249,7 +247,7 @@ fn panic_isolation_never_kills_neighbour_jobs() {
     let plan =
         FaultPlan::new().with_panic(0, u32::MAX).with_panic(2, u32::MAX).with_panic(4, u32::MAX);
     let policy = ResilienceConfig::default().with_fault_plan(plan);
-    let report = transcode_batch_resilient(&Engine, &jobs, 3, &policy).expect("batch survives");
+    let report = transcode_batch(&Engine, &jobs, 3, &policy).expect("batch survives");
     assert_eq!(report.summary.failed, 3);
     assert_eq!(report.summary.completed, 3);
     for i in [1usize, 3, 5] {

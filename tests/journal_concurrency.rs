@@ -15,10 +15,11 @@
 use std::process::Command;
 
 use vbench::engine::{Engine, RateMode, TranscodeRequest};
+use vbench::exec::StdIo;
 use vbench::farm::EngineJob;
 use vbench::resilience::ResilienceConfig;
 use vbench::suite::{Suite, SuiteOptions};
-use vbench::{run_batch_journaled, JournalConfig};
+use vbench::{run_batch_journaled_with_io, JournalConfig};
 use vcodec::{CodecFamily, Preset};
 use vtrace::json::{self, Value};
 
@@ -91,7 +92,7 @@ fn compaction_keeps_a_competing_writers_valid_tail() {
     let journal = temp_path("tail");
     let jobs = jobs(3);
     let policy = ResilienceConfig::default();
-    run_batch_journaled(&Engine, &jobs, 2, &policy, &JournalConfig::new(&journal))
+    run_batch_journaled_with_io(&Engine, &jobs, 2, &policy, &JournalConfig::new(&journal), &StdIo)
         .expect("fresh run");
 
     // Rebuild the file with garbage after the FIRST job record: the
@@ -113,12 +114,13 @@ fn compaction_keeps_a_competing_writers_valid_tail() {
     assert_eq!(jobs_seen, 3, "expected three job records in the fresh journal");
     std::fs::write(&journal, &rebuilt).expect("splice garbage");
 
-    let resumed = run_batch_journaled(
+    let resumed = run_batch_journaled_with_io(
         &Engine,
         &jobs,
         2,
         &policy,
         &JournalConfig::new(&journal).with_resume(true),
+        &StdIo,
     )
     .expect("resume survives spliced garbage");
     assert_eq!(
@@ -143,7 +145,7 @@ fn stale_coordination_records_are_scrubbed_not_quarantined() {
     let journal = temp_path("ephemeral");
     let jobs = jobs(2);
     let policy = ResilienceConfig::default();
-    run_batch_journaled(&Engine, &jobs, 2, &policy, &JournalConfig::new(&journal))
+    run_batch_journaled_with_io(&Engine, &jobs, 2, &policy, &JournalConfig::new(&journal), &StdIo)
         .expect("fresh run");
 
     // Simulate a dead dispatcher's leftovers: stale leases and
@@ -156,12 +158,13 @@ fn stale_coordination_records_are_scrubbed_not_quarantined() {
         f.write_all(b"{\"kind\":\"hb\",\"worker\":7,\"seq\":42}\n").expect("append hb");
     }
 
-    let resumed = run_batch_journaled(
+    let resumed = run_batch_journaled_with_io(
         &Engine,
         &jobs,
         2,
         &policy,
         &JournalConfig::new(&journal).with_resume(true),
+        &StdIo,
     )
     .expect("resume over stale coordination records");
     assert_eq!(resumed.summary.replayed, 2, "ephemera must not block replay");

@@ -14,10 +14,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use vbench::engine::{Engine, RateMode, TranscodeError, TranscodeRequest, Transcoder};
+use vbench::exec::StdIo;
 use vbench::farm::EngineJob;
 use vbench::resilience::ResilienceConfig;
 use vbench::suite::{Suite, SuiteOptions};
-use vbench::{run_batch_journaled, JournalConfig, JournalError};
+use vbench::{run_batch_journaled_with_io, JournalConfig, JournalError};
 use vcodec::{CodecFamily, Preset};
 use vfault::{CrashPoint, FaultPlan};
 
@@ -77,9 +78,8 @@ fn temp_journal(tag: &str) -> std::path::PathBuf {
 #[test]
 fn crash_resume_is_byte_identical_at_any_worker_count() {
     let jobs = jobs();
-    let baseline =
-        vbench::transcode_batch_resilient(&Engine, &jobs, 2, &ResilienceConfig::default())
-            .expect("uninterrupted baseline");
+    let baseline = vbench::transcode_batch(&Engine, &jobs, 2, &ResilienceConfig::default())
+        .expect("uninterrupted baseline");
 
     let points = [
         (CrashPoint::PreEncode, 2usize),
@@ -92,9 +92,15 @@ fn crash_resume_is_byte_identical_at_any_worker_count() {
             let policy = ResilienceConfig::default()
                 .with_fault_plan(FaultPlan::new().with_crash(crash_job, point));
 
-            let err =
-                run_batch_journaled(&Engine, &jobs, workers, &policy, &JournalConfig::new(&path))
-                    .expect_err("scripted crash must abort the batch");
+            let err = run_batch_journaled_with_io(
+                &Engine,
+                &jobs,
+                workers,
+                &policy,
+                &JournalConfig::new(&path),
+                &StdIo,
+            )
+            .expect_err("scripted crash must abort the batch");
             assert!(
                 matches!(err, JournalError::Crashed { job, point: p } if job == crash_job && p == point),
                 "wrong crash surfaced: {err} ({point}, workers={workers})"
@@ -103,12 +109,13 @@ fn crash_resume_is_byte_identical_at_any_worker_count() {
             // Resume with the SAME plan: the crash is keyed to run 0 and
             // must not re-fire on run 1.
             let engine = CountingEngine::default();
-            let report = run_batch_journaled(
+            let report = run_batch_journaled_with_io(
                 &engine,
                 &jobs,
                 workers,
                 &policy,
                 &JournalConfig::new(&path).with_resume(true),
+                &StdIo,
             )
             .expect("resume completes");
 
@@ -156,19 +163,20 @@ fn single_worker_crashes_replay_exactly_the_completed_prefix() {
         let path = temp_journal(&format!("prefix-{point}"));
         let policy = ResilienceConfig::default()
             .with_fault_plan(FaultPlan::new().with_crash(crash_job, point));
-        run_batch_journaled(&Engine, &jobs, 1, &policy, &JournalConfig::new(&path))
+        run_batch_journaled_with_io(&Engine, &jobs, 1, &policy, &JournalConfig::new(&path), &StdIo)
             .expect_err("crash");
         if point == CrashPoint::PreJournalFlush {
             let bytes = std::fs::read(&path).expect("journal readable");
             assert_ne!(bytes.last(), Some(&b'\n'), "{point}: journal must end torn");
         }
         let engine = CountingEngine::default();
-        let report = run_batch_journaled(
+        let report = run_batch_journaled_with_io(
             &engine,
             &jobs,
             1,
             &policy,
             &JournalConfig::new(&path).with_resume(true),
+            &StdIo,
         )
         .expect("resume");
         assert_eq!(report.summary.replayed, expect_replayed, "{point}");
@@ -186,16 +194,25 @@ fn resumed_journal_survives_a_second_resume() {
     let path = temp_journal("twice");
     let policy = ResilienceConfig::default()
         .with_fault_plan(FaultPlan::new().with_crash(2, CrashPoint::PreJournalFlush));
-    run_batch_journaled(&Engine, &jobs, 1, &policy, &JournalConfig::new(&path)).expect_err("crash");
-    run_batch_journaled(&Engine, &jobs, 1, &policy, &JournalConfig::new(&path).with_resume(true))
-        .expect("first resume");
+    run_batch_journaled_with_io(&Engine, &jobs, 1, &policy, &JournalConfig::new(&path), &StdIo)
+        .expect_err("crash");
+    run_batch_journaled_with_io(
+        &Engine,
+        &jobs,
+        1,
+        &policy,
+        &JournalConfig::new(&path).with_resume(true),
+        &StdIo,
+    )
+    .expect("first resume");
     let engine = CountingEngine::default();
-    let report = run_batch_journaled(
+    let report = run_batch_journaled_with_io(
         &engine,
         &jobs,
         2,
         &policy,
         &JournalConfig::new(&path).with_resume(true),
+        &StdIo,
     )
     .expect("second resume");
     assert_eq!(report.summary.replayed, jobs.len(), "everything is durable now");

@@ -3,8 +3,9 @@
 //! serving — on debug-friendly clip sizes.
 
 use vbench::engine::{Engine, RateMode, TranscodeRequest};
-use vbench::farm::{transcode_batch_with, EngineJob};
+use vbench::farm::{transcode_batch, EngineJob};
 use vbench::ladder::transcode_ladder;
+use vbench::resilience::ResilienceConfig;
 use vbench::suite::{Suite, SuiteOptions};
 use vcodec::{CodecFamily, EncoderConfig, Preset, RateControl};
 
@@ -56,8 +57,9 @@ fn parallel_batch_of_suite_videos_is_deterministic() {
             )
         })
         .collect();
-    let a = transcode_batch_with(&Engine, &jobs, 3).expect("parallel batch");
-    let b = transcode_batch_with(&Engine, &jobs, 1).expect("serial batch");
+    let a =
+        transcode_batch(&Engine, &jobs, 3, &ResilienceConfig::default()).expect("parallel batch");
+    let b = transcode_batch(&Engine, &jobs, 1, &ResilienceConfig::default()).expect("serial batch");
     for (x, y) in a.results.iter().zip(&b.results) {
         let (xo, yo) = (x.success().expect("job succeeds"), y.success().expect("job succeeds"));
         assert_eq!(xo.bytes(), yo.bytes(), "{}", x.name);

@@ -8,7 +8,8 @@
 
 use proptest::prelude::*;
 use vbench::engine::{transcode, transcode_stream, Engine, RateMode, TranscodeRequest};
-use vbench::farm::{transcode_batch_with, EngineJob, JobSource};
+use vbench::farm::{transcode_batch, EngineJob, JobSource};
+use vbench::resilience::ResilienceConfig;
 use vcodec::CodecFamily;
 use vcodec::Preset;
 use vframe::color::{frame_from_fn, Yuv};
@@ -159,8 +160,10 @@ fn streamed_farm_batch_matches_in_memory_batch() {
         .enumerate()
         .map(|(i, s)| EngineJob::streaming(format!("j{i}"), JobSource::Synth(s.clone()), request))
         .collect();
-    let full = transcode_batch_with(&Engine, &in_memory, 2).expect("in-memory batch");
-    let lazy = transcode_batch_with(&Engine, &streamed, 2).expect("streamed batch");
+    let full = transcode_batch(&Engine, &in_memory, 2, &ResilienceConfig::default())
+        .expect("in-memory batch");
+    let lazy = transcode_batch(&Engine, &streamed, 2, &ResilienceConfig::default())
+        .expect("streamed batch");
     for (f, l) in full.results.iter().zip(&lazy.results) {
         assert_eq!(f.name, l.name);
         let fo = f.success().expect("in-memory job succeeds");

@@ -7,7 +7,8 @@
 use std::process::{Command, Stdio};
 
 use vbench::engine::{Backend, Engine, RateMode, TranscodeRequest};
-use vbench::farm::{transcode_batch_with, EngineJob};
+use vbench::farm::{transcode_batch, EngineJob};
+use vbench::resilience::ResilienceConfig;
 use vcodec::{CodecFamily, Preset};
 use vframe::color::{frame_from_fn, Yuv};
 use vframe::{Resolution, Video};
@@ -185,7 +186,8 @@ fn span_fields_agree_with_batch_outcomes() {
         )
     })
     .collect();
-    let report = transcode_batch_with(&Engine, &jobs, 2).expect("batch transcode");
+    let report =
+        transcode_batch(&Engine, &jobs, 2, &ResilienceConfig::default()).expect("batch transcode");
 
     let trace = vtrace::drain();
     vtrace::set_level(vtrace::Level::Off);
