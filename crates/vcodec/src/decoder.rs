@@ -12,10 +12,10 @@ use crate::deblock::deblock_plane;
 use crate::encoder::{FrameType, MAGIC, VERSION};
 use crate::entropy::{CtxClass, EntropyBackend, EntropyDecoder};
 use crate::family::CodecFamily;
-use crate::motion::{median_predictor, motion_compensate, MotionVector};
-use crate::predict::{predict_intra, IntraMode};
-use crate::quant::dequantize;
-use crate::transform::{idct, TransformSize};
+use crate::motion::{average_into, median_predictor, motion_compensate_into, MotionVector};
+use crate::predict::{predict_intra_into, IntraMode};
+use crate::tile::{reconstruct_tile, Scratch, TILE};
+use crate::transform::TransformSize;
 use vframe::block::Block;
 use vframe::{Frame, Plane, Resolution, Video};
 
@@ -197,6 +197,8 @@ pub fn decode(bytes: &[u8]) -> Result<Video, DecodeError> {
     let sbs_y = height.div_ceil(sb);
 
     let mut frames: Vec<Option<Frame>> = vec![None; info.frames as usize];
+    let mut scratch = Scratch::new(sb);
+    let s = &mut scratch;
     let mut mv_grid: Vec<Option<MotionVector>> = vec![None; sbs_x * sbs_y];
     // Display indexes of the two most recent reference frames, mirroring
     // the encoder: a B frame predicts forward from `prev_ref` and
@@ -251,6 +253,7 @@ pub fn decode(bytes: &[u8]) -> Result<Video, DecodeError> {
                     if mode_id == 4 {
                         decode_intra_split_sb(
                             &mut dec,
+                            s,
                             x0,
                             y0,
                             sb,
@@ -268,10 +271,10 @@ pub fn decode(bytes: &[u8]) -> Result<Video, DecodeError> {
                     .ok_or(DecodeError::Corrupt)?;
                     decode_intra_sb(
                         &mut dec,
+                        s,
                         mode,
                         x0,
                         y0,
-                        sb,
                         qp,
                         &mut recon_y,
                         &mut recon_u,
@@ -295,13 +298,13 @@ pub fn decode(bytes: &[u8]) -> Result<Video, DecodeError> {
                 if is_b {
                     decode_b_sb(
                         &mut dec,
+                        s,
                         mode,
                         pred_mv,
                         reference,
                         bwd_frame.ok_or(DecodeError::MissingReference)?,
                         x0,
                         y0,
-                        sb,
                         qp,
                         &mut recon_y,
                         &mut recon_u,
@@ -310,38 +313,23 @@ pub fn decode(bytes: &[u8]) -> Result<Video, DecodeError> {
                     )?;
                     continue;
                 }
+                let (cx, cy) = (x0 / 2, y0 / 2);
                 match mode {
-                    0 => {
-                        // Skip: predictor MV, no residual.
-                        let mv = pred_mv;
-                        let pred = motion_compensate(reference.y(), x0, y0, sb, mv);
-                        pred.paste_into(&mut recon_y, x0, y0);
-                        let (cx, cy, cs) = (x0 / 2, y0 / 2, sb / 2);
-                        let cmv = MotionVector::new(mv.x / 2, mv.y / 2);
-                        motion_compensate(reference.u(), cx, cy, cs, cmv).paste_into(
-                            &mut recon_u,
-                            cx,
-                            cy,
-                        );
-                        motion_compensate(reference.v(), cx, cy, cs, cmv).paste_into(
-                            &mut recon_v,
-                            cx,
-                            cy,
-                        );
-                        mv_grid[sby * sbs_x + sbx] = Some(mv);
-                    }
-                    1 => {
-                        let mvd_x = dec.get_sval(CtxClass::MvX)?;
-                        let mvd_y = dec.get_sval(CtxClass::MvY)?;
-                        let mv = offset_mv(pred_mv, mvd_x, mvd_y)?;
-                        let pred = motion_compensate(reference.y(), x0, y0, sb, mv);
-                        decode_residual_region(&mut dec, &pred, x0, y0, qp, &mut recon_y)?;
-                        let (cx, cy, cs) = (x0 / 2, y0 / 2, sb / 2);
-                        let cmv = MotionVector::new(mv.x / 2, mv.y / 2);
-                        let upred = motion_compensate(reference.u(), cx, cy, cs, cmv);
-                        decode_residual_region(&mut dec, &upred, cx, cy, qp, &mut recon_u)?;
-                        let vpred = motion_compensate(reference.v(), cx, cy, cs, cmv);
-                        decode_residual_region(&mut dec, &vpred, cx, cy, qp, &mut recon_v)?;
+                    0 | 1 => {
+                        // Skip (predictor MV, no residual) or coded inter.
+                        let coded = mode == 1;
+                        let mv = if coded {
+                            let mvd_x = dec.get_sval(CtxClass::MvX)?;
+                            let mvd_y = dec.get_sval(CtxClass::MvY)?;
+                            offset_mv(pred_mv, mvd_x, mvd_y)?
+                        } else {
+                            pred_mv
+                        };
+                        motion_compensate_into(reference.y(), x0, y0, mv, &mut s.pred);
+                        s.predict_chroma(reference, x0, y0, mv);
+                        let preds = [&s.pred, &s.upred, &s.vpred];
+                        let recon = [&mut recon_y, &mut recon_u, &mut recon_v];
+                        finish_inter_sb(&mut dec, coded, preds, x0, y0, qp, recon)?;
                         mv_grid[sby * sbs_x + sbx] = Some(mv);
                     }
                     2 => {
@@ -360,32 +348,35 @@ pub fn decode(bytes: &[u8]) -> Result<Video, DecodeError> {
                             if i == 0 {
                                 first_mv = mv;
                             }
-                            let pred = motion_compensate(reference.y(), x0 + qx, y0 + qy, half, mv);
+                            motion_compensate_into(
+                                reference.y(),
+                                x0 + qx,
+                                y0 + qy,
+                                mv,
+                                &mut s.qpred,
+                            );
                             decode_residual_region(
                                 &mut dec,
-                                &pred,
+                                &s.qpred,
                                 x0 + qx,
                                 y0 + qy,
                                 qp,
                                 &mut recon_y,
                             )?;
                         }
-                        let (cx, cy, cs) = (x0 / 2, y0 / 2, sb / 2);
-                        let cmv = MotionVector::new(base.x / 2, base.y / 2);
-                        let upred = motion_compensate(reference.u(), cx, cy, cs, cmv);
-                        decode_residual_region(&mut dec, &upred, cx, cy, qp, &mut recon_u)?;
-                        let vpred = motion_compensate(reference.v(), cx, cy, cs, cmv);
-                        decode_residual_region(&mut dec, &vpred, cx, cy, qp, &mut recon_v)?;
+                        s.predict_chroma(reference, x0, y0, base);
+                        decode_residual_region(&mut dec, &s.upred, cx, cy, qp, &mut recon_u)?;
+                        decode_residual_region(&mut dec, &s.vpred, cx, cy, qp, &mut recon_v)?;
                         mv_grid[sby * sbs_x + sbx] = Some(first_mv);
                     }
                     m @ 3..=6 => {
                         let mode = IntraMode::from_id((m - 3) as u8).ok_or(DecodeError::Corrupt)?;
                         decode_intra_sb(
                             &mut dec,
+                            s,
                             mode,
                             x0,
                             y0,
-                            sb,
                             qp,
                             &mut recon_y,
                             &mut recon_u,
@@ -396,6 +387,7 @@ pub fn decode(bytes: &[u8]) -> Result<Video, DecodeError> {
                     7 => {
                         decode_intra_split_sb(
                             &mut dec,
+                            s,
                             x0,
                             y0,
                             sb,
@@ -447,21 +439,34 @@ fn decode_residual_region(
     qp: u8,
     recon: &mut Plane,
 ) -> Result<(), DecodeError> {
-    let size = pred.size();
-    for ty in (0..size).step_by(8) {
-        for tx in (0..size).step_by(8) {
-            let levels = dec.get_coeff_block(TransformSize::T8)?;
-            let deq = dequantize(&levels, qp);
-            let rec = idct(TransformSize::T8, &deq);
-            let mut out = Block::zero(8);
-            for dy in 0..8 {
-                for dx in 0..8 {
-                    let v =
-                        (i32::from(pred.get(tx + dx, ty + dy)) + rec[dy * 8 + dx]).clamp(0, 255);
-                    out.set(dx, dy, v as i16);
-                }
-            }
-            out.paste_into(recon, x0 + tx, y0 + ty);
+    let mut levels = [0i32; TILE * TILE];
+    for ty in (0..pred.size()).step_by(TILE) {
+        for tx in (0..pred.size()).step_by(TILE) {
+            dec.get_coeff_block_into(TransformSize::T8, &mut levels)?;
+            reconstruct_tile(&levels, qp, pred, (tx, ty), recon, (x0, y0));
+        }
+    }
+    Ok(())
+}
+
+/// Completes an inter superblock at `(x0, y0)` from its luma, U and V
+/// predictions: plus the decoded residual when `coded`, as they are for
+/// a skip.
+fn finish_inter_sb(
+    dec: &mut EntropyDecoder<'_>,
+    coded: bool,
+    preds: [&Block; 3],
+    x0: usize,
+    y0: usize,
+    qp: u8,
+    recon: [&mut Plane; 3],
+) -> Result<(), DecodeError> {
+    let at = [(x0, y0), (x0 / 2, y0 / 2), (x0 / 2, y0 / 2)];
+    for ((pred, recon), (x, y)) in preds.into_iter().zip(recon).zip(at) {
+        if coded {
+            decode_residual_region(dec, pred, x, y, qp, recon)?;
+        } else {
+            pred.paste_into(recon, x, y);
         }
     }
     Ok(())
@@ -474,6 +479,7 @@ fn decode_residual_region(
 #[allow(clippy::too_many_arguments)]
 fn decode_intra_split_sb(
     dec: &mut EntropyDecoder<'_>,
+    s: &mut Scratch,
     x0: usize,
     y0: usize,
     sb: usize,
@@ -491,37 +497,47 @@ fn decode_intra_split_sb(
         if i == 0 {
             first_mode = mode;
         }
-        let pred = predict_intra(recon_y, x0 + qx, y0 + qy, half, mode);
-        decode_residual_region(dec, &pred, x0 + qx, y0 + qy, qp, recon_y)?;
+        predict_intra_into(recon_y, x0 + qx, y0 + qy, mode, &mut s.qpred);
+        decode_residual_region(dec, &s.qpred, x0 + qx, y0 + qy, qp, recon_y)?;
     }
-    let (cx, cy, cs) = (x0 / 2, y0 / 2, sb / 2);
-    let upred = predict_intra(recon_u, cx, cy, cs, first_mode);
-    decode_residual_region(dec, &upred, cx, cy, qp, recon_u)?;
-    let vpred = predict_intra(recon_v, cx, cy, cs, first_mode);
-    decode_residual_region(dec, &vpred, cx, cy, qp, recon_v)?;
+    decode_intra_chroma(dec, s, first_mode, x0 / 2, y0 / 2, qp, recon_u, recon_v)
+}
+
+/// Decodes the two chroma planes of an intra superblock, both predicted
+/// with `mode` at half size.
+#[allow(clippy::too_many_arguments)]
+fn decode_intra_chroma(
+    dec: &mut EntropyDecoder<'_>,
+    s: &mut Scratch,
+    mode: IntraMode,
+    cx: usize,
+    cy: usize,
+    qp: u8,
+    recon_u: &mut Plane,
+    recon_v: &mut Plane,
+) -> Result<(), DecodeError> {
+    for recon in [recon_u, recon_v] {
+        predict_intra_into(recon, cx, cy, mode, &mut s.qpred);
+        decode_residual_region(dec, &s.qpred, cx, cy, qp, recon)?;
+    }
     Ok(())
 }
 
 #[allow(clippy::too_many_arguments)]
 fn decode_intra_sb(
     dec: &mut EntropyDecoder<'_>,
+    s: &mut Scratch,
     mode: IntraMode,
     x0: usize,
     y0: usize,
-    sb: usize,
     qp: u8,
     recon_y: &mut Plane,
     recon_u: &mut Plane,
     recon_v: &mut Plane,
 ) -> Result<(), DecodeError> {
-    let pred = predict_intra(recon_y, x0, y0, sb, mode);
-    decode_residual_region(dec, &pred, x0, y0, qp, recon_y)?;
-    let (cx, cy, cs) = (x0 / 2, y0 / 2, sb / 2);
-    let upred = predict_intra(recon_u, cx, cy, cs, mode);
-    decode_residual_region(dec, &upred, cx, cy, qp, recon_u)?;
-    let vpred = predict_intra(recon_v, cx, cy, cs, mode);
-    decode_residual_region(dec, &vpred, cx, cy, qp, recon_v)?;
-    Ok(())
+    predict_intra_into(recon_y, x0, y0, mode, &mut s.intra);
+    decode_residual_region(dec, &s.intra, x0, y0, qp, recon_y)?;
+    decode_intra_chroma(dec, s, mode, x0 / 2, y0 / 2, qp, recon_u, recon_v)
 }
 
 /// Decodes one B-frame superblock (the mirror of the encoder's
@@ -530,96 +546,57 @@ fn decode_intra_sb(
 #[allow(clippy::too_many_arguments)]
 fn decode_b_sb(
     dec: &mut EntropyDecoder<'_>,
+    s: &mut Scratch,
     mode: u64,
     pred_mv: MotionVector,
     fwd: &Frame,
     bwd: &Frame,
     x0: usize,
     y0: usize,
-    sb: usize,
     qp: u8,
     recon_y: &mut Plane,
     recon_u: &mut Plane,
     recon_v: &mut Plane,
     grid_cell: &mut Option<MotionVector>,
 ) -> Result<(), DecodeError> {
-    let (cx, cy, cs) = (x0 / 2, y0 / 2, sb / 2);
+    let read_mv = |dec: &mut EntropyDecoder<'_>| -> Result<MotionVector, DecodeError> {
+        let dx = dec.get_sval(CtxClass::MvX)?;
+        let dy = dec.get_sval(CtxClass::MvY)?;
+        offset_mv(pred_mv, dx, dy)
+    };
+    let recon = [&mut *recon_y, &mut *recon_u, &mut *recon_v];
     match mode {
-        0 => {
-            // Skip-direct: forward prediction at the predictor MV.
-            let mv = pred_mv;
-            motion_compensate(fwd.y(), x0, y0, sb, mv).paste_into(recon_y, x0, y0);
-            let cmv = MotionVector::new(mv.x / 2, mv.y / 2);
-            motion_compensate(fwd.u(), cx, cy, cs, cmv).paste_into(recon_u, cx, cy);
-            motion_compensate(fwd.v(), cx, cy, cs, cmv).paste_into(recon_v, cx, cy);
-            *grid_cell = Some(mv);
-        }
-        1 | 2 => {
-            let dx = dec.get_sval(CtxClass::MvX)?;
-            let dy = dec.get_sval(CtxClass::MvY)?;
-            let mv = offset_mv(pred_mv, dx, dy)?;
-            let reference = if mode == 1 { fwd } else { bwd };
-            let pred = motion_compensate(reference.y(), x0, y0, sb, mv);
-            decode_residual_region(dec, &pred, x0, y0, qp, recon_y)?;
-            let cmv = MotionVector::new(mv.x / 2, mv.y / 2);
-            let upred = motion_compensate(reference.u(), cx, cy, cs, cmv);
-            decode_residual_region(dec, &upred, cx, cy, qp, recon_u)?;
-            let vpred = motion_compensate(reference.v(), cx, cy, cs, cmv);
-            decode_residual_region(dec, &vpred, cx, cy, qp, recon_v)?;
+        0..=2 => {
+            // Skip-direct (forward at the predictor MV, no residual), or
+            // one coded direction.
+            let mv = if mode == 0 { pred_mv } else { read_mv(dec)? };
+            let reference = if mode == 2 { bwd } else { fwd };
+            motion_compensate_into(reference.y(), x0, y0, mv, &mut s.pred);
+            s.predict_chroma(reference, x0, y0, mv);
+            let preds = [&s.pred, &s.upred, &s.vpred];
+            finish_inter_sb(dec, mode != 0, preds, x0, y0, qp, recon)?;
             *grid_cell = Some(mv);
         }
         3 => {
-            let fdx = dec.get_sval(CtxClass::MvX)?;
-            let fdy = dec.get_sval(CtxClass::MvY)?;
-            let fmv = offset_mv(pred_mv, fdx, fdy)?;
-            let bdx = dec.get_sval(CtxClass::MvX)?;
-            let bdy = dec.get_sval(CtxClass::MvY)?;
-            let bmv = offset_mv(pred_mv, bdx, bdy)?;
-            let pred = average_blocks(
-                &motion_compensate(fwd.y(), x0, y0, sb, fmv),
-                &motion_compensate(bwd.y(), x0, y0, sb, bmv),
-            );
-            decode_residual_region(dec, &pred, x0, y0, qp, recon_y)?;
-            let cf = MotionVector::new(fmv.x / 2, fmv.y / 2);
-            let cb = MotionVector::new(bmv.x / 2, bmv.y / 2);
-            let upred = average_blocks(
-                &motion_compensate(fwd.u(), cx, cy, cs, cf),
-                &motion_compensate(bwd.u(), cx, cy, cs, cb),
-            );
-            decode_residual_region(dec, &upred, cx, cy, qp, recon_u)?;
-            let vpred = average_blocks(
-                &motion_compensate(fwd.v(), cx, cy, cs, cf),
-                &motion_compensate(bwd.v(), cx, cy, cs, cb),
-            );
-            decode_residual_region(dec, &vpred, cx, cy, qp, recon_v)?;
+            let fmv = read_mv(dec)?;
+            let bmv = read_mv(dec)?;
+            motion_compensate_into(fwd.y(), x0, y0, fmv, &mut s.pred);
+            motion_compensate_into(bwd.y(), x0, y0, bmv, &mut s.pred_b);
+            average_into(&s.pred, &s.pred_b, &mut s.pred_bi);
+            s.predict_chroma_bi((fwd, fmv), (bwd, bmv), x0, y0);
+            let preds = [&s.pred_bi, &s.upred, &s.vpred];
+            finish_inter_sb(dec, true, preds, x0, y0, qp, recon)?;
             *grid_cell = Some(fmv);
         }
         m @ 4..=7 => {
             let mode = IntraMode::from_id((m - 4) as u8).ok_or(DecodeError::Corrupt)?;
-            let pred = predict_intra(recon_y, x0, y0, sb, mode);
-            decode_residual_region(dec, &pred, x0, y0, qp, recon_y)?;
-            let upred = predict_intra(recon_u, cx, cy, cs, mode);
-            decode_residual_region(dec, &upred, cx, cy, qp, recon_u)?;
-            let vpred = predict_intra(recon_v, cx, cy, cs, mode);
-            decode_residual_region(dec, &vpred, cx, cy, qp, recon_v)?;
+            let [recon_y, recon_u, recon_v] = recon;
+            decode_intra_sb(dec, s, mode, x0, y0, qp, recon_y, recon_u, recon_v)?;
             *grid_cell = None;
         }
         _ => return Err(DecodeError::Corrupt),
     }
     Ok(())
-}
-
-/// Element-wise average of two prediction blocks (bidirectional MC); must
-/// match the encoder's rounding exactly.
-fn average_blocks(a: &Block, b: &Block) -> Block {
-    debug_assert_eq!(a.size(), b.size());
-    let data = a
-        .data()
-        .iter()
-        .zip(b.data())
-        .map(|(&x, &y)| ((i32::from(x) + i32::from(y) + 1) / 2) as i16)
-        .collect();
-    Block::from_data(a.size(), data)
 }
 
 #[cfg(test)]

@@ -21,13 +21,15 @@ use crate::deblock::deblock_plane;
 use crate::entropy::{CtxClass, EntropyEncoder};
 use crate::family::{CodecFamily, Preset};
 use crate::motion::{
-    median_predictor, motion_compensate, search, MotionVector, SearchParams, SearchStats,
+    average_into, median_predictor, motion_compensate_into, search, MotionVector, SearchParams,
+    SearchStats,
 };
-use crate::predict::{predict_intra, IntraMode};
-use crate::quant::{dequantize, quantize, Deadzone};
+use crate::predict::{predict_intra_into, IntraMode};
+use crate::quant::{quantize_into, Deadzone};
 use crate::rc::{FirstPassLog, FrameKind, RateControl, RateController};
 use crate::stats::{BranchSite, EncodeStats, Kernel, KernelCounters, NoProbe, Probe};
-use crate::transform::{fdct, idct, TransformSize};
+use crate::tile::{reconstruct_tile, residual_tile, Scratch, Tile, TILE};
+use crate::transform::{fdct8, TransformSize};
 use vframe::block::{sad, satd, Block};
 use vframe::metrics::PsnrAccumulator;
 use vframe::source::{FrameSource, VideoSource};
@@ -593,6 +595,7 @@ fn encode_pass_core(
     container.put_bits(u64::from(config.in_loop_deblock), 8);
 
     let mut state = FrameEncoder::new(config, res.width() as usize, res.height() as usize);
+    let mut scratch = Scratch::new(state.sb);
     // Retain mode keeps every reconstruction here; bounded mode keeps at
     // most the two most recent reference recons in `ref_window`.
     let mut retained: Vec<Option<Frame>> =
@@ -653,7 +656,7 @@ fn encode_pass_core(
             ),
         };
         let (payload, recon) =
-            state.encode_frame(&frame, fwd, bwd, ftype, qp, coding_idx as u32, probe);
+            state.encode_frame(&frame, fwd, bwd, ftype, qp, coding_idx as u32, &mut scratch, probe);
         let bits = payload.len() as u64 * 8;
         rc.frame_done(bits);
         frame_bits.push(bits);
@@ -741,10 +744,14 @@ fn encode_pass_core(
     }
 }
 
+/// Most tiles a region holds: a 32×32 superblock's sixteen.
+const MAX_TILES: usize = 16;
+
 /// Quantized residual for one superblock-sized region: per-8×8-tile levels
-/// in raster order.
+/// in raster order, the first `len` of a fixed array.
 struct SbLevels {
-    tiles: Vec<Vec<i32>>,
+    tiles: [Tile; MAX_TILES],
+    len: usize,
     any_nonzero: bool,
 }
 
@@ -828,6 +835,7 @@ impl<'cfg> FrameEncoder<'cfg> {
         ftype: FrameType,
         qp: u8,
         frame_idx: u32,
+        scratch: &mut Scratch,
         probe: &mut dyn Probe,
     ) -> (Vec<u8>, Frame) {
         let backend = self.config.entropy_backend();
@@ -872,6 +880,7 @@ impl<'cfg> FrameEncoder<'cfg> {
                     self.encode_intra_sb(
                         &mut enc,
                         &ctx,
+                        scratch,
                         &mut recon_y,
                         &mut recon_u,
                         &mut recon_v,
@@ -883,6 +892,7 @@ impl<'cfg> FrameEncoder<'cfg> {
                         &mut enc,
                         &ctx,
                         bwd_reference.expect("checked"),
+                        scratch,
                         &mut recon_y,
                         &mut recon_u,
                         &mut recon_v,
@@ -892,6 +902,7 @@ impl<'cfg> FrameEncoder<'cfg> {
                     self.encode_inter_sb(
                         &mut enc,
                         &ctx,
+                        scratch,
                         &mut recon_y,
                         &mut recon_u,
                         &mut recon_v,
@@ -919,10 +930,12 @@ impl<'cfg> FrameEncoder<'cfg> {
         (payload, recon)
     }
 
-    /// Chooses the best intra mode for a luma region by SATD cost.
+    /// Chooses the best intra mode for a luma region by SATD cost; `pred`
+    /// is overwritten with each candidate prediction.
     fn best_intra_mode(
         &mut self,
         orig: &Block,
+        pred: &mut Block,
         recon_y: &Plane,
         x0: usize,
         y0: usize,
@@ -937,9 +950,9 @@ impl<'cfg> FrameEncoder<'cfg> {
         };
         let mut best = (IntraMode::Dc, f64::INFINITY);
         for &mode in modes {
-            let pred = predict_intra(recon_y, x0, y0, orig.size(), mode);
+            predict_intra_into(recon_y, x0, y0, mode, pred);
             self.counters.record(Kernel::IntraPred, (orig.size() * orig.size()) as u64);
-            let d = satd(orig, &pred) as f64;
+            let d = satd(orig, pred) as f64;
             let cost = d + lambda * 3.0; // ~3 bits of mode signalling
             if cost < best.1 {
                 best = (mode, cost);
@@ -948,7 +961,8 @@ impl<'cfg> FrameEncoder<'cfg> {
         best
     }
 
-    /// Computes the quantized residual for a region given its prediction.
+    /// Computes the quantized residual of the region of `plane` at
+    /// `(x0, y0)` given its prediction.
     fn compute_levels(
         &mut self,
         plane: &Plane,
@@ -960,30 +974,21 @@ impl<'cfg> FrameEncoder<'cfg> {
     ) -> SbLevels {
         let t_tq = self.stage_start();
         let size = pred.size();
-        let orig = Block::copy_from(plane, x0 as isize, y0 as isize, size);
-        let mut tiles = Vec::with_capacity((size / 8) * (size / 8));
-        let mut any = false;
-        for ty in (0..size).step_by(8) {
-            for tx in (0..size).step_by(8) {
-                let mut resid = [0i32; 64];
-                for dy in 0..8 {
-                    for dx in 0..8 {
-                        resid[dy * 8 + dx] = i32::from(orig.get(tx + dx, ty + dy))
-                            - i32::from(pred.get(tx + dx, ty + dy));
-                    }
-                }
-                let coeffs = fdct(TransformSize::T8, &resid);
+        let mut levels =
+            SbLevels { tiles: [[0; TILE * TILE]; MAX_TILES], len: 0, any_nonzero: false };
+        for ty in (0..size).step_by(TILE) {
+            for tx in (0..size).step_by(TILE) {
+                let coeffs = fdct8(&residual_tile(plane, (x0, y0), pred, (tx, ty)));
                 self.counters.record(Kernel::Fdct, 64);
-                let levels = quantize(&coeffs, qp, dz);
+                let tile = &mut levels.tiles[levels.len];
+                quantize_into(&coeffs, qp, dz, tile);
                 self.counters.record(Kernel::Quant, 64);
-                if levels.iter().any(|&l| l != 0) {
-                    any = true;
-                }
-                tiles.push(levels);
+                levels.any_nonzero |= tile.iter().any(|&l| l != 0);
+                levels.len += 1;
             }
         }
         self.stage_end(t_tq, |s| &mut s.transform_quant);
-        SbLevels { tiles, any_nonzero: any }
+        levels
     }
 
     /// Entropy-codes precomputed levels and reconstructs the region into
@@ -1000,37 +1005,22 @@ impl<'cfg> FrameEncoder<'cfg> {
         levels: &SbLevels,
         probe: &mut dyn Probe,
     ) {
-        let size = pred.size();
-        let mut tile_idx = 0;
-        for ty in (0..size).step_by(8) {
-            for tx in (0..size).step_by(8) {
-                let tile = &levels.tiles[tile_idx];
-                tile_idx += 1;
-                let bits_before = enc.bits_written();
-                let t_en = self.stage_start();
-                enc.put_coeff_block(TransformSize::T8, tile);
-                self.stage_end(t_en, |s| &mut s.entropy);
-                self.counters.record(Kernel::Entropy, enc.bits_written() - bits_before);
-                let nz = tile.iter().filter(|&&l| l != 0).count() as u64;
-                probe.branch(BranchSite::CoeffCoded, nz > 0);
-                report_ratio_branches(probe, BranchSite::CoeffNonzero, nz, 64, 16);
-                probe.kernel(Kernel::Entropy, 8 + nz * 4);
-                // Reconstruct.
-                let deq = dequantize(tile, qp);
-                self.counters.record(Kernel::Dequant, 64);
-                let rec = idct(TransformSize::T8, &deq);
-                self.counters.record(Kernel::Idct, 64);
-                probe.kernel(Kernel::Idct, 64);
-                let mut out = Block::zero(8);
-                for dy in 0..8 {
-                    for dx in 0..8 {
-                        let v = (i32::from(pred.get(tx + dx, ty + dy)) + rec[dy * 8 + dx])
-                            .clamp(0, 255);
-                        out.set(dx, dy, v as i16);
-                    }
-                }
-                out.paste_into(recon, x0 + tx, y0 + ty);
-            }
+        let per_row = pred.size() / TILE;
+        for (i, tile) in levels.tiles[..levels.len].iter().enumerate() {
+            let (tx, ty) = (i % per_row * TILE, i / per_row * TILE);
+            let bits_before = enc.bits_written();
+            let t_en = self.stage_start();
+            enc.put_coeff_block(TransformSize::T8, tile);
+            self.stage_end(t_en, |s| &mut s.entropy);
+            self.counters.record(Kernel::Entropy, enc.bits_written() - bits_before);
+            let nz = tile.iter().filter(|&&l| l != 0).count() as u64;
+            probe.branch(BranchSite::CoeffCoded, nz > 0);
+            report_ratio_branches(probe, BranchSite::CoeffNonzero, nz, 64, 16);
+            probe.kernel(Kernel::Entropy, 8 + nz * 4);
+            reconstruct_tile(tile, qp, pred, (tx, ty), recon, (x0, y0));
+            self.counters.record(Kernel::Dequant, 64);
+            self.counters.record(Kernel::Idct, 64);
+            probe.kernel(Kernel::Idct, 64);
         }
     }
 
@@ -1041,6 +1031,7 @@ impl<'cfg> FrameEncoder<'cfg> {
         &mut self,
         enc: &mut EntropyEncoder,
         ctx: &SbContext<'_>,
+        s: &mut Scratch,
         recon_y: &mut Plane,
         recon_u: &mut Plane,
         recon_v: &mut Plane,
@@ -1049,9 +1040,10 @@ impl<'cfg> FrameEncoder<'cfg> {
     ) {
         let SbContext { frame, qp, x0, y0, .. } = *ctx;
         let lambda = self.lambda(qp);
-        let orig = Block::copy_from(frame.y(), x0 as isize, y0 as isize, self.sb);
+        s.orig.load(frame.y(), x0 as isize, y0 as isize);
         probe_region_rows(probe, ADDR_CUR, self.width, x0, y0, self.sb, false);
-        let (mode, whole_cost) = self.best_intra_mode(&orig, recon_y, x0, y0, lambda);
+        let (mode, whole_cost) =
+            self.best_intra_mode(&s.orig, &mut s.intra, recon_y, x0, y0, lambda);
         probe.kernel(Kernel::IntraPred, (self.sb * self.sb) as u64);
         self.counters.record(Kernel::ModeDecision, 16);
         probe.kernel(Kernel::ModeDecision, 16);
@@ -1065,9 +1057,9 @@ impl<'cfg> FrameEncoder<'cfg> {
         let split_wins = try_split && {
             let mut split_cost = lambda * 2.0; // split-flag signalling
             for (qx, qy) in quads {
-                let qorig =
-                    Block::copy_from(frame.y(), (x0 + qx) as isize, (y0 + qy) as isize, half);
-                let (_, qcost) = self.best_intra_mode(&qorig, recon_y, x0 + qx, y0 + qy, lambda);
+                s.qorig.load(frame.y(), (x0 + qx) as isize, (y0 + qy) as isize);
+                let (_, qcost) =
+                    self.best_intra_mode(&s.qorig, &mut s.qpred, recon_y, x0 + qx, y0 + qy, lambda);
                 split_cost += qcost;
             }
             self.counters.record(Kernel::ModeDecision, 16);
@@ -1077,95 +1069,54 @@ impl<'cfg> FrameEncoder<'cfg> {
         if try_split {
             probe.branch(BranchSite::SplitTaken, split_wins);
         }
-        if split_wins {
+        // Chroma is predicted at half size with the superblock's mode, or
+        // the first quadrant's when split.
+        let chroma_mode = if split_wins {
             enc.put_uval(CtxClass::Mode, if standalone { 4 } else { 7 });
             // Quadrants in raster order; each re-chooses its mode against
             // the live reconstruction so the decoder's predictions match.
             let mut first_mode = IntraMode::Dc;
-            for (i, (qx, qy)) in quads.iter().enumerate() {
-                let qorig =
-                    Block::copy_from(frame.y(), (x0 + qx) as isize, (y0 + qy) as isize, half);
-                let (qmode, _) = self.best_intra_mode(&qorig, recon_y, x0 + qx, y0 + qy, lambda);
+            for (i, (qx, qy)) in quads.into_iter().enumerate() {
+                s.qorig.load(frame.y(), (x0 + qx) as isize, (y0 + qy) as isize);
+                let (qmode, _) =
+                    self.best_intra_mode(&s.qorig, &mut s.qpred, recon_y, x0 + qx, y0 + qy, lambda);
                 if i == 0 {
                     first_mode = qmode;
                 }
                 enc.put_uval(CtxClass::Mode, u64::from(qmode.to_id()));
-                let qpred = predict_intra(recon_y, x0 + qx, y0 + qy, half, qmode);
+                predict_intra_into(recon_y, x0 + qx, y0 + qy, qmode, &mut s.qpred);
                 let qlev =
-                    self.compute_levels(frame.y(), &qpred, x0 + qx, y0 + qy, qp, Deadzone::Intra);
-                self.emit_levels(enc, recon_y, &qpred, x0 + qx, y0 + qy, qp, &qlev, probe);
+                    self.compute_levels(frame.y(), &s.qpred, x0 + qx, y0 + qy, qp, Deadzone::Intra);
+                self.emit_levels(enc, recon_y, &s.qpred, x0 + qx, y0 + qy, qp, &qlev, probe);
             }
-            probe_region_rows(probe, ctx.recon_base, self.width, x0, y0, self.sb, true);
-            // Chroma rides on the first quadrant's mode at half size.
-            let (cx, cy, cs) = (x0 / 2, y0 / 2, self.sb / 2);
-            for (plane_idx, (src, rec)) in
-                [(frame.u(), recon_u), (frame.v(), recon_v)].into_iter().enumerate()
-            {
-                let cpred = predict_intra(rec, cx, cy, cs, first_mode);
-                self.counters.record(Kernel::IntraPred, (cs * cs) as u64);
-                let clev = self.compute_levels(src, &cpred, cx, cy, qp, Deadzone::Intra);
-                self.emit_levels(enc, rec, &cpred, cx, cy, qp, &clev, probe);
-                let chroma_off = if plane_idx == 0 { ADDR_CHROMA_U } else { ADDR_CHROMA_V };
-                probe_region_rows(
-                    probe,
-                    ctx.recon_base + chroma_off,
-                    self.width / 2,
-                    cx,
-                    cy,
-                    cs,
-                    true,
-                );
-            }
-            self.sb_intra += 1;
             self.sb_split += 1;
-            self.mv_grid[ctx.sby * self.sbs_x + ctx.sbx] = None;
-            return;
-        }
-        if standalone {
-            enc.put_uval(CtxClass::Mode, u64::from(mode.to_id()));
+            first_mode
         } else {
-            enc.put_uval(CtxClass::Mode, 3 + u64::from(mode.to_id()));
-        }
-        // Luma.
-        let pred = predict_intra(recon_y, x0, y0, self.sb, mode);
-        let levels = self.compute_levels(frame.y(), &pred, x0, y0, qp, Deadzone::Intra);
-        self.emit_levels(enc, recon_y, &pred, x0, y0, qp, &levels, probe);
+            let offset = if standalone { 0 } else { 3 };
+            enc.put_uval(CtxClass::Mode, offset + u64::from(mode.to_id()));
+            predict_intra_into(recon_y, x0, y0, mode, &mut s.intra);
+            let levels = self.compute_levels(frame.y(), &s.intra, x0, y0, qp, Deadzone::Intra);
+            self.emit_levels(enc, recon_y, &s.intra, x0, y0, qp, &levels, probe);
+            mode
+        };
         probe_region_rows(probe, ctx.recon_base, self.width, x0, y0, self.sb, true);
-        // Chroma (same mode at half size).
         let (cx, cy, cs) = (x0 / 2, y0 / 2, self.sb / 2);
-        for (plane_idx, (src, rec)) in
-            [(frame.u(), recon_u), (frame.v(), recon_v)].into_iter().enumerate()
+        for (src, rec, chroma_off) in
+            [(frame.u(), recon_u, ADDR_CHROMA_U), (frame.v(), recon_v, ADDR_CHROMA_V)]
         {
-            let cpred = predict_intra(rec, cx, cy, cs, mode);
+            predict_intra_into(rec, cx, cy, chroma_mode, &mut s.qpred);
             self.counters.record(Kernel::IntraPred, (cs * cs) as u64);
-            let clev = self.compute_levels(src, &cpred, cx, cy, qp, Deadzone::Intra);
-            self.emit_levels(enc, rec, &cpred, cx, cy, qp, &clev, probe);
-            let chroma_off = if plane_idx == 0 { ADDR_CHROMA_U } else { ADDR_CHROMA_V };
+            let clev = self.compute_levels(src, &s.qpred, cx, cy, qp, Deadzone::Intra);
+            self.emit_levels(enc, rec, &s.qpred, cx, cy, qp, &clev, probe);
             probe_region_rows(probe, ctx.recon_base + chroma_off, self.width / 2, cx, cy, cs, true);
         }
         self.sb_intra += 1;
         self.mv_grid[ctx.sby * self.sbs_x + ctx.sbx] = None;
     }
 
-    /// Inter-codes one superblock on a P frame: skip / inter / split /
-    /// intra, chosen by RD cost.
-    #[allow(clippy::too_many_arguments)]
-    fn encode_inter_sb(
-        &mut self,
-        enc: &mut EntropyEncoder,
-        ctx: &SbContext<'_>,
-        recon_y: &mut Plane,
-        recon_u: &mut Plane,
-        recon_v: &mut Plane,
-        probe: &mut dyn Probe,
-    ) {
-        let SbContext { frame, reference, qp, params, x0, y0, sbx, sby, .. } = *ctx;
-        let reference = reference.expect("P frame requires a reference");
-        let lambda = self.lambda(qp);
-        let orig = Block::copy_from(frame.y(), x0 as isize, y0 as isize, self.sb);
-        probe_region_rows(probe, ADDR_CUR, self.width, x0, y0, self.sb, false);
-
-        // Spatial MV predictor.
+    /// Spatial motion-vector predictor for superblock `(sbx, sby)`: the
+    /// median of its left, top and top-right neighbours' vectors.
+    fn predict_mv(&self, sbx: usize, sby: usize) -> MotionVector {
         let grid_at = |dx: isize, dy: isize| -> Option<MotionVector> {
             let gx = sbx as isize + dx;
             let gy = sby as isize + dy;
@@ -1175,12 +1126,34 @@ impl<'cfg> FrameEncoder<'cfg> {
                 self.mv_grid[gy as usize * self.sbs_x + gx as usize]
             }
         };
-        let pred_mv = median_predictor(grid_at(-1, 0), grid_at(0, -1), grid_at(1, -1));
+        median_predictor(grid_at(-1, 0), grid_at(0, -1), grid_at(1, -1))
+    }
+
+    /// Inter-codes one superblock on a P frame: skip / inter / split /
+    /// intra, chosen by RD cost.
+    #[allow(clippy::too_many_arguments)]
+    fn encode_inter_sb(
+        &mut self,
+        enc: &mut EntropyEncoder,
+        ctx: &SbContext<'_>,
+        s: &mut Scratch,
+        recon_y: &mut Plane,
+        recon_u: &mut Plane,
+        recon_v: &mut Plane,
+        probe: &mut dyn Probe,
+    ) {
+        let SbContext { frame, reference, qp, params, x0, y0, sbx, sby, .. } = *ctx;
+        let reference = reference.expect("P frame requires a reference");
+        let lambda = self.lambda(qp);
+        s.orig.load(frame.y(), x0 as isize, y0 as isize);
+        probe_region_rows(probe, ADDR_CUR, self.width, x0, y0, self.sb, false);
+        let pred_mv = self.predict_mv(sbx, sby);
 
         // Motion search.
         let mut mstats = SearchStats::default();
         let t_mo = self.stage_start();
-        let mres = search(&orig, reference.y(), x0, y0, pred_mv, &params, &mut mstats);
+        let mres =
+            search(&s.orig, reference.y(), x0, y0, pred_mv, &params, &mut s.cand, &mut mstats);
         self.stage_end(t_mo, |s| &mut s.motion);
         self.counters.record(Kernel::MotionFullPel, mstats.samples);
         probe.kernel(Kernel::MotionFullPel, mstats.samples);
@@ -1203,33 +1176,42 @@ impl<'cfg> FrameEncoder<'cfg> {
             48,
         );
 
-        // Intra alternative.
-        let (intra_mode, intra_cost) = self.best_intra_mode(&orig, recon_y, x0, y0, lambda);
-        let inter_pred = motion_compensate(reference.y(), x0, y0, self.sb, mres.mv);
+        // Intra alternative (if it wins, `encode_intra_sb` chooses the
+        // mode again against the same reconstruction).
+        let (_, intra_cost) = self.best_intra_mode(&s.orig, &mut s.intra, recon_y, x0, y0, lambda);
+        motion_compensate_into(reference.y(), x0, y0, mres.mv, &mut s.pred);
         self.counters.record(Kernel::MotionComp, (self.sb * self.sb) as u64);
         probe.kernel(Kernel::MotionComp, (self.sb * self.sb) as u64);
         let inter_d =
-            if params.use_satd { satd(&orig, &inter_pred) } else { sad(&orig, &inter_pred) } as f64;
+            if params.use_satd { satd(&s.orig, &s.pred) } else { sad(&s.orig, &s.pred) } as f64;
         let inter_cost = inter_d + lambda * f64::from(mres.mv.cost_bits(pred_mv) + 2);
         self.counters.record(Kernel::ModeDecision, 32);
         probe.kernel(Kernel::ModeDecision, 32);
 
         // Split alternative (quadrant MVs).
         let try_split = self.config.family.supports_split() && self.config.preset.try_split();
-        let mut split: Option<(Vec<MotionVector>, f64)> = None;
+        let half = self.sb / 2;
+        let quads = [(0, 0), (half, 0), (0, half), (half, half)];
+        let mut split: Option<[MotionVector; 4]> = None;
         if try_split {
-            let half = self.sb / 2;
-            let mut mvs = Vec::with_capacity(4);
+            let mut mvs = [MotionVector::ZERO; 4];
             // Partition signalling plus the base MV the quadrant MVDs are
             // coded against.
             let mut cost = lambda * f64::from(mres.mv.cost_bits(pred_mv) + 6);
-            for (qx, qy) in [(0, 0), (half, 0), (0, half), (half, half)] {
-                let qorig =
-                    Block::copy_from(frame.y(), (x0 + qx) as isize, (y0 + qy) as isize, half);
+            for (mv, (qx, qy)) in mvs.iter_mut().zip(quads) {
+                s.qorig.load(frame.y(), (x0 + qx) as isize, (y0 + qy) as isize);
                 let mut qstats = SearchStats::default();
                 let t_mo = self.stage_start();
-                let qres =
-                    search(&qorig, reference.y(), x0 + qx, y0 + qy, mres.mv, &params, &mut qstats);
+                let qres = search(
+                    &s.qorig,
+                    reference.y(),
+                    x0 + qx,
+                    y0 + qy,
+                    mres.mv,
+                    &params,
+                    &mut s.qcand,
+                    &mut qstats,
+                );
                 self.stage_end(t_mo, |s| &mut s.motion);
                 self.counters.record(Kernel::MotionFullPel, qstats.samples);
                 probe.kernel(Kernel::MotionFullPel, qstats.samples);
@@ -1237,14 +1219,18 @@ impl<'cfg> FrameEncoder<'cfg> {
                 // whole-block alternative uses (the search's internal cost
                 // is SAD-based, which would bias the comparison toward
                 // splitting at presets that decide on SATD).
-                let qpred = motion_compensate(reference.y(), x0 + qx, y0 + qy, half, qres.mv);
+                motion_compensate_into(reference.y(), x0 + qx, y0 + qy, qres.mv, &mut s.qpred);
                 self.counters.record(Kernel::MotionComp, (half * half) as u64);
-                let qd = if params.use_satd { satd(&qorig, &qpred) } else { sad(&qorig, &qpred) };
+                let qd = if params.use_satd {
+                    satd(&s.qorig, &s.qpred)
+                } else {
+                    sad(&s.qorig, &s.qpred)
+                };
                 cost += qd as f64 + lambda * f64::from(qres.mv.cost_bits(mres.mv));
-                mvs.push(qres.mv);
+                *mv = qres.mv;
             }
             if cost < inter_cost && cost < intra_cost {
-                split = Some((mvs, cost));
+                split = Some(mvs);
             }
             probe.branch(BranchSite::SplitTaken, split.is_some());
         }
@@ -1253,12 +1239,13 @@ impl<'cfg> FrameEncoder<'cfg> {
         probe.branch(BranchSite::ModeIsIntra, intra_wins);
 
         if intra_wins {
-            self.encode_intra_sb(enc, ctx, recon_y, recon_u, recon_v, probe, false);
+            self.encode_intra_sb(enc, ctx, s, recon_y, recon_u, recon_v, probe, false);
             probe.branch(BranchSite::SkipTaken, false);
             return;
         }
 
-        if let Some((mvs, _)) = split {
+        let (cx, cy, cs) = (x0 / 2, y0 / 2, self.sb / 2);
+        if let Some(mvs) = split {
             self.sb_split += 1;
             self.sb_inter += 1;
             enc.put_uval(CtxClass::Mode, 2);
@@ -1266,32 +1253,34 @@ impl<'cfg> FrameEncoder<'cfg> {
             // Base MV first (quadrant MVDs are coded relative to it).
             enc.put_sval(CtxClass::MvX, i64::from(mres.mv.x) - i64::from(pred_mv.x));
             enc.put_sval(CtxClass::MvY, i64::from(mres.mv.y) - i64::from(pred_mv.y));
-            let half = self.sb / 2;
-            for (i, (qx, qy)) in [(0, 0), (half, 0), (0, half), (half, half)].iter().enumerate() {
-                let mv = mvs[i];
+            for (mv, (qx, qy)) in mvs.into_iter().zip(quads) {
                 enc.put_sval(CtxClass::MvX, i64::from(mv.x) - i64::from(mres.mv.x));
                 enc.put_sval(CtxClass::MvY, i64::from(mv.y) - i64::from(mres.mv.y));
-                let qpred = motion_compensate(reference.y(), x0 + qx, y0 + qy, half, mv);
+                motion_compensate_into(reference.y(), x0 + qx, y0 + qy, mv, &mut s.qpred);
                 self.counters.record(Kernel::MotionComp, (half * half) as u64);
                 let lev =
-                    self.compute_levels(frame.y(), &qpred, x0 + qx, y0 + qy, qp, Deadzone::Inter);
-                self.emit_levels(enc, recon_y, &qpred, x0 + qx, y0 + qy, qp, &lev, probe);
+                    self.compute_levels(frame.y(), &s.qpred, x0 + qx, y0 + qy, qp, Deadzone::Inter);
+                self.emit_levels(enc, recon_y, &s.qpred, x0 + qx, y0 + qy, qp, &lev, probe);
             }
-            self.code_inter_chroma(enc, ctx, recon_u, recon_v, mres.mv, probe);
+            // Chroma rides on the superblock-level MV.
+            s.predict_chroma(reference, x0, y0, mres.mv);
+            for (src, rec, pred) in [(frame.u(), recon_u, &s.upred), (frame.v(), recon_v, &s.vpred)]
+            {
+                self.counters.record(Kernel::MotionComp, (cs * cs) as u64);
+                let lev = self.compute_levels(src, pred, cx, cy, qp, Deadzone::Inter);
+                self.emit_levels(enc, rec, pred, cx, cy, qp, &lev, probe);
+            }
             self.mv_grid[sby * self.sbs_x + sbx] = Some(mvs[0]);
             probe_region_rows(probe, ctx.recon_base, self.width, x0, y0, self.sb, true);
             return;
         }
 
         // Whole-SB inter: compute residual, then decide skip vs coded.
-        let levels = self.compute_levels(frame.y(), &inter_pred, x0, y0, qp, Deadzone::Inter);
-        let (cx, cy, cs) = (x0 / 2, y0 / 2, self.sb / 2);
-        let cmv = MotionVector::new(mres.mv.x / 2, mres.mv.y / 2);
-        let upred = motion_compensate(reference.u(), cx, cy, cs, cmv);
-        let vpred = motion_compensate(reference.v(), cx, cy, cs, cmv);
+        let levels = self.compute_levels(frame.y(), &s.pred, x0, y0, qp, Deadzone::Inter);
+        s.predict_chroma(reference, x0, y0, mres.mv);
         self.counters.record(Kernel::MotionComp, 2 * (cs * cs) as u64);
-        let ulev = self.compute_levels(frame.u(), &upred, cx, cy, qp, Deadzone::Inter);
-        let vlev = self.compute_levels(frame.v(), &vpred, cx, cy, qp, Deadzone::Inter);
+        let ulev = self.compute_levels(frame.u(), &s.upred, cx, cy, qp, Deadzone::Inter);
+        let vlev = self.compute_levels(frame.v(), &s.vpred, cx, cy, qp, Deadzone::Inter);
 
         let can_skip =
             mres.mv == pred_mv && !levels.any_nonzero && !ulev.any_nonzero && !vlev.any_nonzero;
@@ -1299,20 +1288,19 @@ impl<'cfg> FrameEncoder<'cfg> {
         if can_skip {
             self.sb_skip += 1;
             enc.put_uval(CtxClass::Mode, 0);
-            inter_pred.paste_into(recon_y, x0, y0);
-            upred.paste_into(recon_u, cx, cy);
-            vpred.paste_into(recon_v, cx, cy);
+            s.pred.paste_into(recon_y, x0, y0);
+            s.upred.paste_into(recon_u, cx, cy);
+            s.vpred.paste_into(recon_v, cx, cy);
         } else {
             self.sb_inter += 1;
             enc.put_uval(CtxClass::Mode, 1);
             enc.put_sval(CtxClass::MvX, i64::from(mres.mv.x) - i64::from(pred_mv.x));
             enc.put_sval(CtxClass::MvY, i64::from(mres.mv.y) - i64::from(pred_mv.y));
-            self.emit_levels(enc, recon_y, &inter_pred, x0, y0, qp, &levels, probe);
-            self.emit_levels(enc, recon_u, &upred, cx, cy, qp, &ulev, probe);
-            self.emit_levels(enc, recon_v, &vpred, cx, cy, qp, &vlev, probe);
+            self.emit_levels(enc, recon_y, &s.pred, x0, y0, qp, &levels, probe);
+            self.emit_levels(enc, recon_u, &s.upred, cx, cy, qp, &ulev, probe);
+            self.emit_levels(enc, recon_v, &s.vpred, cx, cy, qp, &vlev, probe);
         }
         probe_region_rows(probe, ctx.recon_base, self.width, x0, y0, self.sb, true);
-        let _ = intra_mode;
         self.mv_grid[sby * self.sbs_x + sbx] = Some(mres.mv);
     }
 
@@ -1327,6 +1315,7 @@ impl<'cfg> FrameEncoder<'cfg> {
         enc: &mut EntropyEncoder,
         ctx: &SbContext<'_>,
         bwd_ref: &Frame,
+        s: &mut Scratch,
         recon_y: &mut Plane,
         recon_u: &mut Plane,
         recon_v: &mut Plane,
@@ -1335,26 +1324,18 @@ impl<'cfg> FrameEncoder<'cfg> {
         let SbContext { frame, reference, qp, params, x0, y0, sbx, sby, .. } = *ctx;
         let fwd_ref = reference.expect("B frame requires a forward reference");
         let lambda = self.lambda(qp);
-        let orig = Block::copy_from(frame.y(), x0 as isize, y0 as isize, self.sb);
+        s.orig.load(frame.y(), x0 as isize, y0 as isize);
         probe_region_rows(probe, ADDR_CUR, self.width, x0, y0, self.sb, false);
-
-        let grid_at = |dx: isize, dy: isize| -> Option<MotionVector> {
-            let gx = sbx as isize + dx;
-            let gy = sby as isize + dy;
-            if gx < 0 || gy < 0 || gx >= self.sbs_x as isize || gy >= self.sbs_y as isize {
-                None
-            } else {
-                self.mv_grid[gy as usize * self.sbs_x + gx as usize]
-            }
-        };
-        let pred_mv = median_predictor(grid_at(-1, 0), grid_at(0, -1), grid_at(1, -1));
+        let pred_mv = self.predict_mv(sbx, sby);
 
         // Search both directions.
         let mut stats_f = SearchStats::default();
         let mut stats_b = SearchStats::default();
         let t_mo = self.stage_start();
-        let fres = search(&orig, fwd_ref.y(), x0, y0, pred_mv, &params, &mut stats_f);
-        let bres = search(&orig, bwd_ref.y(), x0, y0, pred_mv, &params, &mut stats_b);
+        let fres =
+            search(&s.orig, fwd_ref.y(), x0, y0, pred_mv, &params, &mut s.cand, &mut stats_f);
+        let bres =
+            search(&s.orig, bwd_ref.y(), x0, y0, pred_mv, &params, &mut s.cand, &mut stats_b);
         self.stage_end(t_mo, |s| &mut s.motion);
         self.counters.record(Kernel::MotionFullPel, stats_f.samples + stats_b.samples);
         probe.kernel(Kernel::MotionFullPel, stats_f.samples + stats_b.samples);
@@ -1366,29 +1347,30 @@ impl<'cfg> FrameEncoder<'cfg> {
             48,
         );
 
-        let distort = |pred: &Block| -> f64 {
-            let d = if params.use_satd { satd(&orig, pred) } else { sad(&orig, pred) };
+        let distort = |orig: &Block, pred: &Block| -> f64 {
+            let d = if params.use_satd { satd(orig, pred) } else { sad(orig, pred) };
             d as f64
         };
-        let fwd_pred = motion_compensate(fwd_ref.y(), x0, y0, self.sb, fres.mv);
-        let bwd_pred = motion_compensate(bwd_ref.y(), x0, y0, self.sb, bres.mv);
+        motion_compensate_into(fwd_ref.y(), x0, y0, fres.mv, &mut s.pred);
+        motion_compensate_into(bwd_ref.y(), x0, y0, bres.mv, &mut s.pred_b);
         self.counters.record(Kernel::MotionComp, 2 * (self.sb * self.sb) as u64);
-        let fwd_cost = distort(&fwd_pred) + lambda * f64::from(fres.mv.cost_bits(pred_mv) + 3);
-        let bwd_cost = distort(&bwd_pred) + lambda * f64::from(bres.mv.cost_bits(pred_mv) + 3);
+        let fwd_cost =
+            distort(&s.orig, &s.pred) + lambda * f64::from(fres.mv.cost_bits(pred_mv) + 3);
+        let bwd_cost =
+            distort(&s.orig, &s.pred_b) + lambda * f64::from(bres.mv.cost_bits(pred_mv) + 3);
         // Bidirectional average: worth trying from Medium up.
-        let bi = if self.config.preset.try_split() {
-            let avg = average_blocks(&fwd_pred, &bwd_pred);
-            let cost = distort(&avg)
-                + lambda * f64::from(fres.mv.cost_bits(pred_mv) + bres.mv.cost_bits(pred_mv) + 4);
-            Some((avg, cost))
-        } else {
-            None
-        };
-        let (intra_mode, intra_cost) = self.best_intra_mode(&orig, recon_y, x0, y0, lambda);
+        let bi_cost = self.config.preset.try_split().then(|| {
+            average_into(&s.pred, &s.pred_b, &mut s.pred_bi);
+            distort(&s.orig, &s.pred_bi)
+                + lambda * f64::from(fres.mv.cost_bits(pred_mv) + bres.mv.cost_bits(pred_mv) + 4)
+        });
+        let (intra_mode, intra_cost) =
+            self.best_intra_mode(&s.orig, &mut s.intra, recon_y, x0, y0, lambda);
         self.counters.record(Kernel::ModeDecision, 48);
         probe.kernel(Kernel::ModeDecision, 48);
 
         // Pick the winner.
+        #[derive(Clone, Copy)]
         enum BMode {
             Fwd,
             Bwd,
@@ -1399,9 +1381,9 @@ impl<'cfg> FrameEncoder<'cfg> {
         if bwd_cost < best.1 {
             best = (BMode::Bwd, bwd_cost);
         }
-        if let Some((_, c)) = &bi {
-            if *c < best.1 {
-                best = (BMode::Bi, *c);
+        if let Some(c) = bi_cost {
+            if c < best.1 {
+                best = (BMode::Bi, c);
             }
         }
         if intra_cost < best.1 * 0.95 {
@@ -1409,75 +1391,45 @@ impl<'cfg> FrameEncoder<'cfg> {
         }
         probe.branch(BranchSite::ModeIsIntra, matches!(best.0, BMode::Intra));
 
+        // Build the luma/chroma predictions of the chosen inter mode: the
+        // luma one was made for the cost above, chroma follows at half
+        // the vector.
         let (cx, cy, cs) = (x0 / 2, y0 / 2, self.sb / 2);
-        match best.0 {
+        let both_mvs = [fres.mv, bres.mv];
+        let (luma_pred, mode_code, mvs): (&Block, u64, &[MotionVector]) = match best.0 {
             BMode::Intra => {
                 enc.put_uval(CtxClass::Mode, 4 + u64::from(intra_mode.to_id()));
-                let pred = predict_intra(recon_y, x0, y0, self.sb, intra_mode);
-                let lev = self.compute_levels(frame.y(), &pred, x0, y0, qp, Deadzone::Intra);
-                self.emit_levels(enc, recon_y, &pred, x0, y0, qp, &lev, probe);
+                predict_intra_into(recon_y, x0, y0, intra_mode, &mut s.intra);
+                let lev = self.compute_levels(frame.y(), &s.intra, x0, y0, qp, Deadzone::Intra);
+                self.emit_levels(enc, recon_y, &s.intra, x0, y0, qp, &lev, probe);
                 for (src, rec) in [(frame.u(), &mut *recon_u), (frame.v(), &mut *recon_v)] {
-                    let cpred = predict_intra(rec, cx, cy, cs, intra_mode);
-                    let clev = self.compute_levels(src, &cpred, cx, cy, qp, Deadzone::Intra);
-                    self.emit_levels(enc, rec, &cpred, cx, cy, qp, &clev, probe);
+                    predict_intra_into(rec, cx, cy, intra_mode, &mut s.qpred);
+                    let clev = self.compute_levels(src, &s.qpred, cx, cy, qp, Deadzone::Intra);
+                    self.emit_levels(enc, rec, &s.qpred, cx, cy, qp, &clev, probe);
                 }
                 self.sb_intra += 1;
                 self.mv_grid[sby * self.sbs_x + sbx] = None;
                 probe.branch(BranchSite::SkipTaken, false);
                 return;
             }
-            BMode::Fwd | BMode::Bwd | BMode::Bi => {}
-        }
-
-        // Build the luma/chroma predictions of the chosen inter mode.
-        let (luma_pred, upred, vpred, mode_code, mvs): (
-            Block,
-            Block,
-            Block,
-            u64,
-            Vec<MotionVector>,
-        ) = match best.0 {
             BMode::Fwd => {
-                let cmv = MotionVector::new(fres.mv.x / 2, fres.mv.y / 2);
-                (
-                    fwd_pred.clone(),
-                    motion_compensate(fwd_ref.u(), cx, cy, cs, cmv),
-                    motion_compensate(fwd_ref.v(), cx, cy, cs, cmv),
-                    1,
-                    vec![fres.mv],
-                )
+                s.predict_chroma(fwd_ref, x0, y0, fres.mv);
+                (&s.pred, 1, &both_mvs[..1])
             }
             BMode::Bwd => {
-                let cmv = MotionVector::new(bres.mv.x / 2, bres.mv.y / 2);
-                (
-                    bwd_pred.clone(),
-                    motion_compensate(bwd_ref.u(), cx, cy, cs, cmv),
-                    motion_compensate(bwd_ref.v(), cx, cy, cs, cmv),
-                    2,
-                    vec![bres.mv],
-                )
+                s.predict_chroma(bwd_ref, x0, y0, bres.mv);
+                (&s.pred_b, 2, &both_mvs[1..])
             }
             BMode::Bi => {
-                let (avg, _) = bi.expect("bi cost computed");
-                let cf = MotionVector::new(fres.mv.x / 2, fres.mv.y / 2);
-                let cb = MotionVector::new(bres.mv.x / 2, bres.mv.y / 2);
-                let u = average_blocks(
-                    &motion_compensate(fwd_ref.u(), cx, cy, cs, cf),
-                    &motion_compensate(bwd_ref.u(), cx, cy, cs, cb),
-                );
-                let v = average_blocks(
-                    &motion_compensate(fwd_ref.v(), cx, cy, cs, cf),
-                    &motion_compensate(bwd_ref.v(), cx, cy, cs, cb),
-                );
-                (avg, u, v, 3, vec![fres.mv, bres.mv])
+                s.predict_chroma_bi((fwd_ref, fres.mv), (bwd_ref, bres.mv), x0, y0);
+                (&s.pred_bi, 3, &both_mvs[..])
             }
-            BMode::Intra => unreachable!("handled above"),
         };
         self.counters.record(Kernel::MotionComp, 2 * (cs * cs) as u64);
 
-        let levels = self.compute_levels(frame.y(), &luma_pred, x0, y0, qp, Deadzone::Inter);
-        let ulev = self.compute_levels(frame.u(), &upred, cx, cy, qp, Deadzone::Inter);
-        let vlev = self.compute_levels(frame.v(), &vpred, cx, cy, qp, Deadzone::Inter);
+        let levels = self.compute_levels(frame.y(), luma_pred, x0, y0, qp, Deadzone::Inter);
+        let ulev = self.compute_levels(frame.u(), &s.upred, cx, cy, qp, Deadzone::Inter);
+        let vlev = self.compute_levels(frame.v(), &s.vpred, cx, cy, qp, Deadzone::Inter);
 
         // Skip-direct: forward prediction at the predictor MV, no residual.
         let can_skip = mode_code == 1
@@ -1490,44 +1442,21 @@ impl<'cfg> FrameEncoder<'cfg> {
             self.sb_skip += 1;
             enc.put_uval(CtxClass::Mode, 0);
             luma_pred.paste_into(recon_y, x0, y0);
-            upred.paste_into(recon_u, cx, cy);
-            vpred.paste_into(recon_v, cx, cy);
+            s.upred.paste_into(recon_u, cx, cy);
+            s.vpred.paste_into(recon_v, cx, cy);
         } else {
             self.sb_inter += 1;
             enc.put_uval(CtxClass::Mode, mode_code);
-            for mv in &mvs {
+            for mv in mvs {
                 enc.put_sval(CtxClass::MvX, i64::from(mv.x) - i64::from(pred_mv.x));
                 enc.put_sval(CtxClass::MvY, i64::from(mv.y) - i64::from(pred_mv.y));
             }
-            self.emit_levels(enc, recon_y, &luma_pred, x0, y0, qp, &levels, probe);
-            self.emit_levels(enc, recon_u, &upred, cx, cy, qp, &ulev, probe);
-            self.emit_levels(enc, recon_v, &vpred, cx, cy, qp, &vlev, probe);
+            self.emit_levels(enc, recon_y, luma_pred, x0, y0, qp, &levels, probe);
+            self.emit_levels(enc, recon_u, &s.upred, cx, cy, qp, &ulev, probe);
+            self.emit_levels(enc, recon_v, &s.vpred, cx, cy, qp, &vlev, probe);
         }
         probe_region_rows(probe, ctx.recon_base, self.width, x0, y0, self.sb, true);
         self.mv_grid[sby * self.sbs_x + sbx] = Some(mvs[0]);
-    }
-
-    /// Codes the chroma residual of a split superblock with the SB-level MV.
-    fn code_inter_chroma(
-        &mut self,
-        enc: &mut EntropyEncoder,
-        ctx: &SbContext<'_>,
-        recon_u: &mut Plane,
-        recon_v: &mut Plane,
-        mv: MotionVector,
-        probe: &mut dyn Probe,
-    ) {
-        let reference = ctx.reference.expect("P frame requires a reference");
-        let (cx, cy, cs) = (ctx.x0 / 2, ctx.y0 / 2, self.sb / 2);
-        let cmv = MotionVector::new(mv.x / 2, mv.y / 2);
-        for (src, rec, rplane) in
-            [(ctx.frame.u(), recon_u, reference.u()), (ctx.frame.v(), recon_v, reference.v())]
-        {
-            let pred = motion_compensate(rplane, cx, cy, cs, cmv);
-            self.counters.record(Kernel::MotionComp, (cs * cs) as u64);
-            let lev = self.compute_levels(src, &pred, cx, cy, ctx.qp, Deadzone::Inter);
-            self.emit_levels(enc, rec, &pred, cx, cy, ctx.qp, &lev, probe);
-        }
     }
 }
 
@@ -1543,18 +1472,6 @@ struct SbContext<'a> {
     sby: usize,
     ref_base: u64,
     recon_base: u64,
-}
-
-/// Element-wise average of two prediction blocks (bidirectional MC).
-fn average_blocks(a: &Block, b: &Block) -> Block {
-    debug_assert_eq!(a.size(), b.size());
-    let data = a
-        .data()
-        .iter()
-        .zip(b.data())
-        .map(|(&x, &y)| ((i32::from(x) + i32::from(y) + 1) / 2) as i16)
-        .collect();
-    Block::from_data(a.size(), data)
 }
 
 /// Emits one memory event per row of a rectangular plane region.

@@ -207,23 +207,24 @@ impl EntropyEncoder {
     pub fn put_coeff_block(&mut self, size: TransformSize, levels: &[i32]) {
         assert_eq!(levels.len(), size.area(), "level count must match block size");
         let scan = zigzag(size);
-        let nz: Vec<(usize, i32)> = scan
-            .iter()
-            .enumerate()
-            .filter_map(|(si, &pos)| (levels[pos] != 0).then_some((si, levels[pos])))
-            .collect();
-        self.put_flag(CtxClass::CodedFlag, !nz.is_empty());
-        if nz.is_empty() {
-            return;
-        }
+        let coded = levels.iter().filter(|&&l| l != 0).count();
+        self.put_flag(CtxClass::CodedFlag, coded > 0);
         let mut prev = 0usize;
-        for (k, &(si, level)) in nz.iter().enumerate() {
-            let run = si - prev;
+        let mut remaining = coded;
+        for (si, &pos) in scan.iter().enumerate() {
+            if remaining == 0 {
+                break;
+            }
+            let level = levels[pos];
+            if level == 0 {
+                continue;
+            }
+            remaining -= 1;
+            self.put_uval(CtxClass::Run, (si - prev) as u64);
             prev = si + 1;
-            self.put_uval(CtxClass::Run, run as u64);
             self.put_uval(CtxClass::Level, (level.unsigned_abs() - 1).into());
             self.put_raw(u64::from(level < 0), 1);
-            self.put_flag(CtxClass::LastFlag, k + 1 == nz.len());
+            self.put_flag(CtxClass::LastFlag, remaining == 0);
         }
     }
 
@@ -369,6 +370,35 @@ impl<'a> EntropyDecoder<'a> {
         }
     }
 
+    /// [`EntropyDecoder::get_coeff_block`] into a caller-owned buffer of
+    /// `size.area()` levels, every entry written.
+    pub(crate) fn get_coeff_block_into(
+        &mut self,
+        size: TransformSize,
+        levels: &mut [i32],
+    ) -> Result<(), ReadBitsError> {
+        assert_eq!(levels.len(), size.area(), "level count must match block size");
+        let scan = zigzag(size);
+        levels.fill(0);
+        if !self.get_flag(CtxClass::CodedFlag)? {
+            return Ok(());
+        }
+        let mut si = 0usize;
+        loop {
+            // A hostile run can be anything up to 2^64 - 2.
+            let run = usize::try_from(self.get_uval(CtxClass::Run)?).map_err(|_| ReadBitsError)?;
+            si = si.checked_add(run).filter(|&si| si < scan.len()).ok_or(ReadBitsError)?;
+            let mag = self.get_uval(CtxClass::Level)? + 1;
+            let mag = i32::try_from(mag).map_err(|_| ReadBitsError)?;
+            let neg = self.get_raw(1)? == 1;
+            levels[scan[si]] = if neg { -mag } else { mag };
+            si += 1;
+            if self.get_flag(CtxClass::LastFlag)? {
+                return Ok(());
+            }
+        }
+    }
+
     /// Decodes a coefficient block coded by
     /// [`EntropyEncoder::put_coeff_block`], returning row-major levels.
     ///
@@ -377,27 +407,9 @@ impl<'a> EntropyDecoder<'a> {
     /// Returns [`ReadBitsError`] on stream exhaustion or if the coded runs
     /// overflow the block (corrupt stream).
     pub fn get_coeff_block(&mut self, size: TransformSize) -> Result<Vec<i32>, ReadBitsError> {
-        let scan = zigzag(size);
         let mut levels = vec![0i32; size.area()];
-        if !self.get_flag(CtxClass::CodedFlag)? {
-            return Ok(levels);
-        }
-        let mut si = 0usize;
-        loop {
-            let run = self.get_uval(CtxClass::Run)? as usize;
-            si += run;
-            if si >= scan.len() {
-                return Err(ReadBitsError);
-            }
-            let mag = self.get_uval(CtxClass::Level)? + 1;
-            let mag = i32::try_from(mag).map_err(|_| ReadBitsError)?;
-            let neg = self.get_raw(1)? == 1;
-            levels[scan[si]] = if neg { -mag } else { mag };
-            si += 1;
-            if self.get_flag(CtxClass::LastFlag)? {
-                return Ok(levels);
-            }
-        }
+        self.get_coeff_block_into(size, &mut levels)?;
+        Ok(levels)
     }
 }
 
@@ -518,6 +530,22 @@ mod tests {
         enc.put_uval(CtxClass::Level, 0);
         enc.put_raw(0, 1);
         enc.put_flag(CtxClass::LastFlag, true);
+        let bytes = enc.finish();
+        let mut dec = EntropyDecoder::new(EntropyBackend::Vlc, &bytes);
+        assert!(dec.get_coeff_block(TransformSize::T8).is_err());
+    }
+
+    #[test]
+    fn run_that_overflows_the_scan_index_is_an_error() {
+        // The second run is the largest value the VLC syntax can carry;
+        // added to a non-zero scan position it would wrap `usize`.
+        let mut enc = EntropyEncoder::new(EntropyBackend::Vlc);
+        enc.put_flag(CtxClass::CodedFlag, true);
+        enc.put_uval(CtxClass::Run, 3);
+        enc.put_uval(CtxClass::Level, 0);
+        enc.put_raw(0, 1);
+        enc.put_flag(CtxClass::LastFlag, false);
+        enc.put_uval(CtxClass::Run, u64::MAX - 1);
         let bytes = enc.finish();
         let mut dec = EntropyDecoder::new(EntropyBackend::Vlc, &bytes);
         assert!(dec.get_coeff_block(TransformSize::T8).is_err());

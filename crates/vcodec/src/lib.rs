@@ -67,6 +67,7 @@ pub mod predict;
 pub mod quant;
 pub mod rc;
 pub mod stats;
+mod tile;
 pub mod transform;
 
 pub use decoder::{decode, frame_kinds, probe_stream, DecodeError, StreamInfo};

@@ -8,7 +8,7 @@
 //! for refinement.
 
 use crate::golomb::se_bits;
-use vframe::block::{sad, satd, Block};
+use vframe::block::{sad, sad_plane, satd, Block, MAX_BLOCK};
 use vframe::Plane;
 
 /// A motion vector in quarter-pel units.
@@ -49,26 +49,58 @@ impl MotionVector {
 }
 
 /// Median-of-three motion vector predictor (left, top, top-right), the
-/// standard spatial MV predictor.
+/// standard spatial MV predictor: per component, the upper median of the
+/// neighbours that exist (the middle of three, the larger of two, the
+/// only one), zero with none.
 pub fn median_predictor(
     left: Option<MotionVector>,
     top: Option<MotionVector>,
     top_right: Option<MotionVector>,
 ) -> MotionVector {
-    let candidates: Vec<MotionVector> = [left, top, top_right].iter().flatten().copied().collect();
-    match candidates.len() {
-        0 => MotionVector::ZERO,
-        1 => candidates[0],
-        _ => {
-            let med = |vals: Vec<i16>| -> i16 {
-                let mut v = vals;
-                v.sort_unstable();
-                v[v.len() / 2]
-            };
-            MotionVector {
-                x: med(candidates.iter().map(|m| m.x).collect()),
-                y: med(candidates.iter().map(|m| m.y).collect()),
-            }
+    let mut present = [MotionVector::ZERO; 3];
+    let mut n = 0;
+    for mv in [left, top, top_right].into_iter().flatten() {
+        present[n] = mv;
+        n += 1;
+    }
+    let upper_median = |component: fn(MotionVector) -> i16| {
+        let mut v = present.map(component);
+        v[..n].sort_unstable();
+        v[n / 2]
+    };
+    MotionVector { x: upper_median(|m| m.x), y: upper_median(|m| m.y) }
+}
+
+/// [`motion_compensate`] into a caller-owned block, whose size is the
+/// prediction's.
+pub(crate) fn motion_compensate_into(
+    reference: &Plane,
+    x: usize,
+    y: usize,
+    mv: MotionVector,
+    out: &mut Block,
+) {
+    let base_x = (x as isize) * 4 + isize::from(mv.x);
+    let base_y = (y as isize) * 4 + isize::from(mv.y);
+    let (fx, fy) = (base_x.rem_euclid(4) as i32, base_y.rem_euclid(4) as i32);
+    let (ix, iy) = (base_x.div_euclid(4), base_y.div_euclid(4));
+    if fx == 0 && fy == 0 {
+        out.load(reference, ix, iy);
+        return;
+    }
+    let (w00, w01, w10, w11) = ((4 - fx) * (4 - fy), fx * (4 - fy), (4 - fx) * fy, fx * fy);
+    let span = out.size() + 1;
+    let (mut upper, mut lower) = ([0u8; MAX_BLOCK + 1], [0u8; MAX_BLOCK + 1]);
+    for (dy, row) in out.rows_mut().enumerate() {
+        let py = iy + dy as isize;
+        let r0 = reference.clamped_span(ix, py, &mut upper[..span]);
+        let r1 = reference.clamped_span(ix, py + 1, &mut lower[..span]);
+        for ((v, p0), p1) in row.iter_mut().zip(r0.windows(2)).zip(r1.windows(2)) {
+            let sum = w00 * i32::from(p0[0])
+                + w01 * i32::from(p0[1])
+                + w10 * i32::from(p1[0])
+                + w11 * i32::from(p1[1]);
+            *v = ((sum + 8) >> 4) as i16;
         }
     }
 }
@@ -76,6 +108,10 @@ pub fn median_predictor(
 /// Motion-compensated prediction: samples `reference` at the quarter-pel
 /// position `(x*4 + mv.x, y*4 + mv.y)` with bilinear interpolation and
 /// picture-edge clamping.
+///
+/// # Panics
+///
+/// Panics if `size` is zero or larger than [`MAX_BLOCK`].
 pub fn motion_compensate(
     reference: &Plane,
     x: usize,
@@ -83,39 +119,22 @@ pub fn motion_compensate(
     size: usize,
     mv: MotionVector,
 ) -> Block {
-    let base_x = (x as isize) * 4 + isize::from(mv.x);
-    let base_y = (y as isize) * 4 + isize::from(mv.y);
-    let (fx, fy) = (base_x.rem_euclid(4), base_y.rem_euclid(4));
-    let (ix, iy) = (base_x.div_euclid(4), base_y.div_euclid(4));
     let mut out = Block::zero(size);
-    if fx == 0 && fy == 0 {
-        for dy in 0..size {
-            for dx in 0..size {
-                out.set(
-                    dx,
-                    dy,
-                    i16::from(reference.get_clamped(ix + dx as isize, iy + dy as isize)),
-                );
-            }
-        }
-        return out;
-    }
-    let (wx1, wy1) = (fx as i32, fy as i32);
-    let (wx0, wy0) = (4 - wx1, 4 - wy1);
-    for dy in 0..size {
-        for dx in 0..size {
-            let px = ix + dx as isize;
-            let py = iy + dy as isize;
-            let p00 = i32::from(reference.get_clamped(px, py));
-            let p01 = i32::from(reference.get_clamped(px + 1, py));
-            let p10 = i32::from(reference.get_clamped(px, py + 1));
-            let p11 = i32::from(reference.get_clamped(px + 1, py + 1));
-            let v =
-                (wx0 * wy0 * p00 + wx1 * wy0 * p01 + wx0 * wy1 * p10 + wx1 * wy1 * p11 + 8) >> 4;
-            out.set(dx, dy, v as i16);
-        }
-    }
+    motion_compensate_into(reference, x, y, mv, &mut out);
     out
+}
+
+/// Element-wise rounded average of two prediction blocks into `out`
+/// (bidirectional MC; encoder and decoder must round alike).
+///
+/// # Panics
+///
+/// Panics if the three blocks differ in size.
+pub(crate) fn average_into(a: &Block, b: &Block, out: &mut Block) {
+    assert!(a.size() == b.size() && a.size() == out.size(), "average requires equal block sizes");
+    for ((o, &x), &y) in out.data_mut().iter_mut().zip(a.data()).zip(b.data()) {
+        *o = ((i32::from(x) + i32::from(y) + 1) / 2) as i16;
+    }
 }
 
 /// Full-pel search algorithms, in increasing speed / decreasing coverage
@@ -180,11 +199,16 @@ pub struct MotionResult {
 }
 
 /// Searches `reference` for the best match to `block` (located at `(x, y)`
-/// in the current frame), starting from `pred_mv`.
+/// in the current frame), starting from `pred_mv`. Full-pel candidates are
+/// compared in place against the reference plane; sub-pel candidates are
+/// interpolated into `scratch`, a block of `block`'s size whose contents
+/// are overwritten.
 ///
 /// # Panics
 ///
-/// Panics if `params.range` is zero.
+/// Panics if `params.range` is zero or `scratch` differs from `block` in
+/// size.
+#[allow(clippy::too_many_arguments)]
 pub fn search(
     block: &Block,
     reference: &Plane,
@@ -192,14 +216,18 @@ pub fn search(
     y: usize,
     pred_mv: MotionVector,
     params: &SearchParams,
+    scratch: &mut Block,
     stats: &mut SearchStats,
 ) -> MotionResult {
     assert!(params.range > 0, "search range must be non-zero");
+    assert_eq!(block.size(), scratch.size(), "scratch must match the searched block");
+    let area = (block.size() * block.size()) as u64;
     let eval_full = |mv: MotionVector, stats: &mut SearchStats| -> (u64, f64) {
-        let cand = motion_compensate(reference, x, y, block.size(), mv);
-        let d = sad(block, &cand);
+        debug_assert!(mv.is_full_pel());
+        let (px, py) = (x as isize + isize::from(mv.x / 4), y as isize + isize::from(mv.y / 4));
+        let d = sad_plane(block, reference, px, py);
         stats.positions += 1;
-        stats.samples += (block.size() * block.size()) as u64;
+        stats.samples += area;
         let cost = d as f64 + params.lambda * f64::from(mv.cost_bits(pred_mv));
         (d, cost)
     };
@@ -296,10 +324,11 @@ pub fn search(
                         continue;
                     }
                     let mv = MotionVector::new(center.x + dx, center.y + dy);
-                    let cand = motion_compensate(reference, x, y, block.size(), mv);
-                    let d = if params.use_satd { satd(block, &cand) } else { sad(block, &cand) };
+                    motion_compensate_into(reference, x, y, mv, scratch);
+                    let d =
+                        if params.use_satd { satd(block, scratch) } else { sad(block, scratch) };
                     stats.positions += 1;
-                    stats.samples += (block.size() * block.size()) as u64;
+                    stats.samples += area;
                     let c = d as f64 + params.lambda * f64::from(mv.cost_bits(pred_mv));
                     if c < best_cost {
                         best_mv = mv;
@@ -317,6 +346,7 @@ pub fn search(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// A smoothly textured reference plane: unique matches within the
     /// search range, but a descent-friendly SAD landscape (pattern searches
@@ -382,6 +412,7 @@ mod tests {
             20,
             MotionVector::ZERO,
             &default_params(SearchAlgorithm::Full),
+            &mut Block::zero(8),
             &mut stats,
         );
         assert_eq!(res.distortion, 0, "mv {:?}", res.mv);
@@ -395,8 +426,16 @@ mod tests {
         let block = Block::copy_from(&r, 21, 21, 8);
         for alg in [SearchAlgorithm::Diamond, SearchAlgorithm::Hexagon] {
             let mut stats = SearchStats::default();
-            let res =
-                search(&block, &r, 20, 20, MotionVector::ZERO, &default_params(alg), &mut stats);
+            let res = search(
+                &block,
+                &r,
+                20,
+                20,
+                MotionVector::ZERO,
+                &default_params(alg),
+                &mut Block::zero(8),
+                &mut stats,
+            );
             assert_eq!(res.mv, MotionVector::from_full_pel(1, 1), "{alg:?}");
             assert_eq!(res.distortion, 0, "{alg:?}");
         }
@@ -411,8 +450,16 @@ mod tests {
         let zero_sad = sad(&block, &Block::copy_from(&r, 20, 20, 8));
         for alg in [SearchAlgorithm::Diamond, SearchAlgorithm::Hexagon] {
             let mut stats = SearchStats::default();
-            let res =
-                search(&block, &r, 20, 20, MotionVector::ZERO, &default_params(alg), &mut stats);
+            let res = search(
+                &block,
+                &r,
+                20,
+                20,
+                MotionVector::ZERO,
+                &default_params(alg),
+                &mut Block::zero(8),
+                &mut stats,
+            );
             assert!(
                 res.distortion * 3 < zero_sad,
                 "{alg:?}: {} vs zero-mv {zero_sad}",
@@ -429,7 +476,7 @@ mod tests {
         let mut p = default_params(SearchAlgorithm::Full);
         p.subpel = SubPelDepth::None;
         p.range = 4;
-        let _ = search(&block, &r, 16, 16, MotionVector::ZERO, &p, &mut stats);
+        let _ = search(&block, &r, 16, 16, MotionVector::ZERO, &p, &mut Block::zero(8), &mut stats);
         // (2*4+1)^2 window + start + zero candidates.
         assert!(stats.positions >= 81, "{}", stats.positions);
     }
@@ -442,7 +489,8 @@ mod tests {
             let mut stats = SearchStats::default();
             let mut p = default_params(alg);
             p.range = 16;
-            let _ = search(&block, &r, 16, 16, MotionVector::ZERO, &p, &mut stats);
+            let _ =
+                search(&block, &r, 16, 16, MotionVector::ZERO, &p, &mut Block::zero(8), &mut stats);
             stats.positions
         };
         assert!(count(SearchAlgorithm::Diamond) * 5 < count(SearchAlgorithm::Full));
@@ -458,8 +506,93 @@ mod tests {
         let mut stats = SearchStats::default();
         let mut p = default_params(SearchAlgorithm::Full);
         p.lambda = 100.0;
-        let res = search(&block, &r, 8, 8, MotionVector::ZERO, &p, &mut stats);
+        let res = search(&block, &r, 8, 8, MotionVector::ZERO, &p, &mut Block::zero(8), &mut stats);
         assert_eq!(res.mv, MotionVector::ZERO);
+    }
+
+    /// Oracle: motion compensation one sample at a time through
+    /// `get_clamped`, as it was written before the row-span kernels.
+    fn mc_per_sample(
+        reference: &Plane,
+        x: usize,
+        y: usize,
+        size: usize,
+        mv: MotionVector,
+    ) -> Block {
+        let base_x = (x as isize) * 4 + isize::from(mv.x);
+        let base_y = (y as isize) * 4 + isize::from(mv.y);
+        let (fx, fy) = (base_x.rem_euclid(4) as i32, base_y.rem_euclid(4) as i32);
+        let (ix, iy) = (base_x.div_euclid(4), base_y.div_euclid(4));
+        let mut out = Block::zero(size);
+        for dy in 0..size {
+            for dx in 0..size {
+                let (px, py) = (ix + dx as isize, iy + dy as isize);
+                let at = |ox: isize, oy: isize| i32::from(reference.get_clamped(px + ox, py + oy));
+                let v = ((4 - fx) * (4 - fy) * at(0, 0)
+                    + fx * (4 - fy) * at(1, 0)
+                    + (4 - fx) * fy * at(0, 1)
+                    + fx * fy * at(1, 1)
+                    + 8)
+                    >> 4;
+                out.set(dx, dy, if fx == 0 && fy == 0 { at(0, 0) as i16 } else { v as i16 });
+            }
+        }
+        out
+    }
+
+    /// Oracle: the median predictor by collecting and sorting.
+    fn median_by_sorting(cands: [Option<MotionVector>; 3]) -> MotionVector {
+        let present: Vec<MotionVector> = cands.iter().flatten().copied().collect();
+        let mid = |mut v: Vec<i16>| {
+            v.sort_unstable();
+            v[v.len() / 2]
+        };
+        match present.len() {
+            0 => MotionVector::ZERO,
+            _ => MotionVector {
+                x: mid(present.iter().map(|m| m.x).collect()),
+                y: mid(present.iter().map(|m| m.y).collect()),
+            },
+        }
+    }
+
+    proptest! {
+        // Every quarter-pel phase, with the block inside the plane,
+        // straddling each edge and corner, and wholly outside it.
+        #[test]
+        fn mc_equals_per_sample_clamped_mc(
+            data in prop::collection::vec(any::<u8>(), 24 * 20),
+            x in 0usize..24,
+            y in 0usize..20,
+            size in 1usize..=16,
+            whole_x in -40i16..=40,
+            whole_y in -40i16..=40,
+        ) {
+            let plane = Plane::from_data(24, 20, data);
+            for phase in 0..16i16 {
+                let mv = MotionVector::new(whole_x * 4 + phase % 4, whole_y * 4 + phase / 4);
+                prop_assert_eq!(
+                    motion_compensate(&plane, x, y, size, mv),
+                    mc_per_sample(&plane, x, y, size, mv),
+                    "({}, {}) size {} mv {:?}", x, y, size, mv
+                );
+            }
+        }
+
+        #[test]
+        fn median_predictor_equals_sorting(
+            vals in prop::collection::vec((-64i16..=64, -64i16..=64), 3),
+            mask in 0u8..8,
+        ) {
+            let cand = |i: usize| {
+                (mask & (1 << i) != 0).then(|| MotionVector::new(vals[i].0, vals[i].1))
+            };
+            let cands = [cand(0), cand(1), cand(2)];
+            prop_assert_eq!(
+                median_predictor(cands[0], cands[1], cands[2]),
+                median_by_sorting(cands)
+            );
+        }
     }
 
     #[test]
@@ -481,7 +614,8 @@ mod tests {
             let mut p = default_params(SearchAlgorithm::Diamond);
             p.subpel = subpel;
             p.lambda = 0.0;
-            search(&block, &r, 20, 16, MotionVector::ZERO, &p, &mut stats).distortion
+            search(&block, &r, 20, 16, MotionVector::ZERO, &p, &mut Block::zero(8), &mut stats)
+                .distortion
         };
         assert!(run(SubPelDepth::Quarter) <= run(SubPelDepth::None));
     }

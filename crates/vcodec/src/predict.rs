@@ -7,7 +7,7 @@
 //! encoders add Planar (one of the "new compression tools" newer codecs
 //! introduce — Section 2.1 of the paper).
 
-use vframe::block::Block;
+use vframe::block::{Block, MAX_BLOCK};
 use vframe::Plane;
 
 /// Intra prediction modes.
@@ -47,14 +47,13 @@ impl IntraMode {
     }
 }
 
-/// Neighbour samples available to an intra block at `(x, y)`.
-#[derive(Clone, Debug)]
+/// Neighbour samples available to an intra block at `(x, y)`, in fixed
+/// arrays of which the first `size` entries are meaningful.
 struct Neighbors {
-    /// `size` samples from the row above, or `None` at the top edge.
-    top: Option<Vec<i32>>,
-    /// `size` samples from the column to the left, or `None` at the left
-    /// edge.
-    left: Option<Vec<i32>>,
+    /// Samples from the row above, or `None` at the top edge.
+    top: Option<[i32; MAX_BLOCK]>,
+    /// Samples from the column to the left, or `None` at the left edge.
+    left: Option<[i32; MAX_BLOCK]>,
     /// Top-right sample for planar extrapolation.
     top_right: i32,
     /// Bottom-left sample for planar extrapolation.
@@ -62,15 +61,65 @@ struct Neighbors {
 }
 
 fn gather_neighbors(recon: &Plane, x: usize, y: usize, size: usize) -> Neighbors {
-    let top = (y > 0).then(|| {
-        (0..size).map(|i| i32::from(recon.get_clamped((x + i) as isize, y as isize - 1))).collect()
-    });
-    let left = (x > 0).then(|| {
-        (0..size).map(|i| i32::from(recon.get_clamped(x as isize - 1, (y + i) as isize))).collect()
-    });
-    let top_right = i32::from(recon.get_clamped((x + size) as isize, y as isize - 1));
-    let bottom_left = i32::from(recon.get_clamped(x as isize - 1, (y + size) as isize));
-    Neighbors { top, left, top_right, bottom_left }
+    fn side(size: usize, sample: impl Fn(usize) -> i32) -> [i32; MAX_BLOCK] {
+        std::array::from_fn(|i| if i < size { sample(i) } else { 0 })
+    }
+    // The row above, through the top-right sample, is one clamped span;
+    // at the top edge the clamp lands on row 0, as the planar mode's
+    // extrapolation sample always has.
+    let mut buf = [0u8; MAX_BLOCK + 1];
+    let above = recon.clamped_span(x as isize, y as isize - 1, &mut buf[..size + 1]);
+    let top = (y > 0).then(|| side(size, |i| i32::from(above[i])));
+    // The column to the left (clamped into the plane: column 0 at the
+    // left edge), through the bottom-left sample, with rows clamped at
+    // the bottom edge.
+    let lx = x.saturating_sub(1).min(recon.width() - 1);
+    let beside = |i: usize| i32::from(recon.row((y + i).min(recon.height() - 1))[lx]);
+    let left = (x > 0).then(|| side(size, beside));
+    Neighbors { top, left, top_right: i32::from(above[size]), bottom_left: beside(size) }
+}
+
+/// [`predict_intra`] into a caller-owned block, whose size is the
+/// prediction's.
+pub(crate) fn predict_intra_into(
+    recon: &Plane,
+    x: usize,
+    y: usize,
+    mode: IntraMode,
+    out: &mut Block,
+) {
+    let size = out.size();
+    let nb = gather_neighbors(recon, x, y, size);
+    let dc = dc_value(&nb, size);
+    match mode {
+        IntraMode::Dc => out.data_mut().fill(dc as i16),
+        IntraMode::Horizontal => {
+            let left = nb.left.unwrap_or([dc; MAX_BLOCK]);
+            for (row, &l) in out.rows_mut().zip(&left) {
+                row.fill(l as i16);
+            }
+        }
+        IntraMode::Vertical => {
+            let top = nb.top.unwrap_or([dc; MAX_BLOCK]);
+            for row in out.rows_mut() {
+                for (v, &t) in row.iter_mut().zip(&top) {
+                    *v = t as i16;
+                }
+            }
+        }
+        IntraMode::Planar => {
+            let top = nb.top.unwrap_or([dc; MAX_BLOCK]);
+            let left = nb.left.unwrap_or([dc; MAX_BLOCK]);
+            let n = size as i32;
+            for ((r, row), &l) in (0i32..).zip(out.rows_mut()).zip(&left) {
+                for ((c, v), &t) in (0i32..).zip(row.iter_mut()).zip(&top) {
+                    let h = (n - 1 - c) * l + (c + 1) * nb.top_right;
+                    let vert = (n - 1 - r) * t + (r + 1) * nb.bottom_left;
+                    *v = (((h + vert + n) / (2 * n)) as i16).clamp(0, 255);
+                }
+            }
+        }
+    }
 }
 
 /// Predicts a `size × size` block at `(x, y)` from reconstructed samples in
@@ -82,62 +131,20 @@ fn gather_neighbors(recon: &Plane, x: usize, y: usize, size: usize) -> Neighbors
 ///
 /// # Panics
 ///
-/// Panics if `size` is zero.
+/// Panics if `size` is zero or larger than [`MAX_BLOCK`].
 pub fn predict_intra(recon: &Plane, x: usize, y: usize, size: usize, mode: IntraMode) -> Block {
-    assert!(size > 0, "block size must be non-zero");
-    let nb = gather_neighbors(recon, x, y, size);
     let mut out = Block::zero(size);
-    match mode {
-        IntraMode::Dc => {
-            let dc = dc_value(&nb);
-            for v in out.data_mut() {
-                *v = dc as i16;
-            }
-        }
-        IntraMode::Horizontal => {
-            let fallback = dc_value(&nb);
-            for row in 0..size {
-                let v = nb.left.as_ref().map_or(fallback, |l| l[row]);
-                for col in 0..size {
-                    out.set(col, row, v as i16);
-                }
-            }
-        }
-        IntraMode::Vertical => {
-            let fallback = dc_value(&nb);
-            for col in 0..size {
-                let v = nb.top.as_ref().map_or(fallback, |t| t[col]);
-                for row in 0..size {
-                    out.set(col, row, v as i16);
-                }
-            }
-        }
-        IntraMode::Planar => {
-            let dc = dc_value(&nb);
-            let top: Vec<i32> = nb.top.clone().unwrap_or_else(|| vec![dc; size]);
-            let left: Vec<i32> = nb.left.clone().unwrap_or_else(|| vec![dc; size]);
-            let n = size as i32;
-            for (row, &l) in left.iter().enumerate().take(size) {
-                for (col, &t) in top.iter().enumerate().take(size) {
-                    let (r, c) = (row as i32, col as i32);
-                    let h = (n - 1 - c) * l + (c + 1) * nb.top_right;
-                    let v = (n - 1 - r) * t + (r + 1) * nb.bottom_left;
-                    out.set(col, row, (((h + v + n) / (2 * n)) as i16).clamp(0, 255));
-                }
-            }
-        }
-    }
+    predict_intra_into(recon, x, y, mode, &mut out);
     out
 }
 
-fn dc_value(nb: &Neighbors) -> i32 {
+/// Rounded mean of the available neighbours; mid-level 128 with none.
+fn dc_value(nb: &Neighbors, size: usize) -> i32 {
+    let sum = |side: &[i32; MAX_BLOCK]| side[..size].iter().sum::<i32>();
+    let n = size as i32;
     match (&nb.top, &nb.left) {
-        (Some(t), Some(l)) => {
-            let sum: i32 = t.iter().chain(l.iter()).sum();
-            (sum + (t.len() + l.len()) as i32 / 2) / (t.len() + l.len()) as i32
-        }
-        (Some(t), None) => (t.iter().sum::<i32>() + t.len() as i32 / 2) / t.len() as i32,
-        (None, Some(l)) => (l.iter().sum::<i32>() + l.len() as i32 / 2) / l.len() as i32,
+        (Some(t), Some(l)) => (sum(t) + sum(l) + n) / (2 * n),
+        (Some(side), None) | (None, Some(side)) => (sum(side) + n / 2) / n,
         (None, None) => 128,
     }
 }
@@ -145,6 +152,7 @@ fn dc_value(nb: &Neighbors) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn plane_with_gradient() -> Plane {
         let mut p = Plane::filled(16, 16, 0);
@@ -154,6 +162,77 @@ mod tests {
             }
         }
         p
+    }
+
+    /// Oracle: intra prediction with every neighbour fetched through
+    /// `get_clamped` and every sample stored through `Block::set`, as it
+    /// was written before the fixed-array kernels.
+    #[allow(clippy::needless_range_loop)] // an oracle is written index by index
+    fn predict_per_sample(
+        recon: &Plane,
+        x: usize,
+        y: usize,
+        size: usize,
+        mode: IntraMode,
+    ) -> Block {
+        let (xi, yi) = (x as isize, y as isize);
+        let at = |px: isize, py: isize| i32::from(recon.get_clamped(px, py));
+        let top: Option<Vec<i32>> =
+            (y > 0).then(|| (0..size as isize).map(|i| at(xi + i, yi - 1)).collect());
+        let left: Option<Vec<i32>> =
+            (x > 0).then(|| (0..size as isize).map(|i| at(xi - 1, yi + i)).collect());
+        let top_right = at(xi + size as isize, yi - 1);
+        let bottom_left = at(xi - 1, yi + size as isize);
+        let mean = |v: &[i32]| (v.iter().sum::<i32>() + v.len() as i32 / 2) / v.len() as i32;
+        let dc = match (&top, &left) {
+            (Some(t), Some(l)) => mean(&[t.as_slice(), l.as_slice()].concat()),
+            (Some(v), None) | (None, Some(v)) => mean(v),
+            (None, None) => 128,
+        };
+        let top = top.unwrap_or_else(|| vec![dc; size]);
+        let left = left.unwrap_or_else(|| vec![dc; size]);
+        let n = size as i32;
+        let mut out = Block::zero(size);
+        for row in 0..size {
+            for col in 0..size {
+                let (r, c) = (row as i32, col as i32);
+                let v = match mode {
+                    IntraMode::Dc => dc,
+                    IntraMode::Horizontal => left[row],
+                    IntraMode::Vertical => top[col],
+                    IntraMode::Planar => {
+                        let h = (n - 1 - c) * left[row] + (c + 1) * top_right;
+                        let v = (n - 1 - r) * top[col] + (r + 1) * bottom_left;
+                        ((h + v + n) / (2 * n)).clamp(0, 255)
+                    }
+                };
+                out.set(col, row, v as i16);
+            }
+        }
+        out
+    }
+
+    proptest! {
+        // Every mode at the top-left corner, along the top and left
+        // edges, in the interior, across the right and bottom edges and
+        // (as edge superblocks' outer quadrants are) wholly beyond them.
+        #[test]
+        fn prediction_equals_per_sample_prediction(
+            data in prop::collection::vec(any::<u8>(), 20 * 12),
+            gx in 0usize..7,
+            gy in 0usize..5,
+            size in 0usize..3,
+        ) {
+            let recon = Plane::from_data(20, 12, data);
+            let (x, y, size) = (gx * 4, gy * 4, [4, 8, 16][size]);
+            for mode in [IntraMode::Dc, IntraMode::Horizontal, IntraMode::Vertical, IntraMode::Planar] {
+                prop_assert_eq!(
+                    predict_intra(&recon, x, y, size, mode),
+                    predict_per_sample(&recon, x, y, size, mode),
+                    "{:?} at ({}, {}) size {}", mode, x, y, size
+                );
+            }
+        }
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! the viewer is least likely to notice (Section 2.1 of the paper). The QP
 //! scale follows H.264: the step doubles every 6 QP, spanning QP 0..=51.
 
+use std::sync::OnceLock;
+
 /// Inclusive QP range.
 pub const QP_MIN: u8 = 0;
 /// Inclusive QP range.
@@ -24,7 +26,10 @@ pub const QP_MAX: u8 = 51;
 /// Panics if `qp > 51`.
 pub fn qstep(qp: u8) -> f64 {
     assert!(qp <= QP_MAX, "QP must be 0..=51, got {qp}");
-    0.625 * (f64::from(qp) / 6.0).exp2()
+    // One `exp2` per QP per process, not one per coefficient block.
+    static STEPS: OnceLock<[f64; QP_MAX as usize + 1]> = OnceLock::new();
+    STEPS.get_or_init(|| std::array::from_fn(|qp| 0.625 * (qp as f64 / 6.0).exp2()))
+        [usize::from(qp)]
 }
 
 /// Deadzone bias applied during quantization. Intra blocks use a plain
@@ -47,37 +52,54 @@ impl Deadzone {
     }
 }
 
-/// Quantizes transform coefficients in place-free style: returns quantized
-/// levels.
+/// [`quantize`] into a caller-owned buffer of `coeffs.len()` levels.
+pub(crate) fn quantize_into(coeffs: &[i32], qp: u8, deadzone: Deadzone, levels: &mut [i32]) {
+    assert_eq!(coeffs.len(), levels.len(), "one level per coefficient");
+    let step = qstep(qp);
+    let bias = deadzone.bias();
+    for (l, &c) in levels.iter_mut().zip(coeffs) {
+        // The quotient is non-negative, so the cast's truncation is its
+        // floor (and saturates where the floor would not fit).
+        let level = (f64::from(c.unsigned_abs()) / step + bias) as i32;
+        *l = if c < 0 { -level } else { level };
+    }
+}
+
+/// Quantizes transform coefficients to levels: each magnitude is divided
+/// by the QP's step and rounded down after adding the deadzone bias; the
+/// sign carries over. The division stays a division (a reciprocal multiply
+/// rounds differently and would change bitstreams).
 ///
 /// # Panics
 ///
 /// Panics if `qp > 51`.
 pub fn quantize(coeffs: &[i32], qp: u8, deadzone: Deadzone) -> Vec<i32> {
+    let mut levels = vec![0; coeffs.len()];
+    quantize_into(coeffs, qp, deadzone, &mut levels);
+    levels
+}
+
+/// [`dequantize`] into a caller-owned buffer of `levels.len()`
+/// coefficients.
+pub(crate) fn dequantize_into(levels: &[i32], qp: u8, coeffs: &mut [i32]) {
+    assert_eq!(coeffs.len(), levels.len(), "one coefficient per level");
     let step = qstep(qp);
-    let bias = deadzone.bias();
-    coeffs
-        .iter()
-        .map(|&c| {
-            let level = (f64::from(c.abs()) / step + bias).floor() as i32;
-            if c < 0 {
-                -level
-            } else {
-                level
-            }
-        })
-        .collect()
+    for (c, &l) in coeffs.iter_mut().zip(levels) {
+        // Most levels are zero; `round` is a library call.
+        *c = if l == 0 { 0 } else { (f64::from(l) * step).round() as i32 };
+    }
 }
 
 /// Reconstructs coefficients from quantized levels (the decoder's half of
-/// the quantizer).
+/// the quantizer). Total on any level: products beyond `i32` saturate.
 ///
 /// # Panics
 ///
 /// Panics if `qp > 51`.
 pub fn dequantize(levels: &[i32], qp: u8) -> Vec<i32> {
-    let step = qstep(qp);
-    levels.iter().map(|&l| (f64::from(l) * step).round() as i32).collect()
+    let mut coeffs = vec![0; levels.len()];
+    dequantize_into(levels, qp, &mut coeffs);
+    coeffs
 }
 
 /// Maps a constant-rate-factor (CRF) quality target onto a base QP.
@@ -93,6 +115,21 @@ pub fn crf_to_qp(crf: f64) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn qstep_table_holds_the_formula_bit_for_bit() {
+        for qp in QP_MIN..=QP_MAX {
+            let formula = 0.625 * (f64::from(qp) / 6.0).exp2();
+            assert_eq!(qstep(qp).to_bits(), formula.to_bits(), "qp {qp}");
+        }
+    }
+
+    #[test]
+    fn dequantize_saturates_instead_of_overflowing() {
+        let levels = [i32::MAX, i32::MIN, -1, 0];
+        assert_eq!(dequantize(&levels, QP_MAX), [i32::MAX, i32::MIN, -226, 0]);
+        assert_eq!(dequantize(&levels, QP_MIN), [1_342_177_279, -1_342_177_280, -1, 0]);
+    }
 
     #[test]
     fn qstep_monotonically_increases() {

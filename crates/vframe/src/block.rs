@@ -9,8 +9,15 @@
 
 use crate::Plane;
 
+/// Largest block edge the plane-reading kernels accept: their row buffers
+/// are stack arrays of this many samples (superblocks are at most 32).
+pub const MAX_BLOCK: usize = 64;
+
 /// A square block of samples copied out of a plane, stored row-major as
 /// `i16` so residual arithmetic cannot overflow.
+///
+/// The encoder allocates its blocks once per pass and refills them
+/// ([`Block::load`]); nothing in the per-superblock loop creates one.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Block {
     size: usize,
@@ -39,15 +46,27 @@ impl Block {
     }
 
     /// Copies the `size × size` region of `plane` whose top-left corner is
-    /// `(x, y)`; out-of-bounds samples are edge-clamped.
+    /// `(x, y)` into a new block; see [`Block::load`].
     pub fn copy_from(plane: &Plane, x: isize, y: isize, size: usize) -> Block {
-        let mut data = Vec::with_capacity(size * size);
-        for dy in 0..size as isize {
-            for dx in 0..size as isize {
-                data.push(i16::from(plane.get_clamped(x + dx, y + dy)));
+        let mut block = Block::zero(size);
+        block.load(plane, x, y);
+        block
+    }
+
+    /// Refills the block with the region of `plane` whose top-left corner
+    /// is `(x, y)`; out-of-bounds samples are edge-clamped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block is larger than [`MAX_BLOCK`].
+    pub fn load(&mut self, plane: &Plane, x: isize, y: isize) {
+        let mut buf = [0u8; MAX_BLOCK];
+        for (dy, out) in self.data.chunks_exact_mut(self.size).enumerate() {
+            let span = plane.clamped_span(x, y + dy as isize, &mut buf[..self.size]);
+            for (o, &s) in out.iter_mut().zip(span) {
+                *o = i16::from(s);
             }
         }
-        Block { size, data }
     }
 
     /// Block dimension (blocks are square).
@@ -65,7 +84,18 @@ impl Block {
         &mut self.data
     }
 
-    /// Sample at `(x, y)` within the block.
+    /// The block's rows, top to bottom.
+    pub fn rows(&self) -> std::slice::ChunksExact<'_, i16> {
+        self.data.chunks_exact(self.size)
+    }
+
+    /// The block's rows, top to bottom, mutably.
+    pub fn rows_mut(&mut self) -> std::slice::ChunksExactMut<'_, i16> {
+        self.data.chunks_exact_mut(self.size)
+    }
+
+    /// Sample at `(x, y)` within the block. Checked on every call: for
+    /// callers outside the codec's kernels, which walk [`Block::rows`].
     ///
     /// # Panics
     ///
@@ -76,7 +106,8 @@ impl Block {
         self.data[y * self.size + x]
     }
 
-    /// Writes a sample at `(x, y)` within the block.
+    /// Writes a sample at `(x, y)` within the block (checked, like
+    /// [`Block::get`]).
     ///
     /// # Panics
     ///
@@ -119,17 +150,15 @@ impl Block {
     /// Writes the block into `plane` at `(x, y)`, clamping samples to
     /// `[0, 255]` and clipping at the plane edges.
     pub fn paste_into(&self, plane: &mut Plane, x: usize, y: usize) {
-        for dy in 0..self.size {
-            let py = y + dy;
-            if py >= plane.height() {
-                break;
-            }
-            for dx in 0..self.size {
-                let px = x + dx;
-                if px >= plane.width() {
-                    break;
-                }
-                plane.set(px, py, self.data[dy * self.size + dx].clamp(0, 255) as u8);
+        let cols = self.size.min(plane.width().saturating_sub(x));
+        let rows = self.size.min(plane.height().saturating_sub(y));
+        if cols == 0 {
+            return; // wholly right of the plane
+        }
+        for (dy, src) in self.rows().take(rows).enumerate() {
+            let dst = &mut plane.row_mut(y + dy)[x..x + cols];
+            for (d, &s) in dst.iter_mut().zip(src) {
+                *d = s.clamp(0, 255) as u8;
             }
         }
     }
@@ -157,25 +186,28 @@ impl Block {
 /// ```
 pub fn sad(a: &Block, b: &Block) -> u64 {
     assert_eq!(a.size(), b.size(), "SAD requires equal block sizes");
-    a.data()
-        .iter()
-        .zip(b.data())
-        .map(|(&x, &y)| u64::from((i32::from(x) - i32::from(y)).unsigned_abs()))
-        .sum()
+    a.rows().zip(b.rows()).map(|(ra, rb)| u64::from(row_sad(ra, rb.iter().copied()))).sum()
+}
+
+/// SAD of one block row against as many samples of any narrower type.
+#[inline]
+fn row_sad<T: Into<i32>>(row: &[i16], other: impl Iterator<Item = T>) -> u32 {
+    row.iter().zip(other).map(|(&a, b)| (i32::from(a) - b.into()).unsigned_abs()).sum()
 }
 
 /// SAD computed directly against a plane region (avoids materializing the
 /// candidate block); `(x, y)` may be out of bounds, in which case samples
 /// are edge-clamped.
+///
+/// # Panics
+///
+/// Panics if the block is larger than [`MAX_BLOCK`].
 pub fn sad_plane(block: &Block, plane: &Plane, x: isize, y: isize) -> u64 {
-    let size = block.size() as isize;
+    let mut buf = [0u8; MAX_BLOCK];
     let mut total = 0u64;
-    for dy in 0..size {
-        for dx in 0..size {
-            let s = i32::from(plane.get_clamped(x + dx, y + dy));
-            let b = i32::from(block.get(dx as usize, dy as usize));
-            total += u64::from((b - s).unsigned_abs());
-        }
+    for (dy, row) in block.rows().enumerate() {
+        let span = plane.clamped_span(x, y + dy as isize, &mut buf[..block.size()]);
+        total += u64::from(row_sad(row, span.iter().copied()));
     }
     total
 }
@@ -190,53 +222,54 @@ pub fn sad_plane(block: &Block, plane: &Plane, x: isize, y: isize) -> u64 {
 pub fn satd(a: &Block, b: &Block) -> u64 {
     assert_eq!(a.size(), b.size(), "SATD requires equal block sizes");
     assert!(a.size().is_multiple_of(4), "SATD operates on 4x4 sub-blocks");
-    let mut total = 0u64;
+    // Columns transformed together: four sub-blocks' worth.
+    const LANES: usize = 16;
     let size = a.size();
-    for by in (0..size).step_by(4) {
-        for bx in (0..size).step_by(4) {
-            let mut d = [[0i32; 4]; 4];
-            for (y, row) in d.iter_mut().enumerate() {
-                for (x, cell) in row.iter_mut().enumerate() {
-                    *cell = i32::from(a.get(bx + x, by + y)) - i32::from(b.get(bx + x, by + y));
+    let mut total = 0u64;
+    // A band is four rows of both blocks, i.e. one row of sub-blocks.
+    for (band_a, band_b) in a.data().chunks_exact(4 * size).zip(b.data().chunks_exact(4 * size)) {
+        for cx in (0..size).step_by(LANES) {
+            let w = LANES.min(size - cx);
+            let rows_a: [&[i16]; 4] = std::array::from_fn(|k| &band_a[k * size + cx..][..w]);
+            let rows_b: [&[i16]; 4] = std::array::from_fn(|k| &band_b[k * size + cx..][..w]);
+            // Vertical butterflies first: the same operation at every
+            // column, so the compiler can run several columns at once.
+            // (The transform is separable; either order gives the same
+            // coefficients.)
+            let mut v = [[0i32; LANES]; 4];
+            for x in 0..w {
+                let d = |k: usize| i32::from(rows_a[k][x]) - i32::from(rows_b[k][x]);
+                let col = hadamard4([d(0), d(1), d(2), d(3)]);
+                for (row, c) in v.iter_mut().zip(col) {
+                    row[x] = c;
                 }
             }
-            total += hadamard4_cost(&d);
+            // Horizontal butterflies and magnitudes, summed per sub-block
+            // because each sub-block's sum is halved on its own.
+            let mut sums = [0u32; LANES / 4];
+            for row in &v {
+                for (sum, g) in sums.iter_mut().zip(row.chunks_exact(4)) {
+                    let t = hadamard4([g[0], g[1], g[2], g[3]]);
+                    *sum += t.iter().map(|c| c.unsigned_abs()).sum::<u32>();
+                }
+            }
+            total += sums.iter().map(|&sum| u64::from(sum / 2)).sum::<u64>();
         }
     }
     total
 }
 
-/// 4×4 Hadamard transform magnitude of a difference block.
-fn hadamard4_cost(d: &[[i32; 4]; 4]) -> u64 {
-    let mut m = *d;
-    // Horizontal pass.
-    for row in m.iter_mut() {
-        let [a, b, c, dd] = *row;
-        let s0 = a + c;
-        let s1 = b + dd;
-        let d0 = a - c;
-        let d1 = b - dd;
-        *row = [s0 + s1, s0 - s1, d0 + d1, d0 - d1];
-    }
-    // Vertical pass: walk the four columns via the destructured rows.
-    let [r0, r1, r2, r3] = &mut m;
-    for (((e0, e1), e2), e3) in r0.iter_mut().zip(r1).zip(r2.iter_mut()).zip(r3) {
-        let (a, b, c, dd) = (*e0, *e1, *e2, *e3);
-        let s0 = a + c;
-        let s1 = b + dd;
-        let d0 = a - c;
-        let d1 = b - dd;
-        *e0 = s0 + s1;
-        *e1 = s0 - s1;
-        *e2 = d0 + d1;
-        *e3 = d0 - d1;
-    }
-    m.iter().flatten().map(|&v| u64::from(v.unsigned_abs())).sum::<u64>() / 2
+/// One 4-point Hadamard butterfly.
+#[inline]
+fn hadamard4([a, b, c, d]: [i32; 4]) -> [i32; 4] {
+    let (s0, s1, d0, d1) = (a + c, b + d, a - c, b - d);
+    [s0 + s1, s0 - s1, d0 + d1, d0 - d1]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn copy_and_paste_roundtrip() {
@@ -290,6 +323,88 @@ mod tests {
         let blk = Block::copy_from(&p, 1, 1, 4);
         let cand = Block::copy_from(&p, 3, 2, 4);
         assert_eq!(sad_plane(&blk, &p, 3, 2), sad(&blk, &cand));
+    }
+
+    /// Oracle: SATD one checked sample access at a time, sub-block by
+    /// sub-block, horizontal pass first — as it was written before the
+    /// banded kernel.
+    #[allow(clippy::needless_range_loop)] // an oracle is written index by index
+    fn satd_per_sample(a: &Block, b: &Block) -> u64 {
+        let mut total = 0u64;
+        for by in (0..a.size()).step_by(4) {
+            for bx in (0..a.size()).step_by(4) {
+                let mut m = [[0i32; 4]; 4];
+                for (y, row) in m.iter_mut().enumerate() {
+                    for (x, cell) in row.iter_mut().enumerate() {
+                        *cell = i32::from(a.get(bx + x, by + y)) - i32::from(b.get(bx + x, by + y));
+                    }
+                    *row = hadamard4(*row);
+                }
+                let mut sum = 0u64;
+                for x in 0..4 {
+                    let col = hadamard4([m[0][x], m[1][x], m[2][x], m[3][x]]);
+                    sum += col.iter().map(|v| u64::from(v.unsigned_abs())).sum::<u64>();
+                }
+                total += sum / 2;
+            }
+        }
+        total
+    }
+
+    proptest! {
+        #[test]
+        fn satd_equals_per_sample_satd(
+            a in prop::collection::vec(-255i16..=255, 24 * 24),
+            b in prop::collection::vec(0i16..=255, 24 * 24),
+            size in 1usize..=6,
+        ) {
+            let size = size * 4;
+            let a = Block::from_data(size, a[..size * size].to_vec());
+            let b = Block::from_data(size, b[..size * size].to_vec());
+            prop_assert_eq!(satd(&a, &b), satd_per_sample(&a, &b));
+        }
+
+        // In-plane SAD against the plane equals SAD against the block
+        // `get_clamped` would build, wherever the window lies: inside,
+        // across any edge, or wholly outside.
+        #[test]
+        fn sad_plane_equals_sad_against_a_clamped_copy(
+            data in prop::collection::vec(any::<u8>(), 20 * 12),
+            block in prop::collection::vec(0i16..=255, 64),
+            x in -24isize..40,
+            y in -24isize..32,
+        ) {
+            let plane = Plane::from_data(20, 12, data);
+            let block = Block::from_data(8, block);
+            let mut cand = Block::zero(8);
+            for dy in 0..8 {
+                for dx in 0..8 {
+                    cand.set(dx, dy, i16::from(plane.get_clamped(x + dx as isize, y + dy as isize)));
+                }
+            }
+            prop_assert_eq!(Block::copy_from(&plane, x, y, 8), cand.clone());
+            prop_assert_eq!(sad_plane(&block, &plane, x, y), sad(&block, &cand));
+        }
+
+        #[test]
+        fn paste_clips_like_per_sample_paste(
+            block in prop::collection::vec(-300i16..=300, 64),
+            x in 0usize..30,
+            y in 0usize..20,
+        ) {
+            let block = Block::from_data(8, block);
+            let mut got = Plane::filled(20, 12, 9);
+            block.paste_into(&mut got, x, y);
+            let mut want = Plane::filled(20, 12, 9);
+            for dy in 0..8 {
+                for dx in 0..8 {
+                    if x + dx < 20 && y + dy < 12 {
+                        want.set(x + dx, y + dy, block.get(dx, dy).clamp(0, 255) as u8);
+                    }
+                }
+            }
+            prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -85,6 +85,26 @@ impl Plane {
         self.data[cy * self.width + cx]
     }
 
+    /// `buf.len()` samples of row `y` starting at column `x`, edge-clamped
+    /// like [`Plane::get_clamped`]: a borrow of the row itself when the
+    /// span lies inside the plane, a clamped copy in `buf` otherwise.
+    ///
+    /// This is how block kernels read a plane: one row clamp and one
+    /// bounds check per row instead of two clamps per sample.
+    #[inline]
+    pub fn clamped_span<'a>(&'a self, x: isize, y: isize, buf: &'a mut [u8]) -> &'a [u8] {
+        let row = self.row(y.clamp(0, self.height as isize - 1) as usize);
+        let len = buf.len();
+        if x >= 0 && x as usize + len <= self.width {
+            return &row[x as usize..x as usize + len];
+        }
+        let last = self.width as isize - 1;
+        for (i, s) in buf.iter_mut().enumerate() {
+            *s = row[(x + i as isize).clamp(0, last) as usize];
+        }
+        buf
+    }
+
     /// Writes `value` at `(x, y)`.
     ///
     /// # Panics
