@@ -50,18 +50,22 @@
 //! reported in the batch summary line.
 //!
 //! `dispatch` runs the batch across `--procs` worker *processes* (each
-//! with `--workers` encoding threads), coordinating through lease and
-//! heartbeat records in the shared `--journal` file. The dispatcher
-//! reaps dead workers, expires their leases so survivors reclaim the
-//! jobs, and respawns replacements; outputs stay byte-identical to a
-//! single-process run at any topology. `worker` is the child-process
-//! side — spawned by `dispatch`, not normally run by hand.
+//! with `--workers` encoding threads). Results go to the shared
+//! `--journal` file, which ends up holding manifest, run and job records
+//! only; the processes coordinate through lease, heartbeat and done
+//! records in a ledger file the dispatcher starts afresh beside it on
+//! every run, `<journal>.ledger`. The dispatcher reaps dead workers,
+//! expires their leases so survivors reclaim the jobs, and respawns
+//! replacements; outputs stay byte-identical to a single-process run at
+//! any topology. `worker` is the child-process side — spawned by
+//! `dispatch`, not normally run by hand; it is handed the journal's path
+//! and finds the ledger from it.
 //!
-//! `top` monitors a running dispatch *read-only*: it tails the shared
-//! journal's lease/heartbeat ledger and renders per-worker state
-//! (in-flight job, heartbeat, completion counts). `--once` prints a
-//! single deterministic snapshot — a pure function of the journal
-//! bytes, no clocks — and exits; without it the view refreshes every
+//! `top` monitors a running dispatch *read-only*: given the same
+//! `--journal` path it tails that journal's ledger file — never the
+//! journal — and renders per-worker state (in-flight job, heartbeat,
+//! completion counts). `--once` prints a single deterministic snapshot —
+//! a pure function of the ledger bytes, no clocks — and exits; without it the view refreshes every
 //! `--interval-ms` (default 500) until the batch completes, adding the
 //! clock-derived throughput and ETA lines. The dispatcher's
 //! `--status-out FILE` writes the same snapshot as a machine-readable
@@ -744,7 +748,7 @@ fn cmd_dispatch(opts: &SuiteOptions, flags: &HashMap<String, String>) {
     let threads = resolve_workers(flags);
     let policy = resilience_from_flags(flags);
     let Some(journal) = journal_from_flags(flags) else {
-        die("dispatch requires --journal (the shared coordination file)");
+        die("dispatch requires --journal (the shared results file; its ledger sits beside it)");
     };
     let jobs = build_batch_jobs(opts, flags);
     let worker_exe =
@@ -923,18 +927,18 @@ fn cmd_chaos(opts: &SuiteOptions, flags: &HashMap<String, String>) {
     }
 }
 
-/// Live dispatch monitor. Strictly read-only on the journal: the only
-/// file operation is `read_to_string`, so a monitor can never perturb
-/// the batch it is watching.
+/// Live dispatch monitor. Strictly read-only: the only file operation is
+/// a whole-file read of the journal's ledger, so a monitor can never
+/// perturb the batch it is watching.
 fn cmd_top(flags: &HashMap<String, String>) {
     let journal = std::path::PathBuf::from(required(flags, "journal"));
     let snapshot = |journal: &std::path::Path| match snapshot_from_journal(journal) {
         Ok(snap) => snap,
-        Err(e) => fail(&format!("read journal {}: {e}", journal.display())),
+        Err(e) => fail(&format!("read the ledger of {}: {e}", journal.display())),
     };
     if flags.contains_key("once") {
         let Some(snap) = snapshot(&journal) else {
-            fail(&format!("{}: no manifest record (not a dispatch journal?)", journal.display()));
+            fail(&format!("{}: no manifest in its ledger (not a dispatch?)", journal.display()));
         };
         print!("{}", snap.render());
         return;

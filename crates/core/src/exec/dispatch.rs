@@ -1,22 +1,33 @@
-//! The dispatcher half of the multi-process backend: owns the journal,
-//! spawns worker processes, monitors liveness, reaps leases, and
-//! assembles the batch report from the journal's durable records.
+//! The dispatcher half of the multi-process backend: owns the journal
+//! and its ledger, spawns worker processes, monitors liveness, reaps
+//! leases, and assembles the batch report from the journal's durable
+//! records.
 //!
 //! [`run_dispatch_with_io`] opens (or resumes) the shared journal through the
 //! exact same [`crate::journal`] path as in-process journaled execution
 //! — manifest fingerprint validation, corruption quarantine, compaction
-//! — then spawns `procs` worker processes that lease jobs through the
-//! ledger ([`super::ledger`]) and commit fsync'd job records.
+//! — starts this run's ledger beside it ([`super::ledger`]: header plus
+//! a `done` per replayed job), then spawns `procs` worker processes that
+//! lease jobs through the ledger and commit fsync'd job records to the
+//! journal.
 //!
-//! Worker-loss recovery: the dispatcher polls the journal and
-//! `waitpid`s its children. When a child exits with jobs still leased,
-//! the dispatcher appends an `expire` record per dangling lease —
-//! *after* the reap, so a process provably gone can never publish a
-//! record for a job someone else re-leases. A surviving (or respawned)
-//! worker re-claims the freed job and re-encodes it; determinism makes
-//! the late output byte-identical to what the dead worker would have
-//! produced. A live child whose heartbeats stop advancing for too long
-//! is killed and recovered the same way.
+//! The dispatcher reads the journal whole at most three times: the
+//! resume scan inside `open_journal`, once per reap that finds dangling
+//! leases, and once at the end to assemble the report. Everything in
+//! between — the poll loop, liveness, `--status-out` — folds the ledger,
+//! whose size does not depend on the payloads.
+//!
+//! Worker-loss recovery: the dispatcher polls the ledger and `waitpid`s
+//! its children. When a child exits with jobs still leased, each dangling
+//! lease is settled against the journal, read *after* the reap so a
+//! process provably gone can add nothing to it: a job whose record is
+//! already committed gets a `done` on the dead worker's behalf (it died
+//! between its commit and its `done`), any other gets an `expire`. A
+//! surviving (or respawned) worker re-claims an expired job and
+//! re-encodes it; determinism makes the late output byte-identical to
+//! what the dead worker would have produced. A live child whose
+//! heartbeats stop advancing for too long is killed and recovered the
+//! same way.
 //!
 //! The final report is read back from the journal, not from worker
 //! IPC: a record tagged with this invocation's run index is live work,
@@ -27,17 +38,16 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use super::io::JournalIo;
-use super::ledger::replay_ledger;
+use super::io::{DurableFile, JournalIo};
+use super::ledger::{self, replay_ledger};
 use super::{status, ChainResult};
 use crate::farm::{BatchError, EngineBatchReport, EngineJob};
-use crate::journal::record::{self, Record};
-use crate::journal::{io_err, open_journal, JournalConfig, JournalError};
+use crate::journal::record::{self, DoneMark, Record};
+use crate::journal::{io_err, manifest_fingerprint, open_journal, JournalConfig, JournalError};
 use crate::resilience::ResilienceConfig;
-use vfault::FileClass;
 use vtrace::json::{self, Value};
 
-/// Journal poll cadence for the monitor loop.
+/// Ledger poll cadence for the monitor loop.
 const POLL: Duration = Duration::from_millis(20);
 /// How long a live child's heartbeats may stall before the dispatcher
 /// kills it and reclaims its leases (workers heartbeat every ~100ms).
@@ -98,11 +108,41 @@ struct WorkerProc {
     hb_at: Instant,
 }
 
+/// Opens (or resumes) the journal and starts this run's ledger beside it
+/// — everything a worker needs in place before it is spawned. Returns the
+/// run index and the ledger, ready for the dispatcher's own appends. The
+/// journal handle is dropped: after the open, only workers write to it.
+pub(crate) fn open(
+    jobs: &[EngineJob],
+    policy: &ResilienceConfig,
+    config: &JournalConfig,
+    io: &dyn JournalIo,
+) -> Result<(u32, Box<dyn DurableFile>), JournalError> {
+    let opened = open_journal(config, jobs, policy, io)?;
+    let replayed = opened.prefilled.iter().map(|(job, chain)| DoneMark {
+        job: *job,
+        worker: None,
+        ok: chain.outcome.is_ok(),
+        attempts: chain.attempts,
+    });
+    let fingerprint = manifest_fingerprint(jobs, policy);
+    let ledger = ledger::create_ledger(
+        io,
+        &config.path,
+        fingerprint,
+        jobs.len(),
+        opened.run_index,
+        replayed,
+    )
+    .map_err(|e| io_err("start ledger", e))?;
+    Ok((opened.run_index, ledger))
+}
+
 /// Runs `jobs` across `opts.procs` worker processes coordinating
-/// through the shared journal. Blocks until every job has a durable
-/// record (reaping, expiring, and replacing lost workers along the
-/// way), then assembles the batch report from those records. `io`
-/// carries the dispatcher's own journal and status writes
+/// through the ledger beside the shared journal. Blocks until every job
+/// has a durable record (reaping, expiring, and replacing lost workers
+/// along the way), then assembles the batch report from those records.
+/// `io` carries the dispatcher's own journal, ledger and status IO
 /// ([`StdIo`](super::StdIo) in production; the seam the chaos auditor
 /// faults) — workers do their IO in their own processes.
 ///
@@ -122,15 +162,8 @@ pub fn run_dispatch_with_io(
         return Err(JournalError::Batch(BatchError::NoWorkers));
     }
     let started = Instant::now();
-    let opened = open_journal(&opts.journal, jobs, policy, io)?;
-    let run = opened.run_index;
-    // Reopen in O_APPEND mode: the handle from `open_journal` tracks its
-    // own write position, which is wrong the moment workers append
-    // concurrently. Expire records must land at the true end of file.
-    drop(opened.file);
-    let mut ledger_file = io
-        .open_append(FileClass::Journal, &opts.journal.path)
-        .map_err(|e| io_err("reopen journal for ledger", e))?;
+    let (run, mut ledger_file) = open(jobs, policy, &opts.journal, io)?;
+    let ledger_path = ledger::ledger_path(&opts.journal.path);
     if let Some(path) = &opts.status_out {
         // Scrub temp files abandoned by a dispatcher that died mid-snapshot.
         super::io::remove_stale_temps(path);
@@ -164,28 +197,26 @@ pub fn run_dispatch_with_io(
         }
     };
 
-    // On success, the all-done journal text the last poll read: the
-    // report is built from it, with no extra read.
-    let result = (|| -> Result<String, JournalError> {
+    let result = (|| -> Result<(), JournalError> {
         for _ in 0..opts.procs {
             workers.push(spawn_worker(opts, run, &mut next_id, &mut worker_traces)?);
         }
         loop {
-            let text =
-                record::read_text(io, &opts.journal.path).map_err(|e| io_err("poll journal", e))?;
+            let text = record::read_text(io, &ledger_path).map_err(|e| io_err("poll ledger", e))?;
             let view = replay_ledger(&text, jobs.len());
             if polls.is_multiple_of(STATUS_EVERY) || view.all_done() {
                 write_status(&text);
             }
             polls += 1;
             if view.all_done() {
-                return Ok(text);
+                return Ok(());
             }
 
-            // Reap exited children first; only then expire their
-            // leases, from a journal snapshot taken *after* the reap —
-            // a dead process can append nothing further, so that
-            // snapshot is guaranteed to contain its every lease.
+            // Reap exited children first; only then settle their
+            // leases, from ledger and journal snapshots taken *after*
+            // the reap — a dead process can append nothing further, so
+            // those snapshots are guaranteed to contain its every lease
+            // and its every committed record.
             let mut dead: Vec<u64> = Vec::new();
             let mut i = 0;
             while i < workers.len() {
@@ -211,16 +242,24 @@ pub fn run_dispatch_with_io(
                 }
             }
             if !dead.is_empty() {
-                let text = record::read_text(io, &opts.journal.path)
-                    .map_err(|e| io_err("re-read journal after reap", e))?;
+                let text = record::read_text(io, &ledger_path)
+                    .map_err(|e| io_err("re-read ledger after reap", e))?;
                 let view = replay_ledger(&text, jobs.len());
-                for pid in dead {
-                    for (job, lease) in view.leases_of_pid(pid) {
-                        record::append_ephemeral(
-                            ledger_file.as_mut(),
-                            &record::expire_line(job, lease),
-                        )
-                        .map_err(|e| io_err("append expire record", e))?;
+                let dangling: Vec<_> =
+                    dead.iter().flat_map(|pid| view.leases_of_pid(*pid)).collect();
+                if !dangling.is_empty() {
+                    let journal = record::read_text(io, &opts.journal.path)
+                        .map_err(|e| io_err("read journal after reap", e))?;
+                    let (done, expire) = ledger::reconcile(&dangling, &journal);
+                    let mut settle = |line: String| {
+                        record::append_ephemeral(ledger_file.as_mut(), &line)
+                            .map_err(|e| io_err("settle a reaped lease", e))
+                    };
+                    for mark in done {
+                        settle(record::done_line(mark))?;
+                    }
+                    for (job, lease) in expire {
+                        settle(record::expire_line(job, lease))?;
                         vtrace::counter("exec.leases_expired", 1);
                         expired += 1;
                     }
@@ -243,23 +282,16 @@ pub fn run_dispatch_with_io(
         }
     })();
 
-    let text = match result {
-        Ok(text) => {
-            // Batch complete: workers observe all-done and exit on
-            // their own; collect them so none outlive the dispatcher.
-            for mut w in workers.drain(..) {
-                let _ = w.child.wait();
-            }
-            text
+    // Batch complete: workers observe all-done and exit on their own;
+    // collect them so none outlive the dispatcher. On an error, kill
+    // them first.
+    for mut w in workers.drain(..) {
+        if result.is_err() {
+            let _ = w.child.kill();
         }
-        Err(e) => {
-            for mut w in workers.drain(..) {
-                let _ = w.child.kill();
-                let _ = w.child.wait();
-            }
-            return Err(e);
-        }
-    };
+        let _ = w.child.wait();
+    }
+    result?;
 
     if span.id().is_some() {
         span.record("jobs", jobs.len());
@@ -269,6 +301,10 @@ pub fn run_dispatch_with_io(
     }
     drop(span);
 
+    // Every job has a `done`, and a `done` follows its record's fsync:
+    // this one read of the journal holds a record for every job.
+    let text = record::read_text(io, &opts.journal.path)
+        .map_err(|e| io_err("read journal for the report", e))?;
     let report = assemble_report(jobs, &text, run, started)?;
     Ok(DispatchReport { report, worker_traces })
 }
@@ -308,7 +344,7 @@ fn spawn_worker(
     Ok(WorkerProc { id, child, hb_seen: 0, hb_at: Instant::now() })
 }
 
-/// Folds the all-done journal text into an [`EngineBatchReport`]: one
+/// Folds the finished journal's text into an [`EngineBatchReport`]: one
 /// verified record per job (last record wins), live records (tagged
 /// with this run's index) keeping their attempts and CPU-seconds,
 /// everything else counted as replayed.
@@ -462,7 +498,7 @@ mod tests {
     /// (here the U+FFFD a lossy decode leaves behind) between valid
     /// records is skipped, not a hard error on a complete batch.
     #[test]
-    fn report_folds_the_poll_text_and_skips_garbage_lines() {
+    fn report_folds_the_journal_text_and_skips_garbage_lines() {
         let jobs = jobs(&["a", "b"]);
         let text = [
             record::manifest_line(7, 2),

@@ -27,13 +27,15 @@
 //!   journaled batch runs on it.
 //! * [`ledger`] + [`worker`] + [`dispatch`] — the journal-backed
 //!   multi-process backend: a `vbench dispatch` parent and N
-//!   `vbench worker` children coordinate through lease + heartbeat
-//!   records appended to the shared journal. A worker's `JournalQueue`
-//!   claims by appending a lease and re-reading, and revalidates the
-//!   ticket's lease before committing. The fsync'd job record stays the
-//!   single commit point, so `--resume` and worker-loss recovery are
-//!   the same code path: a job either has a durable record (done,
-//!   replayable) or it does not (re-encode it).
+//!   `vbench worker` children coordinate through lease, heartbeat and
+//!   done records appended to a small ledger file beside the shared
+//!   journal (control plane), and commit job records to the journal
+//!   itself (data plane). A worker's `JournalQueue` claims by appending
+//!   a lease and re-reading the ledger, and revalidates the ticket's
+//!   lease before committing; it never reads the journal. The fsync'd
+//!   job record stays the single commit point, so `--resume` and
+//!   worker-loss recovery are the same code path: a job either has a
+//!   durable record (done, replayable) or it does not (re-encode it).
 //! * [`placement`] — the cost plane's claim order: a validated job
 //!   permutation ([`PlacementPlan`]) that reorders the job list before
 //!   it is queued ([`PlacementPlan::apply`]) and puts per-job results
@@ -61,8 +63,11 @@
 //! `exec.jobs_completed` counts published results. The multi-process
 //! backend adds `exec.leases_expired` (dispatcher reaped a dead
 //! worker's lease), `exec.leases_reclaimed` (a surviving worker
-//! re-leased an expired job), and `exec.heartbeats`; per-worker
-//! completion counts ride on each worker process's `exec.worker` span.
+//! re-leased an expired job), `exec.leases_lost` (a claim whose
+//! arbitration re-read showed another holder), `exec.heartbeats`, and
+//! `exec.ledger.reads` / `exec.ledger.read_bytes` (worker-side ledger
+//! re-reads); per-worker completion counts ride on each worker
+//! process's `exec.worker` span.
 
 pub mod dispatch;
 pub mod io;
@@ -350,7 +355,7 @@ mod tests {
     use crate::engine::{Engine, TranscodeError, TranscodeOutcome, TranscodeRequest};
     use crate::farm::transcode_batch;
     use crate::journal::record::testing::{jobs, TempJournal};
-    use crate::journal::{open_journal, run_batch_journaled_with_io, JournalConfig, JournalError};
+    use crate::journal::{run_batch_journaled_with_io, JournalConfig, JournalError};
     use std::sync::atomic::AtomicUsize;
     use std::sync::Mutex;
     use vframe::Video;
@@ -493,7 +498,8 @@ mod tests {
         assert!(no_workers(journaled.unwrap_err()));
         let dispatched = run_dispatch_with_io(&jobs, &policy, &dispatch_opts(0, &temp), &StdIo);
         assert!(no_workers(dispatched.unwrap_err()));
-        // The journaled run above left a manifest for exactly this batch.
+        // What a dispatcher puts in place before it spawns a worker.
+        drop(dispatch::open(&jobs, &policy, &config, &StdIo).expect("journal and ledger"));
         let opts =
             WorkerOptions { journal: temp.path().to_path_buf(), worker_id: 0, run: 0, threads: 0 };
         let worked = run_worker_with_io(&Engine, &jobs, &policy, &opts, &StdIo);
@@ -513,7 +519,7 @@ mod tests {
         let report = run_batch_journaled_with_io(&Refuse, &[], 3, &policy, &config, &StdIo)
             .expect("journaled");
         assert!(report.results.is_empty());
-        drop(open_journal(&config, &[], &policy, &StdIo).expect("manifest for the empty batch"));
+        drop(dispatch::open(&[], &policy, &config, &StdIo).expect("manifest for the empty batch"));
         let opts =
             WorkerOptions { journal: temp.path().to_path_buf(), worker_id: 0, run: 0, threads: 3 };
         run_worker_with_io(&Refuse, &[], &policy, &opts, &StdIo).expect("worker");

@@ -1,21 +1,24 @@
 //! Read-only dispatch monitoring: a [`StatusSnapshot`] derived from
-//! the shared journal's text, rendered by `vbench top` and written as
-//! `status.json` by the dispatcher's `--status-out`.
+//! the text of a dispatch's ledger file, rendered by `vbench top` and
+//! written as `status.json` by the dispatcher's `--status-out`.
 //!
-//! The journal is the single source of truth for a running batch —
-//! manifest (`jobs`), durable job records (done/failed, attempts,
-//! per-worker provenance tags), and the ephemeral lease/heartbeat
-//! ledger (who holds what, who is alive). A monitor therefore never
-//! needs worker IPC: it reads the journal text that every participant
-//! already agrees on and *never writes to it* — `vbench top` opens the
-//! file read-only, and the dispatcher writes `status.json` elsewhere
-//! via an atomic temp-file rename so machine consumers never observe a
-//! torn snapshot.
+//! The ledger beside the journal ([`super::ledger`]) holds everything a
+//! monitor shows for a running batch — the manifest copy (`jobs`), a
+//! `done` marker per committed job (ok/failed, attempts, the committing
+//! worker), and the lease/heartbeat records (who holds what, who is
+//! alive). A monitor therefore needs neither worker IPC nor the payload
+//! journal: it reads the ledger text that every participant already
+//! agrees on and *never writes to it* — `vbench top` opens the file
+//! read-only, and the dispatcher writes `status.json` elsewhere via an
+//! atomic temp-file rename so machine consumers never observe a torn
+//! snapshot. The fold counts a job record like the `done` that stands
+//! for it, so [`snapshot_from_text`] accepts journal text as well (the
+//! done/failed/retry totals of any journal; no leases or heartbeats).
 //!
 //! Two render modes split along determinism: [`StatusSnapshot::render`]
-//! prints only journal-derived facts (lease states, heartbeat
+//! prints only ledger-derived facts (lease states, heartbeat
 //! sequence numbers and wall-stamps, completion counts), so `vbench
-//! top --once` output is a pure function of the journal bytes;
+//! top --once` output is a pure function of the ledger bytes;
 //! wall-clock-relative derivations (heartbeat age, throughput, ETA)
 //! need a "now" and live only in [`StatusSnapshot::to_json`] and the
 //! refreshing live view, both of which are handed their clock
@@ -56,12 +59,13 @@ pub struct WorkerStatus {
     pub failed: u64,
 }
 
-/// Everything a monitor can derive from one read of the journal.
+/// Everything a monitor can derive from one read of the ledger.
 #[derive(Clone, Debug, Default)]
 pub struct StatusSnapshot {
     /// Total jobs in the batch (from the manifest).
     pub jobs: usize,
-    /// Jobs with a durable record (done, whether ok or failed).
+    /// Jobs with a durable record (done, whether ok or failed;
+    /// replayed ones included).
     pub done: usize,
     /// Jobs whose durable record is a failure.
     pub failed: usize,
@@ -82,7 +86,7 @@ impl StatusSnapshot {
         self.jobs.saturating_sub(self.done + self.leased)
     }
 
-    /// Deterministic table render: a pure function of the journal
+    /// Deterministic table render: a pure function of the ledger
     /// bytes, suitable for `vbench top --once` and golden tests. No
     /// clocks — heartbeat *age* belongs to the live view.
     pub fn render(&self) -> String {
@@ -162,8 +166,9 @@ impl StatusSnapshot {
     }
 }
 
-/// Derives a snapshot from journal text. Returns `None` when the text
-/// has no usable manifest — nothing to monitor yet (or not a journal).
+/// Derives a snapshot from ledger (or journal) text. Returns `None` when
+/// the text has no usable manifest — nothing to monitor yet (or neither
+/// kind of file).
 pub fn snapshot_from_text(text: &str) -> Option<StatusSnapshot> {
     // Invariant: the manifest's job count sizes the ledger allocation.
     // A corrupt or hostile count must not drive an unbounded `Vec` —
@@ -199,14 +204,17 @@ pub fn snapshot_from_text(text: &str) -> Option<StatusSnapshot> {
     Some(snap)
 }
 
-/// Reads the journal at `path` (read-only) and derives a snapshot.
+/// Reads (read-only) the ledger of the dispatch journal at `path` and
+/// derives a snapshot. The journal itself is never opened.
 ///
 /// # Errors
 ///
-/// Propagates the read error; a readable file with no manifest yields
-/// `Ok(None)`.
+/// Propagates the read error — `NotFound` when no dispatcher ever
+/// started a ledger beside `path`; a readable ledger with no manifest
+/// yields `Ok(None)`.
 pub fn snapshot_from_journal(path: &Path) -> std::io::Result<Option<StatusSnapshot>> {
-    Ok(snapshot_from_text(&record::read_text(&super::io::StdIo, path)?))
+    let ledger = super::ledger::ledger_path(path);
+    Ok(snapshot_from_text(&record::read_text(&super::io::StdIo, &ledger)?))
 }
 
 /// Atomically and *durably* replaces `path` with `content`, through
@@ -275,27 +283,43 @@ mod tests {
     use crate::exec::io::StdIo;
     use crate::exec::ledger::LeaseId;
     use crate::journal::record::testing::ok_chain;
-    use crate::journal::record::{hb_line, job_line, lease_line, manifest_line, run_line};
+    use crate::journal::record::{
+        done_line, hb_line, job_line, lease_line, manifest_line, run_line, DoneMark,
+    };
     use vtrace::json::Value;
 
     /// Three jobs, two workers: job 0 committed by worker 0 on its
     /// second attempt, job 1 leased by worker 1, job 2 free.
-    fn journal() -> String {
+    fn ledger() -> String {
         [
             manifest_line(7, 3),
             run_line(0),
             hb_line(0, 2, 41, 1000),
             hb_line(1, 5, 42, 1200),
             lease_line(0, LeaseId { worker: 0, nonce: 0, pid: 41 }),
-            job_line(0, "a", &ok_chain(b"a", 2), Some((0, 0))),
+            done_line(DoneMark { job: 0, worker: Some(0), ok: true, attempts: 2 }),
             lease_line(1, LeaseId { worker: 1, nonce: 0, pid: 42 }),
         ]
         .concat()
     }
 
+    /// A job record folds exactly like the `done` that stands for it, so
+    /// the journal of a batch snapshots to the totals its ledger shows.
+    #[test]
+    fn a_job_record_counts_like_its_done_marker() {
+        let done = done_line(DoneMark { job: 0, worker: Some(0), ok: true, attempts: 2 });
+        let job = job_line(0, "a", &ok_chain(b"a", 2), Some((0, 0)));
+        let as_journal = ledger().replace(&done, &job);
+        assert_ne!(as_journal, ledger());
+        assert_eq!(
+            snapshot_from_text(&as_journal).expect("has manifest").render(),
+            snapshot_from_text(&ledger()).expect("has manifest").render()
+        );
+    }
+
     #[test]
     fn snapshot_reads_manifest_ledger_and_records() {
-        let snap = snapshot_from_text(&journal()).expect("has manifest");
+        let snap = snapshot_from_text(&ledger()).expect("has manifest");
         assert_eq!(snap.jobs, 3);
         assert_eq!(snap.done, 1);
         assert_eq!(snap.leased, 1);
@@ -313,9 +337,9 @@ mod tests {
 
     #[test]
     fn render_is_deterministic_and_lists_every_worker() {
-        let snap = snapshot_from_text(&journal()).expect("has manifest");
+        let snap = snapshot_from_text(&ledger()).expect("has manifest");
         let a = snap.render();
-        let b = snapshot_from_text(&journal()).expect("has manifest").render();
+        let b = snapshot_from_text(&ledger()).expect("has manifest").render();
         assert_eq!(a, b);
         assert!(a.contains("jobs 3  done 1"), "{a}");
         for needle in ["idle", "#1", "41", "42"] {
@@ -325,7 +349,7 @@ mod tests {
 
     #[test]
     fn status_json_parses_and_carries_clock_derivations() {
-        let snap = snapshot_from_text(&journal()).expect("has manifest");
+        let snap = snapshot_from_text(&ledger()).expect("has manifest");
         let doc = snap.to_json(2200, 4.0);
         let v = json::parse(&doc).expect("valid JSON");
         assert_eq!(v.get("version").and_then(Value::as_u64), Some(1));
@@ -357,40 +381,42 @@ mod tests {
         assert_eq!(snapshot_from_text(&text).expect("sane manifest").jobs, 1 << 20);
     }
 
-    /// Crash garbage can inject invalid UTF-8 into the journal; the
+    /// Crash garbage can inject invalid UTF-8 into the ledger; the
     /// monitor must skip it like any other unparseable line, not error.
+    /// And it looks only at the ledger: no journal exists here at all.
     #[test]
-    fn invalid_utf8_journal_bytes_do_not_fail_the_monitor() {
+    fn invalid_utf8_ledger_bytes_do_not_fail_the_monitor() {
         let mut path = std::env::temp_dir();
         path.push(format!("vbench-status-utf8-{}.jsonl", std::process::id()));
-        let mut bytes = journal().into_bytes();
+        let file = crate::exec::ledger::ledger_path(&path);
+        let mut bytes = ledger().into_bytes();
         bytes.extend_from_slice(b"\xff\xfe{torn");
-        std::fs::write(&path, &bytes).expect("write journal");
+        std::fs::write(&file, &bytes).expect("write ledger");
         let snap = snapshot_from_journal(&path)
             .expect("read survives invalid UTF-8")
             .expect("manifest intact");
         assert_eq!((snap.jobs, snap.done), (3, 1));
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&file);
     }
 
-    /// Tailing a journal mid-append: `vbench top` reads while a worker
+    /// Tailing a ledger mid-append: `vbench top` reads while a worker
     /// is between `write` and the trailing newline, so the snapshot must
     /// tolerate a truncated final record — and pick it up once the
     /// append completes.
     #[test]
     fn tailing_mid_append_skips_the_partial_record_then_sees_it() {
-        let record = job_line(1, "b", &ok_chain(b"b", 1), Some((1, 0)));
-        let before = snapshot_from_text(&journal()).expect("has manifest");
+        let record = done_line(DoneMark { job: 1, worker: Some(1), ok: true, attempts: 1 });
+        let before = snapshot_from_text(&ledger()).expect("has manifest");
         // Every strict prefix of the in-flight append leaves the
         // snapshot exactly where it was.
         for cut in [1, record.len() / 2, record.len() - 1] {
-            let mid = format!("{}{}", journal(), &record[..cut]);
+            let mid = format!("{}{}", ledger(), &record[..cut]);
             let snap = snapshot_from_text(&mid).expect("has manifest");
             assert_eq!(snap.done, before.done, "partial record must not count (cut {cut})");
             assert_eq!(snap.leased, before.leased, "partial record must not count (cut {cut})");
         }
         // The completed line takes effect.
-        let after = snapshot_from_text(&(journal() + &record)).expect("has manifest");
+        let after = snapshot_from_text(&(ledger() + &record)).expect("has manifest");
         assert_eq!(after.done, before.done + 1);
         assert_eq!(after.workers[1].completed, 1);
         assert_eq!(after.workers[1].in_flight, None, "job 1 committed, lease terminal");

@@ -9,7 +9,7 @@
 //! failed job, each carrying the [`vpack::crc32`] of its output
 //! bitstream. The on-disk format — record kinds, fields, and the rules
 //! that make a line a committed record — is owned by [`record`] and
-//! tabulated in DESIGN.md §Durability ("Journal record format"); this
+//! tabulated in DESIGN.md §Durability ("Record format"); this
 //! module keeps the commit-point contract and the open/scan/compact
 //! lifecycle.
 //!
@@ -48,11 +48,14 @@
 //! — the same plan does not re-fire on the next run.
 //!
 //! Multi-process execution ([`crate::exec::dispatch`]) shares this
-//! exact file and commit point: worker processes append ephemeral
-//! lease / expire / heartbeat records (skipped by resume scans,
-//! scrubbed by compaction — they are coordination state, not results)
-//! and commit the same fsync'd job records, so worker-loss recovery and
-//! `--resume` are one code path.
+//! exact file and commit point: worker processes commit the same
+//! fsync'd job records, so worker-loss recovery and `--resume` are one
+//! code path. Their coordination state — lease / expire / heartbeat /
+//! done records — lives in a sibling ledger file
+//! ([`crate::exec::ledger`]), never here, so a cleanly finished dispatch
+//! journal resumes without a rewrite. A journal written before that
+//! split may still hold lease / expire / heartbeat lines: resume scans
+//! skip them and compaction scrubs them.
 //!
 //! Every durable byte goes through the [`crate::exec::io::JournalIo`]
 //! seam — appends retried on transient EIO with capped backoff (never
@@ -267,11 +270,11 @@ pub(crate) fn open_journal(
     };
 
     let scan = scan_journal(&text, fingerprint, jobs)?;
-    // Compact whenever anything was dropped — quarantined corruption or
-    // stale lease/heartbeat records from a dead dispatcher (a stale
-    // lease left in place would wedge the next multi-process run) — and
-    // whenever the tail is not newline-terminated (a torn line would
-    // otherwise merge with the next append).
+    // Compact whenever anything was dropped — quarantined corruption,
+    // shed telemetry, or coordination records a pre-ledger dispatcher
+    // left in the journal — and whenever the tail is not
+    // newline-terminated (a torn line would otherwise merge with the
+    // next append).
     let needs_compact = scan.quarantined > 0 || scan.ephemeral > 0 || !text.ends_with('\n');
     let mut file = if needs_compact {
         compact(&config.path, fingerprint, jobs.len(), &scan.kept_lines, io)?
@@ -297,11 +300,11 @@ struct ScanOutcome<'a> {
     /// Lines that are not committed records, plus job records that
     /// failed verification (foreign name, bad CRC).
     quarantined: u64,
-    /// Valid but ephemeral records — multi-process coordination (lease /
-    /// expire / heartbeat, meaningful only while their dispatcher is
-    /// alive) and service shed events (telemetry about work that was
-    /// *refused*): never replayed, dropped on compaction so the next
-    /// run builds a fresh ledger, and *not* corruption.
+    /// Valid but ephemeral records — multi-process coordination kinds
+    /// (which belong in a ledger file; only a journal from before the
+    /// ledger split holds any) and service shed events (telemetry about
+    /// work that was *refused*): never replayed, dropped on compaction,
+    /// and *not* corruption.
     ephemeral: u64,
     /// The surviving raw lines (run and job records, manifest excluded),
     /// in file order — what a compaction rewrites.
@@ -343,7 +346,11 @@ fn scan_journal<'a>(
                 None => scan.quarantined += 1,
             },
             Some(
-                Record::Lease { .. } | Record::Expire { .. } | Record::Hb { .. } | Record::Shed,
+                Record::Lease { .. }
+                | Record::Expire { .. }
+                | Record::Hb { .. }
+                | Record::Done(_)
+                | Record::Shed,
             ) => {
                 scan.ephemeral += 1;
             }

@@ -1,7 +1,14 @@
-//! The journal's on-disk record format — the one module that knows it.
+//! The on-disk record format of the journal and of its sibling lease
+//! ledger — the one module that knows it.
 //!
-//! A journal is a JSONL file: one `{"kind":…}` object per line, seven
-//! kinds (`manifest`, `run`, `job`, `lease`, `expire`, `hb`, `shed`).
+//! Both files are JSONL: one `{"kind":…}` object per line. A *journal*
+//! holds the durable kinds (`manifest`, `run`, `job`, plus `shed`
+//! telemetry); a dispatch's *ledger* (`<journal>.ledger`, see
+//! [`crate::exec::ledger`]) opens with a copy of the manifest and run
+//! lines and then holds only the ephemeral coordination kinds (`lease`,
+//! `expire`, `hb`, `done`). A journal written before the split may still
+//! carry `lease` / `expire` / `hb` lines; the reader recognises them so a
+//! resume can scrub them, and nothing writes them there any more.
 //! DESIGN.md §Durability has the table of kinds, fields, who writes and
 //! who folds each one. Everything that turns a record into bytes or
 //! bytes into a record lives here:
@@ -16,10 +23,10 @@
 //!   header (job, status, attempts, provenance tags); the payload is
 //!   hex-decoded and CRC-verified by [`JobRecord::load`], which the
 //!   ledger and status folds never call.
-//! * the seven `*_line` writers, each returning one newline-terminated
+//! * the eight `*_line` writers, each returning one newline-terminated
 //!   line for a single-write append, and the two ways a line reaches
 //!   disk: [`commit_job`] (append + fsync — the commit point) and
-//!   [`append_ephemeral`] (coordination records, never fsync'd).
+//!   [`append_ephemeral`] (ledger records, never fsync'd).
 
 use std::path::Path;
 use std::time::Instant;
@@ -80,9 +87,27 @@ pub(crate) enum Record {
         /// Wall-clock milliseconds since the Unix epoch.
         t_ms: Option<u64>,
     },
+    /// `job`'s record is committed in the journal (ephemeral): what a
+    /// ledger holds in place of the job record itself.
+    Done(DoneMark),
     /// A service shed event (ephemeral telemetry; no reader needs its
     /// fields).
     Shed,
+}
+
+/// What the lease ledger needs to know about a committed job record —
+/// the record's header without its payload.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct DoneMark {
+    /// The job's index in the batch manifest.
+    pub(crate) job: usize,
+    /// The worker that committed the record; `None` for a record
+    /// replayed from an earlier run (or written in-process).
+    pub(crate) worker: Option<u64>,
+    /// Whether the record is a success.
+    pub(crate) ok: bool,
+    /// Attempts the recording run made (0 = replayed).
+    pub(crate) attempts: u32,
 }
 
 /// A job record's header, plus the parsed line its payload loads from.
@@ -102,6 +127,11 @@ pub(crate) struct JobRecord {
 }
 
 impl JobRecord {
+    /// The ledger's view of this record.
+    pub(crate) fn mark(&self) -> DoneMark {
+        DoneMark { job: self.job, worker: self.worker, ok: self.ok, attempts: self.attempts }
+    }
+
     /// Verifies the record against the batch and loads its chain: the
     /// journaled outcome (bitstream hex-decoded and CRC-checked) with
     /// the recording run's resilience history. `None` = quarantine it.
@@ -225,6 +255,12 @@ fn parse(line: &str) -> Option<Record> {
         "lease" => lease().map(|(job, id)| Record::Lease { job, id })?,
         "expire" => lease().map(|(job, id)| Record::Expire { job, id })?,
         "hb" => Record::Hb { worker: u("worker")?, seq: u("seq")?, pid: u("pid"), t_ms: u("t_ms") },
+        "done" => Record::Done(DoneMark {
+            job: u("job")? as usize,
+            worker: u("worker"),
+            ok: v.get("ok").and_then(Value::as_bool)?,
+            attempts: u32_of("attempts")?,
+        }),
         "shed" => Record::Shed,
         _ => return None,
     })
@@ -254,9 +290,9 @@ pub(crate) fn commit_job(file: &mut dyn DurableFile, line: &str) -> std::io::Res
     Ok(())
 }
 
-/// Appends one ephemeral record line in a single write, without an
-/// fsync — losing a lease, expire or heartbeat in a crash is harmless,
-/// the durable scan drops them anyway.
+/// Appends one ledger record line in a single write, without an fsync —
+/// losing a lease, expire, heartbeat or done marker in a crash is
+/// harmless, every dispatch starts its ledger afresh.
 pub(crate) fn append_ephemeral(file: &mut dyn DurableFile, line: &str) -> std::io::Result<()> {
     debug_assert!(line.ends_with('\n') && line.matches('\n').count() == 1);
     file.append(line.as_bytes())
@@ -356,6 +392,14 @@ pub(crate) fn hb_line(worker: u64, seq: u64, pid: u64, t_ms: u64) -> String {
     format!("{{\"kind\":\"hb\",\"worker\":{worker},\"seq\":{seq},\"pid\":{pid},\"t_ms\":{t_ms}}}\n")
 }
 
+pub(crate) fn done_line(mark: DoneMark) -> String {
+    let worker = mark.worker.map_or(String::new(), |w| format!("\"worker\":{w},"));
+    format!(
+        "{{\"kind\":\"done\",\"job\":{},{worker}\"ok\":{},\"attempts\":{}}}\n",
+        mark.job, mark.ok, mark.attempts
+    )
+}
+
 pub(crate) fn shed_line(event: &crate::service::ShedEvent) -> String {
     format!(
         "{{\"kind\":\"shed\",\"seq\":{},\"at_us\":{},\"name\":{},\"rank\":{},\
@@ -436,7 +480,8 @@ pub(crate) mod testing {
         ChainResult { outcome: Err(error), attempts, degraded: 0, deadline_missed: false }
     }
 
-    /// A per-test scratch journal path, removed on drop.
+    /// A per-test scratch journal path; the journal and its ledger are
+    /// removed on drop.
     pub(crate) struct TempJournal(std::path::PathBuf);
 
     impl TempJournal {
@@ -458,6 +503,7 @@ pub(crate) mod testing {
     impl Drop for TempJournal {
         fn drop(&mut self) {
             let _ = std::fs::remove_file(&self.0);
+            let _ = std::fs::remove_file(crate::exec::ledger::ledger_path(&self.0));
         }
     }
 
@@ -531,6 +577,15 @@ mod tests {
         assert_eq!(
             hb_line(3, 17, 4242, 1_700_000_000_123),
             "{\"kind\":\"hb\",\"worker\":3,\"seq\":17,\"pid\":4242,\"t_ms\":1700000000123}\n"
+        );
+        let done = DoneMark { job: 5, worker: Some(3), ok: true, attempts: 2 };
+        assert_eq!(
+            done_line(done),
+            "{\"kind\":\"done\",\"job\":5,\"worker\":3,\"ok\":true,\"attempts\":2}\n"
+        );
+        assert_eq!(
+            done_line(DoneMark { worker: None, ok: false, attempts: 0, ..done }),
+            "{\"kind\":\"done\",\"job\":5,\"ok\":false,\"attempts\":0}\n"
         );
         let shed = ShedEvent {
             seq: 1,
@@ -609,7 +664,14 @@ mod tests {
             index in any::<u32>(),
         ) {
             let id = LeaseId { worker, nonce, pid };
+            let mark = DoneMark {
+                job,
+                worker: (nonce % 2 == 0).then_some(worker),
+                ok: seq % 2 == 0,
+                attempts: index % 9,
+            };
             let cases = [
+                (done_line(mark), Record::Done(mark)),
                 (lease_line(job, id), Record::Lease { job, id }),
                 (expire_line(job, id), Record::Expire { job, id }),
                 (
@@ -669,6 +731,7 @@ mod tests {
                 (rec.job, rec.attempts, rec.ok, rec.worker, rec.run),
                 (1, attempts, chain.outcome.is_ok(), tag.map(|t| t.0), tag.map(|t| t.1))
             );
+            prop_assert_eq!(parsed(&done_line(rec.mark())), Record::Done(rec.mark()));
             let loaded = rec.load(&jobs).expect("a written record verifies");
             prop_assert_eq!((loaded.degraded, loaded.deadline_missed), (degraded, flags & 4 != 0));
             if let Err(e) = &mut chain.outcome {

@@ -8,6 +8,11 @@
 //! journal must end with exactly one job record per job: a dead
 //! worker's lease is expired only after the process is reaped, so zero
 //! duplicate published records is structural, not probabilistic.
+//!
+//! Two files per dispatch: `<journal>` holds manifest, run and job
+//! records and nothing else; the leases, expires, heartbeats and done
+//! markers the participants coordinate through are in
+//! `<journal>.ledger`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -68,14 +73,37 @@ fn assert_outputs_identical(dir: &Path, want: &str, got: &str, ctx: &str) {
     }
 }
 
-/// Asserts the journal holds exactly one job record per job index:
-/// worker loss must never yield a duplicate published record.
+/// The ledger file of a dispatch journal.
+fn ledger_of(journal: &str) -> String {
+    format!("{journal}.ledger")
+}
+
+/// The parsed records of a ledger (or journal) file, torn lines skipped.
+fn records(path: &str) -> Vec<Value> {
+    let text = std::fs::read_to_string(path).unwrap_or_default();
+    text.lines().filter_map(|l| json::parse(l).ok()).collect()
+}
+
+/// Whether `record` is of `kind` and carries `key: value`.
+fn is(record: &Value, kind: &str, key: &str, value: u64) -> bool {
+    record.get("kind").and_then(Value::as_str) == Some(kind)
+        && record.get(key).and_then(Value::as_u64) == Some(value)
+}
+
+/// Asserts the journal holds exactly one job record per job index —
+/// worker loss must never yield a duplicate published record — and no
+/// coordination record at all.
 fn assert_one_record_per_job(journal: &str, jobs: usize, ctx: &str) {
     let text = std::fs::read_to_string(journal).expect("journal readable");
     let mut counts = vec![0usize; jobs];
     for line in text.lines() {
         let parsed = json::parse(line).unwrap_or_else(|e| panic!("{ctx}: bad line {line:?}: {e}"));
-        if parsed.get("kind").and_then(Value::as_str) == Some("job") {
+        let kind = parsed.get("kind").and_then(Value::as_str).expect("record kind");
+        assert!(
+            matches!(kind, "manifest" | "run" | "job"),
+            "{ctx}: {kind:?} record in the journal"
+        );
+        if kind == "job" {
             let job = parsed.get("job").and_then(Value::as_u64).expect("job index") as usize;
             counts[job] += 1;
         }
@@ -112,10 +140,10 @@ fn scripted_worker_kill_is_reclaimed_and_byte_identical() {
     assert_outputs_identical(&dir, "base", "killed", "scripted worker kill");
     let journal = format!("{}/killed.jsonl", dir.display());
     assert_one_record_per_job(&journal, 3, "scripted kill");
-    let text = std::fs::read_to_string(&journal).expect("journal readable");
+    let ledger = records(&ledger_of(&journal));
     assert!(
-        text.lines().any(|l| l.contains("\"kind\":\"expire\"") && l.contains("\"job\":1")),
-        "the killed worker's lease on job 1 must have been expired:\n{text}"
+        ledger.iter().any(|r| is(r, "expire", "job", 1)),
+        "the killed worker's lease on job 1 must have been expired:\n{ledger:?}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -142,29 +170,22 @@ fn sigkilled_worker_lease_is_reclaimed_by_a_survivor() {
         .spawn()
         .expect("spawn dispatch");
 
-    // Wait until some worker holds a lease on job 2 with no job record
-    // for it yet, then SIGKILL that worker by the pid in its lease.
+    // Wait until some worker holds a lease on job 2 (in the ledger) with
+    // no job record for it yet (in the journal), then SIGKILL that worker
+    // by the pid in its lease.
     let deadline = Instant::now() + Duration::from_secs(60);
     let victim = loop {
-        let text = std::fs::read_to_string(&journal).unwrap_or_default();
-        let committed =
-            text.lines().any(|l| l.contains("\"kind\":\"job\"") && l.contains("\"job\":2,"));
-        assert!(!committed, "job 2 committed before the kill window opened:\n{text}");
-        let lease = text
-            .lines()
-            .filter_map(|l| json::parse(l).ok())
-            .find(|v| {
-                v.get("kind").and_then(Value::as_str) == Some("lease")
-                    && v.get("job").and_then(Value::as_u64) == Some(2)
-            })
-            .and_then(|v| v.get("pid").and_then(Value::as_u64));
-        if let Some(pid) = lease {
+        let committed = records(&journal).iter().any(|r| is(r, "job", "job", 2));
+        assert!(!committed, "job 2 committed before the kill window opened");
+        let ledger = records(&ledger_of(&journal));
+        let lease = ledger.iter().find(|r| is(r, "lease", "job", 2));
+        if let Some(pid) = lease.and_then(|r| r.get("pid").and_then(Value::as_u64)) {
             break pid;
         }
         if let Some(status) = child.try_wait().expect("poll dispatch") {
-            panic!("dispatch exited before the kill: {status:?}\n{text}");
+            panic!("dispatch exited before the kill: {status:?}\n{ledger:?}");
         }
-        assert!(Instant::now() < deadline, "no lease on job 2 within 60 s:\n{text}");
+        assert!(Instant::now() < deadline, "no lease on job 2 within 60 s:\n{ledger:?}");
         std::thread::sleep(Duration::from_millis(2));
     };
     let killed = Command::new("kill")
@@ -179,15 +200,10 @@ fn sigkilled_worker_lease_is_reclaimed_by_a_survivor() {
 
     assert_outputs_identical(&dir, "base", "sk", "real SIGKILL");
     assert_one_record_per_job(&journal, 3, "real SIGKILL");
-    let text = std::fs::read_to_string(&journal).expect("journal readable");
+    let ledger = records(&ledger_of(&journal));
     assert!(
-        text.lines().any(|l| {
-            json::parse(l).ok().is_some_and(|v| {
-                v.get("kind").and_then(Value::as_str) == Some("expire")
-                    && v.get("pid").and_then(Value::as_u64) == Some(victim)
-            })
-        }),
-        "the SIGKILLed worker's lease must have been expired after the reap:\n{text}"
+        ledger.iter().any(|r| is(r, "expire", "pid", victim)),
+        "the SIGKILLed worker's lease must have been expired after the reap:\n{ledger:?}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,7 +1,9 @@
 //! Journal append safety under concurrent writers.
 //!
-//! The multi-process backend has a dispatcher and N worker processes
-//! all appending to one journal file. Two guarantees under test:
+//! The multi-process backend has N worker processes all appending job
+//! records to one journal file, and those workers plus the dispatcher
+//! all appending coordination records to the ledger file beside it. Two
+//! guarantees under test:
 //!
 //! * **No intra-record interleaving.** Every record is written as one
 //!   `write(2)` of a whole newline-terminated line to an `O_APPEND`
@@ -51,11 +53,22 @@ fn jobs(n: usize) -> Vec<EngineJob> {
         .collect()
 }
 
+/// The record kinds of every line of `path`, asserting each line parses.
+fn kinds(path: &std::path::Path) -> Vec<String> {
+    let text = std::fs::read_to_string(path).expect("file readable");
+    let kind = |line| {
+        let parsed = json::parse(line)
+            .unwrap_or_else(|e| panic!("interleaved/torn line {line:?} in {path:?}: {e}"));
+        parsed.get("kind").and_then(Value::as_str).expect("record kind").to_string()
+    };
+    text.lines().map(kind).collect()
+}
+
 /// Drives real concurrent appenders — a dispatcher plus two worker
-/// processes, all writing leases, heartbeats, expires, and fsync'd job
-/// records into one file — then asserts no record was torn by another
-/// writer: every single line parses, and every parsed kind is one the
-/// journal knows.
+/// processes, writing fsync'd job records into the journal and leases,
+/// heartbeats, expires and done markers into its ledger — then asserts
+/// no record in either file was torn by another writer: every single
+/// line parses, and every parsed kind is one that file may hold.
 #[test]
 fn concurrent_process_appends_never_interleave_within_a_record() {
     let journal = temp_path("interleave");
@@ -67,20 +80,23 @@ fn concurrent_process_appends_never_interleave_within_a_record() {
         .expect("run dispatch");
     assert!(out.status.success(), "dispatch failed: {out:?}");
 
-    let text = std::fs::read_to_string(&journal).expect("journal readable");
-    let mut job_records = 0;
-    for line in text.lines() {
-        let parsed = json::parse(line)
-            .unwrap_or_else(|e| panic!("interleaved/torn journal line {line:?}: {e}"));
-        let kind = parsed.get("kind").and_then(Value::as_str).expect("record kind");
-        assert!(
-            matches!(kind, "manifest" | "run" | "job" | "lease" | "expire" | "hb"),
-            "unknown record kind {kind:?} in {line:?}"
-        );
-        job_records += usize::from(kind == "job");
+    let in_journal = kinds(&journal);
+    let stray = in_journal.iter().find(|k| !matches!(k.as_str(), "manifest" | "run" | "job"));
+    assert_eq!(stray, None, "the journal holds durable kinds only");
+    assert_eq!(in_journal.iter().filter(|k| *k == "job").count(), 5, "one record per job");
+
+    let ledger = std::path::PathBuf::from(format!("{journal_str}.ledger"));
+    let in_ledger = kinds(&ledger);
+    let stray = in_ledger
+        .iter()
+        .find(|k| !matches!(k.as_str(), "manifest" | "run" | "lease" | "expire" | "hb" | "done"));
+    assert_eq!(stray, None, "the ledger holds coordination kinds only");
+    for kind in ["lease", "done"] {
+        let n = in_ledger.iter().filter(|k| *k == kind).count();
+        assert!(n >= 5, "{n} {kind} records for 5 jobs");
     }
-    assert_eq!(job_records, 5, "one durable record per job");
     let _ = std::fs::remove_file(&journal);
+    let _ = std::fs::remove_file(&ledger);
 }
 
 /// Splices garbage *between* valid job records — modelling one writer's
@@ -137,8 +153,9 @@ fn compaction_keeps_a_competing_writers_valid_tail() {
     let _ = std::fs::remove_file(&journal);
 }
 
-/// Ephemeral coordination records (lease / expire / heartbeat) left by
-/// a multi-process run are not corruption: a resume replays every job,
+/// Ephemeral coordination records (lease / expire / heartbeat) left in
+/// a journal by a multi-process run from before the ledger file existed
+/// are not corruption: a resume replays every job,
 /// reports zero quarantined lines, and compaction scrubs the ephemera.
 #[test]
 fn stale_coordination_records_are_scrubbed_not_quarantined() {
