@@ -154,10 +154,7 @@
 //! plans a dollar-minimal fleet per deadline multiplier, and writes the
 //! `PARETO_<scenario>.json` cost-QoS frontier rendered by `vprof
 //! pareto` — byte-identical at any `--workers`, with a real-encode
-//! fingerprint over the planned job set as proof. `--placed` on
-//! `batch`/`dispatch` runs those batches in the planner's claim order
-//! (jobs grouped by assigned instance); it is forwarded to worker
-//! processes like every job-defining flag.
+//! fingerprint over the planned job set as proof.
 //!
 //! Exit codes: 0 success, 1 transcode/IO failure, 2 usage error,
 //! 3 simulated crash (a scripted crash fault fired — the journal is
@@ -175,10 +172,10 @@ use vbench::cli;
 use vbench::engine::{transcode, Backend, Engine, RateMode, TranscodeRequest};
 use vbench::exec::{
     merge_trace_files, run_dispatch_with_io, run_worker_with_io, snapshot_from_journal,
-    write_atomic_io, DispatchOptions, FaultedIo, JournalIo, PlacementPlan, StdIo, WorkerOptions,
+    write_atomic_io, DispatchOptions, FaultedIo, JournalIo, StdIo, WorkerOptions,
 };
 use vbench::farm::{transcode_batch, EngineBatchReport, EngineJob, JobSource};
-use vbench::fleet::{pareto_report, plan_fleet, JobFeatures, PlanJob};
+use vbench::fleet::pareto_report;
 use vbench::journal::{run_batch_journaled_with_io, JournalConfig, JournalError};
 use vbench::reference::{reference_encode_with_native, reference_request_for, target_bps_for};
 use vbench::report::{fmt_ratio, fmt_score, TextTable};
@@ -279,7 +276,6 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
                 | "stream"
                 | "resume"
                 | "once"
-                | "placed"
                 | "inject-unsynced-rename"
         ) {
             map.insert(name.to_string(), "true".to_string());
@@ -545,12 +541,10 @@ fn journal_from_flags(flags: &HashMap<String, String>) -> Option<JournalConfig> 
 }
 
 /// Builds the engine job list from the suite and the job-defining flags
-/// (`--videos`, `--backend`, `--stream`, `--window`, `--placed`).
+/// (`--videos`, `--backend`, `--stream`, `--window`).
 /// Deterministic in the flags: a dispatcher and its worker processes
 /// build byte-identical batches from the same argv, which the journal's
-/// manifest fingerprint then enforces — `--placed` rides on that
-/// guarantee, so a placement-reordered batch is still the same batch in
-/// every process.
+/// manifest fingerprint then enforces.
 fn build_batch_jobs(opts: &SuiteOptions, flags: &HashMap<String, String>) -> Vec<EngineJob> {
     let suite = Suite::vbench(opts);
     let vendor = hw_vendor(flags);
@@ -565,7 +559,7 @@ fn build_batch_jobs(opts: &SuiteOptions, flags: &HashMap<String, String>) -> Vec
         }
         names
     });
-    let rows: Vec<(EngineJob, JobFeatures)> = suite
+    suite
         .iter()
         .filter(|v| videos.as_ref().is_none_or(|names| names.contains(&v.name)))
         .map(|v| {
@@ -583,45 +577,13 @@ fn build_batch_jobs(opts: &SuiteOptions, flags: &HashMap<String, String>) -> Vec
             if let Some(w) = window {
                 request = request.with_window(w);
             }
-            let features = JobFeatures {
-                pixels_per_frame: v.spec.resolution.pixels(),
-                frames: v.spec.frames as u64,
-                fps: v.spec.fps,
-                entropy: v.category.entropy,
-                preset: request.preset,
-            };
-            let job = if stream {
+            if stream {
                 EngineJob::streaming(v.name, JobSource::Synth(v.spec.clone()), request)
             } else {
                 EngineJob::new(v.name, v.generate(), request)
-            };
-            (job, features)
+            }
         })
-        .collect();
-    if !flags.contains_key("placed") {
-        return rows.into_iter().map(|(job, _)| job).collect();
-    }
-    // `--placed`: run the batch in the cost plane's claim order — jobs
-    // grouped by the catalog entry the planner assigns them (batch work
-    // has no deadline, so this is the cheapest predicted instance).
-    // Derived from the same flags as the job list, so dispatchers and
-    // workers agree on the permutation byte-for-byte.
-    let catalog = InstanceCatalog::default_fleet();
-    let plan_jobs: Vec<PlanJob> = rows
-        .iter()
-        .enumerate()
-        .map(|(i, (_, features))| PlanJob {
-            features: *features,
-            deadline_secs: f64::INFINITY,
-            video: i,
-        })
-        .collect();
-    let plan = plan_fleet(&plan_jobs, &catalog, 3600.0);
-    let placement =
-        PlacementPlan::new(plan.claim_order(catalog.len())).expect("claim order is a permutation");
-    let jobs: Vec<EngineJob> = rows.into_iter().map(|(job, _)| job).collect();
-    vtrace::counter("fleet.placements", jobs.len() as u64);
-    placement.apply(&jobs)
+        .collect()
 }
 
 /// Writes per-job bitstreams to `--out-dir` (if given), prints the
@@ -629,6 +591,7 @@ fn build_batch_jobs(opts: &SuiteOptions, flags: &HashMap<String, String>) -> Vec
 /// count for the caller's exit decision.
 fn report_batch(
     report: &EngineBatchReport,
+    jobs: &[EngineJob],
     workers: usize,
     flags: &HashMap<String, String>,
 ) -> usize {
@@ -656,8 +619,20 @@ fn report_batch(
     }
     print!("{t}");
     let s = &report.summary;
+    // How the cost model behind the claim order fit this batch, and how
+    // close the schedule came to its bound (nothing to say on a pure
+    // replay).
+    let fit = report.makespan_bound_ratio(workers).map_or(String::new(), |ratio| {
+        let mut errors = report.predict_errors_pct(jobs);
+        errors.sort_by(f64::total_cmp);
+        format!(
+            ", predict error p50 {:.0}% max {:.0}%, wall/bound {ratio:.2}",
+            errors[errors.len() / 2],
+            errors[errors.len() - 1],
+        )
+    });
     println!(
-        "\n{} jobs on {} workers: {:.2} s wall, {:.1} Mpix/s aggregate, speedup {:.2}x",
+        "\n{} jobs on {} workers: {:.2} s wall, {:.1} Mpix/s aggregate, speedup {:.2}x{fit}",
         report.results.len(),
         workers,
         report.wall_secs,
@@ -714,7 +689,7 @@ fn cmd_batch(opts: &SuiteOptions, flags: &HashMap<String, String>) {
             }
         }
     };
-    let failed = report_batch(&report, workers, flags);
+    let failed = report_batch(&report, &jobs, workers, flags);
     if failed > 0 {
         fail(&format!("{failed} job(s) failed after exhausting retries"));
     }
@@ -735,7 +710,7 @@ const FORWARDED_VALUE_FLAGS: [&str; 8] = [
     "fault-plan",
     "log-level",
 ];
-const FORWARDED_BOOL_FLAGS: [&str; 4] = ["stream", "degrade", "hedge", "placed"];
+const FORWARDED_BOOL_FLAGS: [&str; 3] = ["stream", "degrade", "hedge"];
 
 fn cmd_dispatch(opts: &SuiteOptions, flags: &HashMap<String, String>) {
     let procs: usize = flags
@@ -785,7 +760,7 @@ fn cmd_dispatch(opts: &SuiteOptions, flags: &HashMap<String, String>) {
     // the workers (see `worker_io_fault_spec`).
     let outcome = run_dispatch_with_io(&jobs, &policy, &dispatch_opts, &StdIo)
         .unwrap_or_else(|e| fail(&e.to_string()));
-    let failed = report_batch(&outcome.report, procs * threads, flags);
+    let failed = report_batch(&outcome.report, &jobs, procs * threads, flags);
     // Epilogue without `fail()`: flush this process's trace first, then
     // splice the worker traces onto it — a second drain would truncate
     // the merged file, so exit explicitly instead of returning to main.
@@ -886,10 +861,8 @@ fn cmd_chaos(opts: &SuiteOptions, flags: &HashMap<String, String>) {
                 chaos.worker_forward_args.push(value.clone());
             }
         }
-        for key in ["stream", "placed"] {
-            if flags.contains_key(key) {
-                chaos.worker_forward_args.push(format!("--{key}"));
-            }
+        if flags.contains_key("stream") {
+            chaos.worker_forward_args.push("--stream".to_string());
         }
     }
 

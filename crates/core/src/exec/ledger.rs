@@ -130,9 +130,11 @@ impl LedgerView {
         }
     }
 
-    /// The lowest-indexed claimable job.
-    pub(crate) fn first_free(&self) -> Option<usize> {
-        self.states.iter().position(|s| matches!(s, JobState::Free))
+    /// The first claimable job in `order` (the batch's
+    /// [`super::claim_order`]); indices the view does not cover are
+    /// not claimable.
+    pub(crate) fn first_free(&self, order: &[usize]) -> Option<usize> {
+        order.iter().copied().find(|&job| self.states.get(job) == Some(&JobState::Free))
     }
 
     /// Outstanding leases held by process `pid` — what the dispatcher
@@ -293,7 +295,7 @@ mod tests {
         assert_eq!(view.holder(0), None);
         assert!(view.holder(1).is_some());
         assert_eq!(view.holder(99), None, "out-of-range holder query answers None");
-        assert_eq!(view.first_free(), Some(0));
+        assert_eq!(view.first_free(&[99, 1, 0]), Some(0), "an index past the view is not free");
         assert_eq!(view.workers.keys().copied().collect::<Vec<_>>(), [1]);
     }
 
@@ -327,7 +329,7 @@ mod tests {
         let view = replay_ledger(&text, 3);
         assert_eq!(view.states, [JobState::Done, JobState::Free, JobState::Done]);
         assert!(!view.all_done());
-        assert_eq!(view.first_free(), Some(1));
+        assert_eq!(view.first_free(&[0, 1, 2]), Some(1));
         assert_eq!(view.retries, 2, "attempts beyond the first");
         let w1 = &view.workers[&1];
         assert_eq!((w1.completed, w1.failed, w1.pid), (2, 0, Some(8)));
@@ -340,6 +342,31 @@ mod tests {
         let as_journal = text
             .replace(&done(0, Some(1), true, 3), &record::job_line(0, "a", &chain, Some((1, 0))));
         assert_eq!(replay_ledger(&as_journal, 3).states, view.states);
+    }
+
+    /// A claim takes the first free job *in claim order*, whatever its
+    /// index: leased and done jobs are passed over, an expired lease
+    /// puts its job back in line at its own position.
+    #[test]
+    fn first_free_walks_the_claim_order() {
+        let other = LeaseId { worker: 2, nonce: 0, pid: 9 };
+        let order = [3, 1, 4, 0, 2];
+        let mut text = [record::manifest_line(7, 5), record::run_line(0)].concat();
+        let mut expect = |line: String, free: Option<usize>| {
+            text.push_str(&line);
+            assert_eq!(replay_ledger(&text, 5).first_free(&order), free, "after {line}");
+        };
+        expect(String::new(), Some(3));
+        expect(record::lease_line(3, ID), Some(1));
+        expect(record::lease_line(1, other), Some(4));
+        expect(done(4, Some(1), true, 1), Some(0));
+        // The holder of job 1 died: it is free again and ahead of 0.
+        expect(record::expire_line(1, other), Some(1));
+        expect(done(3, Some(1), true, 1), Some(1));
+        expect(record::lease_line(1, ID), Some(0));
+        expect(record::lease_line(0, ID), Some(2));
+        expect(record::lease_line(2, ID), None);
+        assert_eq!(replay_ledger(&text, 5).first_free(&[]), None);
     }
 
     /// The reap decision: a dangling lease over a committed record is

@@ -1,16 +1,18 @@
 //! The in-process executor backend.
 //!
 //! [`LocalQueue`] implements the [`WorkQueue`] contract over OS threads
-//! in one process: a shared atomic cursor hands out job indices, and
-//! in-memory result slots take chains first-finisher-wins. Everything
-//! that is queue policy lives here, not in the loop that drains it:
+//! in one process: a shared atomic cursor walks the batch's
+//! [`claim_order`] (longest predicted work first), and in-memory result
+//! slots take chains first-finisher-wins. Everything that is queue policy
+//! lives here, not in the loop that drains it:
 //!
 //! * `claim` stops handing out work once the batch was told to abort,
 //!   fires the scripted pre-encode crash of a journaled batch, and —
 //!   once the cursor is exhausted — hedges stragglers: a hedge is a
 //!   second ticket for an unfinished job, safe because attempt chains
-//!   are deterministic. It blocks (polling) while unfinished jobs might
-//!   still need a hedge.
+//!   are deterministic. Candidates are scanned in claim order, so the
+//!   longest-running primary is considered first. It blocks (polling)
+//!   while unfinished jobs might still need a hedge.
 //! * `publish` commits the race-winning chain under the job's slot
 //!   lock, so a hedge copy can never double-commit. For a journaled
 //!   batch the commit appends and fsyncs the job's record *before* the
@@ -25,7 +27,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use super::io::DurableFile;
-use super::{drain, ChainResult, Ticket, WorkQueue};
+use super::{claim_order, drain, ChainResult, Ticket, WorkQueue};
 use crate::engine::Transcoder;
 use crate::farm::{EngineBatchReport, EngineJob};
 use crate::journal::{io_err, record, JournalError, OpenedJournal};
@@ -55,6 +57,8 @@ struct Sink {
 pub(crate) struct LocalQueue<'a> {
     jobs: &'a [EngineJob],
     policy: &'a ResilienceConfig,
+    /// The batch's [`claim_order`]; `cursor` is a position in it.
+    order: Vec<usize>,
     cursor: AtomicUsize,
     slots: Vec<Mutex<JobSlot>>,
     /// Unresolved jobs (claimed-but-unpublished or never claimed).
@@ -98,6 +102,7 @@ impl<'a> LocalQueue<'a> {
         LocalQueue {
             jobs,
             policy,
+            order: claim_order(jobs),
             cursor: AtomicUsize::new(0),
             slots,
             remaining: AtomicUsize::new(remaining),
@@ -167,8 +172,8 @@ impl<'a> LocalQueue<'a> {
             let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
             sorted[idx] * hedge.factor
         };
-        for (i, slot) in self.slots.iter().enumerate() {
-            let mut s = slot.lock().expect("slot lock");
+        for &i in &self.order {
+            let mut s = self.slots[i].lock().expect("slot lock");
             if s.result.is_none() && !s.hedge_launched {
                 if let Some(t0) = s.started_at {
                     if t0.elapsed().as_secs_f64() > threshold {
@@ -204,8 +209,8 @@ impl WorkQueue for LocalQueue<'_> {
             if self.aborted() {
                 return None;
             }
-            let i = self.cursor.fetch_add(1, Ordering::Relaxed);
-            if i < self.slots.len() {
+            let next = self.cursor.fetch_add(1, Ordering::Relaxed);
+            if let Some(&i) = self.order.get(next) {
                 let mut slot = self.slots[i].lock().expect("slot lock");
                 // Prefilled (replayed) slots are already resolved; the
                 // cursor just walks past them.
@@ -299,6 +304,13 @@ pub(crate) fn run_engine_batch(
         if summary.peak_resident_frames > 0 {
             vtrace::gauge("farm.peak_resident_frames", summary.peak_resident_frames as f64);
         }
+        // The claim order rides on the cost model: how well did it fit?
+        for error in report.predict_errors_pct(jobs) {
+            vtrace::histogram("fleet.predict_error", error.round() as u64);
+        }
+        if let Some(ratio) = report.makespan_bound_ratio(threads) {
+            vtrace::gauge("farm.makespan_bound_ratio", ratio);
+        }
     }
     drop(batch_span);
     Ok(report)
@@ -308,16 +320,61 @@ pub(crate) fn run_engine_batch(
 mod tests {
     use super::*;
     use crate::exec::StdIo;
-    use crate::journal::record::testing::{jobs, ok_chain, TempJournal};
+    use crate::journal::record::testing::{ok_chain, request, source, TempJournal};
     use crate::journal::record::Record;
     use crate::journal::{open_journal, JournalConfig};
+
+    /// Three jobs whose claim order is not their index order: job 2 is
+    /// the biggest, job 0 the smallest.
+    fn uneven_jobs() -> Vec<EngineJob> {
+        let clip = |frames: usize| vframe::Video::new(source(0).frames()[..frames].to_vec(), 30.0);
+        [("small", 2), ("mid", 4), ("big", 6)]
+            .into_iter()
+            .map(|(name, frames)| EngineJob::new(name, clip(frames), request()))
+            .collect()
+    }
+
+    /// One thread claims exactly the claim order, minus the slots a
+    /// resumed journal prefilled.
+    #[test]
+    fn a_single_thread_claims_in_claim_order_past_prefilled_slots() {
+        let jobs = uneven_jobs();
+        assert_eq!(claim_order(&jobs), [2, 1, 0]);
+        let policy = ResilienceConfig::default();
+        let drain_order = |queue: &LocalQueue| -> Vec<usize> {
+            std::iter::from_fn(|| {
+                let ticket = queue.claim()?;
+                let job = ticket.job;
+                assert!(queue.publish(ticket, ok_chain(b"x", 1)));
+                Some(job)
+            })
+            .collect()
+        };
+        assert_eq!(drain_order(&LocalQueue::new(&jobs, &policy, None)), [2, 1, 0]);
+
+        // The same batch resumed with the middle job already durable.
+        let temp = TempJournal::new("claim-order");
+        let config = JournalConfig::new(temp.path());
+        let first = open_journal(&config, &jobs, &policy, &StdIo).expect("fresh journal");
+        let queue = LocalQueue::new(&jobs, &policy, Some(first));
+        let mid = Ticket { job: 1, started: Instant::now(), lease: None };
+        assert!(queue.publish(mid, ok_chain(b"x", 1)));
+        drop(queue);
+        let resumed = open_journal(&config.with_resume(true), &jobs, &policy, &StdIo);
+        let queue = LocalQueue::new(&jobs, &policy, Some(resumed.expect("resume")));
+        assert_eq!(drain_order(&queue), [2, 0]);
+    }
 
     /// (c) A hedge is a second ticket for an unfinished job: both
     /// tickets publish, the job is committed to the journal once, and
     /// the summary counts the hedge.
     #[test]
     fn both_copies_of_a_hedged_job_publish_and_one_commits() {
-        let jobs = jobs(&["a", "b", "straggler"]);
+        // Unequal jobs, so the claim order (biggest first) is not the
+        // index order: the first primary out is the straggler.
+        let jobs = uneven_jobs();
+        let order = claim_order(&jobs);
+        let straggler = order[0];
         // Any job still running once two chains have finished is a
         // straggler.
         let policy = ResilienceConfig::default().with_hedge(HedgePolicy {
@@ -330,12 +387,12 @@ mod tests {
         let queue = LocalQueue::new(&jobs, &policy, Some(opened.expect("fresh journal")));
 
         let tickets: Vec<Ticket> = (0..3).map(|_| queue.claim().expect("a primary")).collect();
-        let [a, b, primary] = <[Ticket; 3]>::try_from(tickets).ok().expect("three tickets");
-        assert_eq!((a.job, b.job, primary.job), (0, 1, 2));
+        let [primary, a, b] = <[Ticket; 3]>::try_from(tickets).ok().expect("three tickets");
+        assert_eq!([primary.job, a.job, b.job], order[..]);
         assert!(queue.publish(a, ok_chain(b"a", 1)));
         assert!(queue.publish(b, ok_chain(b"b", 1)));
         let hedge = queue.claim().expect("the straggler's hedge");
-        assert_eq!(hedge.job, 2);
+        assert_eq!(hedge.job, straggler);
         assert!(queue.publish(hedge, ok_chain(b"s", 1)), "the hedge copy wins");
         assert!(queue.publish(primary, ok_chain(b"s", 1)), "the losing copy is dropped quietly");
         assert!(queue.claim().is_none(), "drained");
@@ -343,10 +400,10 @@ mod tests {
         let report = queue.into_report(1.0).expect("no abort");
         assert_eq!(report.summary.hedges, 1);
         let hedged: Vec<bool> = report.results.iter().map(|r| r.hedged).collect();
-        assert_eq!(hedged, [false, false, true]);
+        assert_eq!(hedged, [false, false, true], "job {straggler} alone");
         let text = std::fs::read_to_string(temp.path()).expect("journal readable");
         let commits = record::records(&text)
-            .filter(|r| matches!(r, Record::Job(rec) if rec.job == 2))
+            .filter(|r| matches!(r, Record::Job(rec) if rec.job == straggler))
             .count();
         assert_eq!(commits, 1, "exactly one commit for the hedged job");
     }

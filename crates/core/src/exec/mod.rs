@@ -2,7 +2,8 @@
 //!
 //! Every batch this crate runs — in memory, journaled, or spread over
 //! worker processes — is drained by the one loop in this module,
-//! `drain`: N scoped threads each running
+//! `drain`: N lanes — the calling thread and N − 1 scoped threads — each
+//! running
 //! `while let Some(ticket) = queue.claim() { queue.publish(ticket, chain) }`.
 //! The loop is the only caller of the attempt-chain runner and the only
 //! place the per-thread `farm.worker` span, the queue-wait / steal /
@@ -36,12 +37,16 @@
 //!   job record stays the single commit point, so `--resume` and
 //!   worker-loss recovery are the same code path: a job either has a
 //!   durable record (done, replayable) or it does not (re-encode it).
-//! * [`placement`] — the cost plane's claim order: a validated job
-//!   permutation ([`PlacementPlan`]) that reorders the job list before
-//!   it is queued ([`PlacementPlan::apply`]) and puts per-job results
-//!   back afterwards ([`PlacementPlan::restore`]). Queues hand out
-//!   indices in order, so the permuted list *is* the placed claim
-//!   order; no backend knows about placements.
+//! * [`claim_order`] — the order both backends hand jobs out in:
+//!   longest predicted host work first (`fleet::predict`'s cost model
+//!   over features read off the job), ties in index order. Each queue
+//!   computes it once from the job list it was built over — every
+//!   participant holds the identical list, so threads and worker
+//!   processes agree on the order without exchanging a byte — and walks
+//!   it: `LocalQueue`'s cursor indexes into it, a `JournalQueue` leases
+//!   the first free job in it. Only *when* a job is claimed follows the
+//!   order; everything keyed by job index (report rows, journal records,
+//!   fault decisions) does not move.
 //! * [`io`] — the durable-IO seam: every byte the journal, lease
 //!   ledger, and status snapshots put on disk flows through a
 //!   [`io::JournalIo`] ([`io::StdIo`] in production), so the seeded
@@ -53,12 +58,18 @@
 //! functions of `(source, request, degradation)` and fault decisions key
 //! on `(job, attempt)`, so *which* worker — thread or process — runs a
 //! job never changes its bytes. Lease arbitration therefore only has to
-//! be safe (no duplicate publishes), never fair or ordered.
+//! be safe (no duplicate publishes), never fair or ordered — which is
+//! also why the claim order is free to follow predicted cost.
 //!
 //! Telemetry. From the loop, on every backend: one `farm.worker` span
 //! per thread (child of the caller's `farm.batch` or `exec.worker`
 //! span), `farm.queue_wait_us`, `farm.steals`, `farm.jobs_completed`,
 //! `farm.batch_utilization`.
+//! From `run_engine_batch`, the fit of the cost model the claim order
+//! rides on: the `fleet.predict_error` histogram (per job that ran, the
+//! percent error of its predicted share of the batch against its
+//! measured share) and the `farm.makespan_bound_ratio` gauge (wall over
+//! the list-scheduling bound `max(longest, Σ/threads)`).
 //! From the queues: `exec.leases_granted` counts won claims,
 //! `exec.jobs_completed` counts published results. The multi-process
 //! backend adds `exec.leases_expired` (dispatcher reaped a dead
@@ -73,13 +84,11 @@ pub mod dispatch;
 pub mod io;
 pub mod ledger;
 pub mod local;
-pub mod placement;
 pub mod status;
 pub mod worker;
 
 pub use dispatch::{merge_trace_files, run_dispatch_with_io, DispatchOptions, DispatchReport};
 pub use io::{append_retrying, DurableFile, FaultedIo, JournalIo, StdIo};
-pub use placement::{PlacementError, PlacementPlan};
 pub use status::{
     snapshot_from_journal, snapshot_from_text, write_atomic_io, StatusSnapshot, WorkerStatus,
 };
@@ -90,7 +99,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 use crate::engine::Transcoder;
-use crate::farm::{BatchError, EngineJob, JobError, JobOutcome};
+use crate::farm::{BatchError, EngineJob, JobError, JobOutcome, JobSource};
+use crate::fleet::predict::{predict_work_pixels, JobFeatures, NEUTRAL_ENTROPY};
 use crate::resilience::{degraded_request, FaultyTranscoder, ResilienceConfig};
 use ledger::LeaseId;
 
@@ -123,6 +133,41 @@ impl ChainResult {
     pub fn was_replayed(&self) -> bool {
         self.attempts == 0
     }
+}
+
+/// Predicted host work for `job`, in `fleet::predict`'s reference-pixel
+/// units, from what the job itself states: frame size, length, frame
+/// rate and the requested preset. Entropy is unknown before a frame
+/// exists, so it is priced at the model's neutral value. This is *host*
+/// work — the host runs `vcodec` for hardware-backend requests too — so
+/// the backend does not enter.
+pub(crate) fn predicted_work(job: &EngineJob) -> f64 {
+    let frames = job.source.frames() as u64;
+    predict_work_pixels(&JobFeatures {
+        pixels_per_frame: job.source.total_pixels() / frames.max(1),
+        frames,
+        fps: match &job.source {
+            JobSource::InMemory(video) => video.fps(),
+            JobSource::Synth(spec) => spec.fps,
+        },
+        entropy: NEUTRAL_ENTROPY,
+        preset: job.request.preset,
+    })
+}
+
+/// The order every queue backend hands `jobs` out in: job indices
+/// sorted by [predicted host work](crate::fleet::predict::predict_work_pixels),
+/// descending, ties broken by index — longest-processing-time-first
+/// list scheduling, so the most expensive job starts first instead of
+/// finishing alone. A pure function of the job list: two participants
+/// holding equal lists compute equal orders, and equal-work jobs keep
+/// index order.
+pub fn claim_order(jobs: &[EngineJob]) -> Vec<usize> {
+    let work: Vec<f64> = jobs.iter().map(predicted_work).collect();
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    // Stable sort: equal keys stay in index order.
+    order.sort_by(|&a, &b| work[b].total_cmp(&work[a]));
+    order
 }
 
 /// A won claim: the right, and the obligation, to publish one chain for
@@ -169,15 +214,15 @@ pub(crate) trait WorkQueue {
     fn heartbeat(&self) {}
 }
 
-/// The executor loop: drains `queue` on `threads` scoped OS threads,
-/// each claiming a ticket, running that job's attempt chain, and
-/// publishing the result, until a claim answers drained or a publish
-/// answers stop. Every batch entry point is "build a queue, run this,
-/// fold the result".
+/// The executor loop: drains `queue` on `threads` lanes — the calling
+/// thread plus `threads − 1` scoped OS threads — each claiming a ticket,
+/// running that job's attempt chain, and publishing the result, until a
+/// claim answers drained or a publish answers stop. Every batch entry
+/// point is "build a queue, run this, fold the result".
 ///
-/// Never spawns more threads than there are jobs, so an empty batch
-/// returns without spawning (or claiming) at all. Returns the number of
-/// threads it ran, for the caller's span.
+/// Never runs more lanes than there are jobs, so an empty batch returns
+/// without claiming at all. Returns the number of lanes it ran, for the
+/// caller's span.
 ///
 /// # Errors
 ///
@@ -200,41 +245,45 @@ pub(crate) fn drain<Q: WorkQueue + Sync>(
     let parent = vtrace::current_span();
     let stop = AtomicBool::new(false);
     let busy_us = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut worker_span = vtrace::span_with_parent("farm.worker", parent);
-                let mut jobs_done = 0u64;
-                while !stop.load(Ordering::Acquire) {
-                    let Some(ticket) = queue.claim() else { break };
-                    if vtrace::enabled() {
-                        // Queue wait: how long the job sat between
-                        // batch start and this thread picking it up.
-                        vtrace::histogram(
-                            "farm.queue_wait_us",
-                            started.elapsed().as_micros() as u64,
-                        );
-                        if jobs_done > 0 {
-                            // Every grab after a thread's first is a
-                            // pull from the shared queue.
-                            vtrace::counter("farm.steals", 1);
-                        }
-                    }
-                    let t0 = Instant::now();
-                    let chain = run_attempt_chain(engine, ticket.job, &jobs[ticket.job], policy);
-                    busy_us.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
-                    jobs_done += 1;
-                    if !queue.publish(ticket, chain) {
-                        stop.store(true, Ordering::Release);
-                    }
+    let lane = || {
+        let mut worker_span = vtrace::span_with_parent("farm.worker", parent);
+        let mut jobs_done = 0u64;
+        while !stop.load(Ordering::Acquire) {
+            let Some(ticket) = queue.claim() else { break };
+            if vtrace::enabled() {
+                // Queue wait: how long the job sat between batch start
+                // and this thread picking it up.
+                vtrace::histogram("farm.queue_wait_us", started.elapsed().as_micros() as u64);
+                if jobs_done > 0 {
+                    // Every grab after a thread's first is a pull from
+                    // the shared queue.
+                    vtrace::counter("farm.steals", 1);
                 }
-                if worker_span.id().is_some() {
-                    worker_span.record("jobs", jobs_done);
-                    vtrace::counter("farm.jobs_completed", jobs_done);
-                }
-            });
+            }
+            let t0 = Instant::now();
+            let chain = run_attempt_chain(engine, ticket.job, &jobs[ticket.job], policy);
+            busy_us.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+            jobs_done += 1;
+            if !queue.publish(ticket, chain) {
+                stop.store(true, Ordering::Release);
+            }
         }
-    });
+        if worker_span.id().is_some() {
+            worker_span.record("jobs", jobs_done);
+            vtrace::counter("farm.jobs_completed", jobs_done);
+        }
+    };
+    // The caller is one of the lanes: it claims first, so the longest
+    // job's buffers live in the heap the caller goes on using rather than
+    // in an arena that idles once its thread is gone.
+    if threads > 0 {
+        std::thread::scope(|scope| {
+            for _ in 1..threads {
+                scope.spawn(lane);
+            }
+            lane();
+        });
+    }
     // Share of the threads' wall time spent inside attempt chains.
     let busy_secs = busy_us.load(Ordering::Relaxed) as f64 / 1e6;
     let lane_secs = threads.max(1) as f64 * started.elapsed().as_secs_f64().max(1e-9);
@@ -352,13 +401,18 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, TranscodeError, TranscodeOutcome, TranscodeRequest};
+    use crate::engine::{Engine, RateMode, TranscodeError, TranscodeOutcome, TranscodeRequest};
     use crate::farm::transcode_batch;
     use crate::journal::record::testing::{jobs, TempJournal};
     use crate::journal::{run_batch_journaled_with_io, JournalConfig, JournalError};
+    use crate::reference::reference_request_for;
+    use crate::scenario::Scenario;
+    use crate::suite::{Suite, SuiteOptions};
+    use proptest::prelude::*;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Mutex;
-    use vframe::Video;
+    use vcodec::{CodecFamily, Preset};
+    use vframe::{Resolution, Video};
 
     /// A transcoder that refuses every request on the spot (and is not
     /// retried: a backend mismatch is structural).
@@ -470,6 +524,128 @@ mod tests {
         published.sort_unstable();
         let ok: Vec<(usize, bool)> = published.iter().map(|p| (p.1, p.2)).collect();
         assert_eq!(ok, [(0, true), (1, false), (2, true), (0, true), (1, false), (2, true)]);
+    }
+
+    const PRESETS: [Preset; 6] = [
+        Preset::UltraFast,
+        Preset::VeryFast,
+        Preset::Fast,
+        Preset::Medium,
+        Preset::Slow,
+        Preset::VerySlow,
+    ];
+
+    /// A streamed job that is nothing but its shape: no frame is ever
+    /// rendered to order it.
+    fn shaped_job(width: u32, height: u32, frames: usize, preset: Preset) -> EngineJob {
+        let spec = vsynth::SourceSpec::new(
+            Resolution::new(width, height),
+            30.0,
+            frames,
+            vsynth::ContentClass::Natural,
+            7,
+        );
+        let request = TranscodeRequest::software(
+            CodecFamily::Avc,
+            preset,
+            RateMode::ConstQuality { crf: 30.0 },
+        );
+        EngineJob::streaming("shaped", JobSource::Synth(spec), request)
+    }
+
+    proptest! {
+        /// The claim order is a permutation of the job indices, sorted
+        /// by predicted work descending with ties in index order, and a
+        /// second, independently built copy of the list orders the same
+        /// — what a dispatcher and its workers rely on.
+        #[test]
+        fn claim_order_is_a_deterministic_longest_first_permutation(
+            shapes in proptest::collection::vec((1u32..64, 1u32..64, 1usize..40, 0usize..6), 0..24),
+        ) {
+            let build = || -> Vec<EngineJob> {
+                shapes.iter().map(|&(w, h, n, p)| shaped_job(16 * w, 16 * h, n, PRESETS[p])).collect()
+            };
+            let jobs = build();
+            let order = claim_order(&jobs);
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(sorted, (0..jobs.len()).collect::<Vec<_>>());
+            for pair in order.windows(2) {
+                let (a, b) = (predicted_work(&jobs[pair[0]]), predicted_work(&jobs[pair[1]]));
+                prop_assert!(a > b || (a == b && pair[0] < pair[1]), "{pair:?}: {a} then {b}");
+            }
+            prop_assert_eq!(claim_order(&build()), order);
+        }
+    }
+
+    #[test]
+    fn equal_work_jobs_are_claimed_in_index_order() {
+        assert_eq!(claim_order(&[]), Vec::<usize>::new());
+        assert_eq!(claim_order(&jobs(&["only"])), [0]);
+        assert_eq!(claim_order(&jobs(&["a", "b", "c", "d", "e"])), [0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn more_pixels_frames_or_effort_are_claimed_earlier() {
+        let base = || shaped_job(320, 240, 10, Preset::Fast);
+        for bigger in [
+            shaped_job(640, 480, 10, Preset::Fast),
+            shaped_job(320, 240, 30, Preset::Fast),
+            shaped_job(320, 240, 10, Preset::Medium),
+        ] {
+            assert_eq!(claim_order(&[base(), bigger.clone()]), [1, 0]);
+            assert_eq!(claim_order(&[bigger, base()]), [0, 1]);
+        }
+        // Host work is keyed the same way for a hardware request.
+        let mut hw = shaped_job(640, 480, 10, Preset::Fast);
+        hw.request.backend = crate::engine::Backend::Hardware(vhw::HwVendor::Nvenc);
+        assert_eq!(claim_order(&[base(), hw]), [1, 0]);
+    }
+
+    /// List-schedules `work` in `order` on `lanes` lanes: each job goes
+    /// to the lane that frees up first. Returns the makespan.
+    fn list_schedule(work: &[f64], order: &[usize], lanes: usize) -> f64 {
+        let mut busy = vec![0.0f64; lanes];
+        for &job in order {
+            let next = busy.iter_mut().min_by(|a, b| a.total_cmp(b)).expect("a lane");
+            *next += work[job];
+        }
+        busy.into_iter().fold(0.0, f64::max)
+    }
+
+    /// The schedule arithmetic behind the claim order, on the model's
+    /// own numbers (no clocks): over the 15 Table-2 jobs at the VOD
+    /// reference, two lanes in claim order land within 3 % of the bound
+    /// `max(longest, Σ/2)` where suite order is at least 20 % above it —
+    /// and on four lanes the bound is the 4K clip itself, which no claim
+    /// order can beat (splitting one job across lanes stays parked).
+    #[test]
+    fn claim_order_schedules_the_suite_to_its_bound() {
+        let suite = Suite::vbench(&SuiteOptions::tiny());
+        let jobs: Vec<EngineJob> = suite
+            .iter()
+            .map(|v| {
+                let request =
+                    reference_request_for(Scenario::Vod, v.spec.resolution, v.category.kpixels);
+                EngineJob::streaming(v.name, JobSource::Synth(v.spec.clone()), request)
+            })
+            .collect();
+        assert_eq!(jobs.len(), 15);
+        let work: Vec<f64> = jobs.iter().map(predicted_work).collect();
+        let (longest, total) = work.iter().fold((0.0f64, 0.0), |(l, s), w| (l.max(*w), s + w));
+        let suite_order: Vec<usize> = (0..jobs.len()).collect();
+        let order = claim_order(&jobs);
+        assert_eq!(jobs[order[0]].name, "chicken", "the 4K clip is claimed first");
+
+        let bound = longest.max(total / 2.0);
+        assert!(longest < total / 2.0, "on two lanes the tail is fully recoverable");
+        let in_claim_order = list_schedule(&work, &order, 2);
+        let in_suite_order = list_schedule(&work, &suite_order, 2);
+        assert!(in_claim_order <= 1.03 * bound, "claim order: {in_claim_order} vs bound {bound}");
+        assert!(in_suite_order >= 1.20 * bound, "suite order: {in_suite_order} vs bound {bound}");
+
+        assert!(longest > total / 4.0, "on four lanes the 4K clip is the bound");
+        assert_eq!(list_schedule(&work, &order, 4), longest);
     }
 
     fn dispatch_opts(procs: usize, journal: &TempJournal) -> DispatchOptions {

@@ -7,7 +7,8 @@
 //! which it reads and appends coordination records to, and the journal,
 //! which it only ever appends job records to — **a worker never reads
 //! the journal**, so what a claim costs does not grow with the payloads
-//! already committed. Claims are optimistic: append a lease record,
+//! already committed. Claims are optimistic: pick the first free job in
+//! the batch's [`claim_order`], append a lease record for it,
 //! re-read the ledger, and keep the job only if that lease is the current
 //! holder (first lease in file order wins — see [`super::ledger`]).
 //! Publishing revalidates the lease, appends the job record to the
@@ -44,7 +45,7 @@ use std::time::{Duration, Instant};
 
 use super::io::{DurableFile, JournalIo};
 use super::ledger::{self, LeaseId};
-use super::{drain, ChainResult, Ticket, WorkQueue};
+use super::{claim_order, drain, ChainResult, Ticket, WorkQueue};
 use crate::engine::Transcoder;
 use crate::farm::EngineJob;
 use crate::journal::record::{self, DoneMark, Record};
@@ -84,6 +85,9 @@ struct JournalQueue<'a> {
     /// Job records — append-only here, never read.
     journal: Mutex<Box<dyn DurableFile>>,
     jobs: &'a [EngineJob],
+    /// The batch's [`claim_order`]: every worker computes the same one
+    /// from the same job list.
+    order: Vec<usize>,
     policy: &'a ResilienceConfig,
     worker: u64,
     pid: u64,
@@ -137,7 +141,7 @@ impl WorkQueue for JournalQueue<'_> {
             if view.all_done() {
                 return None;
             }
-            let Some(job) = view.first_free() else {
+            let Some(job) = view.first_free(&self.order) else {
                 // Everything unfinished is leased elsewhere. A holder
                 // may still die — its lease comes back via a dispatcher
                 // expire — so poll rather than exit.
@@ -272,6 +276,7 @@ pub fn run_worker_with_io(
         journal: Mutex::new(open(&opts.journal, "open journal for append")?),
         ledger_path,
         jobs,
+        order: claim_order(jobs),
         policy,
         worker: opts.worker_id as u64,
         pid: u64::from(std::process::id()),

@@ -32,7 +32,7 @@ use crate::engine::{
     StreamOutcome, TranscodeError, TranscodeOutcome, TranscodeRequest, Transcoder,
 };
 use crate::exec::local::run_engine_batch;
-use crate::exec::ChainResult;
+use crate::exec::{predicted_work, ChainResult};
 use crate::journal::JournalError;
 use crate::measure::Measurement;
 use crate::resilience::ResilienceConfig;
@@ -494,6 +494,40 @@ impl EngineBatchReport {
         self.cpu_secs / self.wall_secs.max(1e-9)
     }
 
+    /// `(job index, transcode seconds)` of every job that ran to an
+    /// outcome in this invocation (replays carry another run's clock).
+    fn ran_secs(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.results.iter().enumerate().filter(|(_, r)| r.attempts > 0).filter_map(|(i, r)| {
+            let outcome = r.outcome.as_ref().ok()?;
+            Some((i, outcome.timings().total()))
+        })
+    }
+
+    /// How well the cost model behind [`crate::exec::claim_order`] fits
+    /// this batch: per job that ran, `100·|(p̂ᵢ/Σp̂) ÷ (tᵢ/Σt) − 1|` — the
+    /// error of the job's predicted *share* of the batch against its
+    /// measured share, so no machine-speed constant enters. `jobs` is
+    /// the list the batch ran; the result follows job order, skipping
+    /// jobs that failed or were replayed.
+    pub fn predict_errors_pct(&self, jobs: &[EngineJob]) -> Vec<f64> {
+        let fit: Vec<(f64, f64)> =
+            self.ran_secs().map(|(i, secs)| (predicted_work(&jobs[i]), secs)).collect();
+        let (work, secs) = fit.iter().fold((0.0, 0.0), |(w, s), (p, t)| (w + p, s + t));
+        fit.iter().map(|(p, t)| 100.0 * ((p / work) / (t / secs) - 1.0).abs()).collect()
+    }
+
+    /// Wall time over the list-scheduling lower bound
+    /// `max(longest tᵢ, Σt ÷ threads)` of the jobs that ran: 1.0 is a
+    /// schedule no claim order could beat; the excess is lane time
+    /// outside the jobs' own transcode seconds (tail idle, queueing,
+    /// and for streamed jobs the frame pulls). `None` when nothing ran.
+    pub fn makespan_bound_ratio(&self, threads: usize) -> Option<f64> {
+        let (longest, total) =
+            self.ran_secs().fold((0.0f64, 0.0), |(l, s), (_, t)| (l.max(t), s + t));
+        let lanes = threads.clamp(1, self.results.len().max(1));
+        (total > 0.0).then(|| self.wall_secs / longest.max(total / lanes as f64))
+    }
+
     /// The first failed job in job order, if any.
     pub fn first_failure(&self) -> Option<(&str, &JobError)> {
         self.results.iter().find_map(|r| r.error().map(|e| (r.name.as_str(), e)))
@@ -531,9 +565,8 @@ impl EngineBatchReport {
 /// sequence. The `hedged` flags and [`BatchSummary::hedges`] are the
 /// exception: whether a hedge fires depends on observed wall time.
 ///
-/// To run under a fleet placement, queue the jobs in claim order
-/// ([`crate::exec::PlacementPlan::apply`]) and put the results back
-/// with [`crate::exec::PlacementPlan::restore`].
+/// Jobs are claimed longest predicted work first
+/// ([`crate::exec::claim_order`]), never in list order.
 ///
 /// # Errors
 ///

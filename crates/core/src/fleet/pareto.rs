@@ -14,7 +14,6 @@ use vtrace::json;
 
 use super::plan::{plan_fleet, scenario_deadline_slack, uniform_plan, PlanJob};
 use crate::engine::Transcoder;
-use crate::exec::PlacementPlan;
 use crate::farm::{transcode_batch, BatchError, EngineJob, JobSource};
 use crate::reference::reference_request_for;
 use crate::resilience::ResilienceConfig;
@@ -65,7 +64,7 @@ pub struct ParetoReport {
     /// Catalog entry names, in catalog order.
     pub instances: Vec<String>,
     /// Real-encode fingerprint over the planned job set's unique videos,
-    /// encoded in the mult-1.0 plan's placement order.
+    /// in video order.
     pub proof: EncodeProof,
     /// Frontier points, in grid order.
     pub points: Vec<ParetoPoint>,
@@ -154,12 +153,11 @@ pub fn plan_jobs(
 
 /// Sweeps the deadline grid and assembles the frontier report,
 /// including the real-encode proof: the planned job set's unique
-/// videos, encoded once each through the placed executor in the
-/// mult-1.0 plan's claim order. The virtual planning never depends on
-/// `workers`, and the farm's determinism contract makes the proof
-/// fingerprint worker-independent too — so the report is byte-identical
-/// at any worker count. Emits the mult-1.0 plan's `fleet.dollar_cost`
-/// gauge.
+/// videos, encoded once each through the executor. The virtual planning
+/// never depends on `workers`, and the farm's determinism contract makes
+/// the proof fingerprint worker-independent too — so the report is
+/// byte-identical at any worker count. Emits the mult-1.0 plan's
+/// `fleet.dollar_cost` gauge.
 ///
 /// # Errors
 ///
@@ -190,7 +188,7 @@ pub fn pareto_report(
             fleet: plan.fleet,
         });
     }
-    let proof = encode_proof(config, profiles, catalog, engine, workers)?;
+    let proof = encode_proof(config, profiles, engine, workers)?;
     Ok(ParetoReport {
         scenario: config.scenario.name().to_ascii_lowercase(),
         duration_secs: config.duration_secs,
@@ -204,40 +202,29 @@ pub fn pareto_report(
 }
 
 /// Encodes each unique video in the planned job set once, at the
-/// scenario reference request, in the mult-1.0 plan's claim order (jobs
-/// grouped by assigned instance class; one `fleet.placements` count per
-/// placed job) — real encodes behind the plan, fingerprinted in job
-/// order with the same fold as the service proof.
+/// scenario reference request (one `fleet.placements` count per job) —
+/// real encodes behind the plan, fingerprinted in job order with the
+/// same fold as the service proof.
 fn encode_proof(
     config: &ServiceConfig,
     profiles: &[VideoProfile],
-    catalog: &InstanceCatalog,
     engine: &dyn Transcoder,
     workers: usize,
 ) -> Result<EncodeProof, BatchError> {
-    // One planner job per unique video, in video order: at one deadline
+    // One job per unique video, in video order: at one deadline
     // multiplier every arrival of a video plans identically.
-    let mut seen = BTreeSet::new();
-    let mut unique = plan_jobs(config, profiles, 1.0);
-    unique.retain(|j| seen.insert(j.video));
-    unique.sort_by_key(|j| j.video);
-    let plan = plan_fleet(&unique, catalog, config.duration_secs);
-    let placement =
-        PlacementPlan::new(plan.claim_order(catalog.len())).expect("claim order is a permutation");
-    let engine_jobs: Vec<EngineJob> = unique
+    let videos: BTreeSet<usize> =
+        plan_jobs(config, profiles, 1.0).iter().map(|j| j.video).collect();
+    let engine_jobs: Vec<EngineJob> = videos
         .iter()
-        .map(|j| {
-            let p = &profiles[j.video];
+        .map(|&video| {
+            let p = &profiles[video];
             let request = reference_request_for(config.scenario, p.spec.resolution, p.kpixels);
             EngineJob::streaming(p.name, JobSource::Synth(p.spec.clone()), request)
         })
         .collect();
-    let placed = placement.apply(&engine_jobs);
-    let mut report = transcode_batch(engine, &placed, workers, &ResilienceConfig::default())?;
-    vtrace::counter("fleet.placements", placed.len() as u64);
-    // Results came back in claim order; the fingerprint is over job
-    // order, so it never sees the permutation.
-    report.results = placement.restore(report.results);
+    let report = transcode_batch(engine, &engine_jobs, workers, &ResilienceConfig::default())?;
+    vtrace::counter("fleet.placements", engine_jobs.len() as u64);
     Ok(EncodeProof::from_report(&report.require_complete()?))
 }
 

@@ -82,16 +82,6 @@ impl FleetPlan {
             self.deadline_misses as f64 / self.assignments.len() as f64
         }
     }
-
-    /// Job indices grouped by catalog entry, in catalog then job order —
-    /// the claim order a placement layer dispatches in.
-    pub fn claim_order(&self, catalog_len: usize) -> Vec<usize> {
-        let mut order = Vec::with_capacity(self.assignments.len());
-        for instance in 0..catalog_len {
-            order.extend(self.assignments.iter().filter(|a| a.instance == instance).map(|a| a.job));
-        }
-        order
-    }
 }
 
 /// Deadline slack each service scenario grants on a job's play-out
@@ -266,22 +256,6 @@ mod tests {
         assert_eq!(plan.deadline_misses, 1);
         assert_eq!(plan.miss_rate(), 1.0);
         assert!(!plan.assignments[0].feasible);
-    }
-
-    #[test]
-    fn claim_order_groups_jobs_by_instance() {
-        let catalog = InstanceCatalog::default_fleet();
-        let mut jobs = vec![job(64 * 64, 10, 1.0, 1e9); 4];
-        jobs.push(job(1920 * 1080, 240, 5.0, 1.0)); // forced onto an accelerator
-        let plan = plan_fleet(&jobs, &catalog, 3600.0);
-        let order = plan.claim_order(catalog.len());
-        assert_eq!(order.len(), jobs.len());
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..jobs.len()).collect::<Vec<_>>(), "a permutation");
-        // Jobs on the same instance keep their relative order.
-        let instances: Vec<usize> = order.iter().map(|&j| plan.assignments[j].instance).collect();
-        assert!(instances.windows(2).all(|w| w[0] <= w[1]), "grouped by catalog entry");
     }
 
     #[test]

@@ -67,6 +67,11 @@ const RES_PIVOT_LOG2: f64 = 12.0;
 /// place, and a future refit only changes numbers here.
 const RES_SLOPE: f64 = 0.0;
 const RES_SPAN_LOG2: f64 = 8.0;
+/// The entropy at which the content multiplier is 1: what a caller
+/// prices a job at before any published entropy is known (the
+/// executor's claim order). Over the suite's 0.2–8 bit range the
+/// multiplier only spans 0.90–1.07.
+pub(crate) const NEUTRAL_ENTROPY: f64 = (1.0 - ENTROPY_BASE) / ENTROPY_SLOPE;
 /// Per-frame software overhead, in reference-pixel equivalents.
 const FRAME_OVERHEAD_PIXELS: f64 = 1_440.0;
 /// Kernel samples one reference-pixel equivalent of work corresponds

@@ -109,7 +109,7 @@ pub use engine::{
     Backend, Engine, HardwareEngine, RateMode, SoftwareEngine, StreamOutcome, TranscodeError,
     TranscodeOutcome, TranscodeRequest, Transcoder,
 };
-pub use exec::{ChainResult, PlacementError, PlacementPlan};
+pub use exec::ChainResult;
 pub use farm::{
     transcode_batch, BatchError, BatchSummary, EngineBatchReport, EngineJob, EngineJobResult,
     JobError, JobOutcome, JobSource, ReplayedOutcome,

@@ -50,7 +50,7 @@ pub struct ParetoDoc {
     pub instances: Vec<String>,
     /// Distinct videos really encoded behind the plan.
     pub unique_encodes: u64,
-    /// CRC-32 over the per-encode CRCs, in placement order.
+    /// CRC-32 over the per-encode CRCs, in video order.
     pub encode_crc32: u64,
     /// Total encoded payload bytes.
     pub encoded_bytes: u64,

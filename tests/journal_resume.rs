@@ -14,7 +14,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use vbench::engine::{Engine, RateMode, TranscodeError, TranscodeRequest, Transcoder};
-use vbench::exec::StdIo;
+use vbench::exec::{claim_order, StdIo};
 use vbench::farm::EngineJob;
 use vbench::resilience::ResilienceConfig;
 use vbench::suite::{Suite, SuiteOptions};
@@ -145,24 +145,28 @@ fn crash_resume_is_byte_identical_at_any_worker_count() {
 
 #[test]
 fn single_worker_crashes_replay_exactly_the_completed_prefix() {
-    // With one worker jobs run in order, so the journal contents at each
-    // crash point are exact — pin them.
+    // One worker runs the jobs one at a time in claim order, so the
+    // journal at each crash point holds exactly a prefix of that order —
+    // pin it.
     let jobs = jobs();
+    let order = claim_order(&jobs);
+    assert_ne!(order, (0..jobs.len()).collect::<Vec<_>>(), "these clips differ in size");
     let cases = [
-        // Crash before job 2 encodes: jobs 0 and 1 are durable.
-        (CrashPoint::PreEncode, 2usize, 2usize),
-        // Crash after job 1 encoded but before its record: only job 0
-        // is durable — the encode of job 1 is lost, exactly as a real
-        // kill between encode and append would lose it.
-        (CrashPoint::PostEncode, 1, 1),
-        // Crash mid-append of job 3's record: the torn line must be
-        // quarantined, leaving jobs 0..=2 durable.
-        (CrashPoint::PreJournalFlush, 3, 3),
+        // Crash before the third claim encodes: the first two claims
+        // are durable.
+        (CrashPoint::PreEncode, 2usize),
+        // Crash after the second claim encoded but before its record:
+        // only the first is durable — the encode is lost, exactly as a
+        // real kill between encode and append would lose it.
+        (CrashPoint::PostEncode, 1),
+        // Crash mid-append of the fourth claim's record: the torn line
+        // must be quarantined, leaving the first three durable.
+        (CrashPoint::PreJournalFlush, 3),
     ];
-    for (point, crash_job, expect_replayed) in cases {
+    for (point, expect_replayed) in cases {
         let path = temp_journal(&format!("prefix-{point}"));
         let policy = ResilienceConfig::default()
-            .with_fault_plan(FaultPlan::new().with_crash(crash_job, point));
+            .with_fault_plan(FaultPlan::new().with_crash(order[expect_replayed], point));
         run_batch_journaled_with_io(&Engine, &jobs, 1, &policy, &JournalConfig::new(&path), &StdIo)
             .expect_err("crash");
         if point == CrashPoint::PreJournalFlush {
@@ -181,6 +185,10 @@ fn single_worker_crashes_replay_exactly_the_completed_prefix() {
         .expect("resume");
         assert_eq!(report.summary.replayed, expect_replayed, "{point}");
         assert!(report.summary.replayed > 0, "{point}: resume must replay work");
+        let mut replayed: Vec<usize> =
+            (0..jobs.len()).filter(|&i| report.results[i].attempts == 0).collect();
+        replayed.sort_by_key(|job| order.iter().position(|o| o == job));
+        assert_eq!(replayed, order[..expect_replayed], "{point}: a prefix of the claim order");
         assert_eq!(engine.calls(), jobs.len() - expect_replayed, "{point}");
         let _ = std::fs::remove_file(&path);
     }
