@@ -208,7 +208,7 @@ impl SourceSpec {
     pub fn generate_frame(&self, t: u32) -> Frame {
         assert!((t as usize) < self.frames, "frame index out of range");
         self.complexity.validate();
-        SceneState::new(self).render(t)
+        SceneState::new(self.clone()).render(t)
     }
 
     /// Opens a streaming [`FrameSource`] over this spec: frames are
@@ -221,7 +221,7 @@ impl SourceSpec {
     pub fn source(&self) -> SynthSource {
         assert!(self.frames > 0, "at least one frame required");
         self.complexity.validate();
-        SynthSource { spec: self.clone(), next: 0 }
+        SynthSource { scene: SceneState::new(self.clone()), next: 0 }
     }
 
     /// The noise field driving this spec's textures.
@@ -231,40 +231,43 @@ impl SourceSpec {
 }
 
 /// A streaming [`FrameSource`] over a [`SourceSpec`]: each pull renders
-/// exactly one frame (rendering is random-access in `t`, so no per-frame
-/// state carries over and [`reset`](FrameSource::reset) is free). This is
-/// the primary render path; [`SourceSpec::generate`] drains it.
+/// exactly one frame. Rendering is random-access in `t`; what carries over
+/// between pulls is scratch only — the noise evaluators' buffers (about
+/// 130 KB at 384 pixels wide, reused so a pull allocates just its three
+/// planes) and the current scene's sprite list — and never a pixel, so
+/// [`reset`](FrameSource::reset) is free and residency stays one frame.
+/// This is the primary render path; [`SourceSpec::generate`] drains it.
 #[derive(Clone, Debug)]
 pub struct SynthSource {
-    spec: SourceSpec,
+    scene: SceneState,
     next: u32,
 }
 
 impl SynthSource {
     /// The spec this source renders.
     pub fn spec(&self) -> &SourceSpec {
-        &self.spec
+        self.scene.spec()
     }
 }
 
 impl FrameSource for SynthSource {
     fn resolution(&self) -> Resolution {
-        self.spec.resolution
+        self.spec().resolution
     }
 
     fn fps(&self) -> f64 {
-        self.spec.fps
+        self.spec().fps
     }
 
     fn len(&self) -> usize {
-        self.spec.frames
+        self.spec().frames
     }
 
     fn next_frame(&mut self) -> Option<Frame> {
-        if (self.next as usize) >= self.spec.frames {
+        if (self.next as usize) >= self.len() {
             return None;
         }
-        let f = SceneState::new(&self.spec).render(self.next);
+        let f = self.scene.render(self.next);
         self.next += 1;
         Some(f)
     }
@@ -366,6 +369,59 @@ mod tests {
         assert_eq!(pulled, replay, "reset must replay identically");
         let v = s.generate();
         assert_eq!(v.frames(), &pulled[..], "generate() is the drained source");
+    }
+
+    #[test]
+    fn kept_scratch_never_changes_a_frame() {
+        // A source keeps its noise buffers and sprite list between pulls.
+        // Whatever was rendered before — the previous frame, a later one,
+        // another scene — frame `t` must be the frame a fresh state renders.
+        for class in ContentClass::ALL {
+            let s = spec(class)
+                .with_complexity(Complexity { cut_period: Some(5), ..class.default_complexity() });
+            let mut src = s.source();
+            let pulled: Vec<Frame> = std::iter::from_fn(|| src.next_frame()).collect();
+            src.reset();
+            let replay: Vec<Frame> = std::iter::from_fn(|| src.next_frame()).collect();
+            assert_eq!(pulled, replay, "{class:?}: reset must replay identically");
+            // Shuffled, so cuts are crossed in both directions and frame 0
+            // (second time layer skipped) follows frames that used it.
+            let mut state = SceneState::new(s.clone());
+            for t in [7, 2, 11, 0, 5, 4, 10, 1, 9, 3, 0, 8, 6] {
+                let fresh = s.generate_frame(t);
+                assert_eq!(pulled[t as usize], fresh, "{class:?} pulled frame {t}");
+                assert_eq!(state.render(t), fresh, "{class:?} shuffled frame {t}");
+            }
+        }
+    }
+
+    #[test]
+    fn smallest_resolutions_render() {
+        // Width 2 leaves chroma one column wide, and one lattice cell
+        // covers the whole row.
+        for class in ContentClass::ALL {
+            for (w, h) in [(2, 2), (2, 64), (64, 2), (4, 4)] {
+                let s = SourceSpec::new(Resolution::new(w, h), 30.0, 3, class, 5);
+                let v = s.generate();
+                assert_eq!(v.len(), 3);
+                assert_eq!(v.frame(2), &s.generate_frame(2), "{class:?} {w}x{h}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_frame_hashes_a_few_lattice_points_per_pixel() {
+        // Work as a count, so the guard holds on any host. Calling the
+        // pointwise `fractal` per pixel cost 49 lattice hashes per Sports
+        // luma pixel and 41 per Natural one (luma, chroma and the one
+        // white-noise hash); by rows it is 2.5 and 1.2.
+        for (class, limit) in [(ContentClass::Sports, 4.0), (ContentClass::Natural, 3.0)] {
+            let s = SourceSpec::new(Resolution::new(384, 216), 30.0, 8, class, 1);
+            let hashes = noise::lattice_hashes_in(|| drop(s.generate_frame(5)));
+            let per_pixel = hashes as f64 / s.resolution.pixels() as f64;
+            assert!(per_pixel <= limit, "{class:?}: {per_pixel} lattice hashes per luma pixel");
+            assert!(per_pixel >= 1.0, "{class:?}: the counter is not counting ({per_pixel})");
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! which keeps [`SourceSpec::generate_frame`](crate::SourceSpec::generate_frame)
 //! consistent with whole-clip generation.
 
+use crate::noise::FractalRows;
 use crate::{ContentClass, SourceSpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -46,13 +47,37 @@ fn bounce(p: f64, limit: f64) -> f64 {
     }
 }
 
-pub(crate) struct SceneState<'a> {
-    spec: &'a SourceSpec,
+/// Renders the frames of one [`SourceSpec`].
+///
+/// A frame depends on `(spec, t)` alone; what is kept between calls is
+/// scratch — the three noise evaluators' buffers and the current scene's
+/// sprite list — never a pixel, so frames may be rendered in any order.
+#[derive(Clone, Debug)]
+pub(crate) struct SceneState {
+    spec: SourceSpec,
+    luma: FractalRows,
+    cb: FractalRows,
+    cr: FractalRows,
+    /// The scene `sprites` was derived for.
+    sprite_scene: Option<u32>,
+    sprites: Vec<Sprite>,
 }
 
-impl<'a> SceneState<'a> {
-    pub(crate) fn new(spec: &'a SourceSpec) -> SceneState<'a> {
-        SceneState { spec }
+impl SceneState {
+    pub(crate) fn new(spec: SourceSpec) -> SceneState {
+        let rows = FractalRows::new(spec.noise());
+        SceneState {
+            spec,
+            luma: rows.clone(),
+            cb: rows.clone(),
+            cr: rows,
+            sprite_scene: None,
+            sprites: Vec::new(),
+        }
+    }
+
+    pub(crate) fn spec(&self) -> &SourceSpec {
+        &self.spec
     }
 
     /// Scene index and frame-within-scene for global frame `t`.
@@ -63,8 +88,13 @@ impl<'a> SceneState<'a> {
         }
     }
 
-    /// Sprites for scene `scene`, deterministically derived from the seed.
-    fn sprites(&self, scene: u32) -> Vec<Sprite> {
+    /// Makes `self.sprites` the sprites of scene `scene`, deterministically
+    /// derived from the seed; a no-op while the scene stays the same.
+    fn place_sprites(&mut self, scene: u32) {
+        if self.sprite_scene == Some(scene) {
+            return;
+        }
+        self.sprite_scene = Some(scene);
         let class = self.spec.class;
         let count = match class {
             ContentClass::Slideshow => 0,
@@ -80,24 +110,24 @@ impl<'a> SceneState<'a> {
         let h = f64::from(self.spec.resolution.height());
         let speed = 1.0 + self.spec.complexity.motion * 0.06 * w.min(h);
         let rect = matches!(class, ContentClass::ScreenCapture | ContentClass::Gaming);
-        (0..count)
-            .map(|_| Sprite {
-                x0: rng.gen_range(0.0..w),
-                y0: rng.gen_range(0.0..h),
-                vx: rng.gen_range(-speed..speed),
-                vy: rng.gen_range(-speed..speed),
-                radius: rng.gen_range(0.03..0.12) * w.min(h),
-                luma: rng.gen_range(40..220),
-                cb: rng.gen_range(70..190),
-                cr: rng.gen_range(70..190),
-                rectangular: rect,
-            })
-            .collect()
+        self.sprites.clear();
+        self.sprites.extend((0..count).map(|_| Sprite {
+            x0: rng.gen_range(0.0..w),
+            y0: rng.gen_range(0.0..h),
+            vx: rng.gen_range(-speed..speed),
+            vy: rng.gen_range(-speed..speed),
+            radius: rng.gen_range(0.03..0.12) * w.min(h),
+            luma: rng.gen_range(40..220),
+            cb: rng.gen_range(70..190),
+            cr: rng.gen_range(70..190),
+            rectangular: rect,
+        }));
     }
 
-    pub(crate) fn render(&self, t: u32) -> Frame {
-        let spec = self.spec;
+    pub(crate) fn render(&mut self, t: u32) -> Frame {
         let (scene, local_t) = self.scene_of(t);
+        self.place_sprites(scene);
+        let spec = &self.spec;
         let w = spec.resolution.width() as usize;
         let h = spec.resolution.height() as usize;
         let noise = spec.noise();
@@ -124,28 +154,30 @@ impl<'a> SceneState<'a> {
         let mut y_plane = Plane::filled(w, h, 0);
         let screencap = spec.class == ContentClass::ScreenCapture;
         let noise_amp = c.noise * 28.0;
+        let texture_amp = 40.0 + c.detail * 70.0;
+        if !screencap {
+            let xs = (0..w).map(|xx| (xx as f64 + pan_x) * scale + scene_off);
+            self.luma.restart(xs, ltf * 0.01, octaves, 0.55);
+        }
 
+        let finish = |base: f64, xx: usize, yy: usize| {
+            let mut luma = base;
+            if noise_amp > 0.0 {
+                luma += noise.white(xx as i64, yy as i64, i64::from(t)) * noise_amp;
+            }
+            to_sample(luma)
+        };
         for yy in 0..h {
-            let fy = yy as f64;
             let row = y_plane.row_mut(yy);
-            for (xx, out) in row.iter_mut().enumerate() {
-                let fx = xx as f64;
-                let mut luma = if screencap {
-                    screen_luma(&noise, xx, yy, scene, pan_y as i64)
-                } else {
-                    let v = noise.fractal(
-                        (fx + pan_x) * scale + scene_off,
-                        (fy + pan_y) * scale + scene_off,
-                        ltf * 0.01,
-                        octaves,
-                        0.55,
-                    );
-                    120.0 + v * (40.0 + c.detail * 70.0)
-                };
-                if noise_amp > 0.0 {
-                    luma += noise.white(xx as i64, yy as i64, i64::from(t)) * noise_amp;
+            if screencap {
+                for (xx, out) in row.iter_mut().enumerate() {
+                    *out = finish(screen_luma(&noise, xx, yy, scene, pan_y as i64), xx, yy);
                 }
-                *out = luma.round().clamp(0.0, 255.0) as u8;
+            } else {
+                let texture = self.luma.row((yy as f64 + pan_y) * scale + scene_off);
+                for (xx, (out, v)) in row.iter_mut().zip(texture).enumerate() {
+                    *out = finish(120.0 + v * texture_amp, xx, yy);
+                }
             }
         }
 
@@ -159,33 +191,22 @@ impl<'a> SceneState<'a> {
             _ => 24.0 + c.detail * 20.0,
         };
         let cscale = scale * 0.7;
+        let cxs = (0..cw).map(|cx| ((cx * 2) as f64 + pan_x) * cscale + scene_off);
+        self.cb.restart(cxs.clone().map(|x| x + 31.0), ltf * 0.008, 2, 0.5);
+        self.cr.restart(cxs.map(|x| x + 67.0), ltf * 0.008, 2, 0.5);
         for cy in 0..ch {
-            let fy = (cy * 2) as f64;
-            for cx in 0..cw {
-                let fx = (cx * 2) as f64;
-                let ub = noise.fractal(
-                    (fx + pan_x) * cscale + scene_off + 31.0,
-                    (fy + pan_y) * cscale + scene_off,
-                    ltf * 0.008,
-                    2,
-                    0.5,
-                );
-                let vb = noise.fractal(
-                    (fx + pan_x) * cscale + scene_off + 67.0,
-                    (fy + pan_y) * cscale + scene_off + 13.0,
-                    ltf * 0.008,
-                    2,
-                    0.5,
-                );
-                u_plane.set(cx, cy, (128.0 + ub * chroma_amp).round().clamp(0.0, 255.0) as u8);
-                v_plane.set(cx, cy, (128.0 + vb * chroma_amp).round().clamp(0.0, 255.0) as u8);
+            let y = ((cy * 2) as f64 + pan_y) * cscale + scene_off;
+            let washes = self.cb.row(y).iter().zip(self.cr.row(y + 13.0));
+            let (u_row, v_row) = (u_plane.row_mut(cy), v_plane.row_mut(cy));
+            for ((u, v), (ub, vb)) in u_row.iter_mut().zip(v_row).zip(washes) {
+                *u = to_sample(128.0 + ub * chroma_amp);
+                *v = to_sample(128.0 + vb * chroma_amp);
             }
         }
 
         // Foreground sprites.
-        let sprites = self.sprites(scene);
         let (wf, hf) = (w as f64, h as f64);
-        for s in &sprites {
+        for s in &self.sprites {
             let (cx, cy) = s.position(ltf, wf, hf);
             draw_sprite(&mut y_plane, &mut u_plane, &mut v_plane, s, cx, cy);
         }
@@ -194,7 +215,7 @@ impl<'a> SceneState<'a> {
         // identical in every frame of the clip, so trivially inter-predicted.
         if spec.class == ContentClass::Gaming {
             let hud_h = (h / 12).max(4);
-            for yy in h - hud_h..h {
+            for yy in h.saturating_sub(hud_h)..h {
                 for xx in 0..w {
                     let v = if (xx / 6 + yy / 3) % 2 == 0 { 35 } else { 215 };
                     y_plane.set(xx, yy, v);
@@ -204,6 +225,11 @@ impl<'a> SceneState<'a> {
 
         Frame::from_planes(spec.resolution, y_plane, u_plane, v_plane)
     }
+}
+
+/// Rounds a computed sample value to the nearest 8-bit level.
+fn to_sample(v: f64) -> u8 {
+    v.round().clamp(0.0, 255.0) as u8
 }
 
 /// Smooth, direction-changing horizontal camera pan.
@@ -224,7 +250,7 @@ fn screen_luma(
     let doc_y = y as i64 + scroll;
     let line_h = 18i64;
     let within = doc_y.rem_euclid(line_h);
-    // Window chrome: 3-pixel border around the screen.
+    // Window chrome: a 3-pixel band along the top and left edges only.
     if x < 3 || y < 3 {
         return 60.0;
     }
