@@ -70,6 +70,7 @@
 //! counter over transient append retries, plus a `journal.fsync_us`
 //! histogram over the per-record commit latency.
 
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 pub(crate) mod record;
@@ -264,20 +265,34 @@ pub(crate) fn open_journal(
     } else {
         None
     };
-    let Some(text) = existing else {
+    let Some(mut text) = existing else {
         let file = init_fresh(&config.path, fingerprint, jobs.len(), io)?;
         return Ok(OpenedJournal { file, prefilled: Vec::new(), run_index: 0 });
     };
 
-    let scan = scan_journal(&text, fingerprint, jobs)?;
-    // Compact whenever anything was dropped — quarantined corruption,
-    // shed telemetry, or coordination records a pre-ledger dispatcher
-    // left in the journal — and whenever the tail is not
-    // newline-terminated (a torn line would otherwise merge with the
-    // next append).
-    let needs_compact = scan.quarantined > 0 || scan.ephemeral > 0 || !text.ends_with('\n');
+    // Cutting lines off lets a large journal's payloads take the place of
+    // their hex; for a small one it only churns the heap (the repo
+    // benchmark's peak resident set: +11 % with a 0.64 MB journal, −8 %
+    // with a 6.9 MB one).
+    let release = text.len() >= RELEASE_MIN_BYTES;
+    let scan = match scan_journal(&mut text, fingerprint, jobs, release)? {
+        Some(scan) => scan,
+        None => {
+            // The compaction needs lines the scan already cut off; the
+            // file is unchanged, so read it again and keep every byte.
+            text = record::read_text(io, &config.path).map_err(|e| io_err("read journal", e))?;
+            scan_journal(&mut text, fingerprint, jobs, false)?
+                .expect("a scan that releases nothing runs to the end")
+        }
+    };
+    // Compact whenever anything was dropped — quarantined corruption (an
+    // unterminated final line included: it would otherwise merge with
+    // the next append), shed telemetry, or coordination records a
+    // pre-ledger dispatcher left in the journal.
+    let needs_compact = scan.quarantined > 0 || scan.ephemeral > 0;
     let mut file = if needs_compact {
-        compact(&config.path, fingerprint, jobs.len(), &scan.kept_lines, io)?
+        let kept: Vec<&str> = scan.kept.iter().map(|line| &text[line.clone()]).collect();
+        compact(&config.path, fingerprint, jobs.len(), &kept, io)?
     } else {
         io.open_append(FileClass::Journal, &config.path)
             .map_err(|e| io_err("open journal for append", e))?
@@ -292,9 +307,12 @@ pub(crate) fn open_journal(
     Ok(OpenedJournal { file, prefilled: scan.prefilled, run_index: scan.prior_runs })
 }
 
+/// The journal size from which a resume scan cuts folded lines off.
+const RELEASE_MIN_BYTES: usize = 1 << 20;
+
 /// What a resume scan recovered from the journal text.
 #[derive(Default)]
-struct ScanOutcome<'a> {
+struct ScanOutcome {
     prefilled: Vec<(usize, ChainResult)>,
     prior_runs: u32,
     /// Lines that are not committed records, plus job records that
@@ -306,9 +324,10 @@ struct ScanOutcome<'a> {
     /// work that was *refused*): never replayed, dropped on compaction,
     /// and *not* corruption.
     ephemeral: u64,
-    /// The surviving raw lines (run and job records, manifest excluded),
-    /// in file order — what a compaction rewrites.
-    kept_lines: Vec<&'a str>,
+    /// Where the surviving lines (run and job records, manifest
+    /// excluded) are in the text, in file order — what a compaction
+    /// rewrites.
+    kept: Vec<Range<usize>>,
 }
 
 /// Folds every journal line: validates the manifest, counts run
@@ -318,30 +337,54 @@ struct ScanOutcome<'a> {
 /// corruption — only on a *valid* manifest that belongs to a different
 /// batch. Without a usable manifest nothing is a record, so resume
 /// degenerates to a fresh start.
-fn scan_journal<'a>(
-    text: &'a str,
+///
+/// Lines are folded last first. With `release`, and while nothing met
+/// so far has to be compacted away, each line is cut off `text` once
+/// folded, so the payloads a resume decodes take the place of the hex
+/// they came from: a resume holds the text and one record's payload
+/// more, not the text and every payload. `None`: a line that has to be
+/// compacted away turned up after others were cut off, and compaction
+/// rewrites those; scan the whole text again without `release`.
+fn scan_journal(
+    text: &mut String,
     fingerprint: u32,
     jobs: &[EngineJob],
-) -> Result<ScanOutcome<'a>, JournalError> {
+    release: bool,
+) -> Result<Option<ScanOutcome>, JournalError> {
+    let committed = record::Committed::of(text);
+    if let Some((_, found)) = committed.manifest {
+        if found != fingerprint {
+            return Err(JournalError::ManifestMismatch { expected: fingerprint, found });
+        }
+    }
     let mut scan = ScanOutcome::default();
     let mut chains: Vec<Option<ChainResult>> = Vec::new();
     chains.resize_with(jobs.len(), || None);
-    for entry in record::scan(text) {
-        match entry.record {
+    // An unterminated final line, and any line before the manifest, are
+    // quarantined: the journal is known to need compaction up front.
+    let mut releasing =
+        release && committed.end == text.len() && matches!(committed.manifest, Some((0, _)));
+    let mut released = false;
+    if committed.end < text.len() {
+        scan.quarantined += 1;
+    }
+    let mut end = committed.end;
+    while end > 0 {
+        let at = text[..end - 1].rfind('\n').map_or(0, |i| i + 1);
+        let line = at..end - 1;
+        end = at;
+        match committed.record(at, &text[line.clone()]) {
             None => scan.quarantined += 1,
-            Some(Record::Manifest { fingerprint: found, .. }) => {
-                if found != fingerprint {
-                    return Err(JournalError::ManifestMismatch { expected: fingerprint, found });
-                }
-            }
+            Some(Record::Manifest { .. }) => {}
             Some(Record::Run { .. }) => {
                 scan.prior_runs += 1;
-                scan.kept_lines.push(entry.line);
+                scan.kept.push(line);
             }
             Some(Record::Job(rec)) => match rec.load(jobs) {
                 Some(chain) => {
-                    chains[rec.job] = Some(ChainResult::replayed(chain.outcome));
-                    scan.kept_lines.push(entry.line);
+                    // The last record of a job is the first one met here.
+                    chains[rec.job].get_or_insert_with(|| ChainResult::replayed(chain.outcome));
+                    scan.kept.push(line);
                 }
                 None => scan.quarantined += 1,
             },
@@ -351,14 +394,24 @@ fn scan_journal<'a>(
                 | Record::Hb { .. }
                 | Record::Done(_)
                 | Record::Shed,
-            ) => {
-                scan.ephemeral += 1;
+            ) => scan.ephemeral += 1,
+        }
+        if scan.quarantined > 0 || scan.ephemeral > 0 {
+            if released {
+                return Ok(None);
             }
+            releasing = false;
+        }
+        if releasing {
+            text.truncate(at);
+            text.shrink_to_fit();
+            released = true;
         }
     }
+    scan.kept.reverse();
     scan.prefilled =
         chains.into_iter().enumerate().filter_map(|(job, chain)| Some((job, chain?))).collect();
-    Ok(scan)
+    Ok(Some(scan))
 }
 
 /// Creates (or truncates) the journal and commits the manifest plus the
@@ -685,6 +738,61 @@ mod tests {
         );
     }
 
+    /// The resume scan as `open_journal` runs it — cutting lines off as
+    /// it folds them, and again over the whole text when a cut line turns
+    /// out to be needed — held to a scan that keeps every byte.
+    fn scan(text: &str, fingerprint: u32, jobs: &[EngineJob]) -> Result<ScanOutcome, JournalError> {
+        let run = |release| scan_journal(&mut text.to_string(), fingerprint, jobs, release);
+        let whole = run(false)?.expect("a scan that releases nothing runs to the end");
+        let scan = match run(true)? {
+            Some(scan) => scan,
+            None => run(false)?.expect("a scan that releases nothing runs to the end"),
+        };
+        let summary = |s: &ScanOutcome| {
+            let prefilled: Vec<_> = s
+                .prefilled
+                .iter()
+                .map(|(job, chain)| (*job, chain.outcome.as_ref().ok().map(|o| o.bytes().to_vec())))
+                .collect();
+            (prefilled, s.prior_runs, s.quarantined, s.ephemeral)
+        };
+        assert_eq!(summary(&scan), summary(&whole), "releasing changes only memory");
+        if scan.quarantined > 0 || scan.ephemeral > 0 {
+            assert_eq!(scan.kept, whole.kept, "a compaction rewrites the same lines");
+        }
+        Ok(scan)
+    }
+
+    /// A journal large enough for the resume scan to cut lines off, with
+    /// a bad record below good ones: the good lines are gone from the
+    /// text when the scan meets the bad one, so `open_journal` reads the
+    /// journal again for the compaction, which keeps them verbatim.
+    #[test]
+    fn a_large_journal_is_read_again_for_a_compaction() {
+        let temp = TempJournal::new("reread");
+        let jobs = record::testing::jobs(&["a", "b", "c"]);
+        let policy = ResilienceConfig::default();
+        let fingerprint = manifest_fingerprint(&jobs, &policy);
+        let line = |i: usize| {
+            let payload: Vec<u8> = (0..300_000u32).map(|b| (b * (i as u32 + 1)) as u8).collect();
+            record::job_line(i, &jobs[i].name, &ok_chain(&payload, 1), None)
+        };
+        let (manifest, run) = (record::manifest_line(fingerprint, 3), record::run_line(0));
+        let (bad, good) = (line(0).replace("\"crc32\":", "\"crc32\":1"), [line(1), line(2)]);
+        let text = [manifest.as_str(), &run, &bad, &good[0], &good[1]].concat();
+        assert!(text.len() >= RELEASE_MIN_BYTES);
+        std::fs::write(temp.path(), &text).expect("seed journal");
+
+        let config = JournalConfig::new(temp.path()).with_resume(true);
+        let opened = open_journal(&config, &jobs, &policy, &StdIo).expect("resume");
+        let replayed: Vec<usize> = opened.prefilled.iter().map(|(job, _)| *job).collect();
+        assert_eq!((replayed, opened.run_index), (vec![1, 2], 1));
+        drop(opened);
+        let compacted = std::fs::read_to_string(temp.path()).expect("journal readable");
+        let want = [manifest.as_str(), &run, &good[0], &good[1], &record::run_line(1)].concat();
+        assert!(compacted == want, "the compaction keeps the good lines verbatim");
+    }
+
     /// (c) What a resume scan recovers from each way a journal's lines
     /// can fail to be committed records. The `(replayed, quarantined,
     /// ephemeral)` counts are the ones the scan had before the record
@@ -705,7 +813,7 @@ mod tests {
             &record::expire_line(1, id),
         ]);
         let v2 = manifest.replace("\"version\":1", "\"version\":2");
-        let cases: [(&str, String, (usize, u64, u64)); 7] = [
+        let cases: [(&str, String, (usize, u64, u64)); 8] = [
             (
                 "unterminated last line",
                 cat(&[&manifest, &run, &job(0, b"x"), &job(1, b"y"), &job(2, b"z")[..24]]),
@@ -737,9 +845,19 @@ mod tests {
                 (0, 1, 0),
             ),
             ("manifest of another version", cat(&[&v2, &run, &job(0, b"x")]), (0, 3, 0)),
+            (
+                "bad payload before good records",
+                cat(&[
+                    &manifest,
+                    &run,
+                    &job(0, b"x").replace("\"crc32\":", "\"crc32\":1"),
+                    &job(1, b"y"),
+                ]),
+                (1, 1, 0),
+            ),
         ];
         for (what, text, want) in cases {
-            let scan = scan_journal(&text, 7, &jobs).expect(what);
+            let scan = scan(&text, 7, &jobs).expect(what);
             let got = (scan.prefilled.len(), scan.quarantined, scan.ephemeral);
             assert_eq!(got, want, "{what}");
             if what == "duplicate job record" {
@@ -752,7 +870,57 @@ mod tests {
                 assert!(chain.was_replayed());
             }
         }
-        let err = scan_journal(&manifest, 8, &jobs).err().expect("foreign fingerprint");
+        let err = scan(&manifest, 8, &jobs).err().expect("foreign fingerprint");
         assert!(matches!(err, JournalError::ManifestMismatch { expected: 8, found: 7 }));
+    }
+
+    /// A journal written by the record writer of an earlier commit (its
+    /// first line names which) resumes to what was recorded when it was
+    /// captured: the scan counts, payload CRCs and failure message, and
+    /// every `ok` record re-serializes to its line byte for byte. The
+    /// round-trip proptests pin the reader to the writer of the same
+    /// commit; this pins both to bytes already on disk. The fixture holds
+    /// 0-byte and 48 KiB payloads, a failure message and a job name full
+    /// of escapes and multibyte UTF-8, a pre-ledger lease and heartbeat,
+    /// and a torn tail.
+    #[test]
+    fn a_journal_written_by_an_earlier_commit_resumes_byte_for_byte() {
+        const FIXTURE: &str = include_str!("../../../tests/fixtures/journal_v1.jsonl");
+        let names = ["empty", "big", "b\\c\t\"d\" — ü世😀", "fail", "torn"];
+        let jobs = record::testing::jobs(&names);
+        let scan = scan(FIXTURE, 0x5eed_f1c5, &jobs).expect("the fixture's own batch");
+        let counts = (scan.prefilled.len(), scan.quarantined, scan.ephemeral, scan.prior_runs);
+        assert_eq!(counts, (4, 2, 2, 2), "(replayed, quarantined, ephemeral, runs)");
+        let recovered: Vec<_> = scan
+            .prefilled
+            .iter()
+            .map(|(job, chain)| match &chain.outcome {
+                Ok(o) => (*job, Ok((vpack::crc32(o.bytes()), o.bytes().len()))),
+                Err(JobError::ReplayedFailure { message }) => (*job, Err(message.as_str())),
+                Err(e) => panic!("job {job} replayed as {e:?}"),
+            })
+            .collect();
+        let failure = "job panicked: line one\nsaid \"no\"\ttab — café ☕";
+        assert_eq!(
+            recovered,
+            [
+                (0, Ok((0, 0))),
+                (1, Ok((0xb0aa_35f8, 48 * 1024))),
+                (2, Ok((0x438c_f06d, 7))),
+                (3, Err(failure)),
+            ]
+        );
+        let mut ok_records = 0;
+        for entry in record::scan(FIXTURE) {
+            let Some(Record::Job(rec)) = entry.record else { continue };
+            let chain = rec.load(&jobs).expect("a recorded job loads");
+            if chain.outcome.is_ok() {
+                let line =
+                    record::job_line(rec.job, names[rec.job], &chain, rec.worker.zip(rec.run));
+                assert_eq!(line, format!("{}\n", entry.line), "job {}", rec.job);
+                ok_records += 1;
+            }
+        }
+        assert_eq!(ok_records, 3);
     }
 }

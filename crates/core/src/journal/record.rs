@@ -19,6 +19,8 @@
 //!   if it happens to parse), nothing before the first usable manifest
 //!   is (it cannot be trusted to belong to this batch), and a manifest
 //!   of another [`JOURNAL_VERSION`] or with missing fields is not usable.
+//!   [`Committed`] holds those rules for a reader that visits the lines
+//!   in another order (the resume scan folds them last first).
 //! * [`Record`] — the typed record. A [`JobRecord`] parses only its
 //!   header (job, status, attempts, provenance tags); the payload is
 //!   hex-decoded and CRC-verified by [`JobRecord::load`], which the
@@ -206,18 +208,53 @@ pub(crate) struct Entry<'a> {
 /// Walks every line of a journal's text, in file order. See the module
 /// doc for the rules that make a line a committed record.
 pub(crate) fn scan(text: &str) -> impl Iterator<Item = Entry<'_>> {
-    let (committed, torn) = text.split_at(text.rfind('\n').map_or(0, |i| i + 1));
-    let mut manifest_seen = false;
-    committed
-        .split_terminator('\n')
+    let committed = Committed::of(text);
+    let (body, torn) = text.split_at(committed.end);
+    let mut at = 0;
+    body.split_terminator('\n')
         .map(move |line| {
-            let record = parse(line).filter(|r| match r {
-                Record::Manifest { .. } => !std::mem::replace(&mut manifest_seen, true),
-                _ => manifest_seen,
-            });
+            let record = committed.record(at, line);
+            at += line.len() + 1;
             Entry { line, record }
         })
         .chain((!torn.is_empty()).then_some(Entry { line: torn, record: None }))
+}
+
+/// [`scan`]'s rules for one journal text, for a reader that visits its
+/// lines in another order (the resume scan walks them last line first).
+pub(crate) struct Committed {
+    /// Bytes up to and including the last newline; what follows is an
+    /// unterminated final line, never a record.
+    pub(crate) end: usize,
+    /// Byte offset and fingerprint of the first usable manifest line.
+    pub(crate) manifest: Option<(usize, u32)>,
+}
+
+impl Committed {
+    pub(crate) fn of(text: &str) -> Committed {
+        let end = text.rfind('\n').map_or(0, |i| i + 1);
+        let mut at = 0;
+        let manifest = text[..end].split_terminator('\n').find_map(|line| {
+            let start = at;
+            at += line.len() + 1;
+            match parse(line)? {
+                Record::Manifest { fingerprint, .. } => Some((start, fingerprint)),
+                _ => None,
+            }
+        });
+        Committed { end, manifest }
+    }
+
+    /// The committed record the line starting at byte offset `at` holds:
+    /// nothing before the first usable manifest is one, and no later
+    /// manifest is.
+    pub(crate) fn record(&self, at: usize, line: &str) -> Option<Record> {
+        let (manifest, _) = self.manifest?;
+        if at < manifest {
+            return None;
+        }
+        parse(line).filter(|r| at == manifest || !matches!(r, Record::Manifest { .. }))
+    }
 }
 
 /// The committed records of [`scan`], for folds that skip corruption
@@ -348,7 +385,7 @@ pub(crate) fn job_line(
             });
             line.push_str(&format!(
                 ",\"encode_seconds\":{},\"bitstream_bytes\":{},\"frames\":{},\"sb_intra\":{},\
-                 \"sb_inter\":{},\"sb_skip\":{},\"sb_split\":{},\"avg_qp\":{},\"bytes\":{}",
+                 \"sb_inter\":{},\"sb_skip\":{},\"sb_split\":{},\"avg_qp\":{},\"bytes\":\"",
                 json::number(s.encode_seconds),
                 s.bitstream_bytes,
                 s.frames,
@@ -357,8 +394,13 @@ pub(crate) fn job_line(
                 s.sb_skip,
                 s.sb_split,
                 json::number(s.avg_qp),
-                json::string(&hex_encode(outcome.bytes())),
             ));
+            // Hex digits never need JSON escaping. Room for the closing
+            // quote, the worker tag and `}\n` too: the line grows once.
+            let hex = hex_encode(outcome.bytes());
+            line.reserve(hex.len() + 64);
+            line.push_str(&hex);
+            line.push('"');
         }
         Err(error) => {
             line.push_str(&format!(
@@ -413,28 +455,56 @@ pub(crate) fn shed_line(event: &crate::service::ShedEvent) -> String {
     )
 }
 
-fn hex_encode(bytes: &[u8]) -> String {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push(HEX[(b >> 4) as usize] as char);
-        out.push(HEX[(b & 0xf) as usize] as char);
+/// The payload alphabet: lowercase only. An uppercase digit is not a
+/// digit, so a record carrying one is quarantined.
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// `HEX_PAIRS[b]`: the two digits of byte `b`.
+static HEX_PAIRS: [[u8; 2]; 256] = {
+    let mut t = [[0u8; 2]; 256];
+    let mut b = 0;
+    while b < 256 {
+        t[b] = [HEX[b >> 4], HEX[b & 0xf]];
+        b += 1;
     }
-    out
+    t
+};
+
+/// `HEX_VALUES[c]`: the value of digit `c`, or `0xFF` if `c` is not one.
+static HEX_VALUES: [u8; 256] = {
+    let mut t = [0xFFu8; 256];
+    let mut v = 0;
+    while v < 16 {
+        t[HEX[v] as usize] = v as u8;
+        v += 1;
+    }
+    t
+};
+
+fn hex_encode(bytes: &[u8]) -> String {
+    let mut out = Vec::with_capacity(bytes.len() * 2);
+    for &b in bytes {
+        out.extend_from_slice(&HEX_PAIRS[b as usize]);
+    }
+    String::from_utf8(out).expect("hex digits are ASCII")
 }
 
 fn hex_decode(s: &str) -> Option<Vec<u8>> {
     if !s.len().is_multiple_of(2) {
         return None;
     }
-    let digit = |c: u8| -> Option<u8> {
-        match c {
-            b'0'..=b'9' => Some(c - b'0'),
-            b'a'..=b'f' => Some(c - b'a' + 10),
-            _ => None,
-        }
-    };
-    s.as_bytes().chunks(2).map(|pair| Some(digit(pair[0])? << 4 | digit(pair[1])?)).collect()
+    // A power-of-two capacity: half the class of the hex string it came
+    // from, so payloads fill the holes freed parse strings leave. Exact
+    // sizes fragmented the heap (EXPERIMENTS.md "Journal codec").
+    let mut out = Vec::with_capacity((s.len() / 2).next_power_of_two());
+    // Any non-digit sets a bit above the low nibble.
+    let mut invalid = 0u8;
+    out.extend(s.as_bytes().chunks_exact(2).map(|pair| {
+        let (hi, lo) = (HEX_VALUES[pair[0] as usize], HEX_VALUES[pair[1] as usize]);
+        invalid |= hi | lo;
+        hi << 4 | lo
+    }));
+    (invalid <= 0xF).then_some(out)
 }
 
 /// Builders for tests across the crate that need real journal text.
@@ -746,6 +816,72 @@ mod tests {
             prop_assert!(rec.load(&jobs[..1]).is_none(), "job index out of range");
             assert_no_prefix_commits(&line);
         }
+    }
+
+    /// The per-`char` encoder [`hex_encode`] replaced: its oracle.
+    fn hex_encode_reference(bytes: &[u8]) -> String {
+        let mut out = String::with_capacity(bytes.len() * 2);
+        for b in bytes {
+            out.push(HEX[(b >> 4) as usize] as char);
+            out.push(HEX[(b & 0xf) as usize] as char);
+        }
+        out
+    }
+
+    /// The iterator decoder [`hex_decode`] replaced: its oracle.
+    fn hex_decode_reference(s: &str) -> Option<Vec<u8>> {
+        if !s.len().is_multiple_of(2) {
+            return None;
+        }
+        let digit = |c: u8| -> Option<u8> {
+            match c {
+                b'0'..=b'9' => Some(c - b'0'),
+                b'a'..=b'f' => Some(c - b'a' + 10),
+                _ => None,
+            }
+        };
+        s.as_bytes().chunks(2).map(|pair| Some(digit(pair[0])? << 4 | digit(pair[1])?)).collect()
+    }
+
+    /// Decode agrees with the oracle on arbitrary ASCII — mostly valid
+    /// digits with uppercase, out-of-alphabet and odd-length cases mixed
+    /// in — returning `None` exactly where it does; encode agrees with
+    /// its oracle and round-trips.
+    #[test]
+    fn hex_codec_matches_the_reference_codec() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, RngCore, SeedableRng};
+        let scale = if cfg!(debug_assertions) { 1 } else { 10 };
+        let mut rng = SmallRng::seed_from_u64(0x4e8c_0dec);
+        let (mut some, mut none) = (0, 0);
+        for _ in 0..4000 * scale {
+            let len = rng.gen_range(0..40usize);
+            let mut text: Vec<u8> = (0..len).map(|_| HEX[rng.gen_range(0..16usize)]).collect();
+            for _ in 0..rng.gen_range(0..3usize) {
+                if len > 0 {
+                    let stray = match rng.gen_range(0..4u32) {
+                        0 => b"ABCDEF"[rng.gen_range(0..6usize)],
+                        1 => b"gG/:`@"[rng.gen_range(0..6usize)],
+                        _ => rng.gen_range(0..0x80u8),
+                    };
+                    text[rng.gen_range(0..len)] = stray;
+                }
+            }
+            let text = String::from_utf8(text).expect("ASCII");
+            let decoded = hex_decode(&text);
+            assert_eq!(decoded, hex_decode_reference(&text), "{text:?}");
+            if decoded.is_some() {
+                some += 1
+            } else {
+                none += 1
+            }
+
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let hex = hex_encode(&bytes);
+            assert_eq!(hex, hex_encode_reference(&bytes));
+            assert_eq!(hex_decode(&hex), Some(bytes));
+        }
+        assert!(some > 400 * scale && none > 400 * scale, "{some} decoded, {none} rejected");
     }
 
     #[test]

@@ -104,7 +104,7 @@ impl std::error::Error for JsonError {}
 
 /// Parses one complete JSON value; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Value, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
     let value = p.value(0)?;
     p.skip_ws();
@@ -115,6 +115,7 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -264,17 +265,19 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (the input is a &str, so byte
-                    // boundaries are valid).
+                    // Copy the whole run up to the next byte that needs
+                    // decoding. That byte is ASCII (or the run reaches the
+                    // end of input), so both ends of the run are char
+                    // boundaries of `text`.
                     let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && (self.bytes[self.pos] & 0xC0) == 0x80 {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.err("invalid utf-8"))?,
-                    );
+                    let run = plain_run(&self.bytes[start..]);
+                    self.pos += run;
+                    // Grow through powers of two: a journal payload's hex
+                    // string is the largest transient allocation of a
+                    // resume, and exact-size ones fragment the heap among
+                    // the decoded payloads it keeps.
+                    out.reserve((out.len() + run).next_power_of_two() - out.len());
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -332,20 +335,51 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Whether string byte `b` must be escaped in JSON: `"`, `\\` and the
+/// control bytes. All are ASCII, so no byte of a multibyte UTF-8
+/// sequence is one.
+fn needs_escape(b: u8) -> bool {
+    (b == b'"') | (b == b'\\') | (b < 0x20)
+}
+
+/// Length of the run at the start of `bytes` with no byte that needs
+/// escaping. Whole 16-byte blocks are tested without an early exit
+/// inside the block, which the compiler turns into a few vector
+/// compares: about 0.1 ns per byte, against 0.35–0.7 ns for a
+/// byte-at-a-time loop (whose speed also moved with code alignment).
+fn plain_run(bytes: &[u8]) -> usize {
+    let blocks = bytes
+        .chunks_exact(16)
+        .take_while(|block| !block.iter().fold(false, |any, &b| any | needs_escape(b)))
+        .count();
+    let start = blocks * 16;
+    start + bytes[start..].iter().position(|&b| needs_escape(b)).unwrap_or(bytes.len() - start)
+}
+
 /// JSON string literal (quoted, escaped).
 pub fn string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut rest = s;
+    // Runs that need no escaping are copied whole; each stops on an
+    // ASCII byte or at the end, so every slice below is on a char
+    // boundary.
+    loop {
+        let run = plain_run(rest.as_bytes());
+        out.push_str(&rest[..run]);
+        let Some(&b) = rest.as_bytes().get(run) else { break };
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            c => {
+                use std::fmt::Write;
+                write!(out, "\\u{c:04x}").expect("writing to a String cannot fail");
+            }
         }
+        rest = &rest[run + 1..];
     }
     out.push('"');
     out
@@ -364,6 +398,158 @@ pub fn number(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Case-count multiplier: the `--release` test run does ten times
+    /// what the debug tier-1 run does.
+    const SCALE: usize = if cfg!(debug_assertions) { 1 } else { 10 };
+
+    impl Parser<'_> {
+        /// The scalar-at-a-time string reader `string` replaced: the
+        /// oracle the run-copying reader is held to.
+        fn string_per_scalar(&mut self) -> Result<String, JsonError> {
+            self.expect(b'"', "expected string")?;
+            let mut out = String::new();
+            loop {
+                match self.peek() {
+                    None => return Err(self.err("unterminated string")),
+                    Some(b'"') => {
+                        self.pos += 1;
+                        return Ok(out);
+                    }
+                    Some(b'\\') => {
+                        self.pos += 1;
+                        let escape = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
+                        self.pos += 1;
+                        match escape {
+                            b'"' => out.push('"'),
+                            b'\\' => out.push('\\'),
+                            b'/' => out.push('/'),
+                            b'b' => out.push('\u{0008}'),
+                            b'f' => out.push('\u{000c}'),
+                            b'n' => out.push('\n'),
+                            b'r' => out.push('\r'),
+                            b't' => out.push('\t'),
+                            b'u' => {
+                                let hi = self.hex4()?;
+                                let code = if (0xD800..0xDC00).contains(&hi) {
+                                    if self.peek() != Some(b'\\') {
+                                        return Err(self.err("lone high surrogate"));
+                                    }
+                                    self.pos += 1;
+                                    self.expect(b'u', "lone high surrogate")?;
+                                    let lo = self.hex4()?;
+                                    if !(0xDC00..0xE000).contains(&lo) {
+                                        return Err(self.err("invalid low surrogate"));
+                                    }
+                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                                } else {
+                                    hi
+                                };
+                                out.push(
+                                    char::from_u32(code)
+                                        .ok_or_else(|| self.err("invalid code point"))?,
+                                );
+                            }
+                            _ => return Err(self.err("invalid escape")),
+                        }
+                    }
+                    Some(c) if c < 0x20 => return Err(self.err("control character in string")),
+                    Some(_) => {
+                        let start = self.pos;
+                        self.pos += 1;
+                        while self.pos < self.bytes.len() && (self.bytes[self.pos] & 0xC0) == 0x80 {
+                            self.pos += 1;
+                        }
+                        out.push_str(
+                            std::str::from_utf8(&self.bytes[start..self.pos])
+                                .map_err(|_| self.err("invalid utf-8"))?,
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The `char`-at-a-time escaper [`string`] replaced: its oracle.
+    fn string_per_char(s: &str) -> String {
+        let mut out = String::with_capacity(s.len() + 2);
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Fragments of string-literal text: plain runs, every escape (valid
+    /// and not), raw `"` and `\`, raw control bytes, multibyte scalars.
+    #[rustfmt::skip]
+    const PIECES: &[&str] = &[
+        "a", "0123456789abcdef", "é", "世界", "😀", "\u{10FFFF}", " ", "/", "\u{7f}",
+        "\\\"", "\\\\", "\\/", "\\b", "\\f", "\\n", "\\r", "\\t", "\\u0041", "\\u00e9",
+        "\\uD83D\\uDE00", "\\ud83d\\ude00", "\\u", "\\u12", "\\uzzzz", "\\ud83d", "\\ud83dx",
+        "\\ud83d\\u0041", "\\udc00", "\\q", "\\", "\"", "\u{0}", "\u{1}", "\n", "\t", "\u{1f}",
+    ];
+
+    /// One arbitrary scalar, biased towards the ones an escaper treats
+    /// specially.
+    fn random_char(rng: &mut SmallRng) -> char {
+        match rng.gen_range(0..4u32) {
+            0 => char::from_u32(rng.gen_range(0..0x20u32)).expect("ASCII"),
+            1 => ['"', '\\', '/', '\u{7f}'][rng.gen_range(0..4usize)],
+            2 => char::from_u32(rng.gen_range(0x20..0x7fu32)).expect("ASCII"),
+            _ => char::from_u32(rng.gen_range(0x80..0x11_0000u32)).unwrap_or('\u{fffd}'),
+        }
+    }
+
+    /// On arbitrary string text and on every prefix of it, the reader
+    /// returns what the per-scalar oracle returns — the same string, or
+    /// the same error at the same offset — and stops at the same byte.
+    /// Every strict prefix of a complete literal fails to parse.
+    #[test]
+    fn string_reader_matches_the_per_scalar_oracle() {
+        let mut rng = SmallRng::seed_from_u64(0x0005_7a1e);
+        for _ in 0..1000 * SCALE {
+            let body: String = (0..rng.gen_range(0..12usize))
+                .map(|_| PIECES[rng.gen_range(0..PIECES.len())])
+                .collect();
+            let doc = format!("\"{body}\"");
+            for cut in (0..=doc.len()).filter(|&c| doc.is_char_boundary(c)) {
+                let text = &doc[..cut];
+                let mut fast = Parser { text, bytes: text.as_bytes(), pos: 0 };
+                let mut oracle = Parser { text, bytes: text.as_bytes(), pos: 0 };
+                assert_eq!(fast.string(), oracle.string_per_scalar(), "{text:?}");
+                assert_eq!(fast.pos, oracle.pos, "{text:?}");
+            }
+            if parse(&doc).is_ok() {
+                for cut in (0..doc.len()).filter(|&c| doc.is_char_boundary(c)) {
+                    assert!(parse(&doc[..cut]).is_err(), "prefix {:?} parsed", &doc[..cut]);
+                }
+            }
+        }
+    }
+
+    /// The escaper writes what the per-`char` oracle writes, and what
+    /// it writes parses back to its input.
+    #[test]
+    fn string_writer_matches_the_per_char_oracle() {
+        let mut rng = SmallRng::seed_from_u64(0x0005_7a1f);
+        for _ in 0..5000 * SCALE {
+            let s: String = (0..rng.gen_range(0..16usize)).map(|_| random_char(&mut rng)).collect();
+            assert_eq!(string(&s), string_per_char(&s), "{s:?}");
+            assert_eq!(parse(&string(&s)).unwrap().as_str(), Some(s.as_str()));
+        }
+    }
 
     #[test]
     fn parses_scalars() {
