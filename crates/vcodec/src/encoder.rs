@@ -1484,6 +1484,9 @@ fn probe_region_rows(
     size: usize,
     write: bool,
 ) {
+    if !probe.active() {
+        return;
+    }
     for row in 0..size {
         let addr = base + ((y0 + row) * plane_width + x0) as u64;
         if write {
@@ -1504,7 +1507,7 @@ fn report_ratio_branches(
     total: u64,
     cap: u64,
 ) {
-    if total == 0 {
+    if total == 0 || !probe.active() {
         return;
     }
     let events = total.min(cap);

@@ -53,6 +53,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// Every kernel here is safe Rust the compiler vectorizes; a hand-written
+// SIMD path must lift this deliberately, in the one module that needs it.
+#![forbid(unsafe_code)]
 
 pub mod arith;
 pub mod bitio;

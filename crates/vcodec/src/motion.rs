@@ -88,18 +88,22 @@ pub(crate) fn motion_compensate_into(
         out.load(reference, ix, iy);
         return;
     }
+    // The weights sum to 16 and samples are at most 255, so every sum is
+    // at most 4 080 (4 088 rounded): `u16` lanes are exact on any input.
+    let (fx, fy) = (fx as u16, fy as u16);
     let (w00, w01, w10, w11) = ((4 - fx) * (4 - fy), fx * (4 - fy), (4 - fx) * fy, fx * fy);
-    let span = out.size() + 1;
+    let n = out.size();
     let (mut upper, mut lower) = ([0u8; MAX_BLOCK + 1], [0u8; MAX_BLOCK + 1]);
     for (dy, row) in out.rows_mut().enumerate() {
         let py = iy + dy as isize;
-        let r0 = reference.clamped_span(ix, py, &mut upper[..span]);
-        let r1 = reference.clamped_span(ix, py + 1, &mut lower[..span]);
-        for ((v, p0), p1) in row.iter_mut().zip(r0.windows(2)).zip(r1.windows(2)) {
-            let sum = w00 * i32::from(p0[0])
-                + w01 * i32::from(p0[1])
-                + w10 * i32::from(p1[0])
-                + w11 * i32::from(p1[1]);
+        let r0 = reference.clamped_span(ix, py, &mut upper[..=n]);
+        let r1 = reference.clamped_span(ix, py + 1, &mut lower[..=n]);
+        let taps = r0[..n].iter().zip(&r0[1..]).zip(&r1[..n]).zip(&r1[1..]);
+        for (v, (((&p00, &p01), &p10), &p11)) in row.iter_mut().zip(taps) {
+            let sum = w00 * u16::from(p00)
+                + w01 * u16::from(p01)
+                + w10 * u16::from(p10)
+                + w11 * u16::from(p11);
             *v = ((sum + 8) >> 4) as i16;
         }
     }
@@ -538,6 +542,70 @@ mod tests {
             }
         }
         out
+    }
+
+    /// Oracle: the row-span kernel the `u16` one replaced — `i32` taps,
+    /// each read through `windows(2)` of the two spans.
+    fn mc_windows(reference: &Plane, x: usize, y: usize, size: usize, mv: MotionVector) -> Block {
+        let base_x = (x as isize) * 4 + isize::from(mv.x);
+        let base_y = (y as isize) * 4 + isize::from(mv.y);
+        let (fx, fy) = (base_x.rem_euclid(4) as i32, base_y.rem_euclid(4) as i32);
+        let (ix, iy) = (base_x.div_euclid(4), base_y.div_euclid(4));
+        let mut out = Block::zero(size);
+        if fx == 0 && fy == 0 {
+            out.load(reference, ix, iy);
+            return out;
+        }
+        let (w00, w01, w10, w11) = ((4 - fx) * (4 - fy), fx * (4 - fy), (4 - fx) * fy, fx * fy);
+        let span = size + 1;
+        let (mut upper, mut lower) = ([0u8; MAX_BLOCK + 1], [0u8; MAX_BLOCK + 1]);
+        for (dy, row) in out.rows_mut().enumerate() {
+            let py = iy + dy as isize;
+            let r0 = reference.clamped_span(ix, py, &mut upper[..span]);
+            let r1 = reference.clamped_span(ix, py + 1, &mut lower[..span]);
+            for ((v, p0), p1) in row.iter_mut().zip(r0.windows(2)).zip(r1.windows(2)) {
+                let sum = w00 * i32::from(p0[0])
+                    + w01 * i32::from(p0[1])
+                    + w10 * i32::from(p1[0])
+                    + w11 * i32::from(p1[1]);
+                *v = ((sum + 8) >> 4) as i16;
+            }
+        }
+        out
+    }
+
+    /// Case-count multiplier: the `--release` test run does ten times
+    /// what the debug tier-1 run does.
+    const SCALE: u32 = if cfg!(debug_assertions) { 1 } else { 10 };
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64 * SCALE, ..ProptestConfig::default() })]
+
+        // Every block size the kernel takes, every quarter-pel phase, any
+        // sample values (the `u16` sums are exact for all of them), the
+        // block anywhere from inside the plane to wholly outside it.
+        #[test]
+        fn mc_equals_the_i32_windows_kernel_at_every_size(
+            data in prop::collection::vec(any::<u8>(), 40 * 30),
+            x in 0usize..40,
+            y in 0usize..30,
+            size in 1usize..=MAX_BLOCK,
+            whole in (-70i16..=40, -70i16..=30),
+            flat in any::<bool>(),
+        ) {
+            let (whole_x, whole_y) = whole;
+            // Flat 255 planes give every sum its maximum.
+            let data = if flat { vec![255; 40 * 30] } else { data };
+            let plane = Plane::from_data(40, 30, data);
+            for phase in 0..16i16 {
+                let mv = MotionVector::new(whole_x * 4 + phase % 4, whole_y * 4 + phase / 4);
+                prop_assert_eq!(
+                    motion_compensate(&plane, x, y, size, mv),
+                    mc_windows(&plane, x, y, size, mv),
+                    "({}, {}) size {} mv {:?}", x, y, size, mv
+                );
+            }
+        }
     }
 
     /// Oracle: the median predictor by collecting and sorting.

@@ -50,25 +50,105 @@ impl Deadzone {
             Deadzone::Inter => 1.0 / 3.0,
         }
     }
+
+    fn index(&self) -> usize {
+        match self {
+            Deadzone::Intra => 0,
+            Deadzone::Inter => 1,
+        }
+    }
+}
+
+/// Largest coefficient magnitude the multiply-shift quantizer covers. The
+/// forward transform of a residual in `[-255, 255]` peaks at 2 039 (its DC
+/// term), so every coefficient the encoder forms is inside; larger
+/// magnitudes, which only direct callers of [`quantize`] can pass, divide.
+pub(crate) const REACH: u32 = 1 << 11;
+
+/// Fraction bits of the multiply-shift: the largest for which every
+/// multiplier fits a `u32` (steps are at least 0.625), so the product is
+/// one 32 × 32 → 64-bit multiply, which SSE2 has per lane.
+const SHIFT: u32 = 31;
+
+/// The division quantizer `(f64::from(a) / step + bias) as i32` for one
+/// (QP, deadzone) as integer arithmetic: `(a·m + b) >> SHIFT`, equal to
+/// the division for every magnitude `a ≤ REACH`.
+#[derive(Clone, Copy, Debug)]
+struct Reciprocal {
+    m: u32,
+    b: u64,
+}
+
+impl Reciprocal {
+    /// Finds `(m, b)` for `step` and `bias`. For a candidate `m`, the level
+    /// `L` the division gives `a` comes out exactly when `b` lies in
+    /// `[L·2^SHIFT − a·m, (L+1)·2^SHIFT − a·m)`; a `b` in the intersection
+    /// of those intervals over every `a ≤ REACH` reproduces the division
+    /// on the whole range, so finding one is the proof. `None` if no `m`
+    /// near `2^SHIFT / step` has one (then that pair always divides).
+    fn derive(step: f64, bias: f64) -> Option<Reciprocal> {
+        let levels: Vec<i64> = (0..=REACH).map(|a| divide(a, step, bias) as i64).collect();
+        let near = (f64::from(1u32 << SHIFT) / step) as i64;
+        (near - 1..=near + 2).find_map(|m| {
+            let (mut lo, mut hi) = (0i64, i64::MAX);
+            for (a, &level) in (0i64..).zip(&levels) {
+                lo = lo.max((level << SHIFT) - a * m);
+                hi = hi.min(((level + 1) << SHIFT) - a * m);
+            }
+            (lo < hi).then_some(Reciprocal { m: u32::try_from(m).ok()?, b: lo as u64 })
+        })
+    }
+
+    /// The pair for `qp` and `deadzone`, derived once per process.
+    fn of(qp: u8, deadzone: Deadzone) -> Option<Reciprocal> {
+        assert!(qp <= QP_MAX, "QP must be 0..=51, got {qp}");
+        static TABLE: OnceLock<[[Option<Reciprocal>; 2]; QP_MAX as usize + 1]> = OnceLock::new();
+        let table = TABLE.get_or_init(|| {
+            std::array::from_fn(|qp| {
+                let step = qstep(qp as u8);
+                [Deadzone::Intra, Deadzone::Inter].map(|dz| Reciprocal::derive(step, dz.bias()))
+            })
+        });
+        table[usize::from(qp)][deadzone.index()]
+    }
+}
+
+/// One magnitude through the division quantizer. The quotient is
+/// non-negative, so the cast's truncation is its floor (and saturates
+/// where the floor would not fit).
+fn divide(a: u32, step: f64, bias: f64) -> i32 {
+    (f64::from(a) / step + bias) as i32
 }
 
 /// [`quantize`] into a caller-owned buffer of `coeffs.len()` levels.
 pub(crate) fn quantize_into(coeffs: &[i32], qp: u8, deadzone: Deadzone, levels: &mut [i32]) {
     assert_eq!(coeffs.len(), levels.len(), "one level per coefficient");
-    let step = qstep(qp);
-    let bias = deadzone.bias();
-    for (l, &c) in levels.iter_mut().zip(coeffs) {
-        // The quotient is non-negative, so the cast's truncation is its
-        // floor (and saturates where the floor would not fit).
-        let level = (f64::from(c.unsigned_abs()) / step + bias) as i32;
-        *l = if c < 0 { -level } else { level };
+    let peak = coeffs.iter().map(|c| c.unsigned_abs()).max().unwrap_or(0);
+    match Reciprocal::of(qp, deadzone) {
+        Some(Reciprocal { m, b }) if peak <= REACH => {
+            for (l, &c) in levels.iter_mut().zip(coeffs) {
+                let level = ((u64::from(c.unsigned_abs()) * u64::from(m) + b) >> SHIFT) as i32;
+                // `sign` is 0 or -1, so this is `±level` without a branch.
+                let sign = c >> 31;
+                *l = (level ^ sign) - sign;
+            }
+        }
+        _ => {
+            let (step, bias) = (qstep(qp), deadzone.bias());
+            for (l, &c) in levels.iter_mut().zip(coeffs) {
+                let level = divide(c.unsigned_abs(), step, bias);
+                *l = if c < 0 { -level } else { level };
+            }
+        }
     }
 }
 
 /// Quantizes transform coefficients to levels: each magnitude is divided
 /// by the QP's step and rounded down after adding the deadzone bias; the
-/// sign carries over. The division stays a division (a reciprocal multiply
-/// rounds differently and would change bitstreams).
+/// sign carries over. For every magnitude a coefficient of a residual
+/// block can have, the division runs as an integer multiply-shift derived
+/// from it and proven equal to it magnitude by magnitude; larger inputs
+/// divide.
 ///
 /// # Panics
 ///
@@ -115,6 +195,92 @@ pub fn crf_to_qp(crf: f64) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Case-count multiplier: the `--release` test run does ten times
+    /// what the debug tier-1 run does.
+    const SCALE: u32 = if cfg!(debug_assertions) { 1 } else { 10 };
+
+    /// Oracle: the quantizer as it was before the multiply-shift, one
+    /// `f64` division per coefficient.
+    fn quantize_by_division(coeffs: &[i32], qp: u8, deadzone: Deadzone) -> Vec<i32> {
+        let step = qstep(qp);
+        let bias = deadzone.bias();
+        coeffs
+            .iter()
+            .map(|&c| {
+                let level = (f64::from(c.unsigned_abs()) / step + bias) as i32;
+                if c < 0 {
+                    -level
+                } else {
+                    level
+                }
+            })
+            .collect()
+    }
+
+    const DEADZONES: [Deadzone; 2] = [Deadzone::Intra, Deadzone::Inter];
+
+    #[test]
+    fn every_qp_and_deadzone_has_a_multiply_shift_pair() {
+        for qp in QP_MIN..=QP_MAX {
+            for dz in DEADZONES {
+                assert!(Reciprocal::of(qp, dz).is_some(), "qp {qp} {dz:?}: no (m, b) found");
+            }
+        }
+    }
+
+    #[test]
+    fn multiply_shift_equals_division_for_every_magnitude_in_reach() {
+        // Exhaustive over 52 QPs × 2 deadzones × every magnitude in reach,
+        // both signs, one 64-coefficient tile at a time as the encoder
+        // calls it; then a sample beyond the reach, which divides.
+        let magnitudes: Vec<i32> = (0..=REACH as i32).collect();
+        let beyond: Vec<i32> = (1..=64)
+            .map(|k| REACH as i32 + k * k * 517)
+            .chain([i32::MAX, i32::MIN, i32::MIN + 1, 1 << 20])
+            .collect();
+        for qp in QP_MIN..=QP_MAX {
+            for dz in DEADZONES {
+                for tile in magnitudes.chunks(64).chain(beyond.chunks(64)) {
+                    let negated: Vec<i32> = tile.iter().map(|&c| c.wrapping_neg()).collect();
+                    for coeffs in [tile, &negated] {
+                        let mut levels = vec![0; coeffs.len()];
+                        quantize_into(coeffs, qp, dz, &mut levels);
+                        assert_eq!(
+                            levels,
+                            quantize_by_division(coeffs, qp, dz),
+                            "qp {qp} {dz:?} tile from {}",
+                            coeffs[0]
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64 * SCALE, ..ProptestConfig::default() })]
+
+        // The whole public domain: mostly coefficient-sized values, salted
+        // with magnitudes past the reach that send the tile to division.
+        #[test]
+        fn quantize_equals_division_on_any_input(
+            coeffs in prop::collection::vec(
+                (any::<i32>(), 0u8..8).prop_map(|(v, kind)| match kind {
+                    0..=5 => v % 2_100,
+                    6 => v % 70_000,
+                    _ => v,
+                }),
+                0..=80,
+            ),
+            qp in 0u8..=51,
+            inter in any::<bool>(),
+        ) {
+            let dz = if inter { Deadzone::Inter } else { Deadzone::Intra };
+            prop_assert_eq!(quantize(&coeffs, qp, dz), quantize_by_division(&coeffs, qp, dz));
+        }
+    }
 
     #[test]
     fn qstep_table_holds_the_formula_bit_for_bit() {

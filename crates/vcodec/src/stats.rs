@@ -147,6 +147,14 @@ pub trait Probe {
     fn mem_write(&mut self, addr: u64, bytes: u64) {
         let _ = (addr, bytes);
     }
+
+    /// Whether this probe observes anything. The encoder skips the loops
+    /// that synthesize per-row memory events and ratio-shaped branch
+    /// streams when it does not; every event an active probe receives is
+    /// unchanged.
+    fn active(&self) -> bool {
+        true
+    }
 }
 
 /// The do-nothing probe used when no microarchitectural observation is
@@ -154,7 +162,11 @@ pub trait Probe {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoProbe;
 
-impl Probe for NoProbe {}
+impl Probe for NoProbe {
+    fn active(&self) -> bool {
+        false
+    }
+}
 
 /// Aggregate per-kernel work counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]

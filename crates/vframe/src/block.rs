@@ -7,6 +7,8 @@
 //! and SATD (sum of absolute Hadamard-transformed differences, used by
 //! mode decision at higher effort levels).
 
+use std::ops::{Add, Neg, Sub};
+
 use crate::Plane;
 
 /// Largest block edge the plane-reading kernels accept: their row buffers
@@ -170,6 +172,15 @@ impl Block {
     }
 }
 
+/// Whether every sample of `data` lies in `0..=max`, for a `max` one less
+/// than a power of two: an OR over all samples, which vectorizes, in
+/// place of a per-sample compare.
+#[inline]
+fn samples_within(data: &[i16], max: u16) -> bool {
+    debug_assert!((max as u32 + 1).is_power_of_two());
+    data.iter().fold(0u16, |acc, &s| acc | s as u16) <= max
+}
+
 /// Sum of absolute differences between two equally sized blocks — the inner
 /// loop of motion estimation, "usually the most computationally onerous
 /// step" of encoding (Section 2.1).
@@ -195,6 +206,22 @@ fn row_sad<T: Into<i32>>(row: &[i16], other: impl Iterator<Item = T>) -> u32 {
     row.iter().zip(other).map(|(&a, b)| (i32::from(a) - b.into()).unsigned_abs()).sum()
 }
 
+/// [`sad_plane`]'s row SAD in `u16` lanes, and the OR of the block's
+/// samples (plane samples are bytes). When that OR is at most 255 so is
+/// every sample, hence every difference, and the row's sum (at most
+/// [`MAX_BLOCK`] · 255) is exact;
+/// the caller checks the OR once per block and otherwise redoes the block
+/// with [`row_sad`]. The check rides along the SAD, so the common case
+/// reads each sample once, and the sum wraps instead of overflowing
+/// outside the range.
+#[inline]
+fn row_sad_narrow(row: &[i16], span: &[u8]) -> (u16, u16) {
+    row.iter().zip(span).fold((0u16, 0u16), |(sum, seen), (&a, &b)| {
+        let (a, b) = (a as u16, u16::from(b));
+        (sum.wrapping_add(a.abs_diff(b)), seen | a)
+    })
+}
+
 /// SAD computed directly against a plane region (avoids materializing the
 /// candidate block); `(x, y)` may be out of bounds, in which case samples
 /// are edge-clamped.
@@ -204,10 +231,20 @@ fn row_sad<T: Into<i32>>(row: &[i16], other: impl Iterator<Item = T>) -> u32 {
 /// Panics if the block is larger than [`MAX_BLOCK`].
 pub fn sad_plane(block: &Block, plane: &Plane, x: isize, y: isize) -> u64 {
     let mut buf = [0u8; MAX_BLOCK];
-    let mut total = 0u64;
+    let buf = &mut buf[..block.size()];
+    let (mut total, mut seen) = (0u64, 0u16);
     for (dy, row) in block.rows().enumerate() {
-        let span = plane.clamped_span(x, y + dy as isize, &mut buf[..block.size()]);
-        total += u64::from(row_sad(row, span.iter().copied()));
+        let (sum, row_seen) = row_sad_narrow(row, plane.clamped_span(x, y + dy as isize, buf));
+        total += u64::from(sum);
+        seen |= row_seen;
+    }
+    if seen <= 255 {
+        return total;
+    }
+    let mut total = 0;
+    for (dy, row) in block.rows().enumerate() {
+        total +=
+            u64::from(row_sad(row, plane.clamped_span(x, y + dy as isize, buf).iter().copied()));
     }
     total
 }
@@ -222,48 +259,116 @@ pub fn sad_plane(block: &Block, plane: &Plane, x: isize, y: isize) -> u64 {
 pub fn satd(a: &Block, b: &Block) -> u64 {
     assert_eq!(a.size(), b.size(), "SATD requires equal block sizes");
     assert!(a.size().is_multiple_of(4), "SATD operates on 4x4 sub-blocks");
-    // Columns transformed together: four sub-blocks' worth.
-    const LANES: usize = 16;
+    // With both blocks in 0..=4095, every |a − b| ≤ 4095 and every value
+    // the three butterfly stages form is at most 8 · 4095 = 32 760: `i16`
+    // is exact. Outside, `i32` is: 8 · 65 535 per value.
+    if samples_within(a.data(), 4095) && samples_within(b.data(), 4095) {
+        satd_lanes::<i16>(a, b)
+    } else {
+        satd_lanes::<i32>(a, b)
+    }
+}
+
+/// The lane type of [`satd_lanes`]: `i16` inside its exact domain, `i32`
+/// on any input.
+trait Lane:
+    Copy + Default + Ord + Add<Output = Self> + Sub<Output = Self> + Neg<Output = Self>
+{
+    fn of(sample: i16) -> Self;
+    fn magnitude(self) -> u32;
+}
+
+impl Lane for i16 {
+    #[inline]
+    fn of(sample: i16) -> i16 {
+        sample
+    }
+
+    #[inline]
+    fn magnitude(self) -> u32 {
+        self.max(-self) as u32
+    }
+}
+
+impl Lane for i32 {
+    #[inline]
+    fn of(sample: i16) -> i32 {
+        i32::from(sample)
+    }
+
+    #[inline]
+    fn magnitude(self) -> u32 {
+        self.unsigned_abs()
+    }
+}
+
+/// [`satd`] in lanes of `L`, a band of four rows at a time, eight columns
+/// (two sub-blocks) at a time; a block whose size is an odd multiple of
+/// four ends each band with four columns padded with four of zeros, which
+/// add nothing.
+fn satd_lanes<L: Lane>(a: &Block, b: &Block) -> u64 {
     let size = a.size();
     let mut total = 0u64;
-    // A band is four rows of both blocks, i.e. one row of sub-blocks.
     for (band_a, band_b) in a.data().chunks_exact(4 * size).zip(b.data().chunks_exact(4 * size)) {
-        for cx in (0..size).step_by(LANES) {
-            let w = LANES.min(size - cx);
-            let rows_a: [&[i16]; 4] = std::array::from_fn(|k| &band_a[k * size + cx..][..w]);
-            let rows_b: [&[i16]; 4] = std::array::from_fn(|k| &band_b[k * size + cx..][..w]);
-            // Vertical butterflies first: the same operation at every
-            // column, so the compiler can run several columns at once.
-            // (The transform is separable; either order gives the same
-            // coefficients.)
-            let mut v = [[0i32; LANES]; 4];
-            for x in 0..w {
-                let d = |k: usize| i32::from(rows_a[k][x]) - i32::from(rows_b[k][x]);
-                let col = hadamard4([d(0), d(1), d(2), d(3)]);
-                for (row, c) in v.iter_mut().zip(col) {
-                    row[x] = c;
-                }
-            }
-            // Horizontal butterflies and magnitudes, summed per sub-block
-            // because each sub-block's sum is halved on its own.
-            let mut sums = [0u32; LANES / 4];
-            for row in &v {
-                for (sum, g) in sums.iter_mut().zip(row.chunks_exact(4)) {
-                    let t = hadamard4([g[0], g[1], g[2], g[3]]);
-                    *sum += t.iter().map(|c| c.unsigned_abs()).sum::<u32>();
-                }
-            }
-            total += sums.iter().map(|&sum| u64::from(sum / 2)).sum::<u64>();
+        fn rows(band: &[i16], size: usize, cx: usize) -> [&[i16; 8]; 4] {
+            std::array::from_fn(|k| band[k * size + cx..][..8].try_into().expect("eight columns"))
+        }
+        let mut cx = 0;
+        while cx + 8 <= size {
+            total += u64::from(satd_4x8::<L>(rows(band_a, size, cx), rows(band_b, size, cx)));
+            cx += 8;
+        }
+        if cx < size {
+            let pad = |band: &[i16]| -> [[i16; 8]; 4] {
+                std::array::from_fn(|k| {
+                    let mut row = [0; 8];
+                    row[..4].copy_from_slice(&band[k * size + cx..][..4]);
+                    row
+                })
+            };
+            let (ta, tb) = (pad(band_a), pad(band_b));
+            total += u64::from(satd_4x8::<L>(ta.each_ref(), tb.each_ref()));
         }
     }
     total
 }
 
-/// One 4-point Hadamard butterfly.
-#[inline]
-fn hadamard4([a, b, c, d]: [i32; 4]) -> [i32; 4] {
-    let (s0, s1, d0, d1) = (a + c, b + d, a - c, b - d);
-    [s0 + s1, s0 - s1, d0 + d1, d0 - d1]
+/// SATD of two 4×4 sub-blocks side by side. Each 4×4 Hadamard is three
+/// butterfly stages and a fourth whose magnitudes are summed and then
+/// halved, and `|x + y| + |x − y| = 2 · max(|x|, |y|)`: so each
+/// sub-block's SATD is the sum, over the pairs of the fourth stage, of
+/// the larger magnitude of the pair — no fourth stage, no halving, and
+/// the same total over any grouping of the pairs.
+///
+/// The two horizontal stages run inside each row first, writing every
+/// row's coefficients in the same lane order; the vertical stages then
+/// combine whole rows, lane by lane.
+#[inline(always)]
+fn satd_4x8<L: Lane>(a: [&[i16; 8]; 4], b: [&[i16; 8]; 4]) -> u32 {
+    let mut h = [[L::default(); 8]; 4];
+    for k in 0..4 {
+        let d: [L; 8] = std::array::from_fn(|x| L::of(a[k][x]) - L::of(b[k][x]));
+        let mut s = [L::default(); 4];
+        let mut t = [L::default(); 4];
+        for j in 0..4 {
+            s[j] = d[2 * j] + d[2 * j + 1];
+            t[j] = d[2 * j] - d[2 * j + 1];
+        }
+        for g in 0..2 {
+            h[k][g] = s[2 * g] + s[2 * g + 1];
+            h[k][2 + g] = s[2 * g] - s[2 * g + 1];
+            h[k][4 + g] = t[2 * g] + t[2 * g + 1];
+            h[k][6 + g] = t[2 * g] - t[2 * g + 1];
+        }
+    }
+    let [h0, h1, h2, h3] = &h;
+    let mut total = 0;
+    for x in 0..8 {
+        let (s0, s1) = (h0[x] + h2[x], h1[x] + h3[x]);
+        let (d0, d1) = (h0[x] - h2[x], h1[x] - h3[x]);
+        total += s0.magnitude().max(s1.magnitude()) + d0.magnitude().max(d1.magnitude());
+    }
+    total
 }
 
 #[cfg(test)]
@@ -325,6 +430,46 @@ mod tests {
         assert_eq!(sad_plane(&blk, &p, 3, 2), sad(&blk, &cand));
     }
 
+    /// One 4-point Hadamard butterfly.
+    fn hadamard4([a, b, c, d]: [i32; 4]) -> [i32; 4] {
+        let (s0, s1, d0, d1) = (a + c, b + d, a - c, b - d);
+        [s0 + s1, s0 - s1, d0 + d1, d0 - d1]
+    }
+
+    /// Oracle: the `i32` banded SATD the narrow-lane kernel replaced —
+    /// vertical butterflies sixteen columns at a time, then horizontal
+    /// ones, every sub-block's magnitude sum halved on its own.
+    fn satd_banded(a: &Block, b: &Block) -> u64 {
+        const LANES: usize = 16;
+        let size = a.size();
+        let mut total = 0u64;
+        for (band_a, band_b) in a.data().chunks_exact(4 * size).zip(b.data().chunks_exact(4 * size))
+        {
+            for cx in (0..size).step_by(LANES) {
+                let w = LANES.min(size - cx);
+                let rows_a: [&[i16]; 4] = std::array::from_fn(|k| &band_a[k * size + cx..][..w]);
+                let rows_b: [&[i16]; 4] = std::array::from_fn(|k| &band_b[k * size + cx..][..w]);
+                let mut v = [[0i32; LANES]; 4];
+                for x in 0..w {
+                    let d = |k: usize| i32::from(rows_a[k][x]) - i32::from(rows_b[k][x]);
+                    let col = hadamard4([d(0), d(1), d(2), d(3)]);
+                    for (row, c) in v.iter_mut().zip(col) {
+                        row[x] = c;
+                    }
+                }
+                let mut sums = [0u32; LANES / 4];
+                for row in &v {
+                    for (sum, g) in sums.iter_mut().zip(row.chunks_exact(4)) {
+                        let t = hadamard4([g[0], g[1], g[2], g[3]]);
+                        *sum += t.iter().map(|c| c.unsigned_abs()).sum::<u32>();
+                    }
+                }
+                total += sums.iter().map(|&sum| u64::from(sum / 2)).sum::<u64>();
+            }
+        }
+        total
+    }
+
     /// Oracle: SATD one checked sample access at a time, sub-block by
     /// sub-block, horizontal pass first — as it was written before the
     /// banded kernel.
@@ -349,6 +494,78 @@ mod tests {
             }
         }
         total
+    }
+
+    /// Oracle: SAD one checked sample access at a time, in `i32`.
+    fn sad_per_sample(a: &Block, b: &Block) -> u64 {
+        let mut total = 0u64;
+        for y in 0..a.size() {
+            for x in 0..a.size() {
+                let d = i32::from(a.get(x, y)) - i32::from(b.get(x, y));
+                total += u64::from(d.unsigned_abs());
+            }
+        }
+        total
+    }
+
+    /// Case-count multiplier: the `--release` test run does ten times
+    /// what the debug tier-1 run does.
+    const SCALE: u32 = if cfg!(debug_assertions) { 1 } else { 10 };
+
+    /// Pairs of square blocks of a size drawn from `sizes` (at most
+    /// [`MAX_BLOCK`]), with samples from one of the narrow ranges, on or
+    /// just past their edges, or anywhere in `i16`.
+    fn block_pair(sizes: impl Strategy<Value = usize>) -> impl Strategy<Value = (Block, Block)> {
+        (sizes, 0u8..5, prop::collection::vec(any::<i16>(), 2 * MAX_BLOCK * MAX_BLOCK)).prop_map(
+            |(size, range, raw)| {
+                let sample = |v: i16| match range {
+                    0 => v.rem_euclid(256),
+                    1 => v.rem_euclid(4096),
+                    2 => [0, 255, 256, 4095, 4096, -1][v.unsigned_abs() as usize % 6],
+                    3 => v % 300,
+                    _ => v,
+                };
+                let mut it = raw.into_iter().map(sample);
+                let mut block = || Block::from_data(size, it.by_ref().take(size * size).collect());
+                (block(), block())
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64 * SCALE, ..ProptestConfig::default() })]
+
+        // The whole public domain: inside `i16`'s exact range, on its
+        // edges, and any `i16` at all (the `i32` instantiation).
+        #[test]
+        fn satd_equals_both_oracles_on_any_samples(
+            // Multiples of four up to 28: odd ones run the four-column tail.
+            pair in block_pair((1usize..=7).prop_map(|edge| edge * 4)),
+        ) {
+            let (a, b) = pair;
+            let want = satd_per_sample(&a, &b);
+            prop_assert_eq!(satd(&a, &b), want);
+            prop_assert_eq!(satd_banded(&a, &b), want);
+        }
+
+        #[test]
+        fn sad_equals_per_sample_sad_on_any_samples(pair in block_pair(1usize..=MAX_BLOCK)) {
+            let (a, b) = pair;
+            prop_assert_eq!(sad(&a, &b), sad_per_sample(&a, &b));
+        }
+
+        #[test]
+        fn sad_plane_equals_per_sample_sad_on_any_block(
+            pair in block_pair(1usize..=MAX_BLOCK),
+            data in prop::collection::vec(any::<u8>(), 40 * 36),
+            x in -30isize..44,
+            y in -30isize..40,
+        ) {
+            let block = pair.0;
+            let plane = Plane::from_data(40, 36, data);
+            let cand = Block::copy_from(&plane, x, y, block.size());
+            prop_assert_eq!(sad_plane(&block, &plane, x, y), sad_per_sample(&block, &cand));
+        }
     }
 
     proptest! {

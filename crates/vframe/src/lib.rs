@@ -34,6 +34,9 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+// Every kernel here is safe Rust the compiler vectorizes; a hand-written
+// SIMD path must lift this deliberately, in the one module that needs it.
+#![forbid(unsafe_code)]
 
 pub mod block;
 pub mod color;

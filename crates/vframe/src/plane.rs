@@ -98,11 +98,7 @@ impl Plane {
         if x >= 0 && x as usize + len <= self.width {
             return &row[x as usize..x as usize + len];
         }
-        let last = self.width as isize - 1;
-        for (i, s) in buf.iter_mut().enumerate() {
-            *s = row[(x + i as isize).clamp(0, last) as usize];
-        }
-        buf
+        clamped_copy(row, x, buf)
     }
 
     /// Writes `value` at `(x, y)`.
@@ -163,6 +159,22 @@ impl Plane {
     }
 }
 
+/// The edge case of [`Plane::clamped_span`], kept out of line so that the
+/// in-bounds case inlines into the block kernels: columns left of 0 read
+/// column 0 and columns past the last read the last — a fill, a copy of
+/// the columns inside, a fill.
+fn clamped_copy<'a>(row: &[u8], x: isize, buf: &'a mut [u8]) -> &'a [u8] {
+    let len = buf.len() as isize;
+    let inside = |col: isize| col.clamp(0, len) as usize;
+    let (left, right) = (inside(-x), inside(row.len() as isize - x));
+    buf[..left].fill(row[0]);
+    if left < right {
+        buf[left..right].copy_from_slice(&row[(x + left as isize) as usize..][..right - left]);
+    }
+    buf[right..].fill(row[row.len() - 1]);
+    buf
+}
+
 impl fmt::Debug for Plane {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Plane").field("width", &self.width).field("height", &self.height).finish()
@@ -189,6 +201,25 @@ mod tests {
         assert_eq!(p.get_clamped(-10, -10), 11);
         assert_eq!(p.get_clamped(99, 99), 22);
         assert_eq!(p.get_clamped(2, 2), 0);
+    }
+
+    proptest::proptest! {
+        // Every span position against a 1..=9-wide plane: inside, across
+        // either edge or both, and wholly past either edge.
+        #[test]
+        fn clamped_span_equals_per_sample_clamping(
+            width in 1usize..=9,
+            data in proptest::collection::vec(proptest::any::<u8>(), 9 * 3),
+            x in -20isize..=20,
+            y in -4isize..=6,
+            len in 0usize..=24,
+        ) {
+            let plane = Plane::from_data(width, 3, data[..width * 3].to_vec());
+            let mut buf = [0u8; 24];
+            let span = plane.clamped_span(x, y, &mut buf[..len]).to_vec();
+            let want: Vec<u8> = (0..len).map(|i| plane.get_clamped(x + i as isize, y)).collect();
+            proptest::prop_assert_eq!(span, want);
+        }
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! every edge-clamped path (block copy, motion compensation and search
 //! past the picture boundary, clipped reconstruction writes) runs.
 
-use vcodec::{CodecFamily, EncodeStats, EncoderConfig, Kernel, Preset, RateControl};
+use vcodec::{
+    BranchSite, CodecFamily, EncodeStats, EncoderConfig, Kernel, Preset, Probe, RateControl,
+};
 use vframe::{Resolution, Video};
 use vsynth::{ContentClass, SourceSpec};
 
@@ -120,6 +122,102 @@ fn the_grid_reaches_every_superblock_mode() {
     }
     assert!(seen.iter().all(|&n| n > 0), "intra/inter/skip/split = {seen:?}");
     assert!(backends.len() >= 2, "{backends:?}");
+}
+
+/// The decoder as the encoder's oracle over the same grid. The CRC table
+/// above pins the encoder's bytes only; this pins that those bytes mean
+/// what the encoder reconstructed, frame for frame in display order,
+/// including the B-frame rows, where decode order differs from display
+/// order and a reorder bug would hide behind a matching CRC.
+#[test]
+fn decoding_every_grid_bitstream_reproduces_the_encoder_reconstruction() {
+    for class in CLASSES {
+        let video = clip(class);
+        for family in CodecFamily::ALL {
+            for preset in PRESETS {
+                for rate in RATES {
+                    for bframes in [false, true] {
+                        let mut cfg = EncoderConfig::new(family, preset, rate).with_gop(4);
+                        if bframes {
+                            cfg = cfg.with_bframes();
+                        }
+                        let label = format!("{class:?}/{family}/{preset}/{rate:?}/b={bframes}");
+                        let out = vcodec::encode(&video, &cfg);
+                        let decoded = vcodec::decode(&out.bytes)
+                            .unwrap_or_else(|e| panic!("{label}: own bitstream rejected: {e}"));
+                        assert_eq!(decoded.len(), out.recon.len(), "{label}: frame count");
+                        for (i, (got, want)) in
+                            decoded.frames().iter().zip(out.recon.frames()).enumerate()
+                        {
+                            assert!(got == want, "{label}: display frame {i} differs from recon");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Every event a probe can receive, appended as bytes in arrival order.
+#[derive(Default)]
+struct Recorder(Vec<u8>);
+
+impl Recorder {
+    fn push(&mut self, tag: u8, index: usize, value: u64) {
+        self.0.push(tag);
+        self.0.extend_from_slice(&(index as u64).to_le_bytes());
+        self.0.extend_from_slice(&value.to_le_bytes());
+    }
+}
+
+impl Probe for Recorder {
+    fn kernel(&mut self, kernel: Kernel, samples: u64) {
+        self.push(0, kernel.index(), samples);
+    }
+
+    fn branch(&mut self, site: BranchSite, taken: bool) {
+        self.push(1, site.index(), u64::from(taken));
+    }
+
+    fn mem_read(&mut self, addr: u64, bytes: u64) {
+        self.push(2, addr as usize, bytes);
+    }
+
+    fn mem_write(&mut self, addr: u64, bytes: u64) {
+        self.push(3, addr as usize, bytes);
+    }
+}
+
+/// An active probe sees the same event stream, event for event, as it did
+/// before the encoder learned to skip synthetic events for `NoProbe`: one
+/// Medium and one VerySlow grid point, CRC and length of the recording
+/// captured at the parent of that change.
+#[test]
+fn an_active_probe_receives_the_pinned_event_stream() {
+    let cases = [
+        (
+            ContentClass::Sports,
+            EncoderConfig::new(CodecFamily::Avc, Preset::Medium, RATES[0])
+                .with_gop(4)
+                .with_bframes(),
+            (0xd8cc_5d67, 258_757),
+        ),
+        (
+            ContentClass::ScreenCapture,
+            EncoderConfig::new(CodecFamily::Hevc, Preset::VerySlow, RATES[1]).with_gop(4),
+            (0x248c_762b, 297_534),
+        ),
+    ];
+    for (class, cfg, want) in cases {
+        let mut rec = Recorder::default();
+        vcodec::encode_with_probe(&clip(class), &cfg, &mut rec);
+        let got = (vpack::crc32(&rec.0), rec.0.len());
+        assert_eq!(
+            got, want,
+            "{class:?}/{}/{}: (crc, bytes) of the event stream",
+            cfg.family, cfg.preset
+        );
+    }
 }
 
 /// Captured at the parent of the allocation-free kernel rewrite.
