@@ -1,10 +1,9 @@
 //! Experiment drivers: one function per paper table/figure.
 //!
 //! Every function regenerates the corresponding artifact's *rows*; the
-//! `tablegen` binary prints them, the Criterion benches time representative
-//! slices, and EXPERIMENTS.md records a full run. Absolute numbers depend
-//! on the machine and the chosen [`Scale`]; the shapes are the
-//! reproduction targets.
+//! `tablegen` binary prints them and EXPERIMENTS.md records a full run.
+//! Absolute numbers depend on the machine and the chosen [`Scale`]; the
+//! shapes are the reproduction targets.
 //!
 //! Every encode routes through the unified transcode engine
 //! ([`vbench::engine`]); Tables 3/4/5 additionally fan their rows out

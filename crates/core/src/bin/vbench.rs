@@ -30,8 +30,6 @@
 //!                [--procs M] [--workers K] [--dir DIR] [--out FILE]
 //!                [--videos a,b,c] [--scale ...] [--backend ...]
 //!                [--inject-unsynced-rename]
-//! vbench bench   [--name NAME] [--runs N] [--out FILE]
-//!                [--workers K] [--scale ...]
 //! vbench serve   --scenario upload|popular|live --offered-load L
 //!                --duration SECS [--capacity N] [--queue-depth Q]
 //!                [--seed S] [--catalog C] [--workers K]
@@ -70,11 +68,6 @@
 //! clock-derived throughput and ETA lines. The dispatcher's
 //! `--status-out FILE` writes the same snapshot as a machine-readable
 //! `status.json` (atomic rename, schema in DESIGN.md) every ~500ms.
-//!
-//! `bench` runs a pinned workload (the suite at `--scale`, in-process)
-//! `--runs` times and writes `BENCH_<name>.json`: schema-versioned
-//! per-scenario encode-time/throughput/quality stats plus an
-//! environment fingerprint, the input format of `vprof compare`.
 //!
 //! `--stream` runs the bounded-memory pull pipeline: frames are rendered
 //! off the synthetic source as the encoder asks for them and dropped as
@@ -213,7 +206,6 @@ fn main() {
         "worker" => cmd_worker(&opts, &flags),
         "top" => cmd_top(&flags),
         "chaos" => cmd_chaos(&opts, &flags),
-        "bench" => cmd_bench(&opts, &flags),
         "serve" => cmd_serve(&opts, &flags),
         "saturate" => cmd_saturate(&opts, &flags),
         "plan" => cmd_plan(&opts, &flags),
@@ -242,7 +234,7 @@ fn finish_tracing() {
 fn usage() -> ! {
     eprintln!(
         "usage: vbench <suite|entropy|score|transcode|inspect|batch|dispatch|worker|top|chaos\
-         |bench|serve|saturate|plan> [flags]\n\
+         |serve|saturate|plan> [flags]\n\
          see crates/core/src/bin/vbench.rs for the flag reference"
     );
     std::process::exit(cli::EXIT_USAGE);
@@ -946,68 +938,6 @@ fn cmd_top(flags: &HashMap<String, String>) {
         }
         std::thread::sleep(interval);
     }
-}
-
-/// Pinned perf workload: runs the suite batch in-process `--runs`
-/// times and writes a `BENCH_<name>.json` perf-trajectory document
-/// (see `vprof::bench` for the schema and comparison semantics).
-fn cmd_bench(opts: &SuiteOptions, flags: &HashMap<String, String>) {
-    let name = flags.get("name").cloned().unwrap_or_else(|| "tiny".to_string());
-    let runs: u32 = flags
-        .get("runs")
-        .map(|r| r.parse().unwrap_or_else(|_| die("--runs must be an integer")))
-        .unwrap_or(3);
-    if runs == 0 {
-        die("--runs must be positive");
-    }
-    let workers = resolve_workers(flags);
-    let policy = ResilienceConfig::default();
-    // Per-scenario samples: [encode_secs, speed_pps, quality_db,
-    // bitrate_bpps] per run.
-    let mut samples: std::collections::BTreeMap<String, Vec<[f64; 4]>> = Default::default();
-    for _ in 0..runs {
-        let jobs = build_batch_jobs(opts, flags);
-        let report = transcode_batch(&Engine, &jobs, workers, &policy)
-            .unwrap_or_else(|e| fail(&e.to_string()));
-        for r in &report.results {
-            match &r.outcome {
-                Ok(o) => samples.entry(r.name.clone()).or_default().push([
-                    o.stats().encode_seconds,
-                    o.measurement().speed_pps,
-                    o.measurement().quality_db,
-                    o.measurement().bitrate_bpps,
-                ]),
-                Err(e) => fail(&format!("bench job '{}' failed: {e}", r.name)),
-            }
-        }
-    }
-    let stats_of = |rows: &[[f64; 4]], col: usize| {
-        let column: Vec<f64> = rows.iter().map(|r| r[col]).collect();
-        vprof::Stats::from_samples(&column).unwrap_or_default()
-    };
-    let mut doc = vprof::BenchDoc {
-        name: name.clone(),
-        runs,
-        env: vprof::EnvFingerprint::current(),
-        scenarios: Default::default(),
-    };
-    for (video, rows) in &samples {
-        doc.scenarios.insert(
-            video.clone(),
-            vprof::ScenarioStats {
-                encode_secs: stats_of(rows, 0),
-                speed_pps: stats_of(rows, 1),
-                quality_db: stats_of(rows, 2),
-                bitrate_bpps: stats_of(rows, 3),
-            },
-        );
-    }
-    let out = flags.get("out").cloned().unwrap_or_else(|| format!("BENCH_{name}.json"));
-    std::fs::write(&out, doc.to_json()).unwrap_or_else(|e| fail(&format!("write {out}: {e}")));
-    println!(
-        "bench '{name}': {} scenario(s) x {runs} run(s) on {workers} workers -> {out}",
-        doc.scenarios.len()
-    );
 }
 
 /// Service scenarios: the three paper scenarios that describe an

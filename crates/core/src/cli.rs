@@ -11,8 +11,9 @@
 //! | 1    | runtime failure (transcode, I/O, batch) — trace still flushed |
 //! | 2    | usage error — before any work ran |
 //! | 3    | simulated crash (scripted `crash=` fault fired; journal intact) |
-//! | 4    | quality gate: `vprof compare` regression findings, or a |
-//! |      | service run whose shed rate exceeded `--max-shed-rate` |
+//! | 4    | gate fired: `vprof compare` found a benchmark metric past |
+//! |      | its `BENCHMARK.json` bound, or a service run whose shed |
+//! |      | rate exceeded `--max-shed-rate` |
 //! | 5    | infeasible plan: `vbench plan` found a job no catalog |
 //! |      | instance can finish inside the scenario deadline |
 //! | 6    | chaos invariant violation: `vbench chaos` caught a |

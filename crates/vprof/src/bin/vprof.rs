@@ -3,11 +3,14 @@
 //! ```text
 //! vprof report  <trace.jsonl>                 analyze a vtrace stream
 //! vprof flame   <trace.jsonl> [--out FILE]    folded-stack flamegraph export
-//! vprof compare <old.json> <new.json>         BENCH regression gate
-//!               [--threshold-pct N] [--quality-db D]
+//! vprof compare <old.out> <new.out>           benchmark regression gate
 //! vprof sat     <SAT.json>                    render a saturation study
 //! vprof pareto  <PARETO.json>                 render a cost-QoS frontier
 //! ```
+//!
+//! `compare` reads two stdouts of `vbench-benchmark all` (each may be
+//! several runs concatenated) and judges them with the bounds of the
+//! `BENCHMARK.json` it was built with; see [`vprof::compare`].
 //!
 //! Exit codes: 0 ok, 1 I/O or parse failure, 2 usage error,
 //! 4 regression detected (`compare` only) — distinct from failure so
@@ -16,7 +19,7 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use vprof::bench::{self, BenchDoc, CompareOptions};
+use vprof::compare::{compare, parse_output, Contract};
 use vprof::{folded_stacks, render_pareto, render_report, render_sat, ParetoDoc, SatDoc, Trace};
 
 fn main() -> ExitCode {
@@ -35,7 +38,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: vprof report <trace.jsonl>\n\
          \x20      vprof flame <trace.jsonl> [--out FILE]\n\
-         \x20      vprof compare <old.json> <new.json> [--threshold-pct N] [--quality-db D]\n\
+         \x20      vprof compare <old.out> <new.out>\n\
          \x20      vprof sat <SAT.json>\n\
          \x20      vprof pareto <PARETO.json>"
     );
@@ -128,33 +131,13 @@ fn cmd_flame(args: &[String]) -> ExitCode {
 }
 
 fn cmd_compare(args: &[String]) -> ExitCode {
-    let mut paths = Vec::new();
-    let mut opts = CompareOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threshold-pct" | "--quality-db" => {
-                let Some(value) = args.get(i + 1).and_then(|v| v.parse::<f64>().ok()) else {
-                    return usage();
-                };
-                if args[i] == "--threshold-pct" {
-                    opts.threshold_pct = value;
-                } else {
-                    opts.quality_db = value;
-                }
-                i += 2;
-            }
-            flag if flag.starts_with("--") => return usage(),
-            _ => {
-                paths.push(&args[i]);
-                i += 1;
-            }
-        }
+    let [old_path, new_path] = args else { return usage() };
+    if args.iter().any(|a| a.starts_with("--")) {
+        return usage();
     }
-    let [old_path, new_path] = paths.as_slice() else { return usage() };
-    let load = |path: &str| -> Result<BenchDoc, String> {
+    let load = |path: &str| {
         let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-        BenchDoc::parse(&text).map_err(|e| format!("{path}: {e}"))
+        parse_output(&text).map_err(|e| format!("{path}: {e}"))
     };
     let (old, new) = match (load(old_path), load(new_path)) {
         (Ok(old), Ok(new)) => (old, new),
@@ -163,9 +146,9 @@ fn cmd_compare(args: &[String]) -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    let findings = bench::compare(&old, &new, &opts);
-    print!("{}", bench::render_compare(&old, &new, &findings));
-    if findings.is_empty() {
+    let outcome = compare(&Contract::embedded(), &old, &new);
+    print!("{}", outcome.render());
+    if outcome.findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(4)

@@ -5,8 +5,8 @@
 //! per-stage attribution, wait quantiles, per-process utilization, and
 //! [`flame`] folded-stack export), *what is the farm doing right now*
 //! (consumed by `vbench top`, which reads the journal directly), and
-//! *did this change make us slower* ([`bench`] — the `BENCH_*.json`
-//! schema and its noise-aware comparison).
+//! *did this change make us slower* ([`compare`] — two outputs of the
+//! repo benchmark judged against the bounds in its `BENCHMARK.json`).
 //!
 //! Dependency-free by design: the only dependency is `vtrace`, reused
 //! for its minimal JSON parser, so this crate stays usable in the same
@@ -15,7 +15,7 @@
 //! and the `vprof` binary is a thin argv shell over it.
 
 pub mod analysis;
-pub mod bench;
+pub mod compare;
 pub mod flame;
 pub mod model;
 pub mod pareto;
@@ -24,7 +24,6 @@ pub mod sat;
 pub use analysis::{
     critical_path, render_report, stage_breakdown, utilization, wait_breakdown, StageBreakdown,
 };
-pub use bench::{compare, BenchDoc, CompareOptions, EnvFingerprint, ScenarioStats, Stats};
 pub use flame::folded_stacks;
 pub use model::{HistStats, Span, Trace};
 pub use pareto::{render_pareto, ParetoDoc, ParetoRow};

@@ -2,7 +2,7 @@
 //!
 //! CI scripts branch on these codes — 0 ok, 1 I/O or parse failure,
 //! 2 usage error, 4 regression — so they are pinned here against
-//! handcrafted traces and BENCH documents, with no encoder in the loop.
+//! handcrafted traces and benchmark outputs, with no encoder in the loop.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -33,21 +33,34 @@ const TRACE: &str = concat!(
     "\"max\":20,\"mean\":15,\"p50\":10,\"p90\":20,\"p95\":20,\"p99\":20}\n",
 );
 
-/// A BENCH document with one scenario, parameterized on the mean encode
-/// time so tests can fabricate a regression.
-fn bench_doc(encode_mean: f64) -> String {
-    format!(
-        "{{\"version\":1,\"name\":\"t\",\"runs\":3,\
-         \"env\":{{\"os\":\"linux\",\"arch\":\"x86_64\",\"cpus\":4}},\
-         \"scenarios\":[{{\"name\":\"cat\",\
-         \"encode_secs\":{{\"mean\":{m},\"min\":{lo},\"max\":{hi}}},\
-         \"speed_pps\":{{\"mean\":9.0,\"min\":8.5,\"max\":9.5}},\
-         \"quality_db\":{{\"mean\":38.0,\"min\":37.9,\"max\":38.1}},\
-         \"bitrate_bpps\":{{\"mean\":0.2,\"min\":0.19,\"max\":0.21}}}}]}}",
-        m = encode_mean,
-        lo = encode_mean * 0.98,
-        hi = encode_mean * 1.02,
-    )
+/// A `vbench-benchmark all` stdout: the four workloads untraced, then
+/// traced, each section ending in its result line. `journal_null`'s
+/// `jobs_per_s` is a parameter so tests can fabricate a regression.
+fn all_output(journal_jobs_per_s: f64) -> String {
+    let mut out = String::new();
+    for trace in [0, 1] {
+        for workload in ["vod_batch", "live_stream", "journal_null", "dispatch_null"] {
+            let jobs = if workload == "journal_null" { journal_jobs_per_s } else { 150.0 };
+            let metrics = if trace == 0 {
+                format!(
+                    "\"jobs_per_s\": {{\"value\": {jobs:?}, \"unit\": \"1/s\"}}, \
+                     \"resume_jobs_per_s\": {{\"value\": 900.0, \"unit\": \"1/s\"}}, \
+                     \"stored_bytes_per_job\": {{\"value\": 4096.0, \"unit\": \"B\"}}, \
+                     \"storage_read_bytes_per_job\": {{\"value\": 8192.0, \"unit\": \"B\"}}, \
+                     \"peak_rss_mb\": {{\"value\": 14.4, \"unit\": \"MB\"}}, \
+                     \"setup_s\": {{\"value\": 0.12, \"unit\": \"s\"}}"
+                )
+            } else {
+                "\"bench.passes\": {\"value\": 40.0, \"unit\": \"count\"}".to_string()
+            };
+            out.push_str(&format!(
+                "==== {workload} trace={trace} ====\npasses: 40 timed (40 untraced)\n\
+                 jobs_per_s = {jobs} 1/s\n\
+                 {{\"correct\": true, \"attempted\": 24, \"failed\": 0, \"metrics\": {{{metrics}}}}}\n"
+            ));
+        }
+    }
+    out
 }
 
 fn run(args: &[&str]) -> std::process::Output {
@@ -87,41 +100,46 @@ fn report_and_flame_succeed_on_a_valid_trace() {
 #[test]
 fn compare_distinguishes_clean_regressed_and_broken_inputs() {
     let dir = temp_dir("compare");
-    let old = dir.join("old.json");
-    let same = dir.join("same.json");
-    let slow = dir.join("slow.json");
-    std::fs::write(&old, bench_doc(1.0)).expect("write old");
-    std::fs::write(&same, bench_doc(1.01)).expect("write same");
-    std::fs::write(&slow, bench_doc(2.0)).expect("write slow");
+    let write = |name: &str, text: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("write benchmark output");
+        path.display().to_string()
+    };
+    let base = all_output(12_000.0);
+    let old = write("old.out", &base);
+    let compare = |new: &str| run(&["compare", &old, new]);
 
-    // Within noise: exit 0.
-    let ok = run(&["compare", &old.display().to_string(), &same.display().to_string()]);
-    assert_eq!(ok.status.code(), Some(0), "{ok:?}");
-    assert!(String::from_utf8_lossy(&ok.stdout).contains("ok: no regression"));
+    // A run against itself, and one inside the 25 % bound: exit 0, with
+    // one before/after row per (workload, metric).
+    let same = compare(&old);
+    assert_eq!(same.status.code(), Some(0), "{same:?}");
+    let text = String::from_utf8_lossy(&same.stdout);
+    assert!(text.contains("ok: no regression in 24 row(s)"), "{text}");
+    assert_eq!(text.lines().filter(|l| l.starts_with("| ") && l.ends_with(" ok |")).count(), 24);
+    let noisy = compare(&write("noisy.out", &all_output(9_500.0)));
+    assert_eq!(noisy.status.code(), Some(0), "{noisy:?}");
 
-    // 2x slower: exit 4, and the scenario is named.
-    let bad = run(&["compare", &old.display().to_string(), &slow.display().to_string()]);
-    assert_eq!(bad.status.code(), Some(4), "{bad:?}");
-    assert!(String::from_utf8_lossy(&bad.stdout).contains("REGRESSION [cat]"));
+    // 10x slower on one workload: exit 4, and the workload is named.
+    let slow = compare(&write("slow.out", &all_output(1_200.0)));
+    assert_eq!(slow.status.code(), Some(4), "{slow:?}");
+    let text = String::from_utf8_lossy(&slow.stdout);
+    assert!(text.contains("REGRESSION [journal_null]: jobs_per_s"), "{text}");
+    assert!(!text.contains("REGRESSION [vod_batch]"), "{text}");
 
-    // A loose threshold waves the same pair through.
-    let waved = run(&[
-        "compare",
-        &old.display().to_string(),
-        &slow.display().to_string(),
-        "--threshold-pct",
-        "150",
-    ]);
-    assert_eq!(waved.status.code(), Some(0), "{waved:?}");
+    // A wrong result is a regression whatever the speed.
+    let wrong = base.replacen("\"correct\": true", "\"correct\": false", 1);
+    let wrong = compare(&write("wrong.out", &wrong));
+    assert_eq!(wrong.status.code(), Some(4), "{wrong:?}");
+    assert!(String::from_utf8_lossy(&wrong.stdout).contains("REGRESSION [vod_batch]"));
 
-    // Broken input is a failure (1), not a regression (4).
-    std::fs::write(dir.join("broken.json"), "{\"version\":99}").expect("write broken");
-    let broken = run(&[
-        "compare",
-        &old.display().to_string(),
-        &dir.join("broken.json").display().to_string(),
-    ]);
-    assert_eq!(broken.status.code(), Some(1), "{broken:?}");
+    // Broken input is a failure (1), not a regression (4): a truncated
+    // output, and a result line with no section header.
+    let truncated = &base[..base.trim_end().rfind('\n').expect("many lines")];
+    let truncated = compare(&write("truncated.out", truncated));
+    assert_eq!(truncated.status.code(), Some(1), "{truncated:?}");
+    let headless = base.lines().filter(|l| !l.starts_with("====")).collect::<Vec<_>>().join("\n");
+    let headless = compare(&write("headless.out", &headless));
+    assert_eq!(headless.status.code(), Some(1), "{headless:?}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -132,14 +150,15 @@ fn usage_and_io_errors_have_distinct_exit_codes() {
     assert_eq!(run(&[]).status.code(), Some(2));
     assert_eq!(run(&["prof"]).status.code(), Some(2));
     assert_eq!(run(&["report"]).status.code(), Some(2));
-    assert_eq!(run(&["compare", "only-one.json"]).status.code(), Some(2));
-    assert_eq!(run(&["compare", "a", "b", "--threshold-pct", "soon"]).status.code(), Some(2));
+    assert_eq!(run(&["compare", "only-one.out"]).status.code(), Some(2));
+    assert_eq!(run(&["compare", "a", "b", "c"]).status.code(), Some(2));
+    assert_eq!(run(&["compare", "a", "--threshold-pct"]).status.code(), Some(2));
 
     // Missing files: I/O failure (1).
     assert_eq!(run(&["report", "/nonexistent/trace.jsonl"]).status.code(), Some(1));
     assert_eq!(run(&["flame", "/nonexistent/trace.jsonl"]).status.code(), Some(1));
     assert_eq!(
-        run(&["compare", "/nonexistent/a.json", "/nonexistent/b.json"]).status.code(),
+        run(&["compare", "/nonexistent/a.out", "/nonexistent/b.out"]).status.code(),
         Some(1)
     );
 }

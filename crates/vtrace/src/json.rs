@@ -12,7 +12,7 @@
 //!
 //! The matching scalar *writers* — [`string`] and [`number`] — live
 //! here too: every hand-rolled JSON document in the workspace (trace
-//! stream, journal, status, SAT/PARETO/CHAOS/BENCH reports) formats its
+//! stream, journal, status, SAT/PARETO/CHAOS reports) formats its
 //! strings and floats through them, so what is written always parses
 //! back.
 

@@ -2,7 +2,7 @@
 //! telemetry for the vbench transcode stack.
 //!
 //! The crate is a deliberately small tracing runtime in the style of the
-//! workspace's other offline stand-ins (vrand, vcriterion): no external
+//! workspace's other offline stand-ins (vrand, vproptest): no external
 //! dependencies, one global collector, and an API surface of free
 //! functions so call sites stay one line.
 //!
