@@ -7,7 +7,9 @@
 #
 # Fails if any `pub fn X_with_io` under crates/ has a sibling
 # `pub fn X`: the IO-less twin pattern was removed on purpose (callers
-# pass `&StdIo`) and must not quietly return.
+# pass `&StdIo`) and must not quietly return. Fails too if a vbench or
+# tablegen binary parses flags by hand again instead of through the
+# per-command tables in `vbench::cli`.
 #
 # Prints `git diff --numstat BASE` summed per category — code
 # (crates/**/src), tests (tests/, crates/*/tests, benches), docs (*.md),
@@ -18,14 +20,20 @@ set -eu
 
 base=${1:-$(git merge-base HEAD origin/main)}
 
-twins=0
+status=0
 for name in $(grep -rhoE 'pub fn [a-z0-9_]+_with_io' crates --include='*.rs' |
     sed -E 's/^pub fn (.*)_with_io$/\1/' | sort -u); do
     if grep -rqE "pub fn ${name}[(<]" crates --include='*.rs'; then
         echo "surface: pub fn ${name} exists beside pub fn ${name}_with_io" >&2
-        twins=1
+        status=1
     fi
 done
+
+if grep -nE 'HashMap<String, String>|fn parse_flags|strip_prefix\("--"\)' \
+    crates/core/src/bin/*.rs crates/bench/src/bin/*.rs >&2; then
+    echo "surface: a binary parses its own flags; declare them in vbench::cli" >&2
+    status=1
+fi
 
 git diff --numstat "$base" | awk '
     { cat = "other" }
@@ -58,4 +66,4 @@ for f in $(git ls-files crates | grep -E '^crates/[^/]+/src/.*\.rs$'); do
 done
 echo "surface: non-test non-comment lines under crates/: $before -> $after ($((after - before)))"
 
-exit $twins
+exit $status

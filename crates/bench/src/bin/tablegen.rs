@@ -1,14 +1,9 @@
 //! Regenerates every table and figure of the paper.
 //!
-//! Usage:
-//!
-//! ```text
-//! tablegen <experiment> [--scale tiny|exp|full] [--videos a,b,c] [--workers N]
-//!          [--max-retries N] [--job-deadline SECS] [--fault-plan SPEC]
-//!          [--journal DIR] [--resume]
-//!          [--log-level off|summary|verbose] [--trace-out <path>]
-//! tablegen all [--scale tiny|exp|full]
-//! ```
+//! Its flags are declared in [`vbench::cli::TABLEGEN`]: running
+//! `tablegen` with no arguments prints the usage generated from that
+//! table, and any other flag is a usage error (exit 2). `tablegen all`
+//! runs every experiment in turn.
 //!
 //! `--fault-plan` injects deterministic faults into the farmed table
 //! runs (spec grammar in the `vfault` docs, e.g.
@@ -42,129 +37,45 @@
 
 use bench::experiments as ex;
 use bench::Scale;
-use vbench::cli;
+use vbench::cli::{self, Flags};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        eprintln!("usage: tablegen <experiment|all> [--scale tiny|exp|full] [--videos a,b,c]");
-        std::process::exit(2);
-    }
-    let what = args[0].as_str();
-    let mut scale = Scale::Tiny;
-    let mut videos: Option<Vec<String>> = None;
-    // 0 = auto-detect from available parallelism, resolved below.
-    let mut workers = 0usize;
-    let mut policy = vbench::resilience::ResilienceConfig::default();
-    let mut level: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut journal_dir: Option<String> = None;
-    let mut resume = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--max-retries" => {
-                i += 1;
-                let retries = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--max-retries takes an integer"));
-                policy = policy.with_max_retries(retries);
-            }
-            "--job-deadline" => {
-                i += 1;
-                let secs: f64 = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&s| s > 0.0)
-                    .unwrap_or_else(|| die("--job-deadline takes positive seconds"));
-                policy = policy.with_job_deadline(secs);
-            }
-            "--fault-plan" => {
-                i += 1;
-                let spec = args.get(i).unwrap_or_else(|| die("--fault-plan takes a spec"));
-                let plan = vfault::FaultPlan::parse(spec).unwrap_or_else(|e| die(&e.to_string()));
-                policy = policy.with_fault_plan(plan);
-            }
-            "--scale" => {
-                i += 1;
-                scale = args
-                    .get(i)
-                    .and_then(|s| Scale::parse(s))
-                    .unwrap_or_else(|| die("--scale takes tiny|exp|full"));
-            }
-            "--videos" => {
-                i += 1;
-                videos = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| die("--videos takes a comma list"))
-                        .split(',')
-                        .map(str::to_string)
-                        .collect(),
-                );
-            }
-            "--workers" => {
-                i += 1;
-                workers = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--workers takes an integer (0 = auto-detect)"));
-            }
-            "--journal" => {
-                i += 1;
-                journal_dir =
-                    Some(args.get(i).unwrap_or_else(|| die("--journal takes a directory")).clone());
-            }
-            "--resume" => resume = true,
-            "--log-level" => {
-                i += 1;
-                level = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| die("--log-level takes off|summary|verbose"))
-                        .clone(),
-                );
-            }
-            "--trace-out" => {
-                i += 1;
-                trace_out =
-                    Some(args.get(i).unwrap_or_else(|| die("--trace-out takes a path")).clone());
-            }
-            other => die(&format!("unknown flag {other}")),
-        }
-        i += 1;
-    }
-    if workers == 0 {
-        workers =
-            std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(4);
-    }
-    // Shared tracing init: a trace file with the level still off is
-    // lifted to summary, and `--trace-out` is stashed for the flush.
-    cli::init_tracing("tablegen", level.as_deref(), trace_out);
+    let Some(what) = args.first().map(String::as_str) else {
+        cli::usage("tablegen", &[cli::TABLEGEN]);
+    };
+    let flags = Flags::parse("tablegen".to_string(), &cli::TABLEGEN, &args[1..]);
+    cli::init_tracing(&flags);
+    let scale = flags.get::<Scale>("scale").unwrap_or_default();
+    let workers = cli::resolve_workers(&flags);
+    let policy = cli::resilience_from_flags(&flags);
+    let videos: Option<Vec<&str>> = flags.value("videos").map(|v| v.split(',').collect());
     // Reject unknown names up front, before minutes of work run: a typo
     // in --videos is a usage error, not a mid-run panic.
     if let Some(v) = &videos {
         let s = ex::suite(scale);
         for name in v {
             if s.by_name(name).is_none() {
-                die(&format!("no suite video '{name}' (see `tablegen tab2`)"));
+                flags.die(&format!("no suite video '{name}' (see `tablegen tab2`)"));
             }
         }
     }
-    let names: Option<Vec<&str>> = videos.as_ref().map(|v| v.iter().map(String::as_str).collect());
-    let names = names.as_deref();
+    let names = videos.as_deref();
 
+    let journal_dir = flags.value("journal");
+    let resume = flags.switch("resume");
     if resume && journal_dir.is_none() {
-        die("--resume requires --journal");
+        flags.die("--resume requires --journal");
     }
-    if let Some(dir) = &journal_dir {
+    if let Some(dir) = journal_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
-            die(&format!("create journal dir {dir}: {e}"));
+            flags.die(&format!("create journal dir {dir}: {e}"));
         }
     }
     // One journal file per farmed table: a journal is scoped to a single
     // batch manifest, so tables must not share one.
     let table_journal = |table: &str| {
-        journal_dir.as_ref().map(|dir| {
+        journal_dir.map(|dir| {
             vbench::JournalConfig::new(format!("{dir}/{table}.jsonl")).with_resume(resume)
         })
     };
@@ -257,27 +168,16 @@ fn main() {
     }
 
     if !ran {
-        die(&format!("unknown experiment '{what}'"));
+        flags.die(&format!("unknown experiment '{what}'"));
     }
 
-    finish_tracing();
-}
-
-/// Flushes the trace through the shared [`cli`] plumbing. Stdout is
-/// never touched, so table output stays byte-identical.
-fn finish_tracing() {
     cli::finish_tracing("tablegen");
-}
-
-/// Usage error: bad command line. Exit 2, before any work ran.
-fn die(msg: &str) -> ! {
-    cli::die("tablegen", msg)
 }
 
 /// Runtime failure (a transcode or batch failed): trace flushed, exit 1
 /// — distinct from usage errors so scripts and CI can tell them apart.
 fn fail(msg: &str) -> ! {
-    cli::fail("tablegen", msg)
+    cli::fail("tablegen", cli::EXIT_RUNTIME, msg)
 }
 
 /// Failure handler for the farmed (journalable) tables: a scripted
@@ -285,10 +185,6 @@ fn fail(msg: &str) -> ! {
 /// `--resume` completes it — everything else is an ordinary runtime
 /// failure.
 fn fail_batch(e: ex::ExperimentError) -> ! {
-    if let ex::ExperimentError::SimulatedCrash(msg) = &e {
-        vtrace::error("tablegen", msg);
-        finish_tracing();
-        std::process::exit(cli::EXIT_CRASH);
-    }
-    fail(&e.to_string())
+    let crashed = matches!(e, ex::ExperimentError::SimulatedCrash(_));
+    cli::fail("tablegen", if crashed { cli::EXIT_CRASH } else { cli::EXIT_RUNTIME }, &e.to_string())
 }

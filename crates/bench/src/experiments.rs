@@ -26,7 +26,7 @@ use vbench::reference::{
 use vbench::report::{fmt_ratio, TextTable};
 use vbench::resilience::ResilienceConfig;
 use vbench::scenario::{score_with_video, Scenario, ScenarioScore};
-use vbench::suite::{Suite, SuiteOptions, SuiteVideo};
+use vbench::suite::{Scale, Suite, SuiteVideo};
 use vcodec::{encode_with_probe, CodecFamily, Preset};
 use vcorpus::corpus::CorpusModel;
 use vcorpus::coverage::coverage_fraction;
@@ -90,38 +90,6 @@ impl From<JournalError> for ExperimentError {
                 ExperimentError::SimulatedCrash(crash.to_string())
             }
             other => ExperimentError::Journal(other.to_string()),
-        }
-    }
-}
-
-/// Run size: how large the synthesized clips are.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Scale {
-    /// Smallest clips; seconds per experiment. Debug-safe.
-    Tiny,
-    /// Half-size clips; minutes per full table in release mode.
-    Experiment,
-    /// Paper-scale clips (native resolution, 5 s).
-    Full,
-}
-
-impl Scale {
-    /// Suite options for this scale.
-    pub fn options(&self) -> SuiteOptions {
-        match self {
-            Scale::Tiny => SuiteOptions::tiny(),
-            Scale::Experiment => SuiteOptions::experiment(),
-            Scale::Full => SuiteOptions::default(),
-        }
-    }
-
-    /// Parses a scale name.
-    pub fn parse(s: &str) -> Option<Scale> {
-        match s {
-            "tiny" => Some(Scale::Tiny),
-            "experiment" | "exp" => Some(Scale::Experiment),
-            "full" => Some(Scale::Full),
-            _ => None,
         }
     }
 }
@@ -936,14 +904,6 @@ pub fn tab5_table(rows: &[SwRow]) -> TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scale_parsing() {
-        assert_eq!(Scale::parse("tiny"), Some(Scale::Tiny));
-        assert_eq!(Scale::parse("exp"), Some(Scale::Experiment));
-        assert_eq!(Scale::parse("full"), Some(Scale::Full));
-        assert_eq!(Scale::parse("bogus"), None);
-    }
 
     #[test]
     fn static_tables_render() {

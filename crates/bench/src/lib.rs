@@ -9,4 +9,4 @@
 
 pub mod experiments;
 
-pub use experiments::Scale;
+pub use vbench::suite::Scale;

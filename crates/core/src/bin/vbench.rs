@@ -4,44 +4,9 @@
 //! `--backend` flag selects the software codec (default) or one of the
 //! hardware encoder models.
 //!
-//! ```text
-//! vbench suite   [--scale tiny|exp|full]
-//! vbench entropy --video <name> [--scale ...]
-//! vbench score   --scenario upload|live|vod|popular|platform
-//!                --video <name> --family avc|hevc|vp9
-//!                --preset ultrafast..veryslow
-//!                [--backend software|nvenc|qsv] [--scale ...]
-//! vbench transcode --video <name> --family <f> --preset <p>
-//!                  [--crf N | --bitrate BPS] [--bframes]
-//!                  [--stream] [--window FRAMES]
-//!                  [--backend software|nvenc|qsv] --out <file>
-//! vbench inspect --in <file>
-//! vbench batch   [--workers N] [--backend software|nvenc|qsv] [--scale ...]
-//!                [--videos a,b,c] [--stream] [--window FRAMES]
-//!                [--max-retries N] [--job-deadline SECS] [--degrade]
-//!                [--hedge] [--fault-plan SPEC]
-//!                [--journal PATH [--resume]] [--out-dir DIR]
-//! vbench dispatch --journal PATH [--procs M] [--workers K-per-proc]
-//!                 [--resume] [--status-out FILE] [... the batch flags ...]
-//! vbench worker  --journal PATH --worker-id N --run R [--workers K]
-//!                [... the batch flags ...]
-//! vbench top     --journal PATH [--once] [--interval-ms N]
-//! vbench chaos   [--trials N] [--seed S] [--topology batch|dispatch]
-//!                [--procs M] [--workers K] [--dir DIR] [--out FILE]
-//!                [--videos a,b,c] [--scale ...] [--backend ...]
-//!                [--inject-unsynced-rename]
-//! vbench serve   --scenario upload|popular|live --offered-load L
-//!                --duration SECS [--capacity N] [--queue-depth Q]
-//!                [--seed S] [--catalog C] [--workers K]
-//!                [--journal PATH] [--max-shed-rate PCT] [--scale ...]
-//! vbench saturate --scenario upload|popular|live --duration SECS
-//!                 [--loads l1,l2,...] [--capacity N] [--queue-depth Q]
-//!                 [--seed S] [--catalog C] [--workers K] [--out FILE]
-//!                 [--journal PATH] [--max-shed-rate PCT] [--scale ...]
-//! vbench plan    --scenario upload|popular|live --offered-load L
-//!                --duration SECS [--seed S] [--catalog C]
-//!                [--workers K] [--out FILE] [--scale ...]
-//! ```
+//! Each command's flags are declared once, in [`vbench::cli::VBENCH`];
+//! running `vbench` with no arguments prints the usage generated from that
+//! table, and a flag outside a command's table is a usage error (exit 2).
 //!
 //! `--workers 0` (or omitting the flag) auto-detects the worker count
 //! from the machine's available parallelism; the resolved count is
@@ -119,13 +84,9 @@
 //! catches it. Chaos always runs a fixed clean resilience policy —
 //! retry/hedge/deadline flags are not part of the audited surface.
 //!
-//! Every command additionally accepts the telemetry flags:
-//!
-//! ```text
-//! --log-level off|summary|verbose   recording level (default off)
-//! --trace-out <path>                write the JSONL event stream here
-//!                                   (implies at least --log-level summary)
-//! ```
+//! Every command additionally accepts the telemetry flags: `--log-level
+//! off|summary|verbose` (recording level, default off) and `--trace-out
+//! PATH` (the JSONL event stream; implies at least `--log-level summary`).
 //!
 //! Tracing writes only to stderr and the `--trace-out` file; report
 //! output on stdout is byte-identical with tracing on or off.
@@ -158,10 +119,8 @@
 //! the report carries the reproducing seeds). The full table shared by
 //! every workspace binary lives in [`vbench::cli`].
 
-use std::collections::HashMap;
-
 use vbench::chaos::{run_chaos, ChaosOptions, ChaosScenario};
-use vbench::cli;
+use vbench::cli::{self, Flags};
 use vbench::engine::{transcode, Backend, Engine, RateMode, TranscodeRequest};
 use vbench::exec::{
     merge_trace_files, run_dispatch_with_io, run_worker_with_io, snapshot_from_journal,
@@ -172,30 +131,28 @@ use vbench::fleet::pareto_report;
 use vbench::journal::{run_batch_journaled_with_io, JournalConfig, JournalError};
 use vbench::reference::{reference_encode_with_native, reference_request_for, target_bps_for};
 use vbench::report::{fmt_ratio, fmt_score, TextTable};
-use vbench::resilience::{HedgePolicy, ResilienceConfig};
 use vbench::scenario::{score_with_video, Scenario};
 use vbench::service::{
     degraded_saturation_load, estimated_saturation_load, run_saturation, run_service,
     video_profiles, SatPoint, ServiceConfig, ServiceError, ServiceOutcome,
 };
-use vbench::suite::{Suite, SuiteOptions};
+use vbench::suite::{Scale, Suite, SuiteOptions, SuiteVideo};
 use vcodec::{CodecFamily, Preset};
 use vhw::{HwVendor, InstanceCatalog};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        usage();
+    let name = args.first().map_or("", String::as_str);
+    let Some(command) = cli::VBENCH.iter().find(|c| c.name == name) else {
+        if !name.is_empty() {
+            eprintln!("vbench: unknown command '{name}'");
+        }
+        cli::usage("vbench", cli::VBENCH);
     };
-    let flags = parse_flags(&args[1..]);
-    init_tracing(&flags);
-    let opts = match flags.get("scale").map(String::as_str) {
-        None | Some("tiny") => SuiteOptions::tiny(),
-        Some("exp") | Some("experiment") => SuiteOptions::experiment(),
-        Some("full") => SuiteOptions::default(),
-        Some(other) => die(&format!("unknown scale '{other}'")),
-    };
-    match cmd.as_str() {
+    let flags = Flags::parse(format!("vbench {name}"), command, &args[1..]);
+    cli::init_tracing(&flags);
+    let opts = flags.get::<Scale>("scale").unwrap_or_default().options();
+    match name {
         "suite" => cmd_suite(&opts),
         "entropy" => cmd_entropy(&opts, &flags),
         "score" => cmd_score(&opts, &flags),
@@ -209,134 +166,48 @@ fn main() {
         "serve" => cmd_serve(&opts, &flags),
         "saturate" => cmd_saturate(&opts, &flags),
         "plan" => cmd_plan(&opts, &flags),
-        other => die(&format!("unknown command '{other}'")),
+        other => unreachable!("cli::VBENCH lists '{other}' but main has no handler"),
     }
-    finish_tracing();
-}
-
-/// Configures vtrace from `--log-level` / `--trace-out` via the shared
-/// [`cli`] plumbing. Requesting a trace file with the level still off
-/// lifts it to `summary` — an empty trace would defeat the point of
-/// asking for one.
-fn init_tracing(flags: &HashMap<String, String>) {
-    cli::init_tracing(
-        "vbench",
-        flags.get("log-level").map(String::as_str),
-        flags.get("trace-out").cloned(),
-    );
-}
-
-/// Flushes the trace through the shared [`cli`] plumbing.
-fn finish_tracing() {
     cli::finish_tracing("vbench");
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: vbench <suite|entropy|score|transcode|inspect|batch|dispatch|worker|top|chaos\
-         |serve|saturate|plan> [flags]\n\
-         see crates/core/src/bin/vbench.rs for the flag reference"
-    );
-    std::process::exit(cli::EXIT_USAGE);
-}
-
-/// Usage error: bad command line. Exit 2, before any work ran.
-fn die(msg: &str) -> ! {
-    cli::die("vbench", msg)
 }
 
 /// Runtime error: a transcode or I/O operation failed. Logged through
 /// vtrace (always reaches stderr), the trace is still flushed, exit 1 —
 /// distinct from usage errors so scripts can tell them apart.
 fn fail(msg: &str) -> ! {
-    cli::fail("vbench", msg)
+    cli::fail("vbench", cli::EXIT_RUNTIME, msg)
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
-    let mut map = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let Some(name) = args[i].strip_prefix("--") else {
-            die(&format!("expected a --flag, got '{}'", args[i]));
-        };
-        // Boolean flags take no value.
-        if matches!(
-            name,
-            "bframes"
-                | "hedge"
-                | "degrade"
-                | "stream"
-                | "resume"
-                | "once"
-                | "inject-unsynced-rename"
-        ) {
-            map.insert(name.to_string(), "true".to_string());
-            i += 1;
-            continue;
-        }
-        let value = args.get(i + 1).unwrap_or_else(|| die(&format!("--{name} needs a value")));
-        map.insert(name.to_string(), value.clone());
-        i += 2;
-    }
-    map
-}
-
-fn required<'a>(flags: &'a HashMap<String, String>, name: &str) -> &'a str {
-    flags.get(name).map(String::as_str).unwrap_or_else(|| die(&format!("--{name} is required")))
+/// The suite entry named by the required `--video`.
+fn suite_video<'a>(suite: &'a Suite, flags: &Flags) -> &'a SuiteVideo {
+    let name = flags.required("video");
+    suite.by_name(name).unwrap_or_else(|| flags.die(&format!("no suite video '{name}'")))
 }
 
 /// The `--window` resident-frame cap, if given (requires `--stream`).
-fn stream_window(flags: &HashMap<String, String>) -> Option<usize> {
-    let window = flags.get("window").map(|w| {
-        let n: usize = w.parse().unwrap_or_else(|_| die("--window must be a frame count"));
-        if n == 0 {
-            die("--window must be positive");
-        }
-        n
-    });
-    if window.is_some() && !flags.contains_key("stream") {
-        die("--window requires --stream");
+fn stream_window(flags: &Flags) -> Option<usize> {
+    let window = flags.positive("window");
+    if window.is_some() && !flags.switch("stream") {
+        flags.die("--window requires --stream");
     }
     window
 }
 
-fn parse_family(s: &str) -> CodecFamily {
-    match s {
-        "avc" => CodecFamily::Avc,
-        "hevc" => CodecFamily::Hevc,
-        "vp9" => CodecFamily::Vp9,
-        "av1" => CodecFamily::Av1,
-        other => die(&format!("unknown family '{other}' (avc|hevc|vp9|av1)")),
-    }
-}
-
-fn parse_preset(s: &str) -> Preset {
-    match s {
-        "ultrafast" => Preset::UltraFast,
-        "veryfast" => Preset::VeryFast,
-        "fast" => Preset::Fast,
-        "medium" => Preset::Medium,
-        "slow" => Preset::Slow,
-        "veryslow" => Preset::VerySlow,
-        other => die(&format!("unknown preset '{other}'")),
-    }
-}
-
 /// The hardware vendor selected by `--backend`, or `None` for software.
-fn hw_vendor(flags: &HashMap<String, String>) -> Option<HwVendor> {
-    match flags.get("backend").map(String::as_str) {
-        None | Some("software") | Some("sw") => None,
-        Some("nvenc") => Some(HwVendor::Nvenc),
-        Some("qsv") => Some(HwVendor::Qsv),
-        Some(other) => die(&format!("unknown backend '{other}' (software|nvenc|qsv)")),
+fn hw_vendor(flags: &Flags) -> Option<HwVendor> {
+    match flags.value("backend") {
+        None | Some("software" | "sw") => None,
+        Some(_) => flags.choice("backend", &HwVendor::ALL),
     }
 }
 
-fn backend_for(flags: &HashMap<String, String>, family: CodecFamily) -> Backend {
-    match hw_vendor(flags) {
-        None => Backend::Software(family),
-        Some(vendor) => Backend::Hardware(vendor),
-    }
+/// The required `--family` and `--preset`, and the `--backend` that
+/// encodes them.
+fn encoder(flags: &Flags) -> (Preset, Backend) {
+    let family =
+        flags.choice("family", &CodecFamily::ALL).unwrap_or_else(|| flags.missing("family"));
+    let preset = flags.choice("preset", &Preset::ALL).unwrap_or_else(|| flags.missing("preset"));
+    (preset, hw_vendor(flags).map_or(Backend::Software(family), Backend::Hardware))
 }
 
 /// Hardware rate control is single pass; a two-pass request routed to an
@@ -345,17 +216,6 @@ fn adapt_rate(backend: Backend, rate: RateMode) -> RateMode {
     match (backend, rate) {
         (Backend::Hardware(_), RateMode::TwoPassBitrate { bps }) => RateMode::Bitrate { bps },
         _ => rate,
-    }
-}
-
-fn parse_scenario(s: &str) -> Scenario {
-    match s {
-        "upload" => Scenario::Upload,
-        "live" => Scenario::Live,
-        "vod" => Scenario::Vod,
-        "popular" => Scenario::Popular,
-        "platform" => Scenario::Platform,
-        other => die(&format!("unknown scenario '{other}'")),
     }
 }
 
@@ -374,28 +234,25 @@ fn cmd_suite(opts: &SuiteOptions) {
     print!("{t}");
 }
 
-fn cmd_entropy(opts: &SuiteOptions, flags: &HashMap<String, String>) {
+fn cmd_entropy(opts: &SuiteOptions, flags: &Flags) {
     let suite = Suite::vbench(opts);
-    let name = required(flags, "video");
-    let entry = suite.by_name(name).unwrap_or_else(|| die(&format!("no suite video '{name}'")));
+    let entry = suite_video(&suite, flags);
     let video = entry.generate();
     let e = vbench::reference::measure_entropy(&video);
     println!(
-        "{name}: measured {e:.2} bit/pix/s at CRF 18 (published category: {:.1})",
-        entry.category.entropy
+        "{}: measured {e:.2} bit/pix/s at CRF 18 (published category: {:.1})",
+        entry.name, entry.category.entropy
     );
 }
 
-fn cmd_score(opts: &SuiteOptions, flags: &HashMap<String, String>) {
+fn cmd_score(opts: &SuiteOptions, flags: &Flags) {
     let suite = Suite::vbench(opts);
-    let name = required(flags, "video");
-    let entry = suite.by_name(name).unwrap_or_else(|| die(&format!("no suite video '{name}'")));
-    let scenario = parse_scenario(required(flags, "scenario"));
-    let family = parse_family(required(flags, "family"));
-    let preset = parse_preset(required(flags, "preset"));
+    let entry = suite_video(&suite, flags);
+    let scenario =
+        flags.choice("scenario", &Scenario::ALL).unwrap_or_else(|| flags.missing("scenario"));
+    let (preset, backend) = encoder(flags);
     let video = entry.generate();
     let (reference, _) = reference_encode_with_native(scenario, &video, entry.category.kpixels);
-    let backend = backend_for(flags, family);
     let rate =
         adapt_rate(backend, vbench::reference::reference_config(scenario, &video).rate.into());
     let req = TranscodeRequest::new(backend, preset, rate);
@@ -403,7 +260,7 @@ fn cmd_score(opts: &SuiteOptions, flags: &HashMap<String, String>) {
     let s = score_with_video(scenario, &video, &outcome.measurement, &reference);
     let mut t = TextTable::new(["video", "scenario", "S", "B", "Q", "valid", "score"]);
     t.push_row([
-        name.to_string(),
+        entry.name.to_string(),
         scenario.to_string(),
         fmt_ratio(s.ratios.s),
         fmt_ratio(s.ratios.b),
@@ -414,27 +271,17 @@ fn cmd_score(opts: &SuiteOptions, flags: &HashMap<String, String>) {
     print!("{t}");
 }
 
-fn cmd_transcode(opts: &SuiteOptions, flags: &HashMap<String, String>) {
+fn cmd_transcode(opts: &SuiteOptions, flags: &Flags) {
     let suite = Suite::vbench(opts);
-    let name = required(flags, "video");
-    let entry = suite.by_name(name).unwrap_or_else(|| die(&format!("no suite video '{name}'")));
-    let family = parse_family(required(flags, "family"));
-    let preset = parse_preset(required(flags, "preset"));
-    let backend = backend_for(flags, family);
+    let entry = suite_video(&suite, flags);
+    let (preset, backend) = encoder(flags);
     let rate = match (flags.get("crf"), flags.get("bitrate")) {
-        (Some(crf), None) => RateMode::ConstQuality {
-            crf: crf.parse().unwrap_or_else(|_| die("--crf must be a number")),
-        },
-        (None, Some(bps)) => adapt_rate(
-            backend,
-            RateMode::TwoPassBitrate {
-                bps: bps.parse().unwrap_or_else(|_| die("--bitrate must be an integer")),
-            },
-        ),
-        _ => die("exactly one of --crf or --bitrate is required"),
+        (Some(crf), None) => RateMode::ConstQuality { crf },
+        (None, Some(bps)) => adapt_rate(backend, RateMode::TwoPassBitrate { bps }),
+        _ => flags.die("exactly one of --crf or --bitrate is required"),
     };
     let mut req = TranscodeRequest::new(backend, preset, rate);
-    if flags.contains_key("bframes") {
+    if flags.switch("bframes") {
         req = req.with_bframes();
     }
     let window = stream_window(flags);
@@ -445,7 +292,7 @@ fn cmd_transcode(opts: &SuiteOptions, flags: &HashMap<String, String>) {
     // clip is never materialized — and prints the identical report line
     // (bitstream, bitrate, and quality are byte-/bit-identical; only the
     // wall-clock speed figure can vary, as it does run to run anyway).
-    let (bytes, m) = if flags.contains_key("stream") {
+    let (bytes, m) = if flags.switch("stream") {
         let mut source = entry.spec.source();
         let outcome = vbench::engine::transcode_stream(&mut source, &req)
             .unwrap_or_else(|e| fail(&e.to_string()));
@@ -455,10 +302,11 @@ fn cmd_transcode(opts: &SuiteOptions, flags: &HashMap<String, String>) {
         let outcome = transcode(&video, &req).unwrap_or_else(|e| fail(&e.to_string()));
         (outcome.output.bytes, outcome.measurement)
     };
-    let path = required(flags, "out");
+    let path = flags.required("out");
     std::fs::write(path, &bytes).unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
     println!(
-        "{name} -> {path} via {backend}: {} bytes, {:.3} bit/pix/s, {:.2} dB, {:.2} Mpix/s",
+        "{} -> {path} via {backend}: {} bytes, {:.3} bit/pix/s, {:.2} dB, {:.2} Mpix/s",
+        entry.name,
         bytes.len(),
         m.bitrate_bpps,
         m.quality_db,
@@ -466,8 +314,8 @@ fn cmd_transcode(opts: &SuiteOptions, flags: &HashMap<String, String>) {
     );
 }
 
-fn cmd_inspect(flags: &HashMap<String, String>) {
-    let path = required(flags, "in");
+fn cmd_inspect(flags: &Flags) {
+    let path = flags.required("in");
     let bytes = std::fs::read(path).unwrap_or_else(|e| fail(&format!("read {path}: {e}")));
     let info = vcodec::probe_stream(&bytes).unwrap_or_else(|e| fail(&format!("{e}")));
     println!(
@@ -479,74 +327,30 @@ fn cmd_inspect(flags: &HashMap<String, String>) {
     println!("{} frame records, {keys} keyframes, crc32 {:08x}", index.len(), vpack::crc32(&bytes));
 }
 
-/// Builds the batch resilience policy from the CLI flags.
-fn resilience_from_flags(flags: &HashMap<String, String>) -> ResilienceConfig {
-    let mut cfg = ResilienceConfig::default();
-    if let Some(r) = flags.get("max-retries") {
-        cfg = cfg.with_max_retries(
-            r.parse().unwrap_or_else(|_| die("--max-retries must be an integer")),
-        );
-    }
-    if let Some(d) = flags.get("job-deadline") {
-        let secs: f64 = d.parse().unwrap_or_else(|_| die("--job-deadline must be seconds"));
-        if secs <= 0.0 {
-            die("--job-deadline must be positive");
-        }
-        cfg = cfg.with_job_deadline(secs);
-    }
-    if flags.contains_key("degrade") {
-        cfg = cfg.with_degradation();
-    }
-    if flags.contains_key("hedge") {
-        cfg = cfg.with_hedge(HedgePolicy::default());
-    }
-    if let Some(spec) = flags.get("fault-plan") {
-        let plan = vfault::FaultPlan::parse(spec).unwrap_or_else(|e| die(&e.to_string()));
-        cfg = cfg.with_fault_plan(plan);
-    }
-    cfg
-}
-
-/// Resolves a worker-count flag: `0` or omitted auto-detects from the
-/// machine's available parallelism.
-fn resolve_workers(flags: &HashMap<String, String>) -> usize {
-    let requested: usize = flags
-        .get("workers")
-        .map(|w| w.parse().unwrap_or_else(|_| die("--workers must be an integer")))
-        .unwrap_or(0);
-    if requested > 0 {
-        requested
-    } else {
-        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(4)
-    }
-}
-
 /// The `--journal`/`--resume` pair, validated.
-fn journal_from_flags(flags: &HashMap<String, String>) -> Option<JournalConfig> {
-    let journal = flags
-        .get("journal")
-        .map(|path| JournalConfig::new(path).with_resume(flags.contains_key("resume")));
-    if flags.contains_key("resume") && journal.is_none() {
-        die("--resume requires --journal");
+fn journal_from_flags(flags: &Flags) -> Option<JournalConfig> {
+    let resume = flags.switch("resume");
+    let journal = flags.value("journal").map(|path| JournalConfig::new(path).with_resume(resume));
+    if resume && journal.is_none() {
+        flags.die("--resume requires --journal");
     }
     journal
 }
 
 /// Builds the engine job list from the suite and the job-defining flags
-/// (`--videos`, `--backend`, `--stream`, `--window`).
-/// Deterministic in the flags: a dispatcher and its worker processes
-/// build byte-identical batches from the same argv, which the journal's
-/// manifest fingerprint then enforces.
-fn build_batch_jobs(opts: &SuiteOptions, flags: &HashMap<String, String>) -> Vec<EngineJob> {
+/// ([`cli::JOB`]). Deterministic in the flags: a dispatcher and its
+/// worker processes build byte-identical batches from the same argv,
+/// which the journal's manifest fingerprint then enforces.
+fn build_batch_jobs(opts: &SuiteOptions, flags: &Flags) -> Vec<EngineJob> {
     let suite = Suite::vbench(opts);
     let vendor = hw_vendor(flags);
-    let stream = flags.contains_key("stream");
+    let stream = flags.switch("stream");
     let window = stream_window(flags);
-    let videos: Option<Vec<&str>> = flags.get("videos").map(|v| {
+    let videos: Option<Vec<&str>> = flags.value("videos").map(|v| {
         let names: Vec<&str> = v.split(',').collect();
         for name in &names {
             if suite.by_name(name).is_none() {
-                die(&format!("no suite video '{name}' (see `vbench suite`)"));
+                flags.die(&format!("no suite video '{name}' (see `vbench suite`)"));
             }
         }
         names
@@ -585,9 +389,9 @@ fn report_batch(
     report: &EngineBatchReport,
     jobs: &[EngineJob],
     workers: usize,
-    flags: &HashMap<String, String>,
+    flags: &Flags,
 ) -> usize {
-    if let Some(dir) = flags.get("out-dir") {
+    if let Some(dir) = flags.value("out-dir") {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| fail(&format!("create {dir}: {e}")));
         for r in &report.results {
             if let Ok(outcome) = &r.outcome {
@@ -643,43 +447,39 @@ fn report_batch(
 /// picked once: plain [`StdIo`], or with `--io-fault-plan SPEC` the
 /// storage-fault layer over the parsed plan (usage error on bad
 /// grammar).
-fn journal_io_from_flags(flags: &HashMap<String, String>) -> Box<dyn JournalIo> {
-    match flags.get("io-fault-plan") {
+fn journal_io_from_flags(flags: &Flags) -> Box<dyn JournalIo> {
+    match flags.value("io-fault-plan") {
         None => Box::new(StdIo),
         Some(spec) => {
-            let plan = vfault::IoFaultPlan::parse(spec).unwrap_or_else(|e| die(&e.to_string()));
+            let plan =
+                vfault::IoFaultPlan::parse(spec).unwrap_or_else(|e| flags.die(&e.to_string()));
             Box::new(FaultedIo::new(plan))
         }
     }
 }
 
-fn cmd_batch(opts: &SuiteOptions, flags: &HashMap<String, String>) {
-    let workers = resolve_workers(flags);
-    let policy = resilience_from_flags(flags);
+fn cmd_batch(opts: &SuiteOptions, flags: &Flags) {
+    let workers = cli::resolve_workers(flags);
+    let policy = cli::resilience_from_flags(flags);
     let journal = journal_from_flags(flags);
-    if flags.contains_key("io-fault-plan") && journal.is_none() {
-        die("--io-fault-plan requires --journal (it faults durable IO)");
+    if flags.value("io-fault-plan").is_some() && journal.is_none() {
+        flags.die("--io-fault-plan requires --journal (it faults durable IO)");
     }
     let io = journal_io_from_flags(flags);
     let jobs = build_batch_jobs(opts, flags);
     let report = match &journal {
         None => transcode_batch(&Engine, &jobs, workers, &policy)
             .unwrap_or_else(|e| fail(&e.to_string())),
-        Some(config) => {
-            match run_batch_journaled_with_io(&Engine, &jobs, workers, &policy, config, &*io) {
-                Ok(report) => report,
+        Some(config) => run_batch_journaled_with_io(&Engine, &jobs, workers, &policy, config, &*io)
+            .unwrap_or_else(|e| {
                 // A scripted crash fault fired: the process "died" with
                 // the journal exactly as a real crash would leave it.
                 // Exit 3 so harnesses can tell a simulated crash from a
                 // failure.
-                Err(e @ JournalError::Crashed { .. }) => {
-                    vtrace::error("vbench", e.to_string());
-                    finish_tracing();
-                    std::process::exit(3);
-                }
-                Err(e) => fail(&e.to_string()),
-            }
-        }
+                let crashed = matches!(e, JournalError::Crashed { .. });
+                let code = if crashed { cli::EXIT_CRASH } else { cli::EXIT_RUNTIME };
+                cli::fail("vbench", code, &e.to_string())
+            }),
     };
     let failed = report_batch(&report, &jobs, workers, flags);
     if failed > 0 {
@@ -687,35 +487,14 @@ fn cmd_batch(opts: &SuiteOptions, flags: &HashMap<String, String>) {
     }
 }
 
-/// The job-defining and policy flags a dispatcher forwards verbatim to
-/// its worker processes, so every process builds the identical batch
-/// (enforced by the journal's manifest fingerprint). `log-level` rides
-/// along too: per-frame stage spans only exist in worker traces if the
-/// workers record at the dispatcher's verbosity.
-const FORWARDED_VALUE_FLAGS: [&str; 8] = [
-    "scale",
-    "videos",
-    "backend",
-    "window",
-    "max-retries",
-    "job-deadline",
-    "fault-plan",
-    "log-level",
-];
-const FORWARDED_BOOL_FLAGS: [&str; 3] = ["stream", "degrade", "hedge"];
-
-fn cmd_dispatch(opts: &SuiteOptions, flags: &HashMap<String, String>) {
-    let procs: usize = flags
-        .get("procs")
-        .map(|p| p.parse().unwrap_or_else(|_| die("--procs must be an integer")))
-        .unwrap_or(2);
-    if procs == 0 {
-        die("--procs must be positive");
-    }
-    let threads = resolve_workers(flags);
-    let policy = resilience_from_flags(flags);
+fn cmd_dispatch(opts: &SuiteOptions, flags: &Flags) {
+    let procs = flags.positive("procs").unwrap_or(2);
+    let threads = cli::resolve_workers(flags);
+    let policy = cli::resilience_from_flags(flags);
     let Some(journal) = journal_from_flags(flags) else {
-        die("dispatch requires --journal (the shared results file; its ledger sits beside it)");
+        flags.die(
+            "dispatch requires --journal (the shared results file; its ledger sits beside it)",
+        );
     };
     let jobs = build_batch_jobs(opts, flags);
     let worker_exe =
@@ -727,26 +506,21 @@ fn cmd_dispatch(opts: &SuiteOptions, flags: &HashMap<String, String>) {
         "--workers".to_string(),
         threads.to_string(),
     ];
-    for key in FORWARDED_VALUE_FLAGS {
-        if let Some(value) = flags.get(key) {
-            worker_args.push(format!("--{key}"));
-            worker_args.push(value.clone());
-        }
-    }
-    for key in FORWARDED_BOOL_FLAGS {
-        if flags.contains_key(key) {
-            worker_args.push(format!("--{key}"));
-        }
-    }
-    let trace_out = flags.get("trace-out").cloned();
+    // The job-defining and policy flags go to every worker verbatim, so
+    // each process builds the identical batch (enforced by the journal's
+    // manifest fingerprint). `log-level` rides along too: per-frame stage
+    // spans only exist in worker traces if the workers record at the
+    // dispatcher's verbosity.
+    worker_args.extend(flags.forward(&[cli::SCALE, cli::JOB, cli::POLICY, "--log-level"]));
+    let trace_out = flags.value("trace-out").map(str::to_string);
     let dispatch_opts = DispatchOptions {
         procs,
         worker_exe,
         worker_args,
         worker_trace_base: trace_out.clone(),
         journal,
-        status_out: flags.get("status-out").map(std::path::PathBuf::from),
-        worker_io_fault_spec: flags.get("io-fault-plan").cloned(),
+        status_out: flags.value("status-out").map(std::path::PathBuf::from),
+        worker_io_fault_spec: flags.value("io-fault-plan").map(str::to_string),
     };
     // The dispatcher's own IO is never faulted: `--io-fault-plan` arms
     // the workers (see `worker_io_fault_spec`).
@@ -756,7 +530,7 @@ fn cmd_dispatch(opts: &SuiteOptions, flags: &HashMap<String, String>) {
     // Epilogue without `fail()`: flush this process's trace first, then
     // splice the worker traces onto it — a second drain would truncate
     // the merged file, so exit explicitly instead of returning to main.
-    finish_tracing();
+    cli::finish_tracing("vbench");
     if let Some(base) = &trace_out {
         if let Err(e) = merge_trace_files(std::path::Path::new(base), &outcome.worker_traces) {
             eprintln!("[error] vbench: merge worker traces into {base}: {e}");
@@ -770,15 +544,12 @@ fn cmd_dispatch(opts: &SuiteOptions, flags: &HashMap<String, String>) {
     std::process::exit(0);
 }
 
-fn cmd_worker(opts: &SuiteOptions, flags: &HashMap<String, String>) {
-    let threads = resolve_workers(flags);
-    let journal = required(flags, "journal");
-    let worker_id: usize = required(flags, "worker-id")
-        .parse()
-        .unwrap_or_else(|_| die("--worker-id must be an integer"));
-    let run: u32 =
-        required(flags, "run").parse().unwrap_or_else(|_| die("--run must be an integer"));
-    let policy = resilience_from_flags(flags);
+fn cmd_worker(opts: &SuiteOptions, flags: &Flags) {
+    let threads = cli::resolve_workers(flags);
+    let journal = flags.required("journal");
+    let worker_id = flags.get("worker-id").unwrap_or_else(|| flags.missing("worker-id"));
+    let run = flags.get("run").unwrap_or_else(|| flags.missing("run"));
+    let policy = cli::resilience_from_flags(flags);
     let jobs = build_batch_jobs(opts, flags);
     let worker_opts =
         WorkerOptions { journal: std::path::PathBuf::from(journal), worker_id, run, threads };
@@ -790,44 +561,23 @@ fn cmd_worker(opts: &SuiteOptions, flags: &HashMap<String, String>) {
 /// The storage-fault auditor: seeded crash + IO-fault trials against
 /// the batch or dispatch backend, recovery-invariant checks, and a
 /// `CHAOS_<topology>.json` report with reproducing schedules. Any
-/// violation exits 6 ([`cli::EXIT_CHAOS`]).
-fn cmd_chaos(opts: &SuiteOptions, flags: &HashMap<String, String>) {
-    let trials: u32 = flags
-        .get("trials")
-        .map(|t| t.parse().unwrap_or_else(|_| die("--trials must be an integer")))
-        .unwrap_or(10);
-    if trials == 0 {
-        die("--trials must be positive");
-    }
-    let seed: u64 = flags
-        .get("seed")
-        .map(|s| s.parse().unwrap_or_else(|_| die("--seed must be an integer")))
-        .unwrap_or(0);
-    let scenario = match flags.get("topology").map(String::as_str) {
+/// violation exits 6 ([`cli::EXIT_CHAOS`]). Its table has no policy
+/// flags: trials run a fixed clean policy.
+fn cmd_chaos(opts: &SuiteOptions, flags: &Flags) {
+    let trials = flags.positive("trials").unwrap_or(10);
+    let seed = flags.get("seed").unwrap_or(0);
+    let scenario = match flags.value("topology") {
         None | Some("batch") => ChaosScenario::Batch,
         Some("dispatch") => ChaosScenario::Dispatch,
-        Some(other) => die(&format!("unknown topology '{other}' (batch|dispatch)")),
+        Some(other) => flags.die(&format!("unknown topology '{other}' (batch|dispatch)")),
     };
-    let procs: usize = flags
-        .get("procs")
-        .map(|p| p.parse().unwrap_or_else(|_| die("--procs must be an integer")))
-        .unwrap_or(2);
-    if procs == 0 {
-        die("--procs must be positive");
-    }
+    let procs = flags.positive("procs").unwrap_or(2);
     // Trials run the batch several times each; default to a small job
     // set unless the caller picked their own clips.
     let mut flags = flags.clone();
-    flags.entry("videos".to_string()).or_insert_with(|| "desktop,cat,girl".to_string());
-    // Chaos audits the durability layer under a fixed clean policy;
-    // resilience flags would skew the exact encode accounting (I2).
-    for policy_flag in ["max-retries", "job-deadline", "degrade", "hedge", "fault-plan"] {
-        if flags.contains_key(policy_flag) {
-            die(&format!("--{policy_flag} is not a chaos flag (trials use a clean policy)"));
-        }
-    }
+    flags.set_default("videos", "desktop,cat,girl");
     let jobs = build_batch_jobs(opts, &flags);
-    let dir = flags.get("dir").map(std::path::PathBuf::from).unwrap_or_else(|| {
+    let dir = flags.value("dir").map(std::path::PathBuf::from).unwrap_or_else(|| {
         std::env::temp_dir().join(format!("vbench-chaos-{}", std::process::id()))
     });
     std::fs::create_dir_all(&dir)
@@ -837,27 +587,18 @@ fn cmd_chaos(opts: &SuiteOptions, flags: &HashMap<String, String>) {
     chaos.trials = trials;
     chaos.seed = seed;
     chaos.scenario = scenario;
-    chaos.workers = resolve_workers(&flags);
+    chaos.workers = cli::resolve_workers(&flags);
     chaos.procs = procs;
-    chaos.inject_unsynced_rename = flags.contains_key("inject-unsynced-rename");
-    chaos.out = flags.get("out").map(std::path::PathBuf::from);
+    chaos.inject_unsynced_rename = flags.switch("inject-unsynced-rename");
+    chaos.out = flags.value("out").map(std::path::PathBuf::from);
     if scenario == ChaosScenario::Dispatch {
         chaos.worker_exe =
             Some(std::env::current_exe().unwrap_or_else(|e| fail(&format!("find own exe: {e}"))));
         // Job-defining flags only: workers must rebuild exactly `jobs`
         // under the same clean policy (plus the per-trial crash plan
         // the auditor appends itself).
-        for key in ["scale", "videos", "backend", "window"] {
-            if let Some(value) = flags.get(key) {
-                chaos.worker_forward_args.push(format!("--{key}"));
-                chaos.worker_forward_args.push(value.clone());
-            }
-        }
-        if flags.contains_key("stream") {
-            chaos.worker_forward_args.push("--stream".to_string());
-        }
+        chaos.worker_forward_args = flags.forward(&[cli::SCALE, cli::JOB]);
     }
-
     let report = run_chaos(&Engine, &jobs, &chaos).unwrap_or_else(|e| fail(&e.to_string()));
     let out = chaos
         .out
@@ -885,8 +626,9 @@ fn cmd_chaos(opts: &SuiteOptions, flags: &HashMap<String, String>) {
         }
     }
     if violations > 0 {
-        cli::fail_chaos(
+        cli::fail(
             "vbench",
+            cli::EXIT_CHAOS,
             &format!("{violations} recovery-invariant violation(s); see {}", out.display()),
         );
     }
@@ -895,25 +637,20 @@ fn cmd_chaos(opts: &SuiteOptions, flags: &HashMap<String, String>) {
 /// Live dispatch monitor. Strictly read-only: the only file operation is
 /// a whole-file read of the journal's ledger, so a monitor can never
 /// perturb the batch it is watching.
-fn cmd_top(flags: &HashMap<String, String>) {
-    let journal = std::path::PathBuf::from(required(flags, "journal"));
+fn cmd_top(flags: &Flags) {
+    let journal = std::path::PathBuf::from(flags.required("journal"));
     let snapshot = |journal: &std::path::Path| match snapshot_from_journal(journal) {
         Ok(snap) => snap,
         Err(e) => fail(&format!("read the ledger of {}: {e}", journal.display())),
     };
-    if flags.contains_key("once") {
+    if flags.switch("once") {
         let Some(snap) = snapshot(&journal) else {
             fail(&format!("{}: no manifest in its ledger (not a dispatch?)", journal.display()));
         };
         print!("{}", snap.render());
         return;
     }
-    let interval = std::time::Duration::from_millis(
-        flags
-            .get("interval-ms")
-            .map(|v| v.parse().unwrap_or_else(|_| die("--interval-ms must be an integer")))
-            .unwrap_or(500),
-    );
+    let interval = std::time::Duration::from_millis(flags.get("interval-ms").unwrap_or(500));
     let started = std::time::Instant::now();
     loop {
         if let Some(snap) = snapshot(&journal) {
@@ -943,51 +680,21 @@ fn cmd_top(flags: &HashMap<String, String>) {
 /// Service scenarios: the three paper scenarios that describe an
 /// arrival stream. Vod/Platform score offline measurements and have no
 /// front door.
-fn parse_service_scenario(s: &str) -> Scenario {
-    match s {
-        "upload" => Scenario::Upload,
-        "popular" => Scenario::Popular,
-        "live" => Scenario::Live,
-        other => die(&format!("unknown service scenario '{other}' (upload|popular|live)")),
-    }
-}
+const SERVICE_SCENARIOS: [Scenario; 3] = [Scenario::Upload, Scenario::Popular, Scenario::Live];
 
-/// The shared serve/saturate model flags: `--scenario` and `--duration`
-/// (required), `--capacity`, `--queue-depth`, `--seed`, `--catalog`
-/// (defaulted). All of these are part of the deterministic model;
-/// `--workers` deliberately is not.
-fn service_config_from_flags(flags: &HashMap<String, String>, offered_load: f64) -> ServiceConfig {
-    let scenario = parse_service_scenario(required(flags, "scenario"));
-    let duration: f64 = required(flags, "duration")
-        .parse()
-        .ok()
-        .filter(|&d| d > 0.0)
-        .unwrap_or_else(|| die("--duration takes positive virtual seconds"));
+/// The shared serve/saturate/plan model flags ([`cli::SERVICE`]):
+/// `--scenario` and `--duration` (required), `--capacity`,
+/// `--queue-depth`, `--seed`, `--catalog` (defaulted). All of these are
+/// part of the deterministic model; `--workers` deliberately is not.
+fn service_config_from_flags(flags: &Flags, offered_load: f64) -> ServiceConfig {
+    let scenario =
+        flags.choice("scenario", &SERVICE_SCENARIOS).unwrap_or_else(|| flags.missing("scenario"));
+    let duration = flags.positive("duration").unwrap_or_else(|| flags.missing("duration"));
     let mut config = ServiceConfig::new(scenario, offered_load, duration);
-    if let Some(raw) = flags.get("capacity") {
-        config.capacity = raw
-            .parse()
-            .ok()
-            .filter(|&c| c > 0)
-            .unwrap_or_else(|| die("--capacity takes a positive server count"));
-    }
-    if let Some(raw) = flags.get("queue-depth") {
-        config.queue_depth = raw
-            .parse()
-            .ok()
-            .filter(|&d| d > 0)
-            .unwrap_or_else(|| die("--queue-depth takes a positive bound"));
-    }
-    if let Some(raw) = flags.get("seed") {
-        config.seed = raw.parse().unwrap_or_else(|_| die("--seed takes an integer"));
-    }
-    if let Some(raw) = flags.get("catalog") {
-        config.catalog = raw
-            .parse()
-            .ok()
-            .filter(|&c| c > 0)
-            .unwrap_or_else(|| die("--catalog takes a positive video count"));
-    }
+    config.capacity = flags.positive("capacity").unwrap_or(config.capacity);
+    config.queue_depth = flags.positive("queue-depth").unwrap_or(config.queue_depth);
+    config.seed = flags.get("seed").unwrap_or(config.seed);
+    config.catalog = flags.positive("catalog").unwrap_or(config.catalog);
     config
 }
 
@@ -995,29 +702,24 @@ fn service_config_from_flags(flags: &HashMap<String, String>, offered_load: f64)
 /// encode batch exits 3 like `batch` does; everything else is a runtime
 /// failure.
 fn fail_service(e: ServiceError) -> ! {
-    if let ServiceError::Journal(je @ JournalError::Crashed { .. }) = &e {
-        vtrace::error("vbench", je.to_string());
-        finish_tracing();
-        std::process::exit(cli::EXIT_CRASH);
-    }
-    fail(&e.to_string())
+    let crashed = matches!(e, ServiceError::Journal(JournalError::Crashed { .. }));
+    cli::fail("vbench", if crashed { cli::EXIT_CRASH } else { cli::EXIT_RUNTIME }, &e.to_string())
 }
 
 /// `--max-shed-rate PCT`: the QoS gate. When the observed shed rate
 /// exceeds the threshold the run still completes (reports written,
 /// trace flushed) but exits 4, so CI can tell "over budget" from
 /// "broken".
-fn gate_shed_rate(flags: &HashMap<String, String>, shed_rate: f64) {
-    if let Some(raw) = flags.get("max-shed-rate") {
-        let pct: f64 = raw
-            .parse()
-            .ok()
-            .filter(|&p| p >= 0.0)
-            .unwrap_or_else(|| die("--max-shed-rate takes a percentage"));
+fn gate_shed_rate(flags: &Flags, shed_rate: f64) {
+    if let Some(pct) = flags.get::<f64>("max-shed-rate") {
+        if pct.is_nan() || pct < 0.0 {
+            flags.die("--max-shed-rate takes a percentage");
+        }
         let actual = shed_rate * 100.0;
         if actual > pct {
-            cli::fail_gate(
+            cli::fail(
                 "vbench",
+                cli::EXIT_GATE,
                 &format!("shed rate {actual:.2}% exceeds --max-shed-rate {pct}%"),
             );
         }
@@ -1048,22 +750,18 @@ fn print_sat_point(p: &SatPoint) {
 }
 
 /// One admission-controlled service run at a fixed offered load.
-fn cmd_serve(opts: &SuiteOptions, flags: &HashMap<String, String>) {
-    let offered: f64 = required(flags, "offered-load")
-        .parse()
-        .ok()
-        .filter(|&l| l > 0.0)
-        .unwrap_or_else(|| die("--offered-load takes positive jobs per virtual second"));
+fn cmd_serve(opts: &SuiteOptions, flags: &Flags) {
+    let offered = flags.positive("offered-load").unwrap_or_else(|| flags.missing("offered-load"));
     let config = service_config_from_flags(flags, offered);
     let profiles = video_profiles(&Suite::vbench(opts), config.scenario);
-    let workers = resolve_workers(flags);
+    let workers = cli::resolve_workers(flags);
     let journal = journal_from_flags(flags);
     let ServiceOutcome { point, proof } =
         run_service(&config, &profiles, &Engine, workers, journal.as_ref())
             .unwrap_or_else(|e| fail_service(e));
     println!(
         "serve {}: capacity {}  queue-depth {}  duration {}s  seed {}  catalog {}",
-        required(flags, "scenario"),
+        flags.required("scenario"),
         config.capacity,
         config.queue_depth,
         config.duration_secs,
@@ -1081,20 +779,19 @@ fn cmd_serve(opts: &SuiteOptions, flags: &HashMap<String, String>) {
 
 /// The saturation study: sweep offered load, write `SAT_<scenario>.json`
 /// (atomic rename), print the deterministic per-point table.
-fn cmd_saturate(opts: &SuiteOptions, flags: &HashMap<String, String>) {
+fn cmd_saturate(opts: &SuiteOptions, flags: &Flags) {
     let config = service_config_from_flags(flags, 0.0);
     let profiles = video_profiles(&Suite::vbench(opts), config.scenario);
-    let loads: Vec<f64> = match flags.get("loads") {
-        Some(csv) => csv
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse()
-                    .ok()
-                    .filter(|&l: &f64| l > 0.0)
-                    .unwrap_or_else(|| die("--loads takes comma-separated positive rates"))
-            })
-            .collect(),
+    let loads: Vec<f64> = match flags.value("loads") {
+        Some(csv) => {
+            csv.split(',')
+                .map(|s| {
+                    s.trim().parse().ok().filter(|&l: &f64| l > 0.0).unwrap_or_else(|| {
+                        flags.die("--loads takes comma-separated positive rates")
+                    })
+                })
+                .collect()
+        }
         // Default grid: from comfortably below the undegraded saturation
         // load (zero sheds expected) up past the *fully-degraded* one —
         // the controller absorbs everything in between by downshifting
@@ -1110,13 +807,14 @@ fn cmd_saturate(opts: &SuiteOptions, flags: &HashMap<String, String>) {
         }
     };
     if loads.is_empty() {
-        die("--loads needs at least one rate");
+        flags.die("--loads needs at least one rate");
     }
-    let workers = resolve_workers(flags);
+    let workers = cli::resolve_workers(flags);
     let journal = journal_from_flags(flags);
     let report = run_saturation(&config, &loads, &profiles, &Engine, workers, journal.as_ref())
         .unwrap_or_else(|e| fail_service(e));
-    let out = flags.get("out").cloned().unwrap_or_else(|| format!("SAT_{}.json", report.scenario));
+    let out =
+        flags.value("out").map_or_else(|| format!("SAT_{}.json", report.scenario), str::to_string);
     write_atomic_io(&StdIo, std::path::Path::new(&out), &report.to_json())
         .unwrap_or_else(|e| fail(&format!("write {out}: {e}")));
     println!(
@@ -1145,20 +843,17 @@ fn cmd_saturate(opts: &SuiteOptions, flags: &HashMap<String, String>) {
 /// at any worker count (CI `cmp`s it). Exits 5 when the mult-1.0 plan
 /// has a job no catalog instance can finish inside the scenario
 /// deadline; the report is still written first.
-fn cmd_plan(opts: &SuiteOptions, flags: &HashMap<String, String>) {
-    let offered: f64 = required(flags, "offered-load")
-        .parse()
-        .ok()
-        .filter(|&l| l > 0.0)
-        .unwrap_or_else(|| die("--offered-load takes positive jobs per virtual second"));
+fn cmd_plan(opts: &SuiteOptions, flags: &Flags) {
+    let offered = flags.positive("offered-load").unwrap_or_else(|| flags.missing("offered-load"));
     let config = service_config_from_flags(flags, offered);
     let profiles = video_profiles(&Suite::vbench(opts), config.scenario);
     let catalog = InstanceCatalog::default_fleet();
-    let workers = resolve_workers(flags);
+    let workers = cli::resolve_workers(flags);
     let report = pareto_report(&config, &profiles, &catalog, &Engine, workers)
         .unwrap_or_else(|e| fail(&e.to_string()));
-    let out =
-        flags.get("out").cloned().unwrap_or_else(|| format!("PARETO_{}.json", report.scenario));
+    let out = flags
+        .value("out")
+        .map_or_else(|| format!("PARETO_{}.json", report.scenario), str::to_string);
     write_atomic_io(&StdIo, std::path::Path::new(&out), &report.to_json())
         .unwrap_or_else(|e| fail(&format!("write {out}: {e}")));
     println!(
@@ -1194,8 +889,9 @@ fn cmd_plan(opts: &SuiteOptions, flags: &HashMap<String, String>) {
         report.proof.unique_encodes, report.proof.encode_crc32, report.proof.encoded_bytes
     );
     if report.infeasible_at_unit_deadline() {
-        cli::fail_infeasible(
+        cli::fail(
             "vbench",
+            cli::EXIT_INFEASIBLE,
             &format!(
                 "{}: a job fits no catalog instance inside the scenario deadline",
                 report.scenario

@@ -69,6 +69,42 @@ impl SuiteOptions {
     }
 }
 
+/// Run size (`--scale`): how large the synthesized clips are.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub enum Scale {
+    /// Smallest clips; seconds per experiment. Debug-safe.
+    #[default]
+    Tiny,
+    /// Half-size clips; minutes per full table in release mode.
+    Experiment,
+    /// Paper-scale clips (native resolution, 5 s).
+    Full,
+}
+
+impl Scale {
+    /// Suite options for this scale.
+    pub fn options(&self) -> SuiteOptions {
+        match self {
+            Scale::Tiny => SuiteOptions::tiny(),
+            Scale::Experiment => SuiteOptions::experiment(),
+            Scale::Full => SuiteOptions::default(),
+        }
+    }
+}
+
+impl std::str::FromStr for Scale {
+    type Err = &'static str;
+
+    fn from_str(s: &str) -> Result<Scale, Self::Err> {
+        match s {
+            "tiny" => Ok(Scale::Tiny),
+            "experiment" | "exp" => Ok(Scale::Experiment),
+            "full" => Ok(Scale::Full),
+            _ => Err("expected tiny|exp|full"),
+        }
+    }
+}
+
 /// The full vbench suite.
 #[derive(Clone, Debug)]
 pub struct Suite {
@@ -235,6 +271,15 @@ mod tests {
         assert_eq!(suite.len(), 15);
         assert!(suite.by_name("desktop").is_some());
         assert!(suite.by_name("nonexistent").is_none());
+    }
+
+    #[test]
+    fn scale_parsing() {
+        assert_eq!("tiny".parse(), Ok(Scale::Tiny));
+        assert_eq!("exp".parse(), Ok(Scale::Experiment));
+        assert_eq!("experiment".parse(), Ok(Scale::Experiment));
+        assert_eq!("full".parse(), Ok(Scale::Full));
+        assert!("bogus".parse::<Scale>().is_err());
     }
 
     #[test]

@@ -229,6 +229,22 @@ fn exit_codes_distinguish_usage_from_runtime_errors() {
     assert_eq!(unknown_cmd.status.code(), Some(2));
     let bad_level = vbench().args(["suite", "--log-level", "loud"]).output().expect("run vbench");
     assert_eq!(bad_level.status.code(), Some(2));
+    // A flag outside the command's table stops the run: a misspelled
+    // flag, one the command does not read, a value flag with no value,
+    // and a repeated flag. The message names the flag and the command.
+    for (args, flag) in [
+        (&["batch", "--videos", "desktop", "--wokers", "1"][..], "--wokers"),
+        (&["suite", "--scal", "full"], "--scal"),
+        (&["top", "--journal", "x", "--stream"], "--stream"),
+        (&["batch", "--workers"], "--workers"),
+        (&["batch", "--workers", "1", "--workers", "2"], "--workers"),
+    ] {
+        let out = vbench().args(args).output().expect("run vbench");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        let command = format!("vbench {}", args[0]);
+        assert!(stderr.contains(flag) && stderr.contains(&command), "{args:?}: {stderr}");
+    }
 
     // Runtime failures exit 1 (and report through the error log).
     let missing_input = vbench()
