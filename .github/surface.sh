@@ -9,7 +9,9 @@
 # `pub fn X`: the IO-less twin pattern was removed on purpose (callers
 # pass `&StdIo`) and must not quietly return. Fails too if a vbench or
 # tablegen binary parses flags by hand again instead of through the
-# per-command tables in `vbench::cli`.
+# per-command tables in `vbench::cli`, or if a non-test line under
+# crates/*/src writes a JSON object in a format string instead of
+# through `vtrace::json::Object`.
 #
 # Prints `git diff --numstat BASE` summed per category — code
 # (crates/**/src), tests (tests/, crates/*/tests, benches), docs (*.md),
@@ -34,6 +36,26 @@ if grep -nE 'HashMap<String, String>|fn parse_flags|strip_prefix\("--"\)' \
     echo "surface: a binary parses its own flags; declare them in vbench::cli" >&2
     status=1
 fi
+
+# Source files under crates/*/src, one per line.
+sources() {
+    git ls-files crates | grep -E '^crates/[^/]+/src/.*\.rs$'
+}
+
+# JSON documents are written through vtrace::json::Object. A JSON object
+# in a format string (`{{\"`) on a non-test line is a hand-rolled writer
+# coming back. journal/record.rs is exempt: the journal record codec
+# formats its lines itself because it is on the benchmark's hot path, and
+# golden literals plus a cross-commit fixture pin its bytes.
+for f in $(sources | grep -vx 'crates/core/src/journal/record\.rs'); do
+    [ -f "$f" ] || continue
+    if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+            index($0, "{{\\\"") { print FILENAME ":" FNR ": " $0; found = 1 }
+            END { exit !found }' "$f" >&2; then
+        echo "surface: $f writes JSON by hand; use vtrace::json::Object" >&2
+        status=1
+    fi
+done
 
 git diff --numstat "$base" | awk '
     { cat = "other" }
@@ -61,7 +83,7 @@ for f in $(git ls-tree -r --name-only "$base" crates | grep -E '^crates/[^/]+/sr
     before=$((before + $(git show "$base:$f" | count)))
 done
 after=0
-for f in $(git ls-files crates | grep -E '^crates/[^/]+/src/.*\.rs$'); do
+for f in $(sources); do
     [ -f "$f" ] && after=$((after + $(count < "$f")))
 done
 echo "surface: non-test non-comment lines under crates/: $before -> $after ($((after - before)))"

@@ -73,7 +73,7 @@ use crate::journal::{run_batch_journaled_with_io, JournalConfig, JournalError};
 use crate::resilience::ResilienceConfig;
 use vfault::{FaultPlan, IoFaultPlan};
 use vframe::{FrameSource, Video};
-use vtrace::json;
+use vtrace::json::Object;
 
 /// Resume attempts allowed per trial before the auditor declares the
 /// batch non-convergent. A schedule can crash at most once per run
@@ -221,36 +221,31 @@ impl ChaosReport {
         self.trials.iter().map(|t| t.violations.len()).sum()
     }
 
-    /// The schema-versioned JSON report (`vbench.chaos.v1`). Top-level
-    /// `"violations"` is the grep-friendly gate: `"violations":0` means
-    /// every invariant held in every trial.
+    /// The schema-versioned JSON report (`vbench.chaos.v1`), one line.
+    /// Top-level `"violations"` is the grep-friendly gate:
+    /// `"violations":0` means every invariant held in every trial.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"vbench.chaos.v1\",\n");
-        out.push_str(&format!("  \"scenario\": {},\n", json::string(self.scenario.name())));
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"trials\": {},\n", self.trials.len()));
-        out.push_str(&format!("  \"violations\": {},\n", self.violations()));
-        out.push_str("  \"trial_results\": [\n");
-        for (i, t) in self.trials.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"trial\": {}, \"seed\": {}, \"crash_plan\": {}, \"io_plan\": {}, \
-                 \"resumes\": {}, \"replayed_final\": {}, \"encodes_final\": {}, \
-                 \"faults_injected\": {}, \"violations\": [{}]}}{}\n",
-                t.plan.trial,
-                t.plan.seed,
-                json::string(&t.plan.crash_spec),
-                json::string(&t.plan.io_spec),
-                t.resumes,
-                t.replayed_final,
-                t.encodes_final,
-                t.faults_injected,
-                t.violations.iter().map(|v| json::string(v)).collect::<Vec<_>>().join(", "),
-                if i + 1 < self.trials.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let trial = |t: &TrialResult| {
+            Object::new()
+                .field("trial", t.plan.trial)
+                .field("seed", t.plan.seed)
+                .field("crash_plan", &t.plan.crash_spec)
+                .field("io_plan", &t.plan.io_spec)
+                .field("resumes", t.resumes)
+                .field("replayed_final", t.replayed_final)
+                .field("encodes_final", t.encodes_final)
+                .field("faults_injected", t.faults_injected)
+                .field("violations", &t.violations)
+        };
+        Object::new()
+            .field("schema", "vbench.chaos.v1")
+            .field("scenario", self.scenario.name())
+            .field("seed", self.seed)
+            .field("trials", self.trials.len())
+            .field("violations", self.violations())
+            .field("trial_results", self.trials.iter().map(trial).collect::<Vec<_>>())
+            .close()
+            + "\n"
     }
 
     /// Writes the JSON report atomically (through the same
@@ -573,8 +568,8 @@ fn run_batch_trial(
     // The status-snapshot half of the audit: one marker document written
     // through the atomic-replace discipline (or, for the bug demo, the
     // broken variant), checked for all-or-nothing survival after the cut.
-    let marker_content =
-        format!("{{\"chaos_marker\":true,\"trial\":{},\"seed\":{}}}\n", plan.trial, plan.seed);
+    let marker = Object::new().field("chaos_marker", true).field("trial", plan.trial);
+    let marker_content = marker.field("seed", plan.seed).close() + "\n";
     let marker_wrote = if opts.inject_unsynced_rename {
         status::write_atomic_unsynced_io(&faulted, &marker_path, &marker_content)
     } else {
@@ -765,6 +760,7 @@ mod tests {
     use crate::engine::Engine;
     use crate::journal::record::testing::encode_jobs as jobs;
     use std::sync::atomic::AtomicUsize;
+    use vtrace::json;
 
     /// A per-test scratch directory, removed on drop.
     struct TempDir(PathBuf);
@@ -836,8 +832,8 @@ mod tests {
             "no trial scripted any fault"
         );
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"vbench.chaos.v1\""));
-        assert!(json.contains("\"violations\": 0"));
+        assert!(json.contains("\"schema\":\"vbench.chaos.v1\""));
+        assert!(json.contains("\"violations\":0"));
     }
 
     #[test]
@@ -857,7 +853,7 @@ mod tests {
             .expect("an I5 violation names the marker");
         // The report carries the reproducing schedule for the red trial.
         let json = report.to_json();
-        assert!(json.contains(&format!("\"trial\": {}", caught.plan.trial)));
+        assert!(json.contains(&format!("\"trial\":{}", caught.plan.trial)));
         assert!(json.contains("I5"));
     }
 
@@ -914,24 +910,73 @@ mod tests {
         let report = ChaosReport {
             scenario: ChaosScenario::Dispatch,
             seed: 9,
-            trials: vec![TrialResult {
-                plan: TrialPlan {
-                    trial: 0,
-                    seed: 1,
-                    crash_spec: "crash=0@worker-kill@0".to_string(),
-                    io_spec: String::new(),
+            trials: vec![
+                TrialResult {
+                    plan: TrialPlan {
+                        trial: 0,
+                        seed: 1,
+                        crash_spec: "crash=0@worker-kill@0".to_string(),
+                        io_spec: String::new(),
+                    },
+                    resumes: 1,
+                    replayed_final: 3,
+                    encodes_final: 0,
+                    faults_injected: 0,
+                    violations: vec![
+                        "I3: job 1 has \"2\" durable records".to_string(),
+                        "I4: job 2 \\ differs".to_string(),
+                    ],
                 },
-                resumes: 1,
-                replayed_final: 3,
-                encodes_final: 0,
-                faults_injected: 0,
-                violations: vec!["I3: job 1 has \"2\" durable records".to_string()],
-            }],
+                TrialResult {
+                    plan: TrialPlan {
+                        trial: 1,
+                        seed: 17,
+                        crash_spec: String::new(),
+                        io_spec: "eio=journal@2".to_string(),
+                    },
+                    resumes: 0,
+                    replayed_final: 2,
+                    encodes_final: 1,
+                    faults_injected: 1,
+                    violations: Vec::new(),
+                },
+            ],
         };
         let json = report.to_json();
-        assert!(json.contains("\"scenario\": \"dispatch\""));
-        assert!(json.contains("\"violations\": 1"));
-        assert!(json.contains("\\\"2\\\""), "violation strings are JSON-escaped");
-        json::parse(&json).expect("report is valid JSON");
+        let golden = concat!(
+            r#"{"schema":"vbench.chaos.v1","scenario":"dispatch","seed":9,"trials":2,"#,
+            r#""violations":2,"trial_results":["#,
+            r#"{"trial":0,"seed":1,"crash_plan":"crash=0@worker-kill@0","io_plan":"","#,
+            r#""resumes":1,"replayed_final":3,"encodes_final":0,"faults_injected":0,"#,
+            r#""violations":["I3: job 1 has \"2\" durable records","I4: job 2 \\ differs"]},"#,
+            r#"{"trial":1,"seed":17,"crash_plan":"","io_plan":"eio=journal@2","#,
+            r#""resumes":0,"replayed_final":2,"encodes_final":1,"faults_injected":1,"#,
+            r#""violations":[]}]}"#,
+            "\n",
+        );
+        assert_eq!(json, golden);
+        // The document as the indented writer laid it out: the compact
+        // one must carry exactly the same values.
+        let indented = concat!(
+            "{\n",
+            "  \"schema\": \"vbench.chaos.v1\",\n",
+            "  \"scenario\": \"dispatch\",\n",
+            "  \"seed\": 9,\n",
+            "  \"trials\": 2,\n",
+            "  \"violations\": 2,\n",
+            "  \"trial_results\": [\n",
+            r#"    {"trial": 0, "seed": 1, "crash_plan": "crash=0@worker-kill@0", "io_plan": "", "#,
+            r#""resumes": 1, "replayed_final": 3, "encodes_final": 0, "faults_injected": 0, "#,
+            r#""violations": ["I3: job 1 has \"2\" durable records", "I4: job 2 \\ differs"]},"#,
+            "\n",
+            r#"    {"trial": 1, "seed": 17, "crash_plan": "", "io_plan": "eio=journal@2", "#,
+            r#""resumes": 0, "replayed_final": 2, "encodes_final": 1, "faults_injected": 1, "#,
+            r#""violations": []}"#,
+            "\n  ]\n}\n",
+        );
+        assert_eq!(
+            json::parse(&json).expect("report is valid JSON"),
+            json::parse(indented).unwrap()
+        );
     }
 }

@@ -359,7 +359,7 @@ pub fn finish_tracing(tool: &'static str) {
     }
     let report = vtrace::drain();
     if let Some(Some(path)) = TRACE_OUT.get() {
-        if let Err(e) = report.write_jsonl(path) {
+        if let Err(e) = std::fs::write(path, report.to_jsonl()) {
             eprintln!("[error] {tool}: write trace {path}: {e}");
             std::process::exit(EXIT_RUNTIME);
         }

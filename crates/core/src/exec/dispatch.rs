@@ -418,10 +418,7 @@ pub fn merge_trace_files(main: &std::path::Path, workers: &[PathBuf]) -> std::io
                     let epoch =
                         parsed.get("epoch_unix_us").and_then(Value::as_u64).unwrap_or(main_epoch);
                     let pid = parsed.get("pid").and_then(Value::as_u64).unwrap_or(0);
-                    appended.push_str(&format!(
-                        "{{\"kind\":\"header\",\"version\":1,\"epoch_unix_us\":{epoch},\
-                         \"pid\":{pid},\"rebased_offset_us\":{rebase}}}",
-                    ));
+                    appended.push_str(&vtrace::report::header_line(epoch, pid, Some(rebase)));
                 }
                 Some("span") => {
                     let mut shifted = line.to_string();
@@ -581,6 +578,23 @@ mod tests {
         assert!(merged.contains("\"id\":4,\"parent\":null,\"name\":\"transcode\""), "{merged}");
         assert!(merged.contains("\"start_us\":290"), "worker span not rebased:\n{merged}");
         assert!(merged.contains("\"t_us\":305"), "worker log not rebased:\n{merged}");
+        // Every byte of the merged stream, the rewritten worker header
+        // included, is pinned.
+        let golden = concat!(
+            r#"{"kind":"header","version":1,"epoch_unix_us":1000,"pid":1}"#,
+            "\n",
+            r#"{"kind":"span","id":3,"parent":null,"name":"exec.dispatch","thread":0,"#,
+            r#""start_us":0,"dur_us":900,"fields":{}}"#,
+            "\n",
+            r#"{"kind":"header","version":1,"epoch_unix_us":1250,"pid":2,"rebased_offset_us":250}"#,
+            "\n",
+            r#"{"kind":"span","id":4,"parent":null,"name":"transcode","thread":0,"#,
+            r#""start_us":290,"dur_us":10,"fields":{}}"#,
+            "\n",
+            r#"{"kind":"log","level":"info","t_us":305,"thread":0,"msg":"x"}"#,
+            "\n",
+        );
+        assert_eq!(merged, golden);
 
         // The result satisfies the monotonicity rule vtrace-check
         // enforces: each segment's events sit at or after its offset.

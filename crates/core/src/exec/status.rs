@@ -28,7 +28,7 @@ use std::path::Path;
 
 use super::ledger::{replay_ledger, JobState};
 use crate::journal::record::{self, Record};
-use vtrace::json;
+use vtrace::json::Object;
 
 /// Schema version of the `status.json` snapshot.
 pub const STATUS_VERSION: u32 = 1;
@@ -128,41 +128,31 @@ impl StatusSnapshot {
         let throughput = if elapsed_secs > 0.0 { self.done as f64 / elapsed_secs } else { 0.0 };
         let remaining = self.jobs.saturating_sub(self.done);
         let eta_secs = if throughput > 0.0 { remaining as f64 / throughput } else { -1.0 };
-        let mut out = format!(
-            "{{\"version\":{STATUS_VERSION},\"now_ms\":{now_ms},\
-             \"elapsed_secs\":{},\"jobs\":{},\"done\":{},\"failed\":{},\"leased\":{},\
-             \"free\":{},\"retries\":{},\"expired_leases\":{},\"throughput_jps\":{},\
-             \"eta_secs\":{},\"workers\":[",
-            json::number(elapsed_secs),
-            self.jobs,
-            self.done,
-            self.failed,
-            self.leased,
-            self.free(),
-            self.retries,
-            self.expired_leases,
-            json::number(throughput),
-            json::number(eta_secs),
-        );
-        for (i, w) in self.workers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let hb_age_ms = w.hb_wall_ms.map(|t| now_ms.saturating_sub(t));
-            out.push_str(&format!(
-                "{{\"worker\":{},\"pid\":{},\"in_flight\":{},\"hb_seq\":{},\
-                 \"hb_age_ms\":{},\"completed\":{},\"failed\":{}}}",
-                w.worker,
-                w.pid.map_or("null".to_string(), |p| p.to_string()),
-                w.in_flight.map_or("null".to_string(), |j| j.to_string()),
-                w.hb_seq,
-                hb_age_ms.map_or("null".to_string(), |a| a.to_string()),
-                w.completed,
-                w.failed,
-            ));
-        }
-        out.push_str("]}");
-        out
+        let worker = |w: &WorkerStatus| {
+            Object::new()
+                .field("worker", w.worker)
+                .field("pid", w.pid)
+                .field("in_flight", w.in_flight)
+                .field("hb_seq", w.hb_seq)
+                .field("hb_age_ms", w.hb_wall_ms.map(|t| now_ms.saturating_sub(t)))
+                .field("completed", w.completed)
+                .field("failed", w.failed)
+        };
+        Object::new()
+            .field("version", STATUS_VERSION)
+            .field("now_ms", now_ms)
+            .field("elapsed_secs", elapsed_secs)
+            .field("jobs", self.jobs)
+            .field("done", self.done)
+            .field("failed", self.failed)
+            .field("leased", self.leased)
+            .field("free", self.free())
+            .field("retries", self.retries)
+            .field("expired_leases", self.expired_leases)
+            .field("throughput_jps", throughput)
+            .field("eta_secs", eta_secs)
+            .field("workers", self.workers.iter().map(worker).collect::<Vec<_>>())
+            .close()
     }
 }
 
@@ -286,7 +276,7 @@ mod tests {
     use crate::journal::record::{
         done_line, hb_line, job_line, lease_line, manifest_line, run_line, DoneMark,
     };
-    use vtrace::json::Value;
+    use vtrace::json::{self, Value};
 
     /// Three jobs, two workers: job 0 committed by worker 0 on its
     /// second attempt, job 1 leased by worker 1, job 2 free.
@@ -361,6 +351,42 @@ mod tests {
         };
         assert_eq!(workers.len(), 2);
         assert_eq!(workers[1].get("hb_age_ms").and_then(Value::as_u64), Some(1000));
+    }
+
+    /// `status.json` bytes at a pinned clock: a worker with every
+    /// `Option` unset beside one with every `Option` set, and no
+    /// throughput yet, so `eta_secs` is the `-1` sentinel.
+    #[test]
+    fn status_json_bytes_match_the_pinned_document() {
+        let snap = StatusSnapshot {
+            jobs: 3,
+            leased: 1,
+            retries: 2,
+            expired_leases: 1,
+            workers: vec![
+                WorkerStatus { worker: 0, ..Default::default() },
+                WorkerStatus {
+                    worker: 1,
+                    pid: Some(42),
+                    in_flight: Some(2),
+                    hb_seq: 5,
+                    hb_wall_ms: Some(1200),
+                    completed: 1,
+                    failed: 1,
+                },
+            ],
+            ..Default::default()
+        };
+        let golden = concat!(
+            r#"{"version":1,"now_ms":2200,"elapsed_secs":4.5,"jobs":3,"done":0,"failed":0,"#,
+            r#""leased":1,"free":2,"retries":2,"expired_leases":1,"throughput_jps":0.0,"#,
+            r#""eta_secs":-1.0,"workers":["#,
+            r#"{"worker":0,"pid":null,"in_flight":null,"hb_seq":0,"hb_age_ms":null,"#,
+            r#""completed":0,"failed":0},"#,
+            r#"{"worker":1,"pid":42,"in_flight":2,"hb_seq":5,"hb_age_ms":1000,"#,
+            r#""completed":1,"failed":1}]}"#,
+        );
+        assert_eq!(snap.to_json(2200, 4.5), golden);
     }
 
     #[test]

@@ -2,15 +2,16 @@
 //!
 //! One point per deadline multiplier: the cost-aware plan's dollar cost
 //! and deadline-miss rate next to the homogeneous baseline's, plus the
-//! fleet actually bought. The serializer follows the workspace's stable
-//! single-line JSON rules (fixed key order, shortest round-trip floats,
-//! trailing newline) because byte-identical output at any `--workers`
-//! is an acceptance criterion CI enforces with `cmp`.
+//! fleet actually bought. The document is written through
+//! `json::Object`; key order is call order, floats are shortest
+//! round-trip, and a newline ends the single line, because
+//! byte-identical output at any `--workers` is an acceptance criterion
+//! CI enforces with `cmp`.
 
 use std::collections::BTreeSet;
 
 use vhw::InstanceCatalog;
-use vtrace::json;
+use vtrace::json::Object;
 
 use super::plan::{plan_fleet, scenario_deadline_slack, uniform_plan, PlanJob};
 use crate::engine::Transcoder;
@@ -80,50 +81,30 @@ impl ParetoReport {
     /// Serializes to the stable single-line JSON document (trailing
     /// newline included). Equal reports produce equal bytes.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.points.len() * 160);
-        out.push_str(&format!(
-            "{{\"kind\":\"pareto\",\"version\":{},\"scenario\":\"{}\",\"duration_secs\":{},\
-             \"offered_load\":{},\"seed\":{},\"jobs\":{},\"instances\":[",
-            PARETO_VERSION,
-            self.scenario,
-            json::number(self.duration_secs),
-            json::number(self.offered_load),
-            self.seed,
-            self.jobs,
-        ));
-        for (i, name) in self.instances.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\""));
-        }
-        out.push_str(&format!(
-            "],\"unique_encodes\":{},\"encode_crc32\":{},\"encoded_bytes\":{},\"points\":[",
-            self.proof.unique_encodes, self.proof.encode_crc32, self.proof.encoded_bytes,
-        ));
-        for (i, p) in self.points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"deadline_mult\":{},\"dollar_cost\":{},\"miss_rate\":{},\
-                 \"baseline_dollar_cost\":{},\"baseline_miss_rate\":{},\"fleet\":[",
-                json::number(p.deadline_mult),
-                json::number(p.dollar_cost),
-                json::number(p.miss_rate),
-                json::number(p.baseline_dollar_cost),
-                json::number(p.baseline_miss_rate),
-            ));
-            for (k, n) in p.fleet.iter().enumerate() {
-                if k > 0 {
-                    out.push(',');
-                }
-                out.push_str(&n.to_string());
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}\n");
-        out
+        let point = |p: &ParetoPoint| {
+            Object::new()
+                .field("deadline_mult", p.deadline_mult)
+                .field("dollar_cost", p.dollar_cost)
+                .field("miss_rate", p.miss_rate)
+                .field("baseline_dollar_cost", p.baseline_dollar_cost)
+                .field("baseline_miss_rate", p.baseline_miss_rate)
+                .field("fleet", &p.fleet)
+        };
+        Object::new()
+            .field("kind", "pareto")
+            .field("version", PARETO_VERSION)
+            .field("scenario", &self.scenario)
+            .field("duration_secs", self.duration_secs)
+            .field("offered_load", self.offered_load)
+            .field("seed", self.seed)
+            .field("jobs", self.jobs)
+            .field("instances", &self.instances)
+            .field("unique_encodes", self.proof.unique_encodes)
+            .field("encode_crc32", self.proof.encode_crc32)
+            .field("encoded_bytes", self.proof.encoded_bytes)
+            .field("points", self.points.iter().map(point).collect::<Vec<_>>())
+            .close()
+            + "\n"
     }
 }
 
@@ -270,16 +251,53 @@ mod tests {
         assert_eq!(r.to_json().lines().count(), 1, "single line");
     }
 
+    /// Key order and every byte of the document, pinned literally: CI
+    /// `cmp`s reports across commits and worker counts.
     #[test]
     fn schema_keys_in_fixed_order() {
-        let json = report().to_json();
-        assert!(json.starts_with("{\"kind\":\"pareto\",\"version\":1,\"scenario\":\"live\","));
-        let d = json.find("\"dollar_cost\"").unwrap();
-        let m = json.find("\"miss_rate\"").unwrap();
-        let b = json.find("\"baseline_dollar_cost\"").unwrap();
-        assert!(d < m && m < b, "point key order is pinned");
-        assert!(json.contains("\"instances\":[\"x86-sw\",\"x86-qsv\"]"));
-        assert!(json.contains("\"fleet\":[0,2]"));
+        let golden = concat!(
+            r#"{"kind":"pareto","version":1,"scenario":"live","duration_secs":8.0,"#,
+            r#""offered_load":12.5,"seed":24301,"jobs":90,"instances":["x86-sw","x86-qsv"],"#,
+            r#""unique_encodes":3,"encode_crc32":48879,"encoded_bytes":4096,"points":["#,
+            r#"{"deadline_mult":0.1,"dollar_cost":0.5,"miss_rate":0.25,"#,
+            r#""baseline_dollar_cost":0.4,"baseline_miss_rate":1.0,"fleet":[0,2]},"#,
+            r#"{"deadline_mult":1.0,"dollar_cost":0.25,"miss_rate":0.0,"#,
+            r#""baseline_dollar_cost":0.4,"baseline_miss_rate":0.0,"fleet":[1,1]}]}"#,
+            "\n",
+        );
+        assert_eq!(report().to_json(), golden);
+    }
+
+    /// Scenario and instance names are escaped: a `"` or `\` in either
+    /// still yields a document that parses back to the same strings, in
+    /// both reports that carry a scenario.
+    #[test]
+    fn reports_escape_scenario_and_instance_names() {
+        use crate::service::report::SatReport;
+        use vtrace::json;
+        let odd = "a\"b\\c";
+        let mut pareto = report();
+        pareto.scenario = odd.to_string();
+        pareto.instances[1] = odd.to_string();
+        let sat = SatReport {
+            scenario: odd.to_string(),
+            capacity: 1,
+            queue_depth: 1,
+            duration_secs: 1.0,
+            seed: 0,
+            catalog: 1,
+            proof: pareto.proof,
+            points: Vec::new(),
+        };
+        let parsed = |doc: String| json::parse(&doc).unwrap_or_else(|e| panic!("{e}: {doc}"));
+        let (pareto, sat) = (parsed(pareto.to_json()), parsed(sat.to_json()));
+        for v in [&pareto, &sat] {
+            assert_eq!(v.get("scenario").and_then(json::Value::as_str), Some(odd));
+        }
+        match pareto.get("instances") {
+            Some(json::Value::Array(names)) => assert_eq!(names[1].as_str(), Some(odd)),
+            other => panic!("instances should be an array, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! The `SAT_<scenario>.json` saturation report.
 //!
-//! The serializer is hand-rolled on purpose: key order is fixed, floats
-//! are formatted with Rust's shortest round-trip `{:?}` (the same rule
-//! the journal and trace writers use), and no map iteration order or
-//! locale can leak in. Byte-identical output across worker counts and
-//! machines is an acceptance criterion, not a nicety — CI diffs two
-//! independently produced reports with `cmp`.
+//! The document is written through `json::Object`; key order is call
+//! order, floats are formatted with Rust's shortest round-trip `{:?}`
+//! (the same rule the journal and trace writers use), and no map
+//! iteration order or locale can leak in. Byte-identical output across
+//! worker counts and machines is an acceptance criterion, not a nicety —
+//! CI diffs two independently produced reports with `cmp`.
 
 use super::sim::ServicePoint;
 use super::{EncodeProof, ServiceConfig};
-use vtrace::json;
+use vtrace::json::Object;
 
 /// Report format version; bump on any schema change.
 pub const SAT_VERSION: u32 = 1;
@@ -117,50 +117,39 @@ impl SatReport {
     /// Serializes to the stable single-line JSON document (trailing
     /// newline included). Equal reports produce equal bytes.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.points.len() * 256);
-        out.push_str(&format!(
-            "{{\"kind\":\"sat\",\"version\":{},\"scenario\":\"{}\",\"capacity\":{},\
-             \"queue_depth\":{},\"duration_secs\":{},\"seed\":{},\"catalog\":{},\
-             \"unique_encodes\":{},\"encode_crc32\":{},\"encoded_bytes\":{},\"points\":[",
-            SAT_VERSION,
-            self.scenario,
-            self.capacity,
-            self.queue_depth,
-            json::number(self.duration_secs),
-            self.seed,
-            self.catalog,
-            self.proof.unique_encodes,
-            self.proof.encode_crc32,
-            self.proof.encoded_bytes,
-        ));
-        for (i, p) in self.points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"offered_load\":{},\"offered\":{},\"admitted\":{},\"completed\":{},\
-                 \"degraded\":{},\"shed\":{},\"drained\":{},\"deadline_misses\":{},\
-                 \"queue_peak\":{},\"sojourn_p50_us\":{},\"sojourn_p95_us\":{},\
-                 \"sojourn_p99_us\":{},\"shed_rate\":{},\"admit_rate\":{},\"degrade_rate\":{}}}",
-                json::number(p.offered_load),
-                p.offered,
-                p.admitted,
-                p.completed,
-                p.degraded,
-                p.shed,
-                p.drained,
-                p.deadline_misses,
-                p.queue_peak,
-                p.sojourn_p50_us,
-                p.sojourn_p95_us,
-                p.sojourn_p99_us,
-                json::number(p.shed_rate),
-                json::number(p.admit_rate),
-                json::number(p.degrade_rate),
-            ));
-        }
-        out.push_str("]}\n");
-        out
+        let point = |p: &SatPoint| {
+            Object::new()
+                .field("offered_load", p.offered_load)
+                .field("offered", p.offered)
+                .field("admitted", p.admitted)
+                .field("completed", p.completed)
+                .field("degraded", p.degraded)
+                .field("shed", p.shed)
+                .field("drained", p.drained)
+                .field("deadline_misses", p.deadline_misses)
+                .field("queue_peak", p.queue_peak)
+                .field("sojourn_p50_us", p.sojourn_p50_us)
+                .field("sojourn_p95_us", p.sojourn_p95_us)
+                .field("sojourn_p99_us", p.sojourn_p99_us)
+                .field("shed_rate", p.shed_rate)
+                .field("admit_rate", p.admit_rate)
+                .field("degrade_rate", p.degrade_rate)
+        };
+        Object::new()
+            .field("kind", "sat")
+            .field("version", SAT_VERSION)
+            .field("scenario", &self.scenario)
+            .field("capacity", self.capacity)
+            .field("queue_depth", self.queue_depth)
+            .field("duration_secs", self.duration_secs)
+            .field("seed", self.seed)
+            .field("catalog", self.catalog)
+            .field("unique_encodes", self.proof.unique_encodes)
+            .field("encode_crc32", self.proof.encode_crc32)
+            .field("encoded_bytes", self.proof.encoded_bytes)
+            .field("points", self.points.iter().map(point).collect::<Vec<_>>())
+            .close()
+            + "\n"
     }
 }
 
@@ -210,6 +199,54 @@ mod tests {
         let first = &points[0];
         assert_eq!(first.get("offered").and_then(|v| v.as_u64()), Some(r.points[0].offered));
         assert!(first.get("shed_rate").and_then(|v| v.as_f64()).is_some());
+    }
+
+    /// The document's bytes on fixed inputs, pinned literally: CI
+    /// `cmp`s reports across commits and worker counts.
+    #[test]
+    fn sat_bytes_match_the_pinned_document() {
+        let point = |offered_load: f64, shed: u64| SatPoint {
+            offered_load,
+            offered: 40,
+            admitted: 40 - shed,
+            completed: 38 - shed,
+            degraded: 3,
+            shed,
+            drained: 1,
+            deadline_misses: 2,
+            queue_peak: 9,
+            sojourn_p50_us: 1_500,
+            sojourn_p95_us: 90_000,
+            sojourn_p99_us: 1_250_000,
+            shed_rate: shed as f64 / 40.0,
+            admit_rate: (40 - shed) as f64 / 40.0,
+            degrade_rate: 0.075,
+        };
+        let r = SatReport {
+            scenario: "live".to_string(),
+            capacity: 4,
+            queue_depth: 16,
+            duration_secs: 10.0,
+            seed: 0x5eed,
+            catalog: 1000,
+            proof: EncodeProof { unique_encodes: 3, encode_crc32: 0xDEAD_BEEF, encoded_bytes: 999 },
+            points: vec![point(2.5, 0), point(1e-3, 7)],
+        };
+        let golden = concat!(
+            r#"{"kind":"sat","version":1,"scenario":"live","capacity":4,"queue_depth":16,"#,
+            r#""duration_secs":10.0,"seed":24301,"catalog":1000,"unique_encodes":3,"#,
+            r#""encode_crc32":3735928559,"encoded_bytes":999,"points":["#,
+            r#"{"offered_load":2.5,"offered":40,"admitted":40,"completed":38,"degraded":3,"#,
+            r#""shed":0,"drained":1,"deadline_misses":2,"queue_peak":9,"sojourn_p50_us":1500,"#,
+            r#""sojourn_p95_us":90000,"sojourn_p99_us":1250000,"shed_rate":0.0,"#,
+            r#""admit_rate":1.0,"degrade_rate":0.075},"#,
+            r#"{"offered_load":0.001,"offered":40,"admitted":33,"completed":31,"degraded":3,"#,
+            r#""shed":7,"drained":1,"deadline_misses":2,"queue_peak":9,"sojourn_p50_us":1500,"#,
+            r#""sojourn_p95_us":90000,"sojourn_p99_us":1250000,"shed_rate":0.175,"#,
+            r#""admit_rate":0.825,"degrade_rate":0.075}]}"#,
+            "\n",
+        );
+        assert_eq!(r.to_json(), golden);
     }
 
     #[test]

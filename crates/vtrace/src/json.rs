@@ -1,20 +1,20 @@
-//! A minimal JSON reader for validating trace streams.
+//! The workspace's JSON reader and writer.
 //!
-//! The workspace is dependency-free, so the JSONL sink's counterpart — the
-//! `vtrace-check` schema validator and the integration tests that parse
-//! trace files back — needs its own parser. This is a straightforward
-//! recursive-descent reader of the full JSON grammar (strings with
-//! `\uXXXX` escapes including surrogate pairs, numbers via `f64`,
-//! arrays, objects) with a depth limit instead of unbounded recursion.
-//! It is a *reader*: numbers all come back as `f64`, which is exact for
-//! the integer ranges the trace schema uses (ids, microseconds, counts
+//! The workspace is dependency-free, so it carries its own JSON. The
+//! *reader*, [`parse`], is a recursive-descent parser of the full JSON
+//! grammar (strings with `\uXXXX` escapes including surrogate pairs,
+//! numbers via `f64`, arrays, objects) with a depth limit instead of
+//! unbounded recursion. Numbers all come back as `f64`, which is exact
+//! for the integer ranges the documents use (ids, microseconds, counts
 //! up to 2^53).
 //!
-//! The matching scalar *writers* — [`string`] and [`number`] — live
-//! here too: every hand-rolled JSON document in the workspace (trace
-//! stream, journal, status, SAT/PARETO/CHAOS reports) formats its
-//! strings and floats through them, so what is written always parses
-//! back.
+//! The *writer* is [`Object`] plus the [`ToJson`] value trait: keys come
+//! out in the order they are added, in one compact layout with no
+//! whitespace. Every document the workspace writes — the trace stream,
+//! `status.json`, the SAT/PARETO/CHAOS reports — goes through it; the
+//! journal record codec alone formats its lines itself, with the same
+//! scalar writers [`string`] and [`number`]. So what is written always
+//! parses back, and equal values always give equal bytes.
 
 /// Maximum nesting depth accepted (the trace schema uses 2).
 const MAX_DEPTH: usize = 128;
@@ -395,6 +395,91 @@ pub fn number(v: f64) -> String {
     }
 }
 
+/// A JSON object being written: [`Object::field`] appends keys in call
+/// order, [`Object::close`] returns the text.
+#[derive(Debug, Default)]
+pub struct Object {
+    /// `{` and the fields so far; empty until the first field.
+    out: String,
+}
+
+impl Object {
+    /// An object with no keys yet.
+    pub fn new() -> Object {
+        Object::default()
+    }
+
+    /// Appends `key` with `value`.
+    pub fn field(mut self, key: &str, value: impl ToJson) -> Object {
+        self.out.push(if self.out.is_empty() { '{' } else { ',' });
+        self.out += &string(key);
+        self.out.push(':');
+        self.out += &value.to_json();
+        self
+    }
+
+    /// The finished object's text.
+    pub fn close(self) -> String {
+        self.to_json()
+    }
+}
+
+/// A value an [`Object`] can hold.
+pub trait ToJson {
+    /// The value's JSON text.
+    fn to_json(&self) -> String;
+}
+
+/// [`ToJson`] for scalars, each through the function that formats it.
+macro_rules! scalar_to_json {
+    ($($t:ty => $format:expr),*) => {$(
+        impl ToJson for $t {
+            fn to_json(&self) -> String {
+                ($format)(self)
+            }
+        }
+    )*};
+}
+
+scalar_to_json!(u32 => u32::to_string, u64 => u64::to_string, u128 => u128::to_string,
+    usize => usize::to_string, bool => bool::to_string, f64 => |v: &f64| number(*v),
+    str => string, String => string);
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn to_json(&self) -> String {
+        (**self).to_json()
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn to_json(&self) -> String {
+        self.as_ref().map_or_else(|| "null".to_string(), T::to_json)
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> String {
+        "[".to_string() + &self.iter().map(T::to_json).collect::<Vec<_>>().join(",") + "]"
+    }
+}
+
+impl ToJson for Object {
+    fn to_json(&self) -> String {
+        (if self.out.is_empty() { "{" } else { &self.out }).to_string() + "}"
+    }
+}
+
+impl ToJson for crate::FieldValue {
+    fn to_json(&self) -> String {
+        match self {
+            crate::FieldValue::U64(v) => v.to_json(),
+            crate::FieldValue::F64(v) => v.to_json(),
+            crate::FieldValue::Str(s) => s.to_json(),
+            crate::FieldValue::Bool(b) => b.to_json(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -663,5 +748,19 @@ mod tests {
         assert_eq!((number(1.5), number(2.0)), ("1.5".to_string(), "2.0".to_string()));
         assert_eq!(number(f64::NAN), "null");
         assert_eq!(number(f64::INFINITY), "null");
+    }
+
+    #[test]
+    fn objects_nest_in_call_order_and_parse_back() {
+        let inner = Object::new().field("z", 1u64).field("a", vec![Some(0.5), None]);
+        let doc = Object::new()
+            .field("s", "q\"")
+            .field("empty", Object::new())
+            .field("none", Vec::<u32>::new())
+            .field("in", inner)
+            .field("t", true)
+            .close();
+        assert_eq!(doc, r#"{"s":"q\"","empty":{},"none":[],"in":{"z":1,"a":[0.5,null]},"t":true}"#);
+        assert_eq!(parse(&doc).unwrap().get("in").unwrap().get("z").unwrap().as_u64(), Some(1));
     }
 }

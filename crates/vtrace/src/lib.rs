@@ -99,16 +99,6 @@ pub enum FieldValue {
 }
 
 impl FieldValue {
-    /// Renders the value as a JSON literal.
-    pub fn to_json(&self) -> String {
-        match self {
-            FieldValue::U64(v) => v.to_string(),
-            FieldValue::F64(v) => json::number(*v),
-            FieldValue::Str(s) => json::string(s),
-            FieldValue::Bool(b) => b.to_string(),
-        }
-    }
-
     /// The value as `u64`, if it is one.
     pub fn as_u64(&self) -> Option<u64> {
         match self {

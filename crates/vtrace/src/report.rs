@@ -7,8 +7,9 @@
 
 use std::collections::BTreeMap;
 
+use crate::json::{Object, ToJson};
 use crate::metrics::Log2Histogram;
-use crate::{json, FieldValue, LogLevel};
+use crate::{FieldValue, LogLevel};
 
 /// One completed span.
 #[derive(Clone, Debug)]
@@ -96,80 +97,47 @@ impl TraceReport {
     /// * `histogram` — `name`, `count`, `sum`, `min`, `max`, `mean`,
     ///   `p50`, `p90`, `p95`, `p99`
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"kind\":\"header\",\"version\":1,\"epoch_unix_us\":{},\"pid\":{}}}\n",
-            self.epoch_unix_us, self.pid,
-        ));
-        for s in &self.spans {
-            out.push_str(&format!(
-                "{{\"kind\":\"span\",\"id\":{},\"parent\":{},\"name\":{},\"thread\":{},\
-                 \"start_us\":{},\"dur_us\":{},\"fields\":{{",
-                s.id,
-                match s.parent {
-                    Some(p) => p.to_string(),
-                    None => "null".to_string(),
-                },
-                json::string(s.name),
-                s.thread,
-                s.start_us,
-                s.dur_us,
-            ));
-            for (i, (key, value)) in s.fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&json::string(key));
-                out.push(':');
-                out.push_str(&value.to_json());
-            }
-            out.push_str("}}\n");
-        }
-        for l in &self.logs {
-            out.push_str(&format!(
-                "{{\"kind\":\"log\",\"t_us\":{},\"level\":{},\"target\":{},\"message\":{}}}\n",
-                l.t_us,
-                json::string(l.level.name()),
-                json::string(l.target),
-                json::string(&l.message),
-            ));
-        }
-        for (name, value) in &self.counters {
-            out.push_str(&format!(
-                "{{\"kind\":\"counter\",\"name\":{},\"value\":{}}}\n",
-                json::string(name),
-                value
-            ));
-        }
-        for (name, value) in &self.gauges {
-            out.push_str(&format!(
-                "{{\"kind\":\"gauge\",\"name\":{},\"value\":{}}}\n",
-                json::string(name),
-                json::number(*value)
-            ));
-        }
-        for (name, h) in &self.histograms {
-            out.push_str(&format!(
-                "{{\"kind\":\"histogram\",\"name\":{},\"count\":{},\"sum\":{},\"min\":{},\
-                 \"max\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p95\":{},\"p99\":{}}}\n",
-                json::string(name),
-                h.count(),
-                h.sum(),
-                h.min(),
-                h.max(),
-                json::number(h.mean()),
-                h.quantile(0.5),
-                h.quantile(0.9),
-                h.quantile(0.95),
-                h.quantile(0.99),
-            ));
-        }
-        out
-    }
-
-    /// Writes the JSONL stream to `path`.
-    pub fn write_jsonl(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_jsonl())
+        let line = |kind: &str| Object::new().field("kind", kind);
+        let spans = self.spans.iter().map(|s| {
+            line("span")
+                .field("id", s.id)
+                .field("parent", s.parent)
+                .field("name", s.name)
+                .field("thread", s.thread)
+                .field("start_us", s.start_us)
+                .field("dur_us", s.dur_us)
+                .field("fields", s.fields.iter().fold(Object::new(), |o, (k, v)| o.field(k, v)))
+        });
+        let logs = self.logs.iter().map(|l| {
+            line("log")
+                .field("t_us", l.t_us)
+                .field("level", l.level.name())
+                .field("target", l.target)
+                .field("message", &l.message)
+        });
+        let named = |kind: &str, name: &str, value: &dyn ToJson| {
+            line(kind).field("name", name).field("value", value)
+        };
+        let counters = self.counters.iter().map(|(name, v)| named("counter", name, v));
+        let gauges = self.gauges.iter().map(|(name, v)| named("gauge", name, v));
+        let histograms = self.histograms.iter().map(|(name, h)| {
+            line("histogram")
+                .field("name", name)
+                .field("count", h.count())
+                .field("sum", h.sum())
+                .field("min", h.min())
+                .field("max", h.max())
+                .field("mean", h.mean())
+                .field("p50", h.quantile(0.5))
+                .field("p90", h.quantile(0.9))
+                .field("p95", h.quantile(0.95))
+                .field("p99", h.quantile(0.99))
+        });
+        let events = spans.chain(logs).chain(counters).chain(gauges).chain(histograms);
+        std::iter::once(header_line(self.epoch_unix_us, self.pid, None))
+            .chain(events.map(Object::close))
+            .map(|text| text + "\n")
+            .collect()
     }
 
     /// Renders the human-readable end-of-run summary: an aggregated span
@@ -214,6 +182,22 @@ impl TraceReport {
         }
         out
     }
+}
+
+/// A trace stream's `header` line, without its newline. A worker stream
+/// merged into another's carries `rebased_offset_us`, the shift applied
+/// to its timestamps.
+pub fn header_line(epoch_unix_us: u64, pid: u64, rebased_offset_us: Option<u64>) -> String {
+    let header = Object::new()
+        .field("kind", "header")
+        .field("version", 1u32)
+        .field("epoch_unix_us", epoch_unix_us)
+        .field("pid", pid);
+    match rebased_offset_us {
+        Some(offset) => header.field("rebased_offset_us", offset),
+        None => header,
+    }
+    .close()
 }
 
 /// Aggregated node of the rendered span tree.
@@ -277,5 +261,87 @@ fn fmt_dur_us(us: u64) -> String {
         format!("{:.2} ms", us as f64 / 1e3)
     } else {
         format!("{:.3} s", us as f64 / 1e6)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The JSONL bytes of a hand-built report — all six line kinds, every
+    /// `FieldValue` variant, escaping, a non-finite gauge — pinned
+    /// literally, so a change to the writer cannot move a byte unseen.
+    #[test]
+    fn jsonl_bytes_match_the_pinned_stream() {
+        let mut histogram = Log2Histogram::default();
+        for v in [3, 40, 900] {
+            histogram.record(v);
+        }
+        let report = TraceReport {
+            epoch_unix_us: 1_700_000_000_123_456,
+            pid: 4242,
+            spans: vec![
+                SpanRecord {
+                    id: 2,
+                    parent: Some(1),
+                    name: "child",
+                    thread: 1,
+                    start_us: 10,
+                    dur_us: 5,
+                    fields: Vec::new(),
+                },
+                SpanRecord {
+                    id: 1,
+                    parent: None,
+                    name: "root \"q\"",
+                    thread: 0,
+                    start_us: 0,
+                    dur_us: 30,
+                    fields: vec![
+                        ("frames", FieldValue::U64(120)),
+                        ("psnr", FieldValue::F64(41.5)),
+                        ("whole", FieldValue::F64(2.0)),
+                        ("inf", FieldValue::F64(f64::INFINITY)),
+                        ("codec", FieldValue::Str("a\\b\n\"c\"\u{1}é".to_string())),
+                        ("hw", FieldValue::Bool(false)),
+                    ],
+                },
+            ],
+            logs: vec![LogRecord {
+                level: LogLevel::Info,
+                target: "vbench",
+                message: "path C:\\x\ttab".to_string(),
+                t_us: 7,
+            }],
+            counters: BTreeMap::from([("jobs", 7), ("zero", 0)]),
+            gauges: BTreeMap::from([("nan", f64::NAN), ("util", 0.25)]),
+            histograms: BTreeMap::from([("wait_us", histogram)]),
+        };
+        let golden = concat!(
+            r#"{"kind":"header","version":1,"epoch_unix_us":1700000000123456,"pid":4242}"#,
+            "\n",
+            r#"{"kind":"span","id":2,"parent":1,"name":"child","thread":1,"start_us":10,"#,
+            r#""dur_us":5,"fields":{}}"#,
+            "\n",
+            r#"{"kind":"span","id":1,"parent":null,"name":"root \"q\"","thread":0,"#,
+            r#""start_us":0,"dur_us":30,"fields":{"frames":120,"psnr":41.5,"whole":2.0,"#,
+            r#""inf":null,"codec":"a\\b\n\"c\"\u0001é","hw":false}}"#,
+            "\n",
+            r#"{"kind":"log","t_us":7,"level":"info","target":"vbench","#,
+            r#""message":"path C:\\x\ttab"}"#,
+            "\n",
+            r#"{"kind":"counter","name":"jobs","value":7}"#,
+            "\n",
+            r#"{"kind":"counter","name":"zero","value":0}"#,
+            "\n",
+            r#"{"kind":"gauge","name":"nan","value":null}"#,
+            "\n",
+            r#"{"kind":"gauge","name":"util","value":0.25}"#,
+            "\n",
+            r#"{"kind":"histogram","name":"wait_us","count":3,"sum":943,"min":3,"max":900,"#,
+            r#""mean":314.3333333333333,"p50":63,"p90":900,"p95":900,"p99":900}"#,
+            "\n",
+        );
+        assert_eq!(report.to_jsonl(), golden);
     }
 }
