@@ -9,9 +9,10 @@
 # `pub fn X`: the IO-less twin pattern was removed on purpose (callers
 # pass `&StdIo`) and must not quietly return. Fails too if a vbench or
 # tablegen binary parses flags by hand again instead of through the
-# per-command tables in `vbench::cli`, or if a non-test line under
+# per-command tables in `vbench::cli`, if a non-test line under
 # crates/*/src writes a JSON object in a format string instead of
-# through `vtrace::json::Object`.
+# through `vtrace::json::Object`, or if `unsafe` appears anywhere under
+# crates/*/src but the one CPU-feature dispatch in vpack's crc32.
 #
 # Prints `git diff --numstat BASE` summed per category — code
 # (crates/**/src), tests (tests/, crates/*/tests, benches), docs (*.md),
@@ -56,6 +57,21 @@ for f in $(sources | grep -vx 'crates/core/src/journal/record\.rs'); do
         status=1
     fi
 done
+
+# The workspace has one `unsafe` block: the CPU-feature dispatch in
+# vpack's crc32, under its own `allow(unsafe_code)`. Any other `unsafe`
+# block, fn, impl, trait or extern, or any other lint allowance for one,
+# on a non-comment line under crates/*/src (tests included) fails.
+unsafe_lines=$(for f in $(sources); do
+    [ -f "$f" ] && grep -nHE 'unsafe[[:space:]]*(\{|fn\b|impl\b|trait\b|extern\b)|allow\(unsafe_code\)' "$f"
+done | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ "$(printf '%s\n' "$unsafe_lines" | grep -c .)" -ne 2 ] ||
+    ! printf '%s\n' "$unsafe_lines" | grep -qE '^crates/vpack/src/crc\.rs:[0-9]+:[[:space:]]*#\[allow\(unsafe_code\)\]$' ||
+    ! printf '%s\n' "$unsafe_lines" | grep -qE '^crates/vpack/src/crc\.rs:[0-9]+:.*= unsafe \{ clmul::fold\('; then
+    printf '%s\n' "$unsafe_lines" >&2
+    echo "surface: unsafe code outside the one dispatch call in crates/vpack/src/crc.rs" >&2
+    status=1
+fi
 
 git diff --numstat "$base" | awk '
     { cat = "other" }

@@ -53,6 +53,10 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+// One `unsafe` block in the workspace: the CPU-feature dispatch in
+// `crc32`, allowed where it stands.
+#![deny(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 mod crc;
 
@@ -206,7 +210,10 @@ pub fn segment_at_keyframes(stream: &[u8]) -> Result<Vec<Segment>, PackError> {
 ///
 /// Returns [`PackError::IntegrityFailure`] if a segment's CRC no longer
 /// matches its bytes, and [`PackError::Incompatible`] if the segments'
-/// headers disagree or the list is empty.
+/// headers disagree, the list is empty, or a rebased display index or
+/// the frame total would not fit in 32 bits. Each segment's frame count
+/// comes from its own bytes, which the CRC covers, not from
+/// [`Segment::frames`].
 pub fn concatenate(segments: &[Segment]) -> Result<Vec<u8>, PackError> {
     let first = segments.first().ok_or(PackError::Incompatible)?;
     for (i, seg) in segments.iter().enumerate() {
@@ -227,9 +234,13 @@ pub fn concatenate(segments: &[Segment]) -> Result<Vec<u8>, PackError> {
         for e in &entries {
             let start = out.len();
             out.extend_from_slice(&seg.bytes[e.offset..e.offset + e.len]);
-            patch_u32(&mut out, start + 2, e.display + total_frames);
+            let display = e.display.checked_add(total_frames).ok_or(PackError::Incompatible)?;
+            patch_u32(&mut out, start + 2, display);
         }
-        total_frames += seg.frames;
+        total_frames = u32::try_from(entries.len())
+            .ok()
+            .and_then(|n| total_frames.checked_add(n))
+            .ok_or(PackError::Incompatible)?;
     }
     patch_u32(&mut out, FRAME_COUNT_OFFSET, total_frames);
     Ok(out)
@@ -342,6 +353,26 @@ mod tests {
         let n = segments[1].bytes.len();
         segments[1].bytes[n / 2] ^= 0xFF;
         assert_eq!(concatenate(&segments).unwrap_err(), PackError::IntegrityFailure { segment: 1 });
+    }
+
+    /// A segment whose CRC is valid but whose display index cannot be
+    /// rebased is an error, not an overflow; and the frame total comes
+    /// from the segments' bytes, not from their `frames` fields.
+    #[test]
+    fn concatenate_rejects_display_indexes_that_overflow() {
+        let s = stream(6, 3, false);
+        let mut segments = segment_at_keyframes(&s).unwrap();
+        assert_eq!(segments.len(), 2);
+        for seg in &mut segments {
+            seg.frames = u32::MAX;
+        }
+        let whole = concatenate(&segments).unwrap();
+        assert_eq!(decode(&whole).unwrap().len(), 6, "frame count read from the segments");
+
+        let seg = &mut segments[1];
+        patch_u32(&mut seg.bytes, HEADER_LEN + 2, u32::MAX);
+        seg.crc32 = crc32(&seg.bytes);
+        assert_eq!(concatenate(&segments).unwrap_err(), PackError::Incompatible);
     }
 
     #[test]
