@@ -11,7 +11,8 @@
 # tablegen binary parses flags by hand again instead of through the
 # per-command tables in `vbench::cli`, if a non-test line under
 # crates/*/src writes a JSON object in a format string instead of
-# through `vtrace::json::Object`, or if `unsafe` appears anywhere under
+# through `vtrace::json::Object` or matches a trace line's kind outside
+# `vtrace::stream`, or if `unsafe` appears anywhere under
 # crates/*/src but the one CPU-feature dispatch in vpack's crc32.
 #
 # Prints `git diff --numstat BASE` summed per category — code
@@ -54,6 +55,19 @@ for f in $(sources | grep -vx 'crates/core/src/journal/record\.rs'); do
             index($0, "{{\\\"") { print FILENAME ":" FNR ": " $0; found = 1 }
             END { exit !found }' "$f" >&2; then
         echo "surface: $f writes JSON by hand; use vtrace::json::Object" >&2
+        status=1
+    fi
+done
+
+# The trace stream is read through vtrace::stream::Event. A non-test
+# line outside crates/vtrace/src that matches a line kind by hand
+# (`Some("span")`) is a second reader of the format coming back.
+for f in $(sources | grep -v '^crates/vtrace/src/'); do
+    [ -f "$f" ] || continue
+    if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+            /Some\("(span|header|log)"\)/ { print FILENAME ":" FNR ": " $0; found = 1 }
+            END { exit !found }' "$f" >&2; then
+        echo "surface: $f reads trace lines by hand; use vtrace::stream::Event" >&2
         status=1
     fi
 done

@@ -94,7 +94,8 @@
 //! `serve` runs the admission-controlled service once at a fixed
 //! offered load; `saturate` sweeps offered load (defaulting to a grid
 //! around the estimated saturation point) and writes the
-//! `SAT_<scenario>.json` report rendered by `vprof sat`. Both simulate
+//! `SAT_<scenario>.json` report. Both print the report's table, the one
+//! `vprof sat` renders from the file. Both simulate
 //! admission/scheduling in deterministic virtual time and then encode
 //! the admitted (video, degradation) mix for real — `--workers` only
 //! changes wall-clock time, never a byte of stdout or of the report.
@@ -106,9 +107,9 @@
 //! arrival stream on every instance type in the [`vhw::InstanceCatalog`]
 //! (content-feature cost prediction, calibrated against real encodes),
 //! plans a dollar-minimal fleet per deadline multiplier, and writes the
-//! `PARETO_<scenario>.json` cost-QoS frontier rendered by `vprof
-//! pareto` — byte-identical at any `--workers`, with a real-encode
-//! fingerprint over the planned job set as proof.
+//! `PARETO_<scenario>.json` cost-QoS frontier — byte-identical at any
+//! `--workers`, with a real-encode fingerprint over the planned job set
+//! as proof — and prints the frontier table `vprof pareto` renders.
 //!
 //! Exit codes: 0 success, 1 transcode/IO failure, 2 usage error,
 //! 3 simulated crash (a scripted crash fault fired — the journal is
@@ -123,8 +124,8 @@ use vbench::chaos::{run_chaos, ChaosOptions, ChaosScenario};
 use vbench::cli::{self, Flags};
 use vbench::engine::{transcode, Backend, Engine, RateMode, TranscodeRequest};
 use vbench::exec::{
-    merge_trace_files, run_dispatch_with_io, run_worker_with_io, snapshot_from_journal,
-    write_atomic_io, DispatchOptions, FaultedIo, JournalIo, StdIo, WorkerOptions,
+    run_dispatch_with_io, run_worker_with_io, snapshot_from_journal, write_atomic_io,
+    DispatchOptions, FaultedIo, JournalIo, StdIo, WorkerOptions,
 };
 use vbench::farm::{transcode_batch, EngineBatchReport, EngineJob, JobSource};
 use vbench::fleet::pareto_report;
@@ -133,12 +134,13 @@ use vbench::reference::{reference_encode_with_native, reference_request_for, tar
 use vbench::report::{fmt_ratio, fmt_score, TextTable};
 use vbench::scenario::{score_with_video, Scenario};
 use vbench::service::{
-    degraded_saturation_load, estimated_saturation_load, run_saturation, run_service,
-    video_profiles, SatPoint, ServiceConfig, ServiceError, ServiceOutcome,
+    degraded_saturation_load, estimated_saturation_load, run_saturation, run_service, sat_report,
+    video_profiles, ServiceConfig, ServiceError, ServiceOutcome,
 };
 use vbench::suite::{Scale, Suite, SuiteOptions, SuiteVideo};
 use vcodec::{CodecFamily, Preset};
 use vhw::{HwVendor, InstanceCatalog};
+use vtrace::stream::merge_trace_files;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -685,7 +687,9 @@ const SERVICE_SCENARIOS: [Scenario; 3] = [Scenario::Upload, Scenario::Popular, S
 /// The shared serve/saturate/plan model flags ([`cli::SERVICE`]):
 /// `--scenario` and `--duration` (required), `--capacity`,
 /// `--queue-depth`, `--seed`, `--catalog` (defaulted). All of these are
-/// part of the deterministic model; `--workers` deliberately is not.
+/// part of the deterministic model; `--workers` deliberately is not. A
+/// seed above 2^53 is refused: the SAT and PARETO documents carry it as
+/// a JSON number, which holds integers exactly only up to there.
 fn service_config_from_flags(flags: &Flags, offered_load: f64) -> ServiceConfig {
     let scenario =
         flags.choice("scenario", &SERVICE_SCENARIOS).unwrap_or_else(|| flags.missing("scenario"));
@@ -694,6 +698,9 @@ fn service_config_from_flags(flags: &Flags, offered_load: f64) -> ServiceConfig 
     config.capacity = flags.positive("capacity").unwrap_or(config.capacity);
     config.queue_depth = flags.positive("queue-depth").unwrap_or(config.queue_depth);
     config.seed = flags.get("seed").unwrap_or(config.seed);
+    if config.seed > 1 << 53 {
+        flags.die("--seed must be at most 2^53 = 9007199254740992");
+    }
     config.catalog = flags.positive("catalog").unwrap_or(config.catalog);
     config
 }
@@ -726,29 +733,6 @@ fn gate_shed_rate(flags: &Flags, shed_rate: f64) {
     }
 }
 
-/// One deterministic stdout line per saturation point. Everything here
-/// is virtual-time derived, so the output is byte-identical at any
-/// worker count — CI diffs it.
-fn print_sat_point(p: &SatPoint) {
-    println!(
-        "load {:>9.3}  offered {:>5}  admitted {:>5}  completed {:>5}  degraded {:>5}  \
-         shed {:>5}  drained {:>4}  misses {:>4}  qpeak {:>3}  \
-         sojourn p50/p95/p99 us {}/{}/{}",
-        p.offered_load,
-        p.offered,
-        p.admitted,
-        p.completed,
-        p.degraded,
-        p.shed,
-        p.drained,
-        p.deadline_misses,
-        p.queue_peak,
-        p.sojourn_p50_us,
-        p.sojourn_p95_us,
-        p.sojourn_p99_us,
-    );
-}
-
 /// One admission-controlled service run at a fixed offered load.
 fn cmd_serve(opts: &SuiteOptions, flags: &Flags) {
     let offered = flags.positive("offered-load").unwrap_or_else(|| flags.missing("offered-load"));
@@ -759,26 +743,13 @@ fn cmd_serve(opts: &SuiteOptions, flags: &Flags) {
     let ServiceOutcome { point, proof } =
         run_service(&config, &profiles, &Engine, workers, journal.as_ref())
             .unwrap_or_else(|e| fail_service(e));
-    println!(
-        "serve {}: capacity {}  queue-depth {}  duration {}s  seed {}  catalog {}",
-        flags.required("scenario"),
-        config.capacity,
-        config.queue_depth,
-        config.duration_secs,
-        config.seed,
-        config.catalog,
-    );
-    let report = vbench::service::SatReport::new(&config, std::slice::from_ref(&point), proof);
-    print_sat_point(&report.points[0]);
-    println!(
-        "encodes {}  crc32 {}  bytes {}",
-        proof.unique_encodes, proof.encode_crc32, proof.encoded_bytes
-    );
+    print!("{}", sat_report(&config, std::slice::from_ref(&point), proof).render());
     gate_shed_rate(flags, point.shed_rate());
 }
 
 /// The saturation study: sweep offered load, write `SAT_<scenario>.json`
-/// (atomic rename), print the deterministic per-point table.
+/// (atomic rename), print the table `vprof sat` renders from it and the
+/// path written.
 fn cmd_saturate(opts: &SuiteOptions, flags: &Flags) {
     let config = service_config_from_flags(flags, 0.0);
     let profiles = video_profiles(&Suite::vbench(opts), config.scenario);
@@ -817,28 +788,14 @@ fn cmd_saturate(opts: &SuiteOptions, flags: &Flags) {
         flags.value("out").map_or_else(|| format!("SAT_{}.json", report.scenario), str::to_string);
     write_atomic_io(&StdIo, std::path::Path::new(&out), &report.to_json())
         .unwrap_or_else(|e| fail(&format!("write {out}: {e}")));
-    println!(
-        "saturate {}: capacity {}  queue-depth {}  duration {}s  seed {}  catalog {}",
-        report.scenario,
-        report.capacity,
-        report.queue_depth,
-        report.duration_secs,
-        report.seed,
-        report.catalog,
-    );
-    for p in &report.points {
-        print_sat_point(p);
-    }
-    println!(
-        "encodes {}  crc32 {}  bytes {}  -> {out}",
-        report.proof.unique_encodes, report.proof.encode_crc32, report.proof.encoded_bytes
-    );
+    println!("{}-> {out}", report.render());
     gate_shed_rate(flags, report.max_shed_rate());
 }
 
 /// The cost plane: sweep the deadline-multiplier grid, plan a
 /// dollar-optimal fleet per point, write `PARETO_<scenario>.json`
-/// (atomic rename), print the deterministic frontier table. `--workers`
+/// (atomic rename), print the frontier table `vprof pareto` renders from
+/// it and the path written. `--workers`
 /// only parallelizes the proof encodes — the report is byte-identical
 /// at any worker count (CI `cmp`s it). Exits 5 when the mult-1.0 plan
 /// has a job no catalog instance can finish inside the scenario
@@ -856,38 +813,7 @@ fn cmd_plan(opts: &SuiteOptions, flags: &Flags) {
         .map_or_else(|| format!("PARETO_{}.json", report.scenario), str::to_string);
     write_atomic_io(&StdIo, std::path::Path::new(&out), &report.to_json())
         .unwrap_or_else(|e| fail(&format!("write {out}: {e}")));
-    println!(
-        "plan {}: duration {}s  offered-load {}  seed {}  jobs {}  instances {}",
-        report.scenario,
-        report.duration_secs,
-        report.offered_load,
-        report.seed,
-        report.jobs,
-        report.instances.join(","),
-    );
-    for p in &report.points {
-        let fleet: Vec<String> = p
-            .fleet
-            .iter()
-            .zip(&report.instances)
-            .filter(|(&n, _)| n > 0)
-            .map(|(n, name)| format!("{n}x{name}"))
-            .collect();
-        println!(
-            "mult {:>5.2}  cost ${:<9.4} miss {:>5.3}  baseline ${:<9.4} miss {:>5.3}  \
-             fleet [{}]",
-            p.deadline_mult,
-            p.dollar_cost,
-            p.miss_rate,
-            p.baseline_dollar_cost,
-            p.baseline_miss_rate,
-            fleet.join(" "),
-        );
-    }
-    println!(
-        "encodes {}  crc32 {}  bytes {}  -> {out}",
-        report.proof.unique_encodes, report.proof.encode_crc32, report.proof.encoded_bytes
-    );
+    println!("{}-> {out}", report.render());
     if report.infeasible_at_unit_deadline() {
         cli::fail(
             "vbench",

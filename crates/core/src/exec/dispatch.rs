@@ -33,7 +33,6 @@
 //! IPC: a record tagged with this invocation's run index is live work,
 //! anything else is a replay — the same distinction `--resume` draws.
 
-use std::fs::OpenOptions;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -45,7 +44,6 @@ use crate::farm::{BatchError, EngineBatchReport, EngineJob};
 use crate::journal::record::{self, DoneMark, Record};
 use crate::journal::{io_err, manifest_fingerprint, open_journal, JournalConfig, JournalError};
 use crate::resilience::ResilienceConfig;
-use vtrace::json::{self, Value};
 
 /// Ledger poll cadence for the monitor loop.
 const POLL: Duration = Duration::from_millis(20);
@@ -88,8 +86,8 @@ pub struct DispatchOptions {
 
 /// What a dispatch run produced: the assembled batch report plus the
 /// per-worker trace files written (merge them with
-/// [`merge_trace_files`] *after* the dispatcher's own trace is
-/// flushed).
+/// [`vtrace::stream::merge_trace_files`] *after* the dispatcher's own
+/// trace is flushed).
 #[derive(Debug)]
 pub struct DispatchReport {
     /// The batch outcome, assembled from the journal's durable records.
@@ -384,108 +382,6 @@ fn assemble_report(
     Ok(EngineBatchReport::from_chains(jobs, chains, 0, wall_secs))
 }
 
-/// Appends worker trace files onto the dispatcher's flushed trace,
-/// rebasing each onto the dispatcher's timebase: span ids (and
-/// non-null parents) are shifted past the maximum id already in the
-/// file, and every `start_us`/`t_us` is shifted by the wall-clock
-/// difference between the worker's trace epoch and the dispatcher's
-/// (read from the streams' header lines), so events interleave in true
-/// wall-clock order. The worker's header is replaced with a copy
-/// carrying `rebased_offset_us`, which is what lets `vtrace-check`
-/// verify the merge stayed monotonic. Missing or empty worker files (a
-/// worker killed before its trace flush) are skipped; so is any line
-/// that does not parse as JSON.
-pub fn merge_trace_files(main: &std::path::Path, workers: &[PathBuf]) -> std::io::Result<()> {
-    let main_text = std::fs::read_to_string(main)?;
-    let mut offset = max_span_id(&main_text);
-    let main_epoch = header_epoch_us(&main_text).unwrap_or(0);
-    let mut appended = String::new();
-    for path in workers {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-            Err(e) => return Err(e),
-        };
-        let local_max = max_span_id(&text);
-        // Workers are spawned after the dispatcher pins its epoch, so
-        // the rebase offset is non-negative on any sane clock; saturate
-        // rather than corrupt the stream if wall time stepped backwards.
-        let rebase = header_epoch_us(&text).unwrap_or(main_epoch).saturating_sub(main_epoch);
-        for line in text.lines() {
-            let Ok(parsed) = json::parse(line) else { continue };
-            match parsed.get("kind").and_then(Value::as_str) {
-                Some("header") => {
-                    let epoch =
-                        parsed.get("epoch_unix_us").and_then(Value::as_u64).unwrap_or(main_epoch);
-                    let pid = parsed.get("pid").and_then(Value::as_u64).unwrap_or(0);
-                    appended.push_str(&vtrace::report::header_line(epoch, pid, Some(rebase)));
-                }
-                Some("span") => {
-                    let mut shifted = line.to_string();
-                    bump_field(&mut shifted, "id", offset);
-                    bump_field(&mut shifted, "parent", offset);
-                    bump_field(&mut shifted, "start_us", rebase);
-                    appended.push_str(&shifted);
-                }
-                Some("log") => {
-                    let mut shifted = line.to_string();
-                    bump_field(&mut shifted, "t_us", rebase);
-                    appended.push_str(&shifted);
-                }
-                _ => appended.push_str(line),
-            }
-            appended.push('\n');
-        }
-        offset += local_max;
-    }
-    if appended.is_empty() {
-        return Ok(());
-    }
-    let mut file = OpenOptions::new().append(true).open(main)?;
-    use std::io::Write;
-    file.write_all(appended.as_bytes())
-}
-
-/// The `epoch_unix_us` of a JSONL trace's header line, if present.
-fn header_epoch_us(text: &str) -> Option<u64> {
-    text.lines()
-        .filter_map(|l| json::parse(l).ok())
-        .find(|v| v.get("kind").and_then(Value::as_str) == Some("header"))
-        .and_then(|v| v.get("epoch_unix_us").and_then(Value::as_u64))
-}
-
-/// The largest span id in a JSONL trace (0 when it has no spans).
-fn max_span_id(text: &str) -> u64 {
-    text.lines()
-        .filter(|l| l.starts_with("{\"kind\":\"span\""))
-        .filter_map(|l| json::parse(l).ok())
-        .filter_map(|v| v.get("id").and_then(Value::as_u64))
-        .max()
-        .unwrap_or(0)
-}
-
-/// Adds `offset` to the first `"key":<digits>` occurrence in `line`, in
-/// place. Leaves the line untouched when the value is not a bare
-/// number (e.g. `"parent":null`). Safe on span lines because `id` and
-/// `parent` are the leading keys `to_jsonl` emits, before any
-/// user-controlled field content.
-fn bump_field(line: &mut String, key: &str, offset: u64) {
-    let pattern = format!("\"{key}\":");
-    let Some(at) = line.find(&pattern) else { return };
-    let start = at + pattern.len();
-    let end = start
-        + line.as_bytes()[start..]
-            .iter()
-            .position(|b| !b.is_ascii_digit())
-            .unwrap_or(line.len() - start);
-    if end == start {
-        return;
-    }
-    if let Ok(value) = line[start..end].parse::<u64>() {
-        line.replace_range(start..end, &(value + offset).to_string());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -519,103 +415,5 @@ mod tests {
         let err =
             assemble_report(&jobs, &missing, 3, Instant::now()).expect_err("job b unverifiable");
         assert!(matches!(err, JournalError::Io { .. }), "{err}");
-    }
-
-    #[test]
-    fn bump_field_shifts_id_and_respects_null_parent() {
-        let mut root = r#"{"kind":"span","id":1,"parent":null,"name":"a","fields":{}}"#.to_string();
-        bump_field(&mut root, "id", 10);
-        bump_field(&mut root, "parent", 10);
-        assert_eq!(root, r#"{"kind":"span","id":11,"parent":null,"name":"a","fields":{}}"#);
-
-        let mut child = r#"{"kind":"span","id":2,"parent":1,"name":"b","fields":{}}"#.to_string();
-        bump_field(&mut child, "id", 10);
-        bump_field(&mut child, "parent", 10);
-        assert_eq!(child, r#"{"kind":"span","id":12,"parent":11,"name":"b","fields":{}}"#);
-    }
-
-    #[test]
-    fn max_span_id_ignores_non_span_lines() {
-        let text = "{\"kind\":\"counter\",\"name\":\"x\",\"value\":9}\n\
-                    {\"kind\":\"span\",\"id\":4,\"parent\":null,\"name\":\"a\",\"thread\":0,\
-                     \"start_us\":0,\"dur_us\":1,\"fields\":{}}\n";
-        assert_eq!(max_span_id(text), 4);
-    }
-
-    /// Merging rebases worker timestamps onto the dispatcher's
-    /// timebase: the worker header gains `rebased_offset_us` equal to
-    /// the epoch delta, and every span `start_us` / log `t_us` shifts
-    /// by it, alongside the existing span-id bumping.
-    #[test]
-    fn merge_rebases_worker_headers_and_timestamps() {
-        let dir = std::env::temp_dir().join(format!("vbench-merge-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        let main = dir.join("main.jsonl");
-        let worker = dir.join("worker.jsonl");
-        std::fs::write(
-            &main,
-            "{\"kind\":\"header\",\"version\":1,\"epoch_unix_us\":1000,\"pid\":1}\n\
-             {\"kind\":\"span\",\"id\":3,\"parent\":null,\"name\":\"exec.dispatch\",\"thread\":0,\
-              \"start_us\":0,\"dur_us\":900,\"fields\":{}}\n",
-        )
-        .expect("write main");
-        std::fs::write(
-            &worker,
-            "{\"kind\":\"header\",\"version\":1,\"epoch_unix_us\":1250,\"pid\":2}\n\
-             {\"kind\":\"span\",\"id\":1,\"parent\":null,\"name\":\"transcode\",\"thread\":0,\
-              \"start_us\":40,\"dur_us\":10,\"fields\":{}}\n\
-             {\"kind\":\"log\",\"level\":\"info\",\"t_us\":55,\"thread\":0,\"msg\":\"x\"}\n",
-        )
-        .expect("write worker");
-
-        merge_trace_files(&main, std::slice::from_ref(&worker)).expect("merge");
-        let merged = std::fs::read_to_string(&main).expect("read merged");
-
-        // Epoch delta 1250 - 1000 = 250 µs: header records it, events
-        // shift by it; the worker span id clears the main stream's max.
-        assert!(merged.contains("\"rebased_offset_us\":250"), "merged:\n{merged}");
-        assert!(merged.contains("\"id\":4,\"parent\":null,\"name\":\"transcode\""), "{merged}");
-        assert!(merged.contains("\"start_us\":290"), "worker span not rebased:\n{merged}");
-        assert!(merged.contains("\"t_us\":305"), "worker log not rebased:\n{merged}");
-        // Every byte of the merged stream, the rewritten worker header
-        // included, is pinned.
-        let golden = concat!(
-            r#"{"kind":"header","version":1,"epoch_unix_us":1000,"pid":1}"#,
-            "\n",
-            r#"{"kind":"span","id":3,"parent":null,"name":"exec.dispatch","thread":0,"#,
-            r#""start_us":0,"dur_us":900,"fields":{}}"#,
-            "\n",
-            r#"{"kind":"header","version":1,"epoch_unix_us":1250,"pid":2,"rebased_offset_us":250}"#,
-            "\n",
-            r#"{"kind":"span","id":4,"parent":null,"name":"transcode","thread":0,"#,
-            r#""start_us":290,"dur_us":10,"fields":{}}"#,
-            "\n",
-            r#"{"kind":"log","level":"info","t_us":305,"thread":0,"msg":"x"}"#,
-            "\n",
-        );
-        assert_eq!(merged, golden);
-
-        // The result satisfies the monotonicity rule vtrace-check
-        // enforces: each segment's events sit at or after its offset.
-        let mut offset = 0;
-        for line in merged.lines() {
-            let v = json::parse(line).expect("merged line parses");
-            match v.get("kind").and_then(Value::as_str) {
-                Some("header") => {
-                    offset = v.get("rebased_offset_us").and_then(Value::as_u64).unwrap_or(0);
-                }
-                Some("span") => {
-                    let start = v.get("start_us").and_then(Value::as_u64).unwrap();
-                    assert!(start >= offset, "span before segment offset: {line}");
-                }
-                Some("log") => {
-                    let t = v.get("t_us").and_then(Value::as_u64).unwrap();
-                    assert!(t >= offset, "log before segment offset: {line}");
-                }
-                _ => {}
-            }
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -87,7 +87,7 @@ pub mod local;
 pub mod status;
 pub mod worker;
 
-pub use dispatch::{merge_trace_files, run_dispatch_with_io, DispatchOptions, DispatchReport};
+pub use dispatch::{run_dispatch_with_io, DispatchOptions, DispatchReport};
 pub use io::{append_retrying, DurableFile, FaultedIo, JournalIo, StdIo};
 pub use status::{
     snapshot_from_journal, snapshot_from_text, write_atomic_io, StatusSnapshot, WorkerStatus,

@@ -1,17 +1,16 @@
-//! The `PARETO_<scenario>.json` cost-QoS frontier report.
+//! The `PARETO_<scenario>.json` cost-QoS frontier report, built by
+//! sweeping the planner over a deadline grid.
 //!
 //! One point per deadline multiplier: the cost-aware plan's dollar cost
 //! and deadline-miss rate next to the homogeneous baseline's, plus the
-//! fleet actually bought. The document is written through
-//! `json::Object`; key order is call order, floats are shortest
-//! round-trip, and a newline ends the single line, because
-//! byte-identical output at any `--workers` is an acceptance criterion
-//! CI enforces with `cmp`.
+//! fleet actually bought. The document itself — types, writer, reader,
+//! and the table `vbench plan` and `vprof pareto` both print — is
+//! [`vprof::pareto`]'s; it is re-exported here at its old path.
 
 use std::collections::BTreeSet;
 
 use vhw::InstanceCatalog;
-use vtrace::json::Object;
+pub use vprof::pareto::{ParetoPoint, ParetoReport, PARETO_VERSION};
 
 use super::plan::{plan_fleet, scenario_deadline_slack, uniform_plan, PlanJob};
 use crate::engine::Transcoder;
@@ -21,92 +20,10 @@ use crate::resilience::ResilienceConfig;
 use crate::service::arrivals::generate_arrivals;
 use crate::service::{EncodeProof, ServiceConfig, VideoProfile};
 
-/// Report format version; bump on any schema change.
-pub const PARETO_VERSION: u32 = 1;
-
 /// The deadline multipliers the frontier is swept over: fractions of
 /// the scenario deadline, tight enough at the low end to price the
 /// cheap software classes out and surface the cost-QoS trade-off.
 pub const DEADLINE_MULT_GRID: &[f64] = &[0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0];
-
-/// One frontier point: the planner's outcome at one deadline scale.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ParetoPoint {
-    /// Deadline multiplier this point planned under (1.0 = the
-    /// scenario's own deadline).
-    pub deadline_mult: f64,
-    /// Cost-aware plan: dollars to rent its fleet for the horizon.
-    pub dollar_cost: f64,
-    /// Cost-aware plan: deadline misses per job.
-    pub miss_rate: f64,
-    /// Homogeneous baseline (catalog entry 0 only): dollars.
-    pub baseline_dollar_cost: f64,
-    /// Homogeneous baseline: deadline misses per job.
-    pub baseline_miss_rate: f64,
-    /// Instances bought per catalog entry (parallel to the report's
-    /// `instances` names).
-    pub fleet: Vec<u32>,
-}
-
-/// The full frontier report for one scenario.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ParetoReport {
-    /// Scenario the frontier was planned for.
-    pub scenario: String,
-    /// Admission-window length in virtual seconds (also the fleet-sizing
-    /// horizon).
-    pub duration_secs: f64,
-    /// Mean arrival rate, jobs per virtual second.
-    pub offered_load: f64,
-    /// Arrival-process seed.
-    pub seed: u64,
-    /// Jobs planned (arrivals inside the admission window).
-    pub jobs: u64,
-    /// Catalog entry names, in catalog order.
-    pub instances: Vec<String>,
-    /// Real-encode fingerprint over the planned job set's unique videos,
-    /// in video order.
-    pub proof: EncodeProof,
-    /// Frontier points, in grid order.
-    pub points: Vec<ParetoPoint>,
-}
-
-impl ParetoReport {
-    /// Whether the mult-1.0 point (the scenario's own deadline) had any
-    /// job no catalog entry could serve in time.
-    pub fn infeasible_at_unit_deadline(&self) -> bool {
-        self.points.iter().any(|p| p.deadline_mult == 1.0 && p.miss_rate > 0.0)
-    }
-
-    /// Serializes to the stable single-line JSON document (trailing
-    /// newline included). Equal reports produce equal bytes.
-    pub fn to_json(&self) -> String {
-        let point = |p: &ParetoPoint| {
-            Object::new()
-                .field("deadline_mult", p.deadline_mult)
-                .field("dollar_cost", p.dollar_cost)
-                .field("miss_rate", p.miss_rate)
-                .field("baseline_dollar_cost", p.baseline_dollar_cost)
-                .field("baseline_miss_rate", p.baseline_miss_rate)
-                .field("fleet", &p.fleet)
-        };
-        Object::new()
-            .field("kind", "pareto")
-            .field("version", PARETO_VERSION)
-            .field("scenario", &self.scenario)
-            .field("duration_secs", self.duration_secs)
-            .field("offered_load", self.offered_load)
-            .field("seed", self.seed)
-            .field("jobs", self.jobs)
-            .field("instances", &self.instances)
-            .field("unique_encodes", self.proof.unique_encodes)
-            .field("encode_crc32", self.proof.encode_crc32)
-            .field("encoded_bytes", self.proof.encoded_bytes)
-            .field("points", self.points.iter().map(point).collect::<Vec<_>>())
-            .close()
-            + "\n"
-    }
-}
 
 /// The planner's job list for one service run: every arrival inside the
 /// admission window, priced on the profile's features, with the
@@ -206,7 +123,7 @@ fn encode_proof(
         .collect();
     let report = transcode_batch(engine, &engine_jobs, workers, &ResilienceConfig::default())?;
     vtrace::counter("fleet.placements", engine_jobs.len() as u64);
-    Ok(EncodeProof::from_report(&report.require_complete()?))
+    Ok(EncodeProof::from(&report.require_complete()?))
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 //!   replays bit-exactly at any worker count.
 //! * [`report`] — the `SAT_<scenario>.json` document: admit / degrade /
 //!   shed rates, queue occupancy, and sojourn-latency quantiles versus
-//!   offered load, rendered by `vprof sat`.
+//!   offered load. `vprof::sat` owns its format and its table.
 //!
 //! The overload controller degrades before it drops: rising queue
 //! occupancy first downshifts presets along the resilience layer's
@@ -60,8 +60,9 @@ use crate::suite::Suite;
 use vcodec::Preset;
 use vsynth::SourceSpec;
 
-pub use report::{SatPoint, SatReport, SAT_VERSION};
+pub use report::{sat_report, SatPoint, SatReport, SAT_VERSION};
 pub use sim::{simulate_service, ServicePoint, ShedEvent, ShedReason};
+pub use vprof::sat::EncodeProof;
 
 /// Which quality-of-service contract an arrival stream runs under. Each
 /// paper scenario that describes a service (rather than a measurement)
@@ -246,25 +247,12 @@ pub fn degraded_saturation_load(profiles: &[VideoProfile], capacity: usize) -> f
     capacity as f64 / sim::mean_service_secs(profiles, sim::MAX_DEGRADE_NOTCHES).max(1e-9)
 }
 
-/// Deterministic proof that real transcodes backed a service run: the
-/// deduplicated admitted mix, encoded once each, fingerprinted.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct EncodeProof {
-    /// Unique (video, degradation-notches) pairs encoded.
-    pub unique_encodes: usize,
-    /// CRC-32 over the per-job bitstream CRCs, in mix order — identical
-    /// at any worker count by the farm's determinism contract.
-    pub encode_crc32: u32,
-    /// Total bitstream bytes produced.
-    pub encoded_bytes: u64,
-}
-
-impl EncodeProof {
+impl From<&EngineBatchReport> for EncodeProof {
     /// Fingerprints a finished batch: the CRC-32 of every produced
     /// bitstream, folded big-endian in result order into one CRC, plus
     /// the byte total — equal bytes at any worker count, or the report
     /// is not replayable.
-    pub fn from_report(report: &EngineBatchReport) -> EncodeProof {
+    fn from(report: &EngineBatchReport) -> EncodeProof {
         let mut folded = Vec::with_capacity(report.results.len() * 4);
         let mut encoded_bytes = 0u64;
         for outcome in report.results.iter().filter_map(|r| r.success()) {
@@ -377,7 +365,7 @@ pub fn run_saturation(
     if let Some(journal) = journal {
         crate::journal::append_shed_records(&journal.path, &sheds, &StdIo)?;
     }
-    Ok(SatReport::new(config, &points, proof))
+    Ok(sat_report(config, &points, proof))
 }
 
 /// Encodes the deduplicated admitted mix through the executor core.
@@ -411,7 +399,7 @@ fn encode_mix(
             run_batch_journaled_with_io(engine, &jobs, workers, &policy, config, &StdIo)?
         }
     };
-    Ok(EncodeProof::from_report(&report.require_complete()?))
+    Ok(EncodeProof::from(&report.require_complete()?))
 }
 
 #[cfg(test)]

@@ -1,57 +1,16 @@
-//! The `SAT_<scenario>.json` saturation report.
+//! The `SAT_<scenario>.json` saturation report, built from a sweep.
 //!
-//! The document is written through `json::Object`; key order is call
-//! order, floats are formatted with Rust's shortest round-trip `{:?}`
-//! (the same rule the journal and trace writers use), and no map
-//! iteration order or locale can leak in. Byte-identical output across
-//! worker counts and machines is an acceptance criterion, not a nicety —
-//! CI diffs two independently produced reports with `cmp`.
+//! The document itself — types, writer, reader, and the table `vbench
+//! saturate` and `vprof sat` both print — is [`vprof::sat`]'s; it is
+//! re-exported here at its old path. This module only turns the
+//! simulator's [`ServicePoint`]s into its rows.
 
 use super::sim::ServicePoint;
 use super::{EncodeProof, ServiceConfig};
-use vtrace::json::Object;
+pub use vprof::sat::{SatPoint, SatReport, SAT_VERSION};
 
-/// Report format version; bump on any schema change.
-pub const SAT_VERSION: u32 = 1;
-
-/// One row of the saturation study: the virtual-time outcome at one
-/// offered load, reduced to rates and quantiles.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SatPoint {
-    /// Mean offered arrival rate, jobs per virtual second.
-    pub offered_load: f64,
-    /// Arrivals offered inside the admission window.
-    pub offered: u64,
-    /// Arrivals admitted.
-    pub admitted: u64,
-    /// Admitted jobs that completed service.
-    pub completed: u64,
-    /// Jobs dispatched at a degraded preset.
-    pub degraded: u64,
-    /// Jobs shed (tail drop, low value, or infeasible).
-    pub shed: u64,
-    /// Late arrivals refused while draining.
-    pub drained: u64,
-    /// Live completions past their deadline.
-    pub deadline_misses: u64,
-    /// Queue high-water mark.
-    pub queue_peak: usize,
-    /// Median sojourn in virtual microseconds.
-    pub sojourn_p50_us: u64,
-    /// 95th-percentile sojourn.
-    pub sojourn_p95_us: u64,
-    /// 99th-percentile sojourn.
-    pub sojourn_p99_us: u64,
-    /// Sheds per offered job.
-    pub shed_rate: f64,
-    /// Admissions per offered job.
-    pub admit_rate: f64,
-    /// Degraded dispatches per offered job.
-    pub degrade_rate: f64,
-}
-
-impl SatPoint {
-    fn from_point(point: &ServicePoint) -> SatPoint {
+impl From<&ServicePoint> for SatPoint {
+    fn from(point: &ServicePoint) -> SatPoint {
         SatPoint {
             offered_load: point.offered_load,
             offered: point.offered,
@@ -72,84 +31,21 @@ impl SatPoint {
     }
 }
 
-/// The full saturation report: configuration echo, encode proof, and
-/// one [`SatPoint`] per swept load.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SatReport {
-    /// Scenario the sweep ran under.
-    pub scenario: String,
-    /// Virtual fleet size.
-    pub capacity: usize,
-    /// Class-queue bound.
-    pub queue_depth: usize,
-    /// Admission-window length in virtual seconds.
-    pub duration_secs: f64,
-    /// Arrival-process seed.
-    pub seed: u64,
-    /// Popular catalog size.
-    pub catalog: u64,
-    /// Real-encode fingerprint over the union admitted mix.
-    pub proof: EncodeProof,
-    /// Sweep rows, in the order the loads were given.
-    pub points: Vec<SatPoint>,
-}
-
-impl SatReport {
-    /// Assembles the report from the swept points and the encode proof.
-    pub fn new(config: &ServiceConfig, points: &[ServicePoint], proof: EncodeProof) -> SatReport {
-        SatReport {
-            scenario: config.scenario.name().to_ascii_lowercase(),
-            capacity: config.capacity,
-            queue_depth: config.queue_depth,
-            duration_secs: config.duration_secs,
-            seed: config.seed,
-            catalog: config.catalog,
-            proof,
-            points: points.iter().map(SatPoint::from_point).collect(),
-        }
-    }
-
-    /// The maximum shed rate across the sweep (the QoS-gate input).
-    pub fn max_shed_rate(&self) -> f64 {
-        self.points.iter().map(|p| p.shed_rate).fold(0.0, f64::max)
-    }
-
-    /// Serializes to the stable single-line JSON document (trailing
-    /// newline included). Equal reports produce equal bytes.
-    pub fn to_json(&self) -> String {
-        let point = |p: &SatPoint| {
-            Object::new()
-                .field("offered_load", p.offered_load)
-                .field("offered", p.offered)
-                .field("admitted", p.admitted)
-                .field("completed", p.completed)
-                .field("degraded", p.degraded)
-                .field("shed", p.shed)
-                .field("drained", p.drained)
-                .field("deadline_misses", p.deadline_misses)
-                .field("queue_peak", p.queue_peak)
-                .field("sojourn_p50_us", p.sojourn_p50_us)
-                .field("sojourn_p95_us", p.sojourn_p95_us)
-                .field("sojourn_p99_us", p.sojourn_p99_us)
-                .field("shed_rate", p.shed_rate)
-                .field("admit_rate", p.admit_rate)
-                .field("degrade_rate", p.degrade_rate)
-        };
-        Object::new()
-            .field("kind", "sat")
-            .field("version", SAT_VERSION)
-            .field("scenario", &self.scenario)
-            .field("capacity", self.capacity)
-            .field("queue_depth", self.queue_depth)
-            .field("duration_secs", self.duration_secs)
-            .field("seed", self.seed)
-            .field("catalog", self.catalog)
-            .field("unique_encodes", self.proof.unique_encodes)
-            .field("encode_crc32", self.proof.encode_crc32)
-            .field("encoded_bytes", self.proof.encoded_bytes)
-            .field("points", self.points.iter().map(point).collect::<Vec<_>>())
-            .close()
-            + "\n"
+/// Assembles the report from the swept points and the encode proof.
+pub fn sat_report(
+    config: &ServiceConfig,
+    points: &[ServicePoint],
+    proof: EncodeProof,
+) -> SatReport {
+    SatReport {
+        scenario: config.scenario.name().to_ascii_lowercase(),
+        capacity: config.capacity,
+        queue_depth: config.queue_depth,
+        duration_secs: config.duration_secs,
+        seed: config.seed,
+        catalog: config.catalog,
+        proof,
+        points: points.iter().map(SatPoint::from).collect(),
     }
 }
 
@@ -172,7 +68,7 @@ mod tests {
             })
             .collect();
         let proof = EncodeProof { unique_encodes: 3, encode_crc32: 0xDEAD, encoded_bytes: 999 };
-        SatReport::new(&config, &points, proof)
+        sat_report(&config, &points, proof)
     }
 
     #[test]

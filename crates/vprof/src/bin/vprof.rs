@@ -20,7 +20,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use vprof::compare::{compare, parse_output, Contract};
-use vprof::{folded_stacks, render_pareto, render_report, render_sat, ParetoDoc, SatDoc, Trace};
+use vprof::{folded_stacks, render_report, ParetoReport, SatReport, Trace};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -28,8 +28,8 @@ fn main() -> ExitCode {
         Some("report") => cmd_report(&args[1..]),
         Some("flame") => cmd_flame(&args[1..]),
         Some("compare") => cmd_compare(&args[1..]),
-        Some("sat") => cmd_sat(&args[1..]),
-        Some("pareto") => cmd_pareto(&args[1..]),
+        Some("sat") => cmd_render(&args[1..], SatReport::parse, SatReport::render),
+        Some("pareto") => cmd_render(&args[1..], ParetoReport::parse, ParetoReport::render),
         _ => usage(),
     }
 }
@@ -59,7 +59,12 @@ fn cmd_report(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_sat(args: &[String]) -> ExitCode {
+/// `sat` / `pareto`: parse a study document and print its table.
+fn cmd_render<T>(
+    args: &[String],
+    parse: fn(&str) -> Result<T, String>,
+    render: fn(&T) -> String,
+) -> ExitCode {
     let [path] = args else { return usage() };
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
@@ -68,30 +73,9 @@ fn cmd_sat(args: &[String]) -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    match SatDoc::parse(&text) {
+    match parse(&text) {
         Ok(doc) => {
-            print!("{}", render_sat(&doc));
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("vprof: {path}: {e}");
-            ExitCode::from(1)
-        }
-    }
-}
-
-fn cmd_pareto(args: &[String]) -> ExitCode {
-    let [path] = args else { return usage() };
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("vprof: read {path}: {e}");
-            return ExitCode::from(1);
-        }
-    };
-    match ParetoDoc::parse(&text) {
-        Ok(doc) => {
-            print!("{}", render_pareto(&doc));
+            print!("{}", render(&doc));
             ExitCode::SUCCESS
         }
         Err(e) => {

@@ -8,9 +8,15 @@
 //! *did this change make us slower* ([`compare`] — two outputs of the
 //! repo benchmark judged against the bounds in its `BENCHMARK.json`).
 //!
+//! It also owns the two study documents `vbench` writes, [`sat`] and
+//! [`pareto`]: their types, writer, reader and the one table each
+//! renders, so `vbench saturate`/`plan` and `vprof sat`/`pareto` print
+//! the same bytes.
+//!
 //! Dependency-free by design: the only dependency is `vtrace`, reused
-//! for its minimal JSON parser, so this crate stays usable in the same
-//! offline environments the rest of the workspace targets. The library
+//! for its JSON codec and its trace-stream reader ([`vtrace::stream`]),
+//! so this crate stays usable in the same offline environments the rest
+//! of the workspace targets. The library
 //! never prints — every analysis returns data or renders to `String` —
 //! and the `vprof` binary is a thin argv shell over it.
 
@@ -26,5 +32,5 @@ pub use analysis::{
 };
 pub use flame::folded_stacks;
 pub use model::{HistStats, Span, Trace};
-pub use pareto::{render_pareto, ParetoDoc, ParetoRow};
-pub use sat::{render_sat, SatDoc, SatRow};
+pub use pareto::{ParetoPoint, ParetoReport};
+pub use sat::{EncodeProof, SatPoint, SatReport};

@@ -12,20 +12,9 @@
 
 use std::collections::BTreeMap;
 
-use vtrace::json::{self, Value};
-
-/// One stream header: a process's identity and timebase.
-#[derive(Clone, Debug)]
-pub struct Header {
-    /// Wall-clock time of the process's trace epoch (µs since the Unix
-    /// epoch).
-    pub epoch_unix_us: u64,
-    /// The emitting process's pid.
-    pub pid: u64,
-    /// Offset (µs) added to this segment's timestamps at merge time;
-    /// zero for the base segment.
-    pub rebased_offset_us: u64,
-}
+use vtrace::json::Value;
+use vtrace::stream::{events, Event};
+pub use vtrace::stream::{Header, HistStats};
 
 /// One completed span, attributed to its segment.
 #[derive(Clone, Debug)]
@@ -65,21 +54,6 @@ impl Span {
     }
 }
 
-/// One histogram summary line (the stream carries the derived stats,
-/// not the buckets).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct HistStats {
-    pub count: u64,
-    pub sum: u64,
-    pub min: u64,
-    pub max: u64,
-    pub mean: f64,
-    pub p50: u64,
-    pub p90: u64,
-    pub p95: u64,
-    pub p99: u64,
-}
-
 /// A parsed trace: every record the stream carried, segment-attributed.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
@@ -96,88 +70,53 @@ pub struct Trace {
     pub histograms: BTreeMap<String, HistStats>,
 }
 
-/// Why a trace failed to parse into a model.
+/// The first line of a trace that [`Event::parse`] rejected.
 #[derive(Debug)]
-pub enum ModelError {
-    /// A line was not valid JSON.
-    Json { line: usize, error: String },
+pub struct ModelError {
+    /// 1-based line number.
+    pub line: usize,
+    /// What was wrong with it.
+    pub error: String,
 }
 
 impl std::fmt::Display for ModelError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ModelError::Json { line, error } => write!(f, "line {line}: {error}"),
-        }
+        write!(f, "line {}: {}", self.line, self.error)
     }
 }
 
 impl std::error::Error for ModelError {}
 
 impl Trace {
-    /// Parses a JSONL trace stream. Strict on JSON (analysis built on a
-    /// torn file would silently lie) but lenient on unknown kinds, so
-    /// the model keeps working as the stream grows new record types.
+    /// Parses a JSONL trace stream, a fold over its [`Event`]s. Strict
+    /// on every kind the stream defines — analysis built on a torn line
+    /// or a span without its timestamps would silently lie — but
+    /// lenient on unknown kinds, so the model keeps working as the
+    /// stream grows new record types.
     ///
     /// # Errors
     ///
-    /// [`ModelError::Json`] on the first malformed line.
+    /// [`ModelError`] on the first line that is not valid JSON or is a
+    /// known kind with a missing or mistyped key.
     pub fn parse(text: &str) -> Result<Trace, ModelError> {
         let mut trace = Trace::default();
-        for (lineno, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let v = json::parse(line)
-                .map_err(|e| ModelError::Json { line: lineno + 1, error: e.to_string() })?;
-            let u = |key: &str| v.get(key).and_then(Value::as_u64);
-            match v.get("kind").and_then(Value::as_str) {
-                Some("header") => trace.headers.push(Header {
-                    epoch_unix_us: u("epoch_unix_us").unwrap_or(0),
-                    pid: u("pid").unwrap_or(0),
-                    rebased_offset_us: u("rebased_offset_us").unwrap_or(0),
+        for (line, _, event) in events(text) {
+            match event.map_err(|error| ModelError { line, error })? {
+                Event::Header(header) => trace.headers.push(header),
+                Event::Span(s) => trace.spans.push(Span {
+                    id: s.id,
+                    parent: s.parent,
+                    name: s.name,
+                    thread: s.thread,
+                    start_us: s.start_us,
+                    dur_us: s.dur_us,
+                    fields: s.fields,
+                    segment: trace.headers.len().saturating_sub(1),
                 }),
-                Some("span") => {
-                    let fields = match v.get("fields") {
-                        Some(Value::Object(pairs)) => pairs.clone(),
-                        _ => Vec::new(),
-                    };
-                    trace.spans.push(Span {
-                        id: u("id").unwrap_or(0),
-                        parent: v.get("parent").and_then(Value::as_u64),
-                        name: v.get("name").and_then(Value::as_str).unwrap_or_default().to_string(),
-                        thread: u("thread").unwrap_or(0),
-                        start_us: u("start_us").unwrap_or(0),
-                        dur_us: u("dur_us").unwrap_or(0),
-                        fields,
-                        segment: trace.headers.len().saturating_sub(1),
-                    });
-                }
-                Some("counter") => {
-                    if let (Some(name), Some(value)) =
-                        (v.get("name").and_then(Value::as_str), u("value"))
-                    {
-                        *trace.counters.entry(name.to_string()).or_insert(0) += value;
-                    }
-                }
-                Some("histogram") => {
-                    if let Some(name) = v.get("name").and_then(Value::as_str) {
-                        let stats = HistStats {
-                            count: u("count").unwrap_or(0),
-                            sum: u("sum").unwrap_or(0),
-                            min: u("min").unwrap_or(0),
-                            max: u("max").unwrap_or(0),
-                            mean: v.get("mean").and_then(Value::as_f64).unwrap_or(0.0),
-                            p50: u("p50").unwrap_or(0),
-                            p90: u("p90").unwrap_or(0),
-                            p95: u("p95").unwrap_or(0),
-                            p99: u("p99").unwrap_or(0),
-                        };
-                        trace
-                            .histograms
-                            .entry(name.to_string())
-                            .and_modify(|h| h.merge(stats))
-                            .or_insert(stats);
-                    }
+                Event::Counter { name, value } => *trace.counters.entry(name).or_insert(0) += value,
+                Event::Histogram { name, stats } => {
+                    let merged = trace.histograms.entry(name).or_default();
+                    *merged = merge_histograms(*merged, stats);
                 }
                 _ => {}
             }
@@ -212,29 +151,26 @@ impl Trace {
     }
 }
 
-impl HistStats {
-    /// Folds another segment's summary of the same histogram into this
-    /// one: counts and sums add, bounds widen, and the mean is
-    /// re-derived; quantiles take the elementwise max — exact merging
-    /// needs the buckets, which the stream does not carry, so the
-    /// merged quantiles are a conservative upper bound.
-    fn merge(&mut self, other: HistStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other;
-            return;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.mean = self.sum as f64 / self.count as f64;
-        self.p50 = self.p50.max(other.p50);
-        self.p90 = self.p90.max(other.p90);
-        self.p95 = self.p95.max(other.p95);
-        self.p99 = self.p99.max(other.p99);
+/// Folds another segment's summary of the same histogram into `a`:
+/// counts and sums add, bounds widen, and the mean is re-derived;
+/// quantiles take the elementwise max — exact merging needs the buckets,
+/// which the stream does not carry, so the merged quantiles are a
+/// conservative upper bound.
+fn merge_histograms(a: HistStats, b: HistStats) -> HistStats {
+    if a.count == 0 || b.count == 0 {
+        return if a.count == 0 { b } else { a };
+    }
+    let (count, sum) = (a.count + b.count, a.sum + b.sum);
+    HistStats {
+        count,
+        sum,
+        min: a.min.min(b.min),
+        max: a.max.max(b.max),
+        mean: sum as f64 / count as f64,
+        p50: a.p50.max(b.p50),
+        p90: a.p90.max(b.p90),
+        p95: a.p95.max(b.p95),
+        p99: a.p99.max(b.p99),
     }
 }
 
@@ -261,7 +197,7 @@ mod tests {
     fn parses_segments_and_merges_counters() {
         let trace = Trace::parse(MERGED).expect("parses");
         assert_eq!(trace.headers.len(), 2);
-        assert_eq!(trace.headers[1].rebased_offset_us, 50);
+        assert_eq!(trace.headers[1].rebased_offset_us, Some(50));
         assert_eq!(trace.spans.len(), 2);
         assert_eq!(trace.spans[0].segment, 0);
         assert_eq!(trace.spans[1].segment, 1);
@@ -273,9 +209,49 @@ mod tests {
         assert_eq!(trace.time_range(), Some((0, 500)));
     }
 
+    /// A torn line and a known kind with a missing key are errors that
+    /// name their line; an unknown kind is skipped.
     #[test]
     fn rejects_malformed_lines() {
         let err = Trace::parse("{\"kind\":\"span\"\n").expect_err("torn line");
-        assert!(matches!(err, ModelError::Json { line: 1, .. }));
+        assert_eq!(err.line, 1);
+        let no_start = MERGED.replace("\"start_us\":60,", "");
+        let err = Trace::parse(&no_start).expect_err("span without start_us");
+        assert_eq!(err.line, 5);
+        assert!(err.error.contains("\"start_us\""), "{err}");
+        let future = MERGED.to_string() + "{\"kind\":\"future\",\"x\":1}\n";
+        assert_eq!(Trace::parse(&future).expect("unknown kinds skip").spans.len(), 2);
+    }
+
+    /// Every line kind the writer produces loads into the model.
+    #[test]
+    fn loads_every_kind_the_writer_produces() {
+        use vtrace::report::{LogRecord, SpanRecord, TraceReport};
+        use vtrace::{FieldValue, LogLevel};
+        let mut report = TraceReport { epoch_unix_us: 9, pid: 4, ..TraceReport::default() };
+        report.spans.push(SpanRecord {
+            id: 1,
+            parent: None,
+            name: "transcode",
+            thread: 0,
+            start_us: 3,
+            dur_us: 7,
+            fields: vec![("encode_secs", FieldValue::F64(0.25))],
+        });
+        report.logs.push(LogRecord {
+            level: LogLevel::Info,
+            target: "vbench",
+            message: "m".to_string(),
+            t_us: 4,
+        });
+        report.counters.insert("jobs", 2);
+        report.gauges.insert("util", 0.5);
+        report.histograms.entry("wait_us").or_default().record(12);
+        let trace = Trace::parse(&report.to_jsonl()).expect("the writer's stream loads");
+        assert_eq!(
+            (trace.headers[0].pid, trace.spans[0].field_f64("encode_secs")),
+            (4, Some(0.25))
+        );
+        assert_eq!((trace.counters["jobs"], trace.histograms["wait_us"].max), (2, 12));
     }
 }

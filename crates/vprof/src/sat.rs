@@ -1,22 +1,78 @@
-//! The saturation-study reader: `SAT_<scenario>.json` documents written
-//! by `vbench saturate`, rendered by `vprof sat`.
+//! The `SAT_<scenario>.json` saturation study: written by `vbench
+//! saturate`, read back and rendered by `vprof sat`.
 //!
 //! The document is the service layer's replayable record of one load
 //! sweep — admit/degrade/shed rates, queue occupancy, and sojourn-time
 //! quantiles per offered load, plus the encode proof tying the virtual
-//! sweep to real transcodes. This module parses it with the same
-//! minimal `vtrace` JSON reader the rest of vprof uses and renders the
-//! operator's view: a load table with a saturation marker at the first
-//! row where the service started shedding.
+//! sweep to real transcodes. It is written through `json::Object`: key
+//! order is call order, floats are shortest round-trip, and no map
+//! iteration order or locale can leak in. Byte-identical output across
+//! worker counts and machines is an acceptance criterion, not a nicety —
+//! CI diffs two independently produced reports with `cmp`. The reader
+//! takes back exactly what the writer wrote, and [`SatReport::render`]
+//! is the one table both `vbench saturate` and `vprof sat` print.
 
-use vtrace::json::{self, Value};
+use vtrace::json::{self, Keys, Object, Value};
 
-/// Schema version this reader understands.
-pub const SAT_VERSION: u64 = 1;
+/// Report format version; bump on any schema change.
+pub const SAT_VERSION: u32 = 1;
 
-/// One row of the sweep: the outcome at one offered load.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SatRow {
+/// Deterministic proof that real transcodes backed a service run or a
+/// plan: the deduplicated job mix, encoded once each, fingerprinted.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct EncodeProof {
+    /// Unique jobs encoded.
+    pub unique_encodes: usize,
+    /// CRC-32 over the per-job bitstream CRCs, in mix order — identical
+    /// at any worker count by the farm's determinism contract.
+    pub encode_crc32: u32,
+    /// Total bitstream bytes produced.
+    pub encoded_bytes: u64,
+}
+
+impl EncodeProof {
+    /// The proof's three keys, appended to a document.
+    pub(crate) fn write(self, doc: Object) -> Object {
+        doc.field("unique_encodes", self.unique_encodes)
+            .field("encode_crc32", self.encode_crc32)
+            .field("encoded_bytes", self.encoded_bytes)
+    }
+
+    pub(crate) fn read(keys: &Keys) -> Result<EncodeProof, String> {
+        Ok(EncodeProof {
+            unique_encodes: keys.int("unique_encodes")?,
+            encode_crc32: keys.int("encode_crc32")?,
+            encoded_bytes: keys.int("encoded_bytes")?,
+        })
+    }
+
+    /// The rendered tables' last line.
+    pub(crate) fn render(self) -> String {
+        format!(
+            "encode proof: {} unique encodes  crc32 {}  {} bytes\n",
+            self.unique_encodes, self.encode_crc32, self.encoded_bytes
+        )
+    }
+}
+
+/// Parses a single-line document and checks its `kind` and `version`.
+pub(crate) fn read_document(text: &str, kind: &str, version: u32) -> Result<Value, String> {
+    let name = kind.to_ascii_uppercase();
+    let doc = json::parse(text.trim()).map_err(|e| format!("bad {name} JSON: {e}"))?;
+    match doc.get("kind").and_then(Value::as_str) {
+        Some(k) if k == kind => {}
+        other => return Err(format!("not a {name} document (kind {other:?})")),
+    }
+    match doc.get("version").and_then(Value::as_u64) {
+        Some(v) if v == u64::from(version) => Ok(doc),
+        other => Err(format!("unsupported {name} version {other:?}")),
+    }
+}
+
+/// One row of the saturation study: the virtual-time outcome at one
+/// offered load, reduced to rates and quantiles.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SatPoint {
     /// Mean offered arrival rate, jobs per virtual second.
     pub offered_load: f64,
     /// Arrivals offered inside the admission window.
@@ -27,15 +83,15 @@ pub struct SatRow {
     pub completed: u64,
     /// Jobs dispatched at a degraded preset.
     pub degraded: u64,
-    /// Jobs shed.
+    /// Jobs shed (tail drop, low value, or infeasible).
     pub shed: u64,
     /// Late arrivals refused while draining.
     pub drained: u64,
     /// Live completions past their deadline.
     pub deadline_misses: u64,
     /// Queue high-water mark.
-    pub queue_peak: u64,
-    /// Median sojourn, virtual microseconds.
+    pub queue_peak: usize,
+    /// Median sojourn in virtual microseconds.
     pub sojourn_p50_us: u64,
     /// 95th-percentile sojourn.
     pub sojourn_p95_us: u64,
@@ -49,73 +105,32 @@ pub struct SatRow {
     pub degrade_rate: f64,
 }
 
-/// A parsed `SAT_<scenario>.json` document.
-#[derive(Clone, Debug, Default)]
-pub struct SatDoc {
+/// The full saturation report: configuration echo, encode proof, and
+/// one [`SatPoint`] per swept load.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SatReport {
     /// Scenario the sweep ran under.
     pub scenario: String,
     /// Virtual fleet size.
-    pub capacity: u64,
+    pub capacity: usize,
     /// Class-queue bound.
-    pub queue_depth: u64,
-    /// Admission-window length, virtual seconds.
+    pub queue_depth: usize,
+    /// Admission-window length in virtual seconds.
     pub duration_secs: f64,
     /// Arrival-process seed.
     pub seed: u64,
     /// Popular catalog size.
     pub catalog: u64,
-    /// Distinct (video, degradation) pairs really encoded.
-    pub unique_encodes: u64,
-    /// CRC-32 over the per-encode CRCs, in mix order.
-    pub encode_crc32: u64,
-    /// Total encoded payload bytes.
-    pub encoded_bytes: u64,
-    /// Sweep rows, in file order.
-    pub points: Vec<SatRow>,
+    /// Real-encode fingerprint over the union admitted mix.
+    pub proof: EncodeProof,
+    /// Sweep rows, in the order the loads were given.
+    pub points: Vec<SatPoint>,
 }
 
-impl SatDoc {
-    /// Parses the single-line JSON document. Version and kind are
-    /// checked; a missing numeric field is a parse error so a truncated
-    /// document cannot masquerade as a quiet sweep.
-    pub fn parse(text: &str) -> Result<SatDoc, String> {
-        let doc = json::parse(text.trim()).map_err(|e| format!("bad SAT JSON: {e}"))?;
-        match doc.get("kind").and_then(Value::as_str) {
-            Some("sat") => {}
-            other => return Err(format!("not a SAT document (kind {other:?})")),
-        }
-        match doc.get("version").and_then(Value::as_u64) {
-            Some(SAT_VERSION) => {}
-            other => return Err(format!("unsupported SAT version {other:?}")),
-        }
-        let num = |key: &str| {
-            doc.get(key).and_then(Value::as_u64).ok_or_else(|| format!("missing field {key}"))
-        };
-        let fnum = |key: &str| {
-            doc.get(key).and_then(Value::as_f64).ok_or_else(|| format!("missing field {key}"))
-        };
-        let points = match doc.get("points") {
-            Some(Value::Array(items)) => {
-                items.iter().map(SatRow::parse).collect::<Result<Vec<_>, _>>()?
-            }
-            _ => return Err("missing field points".to_string()),
-        };
-        Ok(SatDoc {
-            scenario: doc
-                .get("scenario")
-                .and_then(Value::as_str)
-                .ok_or("missing field scenario")?
-                .to_string(),
-            capacity: num("capacity")?,
-            queue_depth: num("queue_depth")?,
-            duration_secs: fnum("duration_secs")?,
-            seed: num("seed")?,
-            catalog: num("catalog")?,
-            unique_encodes: num("unique_encodes")?,
-            encode_crc32: num("encode_crc32")?,
-            encoded_bytes: num("encoded_bytes")?,
-            points,
-        })
+impl SatReport {
+    /// The maximum shed rate across the sweep (the QoS-gate input).
+    pub fn max_shed_rate(&self) -> f64 {
+        self.points.iter().map(|p| p.shed_rate).fold(0.0, f64::max)
     }
 
     /// The first swept load at which anything was shed — the measured
@@ -123,125 +138,205 @@ impl SatDoc {
     pub fn saturation_onset(&self) -> Option<f64> {
         self.points.iter().find(|p| p.shed > 0).map(|p| p.offered_load)
     }
-}
 
-impl SatRow {
-    fn parse(v: &Value) -> Result<SatRow, String> {
-        let num = |key: &str| {
-            v.get(key).and_then(Value::as_u64).ok_or_else(|| format!("point missing {key}"))
+    /// Serializes to the stable single-line JSON document (trailing
+    /// newline included). Equal reports produce equal bytes.
+    pub fn to_json(&self) -> String {
+        let point = |p: &SatPoint| {
+            Object::new()
+                .field("offered_load", p.offered_load)
+                .field("offered", p.offered)
+                .field("admitted", p.admitted)
+                .field("completed", p.completed)
+                .field("degraded", p.degraded)
+                .field("shed", p.shed)
+                .field("drained", p.drained)
+                .field("deadline_misses", p.deadline_misses)
+                .field("queue_peak", p.queue_peak)
+                .field("sojourn_p50_us", p.sojourn_p50_us)
+                .field("sojourn_p95_us", p.sojourn_p95_us)
+                .field("sojourn_p99_us", p.sojourn_p99_us)
+                .field("shed_rate", p.shed_rate)
+                .field("admit_rate", p.admit_rate)
+                .field("degrade_rate", p.degrade_rate)
         };
-        let fnum = |key: &str| {
-            v.get(key).and_then(Value::as_f64).ok_or_else(|| format!("point missing {key}"))
+        let head = Object::new()
+            .field("kind", "sat")
+            .field("version", SAT_VERSION)
+            .field("scenario", &self.scenario)
+            .field("capacity", self.capacity)
+            .field("queue_depth", self.queue_depth)
+            .field("duration_secs", self.duration_secs)
+            .field("seed", self.seed)
+            .field("catalog", self.catalog);
+        self.proof
+            .write(head)
+            .field("points", self.points.iter().map(point).collect::<Vec<_>>())
+            .close()
+            + "\n"
+    }
+
+    /// Parses the document [`SatReport::to_json`] writes. Kind and
+    /// version are checked, and every key is required, so a truncated
+    /// document cannot masquerade as a quiet sweep.
+    ///
+    /// # Errors
+    ///
+    /// Invalid JSON, another kind or version, or the first missing or
+    /// mistyped key.
+    pub fn parse(text: &str) -> Result<SatReport, String> {
+        let doc = read_document(text, "sat", SAT_VERSION)?;
+        let keys = Keys { what: "SAT", value: &doc };
+        let point = |value| -> Result<SatPoint, String> {
+            let keys = Keys { what: "SAT point", value };
+            Ok(SatPoint {
+                offered_load: keys.float("offered_load")?,
+                offered: keys.int("offered")?,
+                admitted: keys.int("admitted")?,
+                completed: keys.int("completed")?,
+                degraded: keys.int("degraded")?,
+                shed: keys.int("shed")?,
+                drained: keys.int("drained")?,
+                deadline_misses: keys.int("deadline_misses")?,
+                queue_peak: keys.int("queue_peak")?,
+                sojourn_p50_us: keys.int("sojourn_p50_us")?,
+                sojourn_p95_us: keys.int("sojourn_p95_us")?,
+                sojourn_p99_us: keys.int("sojourn_p99_us")?,
+                shed_rate: keys.float("shed_rate")?,
+                admit_rate: keys.float("admit_rate")?,
+                degrade_rate: keys.float("degrade_rate")?,
+            })
         };
-        Ok(SatRow {
-            offered_load: fnum("offered_load")?,
-            offered: num("offered")?,
-            admitted: num("admitted")?,
-            completed: num("completed")?,
-            degraded: num("degraded")?,
-            shed: num("shed")?,
-            drained: num("drained")?,
-            deadline_misses: num("deadline_misses")?,
-            queue_peak: num("queue_peak")?,
-            sojourn_p50_us: num("sojourn_p50_us")?,
-            sojourn_p95_us: num("sojourn_p95_us")?,
-            sojourn_p99_us: num("sojourn_p99_us")?,
-            shed_rate: fnum("shed_rate")?,
-            admit_rate: fnum("admit_rate")?,
-            degrade_rate: fnum("degrade_rate")?,
+        Ok(SatReport {
+            scenario: keys.text("scenario")?.to_string(),
+            capacity: keys.int("capacity")?,
+            queue_depth: keys.int("queue_depth")?,
+            duration_secs: keys.float("duration_secs")?,
+            seed: keys.int("seed")?,
+            catalog: keys.int("catalog")?,
+            proof: EncodeProof::read(&keys)?,
+            points: keys.array("points")?.iter().map(point).collect::<Result<_, String>>()?,
         })
     }
-}
 
-/// Renders the operator's table: one row per swept load with rates as
-/// percentages, a `*` marking rows that shed (at or past saturation),
-/// and the encode proof in the footer. Deterministic: equal documents
-/// render to equal strings.
-pub fn render_sat(doc: &SatDoc) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "saturation study: {}  capacity {}  queue-depth {}  duration {}s  seed {}  catalog {}\n",
-        doc.scenario, doc.capacity, doc.queue_depth, doc.duration_secs, doc.seed, doc.catalog
-    ));
-    out.push_str(&format!(
-        "{:>10}  {:>7} {:>8} {:>9} {:>8} {:>6} {:>7} {:>6} {:>6}  {:>7} {:>7} {:>7}  {:>24}\n",
-        "load/s",
-        "offered",
-        "admitted",
-        "completed",
-        "degraded",
-        "shed",
-        "drained",
-        "misses",
-        "qpeak",
-        "admit%",
-        "degr%",
-        "shed%",
-        "sojourn p50/p95/p99 (us)"
-    ));
-    for p in &doc.points {
-        let marker = if p.shed > 0 { '*' } else { ' ' };
+    /// Renders the operator's table: one row per swept load with rates as
+    /// percentages, a `*` marking rows that shed (at or past saturation),
+    /// and the encode proof in the footer. Everything in it is
+    /// virtual-time derived or a deterministic fingerprint, so equal
+    /// reports render to equal strings at any worker count.
+    pub fn render(&self) -> String {
+        let mut out = format!(
+            "saturation study: {}  capacity {}  queue-depth {}  duration {}s  seed {}  catalog {}\n",
+            self.scenario,
+            self.capacity,
+            self.queue_depth,
+            self.duration_secs,
+            self.seed,
+            self.catalog
+        );
         out.push_str(&format!(
-            "{:>9.3}{marker}  {:>7} {:>8} {:>9} {:>8} {:>6} {:>7} {:>6} {:>6}  {:>7.2} {:>7.2} \
-             {:>7.2}  {:>24}\n",
-            p.offered_load,
-            p.offered,
-            p.admitted,
-            p.completed,
-            p.degraded,
-            p.shed,
-            p.drained,
-            p.deadline_misses,
-            p.queue_peak,
-            p.admit_rate * 100.0,
-            p.degrade_rate * 100.0,
-            p.shed_rate * 100.0,
-            format!("{}/{}/{}", p.sojourn_p50_us, p.sojourn_p95_us, p.sojourn_p99_us),
+            "{:>10}  {:>7} {:>8} {:>9} {:>8} {:>6} {:>7} {:>6} {:>6}  {:>7} {:>7} {:>7}  {:>24}\n",
+            "load/s",
+            "offered",
+            "admitted",
+            "completed",
+            "degraded",
+            "shed",
+            "drained",
+            "misses",
+            "qpeak",
+            "admit%",
+            "degr%",
+            "shed%",
+            "sojourn p50/p95/p99 (us)"
         ));
+        for p in &self.points {
+            let marker = if p.shed > 0 { '*' } else { ' ' };
+            out.push_str(&format!(
+                "{:>9.3}{marker}  {:>7} {:>8} {:>9} {:>8} {:>6} {:>7} {:>6} {:>6}  {:>7.2} {:>7.2} \
+                 {:>7.2}  {:>24}\n",
+                p.offered_load,
+                p.offered,
+                p.admitted,
+                p.completed,
+                p.degraded,
+                p.shed,
+                p.drained,
+                p.deadline_misses,
+                p.queue_peak,
+                p.admit_rate * 100.0,
+                p.degrade_rate * 100.0,
+                p.shed_rate * 100.0,
+                format!("{}/{}/{}", p.sojourn_p50_us, p.sojourn_p95_us, p.sojourn_p99_us),
+            ));
+        }
+        match self.saturation_onset() {
+            Some(load) => {
+                out.push_str(&format!("saturation onset: first sheds at load {load}/s\n"))
+            }
+            None => out.push_str("saturation onset: none (no sheds across the sweep)\n"),
+        }
+        out + &self.proof.render()
     }
-    match doc.saturation_onset() {
-        Some(load) => out.push_str(&format!("saturation onset: first sheds at load {load}/s\n")),
-        None => out.push_str("saturation onset: none (no sheds across the sweep)\n"),
-    }
-    out.push_str(&format!(
-        "encode proof: {} unique encodes  crc32 {}  {} bytes\n",
-        doc.unique_encodes, doc.encode_crc32, doc.encoded_bytes
-    ));
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const SAMPLE: &str = concat!(
-        "{\"kind\":\"sat\",\"version\":1,\"scenario\":\"popular\",\"capacity\":2,",
-        "\"queue_depth\":8,\"duration_secs\":10.0,\"seed\":7,\"catalog\":1000,",
-        "\"unique_encodes\":3,\"encode_crc32\":57005,\"encoded_bytes\":999,\"points\":[",
-        "{\"offered_load\":5.0,\"offered\":48,\"admitted\":48,\"completed\":48,",
-        "\"degraded\":0,\"shed\":0,\"drained\":2,\"deadline_misses\":0,\"queue_peak\":3,",
-        "\"sojourn_p50_us\":100,\"sojourn_p95_us\":200,\"sojourn_p99_us\":300,",
-        "\"shed_rate\":0.0,\"admit_rate\":1.0,\"degrade_rate\":0.0},",
-        "{\"offered_load\":50.0,\"offered\":480,\"admitted\":400,\"completed\":390,",
-        "\"degraded\":120,\"shed\":80,\"drained\":9,\"deadline_misses\":0,\"queue_peak\":8,",
-        "\"sojourn_p50_us\":900,\"sojourn_p95_us\":1800,\"sojourn_p99_us\":2500,",
-        "\"shed_rate\":0.16666,\"admit_rate\":0.83333,\"degrade_rate\":0.25}]}\n"
-    );
+    fn point(offered_load: f64, shed: u64) -> SatPoint {
+        SatPoint {
+            offered_load,
+            offered: 48,
+            admitted: 48 - shed,
+            completed: 40,
+            degraded: 3,
+            shed,
+            drained: 2,
+            deadline_misses: 0,
+            queue_peak: 8,
+            sojourn_p50_us: 100,
+            sojourn_p95_us: 200,
+            sojourn_p99_us: 300,
+            shed_rate: shed as f64 / 48.0,
+            admit_rate: (48 - shed) as f64 / 48.0,
+            degrade_rate: 0.1 + 0.2,
+        }
+    }
 
+    fn report() -> SatReport {
+        SatReport {
+            scenario: "popular".to_string(),
+            capacity: 2,
+            queue_depth: 8,
+            duration_secs: 10.0,
+            seed: 7,
+            catalog: 1000,
+            proof: EncodeProof { unique_encodes: 3, encode_crc32: 57005, encoded_bytes: 999 },
+            points: vec![point(5.0, 0), point(50.0, 8)],
+        }
+    }
+
+    /// What the writer writes, the reader takes back unchanged: escaped
+    /// scenario names, an empty sweep, the largest seed the document
+    /// holds exactly (2^53), and floats that need every digit.
     #[test]
-    fn parses_the_sample_document() {
-        let doc = SatDoc::parse(SAMPLE).expect("parses");
-        assert_eq!(doc.scenario, "popular");
-        assert_eq!(doc.points.len(), 2);
-        assert_eq!(doc.points[1].shed, 80);
-        assert_eq!(doc.saturation_onset(), Some(50.0));
+    fn parse_reads_back_what_to_json_writes() {
+        let mut odd = report();
+        odd.scenario = "a\"b\\c".to_string();
+        odd.seed = 1 << 53;
+        odd.duration_secs = 1.0 / 3.0;
+        let empty = SatReport { points: Vec::new(), ..report() };
+        for r in [report(), odd, empty] {
+            assert_eq!(SatReport::parse(&r.to_json()), Ok(r));
+        }
     }
 
     #[test]
     fn render_marks_the_shedding_rows_and_is_deterministic() {
-        let doc = SatDoc::parse(SAMPLE).expect("parses");
-        let table = render_sat(&doc);
-        assert_eq!(table, render_sat(&doc), "render must be deterministic");
+        let r = report();
+        let table = r.render();
+        assert_eq!(table, r.render(), "render must be deterministic");
         assert!(table.contains("50.000*"), "shedding row is starred: {table}");
         assert!(table.contains("5.000 "), "clean row is not starred");
         assert!(table.contains("saturation onset: first sheds at load 50/s"));
@@ -250,19 +345,22 @@ mod tests {
 
     #[test]
     fn wrong_kind_version_and_truncation_are_parse_errors() {
-        assert!(SatDoc::parse("{\"kind\":\"bench\",\"version\":1}").is_err());
-        assert!(SatDoc::parse("{\"kind\":\"sat\",\"version\":99}").is_err());
-        let truncated = SAMPLE.replace(",\"points\":[", ",\"npoints\":[");
-        assert!(SatDoc::parse(&truncated).is_err(), "missing points must not parse");
-        let holed = SAMPLE.replace("\"shed\":80,", "");
-        assert!(SatDoc::parse(&holed).is_err(), "a point missing a field must not parse");
+        assert!(SatReport::parse("{\"kind\":\"bench\",\"version\":1}").is_err());
+        assert!(SatReport::parse("{\"kind\":\"sat\",\"version\":99}").is_err());
+        let json = report().to_json();
+        let truncated = json.replace(",\"points\":[", ",\"npoints\":[");
+        assert!(SatReport::parse(&truncated).is_err(), "missing points must not parse");
+        let holed = json.replace("\"shed\":8,", "");
+        assert!(SatReport::parse(&holed).is_err(), "a point missing a field must not parse");
+        let past = json.replace("\"seed\":7,", "\"seed\":9007199254740994,");
+        assert!(SatReport::parse(&past).expect_err("seed").contains("\"seed\""));
     }
 
     #[test]
     fn a_clean_sweep_reports_no_onset() {
-        let clean = SAMPLE.replace("\"shed\":80,", "\"shed\":0,");
-        let doc = SatDoc::parse(&clean).expect("parses");
-        assert_eq!(doc.saturation_onset(), None);
-        assert!(render_sat(&doc).contains("saturation onset: none"));
+        let mut clean = report();
+        clean.points[1].shed = 0;
+        assert_eq!(clean.saturation_onset(), None);
+        assert!(clean.render().contains("saturation onset: none"));
     }
 }

@@ -18,19 +18,26 @@ fn temp_dir(tag: &str) -> PathBuf {
     p
 }
 
-/// A minimal but complete single-process trace: coordinator span,
-/// transcode with stage children, one counter, one histogram.
+/// A minimal but complete single-process trace in the writer's shape:
+/// coordinator span, transcode with a stage child, one counter, one
+/// histogram.
 const TRACE: &str = concat!(
-    "{\"kind\":\"header\",\"version\":1,\"epoch_unix_us\":1000,\"pid\":7}\n",
-    "{\"kind\":\"span\",\"id\":1,\"parent\":null,\"name\":\"farm.batch\",\"thread\":\"main\",",
-    "\"start_us\":0,\"dur_us\":100}\n",
-    "{\"kind\":\"span\",\"id\":2,\"parent\":1,\"name\":\"transcode\",\"thread\":\"w0\",",
-    "\"start_us\":10,\"dur_us\":80,\"encode_secs\":0.00008}\n",
-    "{\"kind\":\"span\",\"id\":3,\"parent\":2,\"name\":\"vcodec.motion_search\",\"thread\":\"w0\",",
-    "\"start_us\":12,\"dur_us\":40}\n",
-    "{\"kind\":\"counter\",\"name\":\"exec.jobs_completed\",\"value\":1}\n",
-    "{\"kind\":\"histogram\",\"name\":\"farm.queue_wait_us\",\"count\":2,\"sum\":30,\"min\":10,",
-    "\"max\":20,\"mean\":15,\"p50\":10,\"p90\":20,\"p95\":20,\"p99\":20}\n",
+    r#"{"kind":"header","version":1,"epoch_unix_us":1000,"pid":7}"#,
+    "\n",
+    r#"{"kind":"span","id":3,"parent":2,"name":"vcodec.motion_search","thread":1,"#,
+    r#""start_us":12,"dur_us":40,"fields":{}}"#,
+    "\n",
+    r#"{"kind":"span","id":2,"parent":1,"name":"transcode","thread":1,"start_us":10,"#,
+    r#""dur_us":80,"fields":{"encode_secs":1.25}}"#,
+    "\n",
+    r#"{"kind":"span","id":1,"parent":null,"name":"farm.batch","thread":0,"start_us":0,"#,
+    r#""dur_us":100,"fields":{}}"#,
+    "\n",
+    r#"{"kind":"counter","name":"exec.jobs_completed","value":1}"#,
+    "\n",
+    r#"{"kind":"histogram","name":"farm.queue_wait_us","count":2,"sum":30,"min":10,"#,
+    r#""max":20,"mean":15.0,"p50":10,"p90":20,"p95":20,"p99":20}"#,
+    "\n",
 );
 
 /// A `vbench-benchmark all` stdout: the four workloads untraced, then
@@ -79,6 +86,7 @@ fn report_and_flame_succeed_on_a_valid_trace() {
     let text = String::from_utf8_lossy(&report.stdout);
     assert!(text.contains("transcode"), "report:\n{text}");
     assert!(text.contains("vcodec.motion_search"), "report:\n{text}");
+    assert!(text.contains("1 transcode span(s), 1.250 s encode time"), "report:\n{text}");
 
     let flame = run(&["flame", &trace]);
     assert_eq!(flame.status.code(), Some(0), "{flame:?}");
@@ -93,6 +101,12 @@ fn report_and_flame_succeed_on_a_valid_trace() {
     let flame = run(&["flame", &trace, "--out", &out.display().to_string()]);
     assert_eq!(flame.status.code(), Some(0), "{flame:?}");
     assert_eq!(std::fs::read_to_string(&out).expect("flame file").as_str(), folded);
+
+    // A span without its start is a broken trace, not a zero: exit 1.
+    std::fs::write(&trace, TRACE.replace(r#""start_us":10,"#, "")).expect("write trace");
+    let broken = run(&["report", &trace]);
+    assert_eq!(broken.status.code(), Some(1), "{broken:?}");
+    assert!(String::from_utf8_lossy(&broken.stderr).contains("line 3: span \"start_us\""));
 
     let _ = std::fs::remove_dir_all(&dir);
 }

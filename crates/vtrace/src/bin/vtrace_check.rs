@@ -2,20 +2,17 @@
 //!
 //! Usage: `vtrace-check <trace.jsonl>`
 //!
-//! Every line must parse as JSON and carry a known `kind` with that
-//! kind's required, correctly-typed keys; span `parent` references must
-//! resolve to span ids present in the stream. The first line must be
-//! the stream `header`; any later header must be a rebased worker
-//! header (carrying `rebased_offset_us`) — a second base header means
-//! two raw traces were concatenated without timestamp rebasing, which
-//! is rejected, as are event timestamps that fall before the offset of
-//! the most recent header (non-monotonic merge). Exit codes: 0 valid,
-//! 1 invalid stream (details on stderr), 2 usage error.
+//! The rules are [`vtrace::stream::check`]'s: every line is a known kind
+//! with its required keys, the stream opens with a header, later headers
+//! are rebased worker headers, timestamps never precede their segment's
+//! offset, and span parents resolve. The file is decoded lossily, so a
+//! stream torn inside a multi-byte character is an invalid stream, not
+//! an unreadable file. Exit codes: 0 valid, 1 invalid stream (details on
+//! stderr), 2 usage error or unreadable file.
 
-use std::collections::HashSet;
 use std::process::ExitCode;
 
-use vtrace::json::{self, Value};
+use vtrace::stream::{check, KINDS};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -23,180 +20,26 @@ fn main() -> ExitCode {
         eprintln!("usage: vtrace-check <trace.jsonl>");
         return ExitCode::from(2);
     };
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
         Err(e) => {
             eprintln!("vtrace-check: cannot read {path}: {e}");
             return ExitCode::from(2);
         }
     };
-
-    let mut events = Vec::new();
-    let mut errors = 0usize;
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
+    match check(&String::from_utf8_lossy(&bytes)) {
+        Ok(counts) => {
+            let counts: Vec<String> =
+                KINDS.iter().zip(counts).map(|(kind, n)| format!("{n} {kind}s")).collect();
+            println!("vtrace-check: {path} OK ({})", counts.join(", "));
+            ExitCode::SUCCESS
         }
-        match json::parse(line) {
-            Ok(v) => events.push((lineno + 1, v)),
-            Err(e) => {
-                eprintln!("line {}: not valid JSON: {e}", lineno + 1);
-                errors += 1;
+        Err(errors) => {
+            for error in &errors {
+                eprintln!("{error}");
             }
-        }
-    }
-
-    // First pass: collect span ids so parent references can be checked.
-    let mut span_ids = HashSet::new();
-    for (lineno, event) in &events {
-        if event.get("kind").and_then(Value::as_str) == Some("span") {
-            match event.get("id").and_then(Value::as_u64) {
-                Some(id) => {
-                    if !span_ids.insert(id) {
-                        eprintln!("line {lineno}: duplicate span id {id}");
-                        errors += 1;
-                    }
-                }
-                None => {
-                    eprintln!("line {lineno}: span without numeric id");
-                    errors += 1;
-                }
-            }
+            eprintln!("vtrace-check: {} error(s) in {path}", errors.len());
+            ExitCode::from(1)
         }
     }
-
-    let mut counts = [0usize; 6]; // header, span, log, counter, gauge, histogram
-                                  // Offset (µs on the base timebase) of the most recent header; all
-                                  // subsequent event timestamps must be at or after it, which is what
-                                  // catches merged worker streams that were never rebased.
-    let mut current_offset = 0u64;
-    let mut headers_seen = 0usize;
-    for (lineno, event) in &events {
-        let mut fail = |msg: String| {
-            eprintln!("line {lineno}: {msg}");
-            errors += 1;
-        };
-        let Some(kind) = event.get("kind").and_then(Value::as_str) else {
-            fail("missing string \"kind\"".to_string());
-            continue;
-        };
-        if headers_seen == 0 && kind != "header" {
-            fail(format!("stream must begin with a header line, found {kind:?}"));
-            headers_seen = 1; // report only once
-        }
-        match kind {
-            "header" => {
-                counts[0] += 1;
-                headers_seen += 1;
-                for key in ["version", "epoch_unix_us", "pid"] {
-                    if event.get(key).and_then(Value::as_u64).is_none() {
-                        fail(format!("header missing numeric \"{key}\""));
-                    }
-                }
-                match event.get("rebased_offset_us") {
-                    Some(v) => match v.as_u64() {
-                        Some(offset) => current_offset = offset,
-                        None => fail("header rebased_offset_us must be numeric".to_string()),
-                    },
-                    None if counts[0] > 1 => fail(
-                        "second base header: streams concatenated without rebasing".to_string(),
-                    ),
-                    None => {}
-                }
-            }
-            "span" => {
-                counts[1] += 1;
-                for key in ["thread", "start_us", "dur_us"] {
-                    if event.get(key).and_then(Value::as_u64).is_none() {
-                        fail(format!("span missing numeric \"{key}\""));
-                    }
-                }
-                if let Some(start) = event.get("start_us").and_then(Value::as_u64) {
-                    if start < current_offset {
-                        fail(format!(
-                            "span start_us {start} precedes current stream offset \
-                             {current_offset} (non-monotonic merge)"
-                        ));
-                    }
-                }
-                if event.get("name").and_then(Value::as_str).is_none() {
-                    fail("span missing string \"name\"".to_string());
-                }
-                if !matches!(event.get("fields"), Some(Value::Object(_))) {
-                    fail("span missing object \"fields\"".to_string());
-                }
-                match event.get("parent") {
-                    Some(p) if p.is_null() => {}
-                    Some(p) => match p.as_u64() {
-                        Some(id) if span_ids.contains(&id) => {}
-                        Some(id) => fail(format!("span parent {id} not present in stream")),
-                        None => fail("span parent must be a span id or null".to_string()),
-                    },
-                    None => fail("span missing \"parent\"".to_string()),
-                }
-            }
-            "log" => {
-                counts[2] += 1;
-                match event.get("t_us").and_then(Value::as_u64) {
-                    None => fail("log missing numeric \"t_us\"".to_string()),
-                    Some(t) if t < current_offset => fail(format!(
-                        "log t_us {t} precedes current stream offset {current_offset} \
-                         (non-monotonic merge)"
-                    )),
-                    Some(_) => {}
-                }
-                match event.get("level").and_then(Value::as_str) {
-                    Some("debug" | "info" | "error") => {}
-                    _ => fail("log level must be debug|info|error".to_string()),
-                }
-                for key in ["target", "message"] {
-                    if event.get(key).and_then(Value::as_str).is_none() {
-                        fail(format!("log missing string \"{key}\""));
-                    }
-                }
-            }
-            "counter" => {
-                counts[3] += 1;
-                if event.get("name").and_then(Value::as_str).is_none() {
-                    fail("counter missing string \"name\"".to_string());
-                }
-                if event.get("value").and_then(Value::as_u64).is_none() {
-                    fail("counter value must be a non-negative integer".to_string());
-                }
-            }
-            "gauge" => {
-                counts[4] += 1;
-                if event.get("name").and_then(Value::as_str).is_none() {
-                    fail("gauge missing string \"name\"".to_string());
-                }
-                match event.get("value") {
-                    Some(v) if v.is_null() || v.as_f64().is_some() => {}
-                    _ => fail("gauge value must be a number or null".to_string()),
-                }
-            }
-            "histogram" => {
-                counts[5] += 1;
-                if event.get("name").and_then(Value::as_str).is_none() {
-                    fail("histogram missing string \"name\"".to_string());
-                }
-                for key in ["count", "sum", "min", "max", "p50", "p90", "p95", "p99"] {
-                    if event.get(key).and_then(Value::as_f64).is_none() {
-                        fail(format!("histogram missing numeric \"{key}\""));
-                    }
-                }
-            }
-            other => fail(format!("unknown kind {other:?}")),
-        }
-    }
-
-    if errors > 0 {
-        eprintln!("vtrace-check: {errors} error(s) in {path}");
-        return ExitCode::from(1);
-    }
-    println!(
-        "vtrace-check: {} OK ({} headers, {} spans, {} logs, {} counters, {} gauges, \
-         {} histograms)",
-        path, counts[0], counts[1], counts[2], counts[3], counts[4], counts[5]
-    );
-    ExitCode::SUCCESS
 }

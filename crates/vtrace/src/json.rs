@@ -85,6 +85,62 @@ impl Value {
     }
 }
 
+/// An object's keys read by type, for the readers of the workspace's
+/// documents: a missing or mistyped key is an error naming the object
+/// and the key.
+pub struct Keys<'a> {
+    /// What the object is, for error messages: a trace line's kind, a
+    /// document's name.
+    pub what: &'a str,
+    /// The object.
+    pub value: &'a Value,
+}
+
+impl<'a> Keys<'a> {
+    /// The value under `key` as `read` converts it; `expected` names the
+    /// type in the error.
+    ///
+    /// # Errors
+    ///
+    /// `{what} "{key}" is missing or not {expected}`.
+    pub fn get<T>(
+        &self,
+        key: &str,
+        expected: &str,
+        read: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Result<T, String> {
+        let what = self.what;
+        self.value
+            .get(key)
+            .and_then(read)
+            .ok_or_else(|| format!("{what} \"{key}\" is missing or not {expected}"))
+    }
+
+    /// A non-negative integer (at most 2^53, see [`Value::as_u64`]) that
+    /// fits `T`.
+    pub fn int<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        self.get(key, "an integer", |v| v.as_u64().and_then(|n| T::try_from(n).ok()))
+    }
+
+    /// A number.
+    pub fn float(&self, key: &str) -> Result<f64, String> {
+        self.get(key, "a number", Value::as_f64)
+    }
+
+    /// A string.
+    pub fn text(&self, key: &str) -> Result<&'a str, String> {
+        self.get(key, "a string", Value::as_str)
+    }
+
+    /// An array's items.
+    pub fn array(&self, key: &str) -> Result<&'a [Value], String> {
+        self.get(key, "an array", |v| match v {
+            Value::Array(items) => Some(items.as_slice()),
+            _ => None,
+        })
+    }
+}
+
 /// Why parsing failed, with a byte offset into the input.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct JsonError {

@@ -24,7 +24,8 @@
 //!
 //! At the end of a run, [`drain`] snapshots everything into a
 //! [`report::TraceReport`], which renders either as a human-readable
-//! span-tree summary or a machine-readable JSONL event stream.
+//! span-tree summary or a machine-readable JSONL event stream;
+//! [`stream`] reads that stream back, checks it and merges streams.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -35,6 +36,7 @@ use std::time::{Instant, SystemTime};
 pub mod json;
 pub mod metrics;
 pub mod report;
+pub mod stream;
 
 use metrics::Log2Histogram;
 use report::{LogRecord, SpanRecord, TraceReport};

@@ -9,6 +9,7 @@ use std::collections::BTreeMap;
 
 use crate::json::{Object, ToJson};
 use crate::metrics::Log2Histogram;
+use crate::stream::{header_line, log_line, span_head};
 use crate::{FieldValue, LogLevel};
 
 /// One completed span.
@@ -82,39 +83,17 @@ impl TraceReport {
             && self.histograms.is_empty()
     }
 
-    /// Serializes the report as JSON Lines: one event object per line.
-    ///
-    /// The first line is always the stream header; event kinds and
-    /// their required keys:
-    ///
-    /// * `header` — `version`, `epoch_unix_us`, `pid`; merged worker
-    ///   streams additionally carry `rebased_offset_us`
-    /// * `span` — `id`, `parent` (number or null), `name`, `thread`,
-    ///   `start_us`, `dur_us`, `fields` (object)
-    /// * `log` — `t_us`, `level`, `target`, `message`
-    /// * `counter` — `name`, `value`
-    /// * `gauge` — `name`, `value` (number or null if non-finite)
-    /// * `histogram` — `name`, `count`, `sum`, `min`, `max`, `mean`,
-    ///   `p50`, `p90`, `p95`, `p99`
+    /// Serializes the report as JSON Lines: one event object per line,
+    /// the stream header first. [`crate::stream`] lists each kind's keys
+    /// and reads the lines back.
     pub fn to_jsonl(&self) -> String {
         let line = |kind: &str| Object::new().field("kind", kind);
         let spans = self.spans.iter().map(|s| {
-            line("span")
-                .field("id", s.id)
-                .field("parent", s.parent)
-                .field("name", s.name)
-                .field("thread", s.thread)
-                .field("start_us", s.start_us)
-                .field("dur_us", s.dur_us)
+            span_head(s.id, s.parent, s.name, s.thread, s.start_us, s.dur_us)
                 .field("fields", s.fields.iter().fold(Object::new(), |o, (k, v)| o.field(k, v)))
+                .close()
         });
-        let logs = self.logs.iter().map(|l| {
-            line("log")
-                .field("t_us", l.t_us)
-                .field("level", l.level.name())
-                .field("target", l.target)
-                .field("message", &l.message)
-        });
+        let logs = self.logs.iter().map(|l| log_line(l.t_us, l.level, l.target, &l.message));
         let named = |kind: &str, name: &str, value: &dyn ToJson| {
             line(kind).field("name", name).field("value", value)
         };
@@ -133,9 +112,11 @@ impl TraceReport {
                 .field("p95", h.quantile(0.95))
                 .field("p99", h.quantile(0.99))
         });
-        let events = spans.chain(logs).chain(counters).chain(gauges).chain(histograms);
+        let metrics = counters.chain(gauges).chain(histograms).map(Object::close);
         std::iter::once(header_line(self.epoch_unix_us, self.pid, None))
-            .chain(events.map(Object::close))
+            .chain(spans)
+            .chain(logs)
+            .chain(metrics)
             .map(|text| text + "\n")
             .collect()
     }
@@ -182,22 +163,6 @@ impl TraceReport {
         }
         out
     }
-}
-
-/// A trace stream's `header` line, without its newline. A worker stream
-/// merged into another's carries `rebased_offset_us`, the shift applied
-/// to its timestamps.
-pub fn header_line(epoch_unix_us: u64, pid: u64, rebased_offset_us: Option<u64>) -> String {
-    let header = Object::new()
-        .field("kind", "header")
-        .field("version", 1u32)
-        .field("epoch_unix_us", epoch_unix_us)
-        .field("pid", pid);
-    match rebased_offset_us {
-        Some(offset) => header.field("rebased_offset_us", offset),
-        None => header,
-    }
-    .close()
 }
 
 /// Aggregated node of the rendered span tree.

@@ -76,6 +76,21 @@ fn rejects_histograms_missing_p95() {
     assert!(err.contains("p95"), "stderr:\n{err}");
 }
 
+/// A stream cut inside a multi-byte character (a writer killed
+/// mid-flush) is an invalid stream (1), not an unreadable file (2).
+#[test]
+fn a_stream_torn_inside_a_character_is_invalid() {
+    let mut path = std::env::temp_dir();
+    path.push(format!("vtrace-check-{}-torn-utf8.jsonl", std::process::id()));
+    let log = r#"{"kind":"log","t_us":1,"level":"info","target":"t","message":"caf"#;
+    let mut bytes = format!("{BASE_HEADER}\n{log}").into_bytes();
+    bytes.push("é".as_bytes()[0]);
+    std::fs::write(&path, bytes).expect("write stream");
+    let out = Command::new(EXE).arg(&path).output().expect("run vtrace-check");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
 #[test]
 fn usage_and_unreadable_files_exit_2() {
     let out = Command::new(EXE).output().expect("run vtrace-check");

@@ -90,6 +90,25 @@ fn shed_rate_is_zero_below_saturation_and_monotone_in_load() {
     }
 }
 
+/// The SAT and PARETO documents carry the seed as a JSON number, exact
+/// only up to 2^53, so `serve`, `saturate` and `plan` refuse a larger
+/// one as a usage error (2) before they run anything.
+#[test]
+fn seeds_past_2_pow_53_are_usage_errors() {
+    let past = ((1u64 << 53) + 1).to_string();
+    for command in ["serve", "saturate", "plan"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_vbench"))
+            .args([command, "--scenario", "live", "--duration", "1", "--seed", &past])
+            .args(if command == "saturate" { &[][..] } else { &["--offered-load", "1"][..] })
+            .output()
+            .expect("run vbench");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command}: {stderr}");
+        assert!(stderr.contains("--seed"), "{command}: {stderr}");
+        assert!(out.stdout.is_empty(), "{command} ran before refusing");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
