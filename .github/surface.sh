@@ -12,8 +12,10 @@
 # per-command tables in `vbench::cli`, if a non-test line under
 # crates/*/src writes a JSON object in a format string instead of
 # through `vtrace::json::Object` or matches a trace line's kind outside
-# `vtrace::stream`, or if `unsafe` appears anywhere under
-# crates/*/src but the one CPU-feature dispatch in vpack's crc32.
+# `vtrace::stream`, if `unsafe` appears anywhere under crates/*/src but
+# the CPU-feature dispatch calls in vpack's crc32 and vframe's isa
+# macro, or if `#[target_feature]` or `is_x86_feature_detected!` appears
+# outside those two files.
 #
 # Prints `git diff --numstat BASE` summed per category — code
 # (crates/**/src), tests (tests/, crates/*/tests, benches), docs (*.md),
@@ -72,20 +74,40 @@ for f in $(sources | grep -v '^crates/vtrace/src/'); do
     fi
 done
 
-# The workspace has one `unsafe` block: the CPU-feature dispatch in
-# vpack's crc32, under its own `allow(unsafe_code)`. Any other `unsafe`
-# block, fn, impl, trait or extern, or any other lint allowance for one,
-# on a non-comment line under crates/*/src (tests included) fails.
+# `unsafe` lives in two places: the CPU-feature dispatch in vpack's
+# crc32 (one call under its own `allow(unsafe_code)`), and the rung
+# dispatch `vframe::isa::multiversion!` expands to (one call per wider
+# rung, each under its own `allow`). Any other `unsafe` block, fn, impl,
+# trait or extern, or any other lint allowance for one, on a non-comment
+# line under crates/*/src (tests included) fails.
 unsafe_lines=$(for f in $(sources); do
     [ -f "$f" ] && grep -nHE 'unsafe[[:space:]]*(\{|fn\b|impl\b|trait\b|extern\b)|allow\(unsafe_code\)' "$f"
 done | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
-if [ "$(printf '%s\n' "$unsafe_lines" | grep -c .)" -ne 2 ] ||
-    ! printf '%s\n' "$unsafe_lines" | grep -qE '^crates/vpack/src/crc\.rs:[0-9]+:[[:space:]]*#\[allow\(unsafe_code\)\]$' ||
-    ! printf '%s\n' "$unsafe_lines" | grep -qE '^crates/vpack/src/crc\.rs:[0-9]+:.*= unsafe \{ clmul::fold\('; then
+allowed() {
+    printf '%s\n' "$unsafe_lines" | grep -cE "$1"
+}
+if [ "$(printf '%s\n' "$unsafe_lines" | grep -c .)" -ne 6 ] ||
+    [ "$(allowed '^crates/vpack/src/crc\.rs:[0-9]+:[[:space:]]*#\[allow\(unsafe_code\)\]$')" -ne 1 ] ||
+    [ "$(allowed '^crates/vpack/src/crc\.rs:[0-9]+:.*= unsafe \{ clmul::fold\(')" -ne 1 ] ||
+    [ "$(allowed '^crates/vframe/src/isa\.rs:[0-9]+:[[:space:]]*#\[allow\(unsafe_code\)\]$')" -ne 2 ] ||
+    [ "$(allowed '^crates/vframe/src/isa\.rs:[0-9]+:[[:space:]]*\$crate::isa::Rung::Avx2 => return unsafe \{ avx2\(')" -ne 1 ] ||
+    [ "$(allowed '^crates/vframe/src/isa\.rs:[0-9]+:[[:space:]]*\$crate::isa::Rung::Avx512 => return unsafe \{ avx512\(')" -ne 1 ]; then
     printf '%s\n' "$unsafe_lines" >&2
-    echo "surface: unsafe code outside the one dispatch call in crates/vpack/src/crc.rs" >&2
+    echo "surface: unsafe code outside the dispatch calls in crates/vpack/src/crc.rs and crates/vframe/src/isa.rs" >&2
     status=1
 fi
+
+# CPU features are enabled and detected only where that `unsafe` lives:
+# a `#[target_feature]` or `is_x86_feature_detected!` elsewhere is a
+# second dispatch growing outside `vframe::isa`.
+for f in $(sources | grep -vxE 'crates/vframe/src/isa\.rs|crates/vpack/src/crc\.rs'); do
+    [ -f "$f" ] || continue
+    if grep -nHE '#\[target_feature|is_x86_feature_detected!' "$f" |
+        grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' >&2; then
+        echo "surface: $f enables or detects CPU features; use vframe::isa::multiversion!" >&2
+        status=1
+    fi
+done
 
 git diff --numstat "$base" | awk '
     { cat = "other" }

@@ -141,6 +141,7 @@ fn main() {
         if all || what == "tab3" {
             println!("== tab3: NVENC/QSV on VOD ==");
             println!("{}", ex::tab3_table(&vod));
+            println!("{}\n", ex::speed_basis(vod.iter().map(|r| r.reference_mpix_per_s)));
             ran = true;
         }
         if all || what == "fig9" {
@@ -164,6 +165,7 @@ fn main() {
             .unwrap_or_else(|e| fail_batch(e));
         println!("== tab5: next-generation software on Popular ==");
         println!("{}", ex::tab5_table(&rows));
+        println!("{}\n", ex::speed_basis(rows.iter().map(|r| r.reference_mpix_per_s)));
         ran = true;
     }
 

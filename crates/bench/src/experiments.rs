@@ -589,6 +589,8 @@ pub struct HwRow {
     pub vendor: HwVendor,
     /// Score result (ratios always populated).
     pub score: ScenarioScore,
+    /// The clip's software reference speed, the denominator of S.
+    pub reference_mpix_per_s: f64,
 }
 
 /// Table 3: NVENC/QSV under the VOD scenario — bitrate bisected until the
@@ -726,7 +728,8 @@ fn hw_scenario_rows(
             // Invariant: require_complete() above guarantees success.
             let outcome = result.outcome.as_ref().expect("complete batch");
             let score = score_with_video(scenario, video, outcome.measurement(), reference);
-            rows.push(HwRow { name, vendor: *vendor, score });
+            let reference_mpix_per_s = reference.speed_pps / 1e6;
+            rows.push(HwRow { name, vendor: *vendor, score, reference_mpix_per_s });
         }
     }
     Ok(rows)
@@ -745,6 +748,21 @@ pub fn tab3_table(rows: &[HwRow]) -> TextTable {
         ]);
     }
     t
+}
+
+/// The line printed under a table with an S column: S divides by the
+/// software reference's measured speed, so it holds for this machine
+/// only, and the ISA rung the codec kernels dispatched to is part of the
+/// machine.
+pub fn speed_basis(reference_mpix_per_s: impl IntoIterator<Item = f64>) -> String {
+    let mut speeds: Vec<f64> = reference_mpix_per_s.into_iter().collect();
+    speeds.sort_by(f64::total_cmp);
+    let median = speeds.get(speeds.len() / 2).copied().unwrap_or(f64::NAN);
+    format!(
+        "S is relative to the software reference, median {median:.2} Mpix/s on this machine \
+         at ISA rung {}",
+        vframe::isa::detected()
+    )
 }
 
 /// Renders Table 4 (Q, B, Live score per vendor).
@@ -799,6 +817,8 @@ pub struct SwRow {
     pub family: CodecFamily,
     /// Score result.
     pub score: ScenarioScore,
+    /// The clip's software reference speed, the denominator of S.
+    pub reference_mpix_per_s: f64,
 }
 
 /// The next-generation software families Table 5 measures.
@@ -879,7 +899,8 @@ pub fn tab5_rows(
                 "serial re-encode diverged from farmed encode"
             );
             let score = score_with_video(Scenario::Popular, video, &timed.measurement, reference);
-            rows.push(SwRow { name, family: *family, score });
+            let reference_mpix_per_s = reference.speed_pps / 1e6;
+            rows.push(SwRow { name, family: *family, score, reference_mpix_per_s });
         }
     }
     Ok(rows)

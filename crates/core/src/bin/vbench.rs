@@ -153,6 +153,7 @@ fn main() {
     };
     let flags = Flags::parse(format!("vbench {name}"), command, &args[1..]);
     cli::init_tracing(&flags);
+    vtrace::info("vbench", format!("isa rung {}", vframe::isa::detected()));
     let opts = flags.get::<Scale>("scale").unwrap_or_default().options();
     match name {
         "suite" => cmd_suite(&opts),

@@ -14,6 +14,7 @@
 //! computation.
 
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::bitio::BitWriter;
@@ -25,7 +26,7 @@ use crate::motion::{
     SearchStats,
 };
 use crate::predict::{predict_intra_into, IntraMode};
-use crate::quant::{quantize_into, Deadzone};
+use crate::quant::{quantize_into, Deadzone, QP_MAX};
 use crate::rc::{FirstPassLog, FrameKind, RateControl, RateController};
 use crate::stats::{BranchSite, EncodeStats, Kernel, KernelCounters, NoProbe, Probe};
 use crate::tile::{reconstruct_tile, residual_tile, Scratch, Tile, TILE};
@@ -823,7 +824,13 @@ impl<'cfg> FrameEncoder<'cfg> {
     /// Rate-distortion lambda at a QP (x264-style exponential schedule),
     /// scaled by the family's RD tuning.
     fn lambda(&self, qp: u8) -> f64 {
-        0.85 * ((f64::from(qp) - 12.0) / 3.0).exp2().max(0.1) * self.config.family.lambda_scale()
+        // `0.85 · 2^((qp − 12) / 3)`, floored, once per QP per process: the
+        // same operations in the same order, so the same bits.
+        static BASE: OnceLock<[f64; QP_MAX as usize + 1]> = OnceLock::new();
+        let base = BASE.get_or_init(|| {
+            std::array::from_fn(|qp| 0.85 * ((qp as f64 - 12.0) / 3.0).exp2().max(0.1))
+        });
+        base[usize::from(qp)] * self.config.family.lambda_scale()
     }
 
     #[allow(clippy::too_many_arguments)]

@@ -19,6 +19,7 @@ use crate::arith::{ArithDecoder, ArithEncoder, Context};
 use crate::bitio::{BitReader, BitWriter, ReadBitsError};
 use crate::golomb;
 use crate::transform::{zigzag, TransformSize};
+use std::sync::OnceLock;
 
 /// Entropy backend selection.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -247,9 +248,18 @@ impl EntropyEncoder {
 
 /// Information cost in bits of coding `bit` with probability-of-zero `prob`.
 fn bin_cost(prob: u8, bit: bool) -> f64 {
-    let p0 = f64::from(prob) / 256.0;
-    let p = if bit { 1.0 - p0 } else { p0 };
-    -p.max(1e-6).log2()
+    // One `log2` per (bit, probability) per process, not one per
+    // estimated bin.
+    static COSTS: OnceLock<[[f64; 256]; 2]> = OnceLock::new();
+    COSTS.get_or_init(|| {
+        std::array::from_fn(|bit| {
+            std::array::from_fn(|prob| {
+                let p0 = prob as f64 / 256.0;
+                let p = if bit == 1 { 1.0 - p0 } else { p0 };
+                -p.max(1e-6).log2()
+            })
+        })
+    })[usize::from(bit)][usize::from(prob)]
 }
 
 /// Bits used by the bypass Exp-Golomb escape for `v`.

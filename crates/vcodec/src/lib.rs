@@ -53,9 +53,10 @@
 //! ```
 
 #![warn(missing_docs)]
-// Every kernel here is safe Rust the compiler vectorizes; a hand-written
-// SIMD path must lift this deliberately, in the one module that needs it.
-#![forbid(unsafe_code)]
+// Every kernel here is safe Rust the compiler vectorizes. The only
+// `unsafe` is what `vframe::isa::multiversion!` expands to: its call into
+// a detected rung, allowed on that call alone.
+#![deny(unsafe_code)]
 
 pub mod arith;
 pub mod bitio;

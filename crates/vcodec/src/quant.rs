@@ -61,8 +61,9 @@ impl Deadzone {
 
 /// Largest coefficient magnitude the multiply-shift quantizer covers. The
 /// forward transform of a residual in `[-255, 255]` peaks at 2 039 (its DC
-/// term), so every coefficient the encoder forms is inside; larger
-/// magnitudes, which only direct callers of [`quantize`] can pass, divide.
+/// term) at 8×8 and lower at 4×4, so every coefficient the encoder forms
+/// is inside; larger magnitudes, which only direct callers of [`quantize`]
+/// can pass, divide there.
 pub(crate) const REACH: u32 = 1 << 11;
 
 /// Fraction bits of the multiply-shift: the largest for which every
@@ -120,25 +121,27 @@ fn divide(a: u32, step: f64, bias: f64) -> i32 {
     (f64::from(a) / step + bias) as i32
 }
 
-/// [`quantize`] into a caller-owned buffer of `coeffs.len()` levels.
-pub(crate) fn quantize_into(coeffs: &[i32], qp: u8, deadzone: Deadzone, levels: &mut [i32]) {
-    assert_eq!(coeffs.len(), levels.len(), "one level per coefficient");
-    let peak = coeffs.iter().map(|c| c.unsigned_abs()).max().unwrap_or(0);
-    match Reciprocal::of(qp, deadzone) {
-        Some(Reciprocal { m, b }) if peak <= REACH => {
-            for (l, &c) in levels.iter_mut().zip(coeffs) {
-                let level = ((u64::from(c.unsigned_abs()) * u64::from(m) + b) >> SHIFT) as i32;
-                // `sign` is 0 or -1, so this is `±level` without a branch.
-                let sign = c >> 31;
-                *l = (level ^ sign) - sign;
-            }
-        }
-        _ => {
-            let (step, bias) = (qstep(qp), deadzone.bias());
-            for (l, &c) in levels.iter_mut().zip(coeffs) {
-                let level = divide(c.unsigned_abs(), step, bias);
-                *l = if c < 0 { -level } else { level };
-            }
+vframe::isa::multiversion! {
+    /// [`quantize`] into a caller-owned buffer of `coeffs.len()` levels,
+    /// for coefficients of magnitude at most [`REACH`]: every coefficient
+    /// the encoder's forward transform forms from a residual (the
+    /// `transform` tests prove it for each size). One multiply-shift loop,
+    /// no branch on the input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `qp > 51`, and in debug builds if a magnitude exceeds
+    /// [`REACH`].
+    pub(crate) fn quantize_into(coeffs: &[i32], qp: u8, deadzone: Deadzone, levels: &mut [i32]) {
+        assert_eq!(coeffs.len(), levels.len(), "one level per coefficient");
+        debug_assert!(coeffs.iter().all(|c| c.unsigned_abs() <= REACH), "beyond the reach");
+        let Reciprocal { m, b } = Reciprocal::of(qp, deadzone)
+            .expect("every QP and deadzone has a multiply-shift pair (tested)");
+        for (l, &c) in levels.iter_mut().zip(coeffs) {
+            let level = ((u64::from(c.unsigned_abs()) * u64::from(m) + b) >> SHIFT) as i32;
+            // `sign` is 0 or -1, so this is `±level` without a branch.
+            let sign = c >> 31;
+            *l = (level ^ sign) - sign;
         }
     }
 }
@@ -147,15 +150,24 @@ pub(crate) fn quantize_into(coeffs: &[i32], qp: u8, deadzone: Deadzone, levels: 
 /// by the QP's step and rounded down after adding the deadzone bias; the
 /// sign carries over. For every magnitude a coefficient of a residual
 /// block can have, the division runs as an integer multiply-shift derived
-/// from it and proven equal to it magnitude by magnitude; larger inputs
-/// divide.
+/// from it and proven equal to it magnitude by magnitude; a block with a
+/// larger magnitude, which only direct callers can pass, divides.
 ///
 /// # Panics
 ///
 /// Panics if `qp > 51`.
 pub fn quantize(coeffs: &[i32], qp: u8, deadzone: Deadzone) -> Vec<i32> {
     let mut levels = vec![0; coeffs.len()];
-    quantize_into(coeffs, qp, deadzone, &mut levels);
+    let peak = coeffs.iter().map(|c| c.unsigned_abs()).max().unwrap_or(0);
+    if peak <= REACH && Reciprocal::of(qp, deadzone).is_some() {
+        quantize_into(coeffs, qp, deadzone, &mut levels);
+    } else {
+        let (step, bias) = (qstep(qp), deadzone.bias());
+        for (l, &c) in levels.iter_mut().zip(coeffs) {
+            let level = divide(c.unsigned_abs(), step, bias);
+            *l = if c < 0 { -level } else { level };
+        }
+    }
     levels
 }
 
@@ -196,6 +208,7 @@ pub fn crf_to_qp(crf: f64) -> u8 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use vframe::isa;
 
     /// Case-count multiplier: the `--release` test run does ten times
     /// what the debug tier-1 run does.
@@ -234,7 +247,8 @@ mod tests {
     fn multiply_shift_equals_division_for_every_magnitude_in_reach() {
         // Exhaustive over 52 QPs × 2 deadzones × every magnitude in reach,
         // both signs, one 64-coefficient tile at a time as the encoder
-        // calls it; then a sample beyond the reach, which divides.
+        // calls it, at every rung; then a sample beyond the reach, which
+        // `quantize` divides.
         let magnitudes: Vec<i32> = (0..=REACH as i32).collect();
         let beyond: Vec<i32> = (1..=64)
             .map(|k| REACH as i32 + k * k * 517)
@@ -242,17 +256,26 @@ mod tests {
             .collect();
         for qp in QP_MIN..=QP_MAX {
             for dz in DEADZONES {
-                for tile in magnitudes.chunks(64).chain(beyond.chunks(64)) {
+                for tile in magnitudes.chunks(64) {
+                    let negated: Vec<i32> = tile.iter().map(|&c| -c).collect();
+                    for coeffs in [tile, &negated] {
+                        let levels = isa::same_at_every_rung("quant::quantize_into", || {
+                            let mut levels = vec![0; coeffs.len()];
+                            quantize_into(coeffs, qp, dz, &mut levels);
+                            levels
+                        });
+                        let want = quantize_by_division(coeffs, qp, dz);
+                        assert_eq!(levels, want, "qp {qp} {dz:?} tile from {}", coeffs[0]);
+                    }
+                }
+            }
+        }
+        for qp in QP_MIN..=QP_MAX {
+            for dz in DEADZONES {
+                for tile in beyond.chunks(64) {
                     let negated: Vec<i32> = tile.iter().map(|&c| c.wrapping_neg()).collect();
                     for coeffs in [tile, &negated] {
-                        let mut levels = vec![0; coeffs.len()];
-                        quantize_into(coeffs, qp, dz, &mut levels);
-                        assert_eq!(
-                            levels,
-                            quantize_by_division(coeffs, qp, dz),
-                            "qp {qp} {dz:?} tile from {}",
-                            coeffs[0]
-                        );
+                        assert_eq!(quantize(coeffs, qp, dz), quantize_by_division(coeffs, qp, dz));
                     }
                 }
             }

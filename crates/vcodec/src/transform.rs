@@ -277,6 +277,7 @@ fn within(block: &[i32], half: i32) -> bool {
 }
 
 /// [`forward_in`] on `i16` samples when the block allows it, else `i64`.
+#[inline(always)]
 fn forward<const N: usize>(input: &[i32]) -> [[i32; N]; N]
 where
     Fwd: Kernel<N>,
@@ -289,6 +290,7 @@ where
 }
 
 /// [`inverse_in`] on `i16` samples when the block allows it, else `i64`.
+#[inline(always)]
 fn inverse<const N: usize>(coeffs: &[i32]) -> [[i32; N]; N]
 where
     Inv: Kernel<N>,
@@ -300,20 +302,25 @@ where
     }
 }
 
-/// Forward 8×8 DCT of a residual tile (row-major): rows, then columns,
-/// rounding after each pass.
-pub(crate) fn fdct8(input: &[i32; 64]) -> [i32; 64] {
-    let mut out = [0; 64];
-    out.copy_from_slice(forward::<8>(input).as_flattened());
-    out
+vframe::isa::multiversion! {
+    up_to Avx2;
+    /// Forward 8×8 DCT of a residual tile (row-major): rows, then columns,
+    /// rounding after each pass.
+    pub(crate) fn fdct8(input: &[i32; 64]) -> [i32; 64] {
+        let mut out = [0; 64];
+        out.copy_from_slice(forward::<8>(input).as_flattened());
+        out
+    }
 }
 
-/// Inverse 8×8 DCT: columns, then rows, rounding after each pass. Total
-/// on any input; results that exceed `i32` wrap.
-pub(crate) fn idct8(coeffs: &[i32; 64]) -> [i32; 64] {
-    let mut out = [0; 64];
-    out.copy_from_slice(inverse::<8>(coeffs).as_flattened());
-    out
+vframe::isa::multiversion! {
+    /// Inverse 8×8 DCT: columns, then rows, rounding after each pass. Total
+    /// on any input; results that exceed `i32` wrap.
+    pub(crate) fn idct8(coeffs: &[i32; 64]) -> [i32; 64] {
+        let mut out = [0; 64];
+        out.copy_from_slice(inverse::<8>(coeffs).as_flattened());
+        out
+    }
 }
 
 /// Forward 2-D DCT of a residual block (row-major, length `n*n`).
@@ -400,6 +407,19 @@ pub fn zigzag(size: TransformSize) -> &'static [usize] {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use vframe::isa;
+
+    /// `fdct8` of `block` at every rung, checked equal to the baseline's.
+    fn fdct8_at_every_rung(block: &[i32]) -> Vec<i32> {
+        let tile: &[i32; 64] = block.try_into().expect("an 8x8 block");
+        isa::same_at_every_rung("transform::fdct8", || fdct8(tile)).to_vec()
+    }
+
+    /// `idct8` of `coeffs` at every rung, checked equal to the baseline's.
+    fn idct8_at_every_rung(coeffs: &[i32]) -> Vec<i32> {
+        let tile: &[i32; 64] = coeffs.try_into().expect("an 8x8 block");
+        isa::same_at_every_rung("transform::idct8", || idct8(tile)).to_vec()
+    }
 
     /// Oracle: the DCT-II basis computed in floating point and rounded,
     /// which the `B4`/`B8` tables must equal entry for entry.
@@ -605,6 +625,7 @@ mod tests {
         #[test]
         fn fdct8_equals_the_matrix_product(input in prop::collection::vec(-255i32..=255, 64)) {
             prop_assert_eq!(fdct(TransformSize::T8, &input), fdct_matrix(8, &input));
+            prop_assert_eq!(fdct8_at_every_rung(&input), fdct_matrix(8, &input));
         }
 
         #[test]
@@ -615,6 +636,7 @@ mod tests {
         #[test]
         fn idct8_equals_the_matrix_product_on_any_input(coeffs in coeff_strategy(8)) {
             prop_assert_eq!(idct(TransformSize::T8, &coeffs), idct_matrix(8, &coeffs));
+            prop_assert_eq!(idct8_at_every_rung(&coeffs), idct_matrix(8, &coeffs));
         }
 
         #[test]
@@ -641,6 +663,7 @@ mod tests {
                 prop_assert_eq!(fdct(size, block), strided::fdct(n, block));
                 prop_assert_eq!(fdct(size, block), fdct_matrix(n, block));
             }
+            prop_assert_eq!(fdct8_at_every_rung(&block8), fdct_matrix(8, &block8));
         }
 
         #[test]
@@ -652,6 +675,7 @@ mod tests {
                 prop_assert_eq!(idct(size, block), strided::idct(n, block));
                 prop_assert_eq!(idct(size, block), idct_matrix(n, block));
             }
+            prop_assert_eq!(idct8_at_every_rung(&block8), idct_matrix(8, &block8));
         }
 
         #[test]
@@ -695,6 +719,31 @@ mod tests {
                 "the encoder would leave the fast quantizer"
             )
         };
+    }
+
+    /// The 4×4 counterpart of the 8×8 sign-pattern test, so every
+    /// [`TransformSize`] is proven inside the quantizer's reach. (The
+    /// encoder forms only 8×8 coefficients, through `fdct8`; 4×4 blocks
+    /// reach the quantizer only through direct calls.)
+    #[test]
+    fn fdct4_of_every_worst_case_sign_pattern_stays_within_the_quantizer_reach() {
+        let mut peak = 0;
+        for row_basis in &B4 {
+            for column_basis in &B4 {
+                for sign in [1, -1] {
+                    let tile: Vec<i32> = (0..16)
+                        .map(|i| {
+                            let pattern = row_basis[i / 4].signum() * column_basis[i % 4].signum();
+                            sign * 255 * i32::from(pattern)
+                        })
+                        .collect();
+                    let coeffs = fdct(TransformSize::T4, &tile);
+                    assert_eq!(coeffs, fdct_matrix(4, &tile));
+                    peak = peak.max(coeffs.iter().map(|c| c.unsigned_abs()).max().unwrap());
+                }
+            }
+        }
+        assert!(peak <= crate::quant::REACH, "4x4 peak {peak}");
     }
 
     #[test]

@@ -181,23 +181,25 @@ fn samples_within(data: &[i16], max: u16) -> bool {
     data.iter().fold(0u16, |acc, &s| acc | s as u16) <= max
 }
 
-/// Sum of absolute differences between two equally sized blocks — the inner
-/// loop of motion estimation, "usually the most computationally onerous
-/// step" of encoding (Section 2.1).
-///
-/// # Panics
-///
-/// Panics if block sizes differ.
-///
-/// ```
-/// use vframe::block::{sad, Block};
-/// let a = Block::from_data(2, vec![10, 10, 10, 10]);
-/// let b = Block::from_data(2, vec![11, 9, 10, 14]);
-/// assert_eq!(sad(&a, &b), 6);
-/// ```
-pub fn sad(a: &Block, b: &Block) -> u64 {
-    assert_eq!(a.size(), b.size(), "SAD requires equal block sizes");
-    a.rows().zip(b.rows()).map(|(ra, rb)| u64::from(row_sad(ra, rb.iter().copied()))).sum()
+crate::isa::multiversion! {
+    /// Sum of absolute differences between two equally sized blocks — the inner
+    /// loop of motion estimation, "usually the most computationally onerous
+    /// step" of encoding (Section 2.1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if block sizes differ.
+    ///
+    /// ```
+    /// use vframe::block::{sad, Block};
+    /// let a = Block::from_data(2, vec![10, 10, 10, 10]);
+    /// let b = Block::from_data(2, vec![11, 9, 10, 14]);
+    /// assert_eq!(sad(&a, &b), 6);
+    /// ```
+    pub fn sad(a: &Block, b: &Block) -> u64 {
+        assert_eq!(a.size(), b.size(), "SAD requires equal block sizes");
+        a.rows().zip(b.rows()).map(|(ra, rb)| u64::from(row_sad(ra, rb.iter().copied()))).sum()
+    }
 }
 
 /// SAD of one block row against as many samples of any narrower type.
@@ -249,23 +251,25 @@ pub fn sad_plane(block: &Block, plane: &Plane, x: isize, y: isize) -> u64 {
     total
 }
 
-/// Sum of absolute transformed differences over 4×4 Hadamard sub-blocks —
-/// a frequency-domain distortion measure that better predicts coded cost
-/// than SAD, used by higher effort levels for mode decision.
-///
-/// # Panics
-///
-/// Panics if block sizes differ or are not multiples of 4.
-pub fn satd(a: &Block, b: &Block) -> u64 {
-    assert_eq!(a.size(), b.size(), "SATD requires equal block sizes");
-    assert!(a.size().is_multiple_of(4), "SATD operates on 4x4 sub-blocks");
-    // With both blocks in 0..=4095, every |a − b| ≤ 4095 and every value
-    // the three butterfly stages form is at most 8 · 4095 = 32 760: `i16`
-    // is exact. Outside, `i32` is: 8 · 65 535 per value.
-    if samples_within(a.data(), 4095) && samples_within(b.data(), 4095) {
-        satd_lanes::<i16>(a, b)
-    } else {
-        satd_lanes::<i32>(a, b)
+crate::isa::multiversion! {
+    /// Sum of absolute transformed differences over 4×4 Hadamard sub-blocks —
+    /// a frequency-domain distortion measure that better predicts coded cost
+    /// than SAD, used by higher effort levels for mode decision.
+    ///
+    /// # Panics
+    ///
+    /// Panics if block sizes differ or are not multiples of 4.
+    pub fn satd(a: &Block, b: &Block) -> u64 {
+        assert_eq!(a.size(), b.size(), "SATD requires equal block sizes");
+        assert!(a.size().is_multiple_of(4), "SATD operates on 4x4 sub-blocks");
+        // With both blocks in 0..=4095, every |a − b| ≤ 4095 and every value
+        // the three butterfly stages form is at most 8 · 4095 = 32 760: `i16`
+        // is exact. Outside, `i32` is: 8 · 65 535 per value.
+        if samples_within(a.data(), 4095) && samples_within(b.data(), 4095) {
+            satd_lanes::<i16>(a, b)
+        } else {
+            satd_lanes::<i32>(a, b)
+        }
     }
 }
 
@@ -306,6 +310,7 @@ impl Lane for i32 {
 /// (two sub-blocks) at a time; a block whose size is an odd multiple of
 /// four ends each band with four columns padded with four of zeros, which
 /// add nothing.
+#[inline(always)]
 fn satd_lanes<L: Lane>(a: &Block, b: &Block) -> u64 {
     let size = a.size();
     let mut total = 0u64;
@@ -374,6 +379,7 @@ fn satd_4x8<L: Lane>(a: [&[i16; 8]; 4], b: [&[i16; 8]; 4]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa;
     use proptest::prelude::*;
 
     #[test]
@@ -544,14 +550,15 @@ mod tests {
         ) {
             let (a, b) = pair;
             let want = satd_per_sample(&a, &b);
-            prop_assert_eq!(satd(&a, &b), want);
+            prop_assert_eq!(isa::same_at_every_rung("block::satd", || satd(&a, &b)), want);
             prop_assert_eq!(satd_banded(&a, &b), want);
         }
 
         #[test]
         fn sad_equals_per_sample_sad_on_any_samples(pair in block_pair(1usize..=MAX_BLOCK)) {
             let (a, b) = pair;
-            prop_assert_eq!(sad(&a, &b), sad_per_sample(&a, &b));
+            let got = isa::same_at_every_rung("block::sad", || sad(&a, &b));
+            prop_assert_eq!(got, sad_per_sample(&a, &b));
         }
 
         #[test]

@@ -16,7 +16,9 @@
 //! * [`source`] — pull-based [`FrameSource`] streams for the bounded-memory
 //!   data path,
 //! * [`block`] — block copy/paste and SAD / SATD distortion kernels used by
-//!   the encoders in `vcodec`.
+//!   the encoders in `vcodec`,
+//! * [`isa`] — runtime ISA dispatch: [`multiversion!`] compiles a kernel
+//!   once per vector rung and calls the widest this CPU runs.
 //!
 //! # Example
 //!
@@ -34,13 +36,16 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-// Every kernel here is safe Rust the compiler vectorizes; a hand-written
-// SIMD path must lift this deliberately, in the one module that needs it.
-#![forbid(unsafe_code)]
+// Every kernel here is safe Rust the compiler vectorizes. The one
+// `unsafe` is `isa::multiversion!`'s call into a detected rung, allowed
+// on that call alone.
+#![deny(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod block;
 pub mod color;
 pub mod filter;
+pub mod isa;
 pub mod metrics;
 mod plane;
 pub mod scale;

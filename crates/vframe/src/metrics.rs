@@ -11,35 +11,37 @@ use crate::{Frame, Plane, Video};
 /// true value is +∞. 8-bit video cannot meaningfully exceed this.
 pub const PSNR_IDENTICAL_DB: f64 = 100.0;
 
-/// Mean squared error between two planes.
-///
-/// # Panics
-///
-/// Panics if the planes have different dimensions.
-///
-/// ```
-/// use vframe::Plane;
-/// use vframe::metrics::mse_plane;
-/// let a = Plane::filled(4, 4, 10);
-/// let b = Plane::filled(4, 4, 13);
-/// assert!((mse_plane(&a, &b) - 9.0).abs() < 1e-12);
-/// ```
-pub fn mse_plane(a: &Plane, b: &Plane) -> f64 {
-    assert_eq!(
-        (a.width(), a.height()),
-        (b.width(), b.height()),
-        "MSE requires equally sized planes"
-    );
-    let sum: u64 = a
-        .data()
-        .iter()
-        .zip(b.data())
-        .map(|(&x, &y)| {
-            let d = i64::from(x) - i64::from(y);
-            (d * d) as u64
-        })
-        .sum();
-    sum as f64 / a.data().len() as f64
+crate::isa::multiversion! {
+    /// Mean squared error between two planes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the planes have different dimensions.
+    ///
+    /// ```
+    /// use vframe::Plane;
+    /// use vframe::metrics::mse_plane;
+    /// let a = Plane::filled(4, 4, 10);
+    /// let b = Plane::filled(4, 4, 13);
+    /// assert!((mse_plane(&a, &b) - 9.0).abs() < 1e-12);
+    /// ```
+    pub fn mse_plane(a: &Plane, b: &Plane) -> f64 {
+        assert_eq!(
+            (a.width(), a.height()),
+            (b.width(), b.height()),
+            "MSE requires equally sized planes"
+        );
+        let sum: u64 = a
+            .data()
+            .iter()
+            .zip(b.data())
+            .map(|(&x, &y)| {
+                let d = i64::from(x) - i64::from(y);
+                (d * d) as u64
+            })
+            .sum();
+        sum as f64 / a.data().len() as f64
+    }
 }
 
 /// PSNR in dB between two planes: `10·log10(255² / MSE)`.
@@ -211,7 +213,34 @@ fn window_stats(a: &Plane, b: &Plane, wx: usize, wy: usize) -> (f64, f64, f64, f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Frame, Resolution};
+    use crate::{isa, Frame, Resolution};
+    use proptest::prelude::*;
+
+    /// Oracle: the squared error summed sample by sample.
+    fn mse_per_sample(a: &Plane, b: &Plane) -> f64 {
+        let mut sum = 0u64;
+        for y in 0..a.height() {
+            for x in 0..a.width() {
+                sum += u64::from(a.get(x, y).abs_diff(b.get(x, y))).pow(2);
+            }
+        }
+        sum as f64 / (a.width() * a.height()) as f64
+    }
+
+    proptest! {
+        #[test]
+        fn mse_plane_equals_the_per_sample_sum_at_every_rung(
+            data in prop::collection::vec(any::<u8>(), 2 * 70 * 40),
+            width in 1usize..=70,
+            height in 1usize..=40,
+        ) {
+            let n = width * height;
+            let a = Plane::from_data(width, height, data[..n].to_vec());
+            let b = Plane::from_data(width, height, data[n..2 * n].to_vec());
+            let got = isa::same_at_every_rung("metrics::mse_plane", || mse_plane(&a, &b).to_bits());
+            prop_assert_eq!(got, mse_per_sample(&a, &b).to_bits());
+        }
+    }
 
     #[test]
     fn identical_planes_saturate() {

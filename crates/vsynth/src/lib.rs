@@ -31,6 +31,8 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+// The only `unsafe` is what `vframe::isa::multiversion!` expands to.
+#![deny(unsafe_code)]
 
 pub mod noise;
 mod scene;

@@ -29,6 +29,7 @@ impl NoiseField {
     }
 
     /// Hash of an integer lattice point into `[0, 1)`.
+    #[inline(always)]
     fn lattice(&self, x: i64, y: i64, t: i64) -> f64 {
         count_lattice_hash();
         let mut h = self.seed ^ 0x9e37_79b9_7f4a_7c15;
@@ -86,11 +87,13 @@ impl NoiseField {
 
     /// White (per-sample, uncorrelated) noise in `[-1, 1]` — maximally
     /// incompressible; used to push content entropy up.
+    #[inline(always)]
     pub fn white(&self, x: i64, y: i64, t: i64) -> f64 {
         self.lattice(x, y, t) * 2.0 - 1.0
     }
 }
 
+#[inline(always)]
 fn smooth(t: f64) -> f64 {
     t * t * (3.0 - 2.0 * t)
 }
@@ -209,6 +212,7 @@ impl FractalRows {
     /// `fractal(xs[col], y, t, octaves, persistence)` for every column.
     /// Rows may be asked for in any order; the same lattice row again
     /// hashes nothing, the next one down one lattice row per time layer.
+    #[inline(always)]
     pub(crate) fn row(&mut self, y: f64) -> &[f64] {
         self.out.fill(0.0);
         for o in &mut self.octaves {
@@ -243,6 +247,7 @@ impl Octave {
 
     /// `NoiseField::sample(xs[col] * freq, y * freq, t * freq)` for every
     /// column, into `acc`.
+    #[inline(always)]
     fn sample_row(
         &mut self,
         noise: &NoiseField,
@@ -305,6 +310,7 @@ impl Columns {
 
     /// `sample`'s `c0 + (c1 - c0) * sx` along lattice row `(y, t)`, per
     /// column, into `lerps`.
+    #[inline(always)]
     fn x_lerps(
         &self,
         noise: &NoiseField,

@@ -27,6 +27,7 @@ struct Sprite {
 
 impl Sprite {
     /// Sprite centre at local time `t`, bouncing off the frame edges.
+    #[inline(always)]
     fn position(&self, t: f64, w: f64, h: f64) -> (f64, f64) {
         (bounce(self.x0 + self.vx * t, w), bounce(self.y0 + self.vy * t, h))
     }
@@ -34,6 +35,7 @@ impl Sprite {
 
 /// Reflects `p` into `[0, limit]` (triangle wave), modelling objects that
 /// bounce off the picture edges.
+#[inline(always)]
 fn bounce(p: f64, limit: f64) -> f64 {
     if limit <= 0.0 {
         return 0.0;
@@ -125,9 +127,18 @@ impl SceneState {
     }
 
     pub(crate) fn render(&mut self, t: u32) -> Frame {
-        let (scene, local_t) = self.scene_of(t);
-        self.place_sprites(scene);
-        let spec = &self.spec;
+        render(self, t)
+    }
+}
+
+vframe::isa::multiversion! {
+    /// Frame `t` of `state`'s spec, compiled per ISA rung: the noise rows,
+    /// the per-sample finishing and the sprites are inlined into it, so
+    /// the whole frame runs at the rung's vector width.
+    fn render(state: &mut SceneState, t: u32) -> Frame {
+        let (scene, local_t) = state.scene_of(t);
+        state.place_sprites(scene);
+        let spec = &state.spec;
         let w = spec.resolution.width() as usize;
         let h = spec.resolution.height() as usize;
         let noise = spec.noise();
@@ -157,7 +168,7 @@ impl SceneState {
         let texture_amp = 40.0 + c.detail * 70.0;
         if !screencap {
             let xs = (0..w).map(|xx| (xx as f64 + pan_x) * scale + scene_off);
-            self.luma.restart(xs, ltf * 0.01, octaves, 0.55);
+            state.luma.restart(xs, ltf * 0.01, octaves, 0.55);
         }
 
         let finish = |base: f64, xx: usize, yy: usize| {
@@ -174,7 +185,7 @@ impl SceneState {
                     *out = finish(screen_luma(&noise, xx, yy, scene, pan_y as i64), xx, yy);
                 }
             } else {
-                let texture = self.luma.row((yy as f64 + pan_y) * scale + scene_off);
+                let texture = state.luma.row((yy as f64 + pan_y) * scale + scene_off);
                 for (xx, (out, v)) in row.iter_mut().zip(texture).enumerate() {
                     *out = finish(120.0 + v * texture_amp, xx, yy);
                 }
@@ -192,11 +203,11 @@ impl SceneState {
         };
         let cscale = scale * 0.7;
         let cxs = (0..cw).map(|cx| ((cx * 2) as f64 + pan_x) * cscale + scene_off);
-        self.cb.restart(cxs.clone().map(|x| x + 31.0), ltf * 0.008, 2, 0.5);
-        self.cr.restart(cxs.map(|x| x + 67.0), ltf * 0.008, 2, 0.5);
+        state.cb.restart(cxs.clone().map(|x| x + 31.0), ltf * 0.008, 2, 0.5);
+        state.cr.restart(cxs.map(|x| x + 67.0), ltf * 0.008, 2, 0.5);
         for cy in 0..ch {
             let y = ((cy * 2) as f64 + pan_y) * cscale + scene_off;
-            let washes = self.cb.row(y).iter().zip(self.cr.row(y + 13.0));
+            let washes = state.cb.row(y).iter().zip(state.cr.row(y + 13.0));
             let (u_row, v_row) = (u_plane.row_mut(cy), v_plane.row_mut(cy));
             for ((u, v), (ub, vb)) in u_row.iter_mut().zip(v_row).zip(washes) {
                 *u = to_sample(128.0 + ub * chroma_amp);
@@ -206,7 +217,7 @@ impl SceneState {
 
         // Foreground sprites.
         let (wf, hf) = (w as f64, h as f64);
-        for s in &self.sprites {
+        for s in &state.sprites {
             let (cx, cy) = s.position(ltf, wf, hf);
             draw_sprite(&mut y_plane, &mut u_plane, &mut v_plane, s, cx, cy);
         }
@@ -228,11 +239,13 @@ impl SceneState {
 }
 
 /// Rounds a computed sample value to the nearest 8-bit level.
+#[inline(always)]
 fn to_sample(v: f64) -> u8 {
     v.round().clamp(0.0, 255.0) as u8
 }
 
 /// Smooth, direction-changing horizontal camera pan.
+#[inline(always)]
 fn pan_x_curve(t: f64, pan: f64) -> f64 {
     t * pan + (t * 0.07).sin() * pan * 6.0
 }
@@ -240,6 +253,7 @@ fn pan_x_curve(t: f64, pan: f64) -> f64 {
 /// Text-like screen content: light background, dark "glyph" blocks arranged
 /// in lines, plus a window border. `scroll` shifts the text vertically the
 /// way a document scroll does (whole rows, no resampling blur).
+#[inline(always)]
 fn screen_luma(
     noise: &crate::noise::NoiseField,
     x: usize,
@@ -269,6 +283,7 @@ fn screen_luma(
     232.0
 }
 
+#[inline(always)]
 fn draw_sprite(
     y_plane: &mut Plane,
     u_plane: &mut Plane,
