@@ -34,14 +34,17 @@
 //! `--status-out FILE` writes the same snapshot as a machine-readable
 //! `status.json` (atomic rename, schema in DESIGN.md) every ~500ms.
 //!
-//! `--stream` runs the bounded-memory pull pipeline: frames are rendered
-//! off the synthetic source as the encoder asks for them and dropped as
-//! soon as they stop being referenceable, so clips are never resident.
-//! Output is byte-identical to the in-memory path; `--window` caps the
-//! resident-frame budget (it must be at least the configuration's
-//! structural minimum), and the peak actually reached is reported through
-//! the tracing gauges (`encode.peak_resident_frames`,
-//! `farm.peak_resident_frames`), never on stdout.
+//! `--stream` renders frames off the synthetic source as the encoder asks
+//! for them instead of rendering each clip up front. Every `batch` job
+//! runs the bounded-memory pull pipeline either way — frames are dropped
+//! as soon as they stop being referenceable — so on `batch` the flag
+//! only decides whether clips are materialized first; on `transcode` it
+//! chooses that pipeline over the in-memory encode. Output is
+//! byte-identical either way; `--window` caps the resident-frame budget
+//! (it must be at least the configuration's structural minimum), and the
+//! peak actually reached is reported through the tracing gauges
+//! (`encode.peak_resident_frames`, `farm.peak_resident_frames`), never
+//! on stdout.
 //!
 //! The batch resilience flags map onto
 //! [`vbench::resilience::ResilienceConfig`]: `--fault-plan` takes a

@@ -29,13 +29,13 @@
 //! so every table keeps its values (`tests/engine_equivalence.rs` pins
 //! this).
 
-use std::cell::Cell;
-
 use crate::measure::{source_bpps, stream_bpps, InvalidMeasurement, Measurement};
 use vcodec::entropy::EntropyBackend;
-use vcodec::{CodecFamily, EncodeError, EncodeOutput, EncoderConfig, Preset, RateControl};
+use vcodec::{
+    CodecFamily, EncodeError, EncodeOutput, EncodeStats, EncoderConfig, Preset, RateControl,
+};
 use vframe::metrics::psnr_video;
-use vframe::source::{collect_video, FrameSource};
+use vframe::source::{collect_video, FrameSource, VideoSource};
 use vframe::Video;
 use vhw::{bisect_bitrate, HwEncoder, HwVendor, StageSeconds};
 
@@ -267,11 +267,12 @@ pub struct TranscodeOutcome {
     pub chosen_bps: Option<u64>,
 }
 
-/// A completed *streaming* transcode. Unlike [`TranscodeOutcome`] there
-/// is no reconstruction clip — the bounded pipeline dropped every frame
-/// the moment it stopped being referenceable — so the raw encode fields
-/// (bitstream, stats) are carried directly, plus the peak frame
-/// residency the encode actually reached.
+/// A completed *streaming* transcode, and the outcome every batch job
+/// carries. Unlike [`TranscodeOutcome`] there is no reconstruction clip —
+/// the bounded pipeline dropped every frame the moment it stopped being
+/// referenceable — so the raw encode fields (bitstream, stats) are
+/// carried directly, plus the peak frame residency the encode actually
+/// reached.
 #[derive(Clone, Debug)]
 pub struct StreamOutcome {
     /// The bitstream; byte-identical to the in-memory path's for the
@@ -290,8 +291,31 @@ pub struct StreamOutcome {
     /// The most frames simultaneously resident at any point in the
     /// request, including bisection probes. Bounded by
     /// [`vcodec::required_window`] on the software streaming path; equal
-    /// to the clip length on backends that materialize.
+    /// to the clip length on backends that materialize; 0 for an outcome
+    /// loaded back from a journal (nothing was resident in this run).
     pub peak_resident_frames: usize,
+}
+
+impl StreamOutcome {
+    /// The bitstream.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Stage timings.
+    pub fn timings(&self) -> &StageSeconds {
+        &self.timings
+    }
+
+    /// The transcode's measurement.
+    pub fn measurement(&self) -> &Measurement {
+        &self.measurement
+    }
+
+    /// The bitrate the rate policy operated at, if any.
+    pub fn chosen_bps(&self) -> Option<u64> {
+        self.chosen_bps
+    }
 }
 
 /// Why a transcode could not produce a valid outcome.
@@ -401,7 +425,7 @@ pub trait Transcoder: Sync {
     /// Runs one transcode by *pulling* frames from a source instead of
     /// holding the whole clip. Results are byte- and value-identical to
     /// [`Transcoder::transcode`] on the materialized clip; only the
-    /// memory profile differs.
+    /// memory profile differs. Every batch job runs through this method.
     ///
     /// The default implementation materializes the source and delegates,
     /// so every [`Transcoder`] supports streaming requests (with
@@ -429,14 +453,8 @@ pub trait Transcoder: Sync {
 
 /// Opens the per-request telemetry span every leaf engine emits, tagged
 /// with the request shape. The closing fields (frames, bits, seconds,
-/// PSNR) are recorded by [`finish_transcode_span`] on success.
-fn open_transcode_span(src: &Video, req: &TranscodeRequest) -> vtrace::SpanGuard {
-    open_request_span(src.len(), req)
-}
-
-/// [`open_transcode_span`] from source metadata alone, for the streaming
-/// path where no [`Video`] exists.
-fn open_request_span(frames: usize, req: &TranscodeRequest) -> vtrace::SpanGuard {
+/// PSNR) are recorded by [`finish_span`] on success.
+fn open_span(frames: usize, req: &TranscodeRequest) -> vtrace::SpanGuard {
     let mut span = vtrace::span("transcode");
     if span.id().is_some() {
         span.record(
@@ -458,30 +476,25 @@ fn open_request_span(frames: usize, req: &TranscodeRequest) -> vtrace::SpanGuard
 /// Records the outcome side of the `transcode` span. `encode_secs` is the
 /// request's total stage time ([`StageSeconds::total`]) so that summing
 /// span-recorded seconds reproduces the farm's `cpu_secs` exactly.
-fn finish_transcode_span(
+fn finish_span(
     span: &mut vtrace::SpanGuard,
-    outcome: &TranscodeOutcome,
+    stats: &EncodeStats,
+    measurement: &Measurement,
+    timings: &StageSeconds,
     chosen_bps: Option<u64>,
 ) {
-    span.record("bits", (outcome.output.bytes.len() as u64) * 8);
-    span.record("encode_secs", outcome.timings.total());
-    span.record("psnr_db", outcome.measurement.quality_db);
+    span.record("bits", stats.bitstream_bytes * 8);
+    span.record("encode_secs", timings.total());
+    span.record("psnr_db", measurement.quality_db);
     if let Some(bps) = chosen_bps {
         span.record("chosen_bps", bps);
     }
-    vtrace::counter("engine.frames_encoded", outcome.output.stats.frames as u64);
+    vtrace::counter("engine.frames_encoded", stats.frames as u64);
 }
 
-/// [`finish_transcode_span`] for the streaming path.
-fn finish_stream_span(span: &mut vtrace::SpanGuard, outcome: &StreamOutcome) {
-    span.record("bits", (outcome.bytes.len() as u64) * 8);
-    span.record("encode_secs", outcome.timings.total());
-    span.record("psnr_db", outcome.measurement.quality_db);
-    span.record("peak_resident_frames", outcome.peak_resident_frames);
-    if let Some(bps) = outcome.chosen_bps {
-        span.record("chosen_bps", bps);
-    }
-    vtrace::counter("engine.frames_encoded", outcome.stats.frames as u64);
+/// Software encodes charge all their wall time to the pipeline stage.
+fn pipeline_timings(stats: &EncodeStats) -> StageSeconds {
+    StageSeconds { submission: 0.0, transfer: 0.0, pipeline: stats.encode_seconds }
 }
 
 /// Builds the outcome measurement through the checked constructor so the
@@ -505,6 +518,48 @@ fn outcome_measurement(
 #[derive(Clone, Copy, Default, Debug)]
 pub struct SoftwareEngine;
 
+impl SoftwareEngine {
+    /// The rate control a request's final encode runs at, and the
+    /// bitrate it operates at — shared by both paths. A
+    /// [`RateMode::QualityTarget`] runs Table 5's loop: probe two-pass
+    /// encodes until quality matches the reference, fall back to the
+    /// ladder rate. Each probe re-pulls `src` through a fresh bounded
+    /// encode whose PSNR is bit-identical to `psnr_video` over the
+    /// materialized clip, so the bisection never needs the clip resident
+    /// and settles on the same bitrate on either path. `probe_peak`
+    /// rises to the probes' peak residency.
+    fn resolve_rate(
+        src: &mut dyn FrameSource,
+        req: &TranscodeRequest,
+        family: CodecFamily,
+        probe_peak: &mut usize,
+    ) -> Result<(RateControl, Option<u64>), TranscodeError> {
+        if src.is_empty() {
+            return Err(EncodeError::EmptySource.into());
+        }
+        Ok(match req.rate {
+            RateMode::ConstQuality { crf } => (RateControl::ConstQuality { crf }, None),
+            RateMode::Bitrate { bps } => (RateControl::Bitrate { bps }, Some(bps)),
+            RateMode::TwoPassBitrate { bps } => (RateControl::TwoPassBitrate { bps }, Some(bps)),
+            RateMode::QualityTarget { target_db, lo_bps, hi_bps, fallback_bps } => {
+                let found = bisect_bitrate(lo_bps, hi_bps, target_db, SOFTWARE_BISECT_ITERS, |b| {
+                    let cfg = req.encoder_config(family, RateControl::TwoPassBitrate { bps: b });
+                    src.reset();
+                    let probe = vcodec::encode_stream(src, &cfg, None).expect("valid probe");
+                    *probe_peak = (*probe_peak).max(probe.peak_resident_frames);
+                    probe.quality_db
+                });
+                let bps = match found {
+                    Some(r) => r.bitrate_bps,
+                    None => fallback_bps
+                        .ok_or(TranscodeError::UnreachableTarget { target_db, hi_bps })?,
+                };
+                (RateControl::TwoPassBitrate { bps }, Some(bps))
+            }
+        })
+    }
+}
+
 impl Transcoder for SoftwareEngine {
     fn transcode(
         &self,
@@ -514,34 +569,15 @@ impl Transcoder for SoftwareEngine {
         let Backend::Software(family) = req.backend else {
             return Err(TranscodeError::BackendMismatch { engine: "software" });
         };
-        let mut span = open_transcode_span(src, req);
-        let (rate, chosen_bps) = match req.rate {
-            RateMode::ConstQuality { crf } => (RateControl::ConstQuality { crf }, None),
-            RateMode::Bitrate { bps } => (RateControl::Bitrate { bps }, Some(bps)),
-            RateMode::TwoPassBitrate { bps } => (RateControl::TwoPassBitrate { bps }, Some(bps)),
-            RateMode::QualityTarget { target_db, lo_bps, hi_bps, fallback_bps } => {
-                // Table 5's loop: probe two-pass encodes until quality
-                // matches the reference, fall back to the ladder rate.
-                let found = bisect_bitrate(lo_bps, hi_bps, target_db, SOFTWARE_BISECT_ITERS, |b| {
-                    let cfg = req.encoder_config(family, RateControl::TwoPassBitrate { bps: b });
-                    psnr_video(src, &vcodec::encode(src, &cfg).recon)
-                });
-                let bps = match found {
-                    Some(r) => r.bitrate_bps,
-                    None => fallback_bps
-                        .ok_or(TranscodeError::UnreachableTarget { target_db, hi_bps })?,
-                };
-                (RateControl::TwoPassBitrate { bps }, Some(bps))
-            }
-        };
+        let mut span = open_span(src.len(), req);
+        let (rate, chosen_bps) =
+            SoftwareEngine::resolve_rate(&mut VideoSource::new(src), req, family, &mut 0)?;
         let output = vcodec::try_encode(src, &req.encoder_config(family, rate))?;
         let speed = output.stats.pixels_per_second(src.total_pixels());
         let measurement = outcome_measurement(src, &output, speed)?;
-        let timings =
-            StageSeconds { submission: 0.0, transfer: 0.0, pipeline: output.stats.encode_seconds };
-        let outcome = TranscodeOutcome { output, measurement, timings, chosen_bps };
-        finish_transcode_span(&mut span, &outcome, chosen_bps);
-        Ok(outcome)
+        let timings = pipeline_timings(&output.stats);
+        finish_span(&mut span, &output.stats, &measurement, &timings, chosen_bps);
+        Ok(TranscodeOutcome { output, measurement, timings, chosen_bps })
     }
 
     fn transcode_stream(
@@ -552,12 +588,12 @@ impl Transcoder for SoftwareEngine {
         let Backend::Software(family) = req.backend else {
             return Err(TranscodeError::BackendMismatch { engine: "software" });
         };
-        let mut span = open_request_span(src.len(), req);
+        let mut span = open_span(src.len(), req);
         let window = req.stream_window;
         // Validate the window up front: bisection probes run before the
-        // final encode, and their failure mode is a panic (matching the
-        // in-memory probe path), so a structurally undersized window must
-        // surface as a typed error first.
+        // final encode, and their failure mode is a panic, so a
+        // structurally undersized window must surface as a typed error
+        // first.
         if let Some(w) = window {
             let probe_cfg = req.encoder_config(family, RateControl::ConstQuality { crf: 30.0 });
             let required = vcodec::required_window(&probe_cfg);
@@ -565,39 +601,11 @@ impl Transcoder for SoftwareEngine {
                 return Err(EncodeError::WindowTooSmall { required, window: w }.into());
             }
         }
-        if src.is_empty() {
-            return Err(EncodeError::EmptySource.into());
-        }
         // Peak residency across every encode the request runs, probes
         // included — the figure the `encode.peak_resident_frames` gauge
         // and the farm summary report.
-        let probe_peak = Cell::new(0usize);
-        let (rate, chosen_bps) = match req.rate {
-            RateMode::ConstQuality { crf } => (RateControl::ConstQuality { crf }, None),
-            RateMode::Bitrate { bps } => (RateControl::Bitrate { bps }, Some(bps)),
-            RateMode::TwoPassBitrate { bps } => (RateControl::TwoPassBitrate { bps }, Some(bps)),
-            RateMode::QualityTarget { target_db, lo_bps, hi_bps, fallback_bps } => {
-                // Table 5's loop, re-pulling the source per probe: each
-                // probe is a fresh bounded two-pass encode, so the
-                // bisection never needs the clip resident either. The
-                // probe's streaming PSNR is bit-identical to the
-                // in-memory `psnr_video`, so the bisected bitrate is too.
-                let found = bisect_bitrate(lo_bps, hi_bps, target_db, SOFTWARE_BISECT_ITERS, |b| {
-                    let cfg = req.encoder_config(family, RateControl::TwoPassBitrate { bps: b });
-                    src.reset();
-                    let probe =
-                        vcodec::encode_stream(src, &cfg, window).expect("validated stream probe");
-                    probe_peak.set(probe_peak.get().max(probe.peak_resident_frames));
-                    probe.quality_db
-                });
-                let bps = match found {
-                    Some(r) => r.bitrate_bps,
-                    None => fallback_bps
-                        .ok_or(TranscodeError::UnreachableTarget { target_db, hi_bps })?,
-                };
-                (RateControl::TwoPassBitrate { bps }, Some(bps))
-            }
-        };
+        let mut peak = 0;
+        let (rate, chosen_bps) = SoftwareEngine::resolve_rate(src, req, family, &mut peak)?;
         src.reset();
         let out = vcodec::encode_stream(src, &req.encoder_config(family, rate), window)?;
         let total_pixels = src.resolution().pixels() * src.len() as u64;
@@ -606,18 +614,18 @@ impl Transcoder for SoftwareEngine {
             source_bpps(src.resolution(), src.fps(), src.len(), out.bytes.len()),
             out.quality_db,
         )?;
-        let timings =
-            StageSeconds { submission: 0.0, transfer: 0.0, pipeline: out.stats.encode_seconds };
-        let outcome = StreamOutcome {
-            peak_resident_frames: probe_peak.get().max(out.peak_resident_frames),
+        let timings = pipeline_timings(&out.stats);
+        finish_span(&mut span, &out.stats, &measurement, &timings, chosen_bps);
+        let peak_resident_frames = peak.max(out.peak_resident_frames);
+        span.record("peak_resident_frames", peak_resident_frames);
+        Ok(StreamOutcome {
             bytes: out.bytes,
             stats: out.stats,
             measurement,
             timings,
             chosen_bps,
-        };
-        finish_stream_span(&mut span, &outcome);
-        Ok(outcome)
+            peak_resident_frames,
+        })
     }
 }
 
@@ -635,7 +643,7 @@ impl Transcoder for HardwareEngine {
         let Backend::Hardware(vendor) = req.backend else {
             return Err(TranscodeError::BackendMismatch { engine: "hardware" });
         };
-        let mut span = open_transcode_span(src, req);
+        let mut span = open_span(src.len(), req);
         let hw = HwEncoder::new(vendor);
         let (result, chosen_bps) = match req.rate {
             RateMode::ConstQuality { crf } => (hw.encode_quality(src, crf), None),
@@ -661,14 +669,9 @@ impl Transcoder for HardwareEngine {
             }
         };
         let measurement = outcome_measurement(src, &result.output, result.speed_pixels_per_sec)?;
-        let outcome = TranscodeOutcome {
-            output: result.output,
-            measurement,
-            timings: result.stages,
-            chosen_bps,
-        };
-        finish_transcode_span(&mut span, &outcome, chosen_bps);
-        Ok(outcome)
+        let (output, timings) = (result.output, result.stages);
+        finish_span(&mut span, &output.stats, &measurement, &timings, chosen_bps);
+        Ok(TranscodeOutcome { output, measurement, timings, chosen_bps })
     }
 }
 

@@ -98,8 +98,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
-use crate::engine::Transcoder;
-use crate::farm::{BatchError, EngineJob, JobError, JobOutcome, JobSource};
+use crate::engine::{StreamOutcome, Transcoder};
+use crate::farm::{BatchError, EngineJob, JobError, JobSource};
 use crate::fleet::predict::{predict_work_pixels, JobFeatures, NEUTRAL_ENTROPY};
 use crate::resilience::{degraded_request, FaultyTranscoder, ResilienceConfig};
 use ledger::LeaseId;
@@ -111,7 +111,7 @@ use ledger::LeaseId;
 pub struct ChainResult {
     /// The transcode's outcome, or why the chain failed after its retry
     /// budget.
-    pub outcome: Result<JobOutcome, JobError>,
+    pub outcome: Result<StreamOutcome, JobError>,
     /// Attempts run (1 = first try succeeded; 0 = replayed from a
     /// journal, nothing ran in this process).
     pub attempts: u32,
@@ -124,7 +124,7 @@ pub struct ChainResult {
 impl ChainResult {
     /// A chain prefilled from a journal: zero attempts ran in this
     /// process.
-    pub fn replayed(outcome: Result<JobOutcome, JobError>) -> ChainResult {
+    pub fn replayed(outcome: Result<StreamOutcome, JobError>) -> ChainResult {
         ChainResult { outcome, attempts: 0, degraded: 0, deadline_missed: false }
     }
 
@@ -312,16 +312,10 @@ fn run_attempt_chain(
         let faulty =
             FaultyTranscoder { inner: engine, plan: &policy.fault_plan, job: job_index, attempt };
         let request = degraded_request(&job.request, degraded);
+        // A fresh pull stream per attempt: retries re-pull from frame
+        // zero.
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            if job.stream {
-                // A fresh pull stream per attempt: retries re-pull from
-                // frame zero, exactly like the in-memory path re-reads
-                // the clip.
-                let mut source = job.source.open();
-                faulty.transcode_stream(source.as_mut(), &request).map(JobOutcome::Streamed)
-            } else {
-                faulty.transcode(&job.source.materialize(), &request).map(JobOutcome::Full)
-            }
+            faulty.transcode_stream(job.source.open().as_mut(), &request)
         }));
         let failure = match caught {
             Ok(Ok(outcome)) => match deadline {

@@ -28,25 +28,22 @@
 //! instead of taking the batch down, and every other job's result is
 //! byte-identical to an unfaulted run.
 
-use crate::engine::{
-    StreamOutcome, TranscodeError, TranscodeOutcome, TranscodeRequest, Transcoder,
-};
+use crate::engine::{StreamOutcome, TranscodeError, TranscodeRequest, Transcoder};
 use crate::exec::local::run_engine_batch;
 use crate::exec::{predicted_work, ChainResult};
 use crate::journal::JournalError;
-use crate::measure::Measurement;
 use crate::resilience::ResilienceConfig;
-use vcodec::EncodeStats;
 use vframe::source::{FrameSource, VideoSource};
 use vframe::Video;
-use vhw::StageSeconds;
 use vsynth::SourceSpec;
 
 /// Where an engine job's frames come from.
 ///
-/// In-memory jobs carry the whole clip (the pre-streaming contract);
-/// synthetic jobs carry only the [`SourceSpec`] and render frames on
-/// demand, so a streamed batch never materializes its inputs at all.
+/// In-memory jobs carry the whole clip, rendered up front; synthetic
+/// jobs carry only the [`SourceSpec`] and render frames on demand, so a
+/// batch of them never materializes its inputs at all. Either way the
+/// job runs through [`Transcoder::transcode_stream`] over
+/// [`JobSource::open`].
 #[derive(Clone, Debug)]
 pub enum JobSource {
     /// A fully materialized clip.
@@ -79,20 +76,12 @@ impl JobSource {
             JobSource::Synth(spec) => Box::new(spec.source()),
         }
     }
-
-    /// The materialized clip: borrowed for in-memory sources, rendered
-    /// for synthetic ones.
-    pub fn materialize(&self) -> std::borrow::Cow<'_, Video> {
-        match self {
-            JobSource::InMemory(v) => std::borrow::Cow::Borrowed(v),
-            JobSource::Synth(spec) => std::borrow::Cow::Owned(spec.generate()),
-        }
-    }
 }
 
 /// One engine transcode job: a frame source and the request to run it
 /// with. The backend lives inside the request, so one batch can span
-/// software and hardware rows.
+/// software and hardware rows. Every attempt pulls a fresh stream from
+/// the source through [`Transcoder::transcode_stream`].
 #[derive(Clone, Debug)]
 pub struct EngineJob {
     /// Job label (e.g. the suite video name).
@@ -101,9 +90,6 @@ pub struct EngineJob {
     pub source: JobSource,
     /// Transcode request.
     pub request: TranscodeRequest,
-    /// Run through [`Transcoder::transcode_stream`] (bounded residency,
-    /// no reconstruction) instead of the in-memory path.
-    pub stream: bool,
     /// Per-job deadline on encode seconds, overriding the batch-wide
     /// [`ResilienceConfig::job_deadline_secs`]. The Live scenario derives
     /// this from the clip's real-time pixel rate
@@ -114,23 +100,16 @@ pub struct EngineJob {
 impl EngineJob {
     /// An in-memory job with no per-job deadline.
     pub fn new(name: impl Into<String>, video: Video, request: TranscodeRequest) -> EngineJob {
-        EngineJob {
-            name: name.into(),
-            source: JobSource::InMemory(video),
-            request,
-            stream: false,
-            deadline_secs: None,
-        }
+        EngineJob::streaming(name, JobSource::InMemory(video), request)
     }
 
-    /// A streaming job: frames are pulled from `source` per attempt and
-    /// residency stays bounded on backends with a streaming path.
+    /// A job over any source, with no per-job deadline.
     pub fn streaming(
         name: impl Into<String>,
         source: JobSource,
         request: TranscodeRequest,
     ) -> EngineJob {
-        EngineJob { name: name.into(), source, request, stream: true, deadline_secs: None }
+        EngineJob { name: name.into(), source, request, deadline_secs: None }
     }
 
     /// Attaches a per-job deadline on encode seconds.
@@ -225,135 +204,6 @@ impl std::fmt::Display for BatchError {
 
 impl std::error::Error for BatchError {}
 
-/// A completed job loaded back from a durability journal
-/// (`crate::journal`) instead of re-encoded: the journaled bitstream
-/// (already CRC-verified against its recorded checksum) plus the
-/// measurement, timings, and partial stats the original run recorded.
-///
-/// The journal does not persist reconstructions or kernel counters, so
-/// `stats.kernels` is zeroed — a replayed outcome is for output
-/// identity and reporting, not for microarchitectural analysis.
-#[derive(Clone, Debug)]
-pub struct ReplayedOutcome {
-    /// The journaled bitstream, byte-identical to the original encode.
-    pub bytes: Vec<u8>,
-    /// `vpack::crc32` of `bytes`, as journaled and re-verified on load.
-    pub crc32: u32,
-    /// The original run's measurement.
-    pub measurement: Measurement,
-    /// The original run's stage timings.
-    pub timings: StageSeconds,
-    /// The bitrate the rate policy operated at, if any.
-    pub chosen_bps: Option<u64>,
-    /// Partial stats (encode seconds, sizes, frame/superblock counts);
-    /// kernel counters are zeroed.
-    pub stats: EncodeStats,
-}
-
-/// A completed job's payload: the in-memory outcome (with
-/// reconstruction) or the streaming outcome (bounded residency, no
-/// reconstruction), depending on [`EngineJob::stream`] — or a
-/// journal-replayed outcome when the batch resumed. The accessors
-/// cover every field shared by all shapes.
-#[derive(Clone, Debug)]
-pub enum JobOutcome {
-    /// From [`Transcoder::transcode`]: bitstream + reconstruction.
-    Full(TranscodeOutcome),
-    /// From [`Transcoder::transcode_stream`]: bitstream only, plus the
-    /// peak frame residency the encode reached.
-    Streamed(StreamOutcome),
-    /// Loaded from a durability journal on `--resume`; never re-encoded.
-    Replayed(ReplayedOutcome),
-}
-
-impl JobOutcome {
-    /// The transcode's measurement.
-    pub fn measurement(&self) -> &Measurement {
-        match self {
-            JobOutcome::Full(o) => &o.measurement,
-            JobOutcome::Streamed(o) => &o.measurement,
-            JobOutcome::Replayed(o) => &o.measurement,
-        }
-    }
-
-    /// Stage timings.
-    pub fn timings(&self) -> &StageSeconds {
-        match self {
-            JobOutcome::Full(o) => &o.timings,
-            JobOutcome::Streamed(o) => &o.timings,
-            JobOutcome::Replayed(o) => &o.timings,
-        }
-    }
-
-    /// The produced bitstream.
-    pub fn bytes(&self) -> &[u8] {
-        match self {
-            JobOutcome::Full(o) => &o.output.bytes,
-            JobOutcome::Streamed(o) => &o.bytes,
-            JobOutcome::Replayed(o) => &o.bytes,
-        }
-    }
-
-    /// Work and timing statistics.
-    pub fn stats(&self) -> &EncodeStats {
-        match self {
-            JobOutcome::Full(o) => &o.output.stats,
-            JobOutcome::Streamed(o) => &o.stats,
-            JobOutcome::Replayed(o) => &o.stats,
-        }
-    }
-
-    /// The bitrate the rate policy operated at, if any.
-    pub fn chosen_bps(&self) -> Option<u64> {
-        match self {
-            JobOutcome::Full(o) => o.chosen_bps,
-            JobOutcome::Streamed(o) => o.chosen_bps,
-            JobOutcome::Replayed(o) => o.chosen_bps,
-        }
-    }
-
-    /// Peak resident frames, reported by streamed jobs only.
-    pub fn peak_resident_frames(&self) -> Option<usize> {
-        match self {
-            JobOutcome::Streamed(o) => Some(o.peak_resident_frames),
-            _ => None,
-        }
-    }
-
-    /// The in-memory outcome, if this job ran the in-memory path.
-    pub fn as_full(&self) -> Option<&TranscodeOutcome> {
-        match self {
-            JobOutcome::Full(o) => Some(o),
-            _ => None,
-        }
-    }
-
-    /// Consumes into the in-memory outcome, if this job ran that path.
-    pub fn into_full(self) -> Option<TranscodeOutcome> {
-        match self {
-            JobOutcome::Full(o) => Some(o),
-            _ => None,
-        }
-    }
-
-    /// The streaming outcome, if this job streamed.
-    pub fn as_streamed(&self) -> Option<&StreamOutcome> {
-        match self {
-            JobOutcome::Streamed(o) => Some(o),
-            _ => None,
-        }
-    }
-
-    /// The journal-replayed outcome, if this job was resumed from a
-    /// journal rather than encoded in this run.
-    pub fn as_replayed(&self) -> Option<&ReplayedOutcome> {
-        match self {
-            JobOutcome::Replayed(o) => Some(o),
-            _ => None,
-        }
-    }
-}
-
 /// One finished engine job: its outcome (or why it failed) plus the
 /// resilience history that produced it.
 #[derive(Debug)]
@@ -361,10 +211,13 @@ pub struct EngineJobResult {
     /// Job label.
     pub name: String,
     /// The transcode's outcome, or why the job failed after its retry
-    /// budget.
-    pub outcome: Result<JobOutcome, JobError>,
-    /// Attempts run (1 = first try succeeded). Hedge copies do not
-    /// count: they re-run the same attempt sequence.
+    /// budget. A job replayed from a durability journal carries the
+    /// journaled bitstream (CRC-verified on load), measurement, timings
+    /// and stats — kernel counters zeroed, `peak_resident_frames` 0.
+    pub outcome: Result<StreamOutcome, JobError>,
+    /// Attempts run (1 = first try succeeded; 0 = replayed from a
+    /// journal). Hedge copies do not count: they re-run the same attempt
+    /// sequence.
     pub attempts: u32,
     /// Whether a hedge copy was launched for this job.
     pub hedged: bool,
@@ -377,7 +230,7 @@ pub struct EngineJobResult {
 
 impl EngineJobResult {
     /// The successful outcome, if the job completed.
-    pub fn success(&self) -> Option<&JobOutcome> {
+    pub fn success(&self) -> Option<&StreamOutcome> {
         self.outcome.as_ref().ok()
     }
 
@@ -407,8 +260,8 @@ pub struct BatchSummary {
     /// Jobs whose outcome (success or failure) was replayed from a
     /// durability journal instead of re-run.
     pub replayed: usize,
-    /// The largest peak frame residency any *streamed* job reported
-    /// (0 when no job streamed): the batch's bounded-memory high-water
+    /// The largest peak frame residency any job that ran reported (0
+    /// when every job replayed): the batch's bounded-memory high-water
     /// mark.
     pub peak_resident_frames: usize,
 }
@@ -450,9 +303,8 @@ impl EngineBatchReport {
             match &chain.outcome {
                 Ok(outcome) => {
                     summary.completed += 1;
-                    if let Some(peak) = outcome.peak_resident_frames() {
-                        summary.peak_resident_frames = summary.peak_resident_frames.max(peak);
-                    }
+                    summary.peak_resident_frames =
+                        summary.peak_resident_frames.max(outcome.peak_resident_frames);
                     if !chain.was_replayed() {
                         cpu_secs += outcome.timings().total();
                     }
@@ -519,8 +371,8 @@ impl EngineBatchReport {
     /// Wall time over the list-scheduling lower bound
     /// `max(longest tᵢ, Σt ÷ threads)` of the jobs that ran: 1.0 is a
     /// schedule no claim order could beat; the excess is lane time
-    /// outside the jobs' own transcode seconds (tail idle, queueing,
-    /// and for streamed jobs the frame pulls). `None` when nothing ran.
+    /// outside the jobs' own transcode seconds (tail idle, queueing, and
+    /// the frame pulls). `None` when nothing ran.
     pub fn makespan_bound_ratio(&self, threads: usize) -> Option<f64> {
         let (longest, total) =
             self.ran_secs().fold((0.0f64, 0.0), |(l, s), (_, t)| (l.max(t), s + t));

@@ -17,9 +17,10 @@
 //! [`run_batch_journaled_with_io`] replays the journal instead of
 //! re-encoding:
 //!
-//! * a job with a valid record is loaded back as
-//!   [`JobOutcome::Replayed`] (successes) or
-//!   [`crate::farm::JobError::ReplayedFailure`] (failures) — its
+//! * a job with a valid record is loaded back with zero attempts — as a
+//!   [`crate::engine::StreamOutcome`] carrying the journaled bitstream,
+//!   measurement, timings and stats (successes) or as
+//!   [`crate::farm::JobError::ReplayedFailure`] (failures). The
 //!   bitstream is CRC-verified on load and byte-identical to the
 //!   original encode, and zero encode work runs for it;
 //! * a torn trailing line (the process died mid-append) or interleaved
@@ -79,7 +80,7 @@ use crate::engine::Transcoder;
 use crate::exec::io::{append_retrying, remove_stale_temps, unique_temp, DurableFile, JournalIo};
 use crate::exec::local::run_engine_batch;
 use crate::exec::ChainResult;
-use crate::farm::{BatchError, EngineBatchReport, EngineJob};
+use crate::farm::{BatchError, EngineBatchReport, EngineJob, JobSource};
 use crate::resilience::ResilienceConfig;
 use record::Record;
 use vfault::{CrashPoint, FileClass};
@@ -201,7 +202,7 @@ pub fn run_batch_journaled_with_io(
 }
 
 /// The batch's identity: a CRC-32 over a canonical description of every
-/// job (name, request, streaming flag, deadline, source shape) and the
+/// job (name, request, source kind, deadline, source shape) and the
 /// full resilience policy (fault plan and seed included). Any
 /// difference that could change an output bitstream changes the
 /// fingerprint. Worker processes compute it too, to verify they were
@@ -214,7 +215,10 @@ pub(crate) fn manifest_fingerprint(jobs: &[EngineJob], policy: &ResilienceConfig
             "{}|{:?}|{}|{:?}|{}|{}\n",
             job.name,
             job.request,
-            job.stream,
+            // This slot once held a per-job streaming flag that was true
+            // exactly for synthetic sources: journals written then keep
+            // their fingerprint.
+            matches!(job.source, JobSource::Synth(_)),
             job.deadline_secs,
             job.source.frames(),
             job.source.total_pixels(),
@@ -515,6 +519,30 @@ mod tests {
         config: &JournalConfig,
     ) -> Result<EngineBatchReport, JournalError> {
         run_batch_journaled_with_io(&Engine, jobs, 2, policy, config, &StdIo)
+    }
+
+    /// A journal written before the source kind took the place of the
+    /// per-job streaming flag still resumes: the fingerprint of a mixed
+    /// in-memory / synthetic batch under a non-default policy is pinned
+    /// to the value that flag produced.
+    #[test]
+    fn manifest_fingerprint_of_a_mixed_batch_is_pinned() {
+        let spec = vsynth::SourceSpec::new(
+            vframe::Resolution::new(64, 48),
+            30.0,
+            6,
+            vsynth::ContentClass::Natural,
+            3,
+        );
+        let mut jobs = jobs(2);
+        jobs.push(
+            EngineJob::streaming("synth", JobSource::Synth(spec), record::testing::request())
+                .with_deadline(1.5),
+        );
+        let policy = ResilienceConfig::default()
+            .with_max_retries(2)
+            .with_fault_plan(vfault::FaultPlan::new().with_panic(1, 1));
+        assert_eq!(manifest_fingerprint(&jobs, &policy), 1_051_873_623);
     }
 
     #[test]

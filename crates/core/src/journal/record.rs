@@ -33,10 +33,11 @@
 use std::path::Path;
 use std::time::Instant;
 
+use crate::engine::StreamOutcome;
 use crate::exec::io::{append_retrying, DurableFile, JournalIo};
 use crate::exec::ledger::LeaseId;
 use crate::exec::ChainResult;
-use crate::farm::{EngineJob, JobError, JobOutcome, ReplayedOutcome};
+use crate::farm::{EngineJob, JobError};
 use crate::measure::Measurement;
 use vcodec::EncodeStats;
 use vfault::FileClass;
@@ -179,14 +180,14 @@ impl JobRecord {
                 avg_qp: f("avg_qp")?,
                 kernels: Default::default(),
             };
-            Ok(JobOutcome::Replayed(ReplayedOutcome {
+            Ok(StreamOutcome {
                 bytes,
-                crc32: crc,
+                stats,
                 measurement,
                 timings,
                 chosen_bps,
-                stats,
-            }))
+                peak_resident_frames: 0,
+            })
         } else {
             let message = record.get("message").and_then(Value::as_str)?.to_string();
             Err(JobError::ReplayedFailure { message })
@@ -367,7 +368,7 @@ pub(crate) fn job_line(
         Ok(outcome) => {
             let m = outcome.measurement();
             let t = outcome.timings();
-            let s = outcome.stats();
+            let s = &outcome.stats;
             let crc = vpack::crc32(outcome.bytes());
             line.push_str(&format!(
                 ",\"status\":\"ok\",\"crc32\":{crc},\"speed_pps\":{},\"bitrate_bpps\":{},\
@@ -560,9 +561,8 @@ pub(crate) mod testing {
 
     /// A successful chain whose outcome is the replay of `bytes`.
     pub(crate) fn ok_chain(bytes: &[u8], attempts: u32) -> ChainResult {
-        let outcome = ReplayedOutcome {
+        let outcome = StreamOutcome {
             bytes: bytes.to_vec(),
-            crc32: vpack::crc32(bytes),
             measurement: Measurement { speed_pps: 1.5e6, bitrate_bpps: 0.125, quality_db: 41.75 },
             timings: StageSeconds { submission: 0.0, transfer: 0.25, pipeline: 2.5 },
             chosen_bps: None,
@@ -577,13 +577,9 @@ pub(crate) mod testing {
                 avg_qp: 30.0,
                 kernels: Default::default(),
             },
+            peak_resident_frames: 0,
         };
-        ChainResult {
-            outcome: Ok(JobOutcome::Replayed(outcome)),
-            attempts,
-            degraded: 0,
-            deadline_missed: false,
-        }
+        ChainResult { outcome: Ok(outcome), attempts, degraded: 0, deadline_missed: false }
     }
 
     /// A chain that failed with `message`.
@@ -728,7 +724,7 @@ mod tests {
             job_line(4, "a \"quoted\" name", &ok, Some((1, 0))),
             format!("{OK},\"worker\":1,\"run\":0}}\n")
         );
-        if let Ok(JobOutcome::Replayed(o)) = &mut ok.outcome {
+        if let Ok(o) = &mut ok.outcome {
             o.chosen_bps = Some(400_000);
         }
         assert!(job_line(4, "x", &ok, None).contains(",\"chosen_bps\":400000,"));
@@ -818,7 +814,7 @@ mod tests {
             let (attempts, degraded, flags) = history;
             let jobs = jobs(&["a", "b\\c\t\"d\""]);
             let mut chain = ok_chain(&bytes, attempts);
-            if let Ok(JobOutcome::Replayed(o)) = &mut chain.outcome {
+            if let Ok(o) = &mut chain.outcome {
                 o.measurement = Measurement {
                     speed_pps: floats[0],
                     bitrate_bpps: floats[1],

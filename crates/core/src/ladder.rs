@@ -6,12 +6,12 @@
 //! targets from the ladder model in [`crate::reference`], and a parallel
 //! driver that produces every rung from one source.
 
-use crate::engine::{Backend, Engine, RateMode, TranscodeRequest, Transcoder};
+use crate::engine::{Backend, Engine, RateMode, StreamOutcome, TranscodeRequest, Transcoder};
 use crate::farm::{transcode_batch, BatchError, EngineJob};
 use crate::measure::Measurement;
 use crate::reference::target_bps;
 use crate::resilience::ResilienceConfig;
-use vcodec::{CodecFamily, EncodeOutput, Preset};
+use vcodec::{CodecFamily, Preset};
 use vframe::scale::resize_video;
 use vframe::{Resolution, Video};
 
@@ -65,17 +65,17 @@ pub fn rungs_for(native: Resolution, scale: u32) -> Vec<LadderRung> {
 pub struct LadderOutput {
     /// The rung.
     pub rung: LadderRung,
-    /// The downscaled source the rung was encoded from.
-    pub source: Video,
-    /// Encode output.
-    pub output: EncodeOutput,
+    /// The engine's outcome for the rung: bitstream, stats, and the
+    /// measurement against the rung's own scaled source.
+    pub output: StreamOutcome,
 }
 
 impl LadderOutput {
     /// The rung's measurement (speed/bitrate/quality vs its own scaled
-    /// source).
+    /// source). Speed is the engine's: measured wall time for software
+    /// rungs, the pipeline model's throughput for hardware ones.
     pub fn measurement(&self) -> Measurement {
-        Measurement::from_encode(&self.source, &self.output)
+        self.output.measurement
     }
 }
 
@@ -126,44 +126,38 @@ pub fn transcode_ladder_with(
     workers: usize,
 ) -> Result<Vec<LadderOutput>, BatchError> {
     let mut ladder_span = vtrace::span("ladder");
-    let sources: Vec<(LadderRung, Video)> = rungs_for(source.resolution(), scale)
+    let rungs: Vec<LadderRung> = rungs_for(source.resolution(), scale)
         .into_iter()
         .filter(|r| r.resolution.pixels() <= source.resolution().pixels())
-        .map(|r| (r, resize_video(source, r.resolution)))
         .collect();
-    assert!(!sources.is_empty(), "no ladder rung fits the source resolution");
+    assert!(!rungs.is_empty(), "no ladder rung fits the source resolution");
     if ladder_span.id().is_some() {
         ladder_span.record("backend", backend.name());
-        ladder_span.record("rungs", sources.len());
-        vtrace::counter("ladder.rungs_encoded", sources.len() as u64);
+        ladder_span.record("rungs", rungs.len());
+        vtrace::counter("ladder.rungs_encoded", rungs.len() as u64);
     }
-    let jobs: Vec<EngineJob> = sources
+    let jobs: Vec<EngineJob> = rungs
         .iter()
-        .map(|(rung, video)| {
-            let bps = target_bps(video);
+        .map(|rung| {
+            let video = resize_video(source, rung.resolution);
+            let bps = target_bps(&video);
             let rate = match backend {
                 Backend::Software(_) => RateMode::TwoPassBitrate { bps },
                 Backend::Hardware(_) => RateMode::Bitrate { bps },
             };
-            EngineJob::new(rung.name, video.clone(), TranscodeRequest::new(backend, preset, rate))
+            EngineJob::new(rung.name, video, TranscodeRequest::new(backend, preset, rate))
         })
         .collect();
     let report = transcode_batch(engine, &jobs, workers, &ResilienceConfig::default())?
         .require_complete()?;
-    Ok(sources
+    Ok(rungs
         .into_iter()
         .zip(report.results)
-        .map(|((rung, video), result)| LadderOutput {
+        // Invariant: require_complete() above guarantees every slot holds
+        // a success.
+        .map(|(rung, result)| LadderOutput {
             rung,
-            source: video,
-            // Invariant: require_complete() above guarantees every slot
-            // holds a success, and ladder jobs always run in memory.
-            output: result
-                .outcome
-                .expect("complete ladder")
-                .into_full()
-                .expect("in-memory ladder job")
-                .output,
+            output: result.outcome.expect("complete ladder"),
         })
         .collect())
 }
@@ -229,6 +223,30 @@ mod tests {
             out.last().unwrap().output.bytes.len() < out[0].output.bytes.len(),
             "ladder should shrink"
         );
+    }
+
+    /// A hardware rung's speed is the pipeline model's, not the wall time
+    /// of the software codec standing in for the ASIC's bitstream.
+    #[test]
+    fn hardware_rungs_report_the_modelled_speed() {
+        let src = source();
+        let vendor = vhw::HwVendor::Nvenc;
+        let out =
+            transcode_ladder_with(&Engine, Backend::Hardware(vendor), Preset::Fast, &src, 1, 2)
+                .expect("hardware ladder");
+        assert!(out.len() >= 2);
+        for rung in &out {
+            let video = resize_video(&src, rung.rung.resolution);
+            let request =
+                TranscodeRequest::hardware(vendor, RateMode::Bitrate { bps: target_bps(&video) });
+            let modelled = Engine.transcode(&video, &request).expect("hardware rung");
+            assert_eq!(
+                rung.measurement().speed_pps,
+                modelled.measurement.speed_pps,
+                "{}",
+                rung.rung.name
+            );
+        }
     }
 
     #[test]

@@ -112,7 +112,7 @@ pub use engine::{
 pub use exec::ChainResult;
 pub use farm::{
     transcode_batch, BatchError, BatchSummary, EngineBatchReport, EngineJob, EngineJobResult,
-    JobError, JobOutcome, JobSource, ReplayedOutcome,
+    JobError, JobSource,
 };
 pub use fleet::{
     cheapest_job_dollars, fleet_size_for, fleet_size_for_resilient, pareto_report, plan_fleet,

@@ -319,11 +319,11 @@ pub struct StreamEncodeOutput {
 /// display order as the coding order needs them, reconstructions are
 /// dropped once no longer referenceable, and quality accumulates per
 /// frame. The bitstream is byte-identical to [`encode`] over the
-/// materialized clip.
+/// materialized clip: both run the one driver below.
 ///
 /// Two-pass rate control replays the source (analysis pass, then
-/// [`FrameSource::reset`], then the main pass), exactly mirroring the
-/// in-memory path; the peak residency covers both passes.
+/// [`FrameSource::reset`], then the main pass); the peak residency
+/// covers both passes.
 ///
 /// `window` is an optional ceiling on resident frames: it never changes
 /// the bitstream (the pipeline always runs at its structural minimum,
@@ -350,81 +350,24 @@ pub fn encode_stream(
             return Err(EncodeError::WindowTooSmall { required, window: w });
         }
     }
-
-    let start = Instant::now();
-    let mut total_kernels = KernelCounters::new();
-    let frames_total = source.len();
-    let mut residency = Residency::default();
-    let mut pull_wait_secs = 0.0f64;
-    let mut psnr = PsnrAccumulator::new(frames_total);
-
-    let (mut rc, first_pass) = match config.rate {
-        RateControl::ConstQuality { crf } => {
-            (RateController::const_quality(crf + config.family.crf_qp_offset()), None)
-        }
-        RateControl::Bitrate { bps } => {
-            (RateController::single_pass(bps, source.fps(), source.resolution().pixels()), None)
-        }
-        RateControl::TwoPassBitrate { bps } => {
-            // Analysis pass: fast preset, fixed quality, no probe — and no
-            // PSNR, matching the in-memory path where only the main pass's
-            // reconstruction defines quality.
-            let analysis_cfg = EncoderConfig {
-                preset: Preset::VeryFast,
-                rate: RateControl::ConstQuality { crf: 30.0 },
-                ..*config
-            };
-            let mut analysis_rc = RateController::const_quality(30.0);
-            let mut mode = PassMode::Bounded {
-                psnr: None,
-                residency: &mut residency,
-                pull_wait_secs: &mut pull_wait_secs,
-            };
-            let pass1 =
-                encode_pass_core(source, &analysis_cfg, &mut analysis_rc, &mut NoProbe, &mut mode);
-            total_kernels.merge(&pass1.kernels);
-            let log = FirstPassLog { analysis_qp: 30, frame_bits: pass1.frame_bits };
-            source.reset();
-            (RateController::two_pass(bps, source.fps(), &log), Some(log))
-        }
-    };
-
-    let pass = {
-        let mut mode = PassMode::Bounded {
-            psnr: Some(&mut psnr),
-            residency: &mut residency,
-            pull_wait_secs: &mut pull_wait_secs,
-        };
-        encode_pass_core(source, config, &mut rc, &mut NoProbe, &mut mode)
-    };
-    total_kernels.merge(&pass.kernels);
-
-    let peak = residency.peak;
+    let mut psnr = PsnrAccumulator::new(source.len());
+    let driven = drive(source, config, &mut NoProbe, false, Some(&mut psnr));
+    let peak = driven.peak_resident_frames;
     assert!(peak <= required, "residency {peak} exceeded the structural window {required}");
     if vtrace::enabled() {
         vtrace::gauge("encode.peak_resident_frames", peak as f64);
     }
-    let stats = EncodeStats {
-        encode_seconds: (start.elapsed().as_secs_f64() - pull_wait_secs).max(1e-9),
-        bitstream_bytes: pass.bytes.len() as u64,
-        frames: frames_total as u32,
-        sb_intra: pass.sb_intra,
-        sb_inter: pass.sb_inter,
-        sb_skip: pass.sb_skip,
-        sb_split: pass.sb_split,
-        avg_qp: pass.qp_sum / frames_total as f64,
-        kernels: total_kernels,
-    };
     Ok(StreamEncodeOutput {
-        bytes: pass.bytes,
-        stats,
+        bytes: driven.pass.bytes,
+        stats: driven.stats,
         quality_db: psnr.finish(),
         peak_resident_frames: peak,
-        first_pass,
+        first_pass: driven.first_pass,
     })
 }
 
-/// Encodes `video` with `config`, streaming trace events into `probe`.
+/// Encodes `video` with `config`, streaming trace events into `probe`,
+/// and keeps every reconstruction for [`EncodeOutput::recon`].
 ///
 /// Two-pass rate control runs the analysis pass first (at [`Preset::VeryFast`]
 /// with a fixed analysis QP, like production pipelines); its time and work
@@ -434,56 +377,98 @@ pub fn encode_with_probe(
     config: &EncoderConfig,
     probe: &mut dyn Probe,
 ) -> EncodeOutput {
+    let driven = drive(&mut VideoSource::new(video), config, probe, true, None);
+    EncodeOutput {
+        bytes: driven.pass.bytes,
+        stats: driven.stats,
+        recon: Video::new(driven.pass.recon, video.fps()),
+        first_pass: driven.first_pass,
+    }
+}
+
+/// What [`drive`] produces; each entry point keeps its part of it.
+struct Driven {
+    /// The main pass.
+    pass: PassResult,
+    /// Work and timing statistics over both passes.
+    stats: EncodeStats,
+    /// First-pass complexity log when two-pass rate control ran.
+    first_pass: Option<FirstPassLog>,
+    /// The most frames resident at once across both passes (retained
+    /// reconstructions included).
+    peak_resident_frames: usize,
+}
+
+/// The one encode driver: rate-controller setup (running the two-pass
+/// analysis pass bounded — its reconstruction is thrown away), the main
+/// pass, and stats assembly. `retain` keeps the main pass's every
+/// reconstruction; `psnr` scores it frame by frame. `encode_seconds`
+/// excludes time spent waiting on the source: pull wait is the
+/// producer's cost, not the encoder's.
+fn drive(
+    source: &mut dyn FrameSource,
+    config: &EncoderConfig,
+    probe: &mut dyn Probe,
+    retain: bool,
+    psnr: Option<&mut PsnrAccumulator>,
+) -> Driven {
     let start = Instant::now();
-    let mut total_kernels = KernelCounters::new();
+    let mut kernels = KernelCounters::new();
+    let mut residency = Residency::default();
+    let mut pull_wait_secs = 0.0f64;
+    let frames = source.len();
 
     let (mut rc, first_pass) = match config.rate {
         RateControl::ConstQuality { crf } => {
             (RateController::const_quality(crf + config.family.crf_qp_offset()), None)
         }
         RateControl::Bitrate { bps } => {
-            (RateController::single_pass(bps, video.fps(), video.resolution().pixels()), None)
+            (RateController::single_pass(bps, source.fps(), source.resolution().pixels()), None)
         }
         RateControl::TwoPassBitrate { bps } => {
-            // Analysis pass: fast preset, fixed quality, no probe.
+            // Analysis pass: fast preset, fixed quality, no probe and no
+            // PSNR — only the main pass's reconstruction defines quality.
             let analysis_cfg = EncoderConfig {
                 preset: Preset::VeryFast,
                 rate: RateControl::ConstQuality { crf: 30.0 },
                 ..*config
             };
             let mut analysis_rc = RateController::const_quality(30.0);
-            let pass1 = encode_pass(video, &analysis_cfg, &mut analysis_rc, &mut NoProbe);
-            total_kernels.merge(&pass1.kernels);
+            let mut sinks = Sinks { retain: false, psnr: None, residency: &mut residency };
+            let pass1 =
+                encode_pass(source, &analysis_cfg, &mut analysis_rc, &mut NoProbe, &mut sinks);
+            kernels.merge(&pass1.kernels);
+            pull_wait_secs += pass1.pull_wait_secs;
             let log = FirstPassLog { analysis_qp: 30, frame_bits: pass1.frame_bits };
-            (RateController::two_pass(bps, video.fps(), &log), Some(log))
+            source.reset();
+            (RateController::two_pass(bps, source.fps(), &log), Some(log))
         }
     };
 
-    let pass = encode_pass(video, config, &mut rc, probe);
-    total_kernels.merge(&pass.kernels);
+    let mut sinks = Sinks { retain, psnr, residency: &mut residency };
+    let pass = encode_pass(source, config, &mut rc, probe, &mut sinks);
+    kernels.merge(&pass.kernels);
+    pull_wait_secs += pass.pull_wait_secs;
 
     let stats = EncodeStats {
-        encode_seconds: start.elapsed().as_secs_f64().max(1e-9),
+        encode_seconds: (start.elapsed().as_secs_f64() - pull_wait_secs).max(1e-9),
         bitstream_bytes: pass.bytes.len() as u64,
-        frames: video.len() as u32,
+        frames: frames as u32,
         sb_intra: pass.sb_intra,
         sb_inter: pass.sb_inter,
         sb_skip: pass.sb_skip,
         sb_split: pass.sb_split,
-        avg_qp: pass.qp_sum / video.len() as f64,
-        kernels: total_kernels,
+        avg_qp: pass.qp_sum / frames as f64,
+        kernels,
     };
-    EncodeOutput {
-        bytes: pass.bytes,
-        stats,
-        recon: Video::new(pass.recon, video.fps()),
-        first_pass,
-    }
+    Driven { pass, stats, first_pass, peak_resident_frames: residency.peak }
 }
 
 /// Result of one encoding pass.
 struct PassResult {
     bytes: Vec<u8>,
+    /// Every reconstruction in display order when the pass retained
+    /// them; empty otherwise.
     recon: Vec<Frame>,
     frame_bits: Vec<u64>,
     kernels: KernelCounters,
@@ -492,11 +477,12 @@ struct PassResult {
     sb_skip: u64,
     sb_split: u64,
     qp_sum: f64,
+    /// Seconds spent waiting on [`FrameSource::next_frame`].
+    pull_wait_secs: f64,
 }
 
-/// Resident-frame accounting for the streaming path: every source frame
-/// and reconstruction the pipeline owns counts one, from pull/creation to
-/// drop.
+/// Resident-frame accounting: every source frame and reconstruction a
+/// pass owns counts one, from pull/creation to drop.
 #[derive(Clone, Copy, Default, Debug)]
 struct Residency {
     current: usize,
@@ -514,34 +500,19 @@ impl Residency {
     }
 }
 
-/// What a pass does with reconstructions. Both modes run the identical
-/// coding loop — only frame retention differs — which is what makes the
-/// streaming bitstream byte-identical to the in-memory one by
+/// Where one pass's by-products go. Every pass runs the identical coding
+/// loop — only frame retention and scoring differ — which is what makes
+/// the streaming bitstream byte-identical to the in-memory one by
 /// construction.
-enum PassMode<'a> {
+struct Sinks<'a> {
     /// Keep every reconstruction (the in-memory path's
-    /// [`EncodeOutput::recon`]).
-    Retain,
-    /// Bounded memory: drop reconstructions once no longer referenceable,
-    /// bank per-frame PSNR into `psnr` (when scoring), and account every
-    /// resident frame in `residency`.
-    Bounded {
-        psnr: Option<&'a mut PsnrAccumulator>,
-        residency: &'a mut Residency,
-        pull_wait_secs: &'a mut f64,
-    },
-}
-
-/// The in-memory pass: a [`VideoSource`] pulled through the shared
-/// streaming core with full reconstruction retention.
-fn encode_pass(
-    video: &Video,
-    config: &EncoderConfig,
-    rc: &mut RateController,
-    probe: &mut dyn Probe,
-) -> PassResult {
-    let mut source = VideoSource::new(video);
-    encode_pass_core(&mut source, config, rc, probe, &mut PassMode::Retain)
+    /// [`EncodeOutput::recon`]) instead of dropping each once it is no
+    /// longer referenceable.
+    retain: bool,
+    /// Banks per-frame PSNR, when the pass is scored.
+    psnr: Option<&'a mut PsnrAccumulator>,
+    /// Resident-frame accounting shared by every pass of one encode.
+    residency: &'a mut Residency,
 }
 
 /// Looks up a reference reconstruction in whichever store this pass keeps.
@@ -559,12 +530,12 @@ fn ref_frame<'f>(
 
 /// One encoding pass over a [`FrameSource`]: frames are pulled in display
 /// order exactly as far ahead as the coding order requires.
-fn encode_pass_core(
+fn encode_pass(
     source: &mut dyn FrameSource,
     config: &EncoderConfig,
     rc: &mut RateController,
     probe: &mut dyn Probe,
-    mode: &mut PassMode<'_>,
+    sinks: &mut Sinks<'_>,
 ) -> PassResult {
     let res = source.resolution();
     let fps = source.fps();
@@ -597,10 +568,10 @@ fn encode_pass_core(
 
     let mut state = FrameEncoder::new(config, res.width() as usize, res.height() as usize);
     let mut scratch = Scratch::new(state.sb);
-    // Retain mode keeps every reconstruction here; bounded mode keeps at
-    // most the two most recent reference recons in `ref_window`.
+    // A retaining pass keeps every reconstruction here; otherwise at most
+    // the two most recent reference recons stay, in `ref_window`.
     let mut retained: Vec<Option<Frame>> =
-        if matches!(mode, PassMode::Retain) { vec![None; total] } else { Vec::new() };
+        if sinks.retain { vec![None; total] } else { Vec::new() };
     let mut ref_window: Vec<(usize, Frame)> = Vec::new();
     // Source frames pulled but not yet coded; depth is bounded by the
     // coding-order reorder distance (2 with B frames, 1 without).
@@ -608,6 +579,7 @@ fn encode_pass_core(
     let mut next_pull = 0usize;
     let mut frame_bits = Vec::with_capacity(total);
     let mut qp_sum = 0.0;
+    let mut pull_wait_secs = 0.0f64;
 
     // Coding order; display indexes of the two most recent reference
     // frames (a B frame predicts forward from `prev_ref` and backward
@@ -628,12 +600,10 @@ fn encode_pass_core(
             let t0 = Instant::now();
             let f = source.next_frame().expect("source ended before its promised length");
             let waited = t0.elapsed().as_secs_f64();
-            if let PassMode::Bounded { residency, pull_wait_secs, .. } = mode {
-                **pull_wait_secs += waited;
-                residency.add(1);
-                if vtrace::enabled() {
-                    vtrace::histogram("frame.pull_wait_us", (waited * 1e6) as u64);
-                }
+            pull_wait_secs += waited;
+            sinks.residency.add(1);
+            if vtrace::enabled() {
+                vtrace::histogram("frame.pull_wait_us", (waited * 1e6) as u64);
             }
             pending.push_back((next_pull, f));
             next_pull += 1;
@@ -666,23 +636,20 @@ fn encode_pass_core(
         container.put_bits(display as u64, 32);
         container.put_bits(payload.len() as u64, 32);
         container.put_bytes(&payload);
-        match mode {
-            PassMode::Retain => retained[display] = Some(recon),
-            PassMode::Bounded { psnr, residency, .. } => {
-                residency.add(1); // the reconstruction just produced
-                if let Some(acc) = psnr.as_deref_mut() {
-                    acc.push(display, &frame, &recon);
-                }
-                drop(frame);
-                residency.sub(1);
-                if ftype == FrameType::Bidirectional {
-                    // B recons are never referenced: drop immediately.
-                    drop(recon);
-                    residency.sub(1);
-                } else {
-                    ref_window.push((display, recon));
-                }
-            }
+        sinks.residency.add(1); // the reconstruction just produced
+        if let Some(acc) = sinks.psnr.as_deref_mut() {
+            acc.push(display, &frame, &recon);
+        }
+        drop(frame);
+        sinks.residency.sub(1);
+        if sinks.retain {
+            retained[display] = Some(recon);
+        } else if ftype == FrameType::Bidirectional {
+            // B recons are never referenced: drop immediately.
+            drop(recon);
+            sinks.residency.sub(1);
+        } else {
+            ref_window.push((display, recon));
         }
         if let Some(span) = frame_span.as_mut() {
             span.record("display", display);
@@ -712,25 +679,20 @@ fn encode_pass_core(
             prev_ref = cur_ref;
             cur_ref = Some(display);
             last_ref_qp = qp;
-            if let PassMode::Bounded { residency, .. } = mode {
-                // Evict recons that left the reference window: only
-                // `cur_ref` stays referenceable (plus `prev_ref` when B
-                // frames need a forward reference).
-                let before = ref_window.len();
-                ref_window.retain(|&(d, _)| {
-                    Some(d) == cur_ref || (config.bframes && Some(d) == prev_ref)
-                });
-                residency.sub(before - ref_window.len());
-            }
+            // Evict recons that left the reference window: only `cur_ref`
+            // stays referenceable (plus `prev_ref` when B frames need a
+            // forward reference).
+            let before = ref_window.len();
+            ref_window
+                .retain(|&(d, _)| Some(d) == cur_ref || (config.bframes && Some(d) == prev_ref));
+            sinks.residency.sub(before - ref_window.len());
         }
     }
 
     // The pass is over: the reference window (and any stray pending
     // frames) drop here, so the residency ledger must release them before
     // a following pass (two-pass main) re-fills the window.
-    if let PassMode::Bounded { residency, .. } = mode {
-        residency.sub(ref_window.len() + pending.len());
-    }
+    sinks.residency.sub(ref_window.len() + pending.len());
 
     PassResult {
         bytes: container.finish(),
@@ -742,6 +704,7 @@ fn encode_pass_core(
         sb_skip: state.sb_skip,
         sb_split: state.sb_split,
         qp_sum,
+        pull_wait_secs,
     }
 }
 

@@ -133,9 +133,10 @@ fn crash_resume_is_byte_identical_at_any_worker_count() {
                 let resumed = r.success().expect("resumed job ok");
                 let base = b.success().expect("baseline job ok");
                 assert_eq!(resumed.bytes(), base.bytes(), "{ctx}: job {i} bytes");
-                if let Some(o) = resumed.as_replayed() {
-                    assert_eq!(r.attempts, 0, "{ctx}: replays run no attempts");
-                    assert_eq!(o.crc32, vpack::crc32(&o.bytes), "{ctx}: job {i} CRC");
+                if r.attempts == 0 {
+                    // A replay carries the journaled outcome: none of its
+                    // frames was resident in this run.
+                    assert_eq!(resumed.peak_resident_frames, 0, "{ctx}: job {i} replayed");
                 }
             }
             let _ = std::fs::remove_file(&path);

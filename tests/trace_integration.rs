@@ -215,7 +215,7 @@ fn span_fields_agree_with_batch_outcomes() {
             .unwrap_or_else(|| panic!("no span with bits={bits}"));
         assert_eq!(
             span.field("frames").and_then(vtrace::FieldValue::as_u64),
-            Some(u64::from(outcome.stats().frames)),
+            Some(u64::from(outcome.stats.frames)),
         );
         let psnr = span.field("psnr_db").and_then(vtrace::FieldValue::as_f64).expect("psnr_db");
         assert!((psnr - outcome.measurement().quality_db).abs() < 1e-9);
