@@ -11,11 +11,12 @@
 # tablegen binary parses flags by hand again instead of through the
 # per-command tables in `vbench::cli`, if a non-test line under
 # crates/*/src writes a JSON object in a format string instead of
-# through `vtrace::json::Object` or matches a trace line's kind outside
-# `vtrace::stream`, if `unsafe` appears anywhere under crates/*/src but
-# the CPU-feature dispatch calls in vpack's crc32 and vframe's isa
-# macro, or if `#[target_feature]` or `is_x86_feature_detected!` appears
-# outside those two files.
+# through `vtrace::json::Object`, matches a trace line's kind outside
+# `vtrace::stream` or names the bitstream syntax (vcodec's `MAGIC`,
+# `VERSION`, `CtxClass::Mode`) outside `vcodec::syntax`, if `unsafe`
+# appears anywhere under crates/*/src but the CPU-feature dispatch calls
+# in vpack's crc32 and vframe's isa macro, or if `#[target_feature]` or
+# `is_x86_feature_detected!` appears outside those two files.
 #
 # Prints `git diff --numstat BASE` summed per category — code
 # (crates/**/src), tests (tests/, crates/*/tests, benches), docs (*.md),
@@ -70,6 +71,24 @@ for f in $(sources | grep -v '^crates/vtrace/src/'); do
             /Some\("(span|header|log)"\)/ { print FILENAME ":" FNR ": " $0; found = 1 }
             END { exit !found }' "$f" >&2; then
         echo "surface: $f reads trace lines by hand; use vtrace::stream::Event" >&2
+        status=1
+    fi
+done
+
+# The bitstream container and the superblock mode codes are written and
+# read in vcodec::syntax. A non-test, non-comment line elsewhere under
+# crates/*/src that names vcodec's `MAGIC` or `VERSION`, or the mode-code
+# context `CtxClass::Mode`, is a second writer or reader of the format
+# coming back. entropy.rs defines the context and is exempt.
+for f in $(sources | grep -vxE 'crates/vcodec/src/(syntax|entropy)\.rs'); do
+    [ -f "$f" ] || continue
+    if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+            /^[[:space:]]*\/\// { next }
+            /(^|[^A-Za-z0-9_])(MAGIC|VERSION)([^A-Za-z0-9_]|$)|CtxClass::Mode/ {
+                print FILENAME ":" FNR ": " $0; found = 1
+            }
+            END { exit !found }' "$f" >&2; then
+        echo "surface: $f writes or reads the bitstream syntax; use vcodec::syntax" >&2
         status=1
     fi
 done

@@ -324,11 +324,11 @@ fn cmd_inspect(flags: &Flags) {
     let path = flags.required("in");
     let bytes = std::fs::read(path).unwrap_or_else(|e| fail(&format!("read {path}: {e}")));
     let info = vcodec::probe_stream(&bytes).unwrap_or_else(|e| fail(&format!("{e}")));
+    let index = vpack::index(&bytes).unwrap_or_else(|e| fail(&format!("{e}")));
     println!(
         "{path}: {} {} @ {:.3} fps, {} frames, gop {}, backend {:?}, deblock {}",
         info.family, info.resolution, info.fps, info.frames, info.gop, info.backend, info.deblock
     );
-    let index = vpack::index(&bytes).unwrap_or_else(|e| fail(&format!("{e}")));
     let keys = index.iter().filter(|e| e.intra).count();
     println!("{} frame records, {keys} keyframes, crc32 {:08x}", index.len(), vpack::crc32(&bytes));
 }

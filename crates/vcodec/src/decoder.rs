@@ -7,17 +7,16 @@
 //! ([`crate::encoder::EncodeOutput::recon`]); the integration tests assert
 //! this.
 
-use crate::bitio::{BitReader, ReadBitsError};
+use crate::bitio::ReadBitsError;
 use crate::deblock::deblock_plane;
-use crate::encoder::{FrameType, MAGIC, VERSION};
-use crate::entropy::{CtxClass, EntropyBackend, EntropyDecoder};
-use crate::family::CodecFamily;
+use crate::entropy::{CtxClass, EntropyDecoder};
 use crate::motion::{average_into, median_predictor, motion_compensate_into, MotionVector};
 use crate::predict::{predict_intra_into, IntraMode};
+use crate::syntax::{self, get_quadrant_mode, get_sb_mode, probe_stream, FrameType, SbMode};
 use crate::tile::{reconstruct_tile, Scratch, TILE};
 use crate::transform::TransformSize;
 use vframe::block::Block;
-use vframe::{Frame, Plane, Resolution, Video};
+use vframe::{Frame, Plane, Video};
 
 /// Errors produced while parsing a bitstream.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -56,126 +55,6 @@ impl From<ReadBitsError> for DecodeError {
     }
 }
 
-/// Stream-level metadata parsed from the container header.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct StreamInfo {
-    /// Codec family that produced the stream.
-    pub family: CodecFamily,
-    /// Entropy backend in use.
-    pub backend: EntropyBackend,
-    /// Picture size.
-    pub resolution: Resolution,
-    /// Frame rate.
-    pub fps: f64,
-    /// Number of coded frames.
-    pub frames: u32,
-    /// Keyframe interval.
-    pub gop: u16,
-    /// Whether the stream was coded with the in-loop deblocking filter.
-    pub deblock: bool,
-}
-
-/// Parses only the container header.
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] if the header is malformed.
-pub fn probe_stream(bytes: &[u8]) -> Result<StreamInfo, DecodeError> {
-    let mut r = BitReader::new(bytes);
-    let magic = r.get_bytes(4)?;
-    if magic != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let version = r.get_bits(8)? as u8;
-    if version != VERSION {
-        return Err(DecodeError::UnsupportedVersion(version));
-    }
-    let family = match r.get_bits(8)? {
-        0 => CodecFamily::Avc,
-        1 => CodecFamily::Hevc,
-        2 => CodecFamily::Vp9,
-        3 => CodecFamily::Av1,
-        _ => return Err(DecodeError::InvalidHeader("family")),
-    };
-    let backend = match r.get_bits(8)? {
-        0 => EntropyBackend::Vlc,
-        s @ 1..=7 => EntropyBackend::Arith { shift: s as u8 },
-        _ => return Err(DecodeError::InvalidHeader("entropy backend")),
-    };
-    let width = r.get_bits(16)? as u32;
-    let height = r.get_bits(16)? as u32;
-    if width == 0 || height == 0 || !width.is_multiple_of(2) || !height.is_multiple_of(2) {
-        return Err(DecodeError::InvalidHeader("resolution"));
-    }
-    // Allocation guard: a hostile header may declare any 16-bit
-    // dimensions, and the decoder allocates full planes before reading a
-    // single payload byte. 2^26 pixels (~67M) comfortably covers 8K.
-    if width as u64 * height as u64 > 1 << 26 {
-        return Err(DecodeError::InvalidHeader("resolution"));
-    }
-    let fps = r.get_bits(32)? as f64 / 1000.0;
-    if fps <= 0.0 {
-        return Err(DecodeError::InvalidHeader("frame rate"));
-    }
-    let frames = r.get_bits(32)? as u32;
-    if frames == 0 {
-        return Err(DecodeError::InvalidHeader("frame count"));
-    }
-    // Allocation guard: every coded frame costs at least 10 framing
-    // bytes (type, qp, display index, payload length), so a declared
-    // count the stream cannot physically hold is a lie — reject it
-    // before `decode`/`frame_kinds` size their tables from it.
-    if frames as u64 * 10 > bytes.len() as u64 {
-        return Err(DecodeError::InvalidHeader("frame count"));
-    }
-    let gop = r.get_bits(16)? as u16;
-    if gop == 0 {
-        return Err(DecodeError::InvalidHeader("gop"));
-    }
-    let flags = r.get_bits(8)?;
-    if flags > 1 {
-        return Err(DecodeError::InvalidHeader("flags"));
-    }
-    Ok(StreamInfo {
-        family,
-        backend,
-        resolution: Resolution::new(width, height),
-        fps,
-        frames,
-        gop,
-        deblock: flags & 1 == 1,
-    })
-}
-
-/// Lists each coded frame's type (`true` = intra/key frame) without
-/// decoding payloads — the cheap stream inspection a packager or CDN
-/// performs to find seek points.
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] if the header or frame framing is malformed.
-pub fn frame_kinds(bytes: &[u8]) -> Result<Vec<bool>, DecodeError> {
-    let info = probe_stream(bytes)?;
-    let mut r = BitReader::new(bytes);
-    let _ = r.get_bytes(4)?;
-    let _ = r.get_bits(8 + 8 + 8 + 16 + 16)?;
-    let _ = r.get_bits(32 + 32)?;
-    let _ = r.get_bits(16 + 8)?;
-    let mut kinds = vec![false; info.frames as usize];
-    for _ in 0..info.frames {
-        let is_intra = r.get_bits(8)? == 1;
-        let _qp = r.get_bits(8)?;
-        let display = r.get_bits(32)? as usize;
-        if display >= kinds.len() {
-            return Err(DecodeError::InvalidHeader("display index"));
-        }
-        kinds[display] = is_intra;
-        let payload_len = r.get_bits(32)? as usize;
-        let _ = r.get_bytes(payload_len)?;
-    }
-    Ok(kinds)
-}
-
 /// Decodes a complete bitstream into a raw video.
 ///
 /// # Errors
@@ -183,12 +62,7 @@ pub fn frame_kinds(bytes: &[u8]) -> Result<Vec<bool>, DecodeError> {
 /// Returns a [`DecodeError`] if the stream is malformed or truncated.
 pub fn decode(bytes: &[u8]) -> Result<Video, DecodeError> {
     let info = probe_stream(bytes)?;
-    // Re-walk the header to position after it (probe_stream consumed a copy).
-    let mut r = BitReader::new(bytes);
-    let _ = r.get_bytes(4)?;
-    let _ = r.get_bits(8 + 8 + 8 + 16 + 16)?;
-    let _ = r.get_bits(32 + 32)?;
-    let _ = r.get_bits(16 + 8)?;
+    let records = syntax::records(bytes, &info)?;
 
     let width = info.resolution.width() as usize;
     let height = info.resolution.height() as usize;
@@ -206,26 +80,14 @@ pub fn decode(bytes: &[u8]) -> Result<Video, DecodeError> {
     let mut prev_ref: Option<usize> = None;
     let mut cur_ref: Option<usize> = None;
 
-    for _ in 0..info.frames {
-        let ftype = FrameType::from_code(r.get_bits(8)? as u8).ok_or(DecodeError::Corrupt)?;
-        let qp = r.get_bits(8)? as u8;
-        if qp > crate::quant::QP_MAX {
-            return Err(DecodeError::InvalidHeader("frame qp"));
-        }
-        let display = r.get_bits(32)? as usize;
-        if display >= frames.len() || frames[display].is_some() {
-            return Err(DecodeError::InvalidHeader("display index"));
-        }
-        let payload_len = r.get_bits(32)? as usize;
-        let payload = r.get_bytes(payload_len)?;
-        let mut dec = EntropyDecoder::new(info.backend, payload);
+    for rec in &records {
+        let (ftype, qp, display) = (rec.ftype, rec.qp, rec.display as usize);
+        let mut dec = EntropyDecoder::new(info.backend, rec.payload);
 
         let mut recon_y = Plane::filled(width, height, 128);
         let mut recon_u = Plane::filled(width / 2, height / 2, 128);
         let mut recon_v = Plane::filled(width / 2, height / 2, 128);
         mv_grid.fill(None);
-        let is_intra = ftype == FrameType::Intra;
-        let is_b = ftype == FrameType::Bidirectional;
         let fwd_frame = match ftype {
             FrameType::Intra => None,
             FrameType::Predicted => {
@@ -237,53 +99,19 @@ pub fn decode(bytes: &[u8]) -> Result<Video, DecodeError> {
                 Some(frames[i].as_ref().ok_or(DecodeError::MissingReference)?)
             }
         };
-        let bwd_frame = if is_b {
+        let bwd_frame = if ftype == FrameType::Bidirectional {
             let i = cur_ref.ok_or(DecodeError::InvalidHeader("B frame without references"))?;
             Some(frames[i].as_ref().ok_or(DecodeError::MissingReference)?)
         } else {
             None
         };
+        let fwd = || fwd_frame.ok_or(DecodeError::MissingReference);
+        let bwd = || bwd_frame.ok_or(DecodeError::MissingReference);
 
         for sby in 0..sbs_y {
             for sbx in 0..sbs_x {
                 let x0 = sbx * sb;
                 let y0 = sby * sb;
-                if is_intra {
-                    let mode_id = dec.get_uval(CtxClass::Mode)?;
-                    if mode_id == 4 {
-                        decode_intra_split_sb(
-                            &mut dec,
-                            s,
-                            x0,
-                            y0,
-                            sb,
-                            qp,
-                            &mut recon_y,
-                            &mut recon_u,
-                            &mut recon_v,
-                        )?;
-                        mv_grid[sby * sbs_x + sbx] = None;
-                        continue;
-                    }
-                    let mode = IntraMode::from_id(
-                        u8::try_from(mode_id).map_err(|_| DecodeError::Corrupt)?,
-                    )
-                    .ok_or(DecodeError::Corrupt)?;
-                    decode_intra_sb(
-                        &mut dec,
-                        s,
-                        mode,
-                        x0,
-                        y0,
-                        qp,
-                        &mut recon_y,
-                        &mut recon_u,
-                        &mut recon_v,
-                    )?;
-                    mv_grid[sby * sbs_x + sbx] = None;
-                    continue;
-                }
-                let reference = fwd_frame.ok_or(DecodeError::MissingReference)?;
                 let grid_at = |dx: isize, dy: isize| -> Option<MotionVector> {
                     let gx = sbx as isize + dx;
                     let gy = sby as isize + dy;
@@ -294,112 +122,77 @@ pub fn decode(bytes: &[u8]) -> Result<Video, DecodeError> {
                     }
                 };
                 let pred_mv = median_predictor(grid_at(-1, 0), grid_at(0, -1), grid_at(1, -1));
-                let mode = dec.get_uval(CtxClass::Mode)?;
-                if is_b {
-                    decode_b_sb(
-                        &mut dec,
-                        s,
-                        mode,
-                        pred_mv,
-                        reference,
-                        bwd_frame.ok_or(DecodeError::MissingReference)?,
-                        x0,
-                        y0,
-                        qp,
-                        &mut recon_y,
-                        &mut recon_u,
-                        &mut recon_v,
-                        &mut mv_grid[sby * sbs_x + sbx],
-                    )?;
-                    continue;
-                }
+                let read_mv = |dec: &mut EntropyDecoder<'_>, base: MotionVector| {
+                    let dx = dec.get_sval(CtxClass::MvX)?;
+                    let dy = dec.get_sval(CtxClass::MvY)?;
+                    offset_mv(base, dx, dy)
+                };
                 let (cx, cy) = (x0 / 2, y0 / 2);
-                match mode {
-                    0 | 1 => {
-                        // Skip (predictor MV, no residual) or coded inter.
-                        let coded = mode == 1;
-                        let mv = if coded {
-                            let mvd_x = dec.get_sval(CtxClass::MvX)?;
-                            let mvd_y = dec.get_sval(CtxClass::MvY)?;
-                            offset_mv(pred_mv, mvd_x, mvd_y)?
-                        } else {
+                let recon = [&mut recon_y, &mut recon_u, &mut recon_v];
+                mv_grid[sby * sbs_x + sbx] = match get_sb_mode(&mut dec, ftype)? {
+                    SbMode::Intra(mode) => {
+                        let [recon_y, recon_u, recon_v] = recon;
+                        decode_intra_sb(&mut dec, s, mode, x0, y0, qp, recon_y, recon_u, recon_v)?;
+                        None
+                    }
+                    SbMode::IntraSplit => {
+                        let [recon_y, recon_u, recon_v] = recon;
+                        decode_intra_split_sb(
+                            &mut dec, s, x0, y0, sb, qp, recon_y, recon_u, recon_v,
+                        )?;
+                        None
+                    }
+                    // Skip (forward at the predictor MV, no residual), or
+                    // one coded direction.
+                    mode @ (SbMode::Skip | SbMode::Forward | SbMode::Backward) => {
+                        let mv = if mode == SbMode::Skip {
                             pred_mv
+                        } else {
+                            read_mv(&mut dec, pred_mv)?
                         };
+                        let reference = if mode == SbMode::Backward { bwd()? } else { fwd()? };
                         motion_compensate_into(reference.y(), x0, y0, mv, &mut s.pred);
                         s.predict_chroma(reference, x0, y0, mv);
                         let preds = [&s.pred, &s.upred, &s.vpred];
-                        let recon = [&mut recon_y, &mut recon_u, &mut recon_v];
-                        finish_inter_sb(&mut dec, coded, preds, x0, y0, qp, recon)?;
-                        mv_grid[sby * sbs_x + sbx] = Some(mv);
+                        finish_inter_sb(&mut dec, mode != SbMode::Skip, preds, x0, y0, qp, recon)?;
+                        Some(mv)
                     }
-                    2 => {
-                        // Split: base MV, then four quadrants, then chroma.
-                        let base_dx = dec.get_sval(CtxClass::MvX)?;
-                        let base_dy = dec.get_sval(CtxClass::MvY)?;
-                        let base = offset_mv(pred_mv, base_dx, base_dy)?;
+                    SbMode::Bi => {
+                        let (fwd, bwd) = (fwd()?, bwd()?);
+                        let fmv = read_mv(&mut dec, pred_mv)?;
+                        let bmv = read_mv(&mut dec, pred_mv)?;
+                        motion_compensate_into(fwd.y(), x0, y0, fmv, &mut s.pred);
+                        motion_compensate_into(bwd.y(), x0, y0, bmv, &mut s.pred_b);
+                        average_into(&s.pred, &s.pred_b, &mut s.pred_bi);
+                        s.predict_chroma_bi((fwd, fmv), (bwd, bmv), x0, y0);
+                        let preds = [&s.pred_bi, &s.upred, &s.vpred];
+                        finish_inter_sb(&mut dec, true, preds, x0, y0, qp, recon)?;
+                        Some(fmv)
+                    }
+                    // Base MV, then four quadrants, then chroma.
+                    SbMode::Split => {
+                        let reference = fwd()?;
+                        let base = read_mv(&mut dec, pred_mv)?;
                         let half = sb / 2;
+                        let [recon_y, recon_u, recon_v] = recon;
                         let mut first_mv = MotionVector::ZERO;
                         for (i, (qx, qy)) in
-                            [(0, 0), (half, 0), (0, half), (half, half)].iter().enumerate()
+                            [(0, 0), (half, 0), (0, half), (half, half)].into_iter().enumerate()
                         {
-                            let dx = dec.get_sval(CtxClass::MvX)?;
-                            let dy = dec.get_sval(CtxClass::MvY)?;
-                            let mv = offset_mv(base, dx, dy)?;
+                            let mv = read_mv(&mut dec, base)?;
                             if i == 0 {
                                 first_mv = mv;
                             }
-                            motion_compensate_into(
-                                reference.y(),
-                                x0 + qx,
-                                y0 + qy,
-                                mv,
-                                &mut s.qpred,
-                            );
-                            decode_residual_region(
-                                &mut dec,
-                                &s.qpred,
-                                x0 + qx,
-                                y0 + qy,
-                                qp,
-                                &mut recon_y,
-                            )?;
+                            let (x, y) = (x0 + qx, y0 + qy);
+                            motion_compensate_into(reference.y(), x, y, mv, &mut s.qpred);
+                            decode_residual_region(&mut dec, &s.qpred, x, y, qp, recon_y)?;
                         }
                         s.predict_chroma(reference, x0, y0, base);
-                        decode_residual_region(&mut dec, &s.upred, cx, cy, qp, &mut recon_u)?;
-                        decode_residual_region(&mut dec, &s.vpred, cx, cy, qp, &mut recon_v)?;
-                        mv_grid[sby * sbs_x + sbx] = Some(first_mv);
+                        decode_residual_region(&mut dec, &s.upred, cx, cy, qp, recon_u)?;
+                        decode_residual_region(&mut dec, &s.vpred, cx, cy, qp, recon_v)?;
+                        Some(first_mv)
                     }
-                    m @ 3..=6 => {
-                        let mode = IntraMode::from_id((m - 3) as u8).ok_or(DecodeError::Corrupt)?;
-                        decode_intra_sb(
-                            &mut dec,
-                            s,
-                            mode,
-                            x0,
-                            y0,
-                            qp,
-                            &mut recon_y,
-                            &mut recon_u,
-                            &mut recon_v,
-                        )?;
-                        mv_grid[sby * sbs_x + sbx] = None;
-                    }
-                    7 => {
-                        decode_intra_split_sb(
-                            &mut dec,
-                            s,
-                            x0,
-                            y0,
-                            sb,
-                            qp,
-                            &mut recon_y,
-                            &mut recon_u,
-                            &mut recon_v,
-                        )?;
-                        mv_grid[sby * sbs_x + sbx] = None;
-                    }
-                    _ => return Err(DecodeError::Corrupt),
-                }
+                };
             }
         }
 
@@ -409,7 +202,7 @@ pub fn decode(bytes: &[u8]) -> Result<Video, DecodeError> {
             let _ = deblock_plane(&mut recon_v, 8, qp);
         }
         frames[display] = Some(Frame::from_planes(info.resolution, recon_y, recon_u, recon_v));
-        if !is_b {
+        if ftype != FrameType::Bidirectional {
             prev_ref = cur_ref;
             cur_ref = Some(display);
         }
@@ -491,9 +284,7 @@ fn decode_intra_split_sb(
     let half = sb / 2;
     let mut first_mode = IntraMode::Dc;
     for (i, (qx, qy)) in [(0, 0), (half, 0), (0, half), (half, half)].iter().enumerate() {
-        let id = dec.get_uval(CtxClass::Mode)?;
-        let mode = IntraMode::from_id(u8::try_from(id).map_err(|_| DecodeError::Corrupt)?)
-            .ok_or(DecodeError::Corrupt)?;
+        let mode = get_quadrant_mode(dec)?;
         if i == 0 {
             first_mode = mode;
         }
@@ -540,71 +331,13 @@ fn decode_intra_sb(
     decode_intra_chroma(dec, s, mode, x0 / 2, y0 / 2, qp, recon_u, recon_v)
 }
 
-/// Decodes one B-frame superblock (the mirror of the encoder's
-/// `encode_b_sb`): mode 0 = skip-direct forward, 1 = forward MVD,
-/// 2 = backward MVD, 3 = bidirectional (two MVDs), 4+ = intra.
-#[allow(clippy::too_many_arguments)]
-fn decode_b_sb(
-    dec: &mut EntropyDecoder<'_>,
-    s: &mut Scratch,
-    mode: u64,
-    pred_mv: MotionVector,
-    fwd: &Frame,
-    bwd: &Frame,
-    x0: usize,
-    y0: usize,
-    qp: u8,
-    recon_y: &mut Plane,
-    recon_u: &mut Plane,
-    recon_v: &mut Plane,
-    grid_cell: &mut Option<MotionVector>,
-) -> Result<(), DecodeError> {
-    let read_mv = |dec: &mut EntropyDecoder<'_>| -> Result<MotionVector, DecodeError> {
-        let dx = dec.get_sval(CtxClass::MvX)?;
-        let dy = dec.get_sval(CtxClass::MvY)?;
-        offset_mv(pred_mv, dx, dy)
-    };
-    let recon = [&mut *recon_y, &mut *recon_u, &mut *recon_v];
-    match mode {
-        0..=2 => {
-            // Skip-direct (forward at the predictor MV, no residual), or
-            // one coded direction.
-            let mv = if mode == 0 { pred_mv } else { read_mv(dec)? };
-            let reference = if mode == 2 { bwd } else { fwd };
-            motion_compensate_into(reference.y(), x0, y0, mv, &mut s.pred);
-            s.predict_chroma(reference, x0, y0, mv);
-            let preds = [&s.pred, &s.upred, &s.vpred];
-            finish_inter_sb(dec, mode != 0, preds, x0, y0, qp, recon)?;
-            *grid_cell = Some(mv);
-        }
-        3 => {
-            let fmv = read_mv(dec)?;
-            let bmv = read_mv(dec)?;
-            motion_compensate_into(fwd.y(), x0, y0, fmv, &mut s.pred);
-            motion_compensate_into(bwd.y(), x0, y0, bmv, &mut s.pred_b);
-            average_into(&s.pred, &s.pred_b, &mut s.pred_bi);
-            s.predict_chroma_bi((fwd, fmv), (bwd, bmv), x0, y0);
-            let preds = [&s.pred_bi, &s.upred, &s.vpred];
-            finish_inter_sb(dec, true, preds, x0, y0, qp, recon)?;
-            *grid_cell = Some(fmv);
-        }
-        m @ 4..=7 => {
-            let mode = IntraMode::from_id((m - 4) as u8).ok_or(DecodeError::Corrupt)?;
-            let [recon_y, recon_u, recon_v] = recon;
-            decode_intra_sb(dec, s, mode, x0, y0, qp, recon_y, recon_u, recon_v)?;
-            *grid_cell = None;
-        }
-        _ => return Err(DecodeError::Corrupt),
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::encoder::{encode, EncoderConfig};
-    use crate::family::Preset;
+    use crate::family::{CodecFamily, Preset};
     use crate::rc::RateControl;
+    use vframe::Resolution;
 
     fn tiny_video(frames: usize) -> Video {
         let res = Resolution::new(64, 48);
@@ -725,10 +458,11 @@ mod tests {
         )
         .with_gop(4);
         let out = encode(&v, &cfg);
-        let kinds = frame_kinds(&out.bytes).unwrap();
-        assert_eq!(kinds.len(), 9);
-        for (i, &intra) in kinds.iter().enumerate() {
-            assert_eq!(intra, i % 4 == 0, "frame {i}");
+        let info = probe_stream(&out.bytes).unwrap();
+        let records = syntax::records(&out.bytes, &info).unwrap();
+        assert_eq!(records.len(), 9);
+        for r in &records {
+            assert_eq!(r.ftype == FrameType::Intra, r.display % 4 == 0, "frame {}", r.display);
         }
     }
 

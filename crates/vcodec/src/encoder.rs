@@ -17,7 +17,6 @@ use std::collections::VecDeque;
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use crate::bitio::BitWriter;
 use crate::deblock::deblock_plane;
 use crate::entropy::{CtxClass, EntropyEncoder};
 use crate::family::{CodecFamily, Preset};
@@ -29,17 +28,13 @@ use crate::predict::{predict_intra_into, IntraMode};
 use crate::quant::{quantize_into, Deadzone, QP_MAX};
 use crate::rc::{FirstPassLog, FrameKind, RateControl, RateController};
 use crate::stats::{BranchSite, EncodeStats, Kernel, KernelCounters, NoProbe, Probe};
+use crate::syntax::{self, put_quadrant_mode, put_sb_mode, FrameType, SbMode, StreamInfo};
 use crate::tile::{reconstruct_tile, residual_tile, Scratch, Tile, TILE};
 use crate::transform::{fdct8, TransformSize};
 use vframe::block::{sad, satd, Block};
 use vframe::metrics::PsnrAccumulator;
 use vframe::source::{FrameSource, VideoSource};
 use vframe::{Frame, Plane, Video};
-
-/// Magic bytes opening every bitstream.
-pub const MAGIC: &[u8; 4] = b"VBCR";
-/// Bitstream format version.
-pub const VERSION: u8 = 3;
 
 /// Synthetic address-space bases used for probe memory events (the encoder
 /// double-buffers reconstruction the way a real one reuses frame buffers).
@@ -124,38 +119,6 @@ impl EncoderConfig {
     pub fn with_bframes(mut self) -> EncoderConfig {
         self.bframes = true;
         self
-    }
-}
-
-/// Coded frame types.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum FrameType {
-    /// Intra-only key frame.
-    Intra,
-    /// Forward-predicted frame (a reference).
-    Predicted,
-    /// Bidirectionally predicted frame (not a reference).
-    Bidirectional,
-}
-
-impl FrameType {
-    /// Stable bitstream code.
-    pub fn to_code(self) -> u8 {
-        match self {
-            FrameType::Predicted => 0,
-            FrameType::Intra => 1,
-            FrameType::Bidirectional => 2,
-        }
-    }
-
-    /// Inverse of [`FrameType::to_code`].
-    pub fn from_code(code: u8) -> Option<FrameType> {
-        match code {
-            0 => Some(FrameType::Predicted),
-            1 => Some(FrameType::Intra),
-            2 => Some(FrameType::Bidirectional),
-            _ => None,
-        }
     }
 }
 
@@ -542,29 +505,19 @@ fn encode_pass(
     let total = source.len();
     let backend = config.entropy_backend();
 
-    // Container header.
-    let mut container = BitWriter::new();
-    container.put_bytes(MAGIC);
-    container.put_bits(u64::from(VERSION), 8);
-    let family_id = match config.family {
-        CodecFamily::Avc => 0u64,
-        CodecFamily::Hevc => 1,
-        CodecFamily::Vp9 => 2,
-        CodecFamily::Av1 => 3,
-    };
-    container.put_bits(family_id, 8);
-    let backend_id = match backend {
-        crate::entropy::EntropyBackend::Vlc => 0u64,
-        crate::entropy::EntropyBackend::Arith { shift } => u64::from(shift),
-    };
-    container.put_bits(backend_id, 8);
-    container.put_bits(u64::from(res.width()), 16);
-    container.put_bits(u64::from(res.height()), 16);
-    container.put_bits((fps * 1000.0).round() as u64, 32);
-    container.put_bits(total as u64, 32);
-    container.put_bits(u64::from(config.gop), 16);
-    // Flags byte: bit 0 = in-loop deblocking enabled.
-    container.put_bits(u64::from(config.in_loop_deblock), 8);
+    let mut container = Vec::new();
+    syntax::write_header(
+        &mut container,
+        &StreamInfo {
+            family: config.family,
+            backend,
+            resolution: res,
+            fps,
+            frames: u32::try_from(total).expect("frame count fits the header"),
+            gop: u16::try_from(config.gop).expect("GOP fits the header"),
+            deblock: config.in_loop_deblock,
+        },
+    );
 
     let mut state = FrameEncoder::new(config, res.width() as usize, res.height() as usize);
     let mut scratch = Scratch::new(state.sb);
@@ -631,11 +584,7 @@ fn encode_pass(
         let bits = payload.len() as u64 * 8;
         rc.frame_done(bits);
         frame_bits.push(bits);
-        container.put_bits(u64::from(ftype.to_code()), 8);
-        container.put_bits(u64::from(qp), 8);
-        container.put_bits(display as u64, 32);
-        container.put_bits(payload.len() as u64, 32);
-        container.put_bytes(&payload);
+        syntax::write_record(&mut container, ftype, qp, display as u32, &payload);
         sinks.residency.add(1); // the reconstruction just produced
         if let Some(acc) = sinks.psnr.as_deref_mut() {
             acc.push(display, &frame, &recon);
@@ -695,7 +644,7 @@ fn encode_pass(
     sinks.residency.sub(ref_window.len() + pending.len());
 
     PassResult {
-        bytes: container.finish(),
+        bytes: container,
         recon: retained.into_iter().map(|f| f.expect("all frames coded")).collect(),
         frame_bits,
         kernels: state.counters,
@@ -824,9 +773,6 @@ impl<'cfg> FrameEncoder<'cfg> {
         let mut recon_v = Plane::filled(self.width / 2, self.height / 2, 128);
         self.mv_grid.fill(None);
 
-        let is_intra_frame = ftype == FrameType::Intra || reference.is_none();
-        let is_b_frame =
-            ftype == FrameType::Bidirectional && reference.is_some() && bwd_reference.is_some();
         let mut params = self.config.preset.search_params(self.config.family);
         params.lambda = self.lambda(qp);
 
@@ -836,6 +782,7 @@ impl<'cfg> FrameEncoder<'cfg> {
                 let y0 = sby * self.sb;
                 let ctx = SbContext {
                     frame,
+                    ftype,
                     reference,
                     qp,
                     params,
@@ -846,38 +793,18 @@ impl<'cfg> FrameEncoder<'cfg> {
                     ref_base,
                     recon_base,
                 };
-                if is_intra_frame {
-                    self.encode_intra_sb(
-                        &mut enc,
-                        &ctx,
-                        scratch,
-                        &mut recon_y,
-                        &mut recon_u,
-                        &mut recon_v,
-                        probe,
-                        true,
-                    );
-                } else if is_b_frame {
-                    self.encode_b_sb(
-                        &mut enc,
-                        &ctx,
-                        bwd_reference.expect("checked"),
-                        scratch,
-                        &mut recon_y,
-                        &mut recon_u,
-                        &mut recon_v,
-                        probe,
-                    );
-                } else {
-                    self.encode_inter_sb(
-                        &mut enc,
-                        &ctx,
-                        scratch,
-                        &mut recon_y,
-                        &mut recon_u,
-                        &mut recon_v,
-                        probe,
-                    );
+                let (ry, ru, rv) = (&mut recon_y, &mut recon_u, &mut recon_v);
+                match ftype {
+                    FrameType::Intra => {
+                        self.encode_intra_sb(&mut enc, &ctx, scratch, ry, ru, rv, probe)
+                    }
+                    FrameType::Predicted => {
+                        self.encode_inter_sb(&mut enc, &ctx, scratch, ry, ru, rv, probe)
+                    }
+                    FrameType::Bidirectional => {
+                        let bwd = bwd_reference.expect("B frame requires a backward reference");
+                        self.encode_b_sb(&mut enc, &ctx, bwd, scratch, ry, ru, rv, probe)
+                    }
                 }
             }
         }
@@ -994,8 +921,7 @@ impl<'cfg> FrameEncoder<'cfg> {
         }
     }
 
-    /// Intra-codes one superblock (luma + chroma). When `standalone` the
-    /// mode value is written as-is (I frames); P frames offset it by 3.
+    /// Intra-codes one superblock (luma + chroma) of an I or P frame.
     #[allow(clippy::too_many_arguments)]
     fn encode_intra_sb(
         &mut self,
@@ -1006,7 +932,6 @@ impl<'cfg> FrameEncoder<'cfg> {
         recon_u: &mut Plane,
         recon_v: &mut Plane,
         probe: &mut dyn Probe,
-        standalone: bool,
     ) {
         let SbContext { frame, qp, x0, y0, .. } = *ctx;
         let lambda = self.lambda(qp);
@@ -1042,7 +967,7 @@ impl<'cfg> FrameEncoder<'cfg> {
         // Chroma is predicted at half size with the superblock's mode, or
         // the first quadrant's when split.
         let chroma_mode = if split_wins {
-            enc.put_uval(CtxClass::Mode, if standalone { 4 } else { 7 });
+            put_sb_mode(enc, ctx.ftype, SbMode::IntraSplit);
             // Quadrants in raster order; each re-chooses its mode against
             // the live reconstruction so the decoder's predictions match.
             let mut first_mode = IntraMode::Dc;
@@ -1053,7 +978,7 @@ impl<'cfg> FrameEncoder<'cfg> {
                 if i == 0 {
                     first_mode = qmode;
                 }
-                enc.put_uval(CtxClass::Mode, u64::from(qmode.to_id()));
+                put_quadrant_mode(enc, qmode);
                 predict_intra_into(recon_y, x0 + qx, y0 + qy, qmode, &mut s.qpred);
                 let qlev =
                     self.compute_levels(frame.y(), &s.qpred, x0 + qx, y0 + qy, qp, Deadzone::Intra);
@@ -1062,8 +987,7 @@ impl<'cfg> FrameEncoder<'cfg> {
             self.sb_split += 1;
             first_mode
         } else {
-            let offset = if standalone { 0 } else { 3 };
-            enc.put_uval(CtxClass::Mode, offset + u64::from(mode.to_id()));
+            put_sb_mode(enc, ctx.ftype, SbMode::Intra(mode));
             predict_intra_into(recon_y, x0, y0, mode, &mut s.intra);
             let levels = self.compute_levels(frame.y(), &s.intra, x0, y0, qp, Deadzone::Intra);
             self.emit_levels(enc, recon_y, &s.intra, x0, y0, qp, &levels, probe);
@@ -1209,7 +1133,7 @@ impl<'cfg> FrameEncoder<'cfg> {
         probe.branch(BranchSite::ModeIsIntra, intra_wins);
 
         if intra_wins {
-            self.encode_intra_sb(enc, ctx, s, recon_y, recon_u, recon_v, probe, false);
+            self.encode_intra_sb(enc, ctx, s, recon_y, recon_u, recon_v, probe);
             probe.branch(BranchSite::SkipTaken, false);
             return;
         }
@@ -1218,7 +1142,7 @@ impl<'cfg> FrameEncoder<'cfg> {
         if let Some(mvs) = split {
             self.sb_split += 1;
             self.sb_inter += 1;
-            enc.put_uval(CtxClass::Mode, 2);
+            put_sb_mode(enc, ctx.ftype, SbMode::Split);
             probe.branch(BranchSite::SkipTaken, false);
             // Base MV first (quadrant MVDs are coded relative to it).
             enc.put_sval(CtxClass::MvX, i64::from(mres.mv.x) - i64::from(pred_mv.x));
@@ -1257,13 +1181,13 @@ impl<'cfg> FrameEncoder<'cfg> {
         probe.branch(BranchSite::SkipTaken, can_skip);
         if can_skip {
             self.sb_skip += 1;
-            enc.put_uval(CtxClass::Mode, 0);
+            put_sb_mode(enc, ctx.ftype, SbMode::Skip);
             s.pred.paste_into(recon_y, x0, y0);
             s.upred.paste_into(recon_u, cx, cy);
             s.vpred.paste_into(recon_v, cx, cy);
         } else {
             self.sb_inter += 1;
-            enc.put_uval(CtxClass::Mode, 1);
+            put_sb_mode(enc, ctx.ftype, SbMode::Forward);
             enc.put_sval(CtxClass::MvX, i64::from(mres.mv.x) - i64::from(pred_mv.x));
             enc.put_sval(CtxClass::MvY, i64::from(mres.mv.y) - i64::from(pred_mv.y));
             self.emit_levels(enc, recon_y, &s.pred, x0, y0, qp, &levels, probe);
@@ -1275,10 +1199,7 @@ impl<'cfg> FrameEncoder<'cfg> {
     }
 
     /// Codes one superblock of a B frame: skip-direct / forward / backward
-    /// / bidirectional / intra, chosen by RD cost. Mode syntax (distinct
-    /// from P frames): 0 = skip (direct forward from the predictor MV),
-    /// 1 = forward (MVD), 2 = backward (MVD), 3 = bi (two MVDs),
-    /// 4+ = intra.
+    /// / bidirectional / intra, chosen by RD cost. Intra never splits here.
     #[allow(clippy::too_many_arguments)]
     fn encode_b_sb(
         &mut self,
@@ -1340,35 +1261,28 @@ impl<'cfg> FrameEncoder<'cfg> {
         probe.kernel(Kernel::ModeDecision, 48);
 
         // Pick the winner.
-        #[derive(Clone, Copy)]
-        enum BMode {
-            Fwd,
-            Bwd,
-            Bi,
-            Intra,
-        }
-        let mut best = (BMode::Fwd, fwd_cost);
+        let mut best = (SbMode::Forward, fwd_cost);
         if bwd_cost < best.1 {
-            best = (BMode::Bwd, bwd_cost);
+            best = (SbMode::Backward, bwd_cost);
         }
         if let Some(c) = bi_cost {
             if c < best.1 {
-                best = (BMode::Bi, c);
+                best = (SbMode::Bi, c);
             }
         }
         if intra_cost < best.1 * 0.95 {
-            best = (BMode::Intra, intra_cost);
+            best = (SbMode::Intra(intra_mode), intra_cost);
         }
-        probe.branch(BranchSite::ModeIsIntra, matches!(best.0, BMode::Intra));
+        probe.branch(BranchSite::ModeIsIntra, matches!(best.0, SbMode::Intra(_)));
 
         // Build the luma/chroma predictions of the chosen inter mode: the
         // luma one was made for the cost above, chroma follows at half
         // the vector.
         let (cx, cy, cs) = (x0 / 2, y0 / 2, self.sb / 2);
         let both_mvs = [fres.mv, bres.mv];
-        let (luma_pred, mode_code, mvs): (&Block, u64, &[MotionVector]) = match best.0 {
-            BMode::Intra => {
-                enc.put_uval(CtxClass::Mode, 4 + u64::from(intra_mode.to_id()));
+        let (luma_pred, mvs): (&Block, &[MotionVector]) = match best.0 {
+            SbMode::Intra(intra_mode) => {
+                put_sb_mode(enc, ctx.ftype, best.0);
                 predict_intra_into(recon_y, x0, y0, intra_mode, &mut s.intra);
                 let lev = self.compute_levels(frame.y(), &s.intra, x0, y0, qp, Deadzone::Intra);
                 self.emit_levels(enc, recon_y, &s.intra, x0, y0, qp, &lev, probe);
@@ -1382,18 +1296,19 @@ impl<'cfg> FrameEncoder<'cfg> {
                 probe.branch(BranchSite::SkipTaken, false);
                 return;
             }
-            BMode::Fwd => {
+            SbMode::Forward => {
                 s.predict_chroma(fwd_ref, x0, y0, fres.mv);
-                (&s.pred, 1, &both_mvs[..1])
+                (&s.pred, &both_mvs[..1])
             }
-            BMode::Bwd => {
+            SbMode::Backward => {
                 s.predict_chroma(bwd_ref, x0, y0, bres.mv);
-                (&s.pred_b, 2, &both_mvs[1..])
+                (&s.pred_b, &both_mvs[1..])
             }
-            BMode::Bi => {
+            SbMode::Bi => {
                 s.predict_chroma_bi((fwd_ref, fres.mv), (bwd_ref, bres.mv), x0, y0);
-                (&s.pred_bi, 3, &both_mvs[..])
+                (&s.pred_bi, &both_mvs[..])
             }
+            _ => unreachable!("a B superblock is forward, backward, bi or intra"),
         };
         self.counters.record(Kernel::MotionComp, 2 * (cs * cs) as u64);
 
@@ -1402,7 +1317,7 @@ impl<'cfg> FrameEncoder<'cfg> {
         let vlev = self.compute_levels(frame.v(), &s.vpred, cx, cy, qp, Deadzone::Inter);
 
         // Skip-direct: forward prediction at the predictor MV, no residual.
-        let can_skip = mode_code == 1
+        let can_skip = best.0 == SbMode::Forward
             && mvs[0] == pred_mv
             && !levels.any_nonzero
             && !ulev.any_nonzero
@@ -1410,13 +1325,13 @@ impl<'cfg> FrameEncoder<'cfg> {
         probe.branch(BranchSite::SkipTaken, can_skip);
         if can_skip {
             self.sb_skip += 1;
-            enc.put_uval(CtxClass::Mode, 0);
+            put_sb_mode(enc, ctx.ftype, SbMode::Skip);
             luma_pred.paste_into(recon_y, x0, y0);
             s.upred.paste_into(recon_u, cx, cy);
             s.vpred.paste_into(recon_v, cx, cy);
         } else {
             self.sb_inter += 1;
-            enc.put_uval(CtxClass::Mode, mode_code);
+            put_sb_mode(enc, ctx.ftype, best.0);
             for mv in mvs {
                 enc.put_sval(CtxClass::MvX, i64::from(mv.x) - i64::from(pred_mv.x));
                 enc.put_sval(CtxClass::MvY, i64::from(mv.y) - i64::from(pred_mv.y));
@@ -1433,6 +1348,7 @@ impl<'cfg> FrameEncoder<'cfg> {
 /// Immutable context for coding one superblock.
 struct SbContext<'a> {
     frame: &'a Frame,
+    ftype: FrameType,
     reference: Option<&'a Frame>,
     qp: u8,
     params: SearchParams,
@@ -1771,14 +1687,6 @@ mod tests {
             encode_stream(&mut src, &cfg, Some(2)).unwrap_err(),
             EncodeError::WindowTooSmall { required: 3, window: 2 }
         );
-    }
-
-    #[test]
-    fn frame_type_codes_roundtrip() {
-        for t in [FrameType::Intra, FrameType::Predicted, FrameType::Bidirectional] {
-            assert_eq!(FrameType::from_code(t.to_code()), Some(t));
-        }
-        assert_eq!(FrameType::from_code(9), None);
     }
 
     #[test]

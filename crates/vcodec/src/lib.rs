@@ -19,6 +19,10 @@
 //! scenarios exercise. Effort presets ([`family::Preset`]) widen the
 //! encoder's heuristic search exactly as the paper's Section 2.2 describes.
 //!
+//! The bitstream format — the stream header, the frame records and the
+//! superblock mode codes — is written and read in one module, [`syntax`];
+//! the encoder, the decoder and the `vpack` packager all go through it.
+//!
 //! Every encode reports per-kernel work counters and can stream trace
 //! events to a [`stats::Probe`], which the `varch` crate turns into the
 //! paper's microarchitectural studies.
@@ -71,14 +75,16 @@ pub mod predict;
 pub mod quant;
 pub mod rc;
 pub mod stats;
+pub mod syntax;
 mod tile;
 pub mod transform;
 
-pub use decoder::{decode, frame_kinds, probe_stream, DecodeError, StreamInfo};
+pub use decoder::{decode, DecodeError};
 pub use encoder::{
     coding_order, encode, encode_stream, encode_with_probe, required_window, try_encode,
-    EncodeError, EncodeOutput, EncoderConfig, FrameType, StreamEncodeOutput,
+    EncodeError, EncodeOutput, EncoderConfig, StreamEncodeOutput,
 };
 pub use family::{CodecFamily, Preset};
 pub use rc::{FirstPassLog, RateControl};
 pub use stats::{BranchSite, EncodeStats, Kernel, KernelCounters, NoProbe, Probe};
+pub use syntax::{probe_stream, FrameType, StreamInfo};

@@ -1,7 +1,8 @@
 //! Hostile-input decoder tests: every parsing entry point — `decode`,
-//! `probe_stream`, `frame_kinds` — must return a typed [`DecodeError`]
-//! on corrupt input. Never a panic, never an unbounded loop, and never
-//! an allocation sized from an unvalidated header field.
+//! `probe_stream`, the record walker `syntax::records` — must return a
+//! typed [`DecodeError`] on corrupt input. Never a panic, never an
+//! unbounded loop, and never an allocation sized from an unvalidated
+//! header field.
 //!
 //! The corruption models here are the two a storage or transport fault
 //! actually produces: truncation (a torn write, a cut connection) and
@@ -10,9 +11,15 @@
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
+use vcodec::syntax::{self, FrameType, Record, SbMode, StreamInfo};
 use vcodec::DecodeError;
 use vframe::color::{frame_from_fn, Yuv};
 use vframe::{Resolution, Video};
+
+/// The header and frame records of `bytes`, payloads undecoded.
+fn walk(bytes: &[u8]) -> Result<Vec<Record<'_>>, DecodeError> {
+    vcodec::probe_stream(bytes).and_then(|info| syntax::records(bytes, &info))
+}
 
 /// Frames in the reference stream; see [`valid_stream`].
 const STREAM_FRAMES: usize = 6;
@@ -55,7 +62,7 @@ proptest! {
         let cut = &full[..((full.len() as f64) * frac) as usize];
         prop_assert!(vcodec::decode(cut).is_err());
         let _ = vcodec::probe_stream(cut);
-        let _ = vcodec::frame_kinds(cut);
+        let _ = walk(cut);
     }
 
     // A single bit flip anywhere — header fields included — either still
@@ -68,7 +75,7 @@ proptest! {
         bytes[i] ^= 1 << bit;
         let _ = vcodec::decode(&bytes);
         let _ = vcodec::probe_stream(&bytes);
-        let _ = vcodec::frame_kinds(&bytes);
+        let _ = walk(&bytes);
     }
 
     // Heavier damage: a burst of flips, as one bad sector would cause.
@@ -82,11 +89,11 @@ proptest! {
         }
         let _ = vcodec::decode(&bytes);
         let _ = vcodec::probe_stream(&bytes);
-        let _ = vcodec::frame_kinds(&bytes);
+        let _ = walk(&bytes);
     }
 }
 
-// Container header layout (see the encoder): magic 0..4, version 4,
+// Container header layout (see `vcodec::syntax`): magic 0..4, version 4,
 // family 5, backend 6, width 7..9, height 9..11, fps 11..15,
 // frames 15..19, gop 19..21, flags 21. All fields big-endian.
 
@@ -98,7 +105,7 @@ fn absurd_frame_count_is_rejected_before_allocation() {
     // check — not in a `Vec` sized from the lie.
     assert_eq!(vcodec::probe_stream(&bytes), Err(DecodeError::InvalidHeader("frame count")));
     assert_eq!(vcodec::decode(&bytes).unwrap_err(), DecodeError::InvalidHeader("frame count"));
-    assert_eq!(vcodec::frame_kinds(&bytes), Err(DecodeError::InvalidHeader("frame count")));
+    assert_eq!(walk(&bytes), Err(DecodeError::InvalidHeader("frame count")));
 }
 
 #[test]
@@ -136,37 +143,67 @@ fn valid_stream_still_decodes() {
 /// at quantizer `qp`. Built by hand because no encoder run produces such
 /// levels; a stream may still carry them.
 fn stream_with_levels(qp: u8, levels: &[i32; 64]) -> Vec<u8> {
-    use vcodec::bitio::BitWriter;
     use vcodec::entropy::{CtxClass, EntropyBackend, EntropyEncoder};
+    use vcodec::predict::IntraMode;
     use vcodec::transform::TransformSize;
 
-    let mut w = BitWriter::new();
-    w.put_bytes(b"VBCR");
-    for (value, bits) in [(3u64, 8), (0, 8), (0, 8), (16, 16), (16, 16), (24_000, 32), (2, 32)] {
-        w.put_bits(value, bits); // version, family avc, backend vlc, w, h, fps, frames
-    }
-    w.put_bits(60, 16); // gop
-    w.put_bits(1, 8); // flags: deblock on
-    for (display, ftype) in [(0u64, 1u64), (1, 0)] {
+    let info = StreamInfo {
+        family: vcodec::CodecFamily::Avc,
+        backend: EntropyBackend::Vlc,
+        resolution: Resolution::new(16, 16),
+        fps: 24.0,
+        frames: 2,
+        gop: 60,
+        deblock: true,
+    };
+    let mut bytes = Vec::new();
+    syntax::write_header(&mut bytes, &info);
+    for (display, ftype) in [(0, FrameType::Intra), (1, FrameType::Predicted)] {
         let mut enc = EntropyEncoder::new(EntropyBackend::Vlc);
-        if ftype == 1 {
-            enc.put_uval(CtxClass::Mode, 0); // intra DC
+        if ftype == FrameType::Intra {
+            syntax::put_sb_mode(&mut enc, ftype, SbMode::Intra(IntraMode::Dc));
         } else {
-            enc.put_uval(CtxClass::Mode, 1); // inter, zero MVD
+            syntax::put_sb_mode(&mut enc, ftype, SbMode::Forward); // zero MVD
             enc.put_sval(CtxClass::MvX, 0);
             enc.put_sval(CtxClass::MvY, 0);
         }
         for _tile in 0..6 {
             enc.put_coeff_block(TransformSize::T8, levels); // 4 luma, U, V
         }
-        let payload = enc.finish();
-        w.put_bits(ftype, 8);
-        w.put_bits(u64::from(qp), 8);
-        w.put_bits(display, 32);
-        w.put_bits(payload.len() as u64, 32);
-        w.put_bytes(&payload);
+        syntax::write_record(&mut bytes, ftype, qp, display, &enc.finish());
     }
-    w.finish()
+    bytes
+}
+
+/// Bitwise CRC-32 (IEEE), the checksum the pins below are taken with.
+fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+        }
+    }
+    !crc
+}
+
+#[test]
+fn hand_built_streams_keep_their_bytes() {
+    // Captured when `stream_with_levels` wrote every field by hand: the
+    // syntax writers must lay the container out byte for byte the same.
+    assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+    let mut dc_only = [0i32; 64];
+    dc_only[0] = i32::MAX;
+    let mut small = [0i32; 64];
+    small[0] = 3;
+    for (qp, levels, len, crc) in [
+        (0u8, &dc_only, 141, 0x8f67_f966),
+        (51, &[i32::MAX; 64], 6189, 0xc8a3_e84a),
+        (26, &small, 54, 0x20e8_7369),
+    ] {
+        let bytes = stream_with_levels(qp, levels);
+        assert_eq!((bytes.len(), crc32(&bytes)), (len, crc), "qp {qp}");
+    }
 }
 
 #[test]

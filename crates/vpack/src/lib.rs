@@ -4,7 +4,9 @@
 //! splits each transcode into independently decodable segments that a CDN
 //! can cache and a player can fetch adaptively (Section 2.5 of the paper
 //! describes the CDN-replicated serving path). This crate provides the
-//! packaging layer on top of `vcodec`'s container:
+//! packaging layer on top of `vcodec`'s container, which it reads and
+//! writes through `vcodec::syntax`, the decoder's own reader, so the
+//! packager accepts exactly the frame records the decoder does:
 //!
 //! * [`index`] — a seek index over a stream (per-frame byte ranges, key
 //!   flags) without decoding any payload;
@@ -62,14 +64,8 @@ mod crc;
 
 pub use crc::crc32;
 
-use vcodec::{probe_stream, DecodeError};
-
-/// Byte length of the container header (`vcodec` bitstream version 2).
-const HEADER_LEN: usize = 22;
-/// Byte offset of the frame-count field within the header.
-const FRAME_COUNT_OFFSET: usize = 15;
-/// Byte length of a frame record header (type, qp, display, payload len).
-const FRAME_HEADER_LEN: usize = 10;
+use vcodec::syntax::{self, FrameType, Record};
+use vcodec::{probe_stream, DecodeError, StreamInfo};
 
 /// Errors from packaging operations.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -123,33 +119,34 @@ pub struct FrameEntry {
     pub qp: u8,
 }
 
+/// The header and the validated frame records of `stream`, through
+/// `vcodec::syntax`, the decoder's own reader.
+fn parse(stream: &[u8]) -> Result<(StreamInfo, Vec<Record<'_>>), PackError> {
+    let info = probe_stream(stream)?;
+    let records = syntax::records(stream, &info).map_err(|e| match e {
+        DecodeError::Corrupt => PackError::Truncated,
+        e => PackError::BadStream(e),
+    })?;
+    Ok((info, records))
+}
+
 /// Builds a seek index over a stream without touching any payload bytes.
 ///
 /// # Errors
 ///
-/// Returns [`PackError`] if the stream header is invalid or the framing
-/// runs past the end of the buffer.
+/// Returns [`PackError`] if the stream header or a frame record is
+/// invalid — exactly the records [`vcodec::decode`] rejects before
+/// decoding — or the framing runs past the end of the buffer.
 pub fn index(stream: &[u8]) -> Result<Vec<FrameEntry>, PackError> {
-    let info = probe_stream(stream)?;
-    let mut entries = Vec::with_capacity(info.frames as usize);
-    let mut pos = HEADER_LEN;
-    for _ in 0..info.frames {
-        if pos + FRAME_HEADER_LEN > stream.len() {
-            return Err(PackError::Truncated);
-        }
-        let ftype = stream[pos];
-        let qp = stream[pos + 1];
-        let display = u32::from_be_bytes(stream[pos + 2..pos + 6].try_into().expect("4 bytes"));
-        let payload_len =
-            u32::from_be_bytes(stream[pos + 6..pos + 10].try_into().expect("4 bytes")) as usize;
-        let len = FRAME_HEADER_LEN + payload_len;
-        if pos + len > stream.len() {
-            return Err(PackError::Truncated);
-        }
-        entries.push(FrameEntry { offset: pos, len, display, intra: ftype == 1, qp });
-        pos += len;
-    }
-    Ok(entries)
+    let (_, records) = parse(stream)?;
+    let entry = |r: &Record<'_>| FrameEntry {
+        offset: r.offset,
+        len: r.encoded_len(),
+        display: r.display,
+        intra: r.ftype == FrameType::Intra,
+        qp: r.qp,
+    };
+    Ok(records.iter().map(entry).collect())
 }
 
 /// One independently decodable segment of a stream.
@@ -166,40 +163,32 @@ pub struct Segment {
 }
 
 /// Splits a stream into one segment per keyframe-delimited group. Each
-/// segment carries a complete header (frame count patched, display
-/// indexes rebased to zero) and decodes independently.
+/// segment carries a complete header (the stream's, with its own frame
+/// count), its records' display indexes rebased to zero, and decodes
+/// independently.
 ///
 /// # Errors
 ///
 /// Returns [`PackError`] for malformed streams or a stream that does not
 /// begin with a keyframe.
 pub fn segment_at_keyframes(stream: &[u8]) -> Result<Vec<Segment>, PackError> {
-    let entries = index(stream)?;
-    if entries.is_empty() || !entries[0].intra {
+    let (info, records) = parse(stream)?;
+    if records[0].ftype != FrameType::Intra {
         return Err(PackError::Incompatible);
     }
-    // Group coding-order records between keyframes.
-    let mut groups: Vec<Vec<&FrameEntry>> = Vec::new();
-    for e in &entries {
-        if e.intra {
-            groups.push(Vec::new());
-        }
-        groups.last_mut().expect("first frame is intra").push(e);
-    }
-    let mut segments = Vec::with_capacity(groups.len());
+    // Coding-order records between keyframes.
+    let groups = records.chunk_by(|_, next| next.ftype != FrameType::Intra);
+    let mut segments = Vec::new();
     for group in groups {
-        let first_display = group.iter().map(|e| e.display).min().expect("non-empty group");
+        let first_display = group.iter().map(|r| r.display).min().expect("non-empty group");
+        let frames = group.len() as u32;
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(&stream[..HEADER_LEN]);
-        patch_u32(&mut bytes, FRAME_COUNT_OFFSET, group.len() as u32);
-        for e in &group {
-            let start = bytes.len();
-            bytes.extend_from_slice(&stream[e.offset..e.offset + e.len]);
-            // Rebase the display index into the segment.
-            patch_u32(&mut bytes, start + 2, e.display - first_display);
+        syntax::write_header(&mut bytes, &StreamInfo { frames, ..info });
+        for r in group {
+            syntax::write_record(&mut bytes, r.ftype, r.qp, r.display - first_display, r.payload);
         }
         let crc = crc32(&bytes);
-        segments.push(Segment { bytes, first_display, frames: group.len() as u32, crc32: crc });
+        segments.push(Segment { bytes, first_display, frames, crc32: crc });
     }
     Ok(segments)
 }
@@ -209,45 +198,38 @@ pub fn segment_at_keyframes(stream: &[u8]) -> Result<Vec<Segment>, PackError> {
 /// # Errors
 ///
 /// Returns [`PackError::IntegrityFailure`] if a segment's CRC no longer
-/// matches its bytes, and [`PackError::Incompatible`] if the segments'
-/// headers disagree, the list is empty, or a rebased display index or
-/// the frame total would not fit in 32 bits. Each segment's frame count
-/// comes from its own bytes, which the CRC covers, not from
-/// [`Segment::frames`].
+/// matches its bytes, the [`index`] error of a segment that does not
+/// parse, and [`PackError::Incompatible`] if the segments' headers differ
+/// in more than their frame counts, the list is empty, or the frame total
+/// would not fit in 32 bits. Each segment's frame count comes from its
+/// own bytes, which the CRC covers, not from [`Segment::frames`].
 pub fn concatenate(segments: &[Segment]) -> Result<Vec<u8>, PackError> {
-    let first = segments.first().ok_or(PackError::Incompatible)?;
     for (i, seg) in segments.iter().enumerate() {
         if crc32(&seg.bytes) != seg.crc32 {
             return Err(PackError::IntegrityFailure { segment: i });
         }
-        if seg.bytes.len() < HEADER_LEN
-            || seg.bytes[..FRAME_COUNT_OFFSET] != first.bytes[..FRAME_COUNT_OFFSET]
-        {
+    }
+    let parsed = segments.iter().map(|seg| parse(&seg.bytes)).collect::<Result<Vec<_>, _>>()?;
+    let (info, _) = parsed.first().ok_or(PackError::Incompatible)?;
+    let mut total = 0u32;
+    for (seg, _) in &parsed {
+        if (StreamInfo { frames: info.frames, ..*seg }) != *info {
             return Err(PackError::Incompatible);
         }
+        total = total.checked_add(seg.frames).ok_or(PackError::Incompatible)?;
     }
     let mut out = Vec::new();
-    out.extend_from_slice(&first.bytes[..HEADER_LEN]);
-    let mut total_frames = 0u32;
-    for seg in segments {
-        let entries = index(&seg.bytes)?;
-        for e in &entries {
-            let start = out.len();
-            out.extend_from_slice(&seg.bytes[e.offset..e.offset + e.len]);
-            let display = e.display.checked_add(total_frames).ok_or(PackError::Incompatible)?;
-            patch_u32(&mut out, start + 2, display);
+    syntax::write_header(&mut out, &StreamInfo { frames: total, ..*info });
+    let mut base = 0;
+    for (seg, records) in &parsed {
+        for r in records {
+            // Below `total`: each display index is below its segment's
+            // frame count, and the counts sum to `total`.
+            syntax::write_record(&mut out, r.ftype, r.qp, base + r.display, r.payload);
         }
-        total_frames = u32::try_from(entries.len())
-            .ok()
-            .and_then(|n| total_frames.checked_add(n))
-            .ok_or(PackError::Incompatible)?;
+        base += seg.frames;
     }
-    patch_u32(&mut out, FRAME_COUNT_OFFSET, total_frames);
     Ok(out)
-}
-
-fn patch_u32(buf: &mut [u8], offset: usize, value: u32) {
-    buf[offset..offset + 4].copy_from_slice(&value.to_be_bytes());
 }
 
 #[cfg(test)]
@@ -282,22 +264,70 @@ mod tests {
         encode(&clip(frames), &cfg).bytes
     }
 
+    /// The packager's index reports the same frame kinds, in the same
+    /// places, as the codec's own record reader.
     #[test]
     fn index_matches_frame_kinds() {
         let s = stream(7, 3, false);
         let idx = index(&s).unwrap();
-        assert_eq!(idx.len(), 7);
-        let kinds = vcodec::frame_kinds(&s).unwrap();
-        for e in &idx {
-            assert_eq!(e.intra, kinds[e.display as usize], "display {}", e.display);
+        let info = probe_stream(&s).unwrap();
+        let records = syntax::records(&s, &info).unwrap();
+        assert_eq!(idx.len(), records.len());
+        for (e, r) in idx.iter().zip(&records) {
+            assert_eq!(e.intra, r.ftype == FrameType::Intra, "display {}", e.display);
+            assert_eq!((e.display, e.offset, e.len), (r.display, r.offset, r.encoded_len()));
         }
-        // Records tile the stream exactly.
-        let mut pos = HEADER_LEN;
-        for e in &idx {
-            assert_eq!(e.offset, pos);
-            pos += e.len;
+    }
+
+    #[test]
+    fn index_flags_a_keyframe_every_gop() {
+        for bframes in [false, true] {
+            let s = stream(9, 4, bframes);
+            let idx = index(&s).unwrap();
+            assert_eq!(idx.len(), 9);
+            let mut displays: Vec<u32> = idx.iter().map(|e| e.display).collect();
+            displays.sort_unstable();
+            assert_eq!(displays, (0..9).collect::<Vec<u32>>(), "b={bframes}");
+            for e in &idx {
+                assert_eq!(e.intra, e.display % 4 == 0, "b={bframes} display {}", e.display);
+            }
+            // Records tile the stream after the header exactly.
+            for pair in idx.windows(2) {
+                assert_eq!(pair[0].offset + pair[0].len, pair[1].offset);
+            }
+            let last = idx.last().unwrap();
+            assert_eq!(last.offset + last.len, s.len());
         }
-        assert_eq!(pos, s.len());
+    }
+
+    /// Writes `value` over `bytes[at..]` of a copy of `s`.
+    fn poke(s: &[u8], at: usize, value: &[u8]) -> Vec<u8> {
+        let mut bytes = s.to_vec();
+        bytes[at..at + value.len()].copy_from_slice(value);
+        bytes
+    }
+
+    /// The packager and the decoder agree on which frame records are
+    /// valid: one bad field in one record fails all three readers with
+    /// the same error.
+    #[test]
+    fn index_segment_and_decode_reject_the_same_records() {
+        let s = stream(6, 3, true);
+        let idx = index(&s).unwrap();
+        decode(&s).unwrap();
+        // Record fields: type, qp, display (4 bytes, big-endian), length.
+        let at = idx[1].offset;
+        for (bytes, what) in [
+            (poke(&s, at, &[9]), "frame type"),
+            (poke(&s, at + 2, &1000u32.to_be_bytes()), "display index"),
+            (poke(&s, at + 2, &idx[0].display.to_be_bytes()), "display index"),
+            (poke(&s, at + 1, &[255]), "frame qp"),
+        ] {
+            let want = DecodeError::InvalidHeader(what);
+            assert_eq!(index(&bytes).unwrap_err(), PackError::BadStream(want));
+            assert_eq!(segment_at_keyframes(&bytes).unwrap_err(), PackError::BadStream(want));
+            assert_eq!(decode(&bytes).unwrap_err(), want);
+        }
     }
 
     #[test]
@@ -355,9 +385,10 @@ mod tests {
         assert_eq!(concatenate(&segments).unwrap_err(), PackError::IntegrityFailure { segment: 1 });
     }
 
-    /// A segment whose CRC is valid but whose display index cannot be
-    /// rebased is an error, not an overflow; and the frame total comes
-    /// from the segments' bytes, not from their `frames` fields.
+    /// A segment whose CRC is valid but whose display index is out of
+    /// range is an error before any rebasing, not an overflow; and the
+    /// frame total comes from the segments' bytes, not from their
+    /// `frames` fields.
     #[test]
     fn concatenate_rejects_display_indexes_that_overflow() {
         let s = stream(6, 3, false);
@@ -370,9 +401,11 @@ mod tests {
         assert_eq!(decode(&whole).unwrap().len(), 6, "frame count read from the segments");
 
         let seg = &mut segments[1];
-        patch_u32(&mut seg.bytes, HEADER_LEN + 2, u32::MAX);
+        let display_at = index(&seg.bytes).unwrap()[0].offset + 2;
+        seg.bytes = poke(&seg.bytes, display_at, &u32::MAX.to_be_bytes());
         seg.crc32 = crc32(&seg.bytes);
-        assert_eq!(concatenate(&segments).unwrap_err(), PackError::Incompatible);
+        let bad_display = PackError::BadStream(DecodeError::InvalidHeader("display index"));
+        assert_eq!(concatenate(&segments).unwrap_err(), bad_display);
     }
 
     #[test]

@@ -82,8 +82,8 @@ fn bframe_streams_pass_through_the_whole_pipeline() {
     // Inspect, segment, reassemble, decode — all layers B-frame aware.
     let info = vcodec::probe_stream(&out.bytes).unwrap();
     assert_eq!(info.frames as usize, video.len());
-    let kinds = vcodec::frame_kinds(&out.bytes).unwrap();
-    assert!(kinds[0], "stream starts with a keyframe");
+    let index = vpack::index(&out.bytes).unwrap();
+    assert!(index.iter().any(|e| e.display == 0 && e.intra), "stream starts with a keyframe");
     let segments = vpack::segment_at_keyframes(&out.bytes).unwrap();
     let whole = vpack::concatenate(&segments).unwrap();
     let decoded = vcodec::decode(&whole).unwrap();

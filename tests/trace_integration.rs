@@ -255,3 +255,45 @@ fn exit_codes_distinguish_usage_from_runtime_errors() {
     let stderr = String::from_utf8(missing_input.stderr).expect("utf-8 stderr");
     assert!(stderr.contains("[error]"), "runtime failure not logged: {stderr}");
 }
+
+#[test]
+fn inspect_prints_the_header_and_index_of_a_transcode() {
+    let dir = std::env::temp_dir().join(format!("vbench-inspect-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let file = dir.join("desktop.vbc");
+    let path = file.to_str().expect("utf-8 path");
+    let transcode = vbench()
+        .args(["transcode", "--video", "desktop", "--family", "avc", "--preset", "fast"])
+        .args(["--crf", "30", "--out", path])
+        .output()
+        .expect("run vbench");
+    assert!(transcode.status.success(), "{transcode:?}");
+
+    // Both lines as printed before the container had one reader.
+    let inspect = vbench().args(["inspect", "--in", path]).output().expect("run vbench");
+    assert_eq!(inspect.status.code(), Some(0));
+    assert_eq!(
+        String::from_utf8(inspect.stdout).expect("utf-8 stdout"),
+        format!(
+            "{path}: avc 160x90 @ 30.000 fps, 12 frames, gop 60, backend Vlc, deblock true\n\
+             12 frame records, 1 keyframes, crc32 c3a077d6\n"
+        )
+    );
+
+    // One record with an unknown frame type: the index rejects the file,
+    // as the decoder does, and nothing is printed.
+    let mut bytes = std::fs::read(&file).expect("read the transcode");
+    let second = vpack::index(&bytes).expect("valid stream")[1].offset;
+    bytes[second] = 9;
+    let bad = dir.join("bad-type.vbc");
+    std::fs::write(&bad, &bytes).expect("write the corrupt copy");
+    let out = vbench()
+        .args(["inspect", "--in", bad.to_str().expect("utf-8 path")])
+        .output()
+        .expect("run vbench");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty(), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert!(stderr.contains("frame type"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
