@@ -8,7 +8,7 @@
 //! for refinement.
 
 use crate::golomb::se_bits;
-use vframe::block::{sad, sad_plane, satd, Block, MAX_BLOCK};
+use vframe::block::{row_width, sad, sad_plane, sad_plane_bytes, satd, Block, MAX_BLOCK};
 use vframe::Plane;
 
 /// A motion vector in quarter-pel units.
@@ -82,30 +82,128 @@ pub(crate) fn motion_compensate_into(
 ) {
     let base_x = (x as isize) * 4 + isize::from(mv.x);
     let base_y = (y as isize) * 4 + isize::from(mv.y);
-    let (fx, fy) = (base_x.rem_euclid(4) as i32, base_y.rem_euclid(4) as i32);
+    let (fx, fy) = (base_x.rem_euclid(4) as u16, base_y.rem_euclid(4) as u16);
     let (ix, iy) = (base_x.div_euclid(4), base_y.div_euclid(4));
     if fx == 0 && fy == 0 {
         out.load(reference, ix, iy);
         return;
     }
-    // The weights sum to 16 and samples are at most 255, so every sum is
-    // at most 4 080 (4 088 rounded): `u16` lanes are exact on any input.
-    let (fx, fy) = (fx as u16, fy as u16);
-    let (w00, w01, w10, w11) = ((4 - fx) * (4 - fy), fx * (4 - fy), (4 - fx) * fy, fx * fy);
-    let n = out.size();
+    let (n, at, phase) = (out.size(), (ix, iy), (fx, fy));
+    match n {
+        8 => mc_rows::<8>(reference, at, phase, out.data_mut(), 8),
+        16 => mc_rows::<16>(reference, at, phase, out.data_mut(), 16),
+        32 => mc_rows::<32>(reference, at, phase, out.data_mut(), 32),
+        _ => mc_rows::<0>(reference, at, phase, out.data_mut(), n),
+    }
+}
+
+/// Bilinear MC of a block `width` wide at the sub-pel phase `(fx, fy)`,
+/// at row width `N` (see [`row_width`]). The half-pel phases are the
+/// 4-tap body's exact integers in a narrower form: weights 8 and 8 give
+/// `(8a + 8b + 8) >> 4 = (a + b + 1) >> 1`, four weights of 4 give
+/// `(4(a + b + c + d) + 8) >> 4 = (a + b + c + d + 2) >> 2`.
+#[inline(always)]
+fn mc_rows<const N: usize>(
+    reference: &Plane,
+    (ix, iy): (isize, isize),
+    (fx, fy): (u16, u16),
+    out: &mut [i16],
+    width: usize,
+) {
+    let n = row_width::<N>(width);
+    let at = (reference, ix, iy);
+    match (fx, fy) {
+        (2, 0) => mc_block::<N>(at, out, n, |r0, _, o| average2_row::<N>(r0, &r0[1..], o)),
+        (0, 2) => mc_block::<N>(at, out, n, average2_row::<N>),
+        (2, 2) => mc_block::<N>(at, out, n, average4_row::<N>),
+        _ => {
+            let w = [(4 - fx) * (4 - fy), fx * (4 - fy), (4 - fx) * fy, fx * fy];
+            mc_block::<N>(at, out, n, |r0, r1, o| bilinear_row::<N>(w, r0, r1, o));
+        }
+    }
+}
+
+/// One block of MC: `row` forms each output row from the two reference
+/// rows it straddles, each one sample longer than the block. Out of line,
+/// one copy per width and phase: inlined into one function, LLVM left the
+/// wider instances' rows scalar.
+#[inline(never)]
+fn mc_block<const N: usize>(
+    (reference, ix, iy): (&Plane, isize, isize),
+    out: &mut [i16],
+    width: usize,
+    row: impl Fn(&[u8], &[u8], &mut [i16]),
+) {
+    let n = row_width::<N>(width);
+    if let Some(mut spans) = reference.window(ix, iy, n + 1, n + 1) {
+        let mut r0 = spans.next().expect("a window of n + 1 rows");
+        for (o, r1) in out.chunks_exact_mut(n).zip(spans) {
+            mc_row::<N>(&row, r0, r1, o);
+            r0 = r1;
+        }
+        return;
+    }
     let (mut upper, mut lower) = ([0u8; MAX_BLOCK + 1], [0u8; MAX_BLOCK + 1]);
-    for (dy, row) in out.rows_mut().enumerate() {
+    for (dy, o) in out.chunks_exact_mut(n).enumerate() {
         let py = iy + dy as isize;
         let r0 = reference.clamped_span(ix, py, &mut upper[..=n]);
         let r1 = reference.clamped_span(ix, py + 1, &mut lower[..=n]);
-        let taps = r0[..n].iter().zip(&r0[1..]).zip(&r1[..n]).zip(&r1[1..]);
-        for (v, (((&p00, &p01), &p10), &p11)) in row.iter_mut().zip(taps) {
-            let sum = w00 * u16::from(p00)
-                + w01 * u16::from(p01)
-                + w10 * u16::from(p10)
-                + w11 * u16::from(p11);
-            *v = ((sum + 8) >> 4) as i16;
-        }
+        mc_row::<N>(&row, r0, r1, o);
+    }
+}
+
+/// One output row of [`mc_block`], formed in a local array and then
+/// copied out: stores to a buffer nothing else points at are what LLVM
+/// will vectorize.
+#[inline(always)]
+fn mc_row<const N: usize>(
+    row: &impl Fn(&[u8], &[u8], &mut [i16]),
+    r0: &[u8],
+    r1: &[u8],
+    out: &mut [i16],
+) {
+    let n = row_width::<N>(out.len());
+    let mut wide = [0i16; MAX_BLOCK];
+    row(&r0[..=n], &r1[..=n], &mut wide[..n]);
+    out.copy_from_slice(&wide[..n]);
+}
+
+/// `(a + b + 1) >> 1` per sample (`pavgb`) at row width `N`. Like the
+/// other row bodies, it slices every operand to the row width first, so
+/// that for `N > 0` LLVM sees one constant trip count.
+#[inline(always)]
+fn average2_row<const N: usize>(a: &[u8], b: &[u8], out: &mut [i16]) {
+    let n = row_width::<N>(out.len());
+    for ((o, &a), &b) in out[..n].iter_mut().zip(&a[..n]).zip(&b[..n]) {
+        *o = ((u16::from(a) + u16::from(b) + 1) >> 1) as i16;
+    }
+}
+
+/// `(a + b + c + d + 2) >> 2` over each 2×2 neighbourhood of two rows
+/// one sample longer than `out`, at row width `N`.
+#[inline(always)]
+fn average4_row<const N: usize>(r0: &[u8], r1: &[u8], out: &mut [i16]) {
+    let n = row_width::<N>(out.len());
+    let taps = r0[..n].iter().zip(&r0[1..=n]).zip(&r1[..n]).zip(&r1[1..=n]);
+    for (o, (((&p00, &p01), &p10), &p11)) in out[..n].iter_mut().zip(taps) {
+        let sum = u16::from(p00) + u16::from(p01) + u16::from(p10) + u16::from(p11);
+        *o = ((sum + 2) >> 2) as i16;
+    }
+}
+
+/// The 4-tap bilinear body, for the quarter phases. The weights sum to 16
+/// and samples are at most 255, so every sum is at most 4 080 (4 088
+/// rounded): `u16` lanes are exact on any input. At row width `N`.
+#[inline(always)]
+fn bilinear_row<const N: usize>(w: [u16; 4], r0: &[u8], r1: &[u8], out: &mut [i16]) {
+    let n = row_width::<N>(out.len());
+    let taps = r0[..n].iter().zip(&r0[1..=n]).zip(&r1[..n]).zip(&r1[1..=n]);
+    for (o, (((&p00, &p01), &p10), &p11)) in out[..n].iter_mut().zip(taps) {
+        let sum = w[0] * u16::from(p00)
+            + w[1] * u16::from(p01)
+            + w[2] * u16::from(p10)
+            + w[3] * u16::from(p11);
+        *o = ((sum + 8) >> 4) as i16;
     }
 }
 
@@ -170,7 +268,9 @@ pub enum SubPelDepth {
 pub struct SearchParams {
     /// Full-pel algorithm.
     pub algorithm: SearchAlgorithm,
-    /// Full-pel search range (± pixels around the predictor).
+    /// Full-pel search range (± pixels around the predictor); ranges
+    /// past 8 190 search 8 190, the widest whose every candidate fits a
+    /// quarter-pel [`MotionVector`].
     pub range: u16,
     /// Sub-pel refinement depth.
     pub subpel: SubPelDepth,
@@ -202,6 +302,10 @@ pub struct MotionResult {
     pub distortion: u64,
 }
 
+/// The largest full-pel search range [`search`] honours; a larger
+/// [`SearchParams::range`] searches this one.
+const MAX_SEARCH_RANGE: u16 = 8_190;
+
 /// Searches `reference` for the best match to `block` (located at `(x, y)`
 /// in the current frame), starting from `pred_mv`. Full-pel candidates are
 /// compared in place against the reference plane; sub-pel candidates are
@@ -225,21 +329,30 @@ pub fn search(
 ) -> MotionResult {
     assert!(params.range > 0, "search range must be non-zero");
     assert_eq!(block.size(), scratch.size(), "scratch must match the searched block");
-    let area = (block.size() * block.size()) as u64;
+    let (n, area) = (block.size(), (block.size() * block.size()) as u64);
+    let mut packed = [0u8; MAX_BLOCK * MAX_BLOCK];
+    let packed = block.pack_bytes(&mut packed);
     let eval_full = |mv: MotionVector, stats: &mut SearchStats| -> (u64, f64) {
         debug_assert!(mv.is_full_pel());
         let (px, py) = (x as isize + isize::from(mv.x / 4), y as isize + isize::from(mv.y / 4));
-        let d = sad_plane(block, reference, px, py);
+        let d = match packed {
+            Some(bytes) => sad_plane_bytes(bytes, n, reference, px, py),
+            None => sad_plane(block, reference, px, py),
+        };
         stats.positions += 1;
         stats.samples += area;
         let cost = d as f64 + params.lambda * f64::from(mv.cost_bits(pred_mv));
         (d, cost)
     };
 
+    // Every candidate is within the range of the full-pel window plus the
+    // ±1 polish and the ±2, ±1 sub-pel steps: 4 · 8 190 + 4 + 3 = 32 767,
+    // the largest that fits a quarter-pel `i16`.
+    let range = params.range.min(MAX_SEARCH_RANGE) as i16;
     // Start at the predictor, clamped to full-pel.
     let start = MotionVector::from_full_pel(
-        (pred_mv.x / 4).clamp(-(params.range as i16), params.range as i16),
-        (pred_mv.y / 4).clamp(-(params.range as i16), params.range as i16),
+        (pred_mv.x / 4).clamp(-range, range),
+        (pred_mv.y / 4).clamp(-range, range),
     );
     let (mut best_mv, mut best_d, mut best_cost) = {
         let (d, c) = eval_full(start, stats);
@@ -255,7 +368,6 @@ pub fn search(
         }
     }
 
-    let range = i16::try_from(params.range).unwrap_or(i16::MAX);
     match params.algorithm {
         SearchAlgorithm::Full => {
             for dy in -range..=range {
@@ -276,14 +388,14 @@ pub fn search(
                 _ => &[(-2, -2), (2, -2), (4, 0), (2, 2), (-2, 2), (-4, 0)],
             };
             // Iterative descent with the large pattern.
-            let max_iters = u32::from(params.range) * 2;
+            let max_iters = range as u32 * 2;
             let mut iters = 0;
             loop {
                 let center = best_mv;
                 for &(dx, dy) in pattern {
                     let mv = MotionVector::new(
-                        (center.x + dx * 4).clamp(-range * 4, range * 4),
-                        (center.y + dy * 4).clamp(-range * 4, range * 4),
+                        center.x.saturating_add(dx * 4).clamp(-range * 4, range * 4),
+                        center.y.saturating_add(dy * 4).clamp(-range * 4, range * 4),
                     );
                     if mv == center {
                         continue;
@@ -351,6 +463,7 @@ pub fn search(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::ops::RangeInclusive;
 
     /// A smoothly textured reference plane: unique matches within the
     /// search range, but a descent-friendly SAD landscape (pattern searches
@@ -514,6 +627,32 @@ mod tests {
         assert_eq!(res.mv, MotionVector::ZERO);
     }
 
+    #[test]
+    fn ranges_past_the_widest_search_the_widest() {
+        // 8 191 is the first range whose window plus polish and sub-pel
+        // steps leaves `i16`, 8 192 the first whose `range * 4` did, and
+        // 40 000 (past `i16::MAX`) made the start clamp's bounds cross. A
+        // predictor at the far corner drives the search to the window's
+        // edge, where every step is largest.
+        let r = reference();
+        let block = Block::copy_from(&r, 24, 23, 8);
+        for alg in [SearchAlgorithm::Diamond, SearchAlgorithm::Hexagon] {
+            for pred in [MotionVector::new(i16::MAX, i16::MIN), MotionVector::ZERO] {
+                let run = |range| {
+                    let mut p = default_params(alg);
+                    p.range = range;
+                    let mut stats = SearchStats::default();
+                    let res = search(&block, &r, 20, 20, pred, &p, &mut Block::zero(8), &mut stats);
+                    (res.mv, res.distortion, stats)
+                };
+                let widest = run(MAX_SEARCH_RANGE);
+                for range in [8_191, 8_192, 40_000, u16::MAX] {
+                    assert_eq!(run(range), widest, "{alg:?} range {range} from {pred:?}");
+                }
+            }
+        }
+    }
+
     /// Oracle: motion compensation one sample at a time through
     /// `get_clamped`, as it was written before the row-span kernels.
     fn mc_per_sample(
@@ -578,6 +717,12 @@ mod tests {
     /// what the debug tier-1 run does.
     const SCALE: u32 = if cfg!(debug_assertions) { 1 } else { 10 };
 
+    /// Block sizes from `others` half the time, and otherwise one of the
+    /// widths MC has constant-width bodies for (8, 16, 32).
+    fn block_size(others: RangeInclusive<usize>) -> impl Strategy<Value = usize> {
+        (0usize..6, others).prop_map(|(pick, any)| [8, 16, 32].get(pick).copied().unwrap_or(any))
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64 * SCALE, ..ProptestConfig::default() })]
 
@@ -589,7 +734,7 @@ mod tests {
             data in prop::collection::vec(any::<u8>(), 40 * 30),
             x in 0usize..40,
             y in 0usize..30,
-            size in 1usize..=MAX_BLOCK,
+            size in block_size(1..=MAX_BLOCK),
             whole in (-70i16..=40, -70i16..=30),
             flat in any::<bool>(),
         ) {
@@ -626,13 +771,14 @@ mod tests {
 
     proptest! {
         // Every quarter-pel phase, with the block inside the plane,
-        // straddling each edge and corner, and wholly outside it.
+        // straddling each edge and corner (both opposite edges at 32),
+        // and wholly outside it.
         #[test]
         fn mc_equals_per_sample_clamped_mc(
             data in prop::collection::vec(any::<u8>(), 24 * 20),
             x in 0usize..24,
             y in 0usize..20,
-            size in 1usize..=16,
+            size in block_size(1..=16),
             whole_x in -40i16..=40,
             whole_y in -40i16..=40,
         ) {

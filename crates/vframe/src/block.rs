@@ -62,13 +62,30 @@ impl Block {
     ///
     /// Panics if the block is larger than [`MAX_BLOCK`].
     pub fn load(&mut self, plane: &Plane, x: isize, y: isize) {
-        let mut buf = [0u8; MAX_BLOCK];
-        for (dy, out) in self.data.chunks_exact_mut(self.size).enumerate() {
-            let span = plane.clamped_span(x, y + dy as isize, &mut buf[..self.size]);
-            for (o, &s) in out.iter_mut().zip(span) {
-                *o = i16::from(s);
-            }
+        match self.size {
+            8 => load_rows::<8>(&mut self.data, 8, plane, x, y),
+            16 => load_rows::<16>(&mut self.data, 16, plane, x, y),
+            32 => load_rows::<32>(&mut self.data, 32, plane, x, y),
+            n => load_rows::<0>(&mut self.data, n, plane, x, y),
         }
+    }
+
+    /// The block's samples as bytes, written row-major into the front of
+    /// `out`, when every one lies in 0..=255 (the form full-pel search
+    /// compares against a plane, [`sad_plane_bytes`]); `None` otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` holds fewer than `size²` bytes.
+    pub fn pack_bytes<'a>(&self, out: &'a mut [u8]) -> Option<&'a [u8]> {
+        if !samples_within(&self.data, 255) {
+            return None;
+        }
+        let out = &mut out[..self.data.len()];
+        for (o, &s) in out.iter_mut().zip(&self.data) {
+            *o = s as u8;
+        }
+        Some(out)
     }
 
     /// Block dimension (blocks are square).
@@ -208,47 +225,134 @@ fn row_sad<T: Into<i32>>(row: &[i16], other: impl Iterator<Item = T>) -> u32 {
     row.iter().zip(other).map(|(&a, b)| (i32::from(a) - b.into()).unsigned_abs()).sum()
 }
 
-/// [`sad_plane`]'s row SAD in `u16` lanes, and the OR of the block's
-/// samples (plane samples are bytes). When that OR is at most 255 so is
-/// every sample, hence every difference, and the row's sum (at most
-/// [`MAX_BLOCK`] · 255) is exact;
-/// the caller checks the OR once per block and otherwise redoes the block
-/// with [`row_sad`]. The check rides along the SAD, so the common case
-/// reads each sample once, and the sum wraps instead of overflowing
-/// outside the range.
-#[inline]
-fn row_sad_narrow(row: &[i16], span: &[u8]) -> (u16, u16) {
-    row.iter().zip(span).fold((0u16, 0u16), |(sum, seen), (&a, &b)| {
-        let (a, b) = (a as u16, u16::from(b));
-        (sum.wrapping_add(a.abs_diff(b)), seen | a)
-    })
+/// The row width a constant-width kernel body runs at: `N` when it is
+/// one of the instantiated widths, the runtime `width` for `N == 0`.
+/// Slicing to it gives LLVM a constant trip count, so a row is whole
+/// vectors, not the scalar tail of a vector loop unrolled past its end.
+#[inline(always)]
+pub fn row_width<const N: usize>(width: usize) -> usize {
+    debug_assert!(N == 0 || N == width, "row width {width} instantiated as {N}");
+    if N == 0 {
+        width
+    } else {
+        N
+    }
+}
+
+/// [`Block::load`] at row width `N` (see [`row_width`]).
+#[inline(always)]
+fn load_rows<const N: usize>(data: &mut [i16], width: usize, plane: &Plane, x: isize, y: isize) {
+    let n = row_width::<N>(width);
+    let rows = data.chunks_exact_mut(n);
+    // Widened in a local array and then copied out: stores to a buffer
+    // nothing else points at are what LLVM will vectorize.
+    let mut wide = [0i16; MAX_BLOCK];
+    let mut widen = |out: &mut [i16], span: &[u8]| {
+        for (o, &s) in wide[..n].iter_mut().zip(&span[..n]) {
+            *o = i16::from(s);
+        }
+        out.copy_from_slice(&wide[..n]);
+    };
+    if let Some(spans) = plane.window(x, y, n, n) {
+        rows.zip(spans).for_each(|(out, span)| widen(out, span));
+        return;
+    }
+    let mut buf = [0u8; MAX_BLOCK];
+    for (dy, out) in rows.enumerate() {
+        widen(out, plane.clamped_span(x, y + dy as isize, &mut buf[..n]));
+    }
+}
+
+/// SAD of two byte rows as `max − min` per sample, summed in `u16`:
+/// exact for rows of at most 64 samples (64 · 255 = 16 320). Up to 16
+/// samples are one LLVM `psadbw` pattern; a longer row is summed 16 at a
+/// time, because as one loop LLVM widened each difference to `u32`.
+#[inline(always)]
+fn row_sad_bytes(a: &[u8], b: &[u8]) -> u16 {
+    #[inline(always)]
+    fn sad(a: &[u8], b: &[u8]) -> u16 {
+        a.iter().zip(b).map(|(&a, &b)| u16::from(a.max(b) - a.min(b))).sum()
+    }
+    if a.len() <= 16 {
+        return sad(a, b);
+    }
+    a.chunks(16).zip(b.chunks(16)).map(|(a, b)| sad(a, b)).sum()
 }
 
 /// SAD computed directly against a plane region (avoids materializing the
 /// candidate block); `(x, y)` may be out of bounds, in which case samples
 /// are edge-clamped.
 ///
+/// A block whose samples all lie in 0..=255 is packed to bytes and runs
+/// [`sad_plane_bytes`]; any other runs in `i32`.
+///
 /// # Panics
 ///
 /// Panics if the block is larger than [`MAX_BLOCK`].
 pub fn sad_plane(block: &Block, plane: &Plane, x: isize, y: isize) -> u64 {
+    let mut bytes = [0u8; MAX_BLOCK * MAX_BLOCK];
+    if let Some(bytes) = block.pack_bytes(&mut bytes) {
+        return sad_plane_bytes(bytes, block.size(), plane, x, y);
+    }
     let mut buf = [0u8; MAX_BLOCK];
     let buf = &mut buf[..block.size()];
-    let (mut total, mut seen) = (0u64, 0u16);
-    for (dy, row) in block.rows().enumerate() {
-        let (sum, row_seen) = row_sad_narrow(row, plane.clamped_span(x, y + dy as isize, buf));
-        total += u64::from(sum);
-        seen |= row_seen;
-    }
-    if seen <= 255 {
-        return total;
-    }
     let mut total = 0;
     for (dy, row) in block.rows().enumerate() {
         total +=
             u64::from(row_sad(row, plane.clamped_span(x, y + dy as isize, buf).iter().copied()));
     }
     total
+}
+
+/// [`sad_plane`] of a block already packed to bytes ([`Block::pack_bytes`]):
+/// `block` holds `size × size` samples, row-major. Every candidate row,
+/// inside the plane or clamped at an edge, runs the same byte kernel, at a
+/// constant row width for blocks of 8, 16 and 32.
+///
+/// # Panics
+///
+/// Panics if `size` is larger than [`MAX_BLOCK`] or `block` holds fewer
+/// than `size²` samples.
+pub fn sad_plane_bytes(block: &[u8], size: usize, plane: &Plane, x: isize, y: isize) -> u64 {
+    match size {
+        8 => sad_rows::<8>(block, 8, plane, x, y),
+        16 => sad_rows::<16>(block, 16, plane, x, y),
+        32 => sad_rows::<32>(block, 32, plane, x, y),
+        n => sad_rows::<0>(block, n, plane, x, y),
+    }
+}
+
+/// [`sad_plane_bytes`] at row width `N` (see [`row_width`]). Out of line,
+/// one copy per width, as [`row_sad_bytes`] needs: in one function with
+/// the other widths, LLVM summed the 16-wide rows as two 8-sample halves.
+#[inline(never)]
+fn sad_rows<const N: usize>(block: &[u8], width: usize, plane: &Plane, x: isize, y: isize) -> u64 {
+    let n = row_width::<N>(width);
+    let block = block[..n * n].chunks_exact(n);
+    if let Some(spans) = plane.window(x, y, n, n) {
+        let rows =
+            block.zip(spans).map(|(row, span)| u32::from(row_sad_bytes(&row[..n], &span[..n])));
+        return u64::from(rows.sum::<u32>());
+    }
+    let mut buf = [0u8; MAX_BLOCK];
+    let mut total = 0u32;
+    for (dy, row) in block.enumerate() {
+        total += u32::from(edge_row_sad::<N>(
+            row,
+            plane.clamped_span(x, y + dy as isize, &mut buf[..n]),
+        ));
+    }
+    u64::from(total)
+}
+
+/// [`row_sad_bytes`] at row width `N`, out of line for [`sad_rows`]'
+/// windows across an edge: inlined into a loop that calls
+/// [`Plane::clamped_span`] on every row, LLVM summed each row's bytes one
+/// at a time.
+#[inline(never)]
+fn edge_row_sad<const N: usize>(row: &[u8], span: &[u8]) -> u16 {
+    let n = row_width::<N>(row.len());
+    row_sad_bytes(&row[..n], &span[..n])
 }
 
 crate::isa::multiversion! {
@@ -518,6 +622,13 @@ mod tests {
     /// what the debug tier-1 run does.
     const SCALE: u32 = if cfg!(debug_assertions) { 1 } else { 10 };
 
+    /// Block sizes 1..=[`MAX_BLOCK`], half of them the widths the
+    /// plane-reading kernels have constant-width bodies for (8, 16, 32).
+    fn block_size() -> impl Strategy<Value = usize> {
+        (0usize..6, 1usize..=MAX_BLOCK)
+            .prop_map(|(pick, any)| [8, 16, 32].get(pick).copied().unwrap_or(any))
+    }
+
     /// Pairs of square blocks of a size drawn from `sizes` (at most
     /// [`MAX_BLOCK`]), with samples from one of the narrow ranges, on or
     /// just past their edges, or anywhere in `i16`.
@@ -561,17 +672,32 @@ mod tests {
             prop_assert_eq!(got, sad_per_sample(&a, &b));
         }
 
+        // Every block size, half of them the constant-width ones; samples
+        // in bytes, past them, or one sample past 255 in a byte block; the
+        // window inside the plane, across each edge and corner, or wholly
+        // outside it.
         #[test]
         fn sad_plane_equals_per_sample_sad_on_any_block(
-            pair in block_pair(1usize..=MAX_BLOCK),
+            pair in block_pair(block_size()),
+            spike in (any::<bool>(), any::<usize>(), 256i16..=4096),
             data in prop::collection::vec(any::<u8>(), 40 * 36),
-            x in -30isize..44,
-            y in -30isize..40,
+            x in -70isize..44,
+            y in -70isize..40,
         ) {
-            let block = pair.0;
+            let mut block = pair.0;
+            let (spiked, at, value) = spike;
+            if spiked {
+                let len = block.data().len();
+                block.data_mut()[at % len] = value;
+            }
             let plane = Plane::from_data(40, 36, data);
             let cand = Block::copy_from(&plane, x, y, block.size());
-            prop_assert_eq!(sad_plane(&block, &plane, x, y), sad_per_sample(&block, &cand));
+            let want = sad_per_sample(&block, &cand);
+            prop_assert_eq!(sad_plane(&block, &plane, x, y), want);
+            let mut bytes = [0u8; MAX_BLOCK * MAX_BLOCK];
+            if let Some(bytes) = block.pack_bytes(&mut bytes) {
+                prop_assert_eq!(sad_plane_bytes(bytes, block.size(), &plane, x, y), want);
+            }
         }
     }
 
@@ -590,23 +716,25 @@ mod tests {
 
         // In-plane SAD against the plane equals SAD against the block
         // `get_clamped` would build, wherever the window lies: inside,
-        // across any edge, or wholly outside.
+        // across any edge or corner, across two opposite edges (blocks
+        // wider than the 20×12 plane), or wholly outside.
         #[test]
         fn sad_plane_equals_sad_against_a_clamped_copy(
+            size in block_size(),
             data in prop::collection::vec(any::<u8>(), 20 * 12),
-            block in prop::collection::vec(0i16..=255, 64),
-            x in -24isize..40,
-            y in -24isize..32,
+            block in prop::collection::vec(0i16..=255, MAX_BLOCK * MAX_BLOCK),
+            x in -72isize..28,
+            y in -72isize..20,
         ) {
             let plane = Plane::from_data(20, 12, data);
-            let block = Block::from_data(8, block);
-            let mut cand = Block::zero(8);
-            for dy in 0..8 {
-                for dx in 0..8 {
+            let block = Block::from_data(size, block[..size * size].to_vec());
+            let mut cand = Block::zero(size);
+            for dy in 0..size {
+                for dx in 0..size {
                     cand.set(dx, dy, i16::from(plane.get_clamped(x + dx as isize, y + dy as isize)));
                 }
             }
-            prop_assert_eq!(Block::copy_from(&plane, x, y, 8), cand.clone());
+            prop_assert_eq!(Block::copy_from(&plane, x, y, size), cand.clone());
             prop_assert_eq!(sad_plane(&block, &plane, x, y), sad(&block, &cand));
         }
 

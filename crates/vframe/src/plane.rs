@@ -101,6 +101,29 @@ impl Plane {
         clamped_copy(row, x, buf)
     }
 
+    /// The `rows` rows of `len` samples from column `x`, starting at row
+    /// `y`, when the columns lie inside the plane: what
+    /// [`Plane::clamped_span`] would borrow row by row (rows above or
+    /// below the plane read the edge row), with the column check made once
+    /// per window instead of once per row.
+    #[inline]
+    pub fn window(
+        &self,
+        x: isize,
+        y: isize,
+        len: usize,
+        rows: usize,
+    ) -> Option<impl Iterator<Item = &[u8]> + '_> {
+        let inside = x >= 0 && x as usize + len <= self.width;
+        inside.then(move || {
+            let last = self.height as isize - 1;
+            (0..rows).map(move |dy| {
+                let row = (y + dy as isize).clamp(0, last) as usize;
+                &self.data[row * self.width + x as usize..][..len]
+            })
+        })
+    }
+
     /// Writes `value` at `(x, y)`.
     ///
     /// # Panics
@@ -163,6 +186,7 @@ impl Plane {
 /// in-bounds case inlines into the block kernels: columns left of 0 read
 /// column 0 and columns past the last read the last — a fill, a copy of
 /// the columns inside, a fill.
+#[inline(never)]
 fn clamped_copy<'a>(row: &[u8], x: isize, buf: &'a mut [u8]) -> &'a [u8] {
     let len = buf.len() as isize;
     let inside = |col: isize| col.clamp(0, len) as usize;
@@ -205,7 +229,10 @@ mod tests {
 
     proptest::proptest! {
         // Every span position against a 1..=9-wide plane: inside, across
-        // either edge or both, and wholly past either edge.
+        // either edge or both, and wholly past either edge. A window of
+        // such spans is there exactly when its columns lie inside the
+        // plane, and then reads what the spans read: checked at every
+        // column and row count, so each edge is met exactly.
         #[test]
         fn clamped_span_equals_per_sample_clamping(
             width in 1usize..=9,
@@ -215,10 +242,20 @@ mod tests {
             len in 0usize..=24,
         ) {
             let plane = Plane::from_data(width, 3, data[..width * 3].to_vec());
+            let want = |x: isize, y: isize| -> Vec<u8> {
+                (0..len).map(|i| plane.get_clamped(x + i as isize, y)).collect()
+            };
             let mut buf = [0u8; 24];
             let span = plane.clamped_span(x, y, &mut buf[..len]).to_vec();
-            let want: Vec<u8> = (0..len).map(|i| plane.get_clamped(x + i as isize, y)).collect();
-            proptest::prop_assert_eq!(span, want);
+            proptest::prop_assert_eq!(span, want(x, y));
+            for (x, rows) in (-20isize..=20).flat_map(|x| (0usize..=4).map(move |rows| (x, rows))) {
+                let inside = x >= 0 && x as usize + len <= width;
+                let window: Option<Vec<Vec<u8>>> =
+                    plane.window(x, y, len, rows).map(|spans| spans.map(<[u8]>::to_vec).collect());
+                let want_window =
+                    inside.then(|| (0..rows).map(|dy| want(x, y + dy as isize)).collect());
+                proptest::prop_assert_eq!(window, want_window);
+            }
         }
     }
 

@@ -273,7 +273,7 @@ fn sigkill_mid_batch_then_resume_completes_byte_identical() {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
     loop {
         let txt = std::fs::read_to_string(&journal).unwrap_or_default();
-        if txt.lines().any(|l| l.contains("\"kind\":\"job\"")) {
+        if txt.split_inclusive('\n').any(|l| l.ends_with('\n') && l.contains("\"kind\":\"job\"")) {
             break;
         }
         if let Some(status) = child.try_wait().expect("poll child") {
