@@ -216,15 +216,6 @@ fn encoder(flags: &Flags) -> (Preset, Backend) {
     (preset, hw_vendor(flags).map_or(Backend::Software(family), Backend::Hardware))
 }
 
-/// Hardware rate control is single pass; a two-pass request routed to an
-/// ASIC runs its single-pass mode at the same target.
-fn adapt_rate(backend: Backend, rate: RateMode) -> RateMode {
-    match (backend, rate) {
-        (Backend::Hardware(_), RateMode::TwoPassBitrate { bps }) => RateMode::Bitrate { bps },
-        _ => rate,
-    }
-}
-
 fn cmd_suite(opts: &SuiteOptions) {
     let suite = Suite::vbench(opts);
     let mut t = TextTable::new(["name", "resolution", "fps", "published entropy", "class"]);
@@ -259,8 +250,7 @@ fn cmd_score(opts: &SuiteOptions, flags: &Flags) {
     let (preset, backend) = encoder(flags);
     let video = entry.generate();
     let (reference, _) = reference_encode_with_native(scenario, &video, entry.category.kpixels);
-    let rate =
-        adapt_rate(backend, vbench::reference::reference_config(scenario, &video).rate.into());
+    let rate = backend.adapt(vbench::reference::reference_config(scenario, &video).rate.into());
     let req = TranscodeRequest::new(backend, preset, rate);
     let outcome = transcode(&video, &req).unwrap_or_else(|e| fail(&e.to_string()));
     let s = score_with_video(scenario, &video, &outcome.measurement, &reference);
@@ -283,7 +273,7 @@ fn cmd_transcode(opts: &SuiteOptions, flags: &Flags) {
     let (preset, backend) = encoder(flags);
     let rate = match (flags.get("crf"), flags.get("bitrate")) {
         (Some(crf), None) => RateMode::ConstQuality { crf },
-        (None, Some(bps)) => adapt_rate(backend, RateMode::TwoPassBitrate { bps }),
+        (None, Some(bps)) => backend.adapt(RateMode::TwoPassBitrate { bps }),
         _ => flags.die("exactly one of --crf or --bitrate is required"),
     };
     let mut req = TranscodeRequest::new(backend, preset, rate);

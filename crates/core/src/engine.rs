@@ -21,27 +21,37 @@
 //!   typed errors (empty sources, zero bitrates, unreachable quality
 //!   targets, invalid measurements).
 //!
-//! [`SoftwareEngine`] and [`HardwareEngine`] are the two backend
-//! implementations; [`Engine`] dispatches on the request's backend and is
-//! what scenario drivers, the transcode farm, the ABR ladder, and the CLI
-//! all consume. The engine reproduces the pre-existing direct paths
-//! *exactly* — same encoder configurations, same bisection constants —
-//! so every table keeps its values (`tests/engine_equivalence.rs` pins
-//! this).
+//! [`Engine`] is the one implementation, and what scenario drivers, the
+//! transcode farm, the ABR ladder, and the CLI all consume. Both backends
+//! run the same steps: resolve the rate (a quality target bisects with
+//! bounded streaming probes), encode, measure. [`Backend`] supplies the
+//! three facts that differ: the encoder configuration for a rate (the
+//! request's knobs, or the ASIC's fixed tool set), the bitrate mode and
+//! bisection budget ([`Backend::adapt`]), and the cost (measured wall
+//! time, or the [`vhw`] pipeline model priced from frame size and count).
+//! So a hardware request streams within [`vcodec::required_window`] just
+//! as a software one does. The engine reproduces the pre-existing direct
+//! paths *exactly* — same encoder configurations, same bisection
+//! constants — so every table keeps its values
+//! (`tests/engine_equivalence.rs` pins this).
 
-use crate::measure::{source_bpps, stream_bpps, InvalidMeasurement, Measurement};
+use crate::measure::{source_bpps, InvalidMeasurement, Measurement};
 use vcodec::entropy::EntropyBackend;
 use vcodec::{
     CodecFamily, EncodeError, EncodeOutput, EncodeStats, EncoderConfig, Preset, RateControl,
 };
 use vframe::metrics::psnr_video;
 use vframe::source::{collect_video, FrameSource, VideoSource};
-use vframe::Video;
+use vframe::{Resolution, Video};
 use vhw::{bisect_bitrate, HwEncoder, HwVendor, StageSeconds};
 
 /// Bisection probes on the software quality-target path (Table 5's
 /// methodology: 8 two-pass probes per clip).
 pub const SOFTWARE_BISECT_ITERS: u32 = 8;
+
+/// Bisection probes on the hardware quality-target path (Tables 3/4:
+/// 12 single-pass probes per clip).
+const HARDWARE_BISECT_ITERS: u32 = 12;
 
 /// Which encoder implementation executes a request.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -59,6 +69,83 @@ impl Backend {
         match self {
             Backend::Software(family) => family.to_string(),
             Backend::Hardware(vendor) => vendor.name().to_string(),
+        }
+    }
+
+    /// The rate mode this backend runs `rate` as. The modelled ASICs
+    /// implement single-pass rate control only, so on hardware a two-pass
+    /// bitrate becomes single pass at the same target; every other mode
+    /// passes through. Callers that want a backend's best fixed-bitrate
+    /// mode (the ladder, the CLI) adapt two-pass; the engine refuses an
+    /// unadapted two-pass hardware request.
+    pub fn adapt(self, rate: RateMode) -> RateMode {
+        match rate {
+            RateMode::TwoPassBitrate { bps } => self.bitrate_control(bps).into(),
+            _ => rate,
+        }
+    }
+
+    /// The rate control a fixed bitrate runs at on this backend: two-pass
+    /// on software, single pass on the modelled ASICs.
+    fn bitrate_control(self, bps: u64) -> RateControl {
+        match self {
+            Backend::Software(_) => RateControl::TwoPassBitrate { bps },
+            Backend::Hardware(_) => RateControl::Bitrate { bps },
+        }
+    }
+
+    /// Probes per [`RateMode::QualityTarget`] bisection.
+    fn bisect_iters(self) -> u32 {
+        match self {
+            Backend::Software(_) => SOFTWARE_BISECT_ITERS,
+            Backend::Hardware(_) => HARDWARE_BISECT_ITERS,
+        }
+    }
+
+    /// The encoder configuration `req` runs at `rate`: the request's
+    /// family, preset and knobs on software; the ASIC's fixed tool set
+    /// ([`HwEncoder::tool_config`]) on hardware, which ignores them.
+    fn encoder_config(self, req: &TranscodeRequest, rate: RateControl) -> EncoderConfig {
+        let family = match self {
+            Backend::Software(family) => family,
+            Backend::Hardware(vendor) => return HwEncoder::new(vendor).tool_config(rate),
+        };
+        let mut cfg = EncoderConfig::new(family, req.preset, rate).with_gop(req.gop);
+        if req.bframes {
+            cfg = cfg.with_bframes();
+        }
+        if !req.deblock {
+            cfg = cfg.without_deblock();
+        }
+        if let Some(backend) = req.entropy_override {
+            cfg = cfg.with_entropy_backend(backend);
+        }
+        cfg
+    }
+
+    /// What an encode of `frames` frames of `pixels_per_frame` pixels
+    /// cost: its speed in pixels per second and where the time went.
+    /// Software charges its measured wall time to the pipeline stage, so
+    /// speed is the one nondeterministic axis; hardware prices the clip
+    /// with the vendor's pipeline model from frame size and count alone.
+    fn cost(
+        self,
+        stats: &EncodeStats,
+        pixels_per_frame: u64,
+        frames: usize,
+    ) -> (f64, StageSeconds) {
+        let pixels = pixels_per_frame * frames as u64;
+        match self {
+            Backend::Software(_) => (
+                stats.pixels_per_second(pixels),
+                StageSeconds { submission: 0.0, transfer: 0.0, pipeline: stats.encode_seconds },
+            ),
+            Backend::Hardware(vendor) => {
+                let stages = HwEncoder::new(vendor)
+                    .pipeline()
+                    .stage_seconds_for(pixels_per_frame, frames as u64);
+                (pixels as f64 / stages.total(), stages)
+            }
         }
     }
 }
@@ -87,7 +174,8 @@ pub enum RateMode {
         bps: u64,
     },
     /// Fixed bitrate with a first analysis pass. Software only: the
-    /// modelled ASICs implement single-pass rate control.
+    /// modelled ASICs implement single-pass rate control (see
+    /// [`Backend::adapt`]).
     TwoPassBitrate {
         /// Target bits per second.
         bps: u64,
@@ -153,9 +241,10 @@ pub struct TranscodeRequest {
     pub entropy_override: Option<EntropyBackend>,
     /// Resident-frame cap for [`Transcoder::transcode_stream`]: the most
     /// frames (source + reconstruction) the streaming path may hold at
-    /// once. `None` accepts the configuration's structural minimum
-    /// ([`vcodec::required_window`]); the in-memory [`Transcoder::transcode`]
-    /// path ignores it.
+    /// once, on either backend. `None` accepts the configuration's
+    /// structural minimum ([`vcodec::required_window`]); a cap below it
+    /// is [`EncodeError::WindowTooSmall`]. The in-memory
+    /// [`Transcoder::transcode`] path ignores it.
     pub stream_window: Option<usize>,
 }
 
@@ -230,22 +319,6 @@ impl TranscodeRequest {
         self.stream_window = Some(window);
         self
     }
-
-    /// The software encoder configuration this request's knobs describe
-    /// for `family` under `rate`.
-    fn encoder_config(&self, family: CodecFamily, rate: RateControl) -> EncoderConfig {
-        let mut cfg = EncoderConfig::new(family, self.preset, rate).with_gop(self.gop);
-        if self.bframes {
-            cfg = cfg.with_bframes();
-        }
-        if !self.deblock {
-            cfg = cfg.without_deblock();
-        }
-        if let Some(backend) = self.entropy_override {
-            cfg = cfg.with_entropy_backend(backend);
-        }
-        cfg
-    }
 }
 
 /// A completed transcode.
@@ -290,9 +363,11 @@ pub struct StreamOutcome {
     pub chosen_bps: Option<u64>,
     /// The most frames simultaneously resident at any point in the
     /// request, including bisection probes. Bounded by
-    /// [`vcodec::required_window`] on the software streaming path; equal
-    /// to the clip length on backends that materialize; 0 for an outcome
-    /// loaded back from a journal (nothing was resident in this run).
+    /// [`vcodec::required_window`] on [`Engine`], software and hardware
+    /// alike; equal to the clip length on a [`Transcoder`] that only
+    /// implements `transcode` (the trait default materializes); 0 for an
+    /// outcome loaded back from a journal (nothing was resident in this
+    /// run).
     pub peak_resident_frames: usize,
 }
 
@@ -342,7 +417,9 @@ pub enum TranscodeError {
         /// Human-readable mode name.
         mode: &'static str,
     },
-    /// A request was routed to an engine for the other backend kind.
+    /// A request was routed to a [`Transcoder`] that does not serve its
+    /// backend. No workspace engine returns it ([`Engine`] serves both
+    /// backends); it stays for single-backend [`Transcoder`] impls.
     BackendMismatch {
         /// The engine that received the request.
         engine: &'static str,
@@ -428,10 +505,12 @@ pub trait Transcoder: Sync {
     /// memory profile differs. Every batch job runs through this method.
     ///
     /// The default implementation materializes the source and delegates,
-    /// so every [`Transcoder`] supports streaming requests (with
-    /// `peak_resident_frames` equal to the clip length). Backends with a
-    /// real streaming path — [`SoftwareEngine`] — override it to keep
-    /// residency bounded by [`vcodec::required_window`].
+    /// so a [`Transcoder`] that only implements `transcode` (a null
+    /// encoder, a test double) still serves streaming requests, with
+    /// `peak_resident_frames` equal to the clip length. [`Engine`]
+    /// overrides it for both backends, keeping residency bounded by
+    /// [`vcodec::required_window`] and honouring
+    /// [`TranscodeRequest::stream_window`].
     fn transcode_stream(
         &self,
         src: &mut dyn FrameSource,
@@ -451,9 +530,9 @@ pub trait Transcoder: Sync {
     }
 }
 
-/// Opens the per-request telemetry span every leaf engine emits, tagged
+/// Opens the per-request telemetry span the engine emits, tagged
 /// with the request shape. The closing fields (frames, bits, seconds,
-/// PSNR) are recorded by [`finish_span`] on success.
+/// PSNR) are recorded by [`finish`] on success.
 fn open_span(frames: usize, req: &TranscodeRequest) -> vtrace::SpanGuard {
     let mut span = vtrace::span("transcode");
     if span.id().is_some() {
@@ -473,16 +552,23 @@ fn open_span(frames: usize, req: &TranscodeRequest) -> vtrace::SpanGuard {
     span
 }
 
-/// Records the outcome side of the `transcode` span. `encode_secs` is the
-/// request's total stage time ([`StageSeconds::total`]) so that summing
-/// span-recorded seconds reproduces the farm's `cpu_secs` exactly.
-fn finish_span(
+/// Prices and measures a finished encode of a clip (`resolution`, `fps`,
+/// `frames`) and records the outcome side of the `transcode` span.
+/// `encode_secs` is the request's total stage time
+/// ([`StageSeconds::total`]) so that summing span-recorded seconds
+/// reproduces the farm's `cpu_secs` exactly.
+fn finish(
     span: &mut vtrace::SpanGuard,
+    backend: Backend,
+    (resolution, fps, frames): (Resolution, f64, usize),
     stats: &EncodeStats,
-    measurement: &Measurement,
-    timings: &StageSeconds,
+    quality_db: f64,
     chosen_bps: Option<u64>,
-) {
+) -> Result<(Measurement, StageSeconds), TranscodeError> {
+    let (speed, timings) = backend.cost(stats, resolution.pixels(), frames);
+    let bytes = stats.bitstream_bytes as usize;
+    let measurement =
+        Measurement::try_new(speed, source_bpps(resolution, fps, frames, bytes), quality_db)?;
     span.record("bits", stats.bitstream_bytes * 8);
     span.record("encode_secs", timings.total());
     span.record("psnr_db", measurement.quality_db);
@@ -490,193 +576,78 @@ fn finish_span(
         span.record("chosen_bps", bps);
     }
     vtrace::counter("engine.frames_encoded", stats.frames as u64);
+    Ok((measurement, timings))
 }
 
-/// Software encodes charge all their wall time to the pipeline stage.
-fn pipeline_timings(stats: &EncodeStats) -> StageSeconds {
-    StageSeconds { submission: 0.0, transfer: 0.0, pipeline: stats.encode_seconds }
-}
-
-/// Builds the outcome measurement through the checked constructor so the
-/// engine path never panics on degenerate axes.
-fn outcome_measurement(
-    src: &Video,
-    output: &EncodeOutput,
-    speed_pps: f64,
-) -> Result<Measurement, TranscodeError> {
-    Ok(Measurement::try_new(
-        speed_pps,
-        stream_bpps(src, output.bytes.len()),
-        psnr_video(src, &output.recon),
-    )?)
-}
-
-/// The software backend: runs [`vcodec`] with the requested family,
-/// preset, and knobs. Speed is measured wall time, so it is the one
-/// nondeterministic axis; bitstream, bitrate, and quality are exactly
-/// reproducible.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct SoftwareEngine;
-
-impl SoftwareEngine {
-    /// The rate control a request's final encode runs at, and the
-    /// bitrate it operates at — shared by both paths. A
-    /// [`RateMode::QualityTarget`] runs Table 5's loop: probe two-pass
-    /// encodes until quality matches the reference, fall back to the
-    /// ladder rate. Each probe re-pulls `src` through a fresh bounded
-    /// encode whose PSNR is bit-identical to `psnr_video` over the
-    /// materialized clip, so the bisection never needs the clip resident
-    /// and settles on the same bitrate on either path. `probe_peak`
-    /// rises to the probes' peak residency.
-    fn resolve_rate(
-        src: &mut dyn FrameSource,
-        req: &TranscodeRequest,
-        family: CodecFamily,
-        probe_peak: &mut usize,
-    ) -> Result<(RateControl, Option<u64>), TranscodeError> {
-        if src.is_empty() {
-            return Err(EncodeError::EmptySource.into());
-        }
-        Ok(match req.rate {
-            RateMode::ConstQuality { crf } => (RateControl::ConstQuality { crf }, None),
-            RateMode::Bitrate { bps } => (RateControl::Bitrate { bps }, Some(bps)),
-            RateMode::TwoPassBitrate { bps } => (RateControl::TwoPassBitrate { bps }, Some(bps)),
-            RateMode::QualityTarget { target_db, lo_bps, hi_bps, fallback_bps } => {
-                let found = bisect_bitrate(lo_bps, hi_bps, target_db, SOFTWARE_BISECT_ITERS, |b| {
-                    let cfg = req.encoder_config(family, RateControl::TwoPassBitrate { bps: b });
-                    src.reset();
-                    let probe = vcodec::encode_stream(src, &cfg, None).expect("valid probe");
-                    *probe_peak = (*probe_peak).max(probe.peak_resident_frames);
-                    probe.quality_db
-                });
-                let bps = match found {
-                    Some(r) => r.bitrate_bps,
-                    None => fallback_bps
-                        .ok_or(TranscodeError::UnreachableTarget { target_db, hi_bps })?,
-                };
-                (RateControl::TwoPassBitrate { bps }, Some(bps))
-            }
-        })
+/// Runs one request inside its `transcode` span; a failure is counted
+/// and logged once the span has closed.
+fn traced<T>(
+    frames: usize,
+    req: &TranscodeRequest,
+    run: impl FnOnce(&mut vtrace::SpanGuard) -> Result<T, TranscodeError>,
+) -> Result<T, TranscodeError> {
+    let mut span = open_span(frames, req);
+    let result = run(&mut span);
+    drop(span);
+    if let Err(e) = &result {
+        vtrace::counter("engine.errors", 1);
+        vtrace::debug("engine", || format!("transcode failed: {e}"));
     }
+    result
 }
 
-impl Transcoder for SoftwareEngine {
-    fn transcode(
-        &self,
-        src: &Video,
-        req: &TranscodeRequest,
-    ) -> Result<TranscodeOutcome, TranscodeError> {
-        let Backend::Software(family) = req.backend else {
-            return Err(TranscodeError::BackendMismatch { engine: "software" });
-        };
-        let mut span = open_span(src.len(), req);
-        let (rate, chosen_bps) =
-            SoftwareEngine::resolve_rate(&mut VideoSource::new(src), req, family, &mut 0)?;
-        let output = vcodec::try_encode(src, &req.encoder_config(family, rate))?;
-        let speed = output.stats.pixels_per_second(src.total_pixels());
-        let measurement = outcome_measurement(src, &output, speed)?;
-        let timings = pipeline_timings(&output.stats);
-        finish_span(&mut span, &output.stats, &measurement, &timings, chosen_bps);
-        Ok(TranscodeOutcome { output, measurement, timings, chosen_bps })
+/// The rate control a request's final encode runs at, shared by both
+/// paths and both backends. A [`RateMode::QualityTarget`] runs the
+/// paper's loop (Section 5.3): probe the backend's fixed-bitrate mode
+/// until quality matches the reference, fall back to the ladder rate.
+/// Each probe re-pulls `src` through a fresh bounded encode whose PSNR is
+/// bit-identical to `psnr_video` over the materialized clip, so the
+/// bisection never needs the clip resident and settles on the same
+/// bitrate on either path. `probe_peak` rises to the probes' peak
+/// residency.
+fn resolve_rate(
+    src: &mut dyn FrameSource,
+    req: &TranscodeRequest,
+    probe_peak: &mut usize,
+) -> Result<RateControl, TranscodeError> {
+    if src.is_empty() {
+        return Err(EncodeError::EmptySource.into());
     }
-
-    fn transcode_stream(
-        &self,
-        src: &mut dyn FrameSource,
-        req: &TranscodeRequest,
-    ) -> Result<StreamOutcome, TranscodeError> {
-        let Backend::Software(family) = req.backend else {
-            return Err(TranscodeError::BackendMismatch { engine: "software" });
-        };
-        let mut span = open_span(src.len(), req);
-        let window = req.stream_window;
-        // Validate the window up front: bisection probes run before the
-        // final encode, and their failure mode is a panic, so a
-        // structurally undersized window must surface as a typed error
-        // first.
-        if let Some(w) = window {
-            let probe_cfg = req.encoder_config(family, RateControl::ConstQuality { crf: 30.0 });
-            let required = vcodec::required_window(&probe_cfg);
-            if w < required {
-                return Err(EncodeError::WindowTooSmall { required, window: w }.into());
-            }
-        }
-        // Peak residency across every encode the request runs, probes
-        // included — the figure the `encode.peak_resident_frames` gauge
-        // and the farm summary report.
-        let mut peak = 0;
-        let (rate, chosen_bps) = SoftwareEngine::resolve_rate(src, req, family, &mut peak)?;
-        src.reset();
-        let out = vcodec::encode_stream(src, &req.encoder_config(family, rate), window)?;
-        let total_pixels = src.resolution().pixels() * src.len() as u64;
-        let measurement = Measurement::try_new(
-            out.stats.pixels_per_second(total_pixels),
-            source_bpps(src.resolution(), src.fps(), src.len(), out.bytes.len()),
-            out.quality_db,
-        )?;
-        let timings = pipeline_timings(&out.stats);
-        finish_span(&mut span, &out.stats, &measurement, &timings, chosen_bps);
-        let peak_resident_frames = peak.max(out.peak_resident_frames);
-        span.record("peak_resident_frames", peak_resident_frames);
-        Ok(StreamOutcome {
-            bytes: out.bytes,
-            stats: out.stats,
-            measurement,
-            timings,
-            chosen_bps,
-            peak_resident_frames,
-        })
-    }
-}
-
-/// The hardware backend: runs the [`vhw`] ASIC model for the requested
-/// vendor. Fully deterministic, including the modelled speed.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct HardwareEngine;
-
-impl Transcoder for HardwareEngine {
-    fn transcode(
-        &self,
-        src: &Video,
-        req: &TranscodeRequest,
-    ) -> Result<TranscodeOutcome, TranscodeError> {
-        let Backend::Hardware(vendor) = req.backend else {
-            return Err(TranscodeError::BackendMismatch { engine: "hardware" });
-        };
-        let mut span = open_span(src.len(), req);
-        let hw = HwEncoder::new(vendor);
-        let (result, chosen_bps) = match req.rate {
-            RateMode::ConstQuality { crf } => (hw.encode_quality(src, crf), None),
-            RateMode::Bitrate { bps } => (hw.encode_bitrate(src, bps), Some(bps)),
-            RateMode::TwoPassBitrate { .. } => {
+    let backend = req.backend;
+    Ok(match req.rate {
+        RateMode::ConstQuality { crf } => RateControl::ConstQuality { crf },
+        RateMode::Bitrate { bps } => RateControl::Bitrate { bps },
+        RateMode::TwoPassBitrate { bps } => match backend {
+            Backend::Software(_) => RateControl::TwoPassBitrate { bps },
+            Backend::Hardware(vendor) => {
                 return Err(TranscodeError::UnsupportedRate {
                     backend: vendor.name(),
                     mode: "two-pass",
-                });
+                })
             }
-            RateMode::QualityTarget { target_db, lo_bps, hi_bps, fallback_bps } => {
-                // Tables 3/4's loop: 12 single-pass probes, fall back to
-                // the ladder rate when even max bitrate misses.
-                match hw.encode_to_quality_target_with_rate(src, target_db, lo_bps, hi_bps) {
-                    Some((result, bps)) => (result, Some(bps)),
-                    None => match fallback_bps {
-                        Some(bps) => (hw.encode_bitrate(src, bps), Some(bps)),
-                        None => {
-                            return Err(TranscodeError::UnreachableTarget { target_db, hi_bps })
-                        }
-                    },
+        },
+        RateMode::QualityTarget { target_db, lo_bps, hi_bps, fallback_bps } => {
+            let found = bisect_bitrate(lo_bps, hi_bps, target_db, backend.bisect_iters(), |bps| {
+                let cfg = backend.encoder_config(req, backend.bitrate_control(bps));
+                src.reset();
+                let probe = vcodec::encode_stream(src, &cfg, None).expect("valid probe");
+                *probe_peak = (*probe_peak).max(probe.peak_resident_frames);
+                probe.quality_db
+            });
+            backend.bitrate_control(match found {
+                Some(r) => r.bitrate_bps,
+                None => {
+                    fallback_bps.ok_or(TranscodeError::UnreachableTarget { target_db, hi_bps })?
                 }
-            }
-        };
-        let measurement = outcome_measurement(src, &result.output, result.speed_pixels_per_sec)?;
-        let (output, timings) = (result.output, result.stages);
-        finish_span(&mut span, &output.stats, &measurement, &timings, chosen_bps);
-        Ok(TranscodeOutcome { output, measurement, timings, chosen_bps })
-    }
+            })
+        }
+    })
 }
 
-/// The dispatching engine every consumer uses: routes each request to
-/// [`SoftwareEngine`] or [`HardwareEngine`] by its backend.
+/// The transcode engine: one implementation of [`Transcoder`] for both
+/// backends. Bitstream, bitrate and quality are exactly reproducible on
+/// either; speed is measured wall time on software and the pipeline
+/// model on hardware.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct Engine;
 
@@ -686,15 +657,16 @@ impl Transcoder for Engine {
         src: &Video,
         req: &TranscodeRequest,
     ) -> Result<TranscodeOutcome, TranscodeError> {
-        let result = match req.backend {
-            Backend::Software(_) => SoftwareEngine.transcode(src, req),
-            Backend::Hardware(_) => HardwareEngine.transcode(src, req),
-        };
-        if let Err(e) = &result {
-            vtrace::counter("engine.errors", 1);
-            vtrace::debug("engine", || format!("transcode failed: {e}"));
-        }
-        result
+        traced(src.len(), req, |span| {
+            let rate = resolve_rate(&mut VideoSource::new(src), req, &mut 0)?;
+            let output = vcodec::try_encode(src, &req.backend.encoder_config(req, rate))?;
+            let chosen_bps = rate.target_bps();
+            let clip = (src.resolution(), src.fps(), src.len());
+            let quality_db = psnr_video(src, &output.recon);
+            let (measurement, timings) =
+                finish(span, req.backend, clip, &output.stats, quality_db, chosen_bps)?;
+            Ok(TranscodeOutcome { output, measurement, timings, chosen_bps })
+        })
     }
 
     fn transcode_stream(
@@ -702,29 +674,52 @@ impl Transcoder for Engine {
         src: &mut dyn FrameSource,
         req: &TranscodeRequest,
     ) -> Result<StreamOutcome, TranscodeError> {
-        let result = match req.backend {
-            Backend::Software(_) => SoftwareEngine.transcode_stream(src, req),
-            // The ASIC models consume whole clips; the default
-            // materializing path keeps them correct under streaming
-            // requests.
-            Backend::Hardware(_) => HardwareEngine.transcode_stream(src, req),
-        };
-        if let Err(e) = &result {
-            vtrace::counter("engine.errors", 1);
-            vtrace::debug("engine", || format!("transcode failed: {e}"));
-        }
-        result
+        traced(src.len(), req, |span| {
+            let window = req.stream_window;
+            // Validate the window up front: bisection probes run before
+            // the final encode, and their failure mode is a panic, so a
+            // structurally undersized window must surface as a typed
+            // error first.
+            if let Some(w) = window {
+                let probe_cfg =
+                    req.backend.encoder_config(req, RateControl::ConstQuality { crf: 30.0 });
+                let required = vcodec::required_window(&probe_cfg);
+                if w < required {
+                    return Err(EncodeError::WindowTooSmall { required, window: w }.into());
+                }
+            }
+            // Peak residency across every encode the request runs, probes
+            // included — the figure the `encode.peak_resident_frames`
+            // gauge and the farm summary report.
+            let mut peak = 0;
+            let rate = resolve_rate(src, req, &mut peak)?;
+            src.reset();
+            let out = vcodec::encode_stream(src, &req.backend.encoder_config(req, rate), window)?;
+            let chosen_bps = rate.target_bps();
+            let clip = (src.resolution(), src.fps(), src.len());
+            let (measurement, timings) =
+                finish(span, req.backend, clip, &out.stats, out.quality_db, chosen_bps)?;
+            let peak_resident_frames = peak.max(out.peak_resident_frames);
+            span.record("peak_resident_frames", peak_resident_frames);
+            Ok(StreamOutcome {
+                bytes: out.bytes,
+                stats: out.stats,
+                measurement,
+                timings,
+                chosen_bps,
+                peak_resident_frames,
+            })
+        })
     }
 }
 
-/// Convenience free function: one transcode through the dispatching
-/// [`Engine`].
+/// Convenience free function: one transcode through [`Engine`].
 pub fn transcode(src: &Video, req: &TranscodeRequest) -> Result<TranscodeOutcome, TranscodeError> {
     Engine.transcode(src, req)
 }
 
-/// Convenience free function: one *streaming* transcode through the
-/// dispatching [`Engine`].
+/// Convenience free function: one *streaming* transcode through
+/// [`Engine`].
 pub fn transcode_stream(
     src: &mut dyn FrameSource,
     req: &TranscodeRequest,
@@ -778,16 +773,19 @@ mod tests {
     #[test]
     fn invalid_request_is_a_typed_error() {
         // A zero-bitrate target used to panic deep inside the rate
-        // controller; the engine surfaces it as a typed error instead.
-        let req = TranscodeRequest::software(
-            CodecFamily::Avc,
-            Preset::Fast,
-            RateMode::Bitrate { bps: 0 },
-        );
-        assert_eq!(
-            transcode(&clip(3), &req).unwrap_err(),
-            TranscodeError::Encode(EncodeError::ZeroBitrate)
-        );
+        // controller; the engine surfaces it as a typed error instead,
+        // on either backend and either path.
+        let rate = RateMode::Bitrate { bps: 0 };
+        for req in [
+            TranscodeRequest::software(CodecFamily::Avc, Preset::Fast, rate),
+            TranscodeRequest::hardware(HwVendor::Nvenc, rate),
+        ] {
+            let v = clip(3);
+            let zero = TranscodeError::Encode(EncodeError::ZeroBitrate);
+            assert_eq!(transcode(&v, &req).unwrap_err(), zero, "{}", req.backend);
+            let mut src = VideoSource::new(&v);
+            assert_eq!(transcode_stream(&mut src, &req).unwrap_err(), zero, "{}", req.backend);
+        }
     }
 
     #[test]
@@ -846,7 +844,7 @@ mod tests {
         .with_gop(4)
         .with_bframes();
         let full = transcode(&v, &req).expect("in-memory transcode");
-        let mut src = vframe::source::VideoSource::new(&v);
+        let mut src = VideoSource::new(&v);
         let streamed = transcode_stream(&mut src, &req).expect("streaming transcode");
         assert_eq!(streamed.bytes, full.output.bytes);
         assert_eq!(streamed.measurement.bitrate_bpps, full.measurement.bitrate_bpps);
@@ -861,43 +859,20 @@ mod tests {
     }
 
     #[test]
-    fn streaming_hardware_request_materializes() {
-        let v = clip(5);
-        let req = TranscodeRequest::hardware(HwVendor::Nvenc, RateMode::Bitrate { bps: 400_000 });
-        let full = transcode(&v, &req).expect("in-memory transcode");
-        let mut src = vframe::source::VideoSource::new(&v);
-        let streamed = transcode_stream(&mut src, &req).expect("streaming transcode");
-        assert_eq!(streamed.bytes, full.output.bytes);
-        assert_eq!(streamed.peak_resident_frames, v.len(), "ASIC models hold the clip");
-    }
-
-    #[test]
     fn stream_window_below_structural_minimum_is_typed() {
         let v = clip(4);
-        let req = TranscodeRequest::software(
-            CodecFamily::Avc,
-            Preset::Fast,
-            RateMode::ConstQuality { crf: 30.0 },
-        )
-        .with_window(2);
-        let mut src = vframe::source::VideoSource::new(&v);
-        assert_eq!(
-            transcode_stream(&mut src, &req).unwrap_err(),
-            TranscodeError::Encode(EncodeError::WindowTooSmall { required: 3, window: 2 })
-        );
-    }
-
-    #[test]
-    fn backend_mismatch_is_detected() {
-        let v = clip(2);
-        let sw = TranscodeRequest::software(
-            CodecFamily::Avc,
-            Preset::Fast,
-            RateMode::ConstQuality { crf: 30.0 },
-        );
-        assert!(matches!(
-            HardwareEngine.transcode(&v, &sw),
-            Err(TranscodeError::BackendMismatch { engine: "hardware" })
-        ));
+        let rate = RateMode::ConstQuality { crf: 30.0 };
+        for (req, window) in [
+            (TranscodeRequest::software(CodecFamily::Avc, Preset::Fast, rate), 2),
+            (TranscodeRequest::hardware(HwVendor::Nvenc, rate), 1),
+        ] {
+            let mut src = VideoSource::new(&v);
+            assert_eq!(
+                transcode_stream(&mut src, &req.with_window(window)).unwrap_err(),
+                TranscodeError::Encode(EncodeError::WindowTooSmall { required: 3, window }),
+                "{}",
+                req.backend
+            );
+        }
     }
 }

@@ -141,10 +141,7 @@ pub fn transcode_ladder_with(
         .map(|rung| {
             let video = resize_video(source, rung.resolution);
             let bps = target_bps(&video);
-            let rate = match backend {
-                Backend::Software(_) => RateMode::TwoPassBitrate { bps },
-                Backend::Hardware(_) => RateMode::Bitrate { bps },
-            };
+            let rate = backend.adapt(RateMode::TwoPassBitrate { bps });
             EngineJob::new(rung.name, video, TranscodeRequest::new(backend, preset, rate))
         })
         .collect();

@@ -106,8 +106,8 @@ pub mod suite;
 pub use bdrate::{bd_rate, RdPoint};
 pub use chaos::{run_chaos, ChaosOptions, ChaosReport, ChaosScenario, TrialPlan, TrialResult};
 pub use engine::{
-    Backend, Engine, HardwareEngine, RateMode, SoftwareEngine, StreamOutcome, TranscodeError,
-    TranscodeOutcome, TranscodeRequest, Transcoder,
+    Backend, Engine, RateMode, StreamOutcome, TranscodeError, TranscodeOutcome, TranscodeRequest,
+    Transcoder,
 };
 pub use exec::ChainResult;
 pub use farm::{

@@ -106,7 +106,10 @@ impl HwEncodeResult {
     }
 }
 
-/// A hardware encoder model.
+/// A hardware encoder model. The transcode engine drives its two halves
+/// itself — [`HwEncoder::tool_config`] for the bitstream, the
+/// [`HwEncoder::pipeline`] model for the time — so it can stream; the
+/// `encode_*` methods are the direct path over a materialized clip.
 #[derive(Clone, Copy, Debug)]
 pub struct HwEncoder {
     vendor: HwVendor,
@@ -151,33 +154,26 @@ impl HwEncoder {
     /// the speed-constrained Live references (hence the hardware wins of
     /// Table 4) but well short of the two-pass Medium/VerySlow VOD and
     /// Popular references (hence B < 1 in Table 3 and zero valid Popular
-    /// transcodes).
+    /// transcodes). Both vendors implement the same tool set; they differ
+    /// in their pipeline model.
     pub fn tool_config(&self, rate: RateControl) -> EncoderConfig {
-        let preset = match self.vendor {
-            HwVendor::Nvenc => Preset::Fast,
-            HwVendor::Qsv => Preset::Fast,
-        };
-        EncoderConfig::new(CodecFamily::Avc, preset, rate)
+        EncoderConfig::new(CodecFamily::Avc, Preset::Fast, rate)
     }
 
     /// Encodes at a fixed single-pass bitrate (the hardware rate-control
     /// mode the paper's experiments use).
     pub fn encode_bitrate(&self, video: &Video, bps: u64) -> HwEncodeResult {
-        let cfg = self.tool_config(RateControl::Bitrate { bps });
-        let output = encode(video, &cfg);
-        HwEncodeResult {
-            output,
-            speed_pixels_per_sec: self.pipeline.pixels_per_second(video),
-            stages: self.pipeline.stage_seconds(video),
-        }
+        self.encode_at(video, RateControl::Bitrate { bps })
     }
 
     /// Encodes at constant quality (used for reference experiments).
     pub fn encode_quality(&self, video: &Video, crf: f64) -> HwEncodeResult {
-        let cfg = self.tool_config(RateControl::ConstQuality { crf });
-        let output = encode(video, &cfg);
+        self.encode_at(video, RateControl::ConstQuality { crf })
+    }
+
+    fn encode_at(&self, video: &Video, rate: RateControl) -> HwEncodeResult {
         HwEncodeResult {
-            output,
+            output: encode(video, &self.tool_config(rate)),
             speed_pixels_per_sec: self.pipeline.pixels_per_second(video),
             stages: self.pipeline.stage_seconds(video),
         }
@@ -194,25 +190,11 @@ impl HwEncoder {
         lo_bps: u64,
         hi_bps: u64,
     ) -> Option<HwEncodeResult> {
-        self.encode_to_quality_target_with_rate(video, target_db, lo_bps, hi_bps).map(|(r, _)| r)
-    }
-
-    /// Like [`HwEncoder::encode_to_quality_target`], but also reports the
-    /// bitrate the bisection settled on (the rate the returned encode
-    /// used) — the transcode engine records it as the chosen operating
-    /// point.
-    pub fn encode_to_quality_target_with_rate(
-        &self,
-        video: &Video,
-        target_db: f64,
-        lo_bps: u64,
-        hi_bps: u64,
-    ) -> Option<(HwEncodeResult, u64)> {
         let found = bisect_bitrate(lo_bps, hi_bps, target_db, 12, |bps| {
             let out = self.encode_bitrate(video, bps);
             psnr_video(video, &out.output.recon)
         })?;
-        Some((self.encode_bitrate(video, found.bitrate_bps), found.bitrate_bps))
+        Some(self.encode_bitrate(video, found.bitrate_bps))
     }
 }
 

@@ -4,10 +4,11 @@
 //! quality, same bisected operating point — while the number of frames
 //! simultaneously resident stays bounded by the window no matter how long
 //! the clip is. These tests pin that equivalence across every software
-//! family and rate mode, through the engine and through the farm.
+//! family and rate mode, both hardware vendors, through the engine and
+//! through the farm.
 
 use proptest::prelude::*;
-use vbench::engine::{transcode, transcode_stream, Engine, RateMode, TranscodeRequest};
+use vbench::engine::{transcode, transcode_stream, Backend, Engine, RateMode, TranscodeRequest};
 use vbench::farm::{transcode_batch, EngineJob, JobSource};
 use vbench::resilience::ResilienceConfig;
 use vcodec::CodecFamily;
@@ -15,6 +16,7 @@ use vcodec::Preset;
 use vframe::color::{frame_from_fn, Yuv};
 use vframe::source::VideoSource;
 use vframe::{Resolution, Video};
+use vhw::{HwEncoder, HwVendor};
 use vsynth::{ContentClass, SourceSpec};
 
 fn clip(frames: usize) -> Video {
@@ -31,7 +33,9 @@ fn clip(frames: usize) -> Video {
 
 /// Runs `req` both ways over the same content and asserts every
 /// deterministic field agrees (software speed is wall clock, so it is
-/// the one excluded axis).
+/// the one excluded axis; hardware speed and stages are modelled, so on
+/// hardware they must agree too, and the stream must stay within the
+/// ASIC tool set's structural window).
 fn assert_stream_matches_full(v: &Video, req: &TranscodeRequest, label: &str) {
     let full = transcode(v, req).expect("in-memory transcode");
     let mut src = VideoSource::new(v);
@@ -44,6 +48,14 @@ fn assert_stream_matches_full(v: &Video, req: &TranscodeRequest, label: &str) {
     );
     assert_eq!(streamed.measurement.quality_db, full.measurement.quality_db, "{label}: quality");
     assert_eq!(streamed.stats.frames, full.output.stats.frames, "{label}: frame count");
+    if let Backend::Hardware(vendor) = req.backend {
+        assert_eq!(streamed.measurement.speed_pps, full.measurement.speed_pps, "{label}: speed");
+        assert_eq!(streamed.timings, full.timings, "{label}: stage timings");
+        let tools = HwEncoder::new(vendor).tool_config(vcodec::RateControl::Bitrate { bps: 1 });
+        let window = vcodec::required_window(&tools);
+        let peak = streamed.peak_resident_frames;
+        assert!(peak <= window, "{label}: peak {peak} above the window {window}");
+    }
 }
 
 #[test]
@@ -63,6 +75,12 @@ fn software_matrix_streams_byte_identically() {
                 }
                 assert_stream_matches_full(&v, &req, &format!("{family} {rate:?} b={bframes}"));
             }
+        }
+    }
+    for vendor in HwVendor::ALL {
+        for rate in &rates[..2] {
+            let req = TranscodeRequest::hardware(vendor, *rate);
+            assert_stream_matches_full(&v, &req, &format!("{vendor} {rate:?}"));
         }
     }
 }
@@ -90,6 +108,18 @@ fn quality_target_bisection_streams_to_the_same_operating_point() {
             }
             assert_stream_matches_full(&v, &req, &format!("{family} target b={bframes}"));
         }
+    }
+    for vendor in HwVendor::ALL {
+        let req = TranscodeRequest::hardware(
+            vendor,
+            RateMode::QualityTarget {
+                target_db: 33.0,
+                lo_bps: 50_000,
+                hi_bps: 4_000_000,
+                fallback_bps: Some(500_000),
+            },
+        );
+        assert_stream_matches_full(&v, &req, &format!("{vendor} target"));
     }
 }
 
