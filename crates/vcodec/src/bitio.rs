@@ -19,6 +19,9 @@ impl std::error::Error for ReadBitsError {}
 
 /// Writes bits MSB-first into a growable byte buffer.
 ///
+/// Bits gather in a 64-bit accumulator and reach the buffer a whole word
+/// at a time, so a field of up to 64 bits costs the same as one bit.
+///
 /// ```
 /// use vcodec::bitio::{BitReader, BitWriter};
 /// let mut w = BitWriter::new();
@@ -32,9 +35,10 @@ impl std::error::Error for ReadBitsError {}
 #[derive(Clone, Debug, Default)]
 pub struct BitWriter {
     bytes: Vec<u8>,
-    /// Bits pending in `acc`, 0..8.
+    /// Bits pending in the low end of `acc`, 0..64; the bits above them
+    /// are stale and shift out before a word is stored.
     pending: u32,
-    acc: u8,
+    acc: u64,
 }
 
 impl BitWriter {
@@ -45,13 +49,7 @@ impl BitWriter {
 
     /// Appends one bit.
     pub fn put_bit(&mut self, bit: bool) {
-        self.acc = (self.acc << 1) | u8::from(bit);
-        self.pending += 1;
-        if self.pending == 8 {
-            self.bytes.push(self.acc);
-            self.acc = 0;
-            self.pending = 0;
-        }
+        self.put_bits(u64::from(bit), 1);
     }
 
     /// Appends the `count` low-order bits of `value`, MSB first.
@@ -59,13 +57,24 @@ impl BitWriter {
     /// # Panics
     ///
     /// Panics if `count > 64` or `value` has bits above `count`.
+    #[inline]
     pub fn put_bits(&mut self, value: u64, count: u32) {
-        assert!(count <= 64, "cannot write more than 64 bits at once");
-        if count < 64 {
-            assert!(value < (1u64 << count), "value {value} does not fit in {count} bits");
+        if count > 64 || (count < 64 && value >> count != 0) {
+            field_overflow(value, count);
         }
-        for i in (0..count).rev() {
-            self.put_bit((value >> i) & 1 == 1);
+        let free = 64 - self.pending;
+        if count < free {
+            self.acc = self.acc << count | value;
+            self.pending += count;
+        } else {
+            // The pending bits and the top `free` bits of `value` make a
+            // whole word; the other `rest` bits stay pending. `free` is
+            // 64 only when nothing is pending.
+            let rest = count - free;
+            let word = self.acc << 1 << (free - 1) | value >> rest;
+            self.bytes.extend_from_slice(&word.to_be_bytes());
+            self.acc = value;
+            self.pending = rest;
         }
     }
 
@@ -76,18 +85,14 @@ impl BitWriter {
 
     /// Pads with zero bits to a byte boundary and returns the buffer.
     pub fn finish(mut self) -> Vec<u8> {
-        if self.pending > 0 {
-            self.acc <<= 8 - self.pending;
-            self.bytes.push(self.acc);
-        }
+        self.byte_align();
+        self.flush_bytes();
         self.bytes
     }
 
     /// Pads to a byte boundary in place (e.g. between stream sections).
     pub fn byte_align(&mut self) {
-        while self.pending != 0 {
-            self.put_bit(false);
-        }
+        self.put_bits(0, (8 - self.pending % 8) % 8);
     }
 
     /// Appends whole bytes; the writer must be byte-aligned.
@@ -96,9 +101,29 @@ impl BitWriter {
     ///
     /// Panics if the writer is not at a byte boundary.
     pub fn put_bytes(&mut self, data: &[u8]) {
-        assert_eq!(self.pending, 0, "put_bytes requires byte alignment");
+        assert_eq!(self.pending % 8, 0, "put_bytes requires byte alignment");
+        self.flush_bytes();
         self.bytes.extend_from_slice(data);
     }
+
+    /// Moves the pending bits, a whole number of bytes, to the buffer.
+    fn flush_bytes(&mut self) {
+        let n = (self.pending / 8) as usize;
+        if n > 0 {
+            let top = self.acc << (64 - self.pending);
+            self.bytes.extend_from_slice(&top.to_be_bytes()[..n]);
+            self.pending = 0;
+        }
+    }
+}
+
+/// The panic of [`BitWriter::put_bits`], out of line so the writer's hot
+/// path keeps its operands in registers.
+#[cold]
+#[inline(never)]
+fn field_overflow(value: u64, count: u32) -> ! {
+    assert!(count <= 64, "cannot write more than 64 bits at once");
+    panic!("value {value} does not fit in {count} bits");
 }
 
 /// Reads bits MSB-first from a byte slice.
@@ -184,6 +209,7 @@ impl<'a> BitReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn single_bits_roundtrip() {
@@ -249,6 +275,120 @@ mod tests {
     fn oversized_value_rejected() {
         let mut w = BitWriter::new();
         w.put_bits(16, 4);
+    }
+
+    /// The writer this one replaced: one bit at a time into a byte.
+    #[derive(Default)]
+    struct BitAtATime {
+        bytes: Vec<u8>,
+        pending: u32,
+        acc: u8,
+    }
+
+    impl BitAtATime {
+        fn put_bit(&mut self, bit: bool) {
+            self.acc = (self.acc << 1) | u8::from(bit);
+            self.pending += 1;
+            if self.pending == 8 {
+                self.bytes.push(self.acc);
+                (self.acc, self.pending) = (0, 0);
+            }
+        }
+
+        fn put_bits(&mut self, value: u64, count: u32) {
+            for i in (0..count).rev() {
+                self.put_bit((value >> i) & 1 == 1);
+            }
+        }
+
+        fn byte_align(&mut self) {
+            while self.pending != 0 {
+                self.put_bit(false);
+            }
+        }
+
+        fn bit_len(&self) -> u64 {
+            self.bytes.len() as u64 * 8 + u64::from(self.pending)
+        }
+
+        fn finish(&self) -> Vec<u8> {
+            let mut bytes = self.bytes.clone();
+            if self.pending > 0 {
+                bytes.push(self.acc << (8 - self.pending));
+            }
+            bytes
+        }
+    }
+
+    /// One writer operation drawn from `(kind, value, count)`: widths
+    /// 32, 33 and 64 come up often, since the word boundary sits there.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Bit(bool),
+        Bits(u64, u32),
+        Align,
+        Bytes(u64, usize),
+    }
+
+    fn op((kind, value, count): (u8, u64, u32)) -> Op {
+        let bits = |count: u32| Op::Bits(value.checked_shr(64 - count).unwrap_or(0), count);
+        match kind {
+            0 => Op::Bit(value & 1 == 1),
+            1 => bits([32, 33, 64, 0][count as usize % 4]),
+            2 => Op::Align,
+            3 => Op::Bytes(value, count as usize % 9),
+            _ => bits(count),
+        }
+    }
+
+    proptest! {
+        // Oracle: the bit-at-a-time writer. Bytes and length agree after
+        // every operation, and a reader reads back what was written.
+        #[test]
+        fn writer_equals_the_bit_at_a_time_writer(
+            ops in prop::collection::vec((0u8..8, any::<u64>(), 0u32..=64), 0..120),
+        ) {
+            let (mut w, mut oracle) = (BitWriter::new(), BitAtATime::default());
+            let ops: Vec<Op> = ops.into_iter().map(op).collect();
+            for &op in &ops {
+                match op {
+                    Op::Bit(b) => {
+                        w.put_bit(b);
+                        oracle.put_bit(b);
+                    }
+                    Op::Bits(v, n) => {
+                        w.put_bits(v, n);
+                        oracle.put_bits(v, n);
+                    }
+                    Op::Align => {
+                        w.byte_align();
+                        oracle.byte_align();
+                    }
+                    Op::Bytes(v, n) => {
+                        w.byte_align();
+                        oracle.byte_align();
+                        w.put_bytes(&v.to_be_bytes()[..n]);
+                        oracle.bytes.extend_from_slice(&v.to_be_bytes()[..n]);
+                    }
+                }
+                prop_assert_eq!(w.bit_len(), oracle.bit_len());
+                prop_assert_eq!(w.clone().finish(), oracle.finish());
+            }
+            let bytes = w.finish();
+            let mut r = BitReader::new(&bytes);
+            for op in ops {
+                match op {
+                    Op::Bit(b) => prop_assert_eq!(r.get_bit().unwrap(), b),
+                    Op::Bits(v, n) => prop_assert_eq!(r.get_bits(n).unwrap(), v),
+                    Op::Align => r.byte_align(),
+                    Op::Bytes(v, n) => {
+                        r.byte_align();
+                        prop_assert_eq!(r.get_bytes(n).unwrap(), &v.to_be_bytes()[..n]);
+                    }
+                }
+            }
+            prop_assert!(r.remaining_bits() < 8);
+        }
     }
 
     #[test]

@@ -235,8 +235,8 @@ fn decode_residual_region(
     let mut levels = [0i32; TILE * TILE];
     for ty in (0..pred.size()).step_by(TILE) {
         for tx in (0..pred.size()).step_by(TILE) {
-            dec.get_coeff_block_into(TransformSize::T8, &mut levels)?;
-            reconstruct_tile(&levels, qp, pred, (tx, ty), recon, (x0, y0));
+            let nonzero = dec.get_coeff_block_into(TransformSize::T8, &mut levels)?;
+            reconstruct_tile(&levels, nonzero, qp, pred, (tx, ty), recon, (x0, y0));
         }
     }
     Ok(())

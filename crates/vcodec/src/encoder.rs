@@ -29,8 +29,8 @@ use crate::quant::{quantize_into, Deadzone, QP_MAX};
 use crate::rc::{FirstPassLog, FrameKind, RateControl, RateController};
 use crate::stats::{BranchSite, EncodeStats, Kernel, KernelCounters, NoProbe, Probe};
 use crate::syntax::{self, put_quadrant_mode, put_sb_mode, FrameType, SbMode, StreamInfo};
-use crate::tile::{reconstruct_tile, residual_tile, Scratch, Tile, TILE};
-use crate::transform::{fdct8, TransformSize};
+use crate::tile::{reconstruct_tile, residual_tile, Levels, Scratch, TILE};
+use crate::transform::fdct8;
 use vframe::block::{sad, satd, Block};
 use vframe::metrics::PsnrAccumulator;
 use vframe::source::{FrameSource, VideoSource};
@@ -657,17 +657,6 @@ fn encode_pass(
     }
 }
 
-/// Most tiles a region holds: a 32×32 superblock's sixteen.
-const MAX_TILES: usize = 16;
-
-/// Quantized residual for one superblock-sized region: per-8×8-tile levels
-/// in raster order, the first `len` of a fixed array.
-struct SbLevels {
-    tiles: [Tile; MAX_TILES],
-    len: usize,
-    any_nonzero: bool,
-}
-
 /// Accumulated seconds per coarse encoder stage, sampled only when
 /// verbose tracing is on (see [`FrameEncoder::stages`]).
 #[derive(Clone, Copy, Default)]
@@ -859,7 +848,8 @@ impl<'cfg> FrameEncoder<'cfg> {
     }
 
     /// Computes the quantized residual of the region of `plane` at
-    /// `(x0, y0)` given its prediction.
+    /// `(x0, y0)` given its prediction, into `levels`.
+    #[allow(clippy::too_many_arguments)]
     fn compute_levels(
         &mut self,
         plane: &Plane,
@@ -868,24 +858,20 @@ impl<'cfg> FrameEncoder<'cfg> {
         y0: usize,
         qp: u8,
         dz: Deadzone,
-    ) -> SbLevels {
+        levels: &mut Levels,
+    ) {
         let t_tq = self.stage_start();
         let size = pred.size();
-        let mut levels =
-            SbLevels { tiles: [[0; TILE * TILE]; MAX_TILES], len: 0, any_nonzero: false };
+        levels.clear();
         for ty in (0..size).step_by(TILE) {
             for tx in (0..size).step_by(TILE) {
                 let coeffs = fdct8(&residual_tile(plane, (x0, y0), pred, (tx, ty)));
                 self.counters.record(Kernel::Fdct, 64);
-                let tile = &mut levels.tiles[levels.len];
-                quantize_into(&coeffs, qp, dz, tile);
+                levels.push(|tile| quantize_into(&coeffs, qp, dz, tile));
                 self.counters.record(Kernel::Quant, 64);
-                levels.any_nonzero |= tile.iter().any(|&l| l != 0);
-                levels.len += 1;
             }
         }
         self.stage_end(t_tq, |s| &mut s.transform_quant);
-        levels
     }
 
     /// Entropy-codes precomputed levels and reconstructs the region into
@@ -899,22 +885,22 @@ impl<'cfg> FrameEncoder<'cfg> {
         x0: usize,
         y0: usize,
         qp: u8,
-        levels: &SbLevels,
+        levels: &Levels,
         probe: &mut dyn Probe,
     ) {
         let per_row = pred.size() / TILE;
-        for (i, tile) in levels.tiles[..levels.len].iter().enumerate() {
+        for (i, (tile, nz)) in levels.tiles().enumerate() {
             let (tx, ty) = (i % per_row * TILE, i / per_row * TILE);
             let bits_before = enc.bits_written();
             let t_en = self.stage_start();
-            enc.put_coeff_block(TransformSize::T8, tile);
+            enc.put_tile(tile, nz);
             self.stage_end(t_en, |s| &mut s.entropy);
             self.counters.record(Kernel::Entropy, enc.bits_written() - bits_before);
-            let nz = tile.iter().filter(|&&l| l != 0).count() as u64;
-            probe.branch(BranchSite::CoeffCoded, nz > 0);
-            report_ratio_branches(probe, BranchSite::CoeffNonzero, nz, 64, 16);
-            probe.kernel(Kernel::Entropy, 8 + nz * 4);
-            reconstruct_tile(tile, qp, pred, (tx, ty), recon, (x0, y0));
+            let coded = nz as u64;
+            probe.branch(BranchSite::CoeffCoded, coded > 0);
+            report_ratio_branches(probe, BranchSite::CoeffNonzero, coded, 64, 16);
+            probe.kernel(Kernel::Entropy, 8 + coded * 4);
+            reconstruct_tile(tile, nz, qp, pred, (tx, ty), recon, (x0, y0));
             self.counters.record(Kernel::Dequant, 64);
             self.counters.record(Kernel::Idct, 64);
             probe.kernel(Kernel::Idct, 64);
@@ -980,17 +966,19 @@ impl<'cfg> FrameEncoder<'cfg> {
                 }
                 put_quadrant_mode(enc, qmode);
                 predict_intra_into(recon_y, x0 + qx, y0 + qy, qmode, &mut s.qpred);
-                let qlev =
-                    self.compute_levels(frame.y(), &s.qpred, x0 + qx, y0 + qy, qp, Deadzone::Intra);
-                self.emit_levels(enc, recon_y, &s.qpred, x0 + qx, y0 + qy, qp, &qlev, probe);
+                let (qx, qy) = (x0 + qx, y0 + qy);
+                let lev = &mut s.levels[0];
+                self.compute_levels(frame.y(), &s.qpred, qx, qy, qp, Deadzone::Intra, lev);
+                self.emit_levels(enc, recon_y, &s.qpred, qx, qy, qp, lev, probe);
             }
             self.sb_split += 1;
             first_mode
         } else {
             put_sb_mode(enc, ctx.ftype, SbMode::Intra(mode));
             predict_intra_into(recon_y, x0, y0, mode, &mut s.intra);
-            let levels = self.compute_levels(frame.y(), &s.intra, x0, y0, qp, Deadzone::Intra);
-            self.emit_levels(enc, recon_y, &s.intra, x0, y0, qp, &levels, probe);
+            let lev = &mut s.levels[0];
+            self.compute_levels(frame.y(), &s.intra, x0, y0, qp, Deadzone::Intra, lev);
+            self.emit_levels(enc, recon_y, &s.intra, x0, y0, qp, lev, probe);
             mode
         };
         probe_region_rows(probe, ctx.recon_base, self.width, x0, y0, self.sb, true);
@@ -1000,8 +988,9 @@ impl<'cfg> FrameEncoder<'cfg> {
         {
             predict_intra_into(rec, cx, cy, chroma_mode, &mut s.qpred);
             self.counters.record(Kernel::IntraPred, (cs * cs) as u64);
-            let clev = self.compute_levels(src, &s.qpred, cx, cy, qp, Deadzone::Intra);
-            self.emit_levels(enc, rec, &s.qpred, cx, cy, qp, &clev, probe);
+            let lev = &mut s.levels[1];
+            self.compute_levels(src, &s.qpred, cx, cy, qp, Deadzone::Intra, lev);
+            self.emit_levels(enc, rec, &s.qpred, cx, cy, qp, lev, probe);
             probe_region_rows(probe, ctx.recon_base + chroma_off, self.width / 2, cx, cy, cs, true);
         }
         self.sb_intra += 1;
@@ -1152,17 +1141,20 @@ impl<'cfg> FrameEncoder<'cfg> {
                 enc.put_sval(CtxClass::MvY, i64::from(mv.y) - i64::from(mres.mv.y));
                 motion_compensate_into(reference.y(), x0 + qx, y0 + qy, mv, &mut s.qpred);
                 self.counters.record(Kernel::MotionComp, (half * half) as u64);
-                let lev =
-                    self.compute_levels(frame.y(), &s.qpred, x0 + qx, y0 + qy, qp, Deadzone::Inter);
-                self.emit_levels(enc, recon_y, &s.qpred, x0 + qx, y0 + qy, qp, &lev, probe);
+                let (qx, qy) = (x0 + qx, y0 + qy);
+                let lev = &mut s.levels[0];
+                self.compute_levels(frame.y(), &s.qpred, qx, qy, qp, Deadzone::Inter, lev);
+                self.emit_levels(enc, recon_y, &s.qpred, qx, qy, qp, lev, probe);
             }
             // Chroma rides on the superblock-level MV.
             s.predict_chroma(reference, x0, y0, mres.mv);
-            for (src, rec, pred) in [(frame.u(), recon_u, &s.upred), (frame.v(), recon_v, &s.vpred)]
+            let [_, ulev, vlev] = &mut s.levels;
+            for (src, rec, pred, lev) in
+                [(frame.u(), recon_u, &s.upred, ulev), (frame.v(), recon_v, &s.vpred, vlev)]
             {
                 self.counters.record(Kernel::MotionComp, (cs * cs) as u64);
-                let lev = self.compute_levels(src, pred, cx, cy, qp, Deadzone::Inter);
-                self.emit_levels(enc, rec, pred, cx, cy, qp, &lev, probe);
+                self.compute_levels(src, pred, cx, cy, qp, Deadzone::Inter, lev);
+                self.emit_levels(enc, rec, pred, cx, cy, qp, lev, probe);
             }
             self.mv_grid[sby * self.sbs_x + sbx] = Some(mvs[0]);
             probe_region_rows(probe, ctx.recon_base, self.width, x0, y0, self.sb, true);
@@ -1170,14 +1162,14 @@ impl<'cfg> FrameEncoder<'cfg> {
         }
 
         // Whole-SB inter: compute residual, then decide skip vs coded.
-        let levels = self.compute_levels(frame.y(), &s.pred, x0, y0, qp, Deadzone::Inter);
         s.predict_chroma(reference, x0, y0, mres.mv);
+        let [ylev, ulev, vlev] = &mut s.levels;
+        self.compute_levels(frame.y(), &s.pred, x0, y0, qp, Deadzone::Inter, ylev);
         self.counters.record(Kernel::MotionComp, 2 * (cs * cs) as u64);
-        let ulev = self.compute_levels(frame.u(), &s.upred, cx, cy, qp, Deadzone::Inter);
-        let vlev = self.compute_levels(frame.v(), &s.vpred, cx, cy, qp, Deadzone::Inter);
+        self.compute_levels(frame.u(), &s.upred, cx, cy, qp, Deadzone::Inter, ulev);
+        self.compute_levels(frame.v(), &s.vpred, cx, cy, qp, Deadzone::Inter, vlev);
 
-        let can_skip =
-            mres.mv == pred_mv && !levels.any_nonzero && !ulev.any_nonzero && !vlev.any_nonzero;
+        let can_skip = mres.mv == pred_mv && !s.levels.iter().any(Levels::any_nonzero);
         probe.branch(BranchSite::SkipTaken, can_skip);
         if can_skip {
             self.sb_skip += 1;
@@ -1190,9 +1182,10 @@ impl<'cfg> FrameEncoder<'cfg> {
             put_sb_mode(enc, ctx.ftype, SbMode::Forward);
             enc.put_sval(CtxClass::MvX, i64::from(mres.mv.x) - i64::from(pred_mv.x));
             enc.put_sval(CtxClass::MvY, i64::from(mres.mv.y) - i64::from(pred_mv.y));
-            self.emit_levels(enc, recon_y, &s.pred, x0, y0, qp, &levels, probe);
-            self.emit_levels(enc, recon_u, &s.upred, cx, cy, qp, &ulev, probe);
-            self.emit_levels(enc, recon_v, &s.vpred, cx, cy, qp, &vlev, probe);
+            let [ylev, ulev, vlev] = &s.levels;
+            self.emit_levels(enc, recon_y, &s.pred, x0, y0, qp, ylev, probe);
+            self.emit_levels(enc, recon_u, &s.upred, cx, cy, qp, ulev, probe);
+            self.emit_levels(enc, recon_v, &s.vpred, cx, cy, qp, vlev, probe);
         }
         probe_region_rows(probe, ctx.recon_base, self.width, x0, y0, self.sb, true);
         self.mv_grid[sby * self.sbs_x + sbx] = Some(mres.mv);
@@ -1284,12 +1277,13 @@ impl<'cfg> FrameEncoder<'cfg> {
             SbMode::Intra(intra_mode) => {
                 put_sb_mode(enc, ctx.ftype, best.0);
                 predict_intra_into(recon_y, x0, y0, intra_mode, &mut s.intra);
-                let lev = self.compute_levels(frame.y(), &s.intra, x0, y0, qp, Deadzone::Intra);
-                self.emit_levels(enc, recon_y, &s.intra, x0, y0, qp, &lev, probe);
+                let [ylev, clev, _] = &mut s.levels;
+                self.compute_levels(frame.y(), &s.intra, x0, y0, qp, Deadzone::Intra, ylev);
+                self.emit_levels(enc, recon_y, &s.intra, x0, y0, qp, ylev, probe);
                 for (src, rec) in [(frame.u(), &mut *recon_u), (frame.v(), &mut *recon_v)] {
                     predict_intra_into(rec, cx, cy, intra_mode, &mut s.qpred);
-                    let clev = self.compute_levels(src, &s.qpred, cx, cy, qp, Deadzone::Intra);
-                    self.emit_levels(enc, rec, &s.qpred, cx, cy, qp, &clev, probe);
+                    self.compute_levels(src, &s.qpred, cx, cy, qp, Deadzone::Intra, clev);
+                    self.emit_levels(enc, rec, &s.qpred, cx, cy, qp, clev, probe);
                 }
                 self.sb_intra += 1;
                 self.mv_grid[sby * self.sbs_x + sbx] = None;
@@ -1312,16 +1306,15 @@ impl<'cfg> FrameEncoder<'cfg> {
         };
         self.counters.record(Kernel::MotionComp, 2 * (cs * cs) as u64);
 
-        let levels = self.compute_levels(frame.y(), luma_pred, x0, y0, qp, Deadzone::Inter);
-        let ulev = self.compute_levels(frame.u(), &s.upred, cx, cy, qp, Deadzone::Inter);
-        let vlev = self.compute_levels(frame.v(), &s.vpred, cx, cy, qp, Deadzone::Inter);
+        let [ylev, ulev, vlev] = &mut s.levels;
+        self.compute_levels(frame.y(), luma_pred, x0, y0, qp, Deadzone::Inter, ylev);
+        self.compute_levels(frame.u(), &s.upred, cx, cy, qp, Deadzone::Inter, ulev);
+        self.compute_levels(frame.v(), &s.vpred, cx, cy, qp, Deadzone::Inter, vlev);
 
         // Skip-direct: forward prediction at the predictor MV, no residual.
         let can_skip = best.0 == SbMode::Forward
             && mvs[0] == pred_mv
-            && !levels.any_nonzero
-            && !ulev.any_nonzero
-            && !vlev.any_nonzero;
+            && !s.levels.iter().any(Levels::any_nonzero);
         probe.branch(BranchSite::SkipTaken, can_skip);
         if can_skip {
             self.sb_skip += 1;
@@ -1336,9 +1329,10 @@ impl<'cfg> FrameEncoder<'cfg> {
                 enc.put_sval(CtxClass::MvX, i64::from(mv.x) - i64::from(pred_mv.x));
                 enc.put_sval(CtxClass::MvY, i64::from(mv.y) - i64::from(pred_mv.y));
             }
-            self.emit_levels(enc, recon_y, luma_pred, x0, y0, qp, &levels, probe);
-            self.emit_levels(enc, recon_u, &s.upred, cx, cy, qp, &ulev, probe);
-            self.emit_levels(enc, recon_v, &s.vpred, cx, cy, qp, &vlev, probe);
+            let [ylev, ulev, vlev] = &s.levels;
+            self.emit_levels(enc, recon_y, luma_pred, x0, y0, qp, ylev, probe);
+            self.emit_levels(enc, recon_u, &s.upred, cx, cy, qp, ulev, probe);
+            self.emit_levels(enc, recon_v, &s.vpred, cx, cy, qp, vlev, probe);
         }
         probe_region_rows(probe, ctx.recon_base, self.width, x0, y0, self.sb, true);
         self.mv_grid[sby * self.sbs_x + sbx] = Some(mvs[0]);

@@ -18,6 +18,7 @@
 use crate::arith::{ArithDecoder, ArithEncoder, Context};
 use crate::bitio::{BitReader, BitWriter, ReadBitsError};
 use crate::golomb;
+use crate::tile::Tile;
 use crate::transform::{zigzag, TransformSize};
 use std::sync::OnceLock;
 
@@ -94,9 +95,50 @@ impl ContextBank {
     }
 }
 
+/// The arithmetic backend's encoder half: the coder, its context banks
+/// and the information cost of every bin coded so far.
+struct ArithSink {
+    enc: ArithEncoder,
+    bank: ContextBank,
+    est_bits: f64,
+}
+
+impl ArithSink {
+    fn flag(&mut self, class: CtxClass, bit: bool) {
+        let ctx = self.bank.at(class, 0);
+        self.est_bits += bin_cost(ctx.prob(), bit);
+        self.enc.encode(ctx, bit);
+    }
+
+    /// Truncated unary under `class`'s contexts, then a bypass
+    /// Exp-Golomb escape for the remainder past [`TU_MAX`].
+    fn uval(&mut self, class: CtxClass, v: u64) {
+        let prefix = v.min(TU_MAX);
+        for i in 0..prefix {
+            let ctx = self.bank.at(class, i as usize);
+            self.est_bits += bin_cost(ctx.prob(), true);
+            self.enc.encode(ctx, true);
+        }
+        if prefix < TU_MAX {
+            let ctx = self.bank.at(class, prefix as usize);
+            self.est_bits += bin_cost(ctx.prob(), false);
+            self.enc.encode(ctx, false);
+        } else {
+            let rem = v - TU_MAX;
+            self.est_bits += f64::from(golomb::ue_bits(rem));
+            encode_bypass_golomb(&mut self.enc, rem);
+        }
+    }
+
+    fn raw(&mut self, v: u64, count: u32) {
+        self.est_bits += f64::from(count);
+        self.enc.encode_bypass(v, count);
+    }
+}
+
 enum EncInner {
     Vlc(BitWriter),
-    Arith { enc: ArithEncoder, bank: ContextBank },
+    Arith(ArithSink),
 }
 
 /// Serializes codec syntax through the selected backend.
@@ -118,12 +160,11 @@ enum EncInner {
 /// ```
 pub struct EntropyEncoder {
     inner: EncInner,
-    est_bits: f64,
 }
 
 impl std::fmt::Debug for EntropyEncoder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EntropyEncoder").field("est_bits", &self.est_bits).finish()
+        f.debug_struct("EntropyEncoder").field("bits_written", &self.bits_written()).finish()
     }
 }
 
@@ -132,70 +173,54 @@ impl EntropyEncoder {
     pub fn new(backend: EntropyBackend) -> EntropyEncoder {
         let inner = match backend {
             EntropyBackend::Vlc => EncInner::Vlc(BitWriter::new()),
-            EntropyBackend::Arith { shift } => {
-                EncInner::Arith { enc: ArithEncoder::new(), bank: ContextBank::new(shift) }
-            }
+            EntropyBackend::Arith { shift } => EncInner::Arith(ArithSink {
+                enc: ArithEncoder::new(),
+                bank: ContextBank::new(shift),
+                est_bits: 0.0,
+            }),
         };
-        EntropyEncoder { inner, est_bits: 0.0 }
+        EntropyEncoder { inner }
     }
 
     /// Codes a single flag under `class`'s first context.
     pub fn put_flag(&mut self, class: CtxClass, bit: bool) {
         match &mut self.inner {
-            EncInner::Vlc(w) => {
-                w.put_bit(bit);
-                self.est_bits += 1.0;
-            }
-            EncInner::Arith { enc, bank } => {
-                let ctx = bank.at(class, 0);
-                self.est_bits += bin_cost(ctx.prob(), bit);
-                enc.encode(ctx, bit);
-            }
+            EncInner::Vlc(w) => w.put_bit(bit),
+            EncInner::Arith(a) => a.flag(class, bit),
         }
     }
 
     /// Codes an unsigned value: Exp-Golomb in the VLC backend; truncated
     /// unary (contexts) + bypass Exp-Golomb escape in the arithmetic one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v == u64::MAX`, which no decoder can read back (see
+    /// [`golomb::write_ue`]).
     pub fn put_uval(&mut self, class: CtxClass, v: u64) {
         match &mut self.inner {
-            EncInner::Vlc(w) => {
-                golomb::write_ue(w, v);
-                self.est_bits += f64::from(golomb::ue_bits(v));
-            }
-            EncInner::Arith { enc, bank } => {
-                let prefix = v.min(TU_MAX);
-                for i in 0..prefix {
-                    let ctx = bank.at(class, i as usize);
-                    self.est_bits += bin_cost(ctx.prob(), true);
-                    enc.encode(ctx, true);
-                }
-                if prefix < TU_MAX {
-                    let ctx = bank.at(class, prefix as usize);
-                    self.est_bits += bin_cost(ctx.prob(), false);
-                    enc.encode(ctx, false);
-                } else {
-                    // Escape: remainder in bypass Exp-Golomb.
-                    let rem = v - TU_MAX;
-                    let bits = golomb_bypass_bits(rem);
-                    self.est_bits += f64::from(bits);
-                    encode_bypass_golomb(enc, rem);
-                }
+            EncInner::Vlc(w) => golomb::write_ue(w, v),
+            EncInner::Arith(a) => {
+                assert!(v < u64::MAX, "{v} is outside the Exp-Golomb domain (at most 2^64 - 2)");
+                a.uval(class, v);
             }
         }
     }
 
     /// Codes a signed value using the `0, 1, -1, 2, -2…` mapping.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v == i64::MIN` (see [`golomb::write_se`]).
     pub fn put_sval(&mut self, class: CtxClass, v: i64) {
-        let mapped = if v > 0 { (v as u64) * 2 - 1 } else { (-v as u64) * 2 };
-        self.put_uval(class, mapped);
+        self.put_uval(class, golomb::se_to_ue(v));
     }
 
     /// Codes `count` raw bits with no modelling (bypass / plain bits).
     pub fn put_raw(&mut self, v: u64, count: u32) {
-        self.est_bits += f64::from(count);
         match &mut self.inner {
             EncInner::Vlc(w) => w.put_bits(v, count),
-            EncInner::Arith { enc, .. } => enc.encode_bypass(v, count),
+            EncInner::Arith(a) => a.raw(v, count),
         }
     }
 
@@ -207,42 +232,101 @@ impl EntropyEncoder {
     /// Panics if `levels.len() != size.area()`.
     pub fn put_coeff_block(&mut self, size: TransformSize, levels: &[i32]) {
         assert_eq!(levels.len(), size.area(), "level count must match block size");
-        let scan = zigzag(size);
         let coded = levels.iter().filter(|&&l| l != 0).count();
-        self.put_flag(CtxClass::CodedFlag, coded > 0);
-        let mut prev = 0usize;
-        let mut remaining = coded;
-        for (si, &pos) in scan.iter().enumerate() {
-            if remaining == 0 {
-                break;
+        self.put_levels(zigzag(size), levels, coded);
+    }
+
+    /// [`EntropyEncoder::put_coeff_block`] of one 8×8 tile whose `nonzero`
+    /// levels the caller counted when it quantized them.
+    pub(crate) fn put_tile(&mut self, levels: &Tile, nonzero: usize) {
+        debug_assert_eq!(nonzero, levels.iter().filter(|&&l| l != 0).count());
+        self.put_levels(zigzag(TransformSize::T8), levels, nonzero);
+    }
+
+    /// The coefficient syntax, with the backend chosen once per block.
+    fn put_levels(&mut self, scan: &[usize], levels: &[i32], coded: usize) {
+        match &mut self.inner {
+            EncInner::Vlc(w) => {
+                w.put_bit(coded > 0);
+                for_each_coded(scan, levels, coded, |run, level, last| {
+                    put_coeff_vlc(w, run, level, last);
+                });
             }
-            let level = levels[pos];
-            if level == 0 {
-                continue;
+            EncInner::Arith(a) => {
+                a.flag(CtxClass::CodedFlag, coded > 0);
+                for_each_coded(scan, levels, coded, |run, level, last| {
+                    a.uval(CtxClass::Run, run);
+                    a.uval(CtxClass::Level, (level.unsigned_abs() - 1).into());
+                    a.raw(u64::from(level < 0), 1);
+                    a.flag(CtxClass::LastFlag, last);
+                });
             }
-            remaining -= 1;
-            self.put_uval(CtxClass::Run, (si - prev) as u64);
-            prev = si + 1;
-            self.put_uval(CtxClass::Level, (level.unsigned_abs() - 1).into());
-            self.put_raw(u64::from(level < 0), 1);
-            self.put_flag(CtxClass::LastFlag, remaining == 0);
         }
     }
 
-    /// Estimated bits emitted so far (exact for VLC; the arithmetic
-    /// backend's estimate is the information-theoretic cost under its
-    /// context models, accurate to a fraction of a percent). Drives rate
-    /// control and RDO bit costs.
+    /// Bits emitted so far: exact for VLC, which counts what its writer
+    /// holds; the arithmetic backend's estimate is the
+    /// information-theoretic cost under its context models, accurate to a
+    /// fraction of a percent. Drives rate control and RDO bit costs.
     pub fn bits_written(&self) -> u64 {
-        self.est_bits.ceil() as u64
+        match &self.inner {
+            EncInner::Vlc(w) => w.bit_len(),
+            EncInner::Arith(a) => a.est_bits.ceil() as u64,
+        }
     }
 
     /// Flushes the backend and returns the payload bytes.
     pub fn finish(self) -> Vec<u8> {
         match self.inner {
             EncInner::Vlc(w) => w.finish(),
-            EncInner::Arith { enc, .. } => enc.finish(),
+            EncInner::Arith(a) => a.enc.finish(),
         }
+    }
+}
+
+/// Calls `code(run, level, last)` for each of the first `coded` nonzero
+/// levels in `scan` order: the zeros since the previous one, the level,
+/// and whether it is the last.
+#[inline(always)]
+fn for_each_coded(
+    scan: &[usize],
+    levels: &[i32],
+    coded: usize,
+    mut code: impl FnMut(u64, i32, bool),
+) {
+    let (mut remaining, mut run) = (coded, 0u64);
+    for &pos in scan {
+        if remaining == 0 {
+            break;
+        }
+        let level = levels[pos];
+        if level == 0 {
+            run += 1;
+            continue;
+        }
+        remaining -= 1;
+        code(run, level, remaining == 0);
+        run = 0;
+    }
+}
+
+/// One coefficient in the VLC syntax — `ue(run)`, `ue(|level| − 1)`, the
+/// sign bit, the last flag — as one field when the four fit a word.
+/// `ue(v)` is `v + 1` in `2·w − 1` bits, `w` the width of `v + 1`, so
+/// the field is the four values shifted together.
+#[inline(always)]
+fn put_coeff_vlc(w: &mut BitWriter, run: u64, level: i32, last: bool) {
+    let (r, m) = (run + 1, u64::from(level.unsigned_abs()));
+    let code_len = |v: u64| 2 * (64 - v.leading_zeros()) - 1;
+    let (rlen, mlen) = (code_len(r), code_len(m));
+    let tail = u64::from(level < 0) << 1 | u64::from(last);
+    if rlen + mlen + 2 <= 64 {
+        w.put_bits((r << mlen | m) << 2 | tail, rlen + mlen + 2);
+    } else {
+        // Only a magnitude of 2^25 or more gets here.
+        golomb::write_ue(w, run);
+        golomb::write_ue(w, m - 1);
+        w.put_bits(tail, 2);
     }
 }
 
@@ -260,11 +344,6 @@ fn bin_cost(prob: u8, bit: bool) -> f64 {
             })
         })
     })[usize::from(bit)][usize::from(prob)]
-}
-
-/// Bits used by the bypass Exp-Golomb escape for `v`.
-fn golomb_bypass_bits(v: u64) -> u32 {
-    golomb::ue_bits(v)
 }
 
 fn encode_bypass_golomb(enc: &mut ArithEncoder, v: u64) {
@@ -348,7 +427,10 @@ impl<'a> EntropyDecoder<'a> {
                 if prefix < TU_MAX {
                     Ok(prefix)
                 } else {
-                    Ok(TU_MAX + decode_bypass_golomb(dec)?)
+                    // A hostile escape can carry up to 2^64 − 2; past the
+                    // unsigned domain the sum is no value an encoder wrote.
+                    let rem = decode_bypass_golomb(dec)?;
+                    TU_MAX.checked_add(rem).filter(|&v| v < u64::MAX).ok_or(ReadBitsError)
                 }
             }
         }
@@ -381,19 +463,21 @@ impl<'a> EntropyDecoder<'a> {
     }
 
     /// [`EntropyDecoder::get_coeff_block`] into a caller-owned buffer of
-    /// `size.area()` levels, every entry written.
+    /// `size.area()` levels, every entry written; returns how many are
+    /// nonzero. Each coded level is nonzero and lands past the previous
+    /// one in scan order, so that is the number coded.
     pub(crate) fn get_coeff_block_into(
         &mut self,
         size: TransformSize,
         levels: &mut [i32],
-    ) -> Result<(), ReadBitsError> {
+    ) -> Result<usize, ReadBitsError> {
         assert_eq!(levels.len(), size.area(), "level count must match block size");
         let scan = zigzag(size);
         levels.fill(0);
         if !self.get_flag(CtxClass::CodedFlag)? {
-            return Ok(());
+            return Ok(0);
         }
-        let mut si = 0usize;
+        let (mut si, mut coded) = (0usize, 0usize);
         loop {
             // A hostile run can be anything up to 2^64 - 2.
             let run = usize::try_from(self.get_uval(CtxClass::Run)?).map_err(|_| ReadBitsError)?;
@@ -403,8 +487,9 @@ impl<'a> EntropyDecoder<'a> {
             let neg = self.get_raw(1)? == 1;
             levels[scan[si]] = if neg { -mag } else { mag };
             si += 1;
+            coded += 1;
             if self.get_flag(CtxClass::LastFlag)? {
-                return Ok(());
+                return Ok(coded);
             }
         }
     }
@@ -426,6 +511,7 @@ impl<'a> EntropyDecoder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const BACKENDS: [EntropyBackend; 3] = [
         EntropyBackend::Vlc,
@@ -481,6 +567,123 @@ mod tests {
             assert_eq!(dec.get_coeff_block(TransformSize::T8).unwrap(), vec![0i32; 64]);
             assert_eq!(dec.get_coeff_block(TransformSize::T4).unwrap(), four);
         }
+    }
+
+    /// Oracle: the coefficient syntax one element at a time through the
+    /// public calls, as `put_coeff_block` coded it before it chose the
+    /// backend once per block.
+    fn put_coeff_block_per_element(enc: &mut EntropyEncoder, size: TransformSize, levels: &[i32]) {
+        let coded = levels.iter().filter(|&&l| l != 0).count();
+        enc.put_flag(CtxClass::CodedFlag, coded > 0);
+        let (mut prev, mut remaining) = (0usize, coded);
+        for (si, &pos) in zigzag(size).iter().enumerate() {
+            if remaining == 0 {
+                break;
+            }
+            let level = levels[pos];
+            if level == 0 {
+                continue;
+            }
+            remaining -= 1;
+            enc.put_uval(CtxClass::Run, (si - prev) as u64);
+            prev = si + 1;
+            enc.put_uval(CtxClass::Level, (level.unsigned_abs() - 1).into());
+            enc.put_raw(u64::from(level < 0), 1);
+            enc.put_flag(CtxClass::LastFlag, remaining == 0);
+        }
+    }
+
+    proptest! {
+        // Sparse, medium and dense 4×4 and 8×8 blocks, their levels mostly
+        // small, some up to 3 000 and some of any `i32` magnitude (from
+        // 2^25 up, a coefficient's fused VLC field passes 64 bits). The
+        // bit counts agree after every block and the bytes at the end, so
+        // every prefix of the stream agrees too.
+        #[test]
+        fn coeff_blocks_equal_the_per_element_syntax(
+            blocks in prop::collection::vec(
+                (
+                    any::<bool>(),
+                    0usize..3,
+                    prop::collection::vec((any::<i32>(), 0u8..16), 64),
+                ),
+                1..12,
+            ),
+        ) {
+            let blocks: Vec<(TransformSize, Vec<i32>)> = blocks
+                .into_iter()
+                .map(|(four, density, entries)| {
+                    let size = if four { TransformSize::T4 } else { TransformSize::T8 };
+                    let keep = [1, 4, 16][density];
+                    let levels = entries[..size.area()]
+                        .iter()
+                        .map(|&(v, kind)| match kind {
+                            k if k >= keep => 0,
+                            k if k % 4 < 2 => v % 4,
+                            k if k % 4 == 2 => v % 3_000,
+                            _ => v,
+                        })
+                        .collect();
+                    (size, levels)
+                })
+                .collect();
+            for backend in BACKENDS {
+                let (mut got, mut want) = (EntropyEncoder::new(backend), EntropyEncoder::new(backend));
+                for (size, levels) in &blocks {
+                    got.put_coeff_block(*size, levels);
+                    put_coeff_block_per_element(&mut want, *size, levels);
+                    prop_assert_eq!(got.bits_written(), want.bits_written(), "{:?}", backend);
+                }
+                prop_assert_eq!(got.finish(), want.finish(), "{:?}", backend);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the Exp-Golomb domain")]
+    fn vlc_put_uval_rejects_the_value_past_its_domain() {
+        EntropyEncoder::new(EntropyBackend::Vlc).put_uval(CtxClass::Run, u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the Exp-Golomb domain")]
+    fn arith_put_uval_rejects_the_value_past_its_domain() {
+        EntropyEncoder::new(EntropyBackend::Arith { shift: 4 }).put_uval(CtxClass::Run, u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the signed Exp-Golomb domain")]
+    fn vlc_put_sval_rejects_the_value_past_its_domain() {
+        EntropyEncoder::new(EntropyBackend::Vlc).put_sval(CtxClass::MvX, i64::MIN);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the signed Exp-Golomb domain")]
+    fn arith_put_sval_rejects_the_value_past_its_domain() {
+        EntropyEncoder::new(EntropyBackend::Arith { shift: 4 }).put_sval(CtxClass::MvX, i64::MIN);
+    }
+
+    #[test]
+    fn arith_escapes_past_the_unsigned_domain_are_errors() {
+        // The bins `put_uval` codes for a value past `TU_MAX`, written by
+        // hand so the escape can carry what no encoder writes: a bypass
+        // Exp-Golomb remainder `rem` of 64 significant bits.
+        let escape = |rem: u64| {
+            let mut enc = ArithEncoder::new();
+            let mut ctxs = [Context::new(4); CTX_PER_CLASS];
+            for i in 0..TU_MAX as usize {
+                enc.encode(&mut ctxs[i.min(CTX_PER_CLASS - 1)], true);
+            }
+            enc.encode_bypass(0, 63);
+            enc.encode_bypass(rem.wrapping_add(1), 64);
+            enc.finish()
+        };
+        let get = |bytes: &[u8]| {
+            EntropyDecoder::new(EntropyBackend::Arith { shift: 4 }, bytes).get_uval(CtxClass::Run)
+        };
+        assert_eq!(get(&escape(u64::MAX - 1 - TU_MAX)), Ok(u64::MAX - 1));
+        assert_eq!(get(&escape(u64::MAX - TU_MAX)), Err(ReadBitsError));
+        assert_eq!(get(&escape(u64::MAX - 1)), Err(ReadBitsError));
     }
 
     #[test]

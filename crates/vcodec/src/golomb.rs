@@ -22,14 +22,22 @@ use crate::bitio::{BitReader, BitWriter, ReadBitsError};
 ///     assert_eq!(read_ue(&mut r).unwrap(), v);
 /// }
 /// ```
+///
+/// # Panics
+///
+/// Panics if `value == u64::MAX`: its code would need a 64-bit prefix,
+/// which [`read_ue`] rejects.
 pub fn write_ue(w: &mut BitWriter, value: u64) {
-    let v = value + 1;
-    let bits = 64 - v.leading_zeros();
+    let bits = ue_width(value);
     // (bits - 1) zero prefix, then the value itself (whose MSB is 1).
-    for _ in 0..bits - 1 {
-        w.put_bit(false);
-    }
-    w.put_bits(v, bits);
+    w.put_bits(0, bits - 1);
+    w.put_bits(value + 1, bits);
+}
+
+/// Significant bits of `value + 1`, the width of its code's suffix.
+fn ue_width(value: u64) -> u32 {
+    assert!(value < u64::MAX, "{value} is outside the Exp-Golomb domain (at most 2^64 - 2)");
+    64 - (value + 1).leading_zeros()
 }
 
 /// Reads an unsigned Exp-Golomb code written by [`write_ue`].
@@ -53,11 +61,30 @@ pub fn read_ue(r: &mut BitReader<'_>) -> Result<u64, ReadBitsError> {
     Ok(v - 1)
 }
 
+/// The H.264 mapping `0, 1, -1, 2, -2, …` of a signed value onto the
+/// unsigned code space.
+///
+/// # Panics
+///
+/// Panics if `value == i64::MIN`, the one value whose image is past the
+/// unsigned domain.
+pub(crate) fn se_to_ue(value: i64) -> u64 {
+    assert!(value != i64::MIN, "{value} is outside the signed Exp-Golomb domain");
+    if value > 0 {
+        value.unsigned_abs() * 2 - 1
+    } else {
+        value.unsigned_abs() * 2
+    }
+}
+
 /// Writes a signed Exp-Golomb code using the H.264 mapping
 /// `0, 1, -1, 2, -2, …`.
+///
+/// # Panics
+///
+/// Panics if `value == i64::MIN`.
 pub fn write_se(w: &mut BitWriter, value: i64) {
-    let mapped = if value > 0 { (value as u64) * 2 - 1 } else { (-value as u64) * 2 };
-    write_ue(w, mapped);
+    write_ue(w, se_to_ue(value));
 }
 
 /// Reads a signed Exp-Golomb code written by [`write_se`].
@@ -76,15 +103,22 @@ pub fn read_se(r: &mut BitReader<'_>) -> Result<i64, ReadBitsError> {
 
 /// Number of bits [`write_ue`] would emit for `value` — used by RDO bit
 /// estimation without touching a writer.
+///
+/// # Panics
+///
+/// Panics if `value == u64::MAX`: its code would need a 64-bit prefix,
+/// which [`read_ue`] rejects.
 pub fn ue_bits(value: u64) -> u32 {
-    let bits = 64 - (value + 1).leading_zeros();
-    2 * bits - 1
+    2 * ue_width(value) - 1
 }
 
 /// Number of bits [`write_se`] would emit for `value`.
+///
+/// # Panics
+///
+/// Panics if `value == i64::MIN`.
 pub fn se_bits(value: i64) -> u32 {
-    let mapped = if value > 0 { (value as u64) * 2 - 1 } else { (-value as u64) * 2 };
-    ue_bits(mapped)
+    ue_bits(se_to_ue(value))
 }
 
 #[cfg(test)]
@@ -145,6 +179,48 @@ mod tests {
             write_se(&mut w, v);
             assert_eq!(u64::from(se_bits(v)), w.bit_len(), "value {v}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the Exp-Golomb domain")]
+    fn write_ue_rejects_the_value_past_its_domain() {
+        write_ue(&mut BitWriter::new(), u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the Exp-Golomb domain")]
+    fn ue_bits_rejects_the_value_past_its_domain() {
+        ue_bits(u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the signed Exp-Golomb domain")]
+    fn write_se_rejects_the_value_past_its_domain() {
+        write_se(&mut BitWriter::new(), i64::MIN);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the signed Exp-Golomb domain")]
+    fn se_bits_rejects_the_value_past_its_domain() {
+        se_bits(i64::MIN);
+    }
+
+    #[test]
+    fn the_ends_of_both_domains_roundtrip() {
+        const TOP: u64 = u64::MAX - 1;
+        let mut w = BitWriter::new();
+        write_ue(&mut w, TOP);
+        write_se(&mut w, i64::MIN + 1);
+        write_se(&mut w, i64::MAX);
+        assert_eq!(
+            w.bit_len(),
+            u64::from(ue_bits(TOP) + se_bits(i64::MIN + 1) + se_bits(i64::MAX))
+        );
+        let bytes = w.finish();
+        let mut r = BitReader::new(&bytes);
+        assert_eq!(read_ue(&mut r).unwrap(), TOP);
+        assert_eq!(read_se(&mut r).unwrap(), i64::MIN + 1);
+        assert_eq!(read_se(&mut r).unwrap(), i64::MAX);
     }
 
     #[test]

@@ -171,16 +171,34 @@ pub fn quantize(coeffs: &[i32], qp: u8, deadzone: Deadzone) -> Vec<i32> {
     levels
 }
 
-/// [`dequantize`] into a caller-owned buffer of `levels.len()`
-/// coefficients.
-pub(crate) fn dequantize_into(levels: &[i32], qp: u8, coeffs: &mut [i32]) {
-    assert_eq!(coeffs.len(), levels.len(), "one coefficient per level");
-    let step = qstep(qp);
-    for (c, &l) in coeffs.iter_mut().zip(levels) {
-        // Most levels are zero; `round` is a library call.
-        *c = if l == 0 { 0 } else { (f64::from(l) * step).round() as i32 };
+vframe::isa::multiversion! {
+    /// [`dequantize`] into a caller-owned buffer of `levels.len()`
+    /// coefficients: `(f64::from(l) * qstep(qp)).round() as i32` per level
+    /// in one branch-free loop, with no library call and no float-to-integer
+    /// conversion, so it vectorizes. The product is under 2^39 in
+    /// magnitude; adding [`ROUNDER`] rounds it to nearest, the rounded value
+    /// is read from the sum's bits in `i64` lanes, and the dropped fraction
+    /// (exact) moves ties away from zero as `round` does. Results past
+    /// `i32` saturate as the cast does.
+    pub(crate) fn dequantize_into(levels: &[i32], qp: u8, coeffs: &mut [i32]) {
+        assert_eq!(coeffs.len(), levels.len(), "one coefficient per level");
+        let step = qstep(qp);
+        for (c, &l) in coeffs.iter_mut().zip(levels) {
+            let x = f64::from(l) * step;
+            let sum = x + ROUNDER;
+            let frac = x - (sum - ROUNDER);
+            let up = i64::from(frac == 0.5 && x > 0.0);
+            let down = i64::from(frac == -0.5 && x < 0.0);
+            let r = sum.to_bits() as i64 - ROUNDER.to_bits() as i64 + up - down;
+            *c = r.clamp(i32::MIN.into(), i32::MAX.into()) as i32;
+        }
     }
 }
+
+/// `1.5 · 2^52`: adding it to an `f64` under 2^51 in magnitude rounds the
+/// value to an integer (to nearest, ties to even), which then sits in the
+/// low bits of the sum's mantissa.
+const ROUNDER: f64 = 6_755_399_441_055_744.0;
 
 /// Reconstructs coefficients from quantized levels (the decoder's half of
 /// the quantizer). Total on any level: products beyond `i32` saturate.
@@ -310,6 +328,64 @@ mod tests {
         for qp in QP_MIN..=QP_MAX {
             let formula = 0.625 * (f64::from(qp) / 6.0).exp2();
             assert_eq!(qstep(qp).to_bits(), formula.to_bits(), "qp {qp}");
+        }
+    }
+
+    /// Oracle: the dequantizer as it was, one library `round` per level.
+    fn dequantize_by_round(levels: &[i32], qp: u8) -> Vec<i32> {
+        levels.iter().map(|&l| (f64::from(l) * qstep(qp)).round() as i32).collect()
+    }
+
+    /// `dequantize_into` at every rung, checked equal to the `Sse2` one.
+    fn dequantize_at_every_rung(levels: &[i32], qp: u8) -> Vec<i32> {
+        isa::same_at_every_rung("quant::dequantize_into", || {
+            let mut coeffs = vec![0; levels.len()];
+            dequantize_into(levels, qp, &mut coeffs);
+            coeffs
+        })
+    }
+
+    #[test]
+    fn dequantize_equals_the_rounded_product() {
+        // Exhaustive over 52 QPs × every level up to 4 096 in magnitude,
+        // both signs (an encoder forms at most 3 277: 2 048 / 0.625 plus
+        // the intra bias), one 64-level tile at a time as reconstruction
+        // calls it; then, one level per tile, the levels either side of
+        // the QP's saturation edge (where the product passes `i32`), the
+        // ends of `i32` and a stride across it.
+        let narrow: Vec<i32> = (-4_096..=4_096).collect();
+        for qp in QP_MIN..=QP_MAX {
+            let edge = (f64::from(i32::MAX) / qstep(qp)) as i64;
+            let wide: Vec<i32> = (edge - 1..=edge + 1)
+                .filter_map(|l| i32::try_from(l).ok())
+                .flat_map(|l| [l, -l])
+                .chain([i32::MIN, i32::MIN + 1, i32::MAX - 1, i32::MAX])
+                .chain((0..=4_096i64).map(|k| i32::try_from(k * 1_048_573 - (1 << 31)).unwrap()))
+                .collect();
+            for tile in narrow.chunks(64).chain(wide.chunks(1)) {
+                let want = dequantize_by_round(tile, qp);
+                assert_eq!(
+                    dequantize_at_every_rung(tile, qp),
+                    want,
+                    "qp {qp} tile from {}",
+                    tile[0]
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64 * SCALE, ..ProptestConfig::default() })]
+
+        #[test]
+        fn dequantize_equals_the_rounded_product_on_any_input(
+            levels in prop::collection::vec(
+                (any::<i32>(), any::<bool>()).prop_map(|(v, small)| if small { v % 5_000 } else { v }),
+                0..=64,
+            ),
+            qp in 0u8..=51,
+        ) {
+            prop_assert_eq!(dequantize_at_every_rung(&levels, qp), dequantize_by_round(&levels, qp));
         }
     }
 

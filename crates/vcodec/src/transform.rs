@@ -272,7 +272,7 @@ where
 /// two `half`: an OR over the offset values, which vectorizes, in place
 /// of a compare per value.
 #[inline(always)]
-fn within(block: &[i32], half: i32) -> bool {
+pub(crate) fn within(block: &[i32], half: i32) -> bool {
     block.iter().fold(0u32, |acc, &v| acc | v.wrapping_add(half) as u32) < 2 * half as u32
 }
 
