@@ -18,8 +18,8 @@
 //!   [`Measurement`], stage timings, and the bitrate the rate policy
 //!   settled on.
 //! * [`TranscodeError`] replaces the panics of the direct paths with
-//!   typed errors (empty sources, zero bitrates, unreachable quality
-//!   targets, invalid measurements).
+//!   typed errors (empty sources, zero bitrates, GOPs the stream header
+//!   cannot hold, unreachable quality targets, invalid measurements).
 //!
 //! [`Engine`] is the one implementation, and what scenario drivers, the
 //! transcode farm, the ABR ladder, and the CLI all consume. Both backends
@@ -614,6 +614,8 @@ fn resolve_rate(
         return Err(EncodeError::EmptySource.into());
     }
     let backend = req.backend;
+    // A GOP the header cannot hold fails here, before any probe encodes.
+    backend.encoder_config(req, RateControl::ConstQuality { crf: 30.0 }).validate()?;
     Ok(match req.rate {
         RateMode::ConstQuality { crf } => RateControl::ConstQuality { crf },
         RateMode::Bitrate { bps } => RateControl::Bitrate { bps },
@@ -785,6 +787,38 @@ mod tests {
             assert_eq!(transcode(&v, &req).unwrap_err(), zero, "{}", req.backend);
             let mut src = VideoSource::new(&v);
             assert_eq!(transcode_stream(&mut src, &req).unwrap_err(), zero, "{}", req.backend);
+        }
+    }
+
+    #[test]
+    fn gop_outside_the_header_is_a_typed_error_that_is_not_retried() {
+        // A GOP of zero, or one past the header's `u16`, used to panic in
+        // the encoder, which a batch retries. A quality target bisects
+        // with probe encodes before its final one, so it is checked too.
+        let v = clip(3);
+        let target = RateMode::QualityTarget {
+            target_db: 40.0,
+            lo_bps: 50_000,
+            hi_bps: 2_000_000,
+            fallback_bps: None,
+        };
+        for gop in [0, 65_536] {
+            for rate in [RateMode::ConstQuality { crf: 30.0 }, target] {
+                let req =
+                    TranscodeRequest::software(CodecFamily::Avc, Preset::Fast, rate).with_gop(gop);
+                let want = TranscodeError::Encode(EncodeError::InvalidGop(gop));
+                let err = transcode_stream(&mut VideoSource::new(&v), &req).unwrap_err();
+                assert_eq!(err, want, "{rate:?}");
+                assert!(!err.is_retryable());
+                assert_eq!(transcode(&v, &req).unwrap_err(), want, "{rate:?}");
+            }
+        }
+        // Both ends of the range the header holds still encode.
+        for gop in [1, 65_535] {
+            let rate = RateMode::ConstQuality { crf: 30.0 };
+            let req =
+                TranscodeRequest::software(CodecFamily::Avc, Preset::Fast, rate).with_gop(gop);
+            transcode_stream(&mut VideoSource::new(&v), &req).expect("GOP in range");
         }
     }
 

@@ -10,7 +10,7 @@
 use crate::bitio::ReadBitsError;
 use crate::deblock::deblock_plane;
 use crate::entropy::{CtxClass, EntropyDecoder};
-use crate::motion::{average_into, median_predictor, motion_compensate_into, MotionVector};
+use crate::motion::{average_into, motion_compensate_into, MotionVector, MvGrid};
 use crate::predict::{predict_intra_into, IntraMode};
 use crate::syntax::{self, get_quadrant_mode, get_sb_mode, probe_stream, FrameType, SbMode};
 use crate::tile::{reconstruct_tile, Scratch, TILE};
@@ -67,13 +67,12 @@ pub fn decode(bytes: &[u8]) -> Result<Video, DecodeError> {
     let width = info.resolution.width() as usize;
     let height = info.resolution.height() as usize;
     let sb = info.family.superblock_size();
-    let sbs_x = width.div_ceil(sb);
-    let sbs_y = height.div_ceil(sb);
 
     let mut frames: Vec<Option<Frame>> = vec![None; info.frames as usize];
     let mut scratch = Scratch::new(sb);
     let s = &mut scratch;
-    let mut mv_grid: Vec<Option<MotionVector>> = vec![None; sbs_x * sbs_y];
+    let mut mvs = MvGrid::new(width, height, sb);
+    let (sbs_x, sbs_y) = mvs.size();
     // Display indexes of the two most recent reference frames, mirroring
     // the encoder: a B frame predicts forward from `prev_ref` and
     // backward from `cur_ref`.
@@ -87,7 +86,7 @@ pub fn decode(bytes: &[u8]) -> Result<Video, DecodeError> {
         let mut recon_y = Plane::filled(width, height, 128);
         let mut recon_u = Plane::filled(width / 2, height / 2, 128);
         let mut recon_v = Plane::filled(width / 2, height / 2, 128);
-        mv_grid.fill(None);
+        mvs.clear();
         let fwd_frame = match ftype {
             FrameType::Intra => None,
             FrameType::Predicted => {
@@ -112,16 +111,7 @@ pub fn decode(bytes: &[u8]) -> Result<Video, DecodeError> {
             for sbx in 0..sbs_x {
                 let x0 = sbx * sb;
                 let y0 = sby * sb;
-                let grid_at = |dx: isize, dy: isize| -> Option<MotionVector> {
-                    let gx = sbx as isize + dx;
-                    let gy = sby as isize + dy;
-                    if gx < 0 || gy < 0 || gx >= sbs_x as isize || gy >= sbs_y as isize {
-                        None
-                    } else {
-                        mv_grid[gy as usize * sbs_x + gx as usize]
-                    }
-                };
-                let pred_mv = median_predictor(grid_at(-1, 0), grid_at(0, -1), grid_at(1, -1));
+                let pred_mv = mvs.predict(sbx, sby);
                 let read_mv = |dec: &mut EntropyDecoder<'_>, base: MotionVector| {
                     let dx = dec.get_sval(CtxClass::MvX)?;
                     let dy = dec.get_sval(CtxClass::MvY)?;
@@ -129,7 +119,7 @@ pub fn decode(bytes: &[u8]) -> Result<Video, DecodeError> {
                 };
                 let (cx, cy) = (x0 / 2, y0 / 2);
                 let recon = [&mut recon_y, &mut recon_u, &mut recon_v];
-                mv_grid[sby * sbs_x + sbx] = match get_sb_mode(&mut dec, ftype)? {
+                let mv = match get_sb_mode(&mut dec, ftype)? {
                     SbMode::Intra(mode) => {
                         let [recon_y, recon_u, recon_v] = recon;
                         decode_intra_sb(&mut dec, s, mode, x0, y0, qp, recon_y, recon_u, recon_v)?;
@@ -193,6 +183,7 @@ pub fn decode(bytes: &[u8]) -> Result<Video, DecodeError> {
                         Some(first_mv)
                     }
                 };
+                mvs.set(sbx, sby, mv);
             }
         }
 

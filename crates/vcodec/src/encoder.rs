@@ -21,8 +21,7 @@ use crate::deblock::deblock_plane;
 use crate::entropy::{CtxClass, EntropyEncoder};
 use crate::family::{CodecFamily, Preset};
 use crate::motion::{
-    average_into, median_predictor, motion_compensate_into, search, MotionVector, SearchParams,
-    SearchStats,
+    average_into, motion_compensate_into, search, MotionVector, MvGrid, SearchParams, SearchStats,
 };
 use crate::predict::{predict_intra_into, IntraMode};
 use crate::quant::{quantize_into, Deadzone, QP_MAX};
@@ -82,15 +81,27 @@ impl EncoderConfig {
         }
     }
 
-    /// Overrides the keyframe interval.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gop` is zero.
+    /// Overrides the keyframe interval. [`EncoderConfig::validate`]
+    /// rejects one of zero or past the header's `u16`.
     pub fn with_gop(mut self, gop: u32) -> EncoderConfig {
-        assert!(gop > 0, "GOP must be non-zero");
         self.gop = gop;
         self
+    }
+
+    /// The checks [`try_encode`] and [`encode_stream`] run on a
+    /// configuration before any coding.
+    ///
+    /// # Errors
+    ///
+    /// [`EncodeError::ZeroBitrate`] or [`EncodeError::InvalidGop`].
+    pub fn validate(&self) -> Result<(), EncodeError> {
+        if self.rate.target_bps() == Some(0) {
+            return Err(EncodeError::ZeroBitrate);
+        }
+        if self.gop == 0 || self.gop > u32::from(u16::MAX) {
+            return Err(EncodeError::InvalidGop(self.gop));
+        }
+        Ok(())
     }
 
     /// Disables the in-loop deblocking filter (ablation knob).
@@ -190,6 +201,9 @@ pub enum EncodeError {
     EmptySource,
     /// A bitrate-targeting mode was asked to hit zero bits per second.
     ZeroBitrate,
+    /// The keyframe interval is zero, or past the `u16` the stream header
+    /// stores it in.
+    InvalidGop(u32),
     /// A streaming encode was given a resident-frame window smaller than
     /// the configuration's reference/reorder structure needs (see
     /// [`required_window`]).
@@ -206,6 +220,7 @@ impl std::fmt::Display for EncodeError {
         match self {
             EncodeError::EmptySource => f.write_str("source clip has no frames"),
             EncodeError::ZeroBitrate => f.write_str("bitrate target must be non-zero"),
+            EncodeError::InvalidGop(gop) => write!(f, "GOP of {gop} frames outside 1..=65535"),
             EncodeError::WindowTooSmall { required, window } => {
                 write!(f, "window of {window} frames below the {required} this config needs")
             }
@@ -216,6 +231,11 @@ impl std::fmt::Display for EncodeError {
 impl std::error::Error for EncodeError {}
 
 /// Encodes `video` with `config`, without microarchitectural probing.
+///
+/// # Panics
+///
+/// Panics if the GOP is zero or past `u16::MAX`, which [`try_encode`]
+/// returns as an error instead.
 pub fn encode(video: &Video, config: &EncoderConfig) -> EncodeOutput {
     encode_with_probe(video, config, &mut NoProbe)
 }
@@ -226,9 +246,7 @@ pub fn try_encode(video: &Video, config: &EncoderConfig) -> Result<EncodeOutput,
     if video.is_empty() {
         return Err(EncodeError::EmptySource);
     }
-    if config.rate.target_bps() == Some(0) {
-        return Err(EncodeError::ZeroBitrate);
-    }
+    config.validate()?;
     Ok(encode(video, config))
 }
 
@@ -294,8 +312,8 @@ pub struct StreamEncodeOutput {
 ///
 /// # Errors
 ///
-/// [`EncodeError::EmptySource`], [`EncodeError::ZeroBitrate`], or
-/// [`EncodeError::WindowTooSmall`].
+/// [`EncodeError::EmptySource`], an error of
+/// [`EncoderConfig::validate`], or [`EncodeError::WindowTooSmall`].
 pub fn encode_stream(
     source: &mut dyn FrameSource,
     config: &EncoderConfig,
@@ -304,9 +322,7 @@ pub fn encode_stream(
     if source.is_empty() {
         return Err(EncodeError::EmptySource);
     }
-    if config.rate.target_bps() == Some(0) {
-        return Err(EncodeError::ZeroBitrate);
-    }
+    config.validate()?;
     let required = required_window(config);
     if let Some(w) = window {
         if w < required {
@@ -673,11 +689,8 @@ struct FrameEncoder<'cfg> {
     width: usize,
     height: usize,
     sb: usize,
-    /// MV of each coded superblock this frame (None = intra/skip-less),
-    /// used for spatial prediction.
-    mv_grid: Vec<Option<MotionVector>>,
-    sbs_x: usize,
-    sbs_y: usize,
+    /// MV of each coded superblock this frame, for spatial prediction.
+    mvs: MvGrid,
     counters: KernelCounters,
     sb_intra: u64,
     sb_inter: u64,
@@ -691,16 +704,12 @@ struct FrameEncoder<'cfg> {
 impl<'cfg> FrameEncoder<'cfg> {
     fn new(config: &'cfg EncoderConfig, width: usize, height: usize) -> FrameEncoder<'cfg> {
         let sb = config.family.superblock_size();
-        let sbs_x = width.div_ceil(sb);
-        let sbs_y = height.div_ceil(sb);
         FrameEncoder {
             config,
             width,
             height,
             sb,
-            mv_grid: vec![None; sbs_x * sbs_y],
-            sbs_x,
-            sbs_y,
+            mvs: MvGrid::new(width, height, sb),
             counters: KernelCounters::new(),
             sb_intra: 0,
             sb_inter: 0,
@@ -760,13 +769,14 @@ impl<'cfg> FrameEncoder<'cfg> {
         let mut recon_y = Plane::filled(self.width, self.height, 128);
         let mut recon_u = Plane::filled(self.width / 2, self.height / 2, 128);
         let mut recon_v = Plane::filled(self.width / 2, self.height / 2, 128);
-        self.mv_grid.fill(None);
+        self.mvs.clear();
 
         let mut params = self.config.preset.search_params(self.config.family);
         params.lambda = self.lambda(qp);
 
-        for sby in 0..self.sbs_y {
-            for sbx in 0..self.sbs_x {
+        let (sbs_x, sbs_y) = self.mvs.size();
+        for sby in 0..sbs_y {
+            for sbx in 0..sbs_x {
                 let x0 = sbx * self.sb;
                 let y0 = sby * self.sb;
                 let ctx = SbContext {
@@ -788,11 +798,11 @@ impl<'cfg> FrameEncoder<'cfg> {
                         self.encode_intra_sb(&mut enc, &ctx, scratch, ry, ru, rv, probe)
                     }
                     FrameType::Predicted => {
-                        self.encode_inter_sb(&mut enc, &ctx, scratch, ry, ru, rv, probe)
+                        self.encode_inter_sb(&mut enc, &ctx, None, scratch, ry, ru, rv, probe)
                     }
                     FrameType::Bidirectional => {
                         let bwd = bwd_reference.expect("B frame requires a backward reference");
-                        self.encode_b_sb(&mut enc, &ctx, bwd, scratch, ry, ru, rv, probe)
+                        self.encode_inter_sb(&mut enc, &ctx, Some(bwd), scratch, ry, ru, rv, probe)
                     }
                 }
             }
@@ -994,31 +1004,19 @@ impl<'cfg> FrameEncoder<'cfg> {
             probe_region_rows(probe, ctx.recon_base + chroma_off, self.width / 2, cx, cy, cs, true);
         }
         self.sb_intra += 1;
-        self.mv_grid[ctx.sby * self.sbs_x + ctx.sbx] = None;
+        self.mvs.set(ctx.sbx, ctx.sby, None);
     }
 
-    /// Spatial motion-vector predictor for superblock `(sbx, sby)`: the
-    /// median of its left, top and top-right neighbours' vectors.
-    fn predict_mv(&self, sbx: usize, sby: usize) -> MotionVector {
-        let grid_at = |dx: isize, dy: isize| -> Option<MotionVector> {
-            let gx = sbx as isize + dx;
-            let gy = sby as isize + dy;
-            if gx < 0 || gy < 0 || gx >= self.sbs_x as isize || gy >= self.sbs_y as isize {
-                None
-            } else {
-                self.mv_grid[gy as usize * self.sbs_x + gx as usize]
-            }
-        };
-        median_predictor(grid_at(-1, 0), grid_at(0, -1), grid_at(1, -1))
-    }
-
-    /// Inter-codes one superblock on a P frame: skip / inter / split /
-    /// intra, chosen by RD cost.
+    /// Inter-codes one superblock of a P frame, or of a B frame when
+    /// `bwd_ref` is given, choosing by RD cost among skip, forward, split
+    /// and intra on P, and skip, forward, backward, bidirectional and
+    /// whole intra on B.
     #[allow(clippy::too_many_arguments)]
     fn encode_inter_sb(
         &mut self,
         enc: &mut EntropyEncoder,
         ctx: &SbContext<'_>,
+        bwd_ref: Option<&Frame>,
         s: &mut Scratch,
         recon_y: &mut Plane,
         recon_u: &mut Plane,
@@ -1026,294 +1024,193 @@ impl<'cfg> FrameEncoder<'cfg> {
         probe: &mut dyn Probe,
     ) {
         let SbContext { frame, reference, qp, params, x0, y0, sbx, sby, .. } = *ctx;
-        let reference = reference.expect("P frame requires a reference");
+        let fwd_ref = reference.expect("inter frame requires a forward reference");
         let lambda = self.lambda(qp);
         s.orig.load(frame.y(), x0 as isize, y0 as isize);
         probe_region_rows(probe, ADDR_CUR, self.width, x0, y0, self.sb, false);
-        let pred_mv = self.predict_mv(sbx, sby);
+        let pred_mv = self.mvs.predict(sbx, sby);
 
-        // Motion search.
+        // Motion search of every reference, into one set of counters.
         let mut mstats = SearchStats::default();
         let t_mo = self.stage_start();
-        let mres =
-            search(&s.orig, reference.y(), x0, y0, pred_mv, &params, &mut s.cand, &mut mstats);
+        let mut search_in = |r: &Frame| {
+            search(&s.orig, r.y(), x0, y0, pred_mv, &params, &mut s.cand, &mut mstats).mv
+        };
+        let fmv = search_in(fwd_ref);
+        let bwd = bwd_ref.map(|r| (r, search_in(r)));
         self.stage_end(t_mo, |s| &mut s.motion);
         self.counters.record(Kernel::MotionFullPel, mstats.samples);
         probe.kernel(Kernel::MotionFullPel, mstats.samples);
-        // Reference window touched by the search.
-        let win = self.sb + 2 * params.range as usize;
-        probe_region_rows(
-            probe,
-            ctx.ref_base,
-            self.width,
-            x0.saturating_sub(params.range as usize),
-            y0.saturating_sub(params.range as usize),
-            win,
-            false,
-        );
-        report_ratio_branches(
-            probe,
-            BranchSite::SearchAccept,
-            mstats.positions / 6 + 1,
-            mstats.positions,
-            48,
-        );
-
-        // Intra alternative (if it wins, `encode_intra_sb` chooses the
-        // mode again against the same reconstruction).
-        let (_, intra_cost) = self.best_intra_mode(&s.orig, &mut s.intra, recon_y, x0, y0, lambda);
-        motion_compensate_into(reference.y(), x0, y0, mres.mv, &mut s.pred);
-        self.counters.record(Kernel::MotionComp, (self.sb * self.sb) as u64);
-        probe.kernel(Kernel::MotionComp, (self.sb * self.sb) as u64);
-        let inter_d =
-            if params.use_satd { satd(&s.orig, &s.pred) } else { sad(&s.orig, &s.pred) } as f64;
-        let inter_cost = inter_d + lambda * f64::from(mres.mv.cost_bits(pred_mv) + 2);
-        self.counters.record(Kernel::ModeDecision, 32);
-        probe.kernel(Kernel::ModeDecision, 32);
-
-        // Split alternative (quadrant MVs).
-        let try_split = self.config.family.supports_split() && self.config.preset.try_split();
-        let half = self.sb / 2;
-        let quads = [(0, 0), (half, 0), (0, half), (half, half)];
-        let mut split: Option<[MotionVector; 4]> = None;
-        if try_split {
-            let mut mvs = [MotionVector::ZERO; 4];
-            // Partition signalling plus the base MV the quadrant MVDs are
-            // coded against.
-            let mut cost = lambda * f64::from(mres.mv.cost_bits(pred_mv) + 6);
-            for (mv, (qx, qy)) in mvs.iter_mut().zip(quads) {
-                s.qorig.load(frame.y(), (x0 + qx) as isize, (y0 + qy) as isize);
-                let mut qstats = SearchStats::default();
-                let t_mo = self.stage_start();
-                let qres = search(
-                    &s.qorig,
-                    reference.y(),
-                    x0 + qx,
-                    y0 + qy,
-                    mres.mv,
-                    &params,
-                    &mut s.qcand,
-                    &mut qstats,
-                );
-                self.stage_end(t_mo, |s| &mut s.motion);
-                self.counters.record(Kernel::MotionFullPel, qstats.samples);
-                probe.kernel(Kernel::MotionFullPel, qstats.samples);
-                // Re-measure distortion with the same metric the
-                // whole-block alternative uses (the search's internal cost
-                // is SAD-based, which would bias the comparison toward
-                // splitting at presets that decide on SATD).
-                motion_compensate_into(reference.y(), x0 + qx, y0 + qy, qres.mv, &mut s.qpred);
-                self.counters.record(Kernel::MotionComp, (half * half) as u64);
-                let qd = if params.use_satd {
-                    satd(&s.qorig, &s.qpred)
-                } else {
-                    sad(&s.qorig, &s.qpred)
-                };
-                cost += qd as f64 + lambda * f64::from(qres.mv.cost_bits(mres.mv));
-                *mv = qres.mv;
-            }
-            if cost < inter_cost && cost < intra_cost {
-                split = Some(mvs);
-            }
-            probe.branch(BranchSite::SplitTaken, split.is_some());
+        // P reports the reference window the search touched, and below the
+        // whole-block compensation; B never has (the probe streams of both
+        // are pinned).
+        if bwd.is_none() {
+            let range = params.range as usize;
+            let (wx, wy) = (x0.saturating_sub(range), y0.saturating_sub(range));
+            probe_region_rows(probe, ctx.ref_base, self.width, wx, wy, self.sb + 2 * range, false);
         }
+        let positions = mstats.positions;
+        report_ratio_branches(probe, BranchSite::SearchAccept, positions / 6 + 1, positions, 48);
 
-        let intra_wins = split.is_none() && intra_cost < inter_cost * 0.95;
-        probe.branch(BranchSite::ModeIsIntra, intra_wins);
-
-        if intra_wins {
-            self.encode_intra_sb(enc, ctx, s, recon_y, recon_u, recon_v, probe);
-            probe.branch(BranchSite::SkipTaken, false);
-            return;
-        }
-
-        let (cx, cy, cs) = (x0 / 2, y0 / 2, self.sb / 2);
-        if let Some(mvs) = split {
-            self.sb_split += 1;
-            self.sb_inter += 1;
-            put_sb_mode(enc, ctx.ftype, SbMode::Split);
-            probe.branch(BranchSite::SkipTaken, false);
-            // Base MV first (quadrant MVDs are coded relative to it).
-            enc.put_sval(CtxClass::MvX, i64::from(mres.mv.x) - i64::from(pred_mv.x));
-            enc.put_sval(CtxClass::MvY, i64::from(mres.mv.y) - i64::from(pred_mv.y));
-            for (mv, (qx, qy)) in mvs.into_iter().zip(quads) {
-                enc.put_sval(CtxClass::MvX, i64::from(mv.x) - i64::from(mres.mv.x));
-                enc.put_sval(CtxClass::MvY, i64::from(mv.y) - i64::from(mres.mv.y));
-                motion_compensate_into(reference.y(), x0 + qx, y0 + qy, mv, &mut s.qpred);
-                self.counters.record(Kernel::MotionComp, (half * half) as u64);
-                let (qx, qy) = (x0 + qx, y0 + qy);
-                let lev = &mut s.levels[0];
-                self.compute_levels(frame.y(), &s.qpred, qx, qy, qp, Deadzone::Inter, lev);
-                self.emit_levels(enc, recon_y, &s.qpred, qx, qy, qp, lev, probe);
-            }
-            // Chroma rides on the superblock-level MV.
-            s.predict_chroma(reference, x0, y0, mres.mv);
-            let [_, ulev, vlev] = &mut s.levels;
-            for (src, rec, pred, lev) in
-                [(frame.u(), recon_u, &s.upred, ulev), (frame.v(), recon_v, &s.vpred, vlev)]
-            {
-                self.counters.record(Kernel::MotionComp, (cs * cs) as u64);
-                self.compute_levels(src, pred, cx, cy, qp, Deadzone::Inter, lev);
-                self.emit_levels(enc, rec, pred, cx, cy, qp, lev, probe);
-            }
-            self.mv_grid[sby * self.sbs_x + sbx] = Some(mvs[0]);
-            probe_region_rows(probe, ctx.recon_base, self.width, x0, y0, self.sb, true);
-            return;
-        }
-
-        // Whole-SB inter: compute residual, then decide skip vs coded.
-        s.predict_chroma(reference, x0, y0, mres.mv);
-        let [ylev, ulev, vlev] = &mut s.levels;
-        self.compute_levels(frame.y(), &s.pred, x0, y0, qp, Deadzone::Inter, ylev);
-        self.counters.record(Kernel::MotionComp, 2 * (cs * cs) as u64);
-        self.compute_levels(frame.u(), &s.upred, cx, cy, qp, Deadzone::Inter, ulev);
-        self.compute_levels(frame.v(), &s.vpred, cx, cy, qp, Deadzone::Inter, vlev);
-
-        let can_skip = mres.mv == pred_mv && !s.levels.iter().any(Levels::any_nonzero);
-        probe.branch(BranchSite::SkipTaken, can_skip);
-        if can_skip {
-            self.sb_skip += 1;
-            put_sb_mode(enc, ctx.ftype, SbMode::Skip);
-            s.pred.paste_into(recon_y, x0, y0);
-            s.upred.paste_into(recon_u, cx, cy);
-            s.vpred.paste_into(recon_v, cx, cy);
-        } else {
-            self.sb_inter += 1;
-            put_sb_mode(enc, ctx.ftype, SbMode::Forward);
-            enc.put_sval(CtxClass::MvX, i64::from(mres.mv.x) - i64::from(pred_mv.x));
-            enc.put_sval(CtxClass::MvY, i64::from(mres.mv.y) - i64::from(pred_mv.y));
-            let [ylev, ulev, vlev] = &s.levels;
-            self.emit_levels(enc, recon_y, &s.pred, x0, y0, qp, ylev, probe);
-            self.emit_levels(enc, recon_u, &s.upred, cx, cy, qp, ulev, probe);
-            self.emit_levels(enc, recon_v, &s.vpred, cx, cy, qp, vlev, probe);
-        }
-        probe_region_rows(probe, ctx.recon_base, self.width, x0, y0, self.sb, true);
-        self.mv_grid[sby * self.sbs_x + sbx] = Some(mres.mv);
-    }
-
-    /// Codes one superblock of a B frame: skip-direct / forward / backward
-    /// / bidirectional / intra, chosen by RD cost. Intra never splits here.
-    #[allow(clippy::too_many_arguments)]
-    fn encode_b_sb(
-        &mut self,
-        enc: &mut EntropyEncoder,
-        ctx: &SbContext<'_>,
-        bwd_ref: &Frame,
-        s: &mut Scratch,
-        recon_y: &mut Plane,
-        recon_u: &mut Plane,
-        recon_v: &mut Plane,
-        probe: &mut dyn Probe,
-    ) {
-        let SbContext { frame, reference, qp, params, x0, y0, sbx, sby, .. } = *ctx;
-        let fwd_ref = reference.expect("B frame requires a forward reference");
-        let lambda = self.lambda(qp);
-        s.orig.load(frame.y(), x0 as isize, y0 as isize);
-        probe_region_rows(probe, ADDR_CUR, self.width, x0, y0, self.sb, false);
-        let pred_mv = self.predict_mv(sbx, sby);
-
-        // Search both directions.
-        let mut stats_f = SearchStats::default();
-        let mut stats_b = SearchStats::default();
-        let t_mo = self.stage_start();
-        let fres =
-            search(&s.orig, fwd_ref.y(), x0, y0, pred_mv, &params, &mut s.cand, &mut stats_f);
-        let bres =
-            search(&s.orig, bwd_ref.y(), x0, y0, pred_mv, &params, &mut s.cand, &mut stats_b);
-        self.stage_end(t_mo, |s| &mut s.motion);
-        self.counters.record(Kernel::MotionFullPel, stats_f.samples + stats_b.samples);
-        probe.kernel(Kernel::MotionFullPel, stats_f.samples + stats_b.samples);
-        report_ratio_branches(
-            probe,
-            BranchSite::SearchAccept,
-            (stats_f.positions + stats_b.positions) / 6 + 1,
-            stats_f.positions + stats_b.positions,
-            48,
-        );
-
+        // Price each candidate: distortion plus λ · (vector bits + mode
+        // bits), the mode costing 2 bits on P, 3 on B and 4 bidirectional.
         let distort = |orig: &Block, pred: &Block| -> f64 {
             let d = if params.use_satd { satd(orig, pred) } else { sad(orig, pred) };
             d as f64
         };
-        motion_compensate_into(fwd_ref.y(), x0, y0, fres.mv, &mut s.pred);
-        motion_compensate_into(bwd_ref.y(), x0, y0, bres.mv, &mut s.pred_b);
-        self.counters.record(Kernel::MotionComp, 2 * (self.sb * self.sb) as u64);
+        let mode_bits = if bwd.is_some() { 3 } else { 2 };
+        motion_compensate_into(fwd_ref.y(), x0, y0, fmv, &mut s.pred);
         let fwd_cost =
-            distort(&s.orig, &s.pred) + lambda * f64::from(fres.mv.cost_bits(pred_mv) + 3);
-        let bwd_cost =
-            distort(&s.orig, &s.pred_b) + lambda * f64::from(bres.mv.cost_bits(pred_mv) + 3);
-        // Bidirectional average: worth trying from Medium up.
-        let bi_cost = self.config.preset.try_split().then(|| {
-            average_into(&s.pred, &s.pred_b, &mut s.pred_bi);
-            distort(&s.orig, &s.pred_bi)
-                + lambda * f64::from(fres.mv.cost_bits(pred_mv) + bres.mv.cost_bits(pred_mv) + 4)
-        });
-        let (intra_mode, intra_cost) =
-            self.best_intra_mode(&s.orig, &mut s.intra, recon_y, x0, y0, lambda);
-        self.counters.record(Kernel::ModeDecision, 48);
-        probe.kernel(Kernel::ModeDecision, 48);
-
-        // Pick the winner.
+            distort(&s.orig, &s.pred) + lambda * f64::from(fmv.cost_bits(pred_mv) + mode_bits);
         let mut best = (SbMode::Forward, fwd_cost);
-        if bwd_cost < best.1 {
-            best = (SbMode::Backward, bwd_cost);
-        }
-        if let Some(c) = bi_cost {
-            if c < best.1 {
-                best = (SbMode::Bi, c);
+        if let Some((bwd_ref, bmv)) = bwd {
+            motion_compensate_into(bwd_ref.y(), x0, y0, bmv, &mut s.pred_b);
+            let cost = distort(&s.orig, &s.pred_b) + lambda * f64::from(bmv.cost_bits(pred_mv) + 3);
+            if cost < best.1 {
+                best = (SbMode::Backward, cost);
+            }
+            // Bidirectional average: worth trying from Medium up.
+            if self.config.preset.try_split() {
+                average_into(&s.pred, &s.pred_b, &mut s.pred_bi);
+                let bits = fmv.cost_bits(pred_mv) + bmv.cost_bits(pred_mv) + 4;
+                let cost = distort(&s.orig, &s.pred_bi) + lambda * f64::from(bits);
+                if cost < best.1 {
+                    best = (SbMode::Bi, cost);
+                }
             }
         }
-        if intra_cost < best.1 * 0.95 {
-            best = (SbMode::Intra(intra_mode), intra_cost);
+        let refs = 1 + u64::from(bwd.is_some());
+        let area = (self.sb * self.sb) as u64;
+        self.counters.record(Kernel::MotionComp, refs * area);
+        if bwd.is_none() {
+            probe.kernel(Kernel::MotionComp, area);
+        }
+        let (intra_mode, intra_cost) =
+            self.best_intra_mode(&s.orig, &mut s.intra, recon_y, x0, y0, lambda);
+        self.counters.record(Kernel::ModeDecision, 16 + 16 * refs);
+        probe.kernel(Kernel::ModeDecision, 16 + 16 * refs);
+
+        // Split (P only): one vector per quadrant, searched from and coded
+        // against the whole-block one. It must beat intra outright.
+        let half = self.sb / 2;
+        let quads = [(0, 0), (half, 0), (0, half), (half, half)];
+        let mut qmvs = [MotionVector::ZERO; 4];
+        if bwd.is_none() && self.config.family.supports_split() && self.config.preset.try_split() {
+            // Partition signalling plus the base vector.
+            let mut cost = lambda * f64::from(fmv.cost_bits(pred_mv) + 6);
+            for (mv, (qx, qy)) in qmvs.iter_mut().zip(quads) {
+                let (qx, qy) = (x0 + qx, y0 + qy);
+                s.qorig.load(frame.y(), qx as isize, qy as isize);
+                let mut qstats = SearchStats::default();
+                let t_mo = self.stage_start();
+                let qres =
+                    search(&s.qorig, fwd_ref.y(), qx, qy, fmv, &params, &mut s.qcand, &mut qstats);
+                self.stage_end(t_mo, |s| &mut s.motion);
+                self.counters.record(Kernel::MotionFullPel, qstats.samples);
+                probe.kernel(Kernel::MotionFullPel, qstats.samples);
+                // Re-measure distortion with the whole-block metric (the
+                // search's own cost is SAD, which would bias the choice
+                // toward splitting at presets that decide on SATD).
+                motion_compensate_into(fwd_ref.y(), qx, qy, qres.mv, &mut s.qpred);
+                self.counters.record(Kernel::MotionComp, (half * half) as u64);
+                cost += distort(&s.qorig, &s.qpred) + lambda * f64::from(qres.mv.cost_bits(fmv));
+                *mv = qres.mv;
+            }
+            let split_wins = cost < best.1 && cost < intra_cost;
+            if split_wins {
+                best = (SbMode::Split, cost);
+            }
+            probe.branch(BranchSite::SplitTaken, split_wins);
+        }
+        if best.0 != SbMode::Split && intra_cost < best.1 * 0.95 {
+            best.0 = SbMode::Intra(intra_mode);
         }
         probe.branch(BranchSite::ModeIsIntra, matches!(best.0, SbMode::Intra(_)));
 
-        // Build the luma/chroma predictions of the chosen inter mode: the
-        // luma one was made for the cost above, chroma follows at half
-        // the vector.
         let (cx, cy, cs) = (x0 / 2, y0 / 2, self.sb / 2);
-        let both_mvs = [fres.mv, bres.mv];
+        let both = [fmv, bwd.map_or(fmv, |(_, mv)| mv)];
         let (luma_pred, mvs): (&Block, &[MotionVector]) = match best.0 {
-            SbMode::Intra(intra_mode) => {
-                put_sb_mode(enc, ctx.ftype, best.0);
-                predict_intra_into(recon_y, x0, y0, intra_mode, &mut s.intra);
-                let [ylev, clev, _] = &mut s.levels;
-                self.compute_levels(frame.y(), &s.intra, x0, y0, qp, Deadzone::Intra, ylev);
-                self.emit_levels(enc, recon_y, &s.intra, x0, y0, qp, ylev, probe);
-                for (src, rec) in [(frame.u(), &mut *recon_u), (frame.v(), &mut *recon_v)] {
-                    predict_intra_into(rec, cx, cy, intra_mode, &mut s.qpred);
-                    self.compute_levels(src, &s.qpred, cx, cy, qp, Deadzone::Intra, clev);
-                    self.emit_levels(enc, rec, &s.qpred, cx, cy, qp, clev, probe);
+            SbMode::Intra(mode) => {
+                if bwd.is_none() {
+                    // P chooses the intra mode again, perhaps split,
+                    // against the same reconstruction.
+                    self.encode_intra_sb(enc, ctx, s, recon_y, recon_u, recon_v, probe);
+                } else {
+                    // B codes the mode it priced, whole.
+                    put_sb_mode(enc, ctx.ftype, best.0);
+                    predict_intra_into(recon_y, x0, y0, mode, &mut s.intra);
+                    let [ylev, clev, _] = &mut s.levels;
+                    self.compute_levels(frame.y(), &s.intra, x0, y0, qp, Deadzone::Intra, ylev);
+                    self.emit_levels(enc, recon_y, &s.intra, x0, y0, qp, ylev, probe);
+                    for (src, rec) in [(frame.u(), &mut *recon_u), (frame.v(), &mut *recon_v)] {
+                        predict_intra_into(rec, cx, cy, mode, &mut s.qpred);
+                        self.compute_levels(src, &s.qpred, cx, cy, qp, Deadzone::Intra, clev);
+                        self.emit_levels(enc, rec, &s.qpred, cx, cy, qp, clev, probe);
+                    }
+                    self.sb_intra += 1;
+                    self.mvs.set(sbx, sby, None);
                 }
-                self.sb_intra += 1;
-                self.mv_grid[sby * self.sbs_x + sbx] = None;
                 probe.branch(BranchSite::SkipTaken, false);
                 return;
             }
+            SbMode::Split => {
+                self.sb_split += 1;
+                self.sb_inter += 1;
+                put_sb_mode(enc, ctx.ftype, SbMode::Split);
+                probe.branch(BranchSite::SkipTaken, false);
+                // Base vector first; the quadrants' are coded against it.
+                enc.put_sval(CtxClass::MvX, i64::from(fmv.x) - i64::from(pred_mv.x));
+                enc.put_sval(CtxClass::MvY, i64::from(fmv.y) - i64::from(pred_mv.y));
+                for (mv, (qx, qy)) in qmvs.into_iter().zip(quads) {
+                    enc.put_sval(CtxClass::MvX, i64::from(mv.x) - i64::from(fmv.x));
+                    enc.put_sval(CtxClass::MvY, i64::from(mv.y) - i64::from(fmv.y));
+                    let (qx, qy) = (x0 + qx, y0 + qy);
+                    motion_compensate_into(fwd_ref.y(), qx, qy, mv, &mut s.qpred);
+                    self.counters.record(Kernel::MotionComp, (half * half) as u64);
+                    let lev = &mut s.levels[0];
+                    self.compute_levels(frame.y(), &s.qpred, qx, qy, qp, Deadzone::Inter, lev);
+                    self.emit_levels(enc, recon_y, &s.qpred, qx, qy, qp, lev, probe);
+                }
+                // Chroma rides on the base vector.
+                s.predict_chroma(fwd_ref, x0, y0, fmv);
+                let [_, ulev, vlev] = &mut s.levels;
+                for (src, rec, pred, lev) in
+                    [(frame.u(), recon_u, &s.upred, ulev), (frame.v(), recon_v, &s.vpred, vlev)]
+                {
+                    self.counters.record(Kernel::MotionComp, (cs * cs) as u64);
+                    self.compute_levels(src, pred, cx, cy, qp, Deadzone::Inter, lev);
+                    self.emit_levels(enc, rec, pred, cx, cy, qp, lev, probe);
+                }
+                self.mvs.set(sbx, sby, Some(qmvs[0]));
+                probe_region_rows(probe, ctx.recon_base, self.width, x0, y0, self.sb, true);
+                return;
+            }
             SbMode::Forward => {
-                s.predict_chroma(fwd_ref, x0, y0, fres.mv);
-                (&s.pred, &both_mvs[..1])
+                s.predict_chroma(fwd_ref, x0, y0, fmv);
+                (&s.pred, &both[..1])
             }
             SbMode::Backward => {
-                s.predict_chroma(bwd_ref, x0, y0, bres.mv);
-                (&s.pred_b, &both_mvs[1..])
+                let (bwd_ref, bmv) = bwd.expect("backward is priced on B frames only");
+                s.predict_chroma(bwd_ref, x0, y0, bmv);
+                (&s.pred_b, &both[1..])
             }
             SbMode::Bi => {
-                s.predict_chroma_bi((fwd_ref, fres.mv), (bwd_ref, bres.mv), x0, y0);
-                (&s.pred_bi, &both_mvs[..])
+                let bwd = bwd.expect("bidirectional is priced on B frames only");
+                s.predict_chroma_bi((fwd_ref, fmv), bwd, x0, y0);
+                (&s.pred_bi, &both[..])
             }
-            _ => unreachable!("a B superblock is forward, backward, bi or intra"),
+            SbMode::Skip | SbMode::IntraSplit => unreachable!("never priced"),
         };
-        self.counters.record(Kernel::MotionComp, 2 * (cs * cs) as u64);
 
+        // One tail for every single-prediction mode: levels, then skip
+        // (forward at the predicted vector with no residual) or coded.
+        self.counters.record(Kernel::MotionComp, 2 * (cs * cs) as u64);
         let [ylev, ulev, vlev] = &mut s.levels;
         self.compute_levels(frame.y(), luma_pred, x0, y0, qp, Deadzone::Inter, ylev);
         self.compute_levels(frame.u(), &s.upred, cx, cy, qp, Deadzone::Inter, ulev);
         self.compute_levels(frame.v(), &s.vpred, cx, cy, qp, Deadzone::Inter, vlev);
-
-        // Skip-direct: forward prediction at the predictor MV, no residual.
         let can_skip = best.0 == SbMode::Forward
-            && mvs[0] == pred_mv
+            && fmv == pred_mv
             && !s.levels.iter().any(Levels::any_nonzero);
         probe.branch(BranchSite::SkipTaken, can_skip);
         if can_skip {
@@ -1335,7 +1232,7 @@ impl<'cfg> FrameEncoder<'cfg> {
             self.emit_levels(enc, recon_v, &s.vpred, cx, cy, qp, vlev, probe);
         }
         probe_region_rows(probe, ctx.recon_base, self.width, x0, y0, self.sb, true);
-        self.mv_grid[sby * self.sbs_x + sbx] = Some(mvs[0]);
+        self.mvs.set(sbx, sby, Some(mvs[0]));
     }
 }
 
@@ -1681,6 +1578,25 @@ mod tests {
             encode_stream(&mut src, &cfg, Some(2)).unwrap_err(),
             EncodeError::WindowTooSmall { required: 3, window: 2 }
         );
+    }
+
+    #[test]
+    fn gop_outside_the_header_is_rejected_before_coding() {
+        let v = tiny_video(2);
+        for gop in [0, u32::from(u16::MAX) + 1] {
+            let cfg = EncoderConfig::new(
+                CodecFamily::Avc,
+                Preset::UltraFast,
+                RateControl::ConstQuality { crf: 30.0 },
+            )
+            .with_gop(gop);
+            assert_eq!(try_encode(&v, &cfg).unwrap_err(), EncodeError::InvalidGop(gop));
+            let mut src = VideoSource::new(&v);
+            assert_eq!(
+                encode_stream(&mut src, &cfg, None).unwrap_err(),
+                EncodeError::InvalidGop(gop)
+            );
+        }
     }
 
     #[test]

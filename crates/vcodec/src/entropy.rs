@@ -558,25 +558,21 @@ mod tests {
             let mut enc = EntropyEncoder::new(backend);
             enc.put_coeff_block(TransformSize::T8, &sample_block());
             enc.put_coeff_block(TransformSize::T8, &vec![0i32; 64]);
-            let mut four = vec![0i32; 16];
-            four[5] = -42;
-            enc.put_coeff_block(TransformSize::T4, &four);
             let bytes = enc.finish();
             let mut dec = EntropyDecoder::new(backend, &bytes);
             assert_eq!(dec.get_coeff_block(TransformSize::T8).unwrap(), sample_block());
             assert_eq!(dec.get_coeff_block(TransformSize::T8).unwrap(), vec![0i32; 64]);
-            assert_eq!(dec.get_coeff_block(TransformSize::T4).unwrap(), four);
         }
     }
 
     /// Oracle: the coefficient syntax one element at a time through the
     /// public calls, as `put_coeff_block` coded it before it chose the
     /// backend once per block.
-    fn put_coeff_block_per_element(enc: &mut EntropyEncoder, size: TransformSize, levels: &[i32]) {
+    fn put_coeff_block_per_element(enc: &mut EntropyEncoder, levels: &[i32]) {
         let coded = levels.iter().filter(|&&l| l != 0).count();
         enc.put_flag(CtxClass::CodedFlag, coded > 0);
         let (mut prev, mut remaining) = (0usize, coded);
-        for (si, &pos) in zigzag(size).iter().enumerate() {
+        for (si, &pos) in zigzag(TransformSize::T8).iter().enumerate() {
             if remaining == 0 {
                 break;
             }
@@ -594,7 +590,7 @@ mod tests {
     }
 
     proptest! {
-        // Sparse, medium and dense 4×4 and 8×8 blocks, their levels mostly
+        // Sparse, medium and dense 8×8 blocks, their levels mostly
         // small, some up to 3 000 and some of any `i32` magnitude (from
         // 2^25 up, a coefficient's fused VLC field passes 64 bits). The
         // bit counts agree after every block and the bytes at the end, so
@@ -602,20 +598,15 @@ mod tests {
         #[test]
         fn coeff_blocks_equal_the_per_element_syntax(
             blocks in prop::collection::vec(
-                (
-                    any::<bool>(),
-                    0usize..3,
-                    prop::collection::vec((any::<i32>(), 0u8..16), 64),
-                ),
+                (0usize..3, prop::collection::vec((any::<i32>(), 0u8..16), 64)),
                 1..12,
             ),
         ) {
-            let blocks: Vec<(TransformSize, Vec<i32>)> = blocks
+            let blocks: Vec<Vec<i32>> = blocks
                 .into_iter()
-                .map(|(four, density, entries)| {
-                    let size = if four { TransformSize::T4 } else { TransformSize::T8 };
+                .map(|(density, entries)| {
                     let keep = [1, 4, 16][density];
-                    let levels = entries[..size.area()]
+                    entries
                         .iter()
                         .map(|&(v, kind)| match kind {
                             k if k >= keep => 0,
@@ -623,15 +614,14 @@ mod tests {
                             k if k % 4 == 2 => v % 3_000,
                             _ => v,
                         })
-                        .collect();
-                    (size, levels)
+                        .collect()
                 })
                 .collect();
             for backend in BACKENDS {
                 let (mut got, mut want) = (EntropyEncoder::new(backend), EntropyEncoder::new(backend));
-                for (size, levels) in &blocks {
-                    got.put_coeff_block(*size, levels);
-                    put_coeff_block_per_element(&mut want, *size, levels);
+                for levels in &blocks {
+                    got.put_coeff_block(TransformSize::T8, levels);
+                    put_coeff_block_per_element(&mut want, levels);
                     prop_assert_eq!(got.bits_written(), want.bits_written(), "{:?}", backend);
                 }
                 prop_assert_eq!(got.finish(), want.finish(), "{:?}", backend);

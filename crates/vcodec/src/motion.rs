@@ -71,6 +71,50 @@ pub fn median_predictor(
     MotionVector { x: upper_median(|m| m.x), y: upper_median(|m| m.y) }
 }
 
+/// The vectors of one frame's coded superblocks in raster order (`None`
+/// for intra), and the spatial predictor read from them. The encoder and
+/// the decoder each keep one, so both predict every vector from the same
+/// neighbours.
+pub(crate) struct MvGrid {
+    cols: usize,
+    rows: usize,
+    mvs: Vec<Option<MotionVector>>,
+}
+
+impl MvGrid {
+    /// An empty grid of the `sb`-sized superblocks covering a
+    /// `width × height` picture.
+    pub(crate) fn new(width: usize, height: usize, sb: usize) -> MvGrid {
+        let (cols, rows) = (width.div_ceil(sb), height.div_ceil(sb));
+        MvGrid { cols, rows, mvs: vec![None; cols * rows] }
+    }
+
+    /// Superblock columns and rows.
+    pub(crate) fn size(&self) -> (usize, usize) {
+        (self.cols, self.rows)
+    }
+
+    /// Forgets every vector: a new frame starts.
+    pub(crate) fn clear(&mut self) {
+        self.mvs.fill(None);
+    }
+
+    /// Files superblock `(x, y)`'s vector.
+    pub(crate) fn set(&mut self, x: usize, y: usize, mv: Option<MotionVector>) {
+        self.mvs[y * self.cols + x] = mv;
+    }
+
+    /// The predictor for superblock `(x, y)`: the [`median_predictor`] of
+    /// its left, top and top-right neighbours.
+    pub(crate) fn predict(&self, x: usize, y: usize) -> MotionVector {
+        let at = |dx: isize, dy: isize| {
+            let (gx, gy) = (x.checked_add_signed(dx)?, y.checked_add_signed(dy)?);
+            (gx < self.cols && gy < self.rows).then(|| self.mvs[gy * self.cols + gx]).flatten()
+        };
+        median_predictor(at(-1, 0), at(0, -1), at(1, -1))
+    }
+}
+
 /// [`motion_compensate`] into a caller-owned block, whose size is the
 /// prediction's.
 pub(crate) fn motion_compensate_into(
@@ -817,6 +861,27 @@ mod tests {
         assert_eq!(median_predictor(None, None, None), MotionVector::ZERO);
         assert_eq!(median_predictor(Some(a), None, None), a);
         assert_eq!(median_predictor(Some(a), Some(b), Some(c)), MotionVector::new(4, 4));
+    }
+
+    #[test]
+    fn grid_predicts_from_the_neighbours_inside_the_picture() {
+        // 40×20 in 16-sample superblocks: 3 columns, 2 rows.
+        let mut grid = MvGrid::new(40, 20, 16);
+        assert_eq!(grid.size(), (3, 2));
+        let mv = |x, y| MotionVector::new(x, y);
+        grid.set(0, 0, Some(mv(4, 0)));
+        grid.set(1, 0, Some(mv(8, 4)));
+        grid.set(2, 0, Some(mv(0, 8)));
+        grid.set(0, 1, Some(mv(-4, -4)));
+        assert_eq!(grid.predict(0, 0), MotionVector::ZERO);
+        // Left only; top and top-right at the left edge; all three.
+        assert_eq!(grid.predict(1, 0), mv(4, 0));
+        assert_eq!(grid.predict(0, 1), mv(8, 4));
+        assert_eq!(grid.predict(1, 1), mv(0, 4));
+        // The right edge has no top-right neighbour.
+        assert_eq!(grid.predict(2, 1), median_predictor(None, Some(mv(0, 8)), None));
+        grid.clear();
+        assert_eq!(grid.predict(1, 1), MotionVector::ZERO);
     }
 
     #[test]

@@ -61,9 +61,9 @@ impl Deadzone {
 
 /// Largest coefficient magnitude the multiply-shift quantizer covers. The
 /// forward transform of a residual in `[-255, 255]` peaks at 2 039 (its DC
-/// term) at 8×8 and lower at 4×4, so every coefficient the encoder forms
-/// is inside; larger magnitudes, which only direct callers of [`quantize`]
-/// can pass, divide there.
+/// term), so every coefficient the encoder forms is inside; larger
+/// magnitudes, which only direct callers of [`quantize`] can pass, divide
+/// there.
 pub(crate) const REACH: u32 = 1 << 11;
 
 /// Fraction bits of the multiply-shift: the largest for which every

@@ -18,9 +18,7 @@ const SCALE_BITS: i32 = 12;
 /// Supported transform sizes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum TransformSize {
-    /// 4×4 transform (small-detail blocks).
-    T4,
-    /// 8×8 transform (the workhorse size).
+    /// 8×8 transform, the size every residual tile is coded at.
     T8,
 }
 
@@ -29,7 +27,6 @@ impl TransformSize {
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         match self {
-            TransformSize::T4 => 4,
             TransformSize::T8 => 8,
         }
     }
@@ -40,18 +37,9 @@ impl TransformSize {
     }
 }
 
-/// The 4-point DCT-II basis scaled by 2^12, `B4[k][j]`: frequency `k`
+/// The 8-point DCT-II basis scaled by 2^12, `B8[k][j]`: frequency `k`
 /// at sample `j`. Row `k` is symmetric in `j` for even `k` and
 /// antisymmetric for odd `k`, which the kernels below rely on.
-const B4: [[i16; 4]; 4] = [
-    [2048, 2048, 2048, 2048],
-    [2676, 1108, -1108, -2676],
-    [2048, -2048, -2048, 2048],
-    [1108, -2676, 2676, -1108],
-];
-
-/// The 8-point DCT-II basis scaled by 2^12 (same layout and symmetry as
-/// [`B4`]; its even rows are the 4-point pattern again).
 const B8: [[i16; 8]; 8] = [
     [1448, 1448, 1448, 1448, 1448, 1448, 1448, 1448],
     [2009, 1703, 1138, 400, -400, -1138, -1703, -2009],
@@ -145,29 +133,6 @@ trait Kernel<const N: usize> {
 struct Fwd;
 /// Its inverse.
 struct Inv;
-
-impl Kernel<4> for Fwd {
-    #[inline]
-    fn apply<S: Sample>(x: [S; 4]) -> [i32; 4] {
-        let (s0, s1, d0, d1) = (x[0] + x[3], x[1] + x[2], x[0] - x[3], x[1] - x[2]);
-        [
-            S::round_shift((s0 + s1).times(B4[0][0])),
-            S::round_shift(d0.times(B4[1][0]) + d1.times(B4[1][1])),
-            S::round_shift((s0 - s1).times(B4[2][0])),
-            S::round_shift(d0.times(B4[3][0]) + d1.times(B4[3][1])),
-        ]
-    }
-}
-
-impl Kernel<4> for Inv {
-    #[inline]
-    fn apply<S: Sample>(y: [S; 4]) -> [i32; 4] {
-        let (e0, e1) = ((y[0] + y[2]).times(B4[0][0]), (y[0] - y[2]).times(B4[0][0]));
-        let o0 = y[1].times(B4[1][0]) + y[3].times(B4[3][0]);
-        let o1 = y[1].times(B4[1][1]) + y[3].times(B4[3][1]);
-        [e0 + o0, e1 + o1, e1 - o1, e0 - o0].map(S::round_shift)
-    }
-}
 
 impl Kernel<8> for Fwd {
     #[inline]
@@ -335,7 +300,6 @@ vframe::isa::multiversion! {
 pub fn fdct(size: TransformSize, input: &[i32]) -> Vec<i32> {
     assert_eq!(input.len(), size.area(), "input must be {0}x{0}", size.len());
     match size {
-        TransformSize::T4 => forward::<4>(input).as_flattened().to_vec(),
         TransformSize::T8 => forward::<8>(input).as_flattened().to_vec(),
     }
 }
@@ -348,7 +312,6 @@ pub fn fdct(size: TransformSize, input: &[i32]) -> Vec<i32> {
 pub fn idct(size: TransformSize, coeffs: &[i32]) -> Vec<i32> {
     assert_eq!(coeffs.len(), size.area(), "coeffs must be {0}x{0}", size.len());
     match size {
-        TransformSize::T4 => inverse::<4>(coeffs).as_flattened().to_vec(),
         TransformSize::T8 => inverse::<8>(coeffs).as_flattened().to_vec(),
     }
 }
@@ -385,7 +348,6 @@ pub fn zigzag_order(n: usize) -> Vec<usize> {
     order
 }
 
-const ZIGZAG4: [usize; 16] = [0, 1, 4, 8, 5, 2, 3, 6, 9, 12, 13, 10, 7, 11, 14, 15];
 #[rustfmt::skip]
 const ZIGZAG8: [usize; 64] = [
     0, 1, 8, 16, 9, 2, 3, 10, 17, 24, 32, 25, 18, 11, 4, 5,
@@ -398,7 +360,6 @@ const ZIGZAG8: [usize; 64] = [
 /// table).
 pub fn zigzag(size: TransformSize) -> &'static [usize] {
     match size {
-        TransformSize::T4 => &ZIGZAG4,
         TransformSize::T8 => &ZIGZAG8,
     }
 }
@@ -422,7 +383,7 @@ mod tests {
     }
 
     /// Oracle: the DCT-II basis computed in floating point and rounded,
-    /// which the `B4`/`B8` tables must equal entry for entry.
+    /// which the `B8` table must equal entry for entry.
     fn computed_basis(n: usize) -> Vec<i64> {
         let nf = n as f64;
         let mut m = vec![0i64; n * n];
@@ -482,34 +443,14 @@ mod tests {
     /// passes — one line at a time through a scalar 1-D kernel in `i64`,
     /// the column pass reading and writing with a stride.
     mod strided {
-        use super::super::{B4, B8, SCALE_BITS};
+        use super::super::{B8, SCALE_BITS};
 
         fn round_shift(v: i64) -> i32 {
             ((v + (1 << (SCALE_BITS - 1))) >> SCALE_BITS) as i32
         }
 
-        fn b4(k: usize, j: usize) -> i64 {
-            i64::from(B4[k][j])
-        }
-
         fn b8(k: usize, j: usize) -> i64 {
             i64::from(B8[k][j])
-        }
-
-        fn fwd4(x: [i64; 4]) -> [i32; 4] {
-            let (s0, s1, d0, d1) = (x[0] + x[3], x[1] + x[2], x[0] - x[3], x[1] - x[2]);
-            [
-                round_shift(b4(0, 0) * (s0 + s1)),
-                round_shift(b4(1, 0) * d0 + b4(1, 1) * d1),
-                round_shift(b4(2, 0) * (s0 - s1)),
-                round_shift(b4(3, 0) * d0 + b4(3, 1) * d1),
-            ]
-        }
-
-        fn inv4(y: [i64; 4]) -> [i32; 4] {
-            let (e0, e1) = (b4(0, 0) * (y[0] + y[2]), b4(0, 0) * (y[0] - y[2]));
-            let (o0, o1) = (b4(1, 0) * y[1] + b4(3, 0) * y[3], b4(1, 1) * y[1] + b4(3, 1) * y[3]);
-            [round_shift(e0 + o0), round_shift(e1 + o1), round_shift(e1 - o1), round_shift(e0 - o0)]
         }
 
         fn fwd8(x: [i64; 8]) -> [i32; 8] {
@@ -560,27 +501,17 @@ mod tests {
             }
         }
 
-        pub fn fdct(n: usize, input: &[i32]) -> Vec<i32> {
-            let (mut tmp, mut out) = (vec![0; n * n], vec![0; n * n]);
-            if n == 4 {
-                pass::<4>(input, &mut tmp, 4, 1, fwd4);
-                pass::<4>(&tmp, &mut out, 1, 4, fwd4);
-            } else {
-                pass::<8>(input, &mut tmp, 8, 1, fwd8);
-                pass::<8>(&tmp, &mut out, 1, 8, fwd8);
-            }
+        pub fn fdct(input: &[i32]) -> Vec<i32> {
+            let (mut tmp, mut out) = (vec![0; 64], vec![0; 64]);
+            pass::<8>(input, &mut tmp, 8, 1, fwd8);
+            pass::<8>(&tmp, &mut out, 1, 8, fwd8);
             out
         }
 
-        pub fn idct(n: usize, coeffs: &[i32]) -> Vec<i32> {
-            let (mut tmp, mut out) = (vec![0; n * n], vec![0; n * n]);
-            if n == 4 {
-                pass::<4>(coeffs, &mut tmp, 1, 4, inv4);
-                pass::<4>(&tmp, &mut out, 4, 1, inv4);
-            } else {
-                pass::<8>(coeffs, &mut tmp, 1, 8, inv8);
-                pass::<8>(&tmp, &mut out, 8, 1, inv8);
-            }
+        pub fn idct(coeffs: &[i32]) -> Vec<i32> {
+            let (mut tmp, mut out) = (vec![0; 64], vec![0; 64]);
+            pass::<8>(coeffs, &mut tmp, 1, 8, inv8);
+            pass::<8>(&tmp, &mut out, 8, 1, inv8);
             out
         }
     }
@@ -629,53 +560,33 @@ mod tests {
         }
 
         #[test]
-        fn fdct4_equals_the_matrix_product(input in prop::collection::vec(-255i32..=255, 16)) {
-            prop_assert_eq!(fdct(TransformSize::T4, &input), fdct_matrix(4, &input));
-        }
-
-        #[test]
         fn idct8_equals_the_matrix_product_on_any_input(coeffs in coeff_strategy(8)) {
             prop_assert_eq!(idct(TransformSize::T8, &coeffs), idct_matrix(8, &coeffs));
             prop_assert_eq!(idct8_at_every_rung(&coeffs), idct_matrix(8, &coeffs));
         }
 
-        #[test]
-        fn idct4_equals_the_matrix_product_on_any_input(coeffs in coeff_strategy(4)) {
-            prop_assert_eq!(idct(TransformSize::T4, &coeffs), idct_matrix(4, &coeffs));
-        }
-
         // The forward transform is public too, and takes any `i32`.
         #[test]
-        fn fdct_equals_the_strided_oracle_on_any_input(
-            input8 in coeff_strategy(8),
-            input4 in coeff_strategy(4),
-        ) {
-            prop_assert_eq!(fdct(TransformSize::T8, &input8), strided::fdct(8, &input8));
-            prop_assert_eq!(fdct(TransformSize::T4, &input4), strided::fdct(4, &input4));
+        fn fdct_equals_the_strided_oracle_on_any_input(input in coeff_strategy(8)) {
+            prop_assert_eq!(fdct(TransformSize::T8, &input), strided::fdct(&input));
         }
 
         #[test]
         fn fdct_equals_the_oracles_at_the_edges_of_its_narrow_range(
-            block8 in edge_strategy(8, FORWARD_NARROW),
-            block4 in edge_strategy(4, FORWARD_NARROW),
+            block in edge_strategy(8, FORWARD_NARROW),
         ) {
-            for (n, size, block) in [(8, TransformSize::T8, &block8), (4, TransformSize::T4, &block4)] {
-                prop_assert_eq!(fdct(size, block), strided::fdct(n, block));
-                prop_assert_eq!(fdct(size, block), fdct_matrix(n, block));
-            }
-            prop_assert_eq!(fdct8_at_every_rung(&block8), fdct_matrix(8, &block8));
+            prop_assert_eq!(fdct(TransformSize::T8, &block), strided::fdct(&block));
+            prop_assert_eq!(fdct(TransformSize::T8, &block), fdct_matrix(8, &block));
+            prop_assert_eq!(fdct8_at_every_rung(&block), fdct_matrix(8, &block));
         }
 
         #[test]
         fn idct_equals_the_oracles_at_the_edges_of_its_narrow_range(
-            block8 in edge_strategy(8, INVERSE_NARROW),
-            block4 in edge_strategy(4, INVERSE_NARROW),
+            block in edge_strategy(8, INVERSE_NARROW),
         ) {
-            for (n, size, block) in [(8, TransformSize::T8, &block8), (4, TransformSize::T4, &block4)] {
-                prop_assert_eq!(idct(size, block), strided::idct(n, block));
-                prop_assert_eq!(idct(size, block), idct_matrix(n, block));
-            }
-            prop_assert_eq!(idct8_at_every_rung(&block8), idct_matrix(8, &block8));
+            prop_assert_eq!(idct(TransformSize::T8, &block), strided::idct(&block));
+            prop_assert_eq!(idct(TransformSize::T8, &block), idct_matrix(8, &block));
+            prop_assert_eq!(idct8_at_every_rung(&block), idct_matrix(8, &block));
         }
 
         #[test]
@@ -721,31 +632,6 @@ mod tests {
         };
     }
 
-    /// The 4×4 counterpart of the 8×8 sign-pattern test, so every
-    /// [`TransformSize`] is proven inside the quantizer's reach. (The
-    /// encoder forms only 8×8 coefficients, through `fdct8`; 4×4 blocks
-    /// reach the quantizer only through direct calls.)
-    #[test]
-    fn fdct4_of_every_worst_case_sign_pattern_stays_within_the_quantizer_reach() {
-        let mut peak = 0;
-        for row_basis in &B4 {
-            for column_basis in &B4 {
-                for sign in [1, -1] {
-                    let tile: Vec<i32> = (0..16)
-                        .map(|i| {
-                            let pattern = row_basis[i / 4].signum() * column_basis[i % 4].signum();
-                            sign * 255 * i32::from(pattern)
-                        })
-                        .collect();
-                    let coeffs = fdct(TransformSize::T4, &tile);
-                    assert_eq!(coeffs, fdct_matrix(4, &tile));
-                    peak = peak.max(coeffs.iter().map(|c| c.unsigned_abs()).max().unwrap());
-                }
-            }
-        }
-        assert!(peak <= crate::quant::REACH, "4x4 peak {peak}");
-    }
-
     #[test]
     fn idct_of_saturated_blocks_does_not_overflow() {
         // Every coefficient at either extreme: the widest sums the
@@ -764,15 +650,11 @@ mod tests {
     #[test]
     fn basis_tables_equal_the_computed_basis_and_are_mirror_symmetric() {
         let widen = |b: Vec<i16>| b.into_iter().map(i64::from).collect::<Vec<_>>();
-        assert_eq!(widen(B4.concat()), computed_basis(4));
         assert_eq!(widen(B8.concat()), computed_basis(8));
-        for k in 0..8 {
+        for (k, row) in B8.iter().enumerate() {
             let sign = if k % 2 == 0 { 1 } else { -1 };
             for j in 0..8 {
-                assert_eq!(B8[k][7 - j], sign * B8[k][j], "B8[{k}][{j}]");
-                if k < 4 && j < 4 {
-                    assert_eq!(B4[k][3 - j], sign * B4[k][j], "B4[{k}][{j}]");
-                }
+                assert_eq!(row[7 - j], sign * row[j], "B8[{k}][{j}]");
             }
         }
     }
@@ -784,11 +666,9 @@ mod tests {
 
     #[test]
     fn dct_of_zeros_is_zero() {
-        for size in [TransformSize::T4, TransformSize::T8] {
-            let z = vec![0i32; size.area()];
-            assert!(fdct(size, &z).iter().all(|&c| c == 0));
-            assert!(idct(size, &z).iter().all(|&c| c == 0));
-        }
+        let z = vec![0i32; TransformSize::T8.area()];
+        assert!(fdct(TransformSize::T8, &z).iter().all(|&c| c == 0));
+        assert!(idct(TransformSize::T8, &z).iter().all(|&c| c == 0));
     }
 
     #[test]
@@ -804,16 +684,14 @@ mod tests {
     fn roundtrip_error_is_tiny() {
         // Deterministic pseudo-random residuals in [-255, 255].
         let mut x = 7u64;
-        for size in [TransformSize::T4, TransformSize::T8] {
-            for _ in 0..50 {
-                let input: Vec<i32> = (0..size.area())
-                    .map(|_| {
-                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                        ((x >> 33) % 511) as i32 - 255
-                    })
-                    .collect();
-                assert!(roundtrip_error(size, &input) <= 2);
-            }
+        for _ in 0..50 {
+            let input: Vec<i32> = (0..64)
+                .map(|_| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    ((x >> 33) % 511) as i32 - 255
+                })
+                .collect();
+            assert!(roundtrip_error(TransformSize::T8, &input) <= 2);
         }
     }
 
@@ -866,6 +744,5 @@ mod tests {
     #[test]
     fn cached_zigzag_matches_computed() {
         assert_eq!(zigzag(TransformSize::T8), &zigzag_order(8)[..]);
-        assert_eq!(zigzag(TransformSize::T4), &zigzag_order(4)[..]);
     }
 }
