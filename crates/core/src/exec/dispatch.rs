@@ -13,9 +13,12 @@
 //!
 //! The dispatcher reads the journal whole at most three times: the
 //! resume scan inside `open_journal`, once per reap that finds dangling
-//! leases, and once at the end to assemble the report. Everything in
-//! between — the poll loop, liveness, `--status-out` — folds the ledger,
-//! whose size does not depend on the payloads.
+//! leases, and once at the end to assemble the report. A resume whose
+//! scan replayed every job reads it once: no worker can lease a job, so
+//! no record can carry this run's index, and the report is the scan's
+//! replays. Everything in between — the poll loop, liveness,
+//! `--status-out` — folds the ledger, whose size does not depend on the
+//! payloads.
 //!
 //! Worker-loss recovery: the dispatcher polls the ledger and `waitpid`s
 //! its children. When a child exits with jobs still leased, each dangling
@@ -106,16 +109,20 @@ struct WorkerProc {
     hb_at: Instant,
 }
 
+/// A journal opened for a dispatch: this run's index, its ledger (ready
+/// for the dispatcher's own appends), and the chains the resume scan
+/// replayed, by job index.
+pub(crate) type Opened = (u32, Box<dyn DurableFile>, Vec<(usize, ChainResult)>);
+
 /// Opens (or resumes) the journal and starts this run's ledger beside it
-/// — everything a worker needs in place before it is spawned. Returns the
-/// run index and the ledger, ready for the dispatcher's own appends. The
+/// — everything a worker needs in place before it is spawned. The
 /// journal handle is dropped: after the open, only workers write to it.
 pub(crate) fn open(
     jobs: &[EngineJob],
     policy: &ResilienceConfig,
     config: &JournalConfig,
     io: &dyn JournalIo,
-) -> Result<(u32, Box<dyn DurableFile>), JournalError> {
+) -> Result<Opened, JournalError> {
     let opened = open_journal(config, jobs, policy, io)?;
     let replayed = opened.prefilled.iter().map(|(job, chain)| DoneMark {
         job: *job,
@@ -133,7 +140,7 @@ pub(crate) fn open(
         replayed,
     )
     .map_err(|e| io_err("start ledger", e))?;
-    Ok((opened.run_index, ledger))
+    Ok((opened.run_index, ledger, opened.prefilled))
 }
 
 /// Runs `jobs` across `opts.procs` worker processes coordinating
@@ -160,7 +167,7 @@ pub fn run_dispatch_with_io(
         return Err(JournalError::Batch(BatchError::NoWorkers));
     }
     let started = Instant::now();
-    let (run, mut ledger_file) = open(jobs, policy, &opts.journal, io)?;
+    let (run, mut ledger_file, prefilled) = open(jobs, policy, &opts.journal, io)?;
     let ledger_path = ledger::ledger_path(&opts.journal.path);
     if let Some(path) = &opts.status_out {
         // Scrub temp files abandoned by a dispatcher that died mid-snapshot.
@@ -299,11 +306,19 @@ pub fn run_dispatch_with_io(
     }
     drop(span);
 
-    // Every job has a `done`, and a `done` follows its record's fsync:
-    // this one read of the journal holds a record for every job.
-    let text = record::read_text(io, &opts.journal.path)
-        .map_err(|e| io_err("read journal for the report", e))?;
-    let report = assemble_report(jobs, &text, run, started)?;
+    let report = if prefilled.len() == jobs.len() {
+        // The scan replayed every job, so the ledger started all done and
+        // no worker leased anything: the journal holds no record of this
+        // run, and the scan's chains are what a re-read would fold.
+        let chains = prefilled.into_iter().map(|(_, chain)| (chain, false));
+        EngineBatchReport::from_chains(jobs, chains, 0, wall_secs(started))
+    } else {
+        // Every job has a `done`, and a `done` follows its record's
+        // fsync: this one read of the journal holds a record for every job.
+        let text = record::read_text(io, &opts.journal.path)
+            .map_err(|e| io_err("read journal for the report", e))?;
+        assemble_report(jobs, &text, run, started)?
+    };
     Ok(DispatchReport { report, worker_traces })
 }
 
@@ -361,7 +376,6 @@ fn assemble_report(
             chains[rec.job] = Some(if live { chain } else { ChainResult::replayed(chain.outcome) });
         }
     }
-    let wall_secs = started.elapsed().as_secs_f64().max(1e-9);
     // The ledger said Done for every job; a record that does not
     // verify on read-back is journal damage after commit.
     let chains = jobs
@@ -379,13 +393,109 @@ fn assemble_report(
             })
         })
         .collect::<Result<Vec<_>, _>>()?;
-    Ok(EngineBatchReport::from_chains(jobs, chains, 0, wall_secs))
+    Ok(EngineBatchReport::from_chains(jobs, chains, 0, wall_secs(started)))
+}
+
+/// The batch's wall seconds so far, never zero.
+fn wall_secs(started: Instant) -> f64 {
+    started.elapsed().as_secs_f64().max(1e-9)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::record::testing::{jobs, ok_chain};
+    use crate::exec::StdIo;
+    use crate::journal::record::testing::{jobs, ok_chain, TempJournal};
+    use std::path::Path;
+    use std::sync::Mutex;
+    use vfault::FileClass;
+
+    /// A [`JournalIo`] over [`StdIo`] that logs the path and length of
+    /// every whole-file read.
+    #[derive(Default)]
+    struct ReadLog(Mutex<Vec<(PathBuf, usize)>>);
+
+    impl ReadLog {
+        /// `(reads, bytes)` of `path`.
+        fn of(&self, path: &Path) -> (usize, usize) {
+            let log = self.0.lock().unwrap();
+            let hits = log.iter().filter(|(p, _)| p == path);
+            hits.fold((0, 0), |(reads, bytes), (_, n)| (reads + 1, bytes + n))
+        }
+    }
+
+    impl JournalIo for ReadLog {
+        fn create(&self, class: FileClass, path: &Path) -> std::io::Result<Box<dyn DurableFile>> {
+            StdIo.create(class, path)
+        }
+
+        fn open_append(
+            &self,
+            class: FileClass,
+            path: &Path,
+        ) -> std::io::Result<Box<dyn DurableFile>> {
+            StdIo.open_append(class, path)
+        }
+
+        fn read(&self, class: FileClass, path: &Path) -> std::io::Result<Vec<u8>> {
+            let bytes = StdIo.read(class, path)?;
+            self.0.lock().unwrap().push((path.to_path_buf(), bytes.len()));
+            Ok(bytes)
+        }
+
+        fn rename(&self, class: FileClass, from: &Path, to: &Path) -> std::io::Result<()> {
+            StdIo.rename(class, from, to)
+        }
+
+        fn sync_parent_dir(&self, path: &Path) -> std::io::Result<()> {
+            StdIo.sync_parent_dir(path)
+        }
+    }
+
+    /// Resuming a dispatch whose every job is committed reads the journal
+    /// once, in the resume scan, and reports what a second read would:
+    /// every job replayed, with its last record's bytes. Its worker still
+    /// spawns and exits (`true` stands in for `vbench worker`, which would
+    /// find the ledger all done).
+    #[test]
+    fn resuming_a_finished_dispatch_reads_the_journal_once() {
+        let (jobs, policy) = (jobs(&["a", "b", "c"]), ResilienceConfig::default());
+        let temp = TempJournal::new("resume-once");
+        let mut text = record::manifest_line(manifest_fingerprint(&jobs, &policy), jobs.len());
+        text += &record::run_line(0);
+        for (i, job) in jobs.iter().enumerate() {
+            let stale = ok_chain(format!("stale {i}").as_bytes(), 1);
+            text += &record::job_line(i, &job.name, &stale, Some((0, 0)));
+        }
+        text += &record::job_line(1, "b", &ok_chain(b"retried", 2), Some((1, 0)));
+        std::fs::write(temp.path(), &text).expect("write the finished journal");
+
+        let opts = DispatchOptions {
+            procs: 1,
+            worker_exe: "true".into(),
+            worker_args: Vec::new(),
+            worker_trace_base: None,
+            journal: JournalConfig::new(temp.path()).with_resume(true),
+            status_out: None,
+            worker_io_fault_spec: None,
+        };
+        let io = ReadLog::default();
+        let got = run_dispatch_with_io(&jobs, &policy, &opts, &io).expect("resume").report;
+        assert_eq!(io.of(temp.path()), (1, text.len()), "journal reads");
+
+        let reread = std::fs::read_to_string(temp.path()).expect("journal");
+        assert_eq!(reread, text.clone() + &record::run_line(1), "only the run record is new");
+        let want = assemble_report(&jobs, &reread, 1, Instant::now()).expect("re-read report");
+        let row = |r: &crate::farm::EngineJobResult| {
+            let bytes = r.success().expect("ok").bytes().to_vec();
+            (r.name.clone(), bytes, r.attempts)
+        };
+        let rows = |report: &EngineBatchReport| report.results.iter().map(row).collect::<Vec<_>>();
+        assert_eq!(rows(&got), rows(&want));
+        assert_eq!(got.results[1].success().expect("ok").bytes(), b"retried", "last record wins");
+        assert_eq!((got.summary.replayed, want.summary.replayed), (3, 3));
+        assert_eq!((got.cpu_secs, got.summary.retries), (0.0, 0));
+    }
 
     /// The report reads what every other reader reads: a garbage line
     /// (here the U+FFFD a lossy decode leaves behind) between valid

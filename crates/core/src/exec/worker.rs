@@ -521,7 +521,7 @@ mod tests {
         let (jobs, policy) = (jobs(&NAMES), ResilienceConfig::default());
         let io = TallyIo::default();
         let config = JournalConfig::new(temp.path()).with_resume(true);
-        let (run, _ledger) = dispatch::open(&jobs, &policy, &config, &io).expect("resume");
+        let (run, _ledger, _) = dispatch::open(&jobs, &policy, &config, &io).expect("resume");
         assert_eq!(run, 1);
 
         let ledger = ledger::ledger_path(temp.path());

@@ -8,7 +8,9 @@
 //! for refinement.
 
 use crate::golomb::se_bits;
-use vframe::block::{row_width, sad, sad_plane, sad_plane_bytes, satd, Block, MAX_BLOCK};
+use vframe::block::{
+    row_width, sad, sad_bytes, sad_plane, sad_plane_bytes, satd, Block, MAX_BLOCK,
+};
 use vframe::Plane;
 
 /// A motion vector in quarter-pel units.
@@ -251,6 +253,169 @@ fn bilinear_row<const N: usize>(w: [u16; 4], r0: &[u8], r1: &[u8], out: &mut [i1
     }
 }
 
+/// The eight sub-pel candidates around a centre, in the order a search
+/// prices them (raster order, centre skipped), in units of the step.
+const RING: [(i16, i16); 8] =
+    [(-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1)];
+
+/// The distortions of the eight half-pel candidates around the full-pel
+/// position `(cx, cy)`, in [`RING`] order: each is what
+/// [`motion_compensate_into`] at that vector and then `sad` or `satd`
+/// against `block` would give, formed from one neighbourhood instead of
+/// eight compensations.
+///
+/// The neighbourhood is the (n + 2)² integer samples around the block,
+/// read through [`Plane::window`] or, across an edge,
+/// [`Plane::clamped_span`] — MC's own reads, so the same clamped samples.
+/// From them the three half-pel phases are formed once as bytes, with
+/// MC's half-pel rounding: H (`(a + b + 1) >> 1` across, n × (n + 1)), V
+/// (the same down, (n + 1) × n) and HV (`(a + b + c + d + 2) >> 2`,
+/// (n + 1)²). A candidate half a sample left of or above the centre is
+/// its phase's window at offset 0 in that direction, one right of or below
+/// it the window at offset 1. A block packed to bytes (`packed`) prices
+/// SAD as byte rows ([`sad_bytes`]); SATD, or a block that does not pack,
+/// widens the window into `scratch` first.
+fn half_pel_distortions(
+    block: &Block,
+    packed: Option<&[u8]>,
+    reference: &Plane,
+    centre: (isize, isize),
+    use_satd: bool,
+    scratch: &mut Block,
+) -> [u64; 8] {
+    let n = block.size();
+    half_pel_windows(reference, centre, n, |window, stride| match packed {
+        Some(bytes) if !use_satd => sad_bytes(bytes, n, window, stride),
+        _ => {
+            scratch.load_bytes(window, stride);
+            if use_satd {
+                satd(block, scratch)
+            } else {
+                sad(block, scratch)
+            }
+        }
+    })
+}
+
+/// `price` of each half-pel candidate's window (its first sample and the
+/// row stride) around `centre` for `size × size` blocks, in [`RING`]
+/// order.
+fn half_pel_windows(
+    reference: &Plane,
+    centre: (isize, isize),
+    size: usize,
+    price: impl FnMut(&[u8], usize) -> u64,
+) -> [u64; 8] {
+    match size {
+        8 => half_pel_ring::<8, { 9 * 9 }>(reference, centre, 8, price),
+        16 => half_pel_ring::<16, { 17 * 17 }>(reference, centre, 16, price),
+        32 => half_pel_ring::<32, { 33 * 33 }>(reference, centre, 32, price),
+        n => half_pel_ring::<0, { (MAX_BLOCK + 1) * (MAX_BLOCK + 1) }>(reference, centre, n, price),
+    }
+}
+
+/// [`half_pel_windows`] at row width `N`, with phase buffers of `L`
+/// bytes on the stack (at least (n + 1)²).
+#[inline(always)]
+fn half_pel_ring<const N: usize, const L: usize>(
+    reference: &Plane,
+    centre: (isize, isize),
+    width: usize,
+    mut price: impl FnMut(&[u8], usize) -> u64,
+) -> [u64; 8] {
+    let n = row_width::<N>(width);
+    let stride = n + 1;
+    let (mut h, mut v, mut hv) = ([0u8; L], [0u8; L], [0u8; L]);
+    half_pel_phases::<N>(reference, centre, n, [&mut h[..], &mut v[..], &mut hv[..]]);
+    let offset = |d: i16| usize::from(d > 0);
+    RING.map(|(dx, dy)| {
+        let window = match (dx, dy) {
+            (_, 0) => &h[offset(dx)..],
+            (0, _) => &v[offset(dy) * stride..],
+            _ => &hv[offset(dy) * stride + offset(dx)..],
+        };
+        price(window, stride)
+    })
+}
+
+/// Forms the H, V and HV phases (row stride n + 1) of the neighbourhood
+/// of `width × width` blocks at `(cx, cy)` (see [`half_pel_distortions`]),
+/// one pair of neighbourhood rows at a time. Out of line, one copy per
+/// width, like [`mc_block`].
+#[inline(never)]
+fn half_pel_phases<const N: usize>(
+    reference: &Plane,
+    (cx, cy): (isize, isize),
+    width: usize,
+    [h, v, hv]: [&mut [u8]; 3],
+) {
+    let n = row_width::<N>(width);
+    let stride = n + 1;
+    // Row pair r forms V and HV row r; its lower row is H row r's source.
+    let mut pair = |r: usize, r0: &[u8], r1: &[u8]| {
+        phase_rows::<N>(r0, r1, &mut v[r * stride..][..n], &mut hv[r * stride..][..stride]);
+        if r < n {
+            across_row::<N>(r1, &mut h[r * stride..][..stride]);
+        }
+    };
+    if let Some(mut spans) = reference.window(cx - 1, cy - 1, n + 2, n + 2) {
+        let mut r0 = spans.next().expect("a window of n + 2 rows");
+        for (r, r1) in spans.enumerate() {
+            pair(r, r0, r1);
+            r0 = r1;
+        }
+        return;
+    }
+    let (mut upper, mut lower) = ([0u8; MAX_BLOCK + 2], [0u8; MAX_BLOCK + 2]);
+    for r in 0..=n {
+        let py = cy - 1 + r as isize;
+        let r0 = reference.clamped_span(cx - 1, py, &mut upper[..n + 2]);
+        let r1 = reference.clamped_span(cx - 1, py + 1, &mut lower[..n + 2]);
+        pair(r, r0, r1);
+    }
+}
+
+/// `(a + b + 1) >> 1` of each sample and its right neighbour, for the
+/// n + 1 starts of a neighbourhood row of n + 2 samples: the H phase's row.
+/// The first n at row width `N`, in a local array copied out (as in
+/// [`mc_row`]), the last on its own.
+#[inline(always)]
+fn across_row<const N: usize>(r: &[u8], out: &mut [u8]) {
+    let n = row_width::<N>(out.len() - 1);
+    let r = &r[..n + 2];
+    let avg = |a: u8, b: u8| ((u16::from(a) + u16::from(b) + 1) >> 1) as u8;
+    let mut row = [0u8; MAX_BLOCK + 1];
+    for ((o, &a), &b) in row[..n].iter_mut().zip(&r[..n]).zip(&r[1..=n]) {
+        *o = avg(a, b);
+    }
+    row[n] = avg(r[n], r[n + 1]);
+    out.copy_from_slice(&row[..=n]);
+}
+
+/// The V row (`(a + b + 1) >> 1` down, n samples from column 1) and the
+/// HV row (`(a + b + c + d + 2) >> 2` over each 2×2, n + 1 samples) of
+/// two neighbourhood rows of n + 2 samples, as [`across_row`] forms H.
+#[inline(always)]
+fn phase_rows<const N: usize>(r0: &[u8], r1: &[u8], v: &mut [u8], hv: &mut [u8]) {
+    let n = row_width::<N>(v.len());
+    let (r0, r1) = (&r0[..n + 2], &r1[..n + 2]);
+    let mut row = [0u8; MAX_BLOCK + 1];
+    for ((o, &a), &b) in row[..n].iter_mut().zip(&r0[1..=n]).zip(&r1[1..=n]) {
+        *o = ((u16::from(a) + u16::from(b) + 1) >> 1) as u8;
+    }
+    v.copy_from_slice(&row[..n]);
+    let quad = |p00: u8, p01: u8, p10: u8, p11: u8| {
+        let sum = u16::from(p00) + u16::from(p01) + u16::from(p10) + u16::from(p11);
+        ((sum + 2) >> 2) as u8
+    };
+    let taps = r0[..n].iter().zip(&r0[1..=n]).zip(&r1[..n]).zip(&r1[1..=n]);
+    for (o, (((&p00, &p01), &p10), &p11)) in row[..n].iter_mut().zip(taps) {
+        *o = quad(p00, p01, p10, p11);
+    }
+    row[n] = quad(r0[n], r0[n + 1], r1[n], r1[n + 1]);
+    hv.copy_from_slice(&row[..=n]);
+}
+
 /// Motion-compensated prediction: samples `reference` at the quarter-pel
 /// position `(x*4 + mv.x, y*4 + mv.y)` with bilinear interpolation and
 /// picture-edge clamping.
@@ -352,9 +517,11 @@ const MAX_SEARCH_RANGE: u16 = 8_190;
 
 /// Searches `reference` for the best match to `block` (located at `(x, y)`
 /// in the current frame), starting from `pred_mv`. Full-pel candidates are
-/// compared in place against the reference plane; sub-pel candidates are
-/// interpolated into `scratch`, a block of `block`'s size whose contents
-/// are overwritten.
+/// compared in place against the reference plane, half-pel ones as windows
+/// of one interpolated neighbourhood (`half_pel_distortions`), and
+/// quarter-pel ones are interpolated into `scratch`, a block of `block`'s
+/// size whose contents are overwritten (SATD also widens half-pel windows
+/// into it).
 ///
 /// # Panics
 ///
@@ -469,34 +636,40 @@ pub fn search(
         }
     }
 
-    // Sub-pel refinement.
+    // Sub-pel refinement: the half step around the full-pel winner from
+    // one neighbourhood, then the quarter step by per-candidate MC (its
+    // bilinear quarter weights are not a function of rounded half-pel
+    // samples).
     if params.subpel > SubPelDepth::None {
-        let steps: &[i16] = match params.subpel {
-            SubPelDepth::Half => &[2],
-            SubPelDepth::Quarter => &[2, 1],
-            SubPelDepth::None => unreachable!(),
-        };
-        for &step in steps {
+        debug_assert!(best_mv.is_full_pel());
+        let centre =
+            (x as isize + isize::from(best_mv.x / 4), y as isize + isize::from(best_mv.y / 4));
+        let half = half_pel_distortions(block, packed, reference, centre, params.use_satd, scratch);
+        let mut ring = |step: i16, distortion: &mut dyn FnMut(MotionVector, usize) -> u64| {
             let center = best_mv;
-            for dy in [-step, 0, step] {
-                for dx in [-step, 0, step] {
-                    if dx == 0 && dy == 0 {
-                        continue;
-                    }
-                    let mv = MotionVector::new(center.x + dx, center.y + dy);
-                    motion_compensate_into(reference, x, y, mv, scratch);
-                    let d =
-                        if params.use_satd { satd(block, scratch) } else { sad(block, scratch) };
-                    stats.positions += 1;
-                    stats.samples += area;
-                    let c = d as f64 + params.lambda * f64::from(mv.cost_bits(pred_mv));
-                    if c < best_cost {
-                        best_mv = mv;
-                        best_d = d;
-                        best_cost = c;
-                    }
+            for (i, (dx, dy)) in RING.into_iter().enumerate() {
+                let mv = MotionVector::new(center.x + dx * step, center.y + dy * step);
+                let d = distortion(mv, i);
+                stats.positions += 1;
+                stats.samples += area;
+                let c = d as f64 + params.lambda * f64::from(mv.cost_bits(pred_mv));
+                if c < best_cost {
+                    best_mv = mv;
+                    best_d = d;
+                    best_cost = c;
                 }
             }
+        };
+        ring(2, &mut |_, i| half[i]);
+        if params.subpel == SubPelDepth::Quarter {
+            ring(1, &mut |mv, _| {
+                motion_compensate_into(reference, x, y, mv, scratch);
+                if params.use_satd {
+                    satd(block, scratch)
+                } else {
+                    sad(block, scratch)
+                }
+            });
         }
     }
 
@@ -793,6 +966,236 @@ mod tests {
                     mc_windows(&plane, x, y, size, mv),
                     "({}, {}) size {} mv {:?}", x, y, size, mv
                 );
+            }
+        }
+    }
+
+    /// Oracle: `search` as it was before the half step formed one
+    /// neighbourhood — every sub-pel candidate compensated on its own.
+    #[allow(clippy::too_many_arguments)]
+    fn search_per_candidate_mc(
+        block: &Block,
+        reference: &Plane,
+        x: usize,
+        y: usize,
+        pred_mv: MotionVector,
+        params: &SearchParams,
+        scratch: &mut Block,
+        stats: &mut SearchStats,
+    ) -> MotionResult {
+        assert!(params.range > 0, "search range must be non-zero");
+        assert_eq!(block.size(), scratch.size(), "scratch must match the searched block");
+        let (n, area) = (block.size(), (block.size() * block.size()) as u64);
+        let mut packed = [0u8; MAX_BLOCK * MAX_BLOCK];
+        let packed = block.pack_bytes(&mut packed);
+        let eval_full = |mv: MotionVector, stats: &mut SearchStats| -> (u64, f64) {
+            debug_assert!(mv.is_full_pel());
+            let (px, py) = (x as isize + isize::from(mv.x / 4), y as isize + isize::from(mv.y / 4));
+            let d = match packed {
+                Some(bytes) => sad_plane_bytes(bytes, n, reference, px, py),
+                None => sad_plane(block, reference, px, py),
+            };
+            stats.positions += 1;
+            stats.samples += area;
+            let cost = d as f64 + params.lambda * f64::from(mv.cost_bits(pred_mv));
+            (d, cost)
+        };
+
+        // Every candidate is within the range of the full-pel window plus the
+        // ±1 polish and the ±2, ±1 sub-pel steps: 4 · 8 190 + 4 + 3 = 32 767,
+        // the largest that fits a quarter-pel `i16`.
+        let range = params.range.min(MAX_SEARCH_RANGE) as i16;
+        // Start at the predictor, clamped to full-pel.
+        let start = MotionVector::from_full_pel(
+            (pred_mv.x / 4).clamp(-range, range),
+            (pred_mv.y / 4).clamp(-range, range),
+        );
+        let (mut best_mv, mut best_d, mut best_cost) = {
+            let (d, c) = eval_full(start, stats);
+            (start, d, c)
+        };
+        // Always consider the zero vector: cheap and frequently optimal.
+        if start != MotionVector::ZERO {
+            let (d, c) = eval_full(MotionVector::ZERO, stats);
+            if c < best_cost {
+                best_mv = MotionVector::ZERO;
+                best_d = d;
+                best_cost = c;
+            }
+        }
+
+        match params.algorithm {
+            SearchAlgorithm::Full => {
+                for dy in -range..=range {
+                    for dx in -range..=range {
+                        let mv = MotionVector::from_full_pel(dx, dy);
+                        let (d, c) = eval_full(mv, stats);
+                        if c < best_cost {
+                            best_mv = mv;
+                            best_d = d;
+                            best_cost = c;
+                        }
+                    }
+                }
+            }
+            SearchAlgorithm::Diamond | SearchAlgorithm::Hexagon => {
+                let pattern: &[(i16, i16)] = match params.algorithm {
+                    SearchAlgorithm::Diamond => &[(0, -2), (2, 0), (0, 2), (-2, 0)],
+                    _ => &[(-2, -2), (2, -2), (4, 0), (2, 2), (-2, 2), (-4, 0)],
+                };
+                // Iterative descent with the large pattern.
+                let max_iters = range as u32 * 2;
+                let mut iters = 0;
+                loop {
+                    let center = best_mv;
+                    for &(dx, dy) in pattern {
+                        let mv = MotionVector::new(
+                            center.x.saturating_add(dx * 4).clamp(-range * 4, range * 4),
+                            center.y.saturating_add(dy * 4).clamp(-range * 4, range * 4),
+                        );
+                        if mv == center {
+                            continue;
+                        }
+                        let (d, c) = eval_full(mv, stats);
+                        if c < best_cost {
+                            best_mv = mv;
+                            best_d = d;
+                            best_cost = c;
+                        }
+                    }
+                    iters += 1;
+                    if best_mv == center || iters >= max_iters {
+                        break;
+                    }
+                }
+                // Small-diamond polish.
+                for &(dx, dy) in &[(0i16, -1i16), (1, 0), (0, 1), (-1, 0)] {
+                    let mv = MotionVector::new(best_mv.x + dx * 4, best_mv.y + dy * 4);
+                    let (d, c) = eval_full(mv, stats);
+                    if c < best_cost {
+                        best_mv = mv;
+                        best_d = d;
+                        best_cost = c;
+                    }
+                }
+            }
+        }
+
+        // Sub-pel refinement.
+        if params.subpel > SubPelDepth::None {
+            let steps: &[i16] = match params.subpel {
+                SubPelDepth::Half => &[2],
+                SubPelDepth::Quarter => &[2, 1],
+                SubPelDepth::None => unreachable!(),
+            };
+            for &step in steps {
+                let center = best_mv;
+                for dy in [-step, 0, step] {
+                    for dx in [-step, 0, step] {
+                        if dx == 0 && dy == 0 {
+                            continue;
+                        }
+                        let mv = MotionVector::new(center.x + dx, center.y + dy);
+                        motion_compensate_into(reference, x, y, mv, scratch);
+                        let d = if params.use_satd {
+                            satd(block, scratch)
+                        } else {
+                            sad(block, scratch)
+                        };
+                        stats.positions += 1;
+                        stats.samples += area;
+                        let c = d as f64 + params.lambda * f64::from(mv.cost_bits(pred_mv));
+                        if c < best_cost {
+                            best_mv = mv;
+                            best_d = d;
+                            best_cost = c;
+                        }
+                    }
+                }
+            }
+        }
+
+        MotionResult { mv: best_mv, cost: best_cost, distortion: best_d }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64 * SCALE, ..ProptestConfig::default() })]
+
+        // Planes from 1×1 up (many smaller than the block), every block
+        // size, half of them the constant-width ones, and full-pel
+        // centres inside, across each edge and corner, and beyond them.
+        #[test]
+        fn half_pel_windows_equal_mc_at_each_vector(
+            dims in (1usize..=40, 1usize..=30),
+            data in prop::collection::vec(any::<u8>(), 40 * 30),
+            size in block_size(1..=MAX_BLOCK),
+            at in (0usize..40, 0usize..30),
+            centre in (-72isize..=48, -72isize..=38),
+        ) {
+            let ((w, h), (x, y), (cx, cy)) = (dims, at, centre);
+            let plane = Plane::from_data(w, h, data[..w * h].to_vec());
+            let mut windows = Vec::new();
+            half_pel_windows(&plane, centre, size, |window, stride| {
+                let mut b = Block::zero(size);
+                b.load_bytes(window, stride);
+                windows.push(b);
+                0
+            });
+            prop_assert_eq!(windows.len(), 8);
+            let full = |c: isize, p: usize| (c - p as isize) as i16 * 4;
+            for ((dx, dy), got) in RING.into_iter().zip(windows) {
+                let mv = MotionVector::new(full(cx, x) + 2 * dx, full(cy, y) + 2 * dy);
+                prop_assert_eq!(
+                    got,
+                    motion_compensate(&plane, x, y, size, mv),
+                    "{}x{} plane, ({}, {}) size {} mv {:?}", w, h, x, y, size, mv
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 16 * SCALE, ..ProptestConfig::default() })]
+
+        // Every algorithm, depth and metric on one random case: a source
+        // block cut from the plane near its position (one sample past 255
+        // in some, which then does not pack to bytes), any λ and
+        // predictor, the block anywhere in a plane that may be smaller.
+        #[test]
+        fn search_equals_the_per_candidate_mc_search(
+            dims in (1usize..=48, 1usize..=40),
+            data in prop::collection::vec(any::<u8>(), 48 * 40),
+            size in (0usize..4).prop_map(|i| [8, 16, 32, 12][i]),
+            cut in ((0usize..48, 0usize..40), (-6isize..=6, -6isize..=6)),
+            spike in (any::<bool>(), any::<usize>(), 256i16..=4096),
+            search_in in ((-80i16..=80, -80i16..=80), 0.0f64..16.0, 1u16..=5),
+        ) {
+            let ((w, h), ((x, y), shift), (pred, lambda, range)) = (dims, cut, search_in);
+            let plane = Plane::from_data(w, h, data[..w * h].to_vec());
+            let mut block =
+                Block::copy_from(&plane, x as isize + shift.0, y as isize + shift.1, size);
+            let (spiked, i, value) = spike;
+            if spiked {
+                block.data_mut()[i % (size * size)] = value;
+            }
+            let pred = MotionVector::new(pred.0, pred.1);
+            let algorithms = [SearchAlgorithm::Full, SearchAlgorithm::Diamond, SearchAlgorithm::Hexagon];
+            for algorithm in algorithms {
+                for subpel in [SubPelDepth::None, SubPelDepth::Half, SubPelDepth::Quarter] {
+                    for use_satd in [false, true] {
+                        let params = SearchParams { algorithm, range, subpel, lambda, use_satd };
+                        let run = |f: fn(&Block, &Plane, usize, usize, MotionVector, &SearchParams, &mut Block, &mut SearchStats) -> MotionResult| {
+                            let mut stats = SearchStats::default();
+                            let res = f(&block, &plane, x, y, pred, &params, &mut Block::zero(size), &mut stats);
+                            (res, stats)
+                        };
+                        prop_assert_eq!(
+                            run(search),
+                            run(search_per_candidate_mc),
+                            "{:?}", params
+                        );
+                    }
+                }
             }
         }
     }

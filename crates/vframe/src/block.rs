@@ -70,6 +70,23 @@ impl Block {
         }
     }
 
+    /// Refills the block with `size` rows of `bytes` whose starts are
+    /// `stride` apart, the first at `bytes[0]`: [`Block::load`] from a
+    /// byte buffer instead of a plane, with the same constant-width rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block is larger than [`MAX_BLOCK`] or `bytes` ends
+    /// before the last row does.
+    pub fn load_bytes(&mut self, bytes: &[u8], stride: usize) {
+        match self.size {
+            8 => load_strided::<8>(&mut self.data, 8, bytes, stride),
+            16 => load_strided::<16>(&mut self.data, 16, bytes, stride),
+            32 => load_strided::<32>(&mut self.data, 32, bytes, stride),
+            n => load_strided::<0>(&mut self.data, n, bytes, stride),
+        }
+    }
+
     /// The block's samples as bytes, written row-major into the front of
     /// `out`, when every one lies in 0..=255 (the form full-pel search
     /// compares against a plane, [`sad_plane_bytes`]); `None` otherwise.
@@ -239,27 +256,40 @@ pub fn row_width<const N: usize>(width: usize) -> usize {
     }
 }
 
+/// One block row widened from `span` at row width `N`, formed in a local
+/// array and then copied out: stores to a buffer nothing else points at
+/// are what LLVM will vectorize.
+#[inline(always)]
+fn widen_row<const N: usize>(out: &mut [i16], span: &[u8]) {
+    let n = row_width::<N>(out.len());
+    let mut wide = [0i16; MAX_BLOCK];
+    for (o, &s) in wide[..n].iter_mut().zip(&span[..n]) {
+        *o = i16::from(s);
+    }
+    out.copy_from_slice(&wide[..n]);
+}
+
 /// [`Block::load`] at row width `N` (see [`row_width`]).
 #[inline(always)]
 fn load_rows<const N: usize>(data: &mut [i16], width: usize, plane: &Plane, x: isize, y: isize) {
     let n = row_width::<N>(width);
     let rows = data.chunks_exact_mut(n);
-    // Widened in a local array and then copied out: stores to a buffer
-    // nothing else points at are what LLVM will vectorize.
-    let mut wide = [0i16; MAX_BLOCK];
-    let mut widen = |out: &mut [i16], span: &[u8]| {
-        for (o, &s) in wide[..n].iter_mut().zip(&span[..n]) {
-            *o = i16::from(s);
-        }
-        out.copy_from_slice(&wide[..n]);
-    };
     if let Some(spans) = plane.window(x, y, n, n) {
-        rows.zip(spans).for_each(|(out, span)| widen(out, span));
+        rows.zip(spans).for_each(|(out, span)| widen_row::<N>(out, span));
         return;
     }
     let mut buf = [0u8; MAX_BLOCK];
     for (dy, out) in rows.enumerate() {
-        widen(out, plane.clamped_span(x, y + dy as isize, &mut buf[..n]));
+        widen_row::<N>(out, plane.clamped_span(x, y + dy as isize, &mut buf[..n]));
+    }
+}
+
+/// [`Block::load_bytes`] at row width `N`.
+#[inline(always)]
+fn load_strided<const N: usize>(data: &mut [i16], width: usize, bytes: &[u8], stride: usize) {
+    let n = row_width::<N>(width);
+    for (dy, out) in data.chunks_exact_mut(n).enumerate() {
+        widen_row::<N>(out, &bytes[dy * stride..][..n]);
     }
 }
 
@@ -328,12 +358,10 @@ pub fn sad_plane_bytes(block: &[u8], size: usize, plane: &Plane, x: isize, y: is
 #[inline(never)]
 fn sad_rows<const N: usize>(block: &[u8], width: usize, plane: &Plane, x: isize, y: isize) -> u64 {
     let n = row_width::<N>(width);
-    let block = block[..n * n].chunks_exact(n);
     if let Some(spans) = plane.window(x, y, n, n) {
-        let rows =
-            block.zip(spans).map(|(row, span)| u32::from(row_sad_bytes(&row[..n], &span[..n])));
-        return u64::from(rows.sum::<u32>());
+        return sum_row_sads::<N>(block, width, spans);
     }
+    let block = block[..n * n].chunks_exact(n);
     let mut buf = [0u8; MAX_BLOCK];
     let mut total = 0u32;
     for (dy, row) in block.enumerate() {
@@ -343,6 +371,43 @@ fn sad_rows<const N: usize>(block: &[u8], width: usize, plane: &Plane, x: isize,
         ));
     }
     u64::from(total)
+}
+
+/// The SAD of a packed `width × width` block against `width` byte rows,
+/// at row width `N`.
+#[inline(always)]
+fn sum_row_sads<'a, const N: usize>(
+    block: &[u8],
+    width: usize,
+    spans: impl Iterator<Item = &'a [u8]>,
+) -> u64 {
+    let n = row_width::<N>(width);
+    let rows = block[..n * n].chunks_exact(n).zip(spans);
+    u64::from(rows.map(|(row, span)| u32::from(row_sad_bytes(&row[..n], &span[..n]))).sum::<u32>())
+}
+
+/// [`sad_plane_bytes`] of a packed block against `size` rows of `other`
+/// whose starts are `stride` apart, the first at `other[0]`: a window of
+/// a byte buffer rather than of a plane, through the same row kernel.
+///
+/// # Panics
+///
+/// Panics if `size` is larger than [`MAX_BLOCK`], `block` holds fewer
+/// than `size²` samples or `other` ends before the last row does.
+pub fn sad_bytes(block: &[u8], size: usize, other: &[u8], stride: usize) -> u64 {
+    match size {
+        8 => sad_strided::<8>(block, 8, other, stride),
+        16 => sad_strided::<16>(block, 16, other, stride),
+        32 => sad_strided::<32>(block, 32, other, stride),
+        n => sad_strided::<0>(block, n, other, stride),
+    }
+}
+
+/// [`sad_bytes`] at row width `N`, out of line per width like [`sad_rows`].
+#[inline(never)]
+fn sad_strided<const N: usize>(block: &[u8], width: usize, other: &[u8], stride: usize) -> u64 {
+    let n = row_width::<N>(width);
+    sum_row_sads::<N>(block, width, (0..n).map(|dy| &other[dy * stride..][..n]))
 }
 
 /// [`row_sad_bytes`] at row width `N`, out of line for [`sad_rows`]'
@@ -698,6 +763,35 @@ mod tests {
             if let Some(bytes) = block.pack_bytes(&mut bytes) {
                 prop_assert_eq!(sad_plane_bytes(bytes, block.size(), &plane, x, y), want);
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64 * SCALE, ..ProptestConfig::default() })]
+
+        // Every block size, half of them the constant-width ones, rows
+        // packed tight or with up to two samples between them.
+        #[test]
+        fn byte_windows_equal_per_sample_loads_and_sad(
+            size in block_size(),
+            gap in 0usize..3,
+            data in prop::collection::vec(any::<u8>(), (MAX_BLOCK + 2) * MAX_BLOCK),
+            block in prop::collection::vec(0i16..=255, MAX_BLOCK * MAX_BLOCK),
+        ) {
+            let stride = size + gap;
+            let mut want = Block::zero(size);
+            for dy in 0..size {
+                for dx in 0..size {
+                    want.set(dx, dy, i16::from(data[dy * stride + dx]));
+                }
+            }
+            let mut got = Block::zero(size);
+            got.load_bytes(&data, stride);
+            prop_assert_eq!(&got, &want);
+            let block = Block::from_data(size, block[..size * size].to_vec());
+            let mut bytes = [0u8; MAX_BLOCK * MAX_BLOCK];
+            let bytes = block.pack_bytes(&mut bytes).expect("byte samples pack");
+            prop_assert_eq!(sad_bytes(bytes, size, &data, stride), sad_per_sample(&block, &want));
         }
     }
 

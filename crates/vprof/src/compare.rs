@@ -17,6 +17,18 @@
 //! gate cannot drift from the benchmark. A section whose `correct` is not
 //! true, a rise in the failed share of `attempted`, and a workload or
 //! metric missing from the new output are findings too.
+//!
+//! [`compare_pairs`] judges alternating runs instead (parent, change,
+//! parent, change, …), each an `all` output or the output of one
+//! `--workload` run. Per workload and end-to-end metric it takes the
+//! paired ratio change ÷ parent of each pair and reports how many pairs
+//! the change won, the median ratio and the sign-test interval of that
+//! median: the order statistics `r(k)` and `r(n+1−k)` of the ratios for
+//! the largest `k` with `2 · P(Binomial(n, ½) < k) ≤ 5 %`, which holds
+//! whatever the ratios' distribution. An interval wholly on the better
+//! side of 1 is `better`, wholly on the worse side `worse`, otherwise
+//! (and below six pairs, where no interval reaches 95 %) `unresolved`.
+//! Only a `worse` whose median ratio is past the metric's bound fails.
 
 use std::collections::BTreeMap;
 
@@ -91,8 +103,11 @@ pub struct Sections {
 /// Untraced sections by workload: what one output says.
 pub type Output = BTreeMap<String, Sections>;
 
-/// Parses one or more concatenated `all` outputs. A result line is any
-/// line starting with `{`; it closes the section its header opened.
+/// Parses one or more concatenated `all` outputs, or the output of one
+/// `--workload` run. A result line is any line starting with `{`; it
+/// closes the section its header opened. Outside a section, a run's own
+/// `workload: <name> … trace=<0|1>` line opens one (inside an `all`
+/// section it repeats the header and is skipped).
 ///
 /// # Errors
 ///
@@ -119,6 +134,15 @@ pub fn parse_output(text: &str) -> Result<Output, String> {
                     _ => return Err(format!("line {n}: malformed section header {line:?}")),
                 };
             open = Some((n, name.to_string(), traced));
+        } else if let (None, Some(run)) = (&open, line.strip_prefix("workload: ")) {
+            let mut words = run.split(' ');
+            let name = words.next().unwrap_or_default();
+            let traced = match words.find_map(|w| w.strip_prefix("trace=")) {
+                Some("0") => false,
+                Some("1") => true,
+                _ => return Err(format!("line {n}: malformed run line {line:?}")),
+            };
+            open = Some((n, name.to_string(), traced));
         } else if line.starts_with('{') {
             let Some((_, name, traced)) = open.take() else {
                 return Err(format!("line {n}: result line outside a section"));
@@ -143,9 +167,27 @@ pub fn parse_output(text: &str) -> Result<Output, String> {
     }
     match open {
         Some(section) => unfinished(section),
-        None if out.is_empty() => Err("no `==== <workload> trace=0 ====` section".to_string()),
+        None if out.is_empty() => {
+            Err("no untraced section (`==== <workload> trace=0 ====` or `workload: … trace=0`)"
+                .to_string())
+        }
         None => Ok(out),
     }
+}
+
+/// `(q1, q3)` as Python's `statistics.quantiles(values, n=4)` (the
+/// exclusive method the acceptance procedure uses) computes them; `None`
+/// below two values.
+fn quartiles(values: &[f64]) -> Option<(f64, f64)> {
+    let mut v = values.to_vec();
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    let cut = |i: usize| {
+        let j = (i * (n + 1) / 4).clamp(1, n - 1);
+        let delta = (i * (n + 1)) as f64 - (j * 4) as f64;
+        (v[j - 1] * (4.0 - delta) + v[j] * delta) / 4.0
+    };
+    (n >= 2).then(|| (cut(1), cut(3)))
 }
 
 /// Median (mean of the middle two for an even count); `None` when empty.
@@ -274,6 +316,213 @@ impl Comparison {
         }
         for f in &self.findings {
             out.push_str(&format!("REGRESSION {f}\n"));
+        }
+        out
+    }
+}
+
+/// Confidence required of a sign-test interval before it decides.
+const CONFIDENCE: f64 = 0.95;
+
+/// The sign-test interval's rank for `n` paired ratios: the largest `k`
+/// with `2 · P(Binomial(n, ½) < k) ≤ 1 − CONFIDENCE`, and the interval's
+/// confidence `1 − 2 · P(Binomial(n, ½) < k)`; `None` below six pairs.
+fn sign_rank(n: usize) -> Option<(usize, f64)> {
+    let (mut below, mut choose, mut found) = (0.0, 1.0, None);
+    for i in 0..n {
+        // P(B = i) = C(n, i) / 2^n; `below` is then P(B ≤ i) = P(B < i + 1).
+        below += choose * 0.5f64.powi(n as i32);
+        if 2.0 * below > 1.0 - CONFIDENCE {
+            break;
+        }
+        found = Some((i + 1, 1.0 - 2.0 * below));
+        choose = choose * (n - i) as f64 / (i + 1) as f64;
+    }
+    found
+}
+
+/// What a run of pairs says about one metric.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Verdict {
+    /// The interval lies wholly on the better side of 1.
+    Better,
+    /// The interval lies wholly on the worse side of 1.
+    Worse,
+    /// The interval holds 1, or there are too few pairs for one.
+    Unresolved,
+}
+
+impl Verdict {
+    fn name(self) -> &'static str {
+        match self {
+            Verdict::Better => "better",
+            Verdict::Worse => "worse",
+            Verdict::Unresolved => "unresolved",
+        }
+    }
+}
+
+/// One (workload, metric) over paired runs.
+#[derive(Clone, Debug)]
+pub struct PairedRow {
+    /// Workload name.
+    pub workload: String,
+    /// The metric as the contract declares it.
+    pub metric: Metric,
+    /// Change ÷ parent for each pair that has the metric on both sides,
+    /// ascending.
+    pub ratios: Vec<f64>,
+    /// Each side's values over those pairs: parent, change.
+    pub sides: (Vec<f64>, Vec<f64>),
+}
+
+impl PairedRow {
+    /// Whether a ratio is on the metric's better side of 1.
+    fn better(&self, ratio: f64) -> bool {
+        if self.metric.higher_is_better {
+            ratio > 1.0
+        } else {
+            ratio < 1.0
+        }
+    }
+
+    /// Whether a ratio is on the metric's worse side of 1.
+    fn worse(&self, ratio: f64) -> bool {
+        ratio != 1.0 && !self.better(ratio)
+    }
+
+    /// Pairs the change won.
+    pub fn wins(&self) -> usize {
+        self.ratios.iter().filter(|&&r| self.better(r)).count()
+    }
+
+    /// The sign-test interval of the median ratio and its confidence.
+    pub fn interval(&self) -> Option<(f64, f64, f64)> {
+        let (k, confidence) = sign_rank(self.ratios.len())?;
+        Some((self.ratios[k - 1], self.ratios[self.ratios.len() - k], confidence))
+    }
+
+    /// The verdict of the interval.
+    pub fn verdict(&self) -> Verdict {
+        match self.interval() {
+            Some((lo, hi, _)) if self.better(lo) && self.better(hi) => Verdict::Better,
+            Some((lo, hi, _)) if self.worse(lo) && self.worse(hi) => Verdict::Worse,
+            _ => Verdict::Unresolved,
+        }
+    }
+
+    /// A resolved `worse` whose median ratio is past the metric's bound.
+    pub fn regressed(&self) -> bool {
+        let Some(ratio) = median(&self.ratios) else { return false };
+        let worse_by = if self.metric.higher_is_better { 1.0 - ratio } else { ratio - 1.0 };
+        self.verdict() == Verdict::Worse && worse_by > self.metric.bound
+    }
+
+    /// The row as one Markdown table line.
+    fn line(&self) -> String {
+        let m = &self.metric;
+        let ratio = median(&self.ratios)
+            .map_or("-".to_string(), |r| format!("{r:.4} ({:+.2}%)", (r - 1.0) * 100.0));
+        let interval = self
+            .interval()
+            .map_or("-".to_string(), |(lo, hi, c)| format!("[{lo:.4}, {hi:.4}] {:.1}%", c * 100.0));
+        let (parent, change) = &self.sides;
+        let spread =
+            quartiles(parent).map_or(String::new(), |(q1, q3)| format!(" [{q1:.4}, {q3:.4}]"));
+        let medians = format!(
+            "{:.4}{spread} → {:.4}",
+            median(parent).unwrap_or_default(),
+            median(change).unwrap_or_default()
+        );
+        let verdict = match self.verdict() {
+            v @ Verdict::Worse if self.regressed() => {
+                format!("{} past {:.0}%", v.name(), m.bound * 100.0)
+            }
+            v => v.name().to_string(),
+        };
+        format!(
+            "| {} | {} ({}, {} is better) | {} | {}/{} | {} | {} | {} | {} |",
+            self.workload,
+            m.name,
+            m.unit,
+            if m.higher_is_better { "higher" } else { "lower" },
+            self.ratios.len(),
+            self.wins(),
+            self.ratios.len(),
+            medians,
+            ratio,
+            interval,
+            verdict,
+        )
+    }
+}
+
+/// The outcome of a paired comparison.
+#[derive(Clone, Debug, Default)]
+pub struct Paired {
+    /// One row per (contract workload, end-to-end metric) some pair has.
+    pub rows: Vec<PairedRow>,
+    /// Sections whose result did not say `"correct": true`, each
+    /// `[<workload>]: …`; shown, not judged.
+    pub notes: Vec<String>,
+}
+
+/// Judges alternating runs: `pairs[i]` is (parent, change) of pair `i`.
+pub fn compare_pairs(contract: &Contract, pairs: &[(Output, Output)]) -> Paired {
+    let mut paired = Paired::default();
+    for workload in &contract.workloads {
+        let incorrect: usize = pairs
+            .iter()
+            .flat_map(|(old, new)| [old, new])
+            .filter_map(|out| out.get(workload))
+            .map(|s| s.incorrect)
+            .sum();
+        if incorrect > 0 {
+            paired.notes.push(format!("[{workload}]: {incorrect} section(s) not correct"));
+        }
+        for metric in &contract.end_to_end {
+            let value = |out: &Output| median(out.get(workload)?.metrics.get(&metric.name)?);
+            let sides: (Vec<f64>, Vec<f64>) =
+                pairs.iter().filter_map(|(old, new)| Some((value(old)?, value(new)?))).unzip();
+            if sides.0.is_empty() {
+                continue;
+            }
+            let mut ratios: Vec<f64> = sides
+                .0
+                .iter()
+                .zip(&sides.1)
+                .map(|(&old, &new)| if new == old { 1.0 } else { new / old })
+                .collect();
+            ratios.sort_by(f64::total_cmp);
+            paired.rows.push(PairedRow {
+                workload: workload.clone(),
+                metric: metric.clone(),
+                ratios,
+                sides,
+            });
+        }
+    }
+    paired
+}
+
+impl Paired {
+    /// Whether any row is a resolved `worse` past its bound.
+    pub fn regressed(&self) -> bool {
+        self.rows.iter().any(PairedRow::regressed)
+    }
+
+    /// The paired table, then the notes.
+    pub fn render(&self) -> String {
+        let mut out = String::from(
+            "| workload | metric | n | wins | parent median [quartiles] → change median \
+             | median ratio | sign-test interval | verdict |\n\
+             |---|---|---|---|---|---|---|---|\n",
+        );
+        for row in &self.rows {
+            out += &format!("{}\n", row.line());
+        }
+        for note in &self.notes {
+            out += &format!("note {note}\n");
         }
         out
     }
@@ -440,6 +689,107 @@ mod tests {
         let cmp = judge(&new, &old);
         assert!(cmp.findings.is_empty(), "{:?}", cmp.findings);
         assert!(cmp.render().contains("| no baseline |"));
+    }
+
+    /// Ten pairs whose change side is the parent's `rate` times `effect`
+    /// and its pair's `wobble`; bytes are equal in every pair.
+    fn pairs(effect: f64, wobble: impl Fn(usize) -> f64) -> Vec<(Output, Output)> {
+        (0..10)
+            .map(|i| {
+                let parent = 100.0 + 7.0 * (i % 4) as f64;
+                let parse = |t: String| parse_output(&t).expect("parses");
+                (parse(all(parent, 500.0)), parse(all(parent * effect * wobble(i), 500.0)))
+            })
+            .collect()
+    }
+
+    fn row<'a>(paired: &'a Paired, workload: &str, metric: &str) -> &'a PairedRow {
+        let hit = paired.rows.iter().find(|r| r.workload == workload && r.metric.name == metric);
+        hit.expect("row present")
+    }
+
+    #[test]
+    fn sign_test_ranks_are_the_binomial_order_statistics() {
+        assert_eq!(sign_rank(5), None, "no 95 % interval from five pairs");
+        let (k, c) = sign_rank(6).expect("six pairs");
+        assert_eq!(k, 1);
+        assert!((c - (1.0 - 2.0 / 64.0)).abs() < 1e-12);
+        let (k, c) = sign_rank(10).expect("ten pairs");
+        assert_eq!(k, 2, "P(B < 2) = 11/1024");
+        assert!((c - (1.0 - 22.0 / 1024.0)).abs() < 1e-12);
+        assert_eq!(sign_rank(20).map(|(k, _)| k), Some(6), "P(B < 6) = 0.0207");
+    }
+
+    #[test]
+    fn a_planted_gain_resolves_better() {
+        let paired =
+            compare_pairs(&contract(), &pairs(1.2, |i| 1.0 + 0.03 * (i % 3) as f64 - 0.03));
+        let rate = row(&paired, "a", "rate");
+        assert_eq!((rate.ratios.len(), rate.wins()), (10, 10));
+        assert_eq!(rate.verdict(), Verdict::Better);
+        assert!(!paired.regressed());
+        let bytes = row(&paired, "a", "bytes");
+        assert_eq!((bytes.wins(), bytes.verdict()), (0, Verdict::Unresolved), "equal bytes");
+        let text = paired.render();
+        let row =
+            "| a | rate (x, higher is better) | 10 | 10/10 | 107.0000 [100.0000, 115.7500] → ";
+        assert!(text.contains(row), "{text}");
+        assert!(text.contains(" | 1.2000 (+20.00%) | [1.1640, 1.2360] 97.9% | better |"), "{text}");
+    }
+
+    #[test]
+    fn a_planted_loss_past_the_bound_resolves_worse_and_fails() {
+        let paired = compare_pairs(&contract(), &pairs(0.7, |i| 1.0 + 0.01 * (i % 2) as f64));
+        let rate = row(&paired, "a", "rate");
+        assert_eq!((rate.wins(), rate.verdict()), (0, Verdict::Worse));
+        assert!(rate.regressed() && paired.regressed());
+        assert!(paired.render().contains("| worse past 25% |"), "{}", paired.render());
+        // Worse within the bound resolves but does not fail.
+        let paired = compare_pairs(&contract(), &pairs(0.9, |_| 1.0));
+        assert_eq!(row(&paired, "a", "rate").verdict(), Verdict::Worse);
+        assert!(!paired.regressed());
+    }
+
+    #[test]
+    fn alternating_noise_stays_unresolved() {
+        let paired = compare_pairs(&contract(), &pairs(1.0, |i| [1.15, 0.85][i % 2]));
+        let rate = row(&paired, "a", "rate");
+        assert_eq!((rate.wins(), rate.verdict()), (5, Verdict::Unresolved));
+        assert!(!paired.regressed());
+        // Too few pairs never resolve, however large the effect.
+        let few = &pairs(2.0, |_| 1.0)[..5];
+        assert_eq!(
+            row(&compare_pairs(&contract(), few), "a", "rate").verdict(),
+            Verdict::Unresolved
+        );
+    }
+
+    #[test]
+    fn one_workload_runs_pair_like_all_runs() {
+        let run = |rate: f64| {
+            format!(
+                "workload: a seed=3 seconds=30 trace=0 workers=2 nproc=2\npasses: 9 timed\n{}\n",
+                result(true, 10, 0, &[("rate", rate), ("bytes", 500.0)])
+            )
+        };
+        let parsed = parse_output(&run(120.0)).expect("a one-workload run parses");
+        assert_eq!(parsed["a"].metrics["rate"], [120.0]);
+        assert!(parse_output("workload: a seed=1\n").unwrap_err().contains("malformed run line"));
+        // Inside an `all` section the run line repeats the header.
+        let nested = format!("==== a trace=1 ====\n{}", run(1.0));
+        assert!(
+            parse_output(&format!("{nested}{}", run(5.0))).expect("parses")["a"].metrics["rate"]
+                == [5.0]
+        );
+        let pairs: Vec<_> = (0..6)
+            .map(|i| {
+                let parse = |t: String| parse_output(&t).expect("parses");
+                (parse(run(100.0 + i as f64)), parse(run(130.0 + i as f64)))
+            })
+            .collect();
+        let paired = compare_pairs(&contract(), &pairs);
+        assert_eq!(row(&paired, "a", "rate").verdict(), Verdict::Better);
+        assert!(paired.rows.iter().all(|r| r.workload == "a"), "workload b has no runs");
     }
 
     #[test]
