@@ -12,7 +12,9 @@ use crate::deblock::deblock_plane;
 use crate::entropy::{CtxClass, EntropyDecoder};
 use crate::motion::{average_into, motion_compensate_into, MotionVector, MvGrid};
 use crate::predict::{predict_intra_into, IntraMode};
-use crate::syntax::{self, get_quadrant_mode, get_sb_mode, probe_stream, FrameType, SbMode};
+use crate::syntax::{
+    self, get_quadrant_mode, get_sb_mode, probe_stream, FrameType, Recons, SbMode,
+};
 use crate::tile::{reconstruct_tile, Scratch, TILE};
 use crate::transform::TransformSize;
 use vframe::block::Block;
@@ -27,8 +29,6 @@ pub enum DecodeError {
     UnsupportedVersion(u8),
     /// A header field holds an invalid value.
     InvalidHeader(&'static str),
-    /// A predicted frame names a reference that was never decoded.
-    MissingReference,
     /// The stream ended prematurely or a code was malformed.
     Corrupt,
 }
@@ -39,9 +39,6 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadMagic => write!(f, "not a vbench codec stream"),
             DecodeError::UnsupportedVersion(v) => write!(f, "unsupported stream version {v}"),
             DecodeError::InvalidHeader(what) => write!(f, "invalid header field: {what}"),
-            DecodeError::MissingReference => {
-                write!(f, "predicted frame references an undecoded frame")
-            }
             DecodeError::Corrupt => write!(f, "bitstream exhausted or malformed"),
         }
     }
@@ -73,11 +70,8 @@ pub fn decode(bytes: &[u8]) -> Result<Video, DecodeError> {
     let s = &mut scratch;
     let mut mvs = MvGrid::new(width, height, sb);
     let (sbs_x, sbs_y) = mvs.size();
-    // Display indexes of the two most recent reference frames, mirroring
-    // the encoder: a B frame predicts forward from `prev_ref` and
-    // backward from `cur_ref`.
-    let mut prev_ref: Option<usize> = None;
-    let mut cur_ref: Option<usize> = None;
+    // Any stream may hold B frames, so the older reference always stays.
+    let mut recons = Recons::new(true);
 
     for rec in &records {
         let (ftype, qp, display) = (rec.ftype, rec.qp, rec.display as usize);
@@ -87,25 +81,13 @@ pub fn decode(bytes: &[u8]) -> Result<Video, DecodeError> {
         let mut recon_u = Plane::filled(width / 2, height / 2, 128);
         let mut recon_v = Plane::filled(width / 2, height / 2, 128);
         mvs.clear();
-        let fwd_frame = match ftype {
-            FrameType::Intra => None,
-            FrameType::Predicted => {
-                let i = cur_ref.ok_or(DecodeError::InvalidHeader("P frame without reference"))?;
-                Some(frames[i].as_ref().ok_or(DecodeError::MissingReference)?)
-            }
-            FrameType::Bidirectional => {
-                let i = prev_ref.ok_or(DecodeError::InvalidHeader("B frame without references"))?;
-                Some(frames[i].as_ref().ok_or(DecodeError::MissingReference)?)
-            }
-        };
-        let bwd_frame = if ftype == FrameType::Bidirectional {
-            let i = cur_ref.ok_or(DecodeError::InvalidHeader("B frame without references"))?;
-            Some(frames[i].as_ref().ok_or(DecodeError::MissingReference)?)
-        } else {
-            None
-        };
-        let fwd = || fwd_frame.ok_or(DecodeError::MissingReference);
-        let bwd = || bwd_frame.ok_or(DecodeError::MissingReference);
+        let (fwd, bwd) = recons.refs(ftype);
+        if ftype == FrameType::Predicted && fwd.is_none() {
+            return Err(DecodeError::InvalidHeader("P frame without reference"));
+        }
+        if ftype == FrameType::Bidirectional && (fwd.is_none() || bwd.is_none()) {
+            return Err(DecodeError::InvalidHeader("B frame without references"));
+        }
 
         for sby in 0..sbs_y {
             for sbx in 0..sbs_x {
@@ -119,13 +101,13 @@ pub fn decode(bytes: &[u8]) -> Result<Video, DecodeError> {
                 };
                 let (cx, cy) = (x0 / 2, y0 / 2);
                 let recon = [&mut recon_y, &mut recon_u, &mut recon_v];
-                let mv = match get_sb_mode(&mut dec, ftype)? {
-                    SbMode::Intra(mode) => {
+                let mv = match (get_sb_mode(&mut dec, ftype)?, fwd, bwd) {
+                    (SbMode::Intra(mode), ..) => {
                         let [recon_y, recon_u, recon_v] = recon;
                         decode_intra_sb(&mut dec, s, mode, x0, y0, qp, recon_y, recon_u, recon_v)?;
                         None
                     }
-                    SbMode::IntraSplit => {
+                    (SbMode::IntraSplit, ..) => {
                         let [recon_y, recon_u, recon_v] = recon;
                         decode_intra_split_sb(
                             &mut dec, s, x0, y0, sb, qp, recon_y, recon_u, recon_v,
@@ -134,21 +116,20 @@ pub fn decode(bytes: &[u8]) -> Result<Video, DecodeError> {
                     }
                     // Skip (forward at the predictor MV, no residual), or
                     // one coded direction.
-                    mode @ (SbMode::Skip | SbMode::Forward | SbMode::Backward) => {
+                    (mode @ (SbMode::Skip | SbMode::Forward), Some(reference), _)
+                    | (mode @ SbMode::Backward, _, Some(reference)) => {
                         let mv = if mode == SbMode::Skip {
                             pred_mv
                         } else {
                             read_mv(&mut dec, pred_mv)?
                         };
-                        let reference = if mode == SbMode::Backward { bwd()? } else { fwd()? };
                         motion_compensate_into(reference.y(), x0, y0, mv, &mut s.pred);
                         s.predict_chroma(reference, x0, y0, mv);
                         let preds = [&s.pred, &s.upred, &s.vpred];
                         finish_inter_sb(&mut dec, mode != SbMode::Skip, preds, x0, y0, qp, recon)?;
                         Some(mv)
                     }
-                    SbMode::Bi => {
-                        let (fwd, bwd) = (fwd()?, bwd()?);
+                    (SbMode::Bi, Some(fwd), Some(bwd)) => {
                         let fmv = read_mv(&mut dec, pred_mv)?;
                         let bmv = read_mv(&mut dec, pred_mv)?;
                         motion_compensate_into(fwd.y(), x0, y0, fmv, &mut s.pred);
@@ -160,8 +141,7 @@ pub fn decode(bytes: &[u8]) -> Result<Video, DecodeError> {
                         Some(fmv)
                     }
                     // Base MV, then four quadrants, then chroma.
-                    SbMode::Split => {
-                        let reference = fwd()?;
+                    (SbMode::Split, Some(reference), _) => {
                         let base = read_mv(&mut dec, pred_mv)?;
                         let half = sb / 2;
                         let [recon_y, recon_u, recon_v] = recon;
@@ -182,6 +162,10 @@ pub fn decode(bytes: &[u8]) -> Result<Video, DecodeError> {
                         decode_residual_region(&mut dec, &s.vpred, cx, cy, qp, recon_v)?;
                         Some(first_mv)
                     }
+                    // Unreached: the mode table gives an I frame no inter
+                    // mode, and the check above gives P and B frames
+                    // their references.
+                    _ => return Err(DecodeError::Corrupt),
                 };
                 mvs.set(sbx, sby, mv);
             }
@@ -192,11 +176,13 @@ pub fn decode(bytes: &[u8]) -> Result<Video, DecodeError> {
             let _ = deblock_plane(&mut recon_u, 8, qp);
             let _ = deblock_plane(&mut recon_v, 8, qp);
         }
-        frames[display] = Some(Frame::from_planes(info.resolution, recon_y, recon_u, recon_v));
-        if ftype != FrameType::Bidirectional {
-            prev_ref = cur_ref;
-            cur_ref = Some(display);
+        let recon = Frame::from_planes(info.resolution, recon_y, recon_u, recon_v);
+        if let Some((display, frame)) = recons.push(ftype, display, recon) {
+            frames[display] = Some(frame);
         }
+    }
+    for (display, frame) in recons.drain() {
+        frames[display] = Some(frame);
     }
 
     let frames: Vec<Frame> =
@@ -343,6 +329,9 @@ mod tests {
         Video::new(fs, 24.0)
     }
 
+    /// Also decodes each (B-free) stream with its records' display indexes
+    /// reversed, which the encoder never writes: the decoder files every
+    /// frame at its record's display index.
     #[test]
     fn decoder_matches_encoder_reconstruction_exactly() {
         let v = tiny_video(6);
@@ -353,13 +342,19 @@ mod tests {
                         .with_gop(4);
                 let out = encode(&v, &cfg);
                 let decoded = decode(&out.bytes).expect("decode");
+                let info = probe_stream(&out.bytes).unwrap();
+                let records = syntax::records(&out.bytes, &info).unwrap();
+                let mut reversed = out.bytes[..records[0].offset].to_vec();
+                for r in &records {
+                    let display = v.len() as u32 - 1 - r.display;
+                    syntax::write_record(&mut reversed, r.ftype, r.qp, display, r.payload);
+                }
+                let reversed = decode(&reversed).expect("decode reversed");
                 assert_eq!(decoded.len(), v.len());
                 for t in 0..v.len() {
-                    assert_eq!(
-                        decoded.frame(t),
-                        out.recon.frame(t),
-                        "{family}/{preset} frame {t} mismatch"
-                    );
+                    let what = format!("{family}/{preset} frame {t} mismatch");
+                    assert_eq!(decoded.frame(t), out.recon.frame(t), "{what}");
+                    assert_eq!(reversed.frame(v.len() - 1 - t), out.recon.frame(t), "{what}");
                 }
             }
         }
@@ -461,6 +456,5 @@ mod tests {
     fn error_display_is_meaningful() {
         assert_eq!(DecodeError::BadMagic.to_string(), "not a vbench codec stream");
         assert!(DecodeError::UnsupportedVersion(9).to_string().contains('9'));
-        assert!(DecodeError::MissingReference.to_string().contains("reference"));
     }
 }

@@ -27,7 +27,7 @@ use crate::predict::{predict_intra_into, IntraMode};
 use crate::quant::{quantize_into, Deadzone, QP_MAX};
 use crate::rc::{FirstPassLog, FrameKind, RateControl, RateController};
 use crate::stats::{BranchSite, EncodeStats, Kernel, KernelCounters, NoProbe, Probe};
-use crate::syntax::{self, put_quadrant_mode, put_sb_mode, FrameType, SbMode, StreamInfo};
+use crate::syntax::{self, put_quadrant_mode, put_sb_mode, FrameType, Recons, SbMode, StreamInfo};
 use crate::tile::{reconstruct_tile, residual_tile, Levels, Scratch, TILE};
 use crate::transform::fdct8;
 use vframe::block::{sad, satd, Block};
@@ -373,8 +373,8 @@ struct Driven {
     stats: EncodeStats,
     /// First-pass complexity log when two-pass rate control ran.
     first_pass: Option<FirstPassLog>,
-    /// The most frames resident at once across both passes (retained
-    /// reconstructions included).
+    /// The most frames resident at once across both passes (a retained
+    /// clip is output, not working set, and is not counted).
     peak_resident_frames: usize,
 }
 
@@ -393,7 +393,7 @@ fn drive(
 ) -> Driven {
     let start = Instant::now();
     let mut kernels = KernelCounters::new();
-    let mut residency = Residency::default();
+    let mut peak_resident = 0;
     let mut pull_wait_secs = 0.0f64;
     let frames = source.len();
 
@@ -413,7 +413,7 @@ fn drive(
                 ..*config
             };
             let mut analysis_rc = RateController::const_quality(30.0);
-            let mut sinks = Sinks { retain: false, psnr: None, residency: &mut residency };
+            let mut sinks = Sinks { retain: false, psnr: None, peak_resident: &mut peak_resident };
             let pass1 =
                 encode_pass(source, &analysis_cfg, &mut analysis_rc, &mut NoProbe, &mut sinks);
             kernels.merge(&pass1.kernels);
@@ -424,7 +424,7 @@ fn drive(
         }
     };
 
-    let mut sinks = Sinks { retain, psnr, residency: &mut residency };
+    let mut sinks = Sinks { retain, psnr, peak_resident: &mut peak_resident };
     let pass = encode_pass(source, config, &mut rc, probe, &mut sinks);
     kernels.merge(&pass.kernels);
     pull_wait_secs += pass.pull_wait_secs;
@@ -440,7 +440,7 @@ fn drive(
         avg_qp: pass.qp_sum / frames as f64,
         kernels,
     };
-    Driven { pass, stats, first_pass, peak_resident_frames: residency.peak }
+    Driven { pass, stats, first_pass, peak_resident_frames: peak_resident }
 }
 
 /// Result of one encoding pass.
@@ -460,25 +460,6 @@ struct PassResult {
     pull_wait_secs: f64,
 }
 
-/// Resident-frame accounting: every source frame and reconstruction a
-/// pass owns counts one, from pull/creation to drop.
-#[derive(Clone, Copy, Default, Debug)]
-struct Residency {
-    current: usize,
-    peak: usize,
-}
-
-impl Residency {
-    fn add(&mut self, n: usize) {
-        self.current += n;
-        self.peak = self.peak.max(self.current);
-    }
-
-    fn sub(&mut self, n: usize) {
-        self.current -= n;
-    }
-}
-
 /// Where one pass's by-products go. Every pass runs the identical coding
 /// loop — only frame retention and scoring differ — which is what makes
 /// the streaming bitstream byte-identical to the in-memory one by
@@ -490,21 +471,8 @@ struct Sinks<'a> {
     retain: bool,
     /// Banks per-frame PSNR, when the pass is scored.
     psnr: Option<&'a mut PsnrAccumulator>,
-    /// Resident-frame accounting shared by every pass of one encode.
-    residency: &'a mut Residency,
-}
-
-/// Looks up a reference reconstruction in whichever store this pass keeps.
-fn ref_frame<'f>(
-    retained: &'f [Option<Frame>],
-    window: &'f [(usize, Frame)],
-    i: usize,
-) -> &'f Frame {
-    retained
-        .get(i)
-        .and_then(Option::as_ref)
-        .or_else(|| window.iter().find(|(d, _)| *d == i).map(|(_, f)| f))
-        .expect("reference frame resident")
+    /// The most frames any pass of one encode held at once.
+    peak_resident: &'a mut usize,
 }
 
 /// One encoding pass over a [`FrameSource`]: frames are pulled in display
@@ -537,11 +505,16 @@ fn encode_pass(
 
     let mut state = FrameEncoder::new(config, res.width() as usize, res.height() as usize);
     let mut scratch = Scratch::new(state.sb);
-    // A retaining pass keeps every reconstruction here; otherwise at most
-    // the two most recent reference recons stay, in `ref_window`.
-    let mut retained: Vec<Option<Frame>> =
-        if sinks.retain { vec![None; total] } else { Vec::new() };
-    let mut ref_window: Vec<(usize, Frame)> = Vec::new();
+    // The references stay in `recons` (the older one only when B frames
+    // read it). A reconstruction no frame reads again is filed into `clip`
+    // by display index when the pass retains one, and dropped otherwise.
+    let mut recons = Recons::new(config.bframes);
+    let mut clip: Vec<Option<Frame>> = if sinks.retain { vec![None; total] } else { Vec::new() };
+    let mut file = |(display, recon): (usize, Frame)| {
+        if let Some(slot) = clip.get_mut(display) {
+            *slot = Some(recon);
+        }
+    };
     // Source frames pulled but not yet coded; depth is bounded by the
     // coding-order reorder distance (2 with B frames, 1 without).
     let mut pending: VecDeque<(usize, Frame)> = VecDeque::new();
@@ -550,12 +523,7 @@ fn encode_pass(
     let mut qp_sum = 0.0;
     let mut pull_wait_secs = 0.0f64;
 
-    // Coding order; display indexes of the two most recent reference
-    // frames (a B frame predicts forward from `prev_ref` and backward
-    // from `cur_ref`).
     let order = coding_order(total, config.gop, config.bframes);
-    let mut prev_ref: Option<usize> = None;
-    let mut cur_ref: Option<usize> = None;
     let mut last_ref_qp = 26u8;
 
     for (coding_idx, &(display, ftype)) in order.iter().enumerate() {
@@ -570,7 +538,6 @@ fn encode_pass(
             let f = source.next_frame().expect("source ended before its promised length");
             let waited = t0.elapsed().as_secs_f64();
             pull_wait_secs += waited;
-            sinks.residency.add(1);
             if vtrace::enabled() {
                 vtrace::histogram("frame.pull_wait_us", (waited * 1e6) as u64);
             }
@@ -587,34 +554,23 @@ fn encode_pass(
             FrameType::Bidirectional => (last_ref_qp + 2).min(crate::quant::QP_MAX),
         };
         qp_sum += f64::from(qp);
-        let (fwd, bwd) = match ftype {
-            FrameType::Intra => (None, None),
-            FrameType::Predicted => (cur_ref.map(|i| ref_frame(&retained, &ref_window, i)), None),
-            FrameType::Bidirectional => (
-                prev_ref.map(|i| ref_frame(&retained, &ref_window, i)),
-                cur_ref.map(|i| ref_frame(&retained, &ref_window, i)),
-            ),
-        };
+        let (fwd, bwd) = recons.refs(ftype);
         let (payload, recon) =
             state.encode_frame(&frame, fwd, bwd, ftype, qp, coding_idx as u32, &mut scratch, probe);
         let bits = payload.len() as u64 * 8;
         rc.frame_done(bits);
         frame_bits.push(bits);
         syntax::write_record(&mut container, ftype, qp, display as u32, &payload);
-        sinks.residency.add(1); // the reconstruction just produced
+        // Held now: the pending source frames, this frame and its
+        // reconstruction, and the references it read. This is the most
+        // the pass holds at any point of this frame.
+        let held = pending.len() + 2 + recons.len();
+        *sinks.peak_resident = held.max(*sinks.peak_resident);
         if let Some(acc) = sinks.psnr.as_deref_mut() {
             acc.push(display, &frame, &recon);
         }
-        drop(frame);
-        sinks.residency.sub(1);
-        if sinks.retain {
-            retained[display] = Some(recon);
-        } else if ftype == FrameType::Bidirectional {
-            // B recons are never referenced: drop immediately.
-            drop(recon);
-            sinks.residency.sub(1);
-        } else {
-            ref_window.push((display, recon));
+        if let Some(left) = recons.push(ftype, display, recon) {
+            file(left);
         }
         if let Some(span) = frame_span.as_mut() {
             span.record("display", display);
@@ -641,27 +597,15 @@ fn encode_pass(
         }
         drop(frame_span);
         if ftype != FrameType::Bidirectional {
-            prev_ref = cur_ref;
-            cur_ref = Some(display);
             last_ref_qp = qp;
-            // Evict recons that left the reference window: only `cur_ref`
-            // stays referenceable (plus `prev_ref` when B frames need a
-            // forward reference).
-            let before = ref_window.len();
-            ref_window
-                .retain(|&(d, _)| Some(d) == cur_ref || (config.bframes && Some(d) == prev_ref));
-            sinks.residency.sub(before - ref_window.len());
         }
     }
 
-    // The pass is over: the reference window (and any stray pending
-    // frames) drop here, so the residency ledger must release them before
-    // a following pass (two-pass main) re-fills the window.
-    sinks.residency.sub(ref_window.len() + pending.len());
+    recons.drain().for_each(file);
 
     PassResult {
         bytes: container,
-        recon: retained.into_iter().map(|f| f.expect("all frames coded")).collect(),
+        recon: clip.into_iter().map(|f| f.expect("all frames coded")).collect(),
         frame_bits,
         kernels: state.counters,
         sb_intra: state.sb_intra,
@@ -748,7 +692,7 @@ impl<'cfg> FrameEncoder<'cfg> {
         &mut self,
         frame: &Frame,
         reference: Option<&Frame>,
-        bwd_reference: Option<&Frame>,
+        bwd: Option<&Frame>,
         ftype: FrameType,
         qp: u8,
         frame_idx: u32,
@@ -793,17 +737,10 @@ impl<'cfg> FrameEncoder<'cfg> {
                     recon_base,
                 };
                 let (ry, ru, rv) = (&mut recon_y, &mut recon_u, &mut recon_v);
-                match ftype {
-                    FrameType::Intra => {
-                        self.encode_intra_sb(&mut enc, &ctx, scratch, ry, ru, rv, probe)
-                    }
-                    FrameType::Predicted => {
-                        self.encode_inter_sb(&mut enc, &ctx, None, scratch, ry, ru, rv, probe)
-                    }
-                    FrameType::Bidirectional => {
-                        let bwd = bwd_reference.expect("B frame requires a backward reference");
-                        self.encode_inter_sb(&mut enc, &ctx, Some(bwd), scratch, ry, ru, rv, probe)
-                    }
+                if ftype == FrameType::Intra {
+                    self.encode_intra_sb(&mut enc, &ctx, scratch, ry, ru, rv, probe)
+                } else {
+                    self.encode_inter_sb(&mut enc, &ctx, bwd, scratch, ry, ru, rv, probe)
                 }
             }
         }

@@ -30,11 +30,6 @@ pub enum RateControl {
 }
 
 impl RateControl {
-    /// Whether this mode requires an analysis pass before the real encode.
-    pub fn needs_first_pass(&self) -> bool {
-        matches!(self, RateControl::TwoPassBitrate { .. })
-    }
-
     /// The bitrate target, if any.
     pub fn target_bps(&self) -> Option<u64> {
         match self {
@@ -61,13 +56,6 @@ pub struct FirstPassLog {
     pub analysis_qp: u8,
     /// Bits each frame took in the analysis pass.
     pub frame_bits: Vec<u64>,
-}
-
-impl FirstPassLog {
-    /// Total analysis-pass bits.
-    pub fn total_bits(&self) -> u64 {
-        self.frame_bits.iter().sum()
-    }
 }
 
 /// The stateful per-encode controller. Construct one per encode (or per

@@ -28,7 +28,7 @@ use crate::entropy::{CtxClass, EntropyBackend, EntropyDecoder, EntropyEncoder};
 use crate::family::CodecFamily;
 use crate::predict::IntraMode;
 use crate::quant::QP_MAX;
-use vframe::Resolution;
+use vframe::{Frame, Resolution};
 
 /// Magic bytes opening every bitstream.
 const MAGIC: &[u8; 4] = b"VBCR";
@@ -66,6 +66,67 @@ impl FrameType {
             2 => Some(FrameType::Bidirectional),
             _ => None,
         }
+    }
+}
+
+/// The reconstructions later frames read: the newest I/P frames in coding
+/// order, each with its display index. The encoder and the decoder each
+/// keep one, so both read every frame's references from the same window.
+pub(crate) struct Recons {
+    /// Whether the older reference stays: only a B frame reads it.
+    keep_older: bool,
+    older: Option<(usize, Frame)>,
+    newest: Option<(usize, Frame)>,
+}
+
+impl Recons {
+    pub(crate) fn new(keep_older: bool) -> Recons {
+        Recons { keep_older, older: None, newest: None }
+    }
+
+    /// The forward and backward references of a frame of type `ftype`:
+    /// none for I, the newest I/P frame for P, and the older then the
+    /// newest for B.
+    pub(crate) fn refs(&self, ftype: FrameType) -> (Option<&Frame>, Option<&Frame>) {
+        fn frame(slot: &Option<(usize, Frame)>) -> Option<&Frame> {
+            slot.as_ref().map(|(_, f)| f)
+        }
+        match ftype {
+            FrameType::Intra => (None, None),
+            FrameType::Predicted => (frame(&self.newest), None),
+            FrameType::Bidirectional => (frame(&self.older), frame(&self.newest)),
+        }
+    }
+
+    /// Files the reconstruction of a frame of type `ftype` shown at
+    /// `display` and returns the frame that leaves the window: an I/P
+    /// frame becomes the newest reference, and a B frame, which no frame
+    /// reads, leaves at once.
+    pub(crate) fn push(
+        &mut self,
+        ftype: FrameType,
+        display: usize,
+        frame: Frame,
+    ) -> Option<(usize, Frame)> {
+        if ftype == FrameType::Bidirectional {
+            return Some((display, frame));
+        }
+        let demoted = self.newest.replace((display, frame));
+        if self.keep_older {
+            std::mem::replace(&mut self.older, demoted)
+        } else {
+            demoted
+        }
+    }
+
+    /// How many references the window holds.
+    pub(crate) fn len(&self) -> usize {
+        usize::from(self.older.is_some()) + usize::from(self.newest.is_some())
+    }
+
+    /// Empties the window, older reference first.
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = (usize, Frame)> {
+        self.older.take().into_iter().chain(self.newest.take())
     }
 }
 
@@ -419,6 +480,42 @@ mod tests {
                     ),
                 }
             }
+        }
+    }
+
+    /// The reference rule per frame type, and which frame each `push`
+    /// releases, with and without the older reference kept. Frames are
+    /// told apart by their luma.
+    #[test]
+    fn recons_reads_by_frame_type_and_releases_the_oldest() {
+        use FrameType::{Bidirectional as B, Intra as I, Predicted as P};
+        let frame = |y: u8| Frame::filled(Resolution::new(16, 16), y, 128, 128);
+        let luma = |f: Option<&Frame>| f.map(|f| f.y().get(0, 0));
+        let refs = |w: &Recons, t: FrameType| {
+            let (fwd, bwd) = w.refs(t);
+            (luma(fwd), luma(bwd))
+        };
+        let left = |l: Option<(usize, Frame)>| l.map(|(d, f)| (d, f.y().get(0, 0)));
+        for keep_older in [false, true] {
+            let mut w = Recons::new(keep_older);
+            assert!(FRAMES.iter().all(|&t| refs(&w, t) == (None, None)));
+            assert_eq!(left(w.push(I, 0, frame(10))), None);
+            let first = left(w.push(P, 2, frame(20)));
+            assert_eq!(first, (!keep_older).then_some((0, 10)), "keep_older {keep_older}");
+            assert_eq!(w.len(), 1 + usize::from(keep_older));
+            assert_eq!(refs(&w, I), (None, None));
+            assert_eq!(refs(&w, P), (Some(20), None));
+            assert_eq!(refs(&w, B), (keep_older.then_some(10), Some(20)));
+            // A B frame is no reference: it leaves at once, the window as
+            // it was.
+            assert_eq!(left(w.push(B, 1, frame(15))), Some((1, 15)));
+            assert_eq!(refs(&w, B), (keep_older.then_some(10), Some(20)));
+            let oldest = if keep_older { (0, 10) } else { (2, 20) };
+            assert_eq!(left(w.push(P, 4, frame(40))), Some(oldest));
+            assert_eq!(refs(&w, B), (keep_older.then_some(20), Some(40)));
+            let rest: Vec<_> = w.drain().map(|(d, f)| (d, f.y().get(0, 0))).collect();
+            assert_eq!(rest, if keep_older { vec![(2, 20), (4, 40)] } else { vec![(4, 40)] });
+            assert!(FRAMES.iter().all(|&t| refs(&w, t) == (None, None)) && w.len() == 0);
         }
     }
 

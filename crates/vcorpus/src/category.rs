@@ -33,11 +33,6 @@ impl VideoCategory {
         VideoCategory { kpixels, fps, entropy: ((entropy * 10.0).round() / 10.0).max(0.1) }
     }
 
-    /// The category's position in untransformed feature space.
-    pub fn raw_features(&self) -> [f64; 3] {
-        [f64::from(self.kpixels), f64::from(self.fps), self.entropy]
-    }
-
     /// The category's position in clustering space: `log2(kpixels)`, `fps`,
     /// `log2(entropy)` (the paper linearizes resolution and entropy with
     /// base-two logarithms before clustering).

@@ -128,15 +128,6 @@ where
     Frame::from_planes(resolution, y_plane, u_plane, v_plane)
 }
 
-/// Builds a frame from a per-pixel RGB function, converting through
-/// [`rgb_to_yuv`] and 4:2:0 subsampling.
-pub fn frame_from_rgb_fn<F>(resolution: Resolution, mut f: F) -> Frame
-where
-    F: FnMut(u32, u32) -> Rgb,
-{
-    frame_from_fn(resolution, |x, y| rgb_to_yuv(f(x, y)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -212,16 +212,6 @@ impl Frame {
         &mut self.y
     }
 
-    /// Mutable access to the Cb plane.
-    pub fn u_mut(&mut self) -> &mut Plane {
-        &mut self.u
-    }
-
-    /// Mutable access to the Cr plane.
-    pub fn v_mut(&mut self) -> &mut Plane {
-        &mut self.v
-    }
-
     /// All three planes, luma first.
     pub fn planes(&self) -> [&Plane; 3] {
         [&self.y, &self.u, &self.v]
@@ -319,11 +309,6 @@ impl Video {
     /// All frames as a slice.
     pub fn frames(&self) -> &[Frame] {
         &self.frames
-    }
-
-    /// Consumes the video and returns its frames.
-    pub fn into_frames(self) -> Vec<Frame> {
-        self.frames
     }
 
     /// Total raw pixel count across all frames — the numerator of the

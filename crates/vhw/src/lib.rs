@@ -163,17 +163,8 @@ impl HwEncoder {
     /// Encodes at a fixed single-pass bitrate (the hardware rate-control
     /// mode the paper's experiments use).
     pub fn encode_bitrate(&self, video: &Video, bps: u64) -> HwEncodeResult {
-        self.encode_at(video, RateControl::Bitrate { bps })
-    }
-
-    /// Encodes at constant quality (used for reference experiments).
-    pub fn encode_quality(&self, video: &Video, crf: f64) -> HwEncodeResult {
-        self.encode_at(video, RateControl::ConstQuality { crf })
-    }
-
-    fn encode_at(&self, video: &Video, rate: RateControl) -> HwEncodeResult {
         HwEncodeResult {
-            output: encode(video, &self.tool_config(rate)),
+            output: encode(video, &self.tool_config(RateControl::Bitrate { bps })),
             speed_pixels_per_sec: self.pipeline.pixels_per_second(video),
             stages: self.pipeline.stage_seconds(video),
         }
