@@ -21,7 +21,7 @@ use vbench::fleet::{predict_encode_secs, JobFeatures};
 use vbench::journal::{run_batch_journaled_with_io, JournalConfig, JournalError};
 use vbench::measure::Measurement;
 use vbench::reference::{
-    reference_config, reference_encode_with_native, reference_request_with_native, target_bps,
+    reference_config, reference_encode_with_native, reference_request_for, target_bps,
 };
 use vbench::report::{fmt_ratio, TextTable};
 use vbench::resilience::ResilienceConfig;
@@ -659,7 +659,7 @@ fn reference_measurements(
     clips
         .iter()
         .map(|(_, kpixels, video)| {
-            Ok(transcode(video, &reference_request_with_native(scenario, video, *kpixels))?
+            Ok(transcode(video, &reference_request_for(scenario, video.resolution(), *kpixels))?
                 .measurement)
         })
         .collect()

@@ -775,18 +775,28 @@ mod tests {
     #[test]
     fn invalid_request_is_a_typed_error() {
         // A zero-bitrate target used to panic deep inside the rate
-        // controller; the engine surfaces it as a typed error instead,
-        // on either backend and either path.
-        let rate = RateMode::Bitrate { bps: 0 };
-        for req in [
-            TranscodeRequest::software(CodecFamily::Avc, Preset::Fast, rate),
-            TranscodeRequest::hardware(HwVendor::Nvenc, rate),
-        ] {
-            let v = clip(3);
-            let zero = TranscodeError::Encode(EncodeError::ZeroBitrate);
-            assert_eq!(transcode(&v, &req).unwrap_err(), zero, "{}", req.backend);
-            let mut src = VideoSource::new(&v);
-            assert_eq!(transcode_stream(&mut src, &req).unwrap_err(), zero, "{}", req.backend);
+        // controller, and a CRF that is not a number encoded silently at
+        // QP 0; the engine surfaces both as typed errors instead, on
+        // either backend and either path, and neither is retried.
+        let cases = [
+            (RateMode::Bitrate { bps: 0 }, EncodeError::ZeroBitrate),
+            (RateMode::ConstQuality { crf: f64::NAN }, EncodeError::InvalidCrf),
+            (RateMode::ConstQuality { crf: f64::INFINITY }, EncodeError::InvalidCrf),
+        ];
+        for (rate, err) in cases {
+            for req in [
+                TranscodeRequest::software(CodecFamily::Avc, Preset::Fast, rate),
+                TranscodeRequest::hardware(HwVendor::Nvenc, rate),
+            ] {
+                let v = clip(3);
+                let want = TranscodeError::Encode(err);
+                let got = transcode(&v, &req).unwrap_err();
+                assert_eq!(got, want, "{} {rate:?}", req.backend);
+                assert!(!got.is_retryable());
+                let mut src = VideoSource::new(&v);
+                let got = transcode_stream(&mut src, &req).unwrap_err();
+                assert_eq!(got, want, "{} {rate:?}", req.backend);
+            }
         }
     }
 

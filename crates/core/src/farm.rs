@@ -93,7 +93,7 @@ pub struct EngineJob {
     /// Per-job deadline on encode seconds, overriding the batch-wide
     /// [`ResilienceConfig::job_deadline_secs`]. The Live scenario derives
     /// this from the clip's real-time pixel rate
-    /// ([`crate::scenario::live_deadline_secs`]).
+    /// ([`crate::scenario::live_deadline_secs_for`]).
     pub deadline_secs: Option<f64>,
 }
 

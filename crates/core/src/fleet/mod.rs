@@ -6,21 +6,15 @@
 //! storage/network cost of their larger outputs. This module makes that
 //! argument computable, in two tiers:
 //!
-//! * **How many workers** — a discrete-event simulation of a homogeneous
-//!   transcoding fleet fed by a stochastic upload arrival process
-//!   ([`simulate_fleet`]), plus closed-form sizing helpers
-//!   ([`fleet_size_for`], [`fleet_size_for_resilient`]).
+//! * **How many workers** — the closed form [`fleet_size_for`]: the
+//!   workers one machine type needs to absorb an offered load at a target
+//!   utilization, which `tablegen fleet` applies to measured software and
+//!   modelled hardware speeds.
 //! * **Which workers at what price** — the cost plane: the
 //!   [`vhw::InstanceCatalog`] of heterogeneous instance types, a
 //!   content-feature cost [`predict`]or, a dollar-minimizing deadline
 //!   [`plan`]ner, and the byte-replayable [`pareto`] cost-QoS frontier
 //!   report behind `vbench plan` / `vprof pareto`.
-//!
-//! Randomness follows the workspace determinism contract: arrival gaps
-//! come from a dedicated base stream and every per-job attribute (size,
-//! hedge, failure draws) from the job's own [`rand::process::substream`],
-//! so fleet results replay bit-exactly at any worker count — the same
-//! structure `service::arrivals` uses.
 
 pub mod pareto;
 pub mod plan;
@@ -31,261 +25,6 @@ pub use plan::{
     plan_fleet, scenario_deadline_slack, uniform_plan, FleetPlan, PlanAssignment, PlanJob,
 };
 pub use predict::{cheapest_job_dollars, predict_encode_secs, predict_job_dollars, JobFeatures};
-
-use rand::rngs::SmallRng;
-use rand::{process, Rng, SeedableRng};
-
-/// A transcoding fleet: identical workers draining an upload queue in
-/// FIFO order.
-#[derive(Clone, Copy, Debug)]
-pub struct FleetConfig {
-    /// Number of workers.
-    pub workers: u32,
-    /// Per-worker transcoding speed in pixels/second.
-    pub worker_speed_pps: f64,
-}
-
-/// An upload workload: job arrival rate and per-job size distribution.
-#[derive(Clone, Copy, Debug)]
-pub struct UploadWorkload {
-    /// Mean arrivals per second (Poisson).
-    pub arrivals_per_sec: f64,
-    /// Mean pixels per uploaded video.
-    pub mean_pixels: f64,
-    /// Job-size spread: each job's pixels are
-    /// `mean_pixels · exp(σ·Z - σ²/2)` (log-normal, unit mean).
-    pub sigma: f64,
-}
-
-/// Worker-failure model for the fleet simulation: each transcode attempt
-/// fails independently with `failure_prob` and is re-run up to
-/// `max_retries` times; every attempt (failed or not) occupies a worker
-/// for the job's full service time, which is how failures inflate fleet
-/// size. Independently, `hedge_prob` of jobs launch a straggler hedge —
-/// a duplicate attempt that occupies a second worker for the job's
-/// service time but is *not* a retry and cannot fail the job.
-#[derive(Clone, Copy, Debug)]
-pub struct FaultModel {
-    /// Probability that any single attempt fails, in `[0, 1)`.
-    pub failure_prob: f64,
-    /// Retries per job after the first attempt (0 = fail fast).
-    pub max_retries: u32,
-    /// Probability that a job launches a hedged duplicate, in `[0, 1]`.
-    pub hedge_prob: f64,
-}
-
-impl FaultModel {
-    /// No failures, no hedging: attempts always succeed.
-    pub fn none() -> FaultModel {
-        FaultModel { failure_prob: 0.0, max_retries: 0, hedge_prob: 0.0 }
-    }
-
-    /// This model with a hedging rate.
-    pub fn with_hedging(self, hedge_prob: f64) -> FaultModel {
-        FaultModel { hedge_prob, ..self }
-    }
-
-    /// Expected attempts per job under this model, counting the retries
-    /// of failed attempts: `Σ_{k=0..r} p^k = (1 − p^(r+1)) / (1 − p)`.
-    /// Hedges are excluded — they are duplicates, not retries; use
-    /// [`FaultModel::expected_worker_attempts`] when sizing a fleet.
-    pub fn expected_attempts(&self) -> f64 {
-        let p = self.failure_prob;
-        if p <= 0.0 {
-            return 1.0;
-        }
-        let r = self.max_retries;
-        (1.0 - p.powi(r as i32 + 1)) / (1.0 - p)
-    }
-
-    /// Expected *worker occupations* per job: retry attempts plus the
-    /// hedged duplicate, which burns a worker-service-time even though it
-    /// is not a retry. This — not [`FaultModel::expected_attempts`] — is
-    /// what capacity sizing must inflate by.
-    pub fn expected_worker_attempts(&self) -> f64 {
-        self.expected_attempts() + self.hedge_prob
-    }
-}
-
-/// Result of a fleet simulation.
-#[derive(Clone, Copy, Debug)]
-pub struct FleetReport {
-    /// Jobs completed.
-    pub completed: u64,
-    /// Jobs dropped after exhausting their retry budget.
-    pub failed: u64,
-    /// Retry attempts run (attempts beyond each job's first).
-    pub retries: u64,
-    /// Hedged duplicate attempts launched (worker time, not retries).
-    pub hedges: u64,
-    /// Mean worker utilization in `[0, 1]`.
-    pub utilization: f64,
-    /// Mean queueing delay (arrival → start) in seconds.
-    pub mean_wait_secs: f64,
-    /// 99th-percentile queueing delay in seconds.
-    pub p99_wait_secs: f64,
-}
-
-/// Simulates `duration_secs` of fault-free fleet operation
-/// (deterministic for a seed). Equivalent to
-/// [`simulate_fleet_with_faults`] under [`FaultModel::none`], with a
-/// bit-identical arrival/size sequence.
-///
-/// # Panics
-///
-/// Panics if the fleet has zero workers or non-positive speed, or the
-/// workload has non-positive rate/size.
-pub fn simulate_fleet(
-    fleet: &FleetConfig,
-    workload: &UploadWorkload,
-    duration_secs: f64,
-    seed: u64,
-) -> FleetReport {
-    simulate_fleet_with_faults(fleet, workload, duration_secs, seed, &FaultModel::none())
-}
-
-/// Simulates `duration_secs` of fleet operation under a worker-failure
-/// model (deterministic for a seed). Arrival gaps come from a dedicated
-/// base stream ([`rand::process::exp_gap`]) and each job's attributes —
-/// size, hedge, failure draws — from that job's
-/// [`rand::process::substream`], the same layout `service::arrivals`
-/// uses. Failure and hedge draws happen only when their probabilities
-/// are positive, so the fault-free path consumes the exact RNG sequence
-/// [`simulate_fleet`] always has, and no draw depends on the worker
-/// count.
-///
-/// # Panics
-///
-/// Panics if the fleet has zero workers or non-positive speed, the
-/// workload has non-positive rate/size, `failure_prob` is outside
-/// `[0, 1)`, or `hedge_prob` is outside `[0, 1]`.
-pub fn simulate_fleet_with_faults(
-    fleet: &FleetConfig,
-    workload: &UploadWorkload,
-    duration_secs: f64,
-    seed: u64,
-    faults: &FaultModel,
-) -> FleetReport {
-    assert!(fleet.workers > 0 && fleet.worker_speed_pps > 0.0, "fleet must be non-trivial");
-    assert!(
-        workload.arrivals_per_sec > 0.0 && workload.mean_pixels > 0.0,
-        "workload must be non-trivial"
-    );
-    assert!((0.0..1.0).contains(&faults.failure_prob), "failure probability must be in [0, 1)");
-    assert!((0.0..=1.0).contains(&faults.hedge_prob), "hedge probability must be in [0, 1]");
-    let mut span = vtrace::span("fleet.simulate");
-    let mut arrivals_rng = SmallRng::seed_from_u64(seed);
-    // Per-worker next-free times.
-    let mut free_at = vec![0.0f64; fleet.workers as usize];
-    let mut t = 0.0f64;
-    let mut index = 0u64;
-    let mut waits: Vec<f64> = Vec::new();
-    let mut busy_time = 0.0f64;
-    let mut completed = 0u64;
-    let mut failed = 0u64;
-    let mut retries = 0u64;
-    let mut hedges = 0u64;
-    loop {
-        // Poisson arrivals: exponential gaps off the base stream.
-        t += process::exp_gap(&mut arrivals_rng) / workload.arrivals_per_sec;
-        if t > duration_secs {
-            break;
-        }
-        // Per-job attributes live on the job's own substream, so they
-        // replay bit-exactly regardless of fleet shape or model knobs.
-        let mut job_rng = process::substream(seed, index);
-        index += 1;
-        // Log-normal job size with unit mean.
-        let pixels =
-            workload.mean_pixels * process::log_normal_unit_mean(&mut job_rng, workload.sigma);
-        let service = pixels / fleet.worker_speed_pps;
-        // Hedge draw, only when hedging is on (no draw on the plain path).
-        let hedged = faults.hedge_prob > 0.0 && job_rng.gen_range(0.0..1.0) < faults.hedge_prob;
-        // Attempts the job burns: 1 on the fault-free path (no RNG draw,
-        // keeping simulate_fleet's sequence bit-identical), else a
-        // geometric draw truncated by the retry budget.
-        let mut attempts = 1u64;
-        let mut succeeded = true;
-        if faults.failure_prob > 0.0 {
-            succeeded = false;
-            attempts = 0;
-            for _ in 0..=faults.max_retries {
-                attempts += 1;
-                if job_rng.gen_range(0.0..1.0) >= faults.failure_prob {
-                    succeeded = true;
-                    break;
-                }
-            }
-        }
-        // FIFO: earliest-free worker takes the job; each attempt re-runs
-        // the full transcode on the same worker.
-        // Invariant: `workers > 0` is asserted on entry and free times
-        // are sums of finite service times — neither expect can fire.
-        let (idx, &earliest) = free_at
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite times"))
-            .expect("non-empty fleet");
-        let start = earliest.max(t);
-        waits.push(start - t);
-        free_at[idx] = start + service * attempts as f64;
-        busy_time += service * attempts as f64;
-        retries += attempts - 1;
-        if hedged {
-            // The duplicate runs the full transcode on the next-free
-            // worker. It never changes the job's outcome — with one
-            // worker it simply queues behind the primary.
-            let (hidx, &hfree) = free_at
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite times"))
-                .expect("non-empty fleet");
-            free_at[hidx] = hfree.max(t) + service;
-            busy_time += service;
-            hedges += 1;
-        }
-        if succeeded {
-            completed += 1;
-        } else {
-            failed += 1;
-        }
-    }
-    waits.sort_by(|a, b| a.partial_cmp(b).expect("finite waits"));
-    let mean_wait =
-        if waits.is_empty() { 0.0 } else { waits.iter().sum::<f64>() / waits.len() as f64 };
-    let p99 =
-        if waits.is_empty() { 0.0 } else { waits[((waits.len() - 1) as f64 * 0.99) as usize] };
-    let report = FleetReport {
-        completed,
-        failed,
-        retries,
-        hedges,
-        utilization: (busy_time / (duration_secs * f64::from(fleet.workers))).min(1.0),
-        mean_wait_secs: mean_wait,
-        p99_wait_secs: p99,
-    };
-    if span.id().is_some() {
-        span.record("workers", u64::from(fleet.workers));
-        span.record("duration_secs", duration_secs);
-        span.record("completed", report.completed);
-        span.record("utilization", report.utilization);
-        vtrace::counter("fleet.jobs_simulated", report.completed);
-        if report.retries > 0 {
-            vtrace::counter("fleet.sim_retries", report.retries);
-        }
-        if report.failed > 0 {
-            vtrace::counter("fleet.sim_failed", report.failed);
-        }
-        if report.hedges > 0 {
-            vtrace::counter("fleet.sim_hedges", report.hedges);
-        }
-        // Simulated (not wall-clock) queueing delays, in microseconds.
-        for &w in &waits {
-            vtrace::histogram("fleet.sim_wait_us", (w * 1e6) as u64);
-        }
-    }
-    report
-}
 
 /// Closed-form fleet size: the number of workers needed to serve an
 /// offered load (pixels/second of uploads) at a target utilization.
@@ -303,67 +42,10 @@ pub fn fleet_size_for(
     (offered_pixels_per_sec / (worker_speed_pps * target_utilization)).ceil() as u32
 }
 
-/// [`fleet_size_for`] under a failure model: the offered load is
-/// inflated by the expected *worker occupations* per job
-/// ([`FaultModel::expected_worker_attempts`]) — retry attempts, since
-/// every failed attempt occupies a worker for the job's full service
-/// time before the retry runs, plus hedged duplicates, which occupy a
-/// second worker even though they are not retries.
-///
-/// # Panics
-///
-/// Panics if arguments are non-positive, utilization is not in (0, 1],
-/// `failure_prob` is outside `[0, 1)`, or `hedge_prob` is outside
-/// `[0, 1]`.
-pub fn fleet_size_for_resilient(
-    offered_pixels_per_sec: f64,
-    worker_speed_pps: f64,
-    target_utilization: f64,
-    faults: &FaultModel,
-) -> u32 {
-    assert!((0.0..1.0).contains(&faults.failure_prob), "failure probability must be in [0, 1)");
-    assert!((0.0..=1.0).contains(&faults.hedge_prob), "hedge probability must be in [0, 1]");
-    fleet_size_for(
-        offered_pixels_per_sec * faults.expected_worker_attempts(),
-        worker_speed_pps,
-        target_utilization,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn workload() -> UploadWorkload {
-        UploadWorkload { arrivals_per_sec: 2.0, mean_pixels: 10e6, sigma: 0.5 }
-    }
-
-    #[test]
-    fn deterministic_per_seed() {
-        let fleet = FleetConfig { workers: 4, worker_speed_pps: 10e6 };
-        let a = simulate_fleet(&fleet, &workload(), 500.0, 1);
-        let b = simulate_fleet(&fleet, &workload(), 500.0, 1);
-        assert_eq!(a.completed, b.completed);
-        assert_eq!(a.p99_wait_secs, b.p99_wait_secs);
-    }
-
-    #[test]
-    fn utilization_matches_offered_load() {
-        // Offered load: 2 jobs/s x 10M pixels / 10M pps = 2 busy workers.
-        let fleet = FleetConfig { workers: 4, worker_speed_pps: 10e6 };
-        let r = simulate_fleet(&fleet, &workload(), 2_000.0, 7);
-        assert!((r.utilization - 0.5).abs() < 0.08, "utilization {}", r.utilization);
-        assert!(r.completed > 3_000);
-    }
-
-    #[test]
-    fn overloaded_fleet_builds_queues() {
-        let under = FleetConfig { workers: 4, worker_speed_pps: 10e6 };
-        let over = FleetConfig { workers: 2, worker_speed_pps: 10e6 };
-        let w_under = simulate_fleet(&under, &workload(), 1_000.0, 3).mean_wait_secs;
-        let w_over = simulate_fleet(&over, &workload(), 1_000.0, 3).mean_wait_secs;
-        assert!(w_over > w_under * 5.0, "saturated fleet must queue: {w_over} vs {w_under}");
-    }
+    use proptest::prelude::*;
 
     #[test]
     fn faster_workers_shrink_the_fleet() {
@@ -377,128 +59,38 @@ mod tests {
     }
 
     #[test]
-    fn p99_at_least_mean() {
-        let fleet = FleetConfig { workers: 3, worker_speed_pps: 10e6 };
-        let r = simulate_fleet(&fleet, &workload(), 1_000.0, 11);
-        assert!(r.p99_wait_secs >= r.mean_wait_secs);
-    }
-
-    #[test]
     #[should_panic(expected = "utilization")]
     fn bad_utilization_rejected() {
         let _ = fleet_size_for(1.0, 1.0, 1.5);
     }
 
-    #[test]
-    fn fault_free_model_matches_plain_simulation_exactly() {
-        let fleet = FleetConfig { workers: 4, worker_speed_pps: 10e6 };
-        let plain = simulate_fleet(&fleet, &workload(), 500.0, 9);
-        let faulted =
-            simulate_fleet_with_faults(&fleet, &workload(), 500.0, 9, &FaultModel::none());
-        assert_eq!(plain.completed, faulted.completed);
-        assert_eq!(plain.p99_wait_secs, faulted.p99_wait_secs);
-        assert_eq!(faulted.failed, 0);
-        assert_eq!(faulted.retries, 0);
-    }
-
-    #[test]
-    fn failures_inflate_utilization_and_queueing() {
-        let fleet = FleetConfig { workers: 4, worker_speed_pps: 10e6 };
-        let faults = FaultModel { failure_prob: 0.3, max_retries: 3, hedge_prob: 0.0 };
-        let clean = simulate_fleet(&fleet, &workload(), 1_000.0, 5);
-        let faulty = simulate_fleet_with_faults(&fleet, &workload(), 1_000.0, 5, &faults);
-        assert!(faulty.retries > 0, "30% failure rate must retry");
-        assert!(
-            faulty.utilization > clean.utilization,
-            "retries burn worker time: {} vs {}",
-            faulty.utilization,
-            clean.utilization
-        );
-        // Retry fraction tracks the model: E[attempts] − 1 ≈ 0.42.
-        let per_job = faulty.retries as f64 / (faulty.completed + faulty.failed) as f64;
-        assert!((per_job - (faults.expected_attempts() - 1.0)).abs() < 0.05, "got {per_job}");
-    }
-
-    #[test]
-    fn exhausted_retries_drop_jobs() {
-        let fleet = FleetConfig { workers: 8, worker_speed_pps: 50e6 };
-        let faults = FaultModel { failure_prob: 0.5, max_retries: 0, hedge_prob: 0.0 };
-        let r = simulate_fleet_with_faults(&fleet, &workload(), 1_000.0, 13, &faults);
-        let total = r.completed + r.failed;
-        assert!(total > 0);
-        let drop_rate = r.failed as f64 / total as f64;
-        assert!((drop_rate - 0.5).abs() < 0.05, "fail-fast at p=0.5 drops half: {drop_rate}");
-    }
-
-    #[test]
-    fn resilient_sizing_grows_with_failure_rate() {
-        let none = fleet_size_for_resilient(1e9, 5e6, 0.7, &FaultModel::none());
-        assert_eq!(none, fleet_size_for(1e9, 5e6, 0.7));
-        let flaky = FaultModel { failure_prob: 0.2, max_retries: 3, hedge_prob: 0.0 };
-        let sized = fleet_size_for_resilient(1e9, 5e6, 0.7, &flaky);
-        assert!(sized > none, "retry load needs more workers: {sized} vs {none}");
-        // E[attempts] = (1 − 0.2⁴) / 0.8 = 1.248 → ~25% more workers.
-        assert!((f64::from(sized) / f64::from(none) - 1.248).abs() < 0.02);
-    }
-
-    #[test]
-    fn per_job_attributes_replay_across_worker_counts() {
-        // Arrival gaps come from the base stream and job attributes from
-        // per-index substreams, so nothing but queueing depends on the
-        // worker count: counts and retry/hedge tallies replay bit-exactly.
-        let faults = FaultModel { failure_prob: 0.2, max_retries: 2, hedge_prob: 0.3 };
-        let small = FleetConfig { workers: 2, worker_speed_pps: 20e6 };
-        let large = FleetConfig { workers: 9, worker_speed_pps: 20e6 };
-        let a = simulate_fleet_with_faults(&small, &workload(), 800.0, 21, &faults);
-        let b = simulate_fleet_with_faults(&large, &workload(), 800.0, 21, &faults);
-        assert_eq!(a.completed, b.completed);
-        assert_eq!(a.failed, b.failed);
-        assert_eq!(a.retries, b.retries);
-        assert_eq!(a.hedges, b.hedges);
-    }
-
-    #[test]
-    fn hedges_occupy_workers_but_are_not_retries() {
-        let fleet = FleetConfig { workers: 6, worker_speed_pps: 10e6 };
-        let hedged = FaultModel::none().with_hedging(0.25);
-        let clean = simulate_fleet(&fleet, &workload(), 1_000.0, 19);
-        let r = simulate_fleet_with_faults(&fleet, &workload(), 1_000.0, 19, &hedged);
-        assert_eq!(r.retries, 0, "hedges must not count as retries");
-        assert_eq!(r.failed, 0, "hedges cannot fail a job");
-        assert!(r.hedges > 0);
-        // Hedge fraction tracks the model...
-        let rate = r.hedges as f64 / r.completed as f64;
-        assert!((rate - 0.25).abs() < 0.03, "hedge rate {rate}");
-        // ...and the duplicates burn real worker time.
-        assert!(r.utilization > clean.utilization, "{} vs {}", r.utilization, clean.utilization);
-    }
-
-    #[test]
-    fn sizing_formula_matches_simulated_worker_occupations() {
-        // The expected-attempts formula behind fleet_size_for_resilient,
-        // pinned against what a simulated fleet actually burns: worker
-        // occupations per job = attempts (1 + retries) + hedges.
-        let faults = FaultModel { failure_prob: 0.2, max_retries: 3, hedge_prob: 0.4 };
-        let fleet = FleetConfig { workers: 8, worker_speed_pps: 20e6 };
-        let r = simulate_fleet_with_faults(&fleet, &workload(), 3_000.0, 23, &faults);
-        let jobs = (r.completed + r.failed) as f64;
-        let per_job = (jobs + r.retries as f64 + r.hedges as f64) / jobs;
-        let expected = faults.expected_worker_attempts();
-        assert!((per_job - expected).abs() < 0.03, "simulated {per_job} vs formula {expected}");
-        // And the sizing helper inflates by exactly that factor (modulo
-        // ceil): hedges need workers even though they are not retries.
-        let plain = fleet_size_for(1e9, 5e6, 0.7);
-        let sized = fleet_size_for_resilient(1e9, 5e6, 0.7, &faults);
-        assert!((f64::from(sized) / f64::from(plain) - expected).abs() < 0.02);
-    }
-
-    #[test]
-    fn hedge_only_sizing_still_inflates_the_fleet() {
-        // Regression for the original bug: hedges occupy a worker but are
-        // not retries, so a hedge-only model must still grow the fleet.
-        let hedged = FaultModel::none().with_hedging(0.5);
-        let plain = fleet_size_for_resilient(1e9, 5e6, 0.7, &FaultModel::none());
-        let sized = fleet_size_for_resilient(1e9, 5e6, 0.7, &hedged);
-        assert!((f64::from(sized) / f64::from(plain) - 1.5).abs() < 0.02, "{sized} vs {plain}");
+    proptest! {
+        /// The sized fleet runs at or under the target utilization, and
+        /// is the smallest that does: one worker fewer would exceed it.
+        /// Loads span 10⁻³–10⁵ busy workers of 10³–10⁹ pixels/s each;
+        /// the bounds allow one part in 10¹² for the rounding of the
+        /// division inside `fleet_size_for`.
+        #[test]
+        fn sized_fleet_is_the_smallest_at_or_under_the_target_utilization(
+            speed_exp in 3.0f64..9.0,
+            busy_exp in -3.0f64..5.0,
+            idle in 0.0f64..0.99,
+        ) {
+            let speed = 10f64.powf(speed_exp);
+            let offered = speed * 10f64.powf(busy_exp);
+            let util = 1.0 - idle;
+            let n = fleet_size_for(offered, speed, util);
+            prop_assert!(n >= 1);
+            let at = |workers: u32| offered / (f64::from(workers) * speed);
+            prop_assert!(at(n) <= util * (1.0 + 1e-12), "{n} workers run at {} > {util}", at(n));
+            if n > 1 {
+                prop_assert!(
+                    at(n - 1) > util * (1.0 - 1e-12),
+                    "{} workers already run at {} <= {util}",
+                    n - 1,
+                    at(n - 1)
+                );
+            }
+        }
     }
 }

@@ -48,8 +48,8 @@
 //!   ratios;
 //! * [`scenario`] — the five scoring scenarios of Table 1 with their QoS
 //!   constraints;
-//! * [`reference`] — the reference transcode operations each scenario
-//!   compares against;
+//! * [`reference`](mod@reference) — the reference transcode operations
+//!   each scenario compares against;
 //! * [`report`] — per-video result tables (never averaged, per Section
 //!   4.3);
 //! * [`figures`] — the data-only Figure 1 series.
@@ -115,17 +115,16 @@ pub use farm::{
     JobError, JobSource,
 };
 pub use fleet::{
-    cheapest_job_dollars, fleet_size_for, fleet_size_for_resilient, pareto_report, plan_fleet,
-    predict_encode_secs, predict_job_dollars, scenario_deadline_slack, simulate_fleet,
-    simulate_fleet_with_faults, uniform_plan, FaultModel, FleetConfig, FleetPlan, FleetReport,
-    JobFeatures, ParetoPoint, ParetoReport, PlanAssignment, PlanJob, UploadWorkload,
+    cheapest_job_dollars, fleet_size_for, pareto_report, plan_fleet, predict_encode_secs,
+    predict_job_dollars, scenario_deadline_slack, uniform_plan, FleetPlan, JobFeatures,
+    ParetoPoint, ParetoReport, PlanAssignment, PlanJob,
 };
 pub use journal::{run_batch_journaled_with_io, JournalConfig, JournalError};
 pub use ladder::{
     standard_ladder, transcode_ladder, transcode_ladder_with, LadderOutput, LadderRung,
 };
 pub use measure::{Measurement, Ratios};
-pub use reference::{reference_config, reference_encode, reference_request, target_bpps};
+pub use reference::{reference_config, reference_encode, target_bpps};
 pub use resilience::{
     degrade_preset, degrade_preset_by, FaultyTranscoder, HedgePolicy, ResilienceConfig,
 };

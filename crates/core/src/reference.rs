@@ -61,28 +61,19 @@ pub fn live_preset(kpixels: u32) -> Preset {
 ///
 /// Uses the clip's own resolution to choose the Live effort tier; when
 /// running *scaled-down* replicas of suite videos, use
-/// [`reference_config_with_native`] so the tier matches the category the
-/// clip stands in for.
+/// [`reference_config_for`] with the native category resolution so the
+/// tier matches the category the clip stands in for.
 pub fn reference_config(scenario: Scenario, video: &Video) -> EncoderConfig {
-    reference_config_with_native(scenario, video, video.resolution().kpixels())
+    reference_config_for(scenario, video.resolution(), video.resolution().kpixels())
 }
 
-/// Like [`reference_config`], but the Live effort tier is chosen from the
-/// *native* category resolution (`native_kpixels`) rather than the clip's
-/// actual (possibly scaled-down) resolution. Bitrate targets still follow
-/// the actual resolution so reference and candidate stay comparable.
-pub fn reference_config_with_native(
-    scenario: Scenario,
-    video: &Video,
-    native_kpixels: u32,
-) -> EncoderConfig {
-    reference_config_for(scenario, video.resolution(), native_kpixels)
-}
-
-/// [`reference_config_with_native`] from source metadata alone: the
-/// reference configuration depends only on the clip's resolution (bitrate
-/// target) and native category (Live effort tier), so streaming callers
-/// can build it without materializing any frames.
+/// The reference encoder configuration from source metadata alone: it
+/// depends only on the clip's resolution (bitrate target) and native
+/// category (Live effort tier), so streaming callers can build it without
+/// materializing any frames. The Live tier follows the *native* category
+/// resolution (`native_kpixels`), not the actual, possibly scaled-down,
+/// one; the bitrate target follows the actual resolution so reference and
+/// candidate stay comparable.
 pub fn reference_config_for(
     scenario: Scenario,
     resolution: Resolution,
@@ -113,24 +104,9 @@ pub fn reference_config_for(
 }
 
 /// The reference transcode as an engine request (always the software
-/// AVC-class backend, per Section 4.2).
-pub fn reference_request(scenario: Scenario, video: &Video) -> TranscodeRequest {
-    TranscodeRequest::from_config(&reference_config(scenario, video))
-}
-
-/// [`reference_request`] with a native-resolution hint (see
-/// [`reference_config_with_native`]).
-pub fn reference_request_with_native(
-    scenario: Scenario,
-    video: &Video,
-    native_kpixels: u32,
-) -> TranscodeRequest {
-    TranscodeRequest::from_config(&reference_config_with_native(scenario, video, native_kpixels))
-}
-
-/// [`reference_request_with_native`] from source metadata alone (see
-/// [`reference_config_for`]); identical to the clip-based request for the
-/// same resolution, so streaming batches reproduce in-memory bitstreams.
+/// AVC-class backend, per Section 4.2), from source metadata alone (see
+/// [`reference_config_for`]); streaming batches use it to reproduce
+/// in-memory bitstreams.
 pub fn reference_request_for(
     scenario: Scenario,
     resolution: Resolution,
@@ -148,13 +124,11 @@ pub fn reference_request_for(
 /// measurement axis is invalid) — reference inputs are suite clips, which
 /// are never either.
 pub fn reference_encode(scenario: Scenario, video: &Video) -> (Measurement, EncodeOutput) {
-    let outcome =
-        transcode(video, &reference_request(scenario, video)).expect("reference transcode");
-    (outcome.measurement, outcome.output)
+    reference_encode_with_native(scenario, video, video.resolution().kpixels())
 }
 
 /// [`reference_encode`] with a native-resolution hint (see
-/// [`reference_config_with_native`]).
+/// [`reference_config_for`]).
 ///
 /// # Panics
 ///
@@ -165,7 +139,7 @@ pub fn reference_encode_with_native(
     video: &Video,
     native_kpixels: u32,
 ) -> (Measurement, EncodeOutput) {
-    let req = reference_request_with_native(scenario, video, native_kpixels);
+    let req = reference_request_for(scenario, video.resolution(), native_kpixels);
     let outcome = transcode(video, &req).expect("reference transcode");
     (outcome.measurement, outcome.output)
 }

@@ -105,19 +105,12 @@ pub fn score(
     ScenarioScore { scenario, ratios: r, valid, score: valid.then_some(value) }
 }
 
-/// The Live scenario's per-job encode deadline, in seconds: the clip's
-/// play-out duration, derived from the same real-time pixel rate the
-/// scoring constraint uses (`total pixels ÷ (pixels/frame × fps)`). A
-/// transcode that takes longer than the clip lasts cannot keep up with a
-/// live stream; feed this to
+/// The Live scenario's per-job encode deadline, in seconds, from source
+/// metadata alone: the clip's play-out duration, derived from the same
+/// real-time pixel rate the scoring constraint uses
+/// (`total pixels ÷ (pixels/frame × fps)`). A transcode that takes longer
+/// than the clip lasts cannot keep up with a live stream; feed this to
 /// [`crate::farm::EngineJob::with_deadline`] to make the farm enforce it.
-pub fn live_deadline_secs(video: &Video) -> f64 {
-    live_deadline_secs_for(video.resolution(), video.fps(), video.len())
-}
-
-/// [`live_deadline_secs`] from source metadata alone, for streaming jobs
-/// whose clips are never materialized. Same arithmetic, so the deadline a
-/// streamed Live job runs under matches the in-memory one exactly.
 pub fn live_deadline_secs_for(resolution: Resolution, fps: f64, frames: usize) -> f64 {
     let required_pps = resolution.pixels() as f64 * fps;
     let total_pixels = resolution.pixels() * frames as u64;
@@ -229,7 +222,7 @@ mod tests {
         let frames = (0..60).map(|_| frame_from_fn(res, |_, _| Yuv::new(0, 128, 128))).collect();
         let v = Video::new(frames, 30.0);
         // 60 frames at 30 fps: the real-time bound is the 2 s play-out.
-        assert!((live_deadline_secs(&v) - 2.0).abs() < 1e-9);
+        assert!((live_deadline_secs_for(v.resolution(), v.fps(), v.len()) - 2.0).abs() < 1e-9);
     }
 
     #[test]

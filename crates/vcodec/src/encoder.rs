@@ -93,10 +93,16 @@ impl EncoderConfig {
     ///
     /// # Errors
     ///
-    /// [`EncodeError::ZeroBitrate`] or [`EncodeError::InvalidGop`].
+    /// [`EncodeError::ZeroBitrate`], [`EncodeError::InvalidCrf`] or
+    /// [`EncodeError::InvalidGop`].
     pub fn validate(&self) -> Result<(), EncodeError> {
         if self.rate.target_bps() == Some(0) {
             return Err(EncodeError::ZeroBitrate);
+        }
+        if let RateControl::ConstQuality { crf } = self.rate {
+            if !crf.is_finite() {
+                return Err(EncodeError::InvalidCrf);
+            }
         }
         if self.gop == 0 || self.gop > u32::from(u16::MAX) {
             return Err(EncodeError::InvalidGop(self.gop));
@@ -201,6 +207,9 @@ pub enum EncodeError {
     EmptySource,
     /// A bitrate-targeting mode was asked to hit zero bits per second.
     ZeroBitrate,
+    /// A constant-quality mode was given a CRF that is NaN or infinite.
+    /// A finite CRF outside the QP range clamps to its nearest end.
+    InvalidCrf,
     /// The keyframe interval is zero, or past the `u16` the stream header
     /// stores it in.
     InvalidGop(u32),
@@ -220,6 +229,7 @@ impl std::fmt::Display for EncodeError {
         match self {
             EncodeError::EmptySource => f.write_str("source clip has no frames"),
             EncodeError::ZeroBitrate => f.write_str("bitrate target must be non-zero"),
+            EncodeError::InvalidCrf => f.write_str("CRF must be a finite number"),
             EncodeError::InvalidGop(gop) => write!(f, "GOP of {gop} frames outside 1..=65535"),
             EncodeError::WindowTooSmall { required, window } => {
                 write!(f, "window of {window} frames below the {required} this config needs")

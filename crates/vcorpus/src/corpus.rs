@@ -10,7 +10,7 @@
 
 use crate::category::{VideoCategory, WeightedCategory};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{process, Rng, SeedableRng};
 use std::collections::BTreeMap;
 
 /// Standard resolution ladder: (kilopixels, upload share).
@@ -58,7 +58,7 @@ impl CorpusModel {
         let (median, sigma, _) =
             CONTENT_MODES[pick(rng, CONTENT_MODES.iter().enumerate().map(|(i, m)| (i, m.2)))];
         // Log-normal around the mode's median.
-        let z = standard_normal(rng);
+        let z = process::standard_normal(rng);
         let entropy = (median.ln() + sigma * z).exp().clamp(0.02, 60.0);
         VideoCategory::new(kpix, fps, entropy)
     }
@@ -109,13 +109,6 @@ fn pick<T: Copy>(rng: &mut SmallRng, items: impl Iterator<Item = (T, f64)>) -> T
         target -= w;
     }
     items.last().expect("non-empty tier list").0
-}
-
-/// Standard normal via Box–Muller.
-fn standard_normal(rng: &mut SmallRng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 /// Watch-time popularity: a power law with exponential cutoff

@@ -29,13 +29,8 @@ pub const STAGE_SPANS: [&str; 4] =
     ["vcodec.motion_search", "vcodec.transform_quant", "vcodec.entropy_coding", "vcodec.deblock"];
 
 /// The wait/latency histograms worth breaking down, in render order.
-const WAIT_HISTOGRAMS: [&str; 5] = [
-    "farm.queue_wait_us",
-    "farm.backoff_wait_us",
-    "journal.fsync_us",
-    "frame.pull_wait_us",
-    "fleet.sim_wait_us",
-];
+const WAIT_HISTOGRAMS: [&str; 4] =
+    ["farm.queue_wait_us", "farm.backoff_wait_us", "journal.fsync_us", "frame.pull_wait_us"];
 
 /// One hop of the critical path, leaf-ward.
 #[derive(Clone, Debug)]

@@ -184,7 +184,7 @@ pub mod collection {
         }
     }
 
-    /// The output of [`vec`].
+    /// The output of [`vec()`].
     #[derive(Clone, Copy, Debug)]
     pub struct VecStrategy<S, L> {
         element: S,

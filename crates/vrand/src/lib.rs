@@ -12,7 +12,7 @@
 //! and the range samplers reproduce `rand 0.8`'s uniform-sampling
 //! algorithms bit for bit (upper-half 32-bit output, widening-multiply
 //! with rejection zones, the `[1, 2)` mantissa method for floats). The
-//! synthetic scenes, corpus model, and fleet simulator therefore see the
+//! synthetic scenes, corpus model, and service arrivals therefore see the
 //! exact sequences they were calibrated against. Sequences are
 //! deterministic per seed and stable across platforms and releases of
 //! this workspace.
@@ -234,17 +234,19 @@ pub mod rngs {
     }
 }
 
-/// Shared base-process samplers for the workspace's arrival and workload
+/// Shared base-process samplers for the workspace's arrival and corpus
 /// models.
 ///
-/// The service layer's arrival generator and the fleet simulator both
-/// build on the same three primitives — exponential inter-arrival gaps,
-/// standard-normal draws, and deterministic per-index substreams — and
-/// each used to carry a private copy. Centralizing them here keeps the
-/// draw formulas (and therefore every calibrated byte-exact replay)
-/// identical across layers: a gap sampled through [`exp_gap`] consumes
-/// exactly one `gen_range(0.0..1.0)` draw, [`standard_normal`] exactly
-/// two, and [`substream_seed`] consumes nothing.
+/// The service layer's arrival generator and the corpus model's
+/// resolution draw build on the same three primitives — exponential
+/// inter-arrival gaps, standard-normal draws, and deterministic per-index
+/// substreams — and each used to carry a private copy. Centralizing them
+/// here keeps the draw formulas (and therefore every calibrated
+/// byte-exact replay) identical across layers: a gap sampled through
+/// [`exp_gap`](process::exp_gap) consumes exactly one
+/// `gen_range(0.0..1.0)` draw, [`standard_normal`](process::standard_normal)
+/// exactly two, and [`substream_seed`](process::substream_seed) consumes
+/// nothing.
 pub mod process {
     use super::rngs::SmallRng;
     use super::{Rng, RngCore, SeedableRng};
@@ -266,14 +268,6 @@ pub mod process {
         let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
         let u2: f64 = rng.gen_range(0.0..1.0);
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-
-    /// One unit-mean log-normal draw with log-space standard deviation
-    /// `sigma`: `exp(sigma · Z − sigma² / 2)`. The `−sigma²/2` shift
-    /// makes the expectation exactly 1, so callers multiply by their own
-    /// mean without re-deriving the correction.
-    pub fn log_normal_unit_mean<R: RngCore>(rng: &mut R, sigma: f64) -> f64 {
-        (sigma * standard_normal(rng) - 0.5 * sigma * sigma).exp()
     }
 
     /// The per-index substream seed used by every per-item attribute
@@ -380,17 +374,6 @@ mod tests {
         let var = draws.iter().map(|z| (z - mean) * (z - mean)).sum::<f64>() / draws.len() as f64;
         assert!(mean.abs() < 0.01, "mean {mean}");
         assert!((var - 1.0).abs() < 0.02, "var {var}");
-    }
-
-    #[test]
-    fn log_normal_unit_mean_has_unit_mean() {
-        for &sigma in &[0.25, 0.8, 1.5] {
-            let mut rng = SmallRng::seed_from_u64(17);
-            let n = 400_000;
-            let mean = (0..n).map(|_| process::log_normal_unit_mean(&mut rng, sigma)).sum::<f64>()
-                / f64::from(n);
-            assert!((mean - 1.0).abs() < 0.05, "sigma {sigma}: mean {mean}");
-        }
     }
 
     #[test]

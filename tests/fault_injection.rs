@@ -216,7 +216,8 @@ fn live_deadline_derives_from_realtime_pixel_rate() {
     let suite = Suite::vbench(&SuiteOptions::tiny());
     let v = suite.iter().next().expect("suite video");
     let video = v.generate();
-    let deadline = vbench::scenario::live_deadline_secs(&video);
+    let deadline =
+        vbench::scenario::live_deadline_secs_for(video.resolution(), video.fps(), video.len());
     let expected = video.frames().len() as f64 / video.fps();
     assert!((deadline - expected).abs() < 1e-9, "live deadline is the clip duration");
     // Wired through a job: an injected straggler far beyond the clip

@@ -91,32 +91,3 @@ fn bframe_streams_pass_through_the_whole_pipeline() {
         assert_eq!(decoded.frame(t), out.recon.frame(t), "frame {t}");
     }
 }
-
-#[test]
-fn fleet_model_agrees_with_measured_worker_speed() {
-    // Wire the queueing model to a real measured encode speed: at the
-    // sized fleet, simulated utilization must sit near the target.
-    let suite = Suite::vbench(&SuiteOptions::tiny());
-    let video = suite.by_name("desktop").unwrap().generate();
-    let cfg =
-        EncoderConfig::new(CodecFamily::Avc, Preset::Fast, RateControl::ConstQuality { crf: 30.0 });
-    let out = vcodec::encode(&video, &cfg);
-    let worker_pps = out.stats.pixels_per_second(video.total_pixels());
-    let offered = worker_pps * 3.0; // needs ~3 busy workers
-    let workers = vbench::fleet::fleet_size_for(offered, worker_pps, 0.75);
-    let report = vbench::fleet::simulate_fleet(
-        &vbench::fleet::FleetConfig { workers, worker_speed_pps: worker_pps },
-        &vbench::fleet::UploadWorkload {
-            arrivals_per_sec: offered / video.total_pixels() as f64,
-            mean_pixels: video.total_pixels() as f64,
-            sigma: 0.3,
-        },
-        2_000.0,
-        5,
-    );
-    assert!(
-        (report.utilization - 0.75).abs() < 0.15,
-        "sized for 75%, simulated {}",
-        report.utilization
-    );
-}
