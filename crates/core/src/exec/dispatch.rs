@@ -41,7 +41,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use super::io::{DurableFile, JournalIo};
-use super::ledger::{self, replay_ledger};
+use super::ledger::{self, LedgerFold};
 use super::{status, ChainResult};
 use crate::farm::{BatchError, EngineBatchReport, EngineJob};
 use crate::journal::record::{self, DoneMark, Record};
@@ -185,32 +185,37 @@ pub fn run_dispatch_with_io(
     // live view, cheap enough to never matter next to the encode work.
     const STATUS_EVERY: u32 = 25;
     let mut polls = 0u32;
-    let write_status = |text: &str| {
+    let write_status = |fold: &LedgerFold| {
         let Some(path) = &opts.status_out else { return };
-        if let Some(snap) = status::snapshot_from_text(text) {
-            let now_ms = std::time::SystemTime::now()
-                .duration_since(std::time::SystemTime::UNIX_EPOCH)
-                .map(|d| d.as_millis() as u64)
-                .unwrap_or(0);
-            // Best-effort: a failed snapshot write must not kill the
-            // batch the snapshot exists to observe.
-            let _ = status::write_atomic_io(
-                io,
-                path,
-                &snap.to_json(now_ms, started.elapsed().as_secs_f64()),
-            );
+        if !fold.has_manifest() {
+            return;
         }
+        let now_ms = std::time::SystemTime::now()
+            .duration_since(std::time::SystemTime::UNIX_EPOCH)
+            .map(|d| d.as_millis() as u64)
+            .unwrap_or(0);
+        // Best-effort: a failed snapshot write must not kill the batch
+        // the snapshot exists to observe.
+        let _ = status::write_atomic_io(
+            io,
+            path,
+            &status::snapshot(fold.view()).to_json(now_ms, started.elapsed().as_secs_f64()),
+        );
     };
 
     let result = (|| -> Result<(), JournalError> {
         for _ in 0..opts.procs {
             workers.push(spawn_worker(opts, run, &mut next_id, &mut worker_traces)?);
         }
+        // Every read of the ledger — the poll and the re-read after a
+        // reap — folds only what was appended since the previous one.
+        let mut fold = LedgerFold::new(jobs.len());
         loop {
             let text = record::read_text(io, &ledger_path).map_err(|e| io_err("poll ledger", e))?;
-            let view = replay_ledger(&text, jobs.len());
+            fold.update(&text);
+            let view = fold.view();
             if polls.is_multiple_of(STATUS_EVERY) || view.all_done() {
-                write_status(&text);
+                write_status(&fold);
             }
             polls += 1;
             if view.all_done() {
@@ -249,7 +254,7 @@ pub fn run_dispatch_with_io(
             if !dead.is_empty() {
                 let text = record::read_text(io, &ledger_path)
                     .map_err(|e| io_err("re-read ledger after reap", e))?;
-                let view = replay_ledger(&text, jobs.len());
+                let view = fold.update(&text);
                 let dangling: Vec<_> =
                     dead.iter().flat_map(|pid| view.leases_of_pid(*pid)).collect();
                 if !dangling.is_empty() {
@@ -495,6 +500,71 @@ mod tests {
         assert_eq!(got.results[1].success().expect("ok").bytes(), b"retried", "last record wins");
         assert_eq!((got.summary.replayed, want.summary.replayed), (3, 3));
         assert_eq!((got.cpu_secs, got.summary.retries), (0.0, 0));
+    }
+
+    /// The dispatcher's poll and its re-read after a reap share one fold,
+    /// so over a 64-job dispatch each ledger line is parsed once. The
+    /// workers are `sh` scripts appending canned lines: the first leases
+    /// job 0 and dies, so the dispatcher reaps it, re-reads the ledger
+    /// and expires the lease; its replacement commits every job.
+    #[test]
+    fn the_dispatcher_parses_each_ledger_line_once() {
+        let names: Vec<String> = (0..64).map(|i| format!("job{i}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let (jobs, policy) = (jobs(&names), ResilienceConfig::default());
+        let temp = TempJournal::new("dispatch-fold-once");
+        let ledger_path = ledger::ledger_path(temp.path());
+        let script = temp.path().with_extension("sh");
+        let status = temp.path().with_extension("status.json");
+        // A line appended by the worker, its pid spliced in as `$$`.
+        let append = |line: String, file: &str| {
+            let line = line.trim_end().replace("\"pid\":0}", "\"pid\":'\"$$\"'}");
+            format!("printf '%s\\n' '{line}' >> \"${file}\"\n")
+        };
+        let lease =
+            |job, worker| record::lease_line(job, ledger::LeaseId { worker, nonce: 0, pid: 0 });
+        let mut commit_all = String::new();
+        for (job, name) in names.iter().enumerate() {
+            let mark = DoneMark { job, worker: Some(1), ok: true, attempts: 1 };
+            commit_all += &append(lease(job, 1), "L");
+            commit_all +=
+                &append(record::job_line(job, name, &ok_chain(b"x", 1), Some((1, 0))), "J");
+            commit_all += &append(record::done_line(mark), "L");
+            commit_all += "sleep 0.002\n";
+        }
+        let text = format!(
+            "L='{}'\nJ='{}'\ncase \"$2\" in\n0)\n{}exit 0 ;;\n1)\n{commit_all}sleep 0.3 ;;\n*) sleep 0.3 ;;\nesac\n",
+            ledger_path.display(),
+            temp.path().display(),
+            append(lease(0, 0), "L"),
+        );
+        std::fs::write(&script, text).expect("write the worker script");
+
+        let opts = DispatchOptions {
+            procs: 1,
+            worker_exe: "sh".into(),
+            worker_args: vec![script.display().to_string()],
+            worker_trace_base: None,
+            journal: JournalConfig::new(temp.path()),
+            status_out: Some(status.clone()),
+            worker_io_fault_spec: None,
+        };
+        let io = ReadLog::default();
+        let (got, parsed) =
+            ledger::lines_folded(|| run_dispatch_with_io(&jobs, &policy, &opts, &io));
+        let report = got.expect("dispatch").report;
+        let ledger = std::fs::read_to_string(&ledger_path).expect("ledger");
+        let _ = std::fs::remove_file(&script);
+        let _ = std::fs::remove_file(&status);
+
+        assert_eq!(report.summary.replayed, 0);
+        assert!(report.results.iter().all(|r| r.success().is_some()), "every job committed");
+        assert_eq!(ledger.matches("\"kind\":\"expire\",\"job\":0,").count(), 1, "the reap ran");
+        let reads = io.of(&ledger_path).0;
+        assert!(reads >= 3, "a poll, the re-read after the reap, the poll that saw all done");
+        // Nothing appends after the poll that saw every job done, so that
+        // poll read the whole file.
+        assert_eq!(parsed, ledger.lines().count(), "lines parsed over {reads} reads");
     }
 
     /// The report reads what every other reader reads: a garbage line

@@ -393,7 +393,7 @@ fn transient_write_error(e: &io::Error) -> bool {
 }
 
 /// Appends `bytes`, retrying transient write errors up to
-/// [`MAX_APPEND_RETRIES`] times with capped exponential backoff (the
+/// `MAX_APPEND_RETRIES` times with capped exponential backoff (the
 /// same curve the resilience layer uses for encode retries). Counts
 /// each retry on the `journal.io_retries` vtrace counter. Permanent
 /// errors — and every sync error, per the module-level fsync-gate rule

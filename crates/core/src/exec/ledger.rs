@@ -3,19 +3,19 @@
 //!
 //! A dispatch keeps two files. The *journal* is the data plane: manifest,
 //! run and fsync'd job records, payloads inline — what `--resume` reads.
-//! The *ledger*, `<journal>.ledger` ([`ledger_path`]), is the control
+//! The *ledger*, `<journal>.ledger` (`ledger_path`), is the control
 //! plane: every record a participant needs to decide who runs what, and
 //! nothing else. Workers claim, revalidate and heartbeat by re-reading the
 //! ledger alone — a few KB — and never read the journal; the dispatcher
 //! polls it, and `--status-out` / `vbench top` render it.
 //!
 //! The dispatcher creates (or truncates) the ledger at the start of every
-//! run, before the first spawn ([`create_ledger`]): a header copying the
+//! run, before the first spawn (`create_ledger`): a header copying the
 //! journal's manifest line and this run's run line, then one `done` per
 //! job the resume scan replayed. After that it is append-only, `O_APPEND`,
 //! never fsync'd and never resumed from. Four ephemeral record kinds
 //! (fields and writers: the "Record format" tables in DESIGN.md
-//! §Durability; bytes: [`crate::journal::record`]):
+//! §Durability; bytes: `journal::record`):
 //!
 //! * `lease` — a worker claims a job. Appended *optimistically*: two
 //!   workers may both append a lease for the same free job, and the
@@ -25,7 +25,7 @@
 //! * `done` — the job's record is committed in the journal. A worker
 //!   appends it right after the record's fsync returns; the dispatcher
 //!   appends it on a dead worker's behalf when the reap finds the record
-//!   already committed ([`reconcile`]).
+//!   already committed (`reconcile`).
 //! * `expire` — the dispatcher voids the matching lease. Appended only
 //!   after the holder's process has been reaped (`waitpid`) *and* the
 //!   journal shows no committed record for the job, so a dead worker can
@@ -50,9 +50,14 @@
 //!       expire (matching holder, after reap)
 //! ```
 //!
-//! Known residual: every claim re-reads and re-folds the whole ledger, so
-//! coordination is `O(jobs)` per claim — small constants now, but not
-//! incremental.
+//! Readers that come back to the ledger — a worker's claim, arbitration
+//! and revalidation, the dispatcher's poll and its re-read after a reap —
+//! keep a `LedgerFold` and hand it the whole file each time; it parses
+//! only the lines appended since its last read. The invariant that makes
+//! this exact: within a run the ledger is append-only, so a folded prefix
+//! never changes, and a file shorter than what was folded is another file
+//! (a new run truncated it), which the fold refolds from empty. A claim
+//! still reads the whole file, but parses `O(new records)`, not `O(jobs)`.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -91,6 +96,7 @@ pub(crate) enum JobState {
 
 /// The ledger replayed to a point in time: per-job states plus the
 /// liveness facts the dispatcher monitors.
+#[derive(Debug, PartialEq)]
 pub(crate) struct LedgerView {
     /// Per-job lease state, indexed by job.
     pub(crate) states: Vec<JobState>,
@@ -113,6 +119,68 @@ pub(crate) struct LedgerView {
 }
 
 impl LedgerView {
+    /// The view of a ledger with no records: every job free.
+    fn new(jobs: usize) -> LedgerView {
+        LedgerView {
+            states: vec![JobState::Free; jobs],
+            first_lease: vec![None; jobs],
+            expired: vec![false; jobs],
+            workers: BTreeMap::new(),
+            retries: 0,
+            expire_records: 0,
+        }
+    }
+
+    /// Applies one committed record, the next in file order. A job
+    /// record folds like the `done` that stands for it; out-of-range
+    /// indices are skipped.
+    fn fold(&mut self, record: Record) {
+        match record {
+            Record::Job(rec) => self.commit(rec.mark()),
+            Record::Done(mark) => self.commit(mark),
+            Record::Lease { job, id } if job < self.states.len() => {
+                self.worker(id.worker).pid = Some(id.pid);
+                self.first_lease[job].get_or_insert(id);
+                // First lease on a free job wins; a lease raced onto an
+                // already-leased or done job is a no-op for its writer.
+                if self.states[job] == JobState::Free {
+                    self.states[job] = JobState::Leased(id);
+                }
+            }
+            Record::Expire { job, id } => {
+                self.expire_records += 1;
+                // Only the exact current holder can be expired: an
+                // expire that raced with a newer lease must not void it.
+                if self.states.get(job) == Some(&JobState::Leased(id)) {
+                    self.states[job] = JobState::Free;
+                    self.expired[job] = true;
+                }
+            }
+            Record::Hb { worker: id, seq, pid, t_ms } => {
+                let w = self.worker(id);
+                w.hb_seq = w.hb_seq.max(seq);
+                w.hb_wall_ms = w.hb_wall_ms.max(t_ms);
+                w.pid = pid.or(w.pid);
+            }
+            _ => {}
+        }
+    }
+
+    fn commit(&mut self, mark: DoneMark) {
+        self.retries += u64::from(mark.attempts.saturating_sub(1));
+        if let Some(id) = mark.worker {
+            let w = self.worker(id);
+            *(if mark.ok { &mut w.completed } else { &mut w.failed }) += 1;
+        }
+        if let Some(state) = self.states.get_mut(mark.job) {
+            *state = JobState::Done;
+        }
+    }
+
+    fn worker(&mut self, id: u64) -> &mut WorkerStatus {
+        self.workers.entry(id).or_insert_with(|| WorkerStatus { worker: id, ..Default::default() })
+    }
+
     /// Whether every job has a durable record.
     pub(crate) fn all_done(&self) -> bool {
         self.states.iter().all(|s| matches!(s, JobState::Done))
@@ -151,68 +219,70 @@ impl LedgerView {
     }
 }
 
-/// Folds ledger text into a [`LedgerView`] over `jobs` job indices.
-/// Tolerant by construction: lines that are not committed records (torn
-/// tails, foreign garbage) and out-of-range indices are skipped — the
-/// durable scan in `crate::journal` owns corruption accounting; this fold
-/// only needs a consistent coordination view, and every process folding
-/// the same bytes gets the same view. A job record folds like the `done`
-/// that stands for it (header only, its payload is never decoded here),
-/// so journal text is valid input too.
+/// A [`LedgerView`] kept current across reads of one growing ledger:
+/// [`LedgerFold::update`] takes the whole file as read now and parses
+/// only the lines past the ones it has already folded.
+pub(crate) struct LedgerFold {
+    view: LedgerView,
+    /// How far the text is folded (just past its last complete line) and
+    /// whether the first usable manifest was among it.
+    read: record::Committed,
+}
+
+thread_local! {
+    /// Lines parsed by the ledger folds on this thread, counted in test
+    /// builds only (`lines_folded`).
+    static LINES_FOLDED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+impl LedgerFold {
+    /// A fold over `jobs` job indices that has read nothing yet.
+    pub(crate) fn new(jobs: usize) -> LedgerFold {
+        LedgerFold { view: LedgerView::new(jobs), read: record::Committed::default() }
+    }
+
+    /// Brings the view up to `text`, the whole file as read now, and
+    /// returns it. Within a run the ledger only grows, so the lines
+    /// already folded are a prefix of `text` and only those past it are
+    /// parsed; a `text` that does not reach that far is a different file
+    /// (truncated by a new run), and is refolded from empty. Either way
+    /// the view is the fold of all of `text` from empty.
+    pub(crate) fn update(&mut self, text: &str) -> &LedgerView {
+        if !text.is_char_boundary(self.read.end) {
+            *self = LedgerFold::new(self.view.states.len());
+        }
+        let view = &mut self.view;
+        let lines = self.read.extend(text, |record| view.fold(record));
+        vtrace::counter("exec.ledger.lines_folded", lines as u64);
+        if cfg!(test) {
+            LINES_FOLDED.with(|n| n.set(n.get() + lines));
+        }
+        &self.view
+    }
+
+    /// The view as of the last [`LedgerFold::update`].
+    pub(crate) fn view(&self) -> &LedgerView {
+        &self.view
+    }
+
+    /// Whether the text folded so far holds a usable manifest.
+    pub(crate) fn has_manifest(&self) -> bool {
+        self.read.manifest.is_some()
+    }
+}
+
+/// Folds ledger text into a [`LedgerView`] over `jobs` job indices: a
+/// [`LedgerFold`] used once. Tolerant by construction: lines that are
+/// not committed records (torn tails, foreign garbage) and out-of-range
+/// indices are skipped — the durable scan in `crate::journal` owns
+/// corruption accounting; this fold only needs a consistent coordination
+/// view, and every process folding the same bytes gets the same view. A
+/// job record folds like the `done` that stands for it (header only, its
+/// payload is never decoded here), so journal text is valid input too.
 pub(crate) fn replay_ledger(text: &str, jobs: usize) -> LedgerView {
-    let mut view = LedgerView {
-        states: vec![JobState::Free; jobs],
-        first_lease: vec![None; jobs],
-        expired: vec![false; jobs],
-        workers: BTreeMap::new(),
-        retries: 0,
-        expire_records: 0,
-    };
-    fn worker(workers: &mut BTreeMap<u64, WorkerStatus>, id: u64) -> &mut WorkerStatus {
-        workers.entry(id).or_insert_with(|| WorkerStatus { worker: id, ..Default::default() })
-    }
-    fn commit(view: &mut LedgerView, mark: DoneMark) {
-        view.retries += u64::from(mark.attempts.saturating_sub(1));
-        if let Some(id) = mark.worker {
-            let w = worker(&mut view.workers, id);
-            *(if mark.ok { &mut w.completed } else { &mut w.failed }) += 1;
-        }
-        if let Some(state) = view.states.get_mut(mark.job) {
-            *state = JobState::Done;
-        }
-    }
-    for record in record::records(text) {
-        match record {
-            Record::Job(rec) => commit(&mut view, rec.mark()),
-            Record::Done(mark) => commit(&mut view, mark),
-            Record::Lease { job, id } if job < jobs => {
-                worker(&mut view.workers, id.worker).pid = Some(id.pid);
-                view.first_lease[job].get_or_insert(id);
-                // First lease on a free job wins; a lease raced onto an
-                // already-leased or done job is a no-op for its writer.
-                if view.states[job] == JobState::Free {
-                    view.states[job] = JobState::Leased(id);
-                }
-            }
-            Record::Expire { job, id } => {
-                view.expire_records += 1;
-                // Only the exact current holder can be expired: an
-                // expire that raced with a newer lease must not void it.
-                if view.states.get(job) == Some(&JobState::Leased(id)) {
-                    view.states[job] = JobState::Free;
-                    view.expired[job] = true;
-                }
-            }
-            Record::Hb { worker: id, seq, pid, t_ms } => {
-                let w = worker(&mut view.workers, id);
-                w.hb_seq = w.hb_seq.max(seq);
-                w.hb_wall_ms = w.hb_wall_ms.max(t_ms);
-                w.pid = pid.or(w.pid);
-            }
-            _ => {}
-        }
-    }
-    view
+    let mut fold = LedgerFold::new(jobs);
+    fold.update(text);
+    fold.view
 }
 
 /// The ledger file of the journal at `journal`: the same path plus
@@ -270,6 +340,16 @@ pub(crate) fn reconcile(
         }
     }
     (done, expire)
+}
+
+/// Runs `f` and counts the ledger lines the folds on this thread parse
+/// meanwhile: what the tests that pin each reader to one parse per line
+/// count.
+#[cfg(test)]
+pub(crate) fn lines_folded<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let before = LINES_FOLDED.with(|n| n.get());
+    let result = f();
+    (result, LINES_FOLDED.with(|n| n.get()) - before)
 }
 
 #[cfg(test)]
@@ -396,6 +476,123 @@ mod tests {
         assert_eq!(expire, dangling[1..]);
         // Nothing dangling, nothing to do — whatever the journal holds.
         assert_eq!(reconcile(&[], &journal), (vec![], vec![]));
+    }
+
+    /// A ledger line of each kind the fold meets, `kind` choosing which:
+    /// usable and unusable manifests, runs, leases, expires (matching a
+    /// lease or stale), heartbeats, `done`s and job records (both with
+    /// indices past the batch), garbage with invalid UTF-8, and a torn
+    /// line with no newline, which merges into whatever follows it.
+    fn line(kind: u8, job: usize, worker: u64, nonce: u64) -> Vec<u8> {
+        let id = LeaseId { worker, nonce, pid: 100 + worker };
+        let line = match kind {
+            0 => record::manifest_line(7, JOBS),
+            1 => record::manifest_line(7, JOBS).replace("\"version\":1", "\"version\":2"),
+            2 => record::run_line(nonce as u32),
+            3 | 4 => record::lease_line(job, id),
+            5 => record::expire_line(job, id),
+            6 => record::hb_line(worker, nonce, 100 + worker, 1000 * nonce),
+            7 => done(job, Some(worker).filter(|w| *w > 0), nonce > 0, nonce as u32),
+            8 => {
+                let chain = record::testing::ok_chain(b"x", nonce as u32 + 1);
+                record::job_line(job, "a", &chain, Some((worker, 0)))
+            }
+            9 => return b"{\"kind\":\"done\",\"job\":1,\xff\xfe \xc3\xa9\n".to_vec(),
+            _ => return record::lease_line(job, id).trim_end().as_bytes().to_vec(),
+        };
+        line.into_bytes()
+    }
+
+    const JOBS: usize = 4;
+
+    /// The oracle: [`LedgerView::fold`] over the records [`record::scan`]
+    /// finds in the whole text, its rules applied without the
+    /// incremental reader.
+    fn replay_scanned(text: &str) -> LedgerView {
+        let mut view = LedgerView::new(JOBS);
+        record::records(text).for_each(|r| view.fold(r));
+        view
+    }
+
+    /// The text a whole-file read of the first `len` bytes returns.
+    fn read(bytes: &[u8], len: usize) -> String {
+        String::from_utf8_lossy(&bytes[..len]).into_owned()
+    }
+
+    const SCALE: u32 = if cfg!(debug_assertions) { 1 } else { 10 };
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig {
+            cases: 256 * SCALE,
+            ..proptest::ProptestConfig::default()
+        })]
+
+        /// The incremental fold is exact: fed a growing file in arbitrary
+        /// pieces (cut mid-line, mid-character, before, at and after the
+        /// manifest), its view after every piece equals the fold of the
+        /// records [`record::scan`] finds in the same text and the
+        /// one-shot [`replay_ledger`], and over all the pieces it parses
+        /// each line once. A file that then reads shorter is refolded
+        /// from empty.
+        #[test]
+        fn the_fold_of_any_pieces_equals_the_replay_of_their_text(
+            items in proptest::collection::vec(
+                (0u8..12, 0usize..JOBS + 2, 0u64..3, 0u64..3),
+                0..48,
+            ),
+            cuts in proptest::collection::vec(proptest::any::<usize>(), 0..12),
+            shorter in proptest::any::<usize>(),
+        ) {
+            let bytes: Vec<u8> =
+                items.iter().flat_map(|&(kind, job, w, n)| line(kind, job, w, n)).collect();
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (bytes.len() + 1)).collect();
+            cuts.sort_unstable();
+            cuts.push(bytes.len());
+            let mut fold = LedgerFold::new(JOBS);
+            let mut parsed = 0;
+            for &cut in &cuts {
+                let text = read(&bytes, cut);
+                parsed += lines_folded(|| {
+                    fold.update(&text);
+                })
+                .1;
+                proptest::prop_assert_eq!(fold.view(), &replay_scanned(&text), "cut {}", cut);
+                proptest::prop_assert_eq!(fold.view(), &replay_ledger(&text, JOBS), "cut {}", cut);
+            }
+            let whole = read(&bytes, bytes.len());
+            proptest::prop_assert_eq!(parsed, whole.matches('\n').count(), "each line parsed once");
+
+            // Shrink the file under the fold: it must start over.
+            let folded = whole.rfind('\n').map_or(0, |i| i + 1);
+            if folded > 0 {
+                let mut cut = shorter % folded;
+                while !whole.is_char_boundary(cut) {
+                    cut -= 1;
+                }
+                let text = &whole[..cut];
+                let parsed = lines_folded(|| {
+                    fold.update(text);
+                })
+                .1;
+                proptest::prop_assert_eq!(fold.view(), &replay_scanned(text));
+                proptest::prop_assert_eq!(parsed, text.matches('\n').count(), "a refold");
+            }
+        }
+    }
+
+    /// A new run truncates the ledger and writes a new header: a fold
+    /// that reads the shorter file refolds it rather than keep the old
+    /// run's leases.
+    #[test]
+    fn a_truncated_ledger_is_refolded_from_empty() {
+        let header = [record::manifest_line(7, 2), record::run_line(0)].concat();
+        let mut fold = LedgerFold::new(2);
+        let old = header.clone() + &record::lease_line(0, ID) + &done(1, Some(1), true, 1);
+        assert!(matches!(fold.update(&old).states[..], [JobState::Leased(_), JobState::Done]));
+        let new = header.replace("\"index\":0", "\"index\":1");
+        assert_eq!(fold.update(&new), &replay_ledger(&new, 2));
+        assert_eq!(fold.view().states, [JobState::Free; 2]);
+        assert!(fold.has_manifest());
     }
 
     #[test]

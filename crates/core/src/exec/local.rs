@@ -1,6 +1,6 @@
 //! The in-process executor backend.
 //!
-//! [`LocalQueue`] implements the [`WorkQueue`] contract over OS threads
+//! `LocalQueue` implements the `WorkQueue` contract over OS threads
 //! in one process: a shared atomic cursor walks the batch's
 //! [`claim_order`] (longest predicted work first), and in-memory result
 //! slots take chains first-finisher-wins. Everything that is queue policy
@@ -18,7 +18,7 @@
 //!   batch the commit appends and fsyncs the job's record *before* the
 //!   slot is filled: the record is the commit point.
 //!
-//! [`run_engine_batch`] is "build the queue, run [`drain`], fold the
+//! `run_engine_batch` is "build the queue, run `drain`, fold the
 //! slots into a report"; [`crate::farm::transcode_batch`] and the
 //! journal driver are its two callers.
 

@@ -77,7 +77,8 @@
 //! re-leased an expired job), `exec.leases_lost` (a claim whose
 //! arbitration re-read showed another holder), `exec.heartbeats`, and
 //! `exec.ledger.reads` / `exec.ledger.read_bytes` (worker-side ledger
-//! re-reads); per-worker completion counts ride on each worker
+//! re-reads) and `exec.ledger.lines_folded` (ledger lines parsed, by
+//! workers and dispatcher alike); per-worker completion counts ride on each worker
 //! process's `exec.worker` span.
 
 pub mod dispatch;

@@ -26,7 +26,7 @@
 
 use std::path::Path;
 
-use super::ledger::{replay_ledger, JobState};
+use super::ledger::{replay_ledger, JobState, LedgerView};
 use crate::journal::record::{self, Record};
 use vtrace::json::Object;
 
@@ -40,7 +40,7 @@ pub const STATUS_VERSION: u32 = 1;
 const MAX_MANIFEST_JOBS: u64 = 1 << 20;
 
 /// One worker's view in the snapshot.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct WorkerStatus {
     /// Dispatcher-assigned worker id.
     pub worker: u64,
@@ -168,9 +168,16 @@ pub fn snapshot_from_text(text: &str) -> Option<StatusSnapshot> {
         Record::Manifest { jobs, .. } if jobs <= MAX_MANIFEST_JOBS => jobs as usize,
         _ => return None,
     };
-    let mut view = replay_ledger(text, jobs);
+    Some(snapshot(&replay_ledger(text, jobs)))
+}
+
+/// The snapshot of a folded ledger: what [`snapshot_from_text`] derives,
+/// and how the dispatcher renders its own running fold with no second
+/// parse.
+pub(crate) fn snapshot(view: &LedgerView) -> StatusSnapshot {
+    let mut workers = view.workers.clone();
     let mut snap = StatusSnapshot {
-        jobs,
+        jobs: view.states.len(),
         retries: view.retries,
         expired_leases: view.expire_records,
         ..Default::default()
@@ -180,7 +187,7 @@ pub fn snapshot_from_text(text: &str) -> Option<StatusSnapshot> {
             JobState::Done => snap.done += 1,
             JobState::Leased(id) => {
                 snap.leased += 1;
-                if let Some(w) = view.workers.get_mut(&id.worker) {
+                if let Some(w) = workers.get_mut(&id.worker) {
                     w.in_flight = Some(job);
                 }
             }
@@ -189,9 +196,9 @@ pub fn snapshot_from_text(text: &str) -> Option<StatusSnapshot> {
     }
     // Failure counts: durable failed records count toward `done` in the
     // lease machine; surface them separately too.
-    snap.failed = view.workers.values().map(|w| w.failed as usize).sum();
-    snap.workers = view.workers.into_values().collect();
-    Some(snap)
+    snap.failed = workers.values().map(|w| w.failed as usize).sum();
+    snap.workers = workers.into_values().collect();
+    snap
 }
 
 /// Reads (read-only) the ledger of the dispatch journal at `path` and

@@ -1,9 +1,9 @@
 //! The worker half of the multi-process backend: claims jobs through
 //! the lease ledger beside the journal, encodes them, commits records.
 //!
-//! A worker process is one [`WorkQueue`] participant with
+//! A worker process is one `WorkQueue` participant with
 //! `opts.threads` encoding threads. It is handed the journal's path and
-//! works with two files: the ledger ([`super::ledger::ledger_path`]),
+//! works with two files: the ledger (`<journal>.ledger`),
 //! which it reads and appends coordination records to, and the journal,
 //! which it only ever appends job records to — **a worker never reads
 //! the journal**, so what a claim costs does not grow with the payloads
@@ -32,19 +32,31 @@
 //! dispatcher to reap — the one-shot first-lease rule keeps the
 //! respawned or surviving worker from re-firing it.
 //!
+//! Every view of the ledger — the pick, the arbitration re-read, the
+//! revalidation in publish — reads the whole file and hands it to the one
+//! `LedgerFold` the worker's threads share, which parses only the lines
+//! appended since its last read.
+//!
+//! A lock that a panicking thread poisoned does not panic the threads
+//! that come after it: the shared fold refolds from empty, the IO-error
+//! cell still holds the first error, and a writer whose append panicked
+//! midway stops the worker with a typed [`JournalError::Io`] (what that
+//! append left on disk is unknown).
+//!
 //! Telemetry, besides the counters [`super`] lists: `exec.ledger.reads`
 //! and `exec.ledger.read_bytes` (every ledger re-read of the claim /
-//! publish path) and `exec.leases_lost` (claims whose arbitration re-read
+//! publish path), `exec.ledger.lines_folded` (the lines those re-reads
+//! parsed) and `exec.leases_lost` (claims whose arbitration re-read
 //! showed another holder).
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use super::io::{DurableFile, JournalIo};
-use super::ledger::{self, LeaseId};
+use super::ledger::{self, LeaseId, LedgerFold, LedgerView};
 use super::{claim_order, drain, ChainResult, Ticket, WorkQueue};
 use crate::engine::Transcoder;
 use crate::farm::EngineJob;
@@ -80,6 +92,8 @@ pub struct WorkerOptions {
 struct JournalQueue<'a> {
     io: &'a dyn JournalIo,
     ledger_path: PathBuf,
+    /// The ledger as last read, shared by every view of this process.
+    fold: Mutex<LedgerFold>,
     /// Lease, heartbeat and done records.
     ledger: Mutex<Box<dyn DurableFile>>,
     /// Job records — append-only here, never read.
@@ -98,36 +112,137 @@ struct JournalQueue<'a> {
     io_error: Mutex<Option<std::io::Error>>,
 }
 
-impl JournalQueue<'_> {
-    /// The ledger as its file holds it right now.
-    fn view(&self) -> Option<ledger::LedgerView> {
+impl<'a> JournalQueue<'a> {
+    /// Attaches to the ledger beside `opts.journal` after checking its
+    /// manifest against this worker's batch, and opens both append
+    /// handles.
+    fn open(
+        jobs: &'a [EngineJob],
+        policy: &'a ResilienceConfig,
+        opts: &WorkerOptions,
+        io: &'a dyn JournalIo,
+    ) -> Result<JournalQueue<'a>, JournalError> {
+        let fingerprint = journal::manifest_fingerprint(jobs, policy);
+        let ledger_path = ledger::ledger_path(&opts.journal);
+        let text = record::read_text(io, &ledger_path)
+            .map_err(|e| journal::io_err("read ledger for manifest", e))?;
+        validate_manifest(&text, fingerprint)?;
+        let open = |path: &Path, context| {
+            io.open_append(FileClass::Journal, path).map_err(|e| journal::io_err(context, e))
+        };
+        Ok(JournalQueue {
+            io,
+            fold: Mutex::new(LedgerFold::new(jobs.len())),
+            ledger: Mutex::new(open(&ledger_path, "open ledger for append")?),
+            journal: Mutex::new(open(&opts.journal, "open journal for append")?),
+            ledger_path,
+            jobs,
+            order: claim_order(jobs),
+            policy,
+            worker: opts.worker_id as u64,
+            pid: u64::from(std::process::id()),
+            run: opts.run,
+            nonce: AtomicU64::new(0),
+            hb_seq: AtomicU64::new(0),
+            completed: AtomicU64::new(0),
+            io_error: Mutex::new(None),
+        })
+    }
+
+    /// Drains the batch on `opts.threads` threads plus a heartbeat
+    /// thread; returns the first IO error any of them kept.
+    fn run(&self, engine: &dyn Transcoder, opts: &WorkerOptions) -> Result<(), JournalError> {
+        let mut span = vtrace::span("exec.worker");
+        let done = AtomicBool::new(false);
+        let threads = std::thread::scope(|scope| {
+            let heartbeats = scope.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    self.heartbeat();
+                    // An unpark that lands before this park makes it
+                    // return at once, so the stop can never be slept
+                    // through.
+                    std::thread::park_timeout(HEARTBEAT_EVERY);
+                }
+            });
+            let _stop = StopHeartbeat { done: &done, thread: heartbeats.thread() };
+            drain(self, engine, self.jobs, opts.threads, self.policy)
+        })
+        .map_err(JournalError::Batch)?;
+        if span.id().is_some() {
+            span.record("worker", opts.worker_id);
+            span.record("threads", threads);
+            span.record("jobs", self.completed.load(Ordering::Relaxed));
+        }
+        drop(span);
+        match self.io_error().take() {
+            Some(source) => {
+                Err(JournalError::Io { context: "worker journal access".to_string(), source })
+            }
+            None => Ok(()),
+        }
+    }
+
+    /// Reads the ledger as its file holds it right now and answers `ask`
+    /// from the shared fold brought up to it. The read happens under the
+    /// fold's lock, so the fold only ever sees the file grow.
+    fn view<R>(&self, ask: impl FnOnce(&LedgerView) -> R) -> Option<R> {
+        let mut fold = self.fold.lock().unwrap_or_else(|poisoned| {
+            // A thread panicked mid-fold and may have left the view half
+            // applied: start over from the file.
+            self.fold.clear_poison();
+            let mut fold = poisoned.into_inner();
+            *fold = LedgerFold::new(self.jobs.len());
+            fold
+        });
         let text = self.ok(record::read_text(self.io, &self.ledger_path))?;
         vtrace::counter("exec.ledger.reads", 1);
         vtrace::counter("exec.ledger.read_bytes", text.len() as u64);
-        Some(ledger::replay_ledger(&text, self.jobs.len()))
+        Some(ask(fold.update(&text)))
     }
 
     /// Appends one coordination record to the ledger.
     fn append(&self, line: &str) -> bool {
-        let wrote =
-            record::append_ephemeral(self.ledger.lock().expect("ledger writer").as_mut(), line);
+        self.write(&self.ledger, |file| record::append_ephemeral(file, line))
+    }
+
+    /// Runs `op` on the file behind `writer`. A thread that panicked
+    /// holding the writer stopped mid-append and left bytes nobody can
+    /// account for, so a poisoned writer fails like an IO error: the
+    /// worker stops claiming and returns it.
+    fn write(
+        &self,
+        writer: &Mutex<Box<dyn DurableFile>>,
+        op: impl FnOnce(&mut dyn DurableFile) -> std::io::Result<()>,
+    ) -> bool {
+        let wrote = match writer.lock() {
+            Ok(mut file) => op(file.as_mut()),
+            Err(_) => {
+                Err(std::io::Error::other("an append panicked midway; the file tail is unknown"))
+            }
+        };
         self.ok(wrote).is_some()
     }
 
     /// Unwraps a journal IO result; the first error is kept for
-    /// [`run_worker_with_io`] to return and stops further claims.
+    /// [`JournalQueue::run`] to return and stops further claims.
     fn ok<T>(&self, result: std::io::Result<T>) -> Option<T> {
         match result {
             Ok(value) => Some(value),
             Err(e) => {
-                self.io_error.lock().expect("io cell").get_or_insert(e);
+                self.io_error().get_or_insert(e);
                 None
             }
         }
     }
 
     fn failed(&self) -> bool {
-        self.io_error.lock().expect("io cell").is_some()
+        self.io_error().is_some()
+    }
+
+    /// The first IO error. Storing it cannot panic, so a poisoned cell
+    /// still holds the truth.
+    fn io_error(&self) -> MutexGuard<'_, Option<std::io::Error>> {
+        self.io_error.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -137,11 +252,12 @@ impl WorkQueue for JournalQueue<'_> {
             if self.failed() {
                 return None;
             }
-            let view = self.view()?;
-            if view.all_done() {
+            let (all_done, free) =
+                self.view(|view| (view.all_done(), view.first_free(&self.order)))?;
+            if all_done {
                 return None;
             }
-            let Some(job) = view.first_free(&self.order) else {
+            let Some(job) = free else {
                 // Everything unfinished is leased elsewhere. A holder
                 // may still die — its lease comes back via a dispatcher
                 // expire — so poll rather than exit.
@@ -157,19 +273,20 @@ impl WorkQueue for JournalQueue<'_> {
                 return None;
             }
             // Re-read to arbitrate: the file's total order decides.
-            let view = self.view()?;
-            if view.holder(job) != Some(id) {
+            let (holder, expired, first_lease) =
+                self.view(|view| (view.holder(job), view.expired[job], view.first_lease[job]))?;
+            if holder != Some(id) {
                 // Lost the race (or the job committed meanwhile).
                 vtrace::counter("exec.leases_lost", 1);
                 continue;
             }
             vtrace::counter("exec.leases_granted", 1);
-            if view.expired[job] {
+            if expired {
                 // This job came back from a dead worker's lease.
                 vtrace::counter("exec.leases_reclaimed", 1);
             }
             if self.policy.fault_plan.decide_crash(job, self.run) == Some(CrashPoint::WorkerKill)
-                && view.first_lease[job] == Some(id)
+                && first_lease == Some(id)
             {
                 // Scripted worker loss: die with the lease dangling,
                 // exactly like a SIGKILL between claim and publish.
@@ -181,21 +298,19 @@ impl WorkQueue for JournalQueue<'_> {
 
     fn publish(&self, ticket: Ticket, chain: ChainResult) -> bool {
         let job = ticket.job;
-        let Some(view) = self.view() else { return false };
+        let Some(holder) = self.view(|view| view.holder(job)) else { return false };
         // Revalidate before committing: the job must still be held by
         // the lease this ticket was won with, not a newer one granted
         // after an expiry. If the dispatcher expired ours (it believed
         // this process stuck or dead) the job may be re-leased or even
         // done — drop the result; whoever holds the job now produces
         // byte-identical output.
-        if view.holder(job) != ticket.lease {
+        if holder != ticket.lease {
             return true;
         }
         let line =
             record::job_line(job, &self.jobs[job].name, &chain, Some((self.worker, self.run)));
-        let wrote =
-            record::commit_job(self.journal.lock().expect("journal writer").as_mut(), &line);
-        if self.ok(wrote).is_none() {
+        if !self.write(&self.journal, |file| record::commit_job(file, &line)) {
             return false;
         }
         vtrace::counter("exec.jobs_completed", 1);
@@ -262,59 +377,7 @@ pub fn run_worker_with_io(
     opts: &WorkerOptions,
     io: &dyn JournalIo,
 ) -> Result<(), JournalError> {
-    let fingerprint = journal::manifest_fingerprint(jobs, policy);
-    let ledger_path = ledger::ledger_path(&opts.journal);
-    let text = record::read_text(io, &ledger_path)
-        .map_err(|e| journal::io_err("read ledger for manifest", e))?;
-    validate_manifest(&text, fingerprint)?;
-    let open = |path: &Path, context| {
-        io.open_append(FileClass::Journal, path).map_err(|e| journal::io_err(context, e))
-    };
-    let queue = JournalQueue {
-        io,
-        ledger: Mutex::new(open(&ledger_path, "open ledger for append")?),
-        journal: Mutex::new(open(&opts.journal, "open journal for append")?),
-        ledger_path,
-        jobs,
-        order: claim_order(jobs),
-        policy,
-        worker: opts.worker_id as u64,
-        pid: u64::from(std::process::id()),
-        run: opts.run,
-        nonce: AtomicU64::new(0),
-        hb_seq: AtomicU64::new(0),
-        completed: AtomicU64::new(0),
-        io_error: Mutex::new(None),
-    };
-
-    let mut span = vtrace::span("exec.worker");
-    let done = AtomicBool::new(false);
-    let threads = std::thread::scope(|scope| {
-        let heartbeats = scope.spawn(|| {
-            while !done.load(Ordering::Acquire) {
-                queue.heartbeat();
-                // An unpark that lands before this park makes it return
-                // at once, so the stop can never be slept through.
-                std::thread::park_timeout(HEARTBEAT_EVERY);
-            }
-        });
-        let _stop = StopHeartbeat { done: &done, thread: heartbeats.thread() };
-        drain(&queue, engine, jobs, opts.threads, policy)
-    })
-    .map_err(JournalError::Batch)?;
-    if span.id().is_some() {
-        span.record("worker", opts.worker_id);
-        span.record("threads", threads);
-        span.record("jobs", queue.completed.load(Ordering::Relaxed));
-    }
-    drop(span);
-
-    match queue.io_error.into_inner().expect("io cell") {
-        Some(source) => {
-            Err(JournalError::Io { context: "worker journal access".to_string(), source })
-        }
-        None => Ok(()),
-    }
+    JournalQueue::open(jobs, policy, opts, io)?.run(engine, opts)
 }
 
 /// Checks the manifest the dispatcher copied into the ledger against
@@ -507,6 +570,149 @@ mod tests {
         }
         assert_eq!(read_bytes[0], read_bytes[1], "read bytes at 1 KiB and 64 KiB payloads");
         assert!(read_bytes[0] < 16 << 10, "{} bytes for six jobs", read_bytes[0]);
+    }
+
+    /// Each view folds only what was appended since the previous one:
+    /// over a 64-job drain — a pick, an arbitration re-read and a
+    /// revalidation per job, every one a whole-file read — the worker
+    /// parses each ledger line once. A refold per view would parse
+    /// thousands.
+    #[test]
+    fn a_worker_parses_each_ledger_line_once() {
+        let names: Vec<String> = (0..64).map(|i| format!("job{i}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let (jobs, policy) = (jobs(&names), ResilienceConfig::default());
+        let temp = TempJournal::new("fold-once");
+        drop(
+            dispatch::open(&jobs, &policy, &JournalConfig::new(temp.path()), &StdIo).expect("open"),
+        );
+        let opts =
+            WorkerOptions { journal: temp.path().to_path_buf(), worker_id: 0, run: 0, threads: 1 };
+        // One drain thread: the caller's, so its folds count here.
+        let io = TallyIo::default();
+        let (ran, parsed) =
+            ledger::lines_folded(|| run_worker_with_io(&Canned(64), &jobs, &policy, &opts, &io));
+        ran.expect("worker drains");
+
+        let ledger = ledger::ledger_path(temp.path());
+        assert_eq!(io.total("read", Some(&ledger)).0, 1 + 3 * names.len() + 1, "views");
+        let text = std::fs::read_to_string(&ledger).expect("ledger");
+        // The last view found every job done, so it read through the
+        // last `done`; only heartbeats can have landed after it.
+        let last_done = text.rfind("{\"kind\":\"done\"").expect("a done");
+        let through_last_done = text[..last_done].lines().count() + 1;
+        assert!(
+            (through_last_done..=text.lines().count()).contains(&parsed),
+            "{parsed} lines parsed, {through_last_done} through the last done, {} in all",
+            text.lines().count()
+        );
+    }
+
+    /// Poisons `lock` the way a thread that panics holding it does.
+    fn poison<T>(lock: &Mutex<T>) {
+        let held = std::panic::AssertUnwindSafe(|| {
+            let _held = lock.lock();
+            panic!("scripted panic holding a worker lock");
+        });
+        assert!(std::panic::catch_unwind(held).is_err());
+        assert!(lock.is_poisoned());
+    }
+
+    /// Attaches a one-thread worker to a fresh dispatch of [`NAMES`],
+    /// lets `prepare` tamper with its queue, drains it, and returns the
+    /// outcome with the job lines the journal and the `done` lines the
+    /// ledger then hold.
+    fn drain_after(
+        prepare: impl FnOnce(&JournalQueue),
+    ) -> (Result<(), JournalError>, usize, usize) {
+        let temp = TempJournal::new("poison");
+        let (jobs, policy) = (jobs(&NAMES), ResilienceConfig::default());
+        drop(
+            dispatch::open(&jobs, &policy, &JournalConfig::new(temp.path()), &StdIo).expect("open"),
+        );
+        let opts =
+            WorkerOptions { journal: temp.path().to_path_buf(), worker_id: 0, run: 0, threads: 1 };
+        let queue = JournalQueue::open(&jobs, &policy, &opts, &StdIo).expect("attach");
+        prepare(&queue);
+        let ran = queue.run(&Canned(64), &opts);
+        let count = |path: &Path, kind: &str| {
+            let text = std::fs::read_to_string(path).expect("read");
+            text.matches(&format!("{{\"kind\":\"{kind}\"")).count()
+        };
+        (ran, count(temp.path(), "job"), count(&ledger::ledger_path(temp.path()), "done"))
+    }
+
+    /// A panic mid-append leaves the ledger's tail unknown: the next
+    /// thread to append stops the worker with a typed error instead of
+    /// panicking in turn.
+    #[test]
+    fn a_poisoned_ledger_writer_stops_the_worker_with_a_typed_error() {
+        let (ran, records, dones) = drain_after(|queue| poison(&queue.ledger));
+        assert!(matches!(ran, Err(JournalError::Io { .. })), "{ran:?}");
+        assert_eq!((records, dones), (0, 0), "no lease could be appended, so nothing ran");
+    }
+
+    /// The same for the journal: the first publish fails typed, so no
+    /// record lands after bytes nobody can account for.
+    #[test]
+    fn a_poisoned_journal_writer_stops_the_worker_with_a_typed_error() {
+        let (ran, records, dones) = drain_after(|queue| poison(&queue.journal));
+        match ran {
+            Err(JournalError::Io { source, .. }) => {
+                assert!(source.to_string().contains("panicked midway"), "{source}")
+            }
+            other => panic!("expected a typed IO error, got {other:?}"),
+        }
+        assert_eq!((records, dones), (0, 0));
+    }
+
+    /// The IO-error cell only ever stores an error, so a poisoned one
+    /// still holds the truth: empty, the worker carries on; holding an
+    /// error, the worker stops and returns that error.
+    #[test]
+    fn a_poisoned_io_cell_keeps_its_error() {
+        let (ran, records, dones) = drain_after(|queue| poison(&queue.io_error));
+        assert!(ran.is_ok(), "{ran:?}");
+        assert_eq!((records, dones), (NAMES.len(), NAMES.len()));
+
+        let (ran, records, _) = drain_after(|queue| {
+            queue.ok::<()>(Err(std::io::Error::other("kept across the poison")));
+            poison(&queue.io_error);
+        });
+        match ran {
+            Err(JournalError::Io { source, .. }) => {
+                assert_eq!(source.to_string(), "kept across the poison")
+            }
+            other => panic!("expected the kept error, got {other:?}"),
+        }
+        assert_eq!(records, 0);
+    }
+
+    /// A panic mid-fold may leave the shared view half applied: the next
+    /// view refolds the file from empty. Here the poisoned fold claims
+    /// every job done; trusting it would end the drain with nothing run.
+    #[test]
+    fn a_poisoned_fold_refolds_from_empty() {
+        let (ran, records, dones) = drain_after(|queue| {
+            let fp = journal::manifest_fingerprint(queue.jobs, queue.policy);
+            let done =
+                |job| record::done_line(DoneMark { job, worker: None, ok: true, attempts: 1 });
+            let mut forged = record::manifest_line(fp, NAMES.len());
+            forged.extend((0..NAMES.len()).map(done));
+            // Pad the real ledger past the forged text, so only the
+            // poison, not a shorter file, can trigger the refold.
+            for seq in 0..forged.len() / 40 {
+                assert!(queue.append(&record::hb_line(99, seq as u64, 1, 0)));
+            }
+            let held = std::panic::AssertUnwindSafe(|| {
+                let mut fold = queue.fold.lock().unwrap();
+                assert!(fold.update(&forged).all_done());
+                panic!("scripted panic mid-fold");
+            });
+            assert!(std::panic::catch_unwind(held).is_err());
+        });
+        assert!(ran.is_ok(), "{ran:?}");
+        assert_eq!((records, dones), (NAMES.len(), NAMES.len()), "every job ran after the refold");
     }
 
     /// A cleanly finished dispatch leaves nothing in the journal for a

@@ -8,7 +8,7 @@
 //! fault plan included) followed by one fsync'd record per completed or
 //! failed job, each carrying the [`vpack::crc32`] of its output
 //! bitstream. The on-disk format — record kinds, fields, and the rules
-//! that make a line a committed record — is owned by [`record`] and
+//! that make a line a committed record — is owned by `journal::record` and
 //! tabulated in DESIGN.md §Durability ("Record format"); this
 //! module keeps the commit-point contract and the open/scan/compact
 //! lifecycle.

@@ -20,7 +20,9 @@
 //!   is (it cannot be trusted to belong to this batch), and a manifest
 //!   of another [`JOURNAL_VERSION`] or with missing fields is not usable.
 //!   [`Committed`] holds those rules for a reader that visits the lines
-//!   in another order (the resume scan folds them last first).
+//!   in another order (the resume scan folds them last first), or that
+//!   reads a growing file again and again ([`Committed::extend`], the
+//!   lease ledger's incremental fold).
 //! * [`Record`] — the typed record. A [`JobRecord`] parses only its
 //!   header (job, status, attempts, provenance tags); the payload is
 //!   hex-decoded and CRC-verified by [`JobRecord::load`], which the
@@ -222,7 +224,10 @@ pub(crate) fn scan(text: &str) -> impl Iterator<Item = Entry<'_>> {
 }
 
 /// [`scan`]'s rules for one journal text, for a reader that visits its
-/// lines in another order (the resume scan walks them last line first).
+/// lines in another order (the resume scan walks them last line first)
+/// or that reads the same growing file again and again
+/// ([`Committed::extend`]). `Default` is the rules before any text.
+#[derive(Default)]
 pub(crate) struct Committed {
     /// Bytes up to and including the last newline; what follows is an
     /// unterminated final line, never a record.
@@ -255,6 +260,36 @@ impl Committed {
             return None;
         }
         parse(line).filter(|r| at == manifest || !matches!(r, Record::Manifest { .. }))
+    }
+
+    /// Extends these rules over the lines `text` completes past
+    /// [`Committed::end`], handing each committed record among them to
+    /// `fold` in file order, and returns how many lines it parsed. `text`
+    /// is the whole file as read now and must extend the text these rules
+    /// already cover: a file read again only grows, so each of its lines
+    /// is parsed once, however often it is read. The rules are
+    /// [`scan`]'s: an unterminated tail waits for its newline, nothing
+    /// before the first usable manifest is a record, no later manifest is.
+    pub(crate) fn extend(&mut self, text: &str, mut fold: impl FnMut(Record)) -> usize {
+        let new = &text[self.end..];
+        let complete = new.rfind('\n').map_or(0, |i| i + 1);
+        let (mut at, mut lines) = (self.end, 0);
+        for line in new[..complete].split_terminator('\n') {
+            let start = at;
+            at += line.len() + 1;
+            lines += 1;
+            let Some(record) = parse(line) else { continue };
+            match (self.manifest, &record) {
+                (None, Record::Manifest { fingerprint, .. }) => {
+                    self.manifest = Some((start, *fingerprint));
+                }
+                (None, _) | (Some(_), Record::Manifest { .. }) => continue,
+                (Some(_), _) => {}
+            }
+            fold(record);
+        }
+        self.end += complete;
+        lines
     }
 }
 

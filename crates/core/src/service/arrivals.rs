@@ -63,7 +63,7 @@ pub struct Arrival {
     pub value: f64,
     /// Completion deadline in virtual microseconds (Live only).
     pub deadline_us: Option<u64>,
-    /// High-motion segment: service demand × [`HEAVY_FACTOR`].
+    /// High-motion segment: service demand × `HEAVY_FACTOR`.
     pub heavy: bool,
 }
 

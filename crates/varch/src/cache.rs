@@ -60,11 +60,6 @@ impl Cache {
         Cache::new(64, 16, 2048)
     }
 
-    /// An 8 MiB, 16-way last-level cache (the i7-6700K's LLC size).
-    pub fn llc_8m() -> Cache {
-        Cache::new(64, 16, 8192)
-    }
-
     /// Total capacity in bytes.
     pub fn capacity(&self) -> u64 {
         self.line_bytes * self.sets * self.ways as u64
@@ -137,6 +132,14 @@ impl Cache {
     pub fn reset_counters(&mut self) {
         self.hits = 0;
         self.misses = 0;
+    }
+}
+
+#[cfg(test)]
+impl Cache {
+    /// An 8 MiB, 16-way last-level cache (the i7-6700K's LLC size).
+    pub fn llc_8m() -> Cache {
+        Cache::new(64, 16, 8192)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Static microarchitectural model of the encoder's kernels.
 //!
-//! Each [`Kernel`](vcodec::Kernel) is characterized by the properties that
+//! Each [`Kernel`] is characterized by the properties that
 //! drive the paper's Figures 5–8: instruction-cache footprint (a hot inner
 //! loop plus a larger cold region of setup/variant paths), dynamic
 //! instruction cost per data sample, how much of that work is

@@ -200,7 +200,9 @@ impl<'a> BitReader<'a> {
         Ok(&self.bytes[start..end])
     }
 
-    /// Remaining bits in the buffer.
+    /// Remaining bits in the buffer (what the tests check a reader
+    /// consumed).
+    #[cfg(test)]
     pub fn remaining_bits(&self) -> u64 {
         (self.bytes.len() as u64 * 8).saturating_sub(self.pos)
     }

@@ -216,14 +216,6 @@ impl EntropyEncoder {
         self.put_uval(class, golomb::se_to_ue(v));
     }
 
-    /// Codes `count` raw bits with no modelling (bypass / plain bits).
-    pub fn put_raw(&mut self, v: u64, count: u32) {
-        match &mut self.inner {
-            EncInner::Vlc(w) => w.put_bits(v, count),
-            EncInner::Arith(a) => a.raw(v, count),
-        }
-    }
-
     /// Codes one quantized coefficient block (zig-zag, run/level/sign with a
     /// last-coefficient flag), preceded by a coded-block flag.
     ///
@@ -505,6 +497,18 @@ impl<'a> EntropyDecoder<'a> {
         let mut levels = vec![0i32; size.area()];
         self.get_coeff_block_into(size, &mut levels)?;
         Ok(levels)
+    }
+}
+
+#[cfg(test)]
+impl EntropyEncoder {
+    /// Codes `count` raw bits with no modelling (bypass / plain bits):
+    /// the per-element oracle's sign bits, in the tests.
+    pub fn put_raw(&mut self, v: u64, count: u32) {
+        match &mut self.inner {
+            EncInner::Vlc(w) => w.put_bits(v, count),
+            EncInner::Arith(a) => a.raw(v, count),
+        }
     }
 }
 

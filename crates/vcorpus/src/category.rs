@@ -91,6 +91,7 @@ impl FeatureSpace {
 
     /// Squared Euclidean distance between two categories in normalized
     /// space.
+    #[cfg(test)]
     pub fn distance2(&self, a: &VideoCategory, b: &VideoCategory) -> f64 {
         let (fa, fb) = (self.normalize(a), self.normalize(b));
         fa.iter().zip(&fb).map(|(x, y)| (x - y) * (x - y)).sum()

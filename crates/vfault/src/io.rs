@@ -205,7 +205,7 @@ struct IoFault {
 ///
 /// Combines explicitly scripted faults with an optional seeded random
 /// layer. Decisions are a pure function of the plan and the
-/// `(class, op, index)` key — see the [module docs](self) for the fault
+/// `(class, op, index)` key — see [`IoFaultKind`] for the fault
 /// taxonomy and [`IoFaultPlan::parse`] for the spec grammar.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct IoFaultPlan {
@@ -317,10 +317,10 @@ impl IoFaultPlan {
     }
 
     /// Serializes the plan back into the spec grammar [`parse`]
-    /// understands — the form chaos reports embed so any trial
-    /// reproduces from its report line alone.
+    /// understands: the tests' round-trip oracle for the parser.
     ///
     /// [`parse`]: IoFaultPlan::parse
+    #[cfg(test)]
     pub fn to_spec(&self) -> String {
         let mut terms: Vec<String> =
             self.faults.iter().map(|f| format!("{}={}@{}", f.kind, f.class, f.index)).collect();

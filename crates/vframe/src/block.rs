@@ -198,12 +198,6 @@ impl Block {
             }
         }
     }
-
-    /// Mean absolute sample value — an activity measure used by rate
-    /// control to classify block complexity.
-    pub fn mean_abs(&self) -> f64 {
-        self.data.iter().map(|&s| f64::from(s.unsigned_abs())).sum::<f64>() / self.data.len() as f64
-    }
 }
 
 /// Whether every sample of `data` lies in `0..=max`, for a `max` one less
@@ -543,6 +537,14 @@ fn satd_4x8<L: Lane>(a: [&[i16; 8]; 4], b: [&[i16; 8]; 4]) -> u32 {
         total += s0.magnitude().max(s1.magnitude()) + d0.magnitude().max(d1.magnitude());
     }
     total
+}
+
+#[cfg(test)]
+impl Block {
+    /// Mean absolute sample value — an activity measure.
+    pub fn mean_abs(&self) -> f64 {
+        self.data.iter().map(|&s| f64::from(s.unsigned_abs())).sum::<f64>() / self.data.len() as f64
+    }
 }
 
 #[cfg(test)]
