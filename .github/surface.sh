@@ -15,8 +15,12 @@
 # `vtrace::stream` or names the bitstream syntax (vcodec's `MAGIC`,
 # `VERSION`, `CtxClass::Mode`) outside `vcodec::syntax`, if `unsafe`
 # appears anywhere under crates/*/src but the CPU-feature dispatch calls
-# in vpack's crc32 and vframe's isa macro, or if `#[target_feature]` or
-# `is_x86_feature_detected!` appears outside those two files.
+# in vpack's crc32 and vframe's isa macro, if `#[target_feature]` or
+# `is_x86_feature_detected!` appears outside those two files, if a
+# non-test line of the executor or the resilience layer reads or waits
+# on time outside `exec::clock`, or if a `pub fn` under crates/*/src is
+# referenced nowhere but its own crate's unit tests and is not on the
+# allow-list below.
 #
 # Prints `git diff --numstat BASE` summed per category — code
 # (crates/**/src), tests (tests/, crates/*/tests, benches), docs (*.md),
@@ -127,6 +131,63 @@ for f in $(sources | grep -vxE 'crates/vframe/src/isa\.rs|crates/vpack/src/crc\.
         status=1
     fi
 done
+
+# Time in the executor and the resilience layer is read through one
+# `exec::clock::Clock`, which tests replace with a virtual one. A non-test,
+# non-comment line elsewhere in crates/core/src/exec/ or in resilience.rs
+# that calls the system clock or sleeps is a wait no test can skip.
+for f in $(sources | grep -E '^crates/core/src/(exec/[^/]+|resilience)\.rs$' |
+    grep -vx 'crates/core/src/exec/clock\.rs'); do
+    [ -f "$f" ] || continue
+    if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+            /^[[:space:]]*\/\// { next }
+            /Instant::now|SystemTime::now|thread::sleep|park_timeout/ {
+                print FILENAME ":" FNR ": " $0; found = 1
+            }
+            END { exit !found }' "$f" >&2; then
+        echo "surface: $f reads or waits on time; use exec::clock::Clock" >&2
+        status=1
+    fi
+done
+
+# Dead public surface: every `pub fn` under crates/*/src needs a
+# reference outside the unit tests: in non-test code or docs (doc
+# examples and links count, plain `//` comments do not) under crates/,
+# or anywhere in tests/, crates/*/tests, examples/ or benchmark/src. The
+# scan is by name, so a reference to any item of the same name counts.
+# Functions kept without one are listed here, each with its reason:
+#   is_fixed      vhw::catalog's fixed-function query; only a vbench
+#                 fleet unit test asks it
+#   with_backoff  ResilienceConfig's backoff setter, set by one unit
+#                 test; deleted with the backoff fields when the journal
+#                 format moves to v2 (ROADMAP item 6(a))
+dead_allowed='is_fixed with_backoff'
+dead=$(for f in $(git ls-files crates tests examples benchmark/src | grep -E '\.rs$'); do
+    [ -f "$f" ] || continue
+    case $f in crates/*/src/*) src=1 ;; *) src=0 ;; esac
+    awk -v src=$src '
+        src && /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+        /^[[:space:]]*\/\/([^\/!]|$)/ { next }
+        {
+            line = $0
+            if (src && match(line, /pub fn [A-Za-z0-9_]+/)) {
+                print "def", substr(line, RSTART + 7, RLENGTH - 7), FILENAME ":" FNR
+            }
+            while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
+                print "ref", substr(line, RSTART, RLENGTH)
+                line = substr(line, RSTART + RLENGTH)
+            }
+        }' "$f"
+done | awk -v allowed="$dead_allowed" '
+    BEGIN { n = split(allowed, names, " "); for (i = 1; i <= n; i++) ok[names[i]] = 1 }
+    $1 == "def" { defs[$2]++; at[$2] = at[$2] " " $3; next }
+    { refs[$2]++ }
+    END { for (name in defs) if (refs[name] <= defs[name] && !(name in ok)) print name ":" at[name] }')
+if [ -n "$dead" ]; then
+    printf '%s\n' "$dead" >&2
+    echo "surface: pub fn referenced only by unit tests; use it, delete it, or allow-list it" >&2
+    status=1
+fi
 
 git diff --numstat "$base" | awk '
     { cat = "other" }

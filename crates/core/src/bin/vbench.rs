@@ -128,7 +128,7 @@ use vbench::cli::{self, Flags};
 use vbench::engine::{transcode, Backend, Engine, RateMode, TranscodeRequest};
 use vbench::exec::{
     run_dispatch_with_io, run_worker_with_io, snapshot_from_journal, write_atomic_io,
-    DispatchOptions, FaultedIo, JournalIo, StdIo, WorkerOptions,
+    DispatchOptions, FaultedIo, JournalIo, LedgerWatch, StatusSnapshot, StdIo, WorkerOptions,
 };
 use vbench::farm::{transcode_batch, EngineBatchReport, EngineJob, JobSource};
 use vbench::fleet::pareto_report;
@@ -632,15 +632,15 @@ fn cmd_chaos(opts: &SuiteOptions, flags: &Flags) {
 
 /// Live dispatch monitor. Strictly read-only: the only file operation is
 /// a whole-file read of the journal's ledger, so a monitor can never
-/// perturb the batch it is watching.
+/// perturb the batch it is watching. Each refresh parses only the ledger
+/// lines appended since the previous one.
 fn cmd_top(flags: &Flags) {
     let journal = std::path::PathBuf::from(flags.required("journal"));
-    let snapshot = |journal: &std::path::Path| match snapshot_from_journal(journal) {
-        Ok(snap) => snap,
-        Err(e) => fail(&format!("read the ledger of {}: {e}", journal.display())),
+    let read = |snap: std::io::Result<Option<StatusSnapshot>>| {
+        snap.unwrap_or_else(|e| fail(&format!("read the ledger of {}: {e}", journal.display())))
     };
     if flags.switch("once") {
-        let Some(snap) = snapshot(&journal) else {
+        let Some(snap) = read(snapshot_from_journal(&journal)) else {
             fail(&format!("{}: no manifest in its ledger (not a dispatch?)", journal.display()));
         };
         print!("{}", snap.render());
@@ -648,24 +648,21 @@ fn cmd_top(flags: &Flags) {
     }
     let interval = std::time::Duration::from_millis(flags.get("interval-ms").unwrap_or(500));
     let started = std::time::Instant::now();
+    let mut watch = LedgerWatch::new(&journal);
     loop {
-        if let Some(snap) = snapshot(&journal) {
+        if let Some(snap) = read(watch.snapshot()) {
             let elapsed = started.elapsed().as_secs_f64();
-            let throughput = if elapsed > 0.0 { snap.done as f64 / elapsed } else { 0.0 };
-            let remaining = snap.jobs.saturating_sub(snap.done);
             // ANSI home+clear keeps the view in place on a terminal and
             // degrades to plain sequential blocks when piped.
             print!("\x1b[H\x1b[2J{}", snap.render());
-            if throughput > 0.0 {
-                println!(
-                    "elapsed {elapsed:.1} s  throughput {throughput:.2} jobs/s  \
-                     eta {:.1} s",
-                    remaining as f64 / throughput
-                );
-            } else {
-                println!("elapsed {elapsed:.1} s  throughput -  eta -");
+            match snap.progress(elapsed) {
+                (throughput, Some(eta)) => println!(
+                    "elapsed {elapsed:.1} s  throughput {throughput:.2} jobs/s  eta {eta:.1} s"
+                ),
+                (_, None) => println!("elapsed {elapsed:.1} s  throughput -  eta -"),
             }
-            if snap.jobs > 0 && snap.done == snap.jobs {
+            // A zero-job batch is done from the start.
+            if snap.done == snap.jobs {
                 return;
             }
         }

@@ -40,6 +40,7 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use super::clock::{Clock, WallClock};
 use super::io::{DurableFile, JournalIo};
 use super::ledger::{self, LedgerFold};
 use super::{status, ChainResult};
@@ -163,10 +164,22 @@ pub fn run_dispatch_with_io(
     opts: &DispatchOptions,
     io: &dyn JournalIo,
 ) -> Result<DispatchReport, JournalError> {
+    dispatch(jobs, policy, opts, io, &WallClock)
+}
+
+/// [`run_dispatch_with_io`] with every poll, liveness timer and stamp of
+/// the dispatcher read from `clock`. Workers run on their own.
+pub(crate) fn dispatch(
+    jobs: &[EngineJob],
+    policy: &ResilienceConfig,
+    opts: &DispatchOptions,
+    io: &dyn JournalIo,
+    clock: &dyn Clock,
+) -> Result<DispatchReport, JournalError> {
     if opts.procs == 0 {
         return Err(JournalError::Batch(BatchError::NoWorkers));
     }
-    let started = Instant::now();
+    let started = clock.now();
     let (run, mut ledger_file, prefilled) = open(jobs, policy, &opts.journal, io)?;
     let ledger_path = ledger::ledger_path(&opts.journal.path);
     if let Some(path) = &opts.status_out {
@@ -190,22 +203,16 @@ pub fn run_dispatch_with_io(
         if !fold.has_manifest() {
             return;
         }
-        let now_ms = std::time::SystemTime::now()
-            .duration_since(std::time::SystemTime::UNIX_EPOCH)
-            .map(|d| d.as_millis() as u64)
-            .unwrap_or(0);
+        let elapsed = (clock.now() - started).as_secs_f64();
+        let doc = status::snapshot(fold.view()).to_json(clock.unix_ms(), elapsed);
         // Best-effort: a failed snapshot write must not kill the batch
         // the snapshot exists to observe.
-        let _ = status::write_atomic_io(
-            io,
-            path,
-            &status::snapshot(fold.view()).to_json(now_ms, started.elapsed().as_secs_f64()),
-        );
+        let _ = status::write_atomic_io(io, path, &doc);
     };
 
     let result = (|| -> Result<(), JournalError> {
         for _ in 0..opts.procs {
-            workers.push(spawn_worker(opts, run, &mut next_id, &mut worker_traces)?);
+            workers.push(spawn_worker(opts, run, &mut next_id, &mut worker_traces, clock)?);
         }
         // Every read of the ledger — the poll and the re-read after a
         // reap — folds only what was appended since the previous one.
@@ -240,8 +247,8 @@ pub fn run_dispatch_with_io(
                             view.workers.get(&(workers[i].id as u64)).map_or(0, |w| w.hb_seq);
                         if seen > workers[i].hb_seen {
                             workers[i].hb_seen = seen;
-                            workers[i].hb_at = Instant::now();
-                        } else if workers[i].hb_at.elapsed() > HEARTBEAT_STALL {
+                            workers[i].hb_at = clock.now();
+                        } else if clock.now() - workers[i].hb_at > HEARTBEAT_STALL {
                             // Stuck (alive but silent): kill it; the
                             // next iteration reaps and expires it like
                             // any other dead worker.
@@ -286,9 +293,9 @@ pub fn run_dispatch_with_io(
                     ));
                 }
                 respawns += 1;
-                workers.push(spawn_worker(opts, run, &mut next_id, &mut worker_traces)?);
+                workers.push(spawn_worker(opts, run, &mut next_id, &mut worker_traces, clock)?);
             }
-            std::thread::sleep(POLL);
+            clock.wait(POLL);
         }
     })();
 
@@ -311,18 +318,19 @@ pub fn run_dispatch_with_io(
     }
     drop(span);
 
+    let wall_secs = (clock.now() - started).as_secs_f64().max(1e-9);
     let report = if prefilled.len() == jobs.len() {
         // The scan replayed every job, so the ledger started all done and
         // no worker leased anything: the journal holds no record of this
         // run, and the scan's chains are what a re-read would fold.
         let chains = prefilled.into_iter().map(|(_, chain)| (chain, false));
-        EngineBatchReport::from_chains(jobs, chains, 0, wall_secs(started))
+        EngineBatchReport::from_chains(jobs, chains, 0, wall_secs)
     } else {
         // Every job has a `done`, and a `done` follows its record's
         // fsync: this one read of the journal holds a record for every job.
         let text = record::read_text(io, &opts.journal.path)
             .map_err(|e| io_err("read journal for the report", e))?;
-        assemble_report(jobs, &text, run, started)?
+        assemble_report(jobs, &text, run, wall_secs)?
     };
     Ok(DispatchReport { report, worker_traces })
 }
@@ -335,6 +343,7 @@ fn spawn_worker(
     run: u32,
     next_id: &mut usize,
     worker_traces: &mut Vec<PathBuf>,
+    clock: &dyn Clock,
 ) -> Result<WorkerProc, JournalError> {
     let id = *next_id;
     *next_id += 1;
@@ -359,7 +368,7 @@ fn spawn_worker(
         worker_traces.push(PathBuf::from(trace));
     }
     let child = cmd.spawn().map_err(|e| io_err("spawn worker", e))?;
-    Ok(WorkerProc { id, child, hb_seen: 0, hb_at: Instant::now() })
+    Ok(WorkerProc { id, child, hb_seen: 0, hb_at: clock.now() })
 }
 
 /// Folds the finished journal's text into an [`EngineBatchReport`]: one
@@ -370,7 +379,7 @@ fn assemble_report(
     jobs: &[EngineJob],
     text: &str,
     run: u32,
-    started: Instant,
+    wall_secs: f64,
 ) -> Result<EngineBatchReport, JournalError> {
     let mut chains: Vec<Option<ChainResult>> = Vec::new();
     chains.resize_with(jobs.len(), || None);
@@ -398,21 +407,17 @@ fn assemble_report(
             })
         })
         .collect::<Result<Vec<_>, _>>()?;
-    Ok(EngineBatchReport::from_chains(jobs, chains, 0, wall_secs(started)))
-}
-
-/// The batch's wall seconds so far, never zero.
-fn wall_secs(started: Instant) -> f64 {
-    started.elapsed().as_secs_f64().max(1e-9)
+    Ok(EngineBatchReport::from_chains(jobs, chains, 0, wall_secs))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::clock::VirtualClock;
     use crate::exec::StdIo;
     use crate::journal::record::testing::{jobs, ok_chain, TempJournal};
     use std::path::Path;
-    use std::sync::Mutex;
+    use std::sync::{Arc, Mutex};
     use vfault::FileClass;
 
     /// A [`JournalIo`] over [`StdIo`] that logs the path and length of
@@ -490,7 +495,7 @@ mod tests {
 
         let reread = std::fs::read_to_string(temp.path()).expect("journal");
         assert_eq!(reread, text.clone() + &record::run_line(1), "only the run record is new");
-        let want = assemble_report(&jobs, &reread, 1, Instant::now()).expect("re-read report");
+        let want = assemble_report(&jobs, &reread, 1, 1.0).expect("re-read report");
         let row = |r: &crate::farm::EngineJobResult| {
             let bytes = r.success().expect("ok").bytes().to_vec();
             (r.name.clone(), bytes, r.attempts)
@@ -582,7 +587,7 @@ mod tests {
             record::job_line(1, "b", &ok_chain(b"live", 2), Some((0, 3))),
         ]
         .concat();
-        let report = assemble_report(&jobs, &text, 3, Instant::now()).expect("garbage is skipped");
+        let report = assemble_report(&jobs, &text, 3, 1.0).expect("garbage is skipped");
         let bytes: Vec<&[u8]> =
             report.results.iter().map(|r| r.success().expect("ok").bytes()).collect();
         assert_eq!(bytes, [&b"replayed"[..], b"live"], "last record wins");
@@ -592,8 +597,142 @@ mod tests {
         assert_eq!(report.cpu_secs, 2.75, "the live job's transfer + pipeline seconds");
 
         let missing = text.replace("\"name\":\"b\"", "\"name\":\"z\"");
-        let err =
-            assemble_report(&jobs, &missing, 3, Instant::now()).expect_err("job b unverifiable");
+        let err = assemble_report(&jobs, &missing, 3, 1.0).expect_err("job b unverifiable");
         assert!(matches!(err, JournalError::Io { .. }), "{err}");
+    }
+
+    /// A [`JournalIo`] over [`StdIo`] that paces the dispatcher's ledger
+    /// reads by the workers' real progress: a read returns once the file
+    /// changed since the previous one, except while worker 0 is silent
+    /// (its heartbeat is in, no lease is expired yet), when it returns
+    /// at once and the dispatcher's virtual clock runs freely. It notes
+    /// the virtual time of the first read that shows an `expire`.
+    struct Paced {
+        ledger: PathBuf,
+        clock: Arc<VirtualClock>,
+        last: Mutex<Vec<u8>>,
+        expired_at_us: Mutex<Option<u64>>,
+    }
+
+    impl JournalIo for Paced {
+        fn create(&self, class: FileClass, path: &Path) -> std::io::Result<Box<dyn DurableFile>> {
+            StdIo.create(class, path)
+        }
+
+        fn open_append(
+            &self,
+            class: FileClass,
+            path: &Path,
+        ) -> std::io::Result<Box<dyn DurableFile>> {
+            StdIo.open_append(class, path)
+        }
+
+        fn read(&self, class: FileClass, path: &Path) -> std::io::Result<Vec<u8>> {
+            if path != self.ledger {
+                return StdIo.read(class, path);
+            }
+            let mut last = self.last.lock().unwrap();
+            let give_up = Instant::now() + Duration::from_secs(10);
+            loop {
+                let bytes = StdIo.read(class, path)?;
+                let text = String::from_utf8_lossy(&bytes);
+                let expired = text.contains("\"kind\":\"expire\"");
+                if expired {
+                    self.expired_at_us.lock().unwrap().get_or_insert(self.clock.now_us());
+                }
+                let silent = text.contains("\"kind\":\"hb\"") && !expired;
+                if silent || bytes != *last || Instant::now() > give_up {
+                    last.clone_from(&bytes);
+                    return Ok(bytes);
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+
+        fn rename(&self, class: FileClass, from: &Path, to: &Path) -> std::io::Result<()> {
+            StdIo.rename(class, from, to)
+        }
+
+        fn sync_parent_dir(&self, path: &Path) -> std::io::Result<()> {
+            StdIo.sync_parent_dir(path)
+        }
+    }
+
+    /// The heartbeat-stall path on a virtual clock: worker 0 leases job
+    /// 0, heartbeats once and falls silent while staying alive. Only once
+    /// `HEARTBEAT_STALL` of the dispatcher's clock has passed is it
+    /// killed; the reap expires its lease, and its replacement commits
+    /// every job. Ten virtual seconds pass in a fraction of a real one.
+    #[test]
+    fn a_silent_worker_is_killed_after_the_heartbeat_stall_and_replaced() {
+        let names = ["a", "b", "c"];
+        let (jobs, policy) = (jobs(&names), ResilienceConfig::default());
+        let temp = TempJournal::new("hb-stall");
+        let ledger_path = ledger::ledger_path(temp.path());
+        let script = temp.path().with_extension("sh");
+        // A line appended by the worker, its pid spliced in as `$$`.
+        let append = |line: String, file: &str| {
+            let line = line.trim_end().replace("\"pid\":0}", "\"pid\":'\"$$\"'}");
+            format!("printf '%s\\n' '{line}' >> \"${file}\"\n")
+        };
+        let lease =
+            |job, worker| record::lease_line(job, ledger::LeaseId { worker, nonce: 0, pid: 0 });
+        // Worker 0 stays alive and silent: `exec`, so the kill ends the
+        // sleep too.
+        let silent = append(lease(0, 0), "L") + &append(record::hb_line(0, 1, 0, 0), "L");
+        let mut commit_all = String::new();
+        for (job, name) in names.iter().enumerate() {
+            let mark = DoneMark { job, worker: Some(1), ok: true, attempts: 1 };
+            commit_all += &append(lease(job, 1), "L");
+            commit_all +=
+                &append(record::job_line(job, name, &ok_chain(b"x", 1), Some((1, 0))), "J");
+            commit_all += &append(record::done_line(mark), "L");
+        }
+        let text = format!(
+            "L='{}'\nJ='{}'\ncase \"$2\" in\n0)\n{silent}exec sleep 30 ;;\n*)\n{commit_all};;\nesac\n",
+            ledger_path.display(),
+            temp.path().display(),
+        );
+        std::fs::write(&script, text).expect("write the worker script");
+
+        let opts = DispatchOptions {
+            procs: 1,
+            worker_exe: "sh".into(),
+            worker_args: vec![script.display().to_string()],
+            worker_trace_base: None,
+            journal: JournalConfig::new(temp.path()),
+            status_out: None,
+            worker_io_fault_spec: None,
+        };
+        let clock = Arc::new(VirtualClock::default());
+        let io = Arc::new(Paced {
+            ledger: ledger_path.clone(),
+            clock: Arc::clone(&clock),
+            last: Mutex::new(Vec::new()),
+            expired_at_us: Mutex::new(None),
+        });
+        let real = Instant::now();
+        let (finished, outcome) = std::sync::mpsc::channel();
+        let (on_clock, through) = (Arc::clone(&clock), Arc::clone(&io));
+        std::thread::spawn(move || {
+            let _ = finished.send(dispatch(&jobs, &policy, &opts, &*through, &*on_clock));
+        });
+        let got = outcome.recv_timeout(Duration::from_secs(30)).expect("the dispatch returned");
+        let real = real.elapsed();
+        let report = got.expect("dispatch").report;
+        let ledger = std::fs::read_to_string(&ledger_path).expect("ledger");
+        let journal = std::fs::read_to_string(temp.path()).expect("journal");
+        let _ = std::fs::remove_file(&script);
+
+        assert!(report.results.iter().all(|r| r.success().is_some()), "every job committed");
+        assert_eq!(report.summary.replayed, 0);
+        assert_eq!(ledger.matches("\"kind\":\"expire\"").count(), 1, "{ledger}");
+        assert_eq!(ledger.matches("\"kind\":\"expire\",\"job\":0,\"worker\":0,").count(), 1);
+        assert_eq!(journal.matches("\"worker\":1,").count(), names.len(), "the replacement's");
+        let stall = HEARTBEAT_STALL.as_micros() as u64;
+        let expired_at = io.expired_at_us.lock().unwrap().expect("an expire was read");
+        assert!(expired_at > stall, "lease expired at {expired_at} us of virtual time");
+        assert!(report.wall_secs > HEARTBEAT_STALL.as_secs_f64(), "{}", report.wall_secs);
+        assert!(real < Duration::from_secs(5), "{real:?} of real time");
     }
 }

@@ -37,6 +37,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
+use super::clock::Clock;
 use crate::resilience::capped_backoff_secs;
 use vfault::{FileClass, IoFaultKind, IoFaultPlan, IoOp};
 
@@ -149,6 +150,19 @@ struct FaultedState {
     dir_syncs: u64,
 }
 
+impl FaultedState {
+    /// The next fault decision for one op on `class`, advancing that
+    /// stream's counter.
+    fn decide(&mut self, plan: &IoFaultPlan, class: FileClass, op: IoOp) -> Option<IoFaultKind> {
+        let counter = self.counters.entry((class, op)).or_insert(0);
+        let index = *counter;
+        *counter += 1;
+        let fault = plan.decide(class, op, index);
+        self.injected += u64::from(fault.is_some());
+        fault
+    }
+}
+
 /// A [`JournalIo`] that injects the faults a seeded
 /// [`vfault::IoFaultPlan`] scripts, while tracking which byte prefix
 /// of every file an honest sync actually covered.
@@ -199,18 +213,14 @@ impl FaultedIo {
         self.state.lock().expect("faulted io state").dir_syncs
     }
 
-    /// The next fault decision for one op on `class`, advancing that
-    /// stream's counter.
     fn decide(&self, class: FileClass, op: IoOp) -> Option<IoFaultKind> {
-        let mut state = self.state.lock().expect("faulted io state");
-        let counter = state.counters.entry((class, op)).or_insert(0);
-        let index = *counter;
-        *counter += 1;
-        let fault = self.plan.decide(class, op, index);
-        if fault.is_some() {
-            state.injected += 1;
-        }
-        fault
+        self.state.lock().expect("faulted io state").decide(&self.plan, class, op)
+    }
+
+    /// A handle on `file` whose ops this layer faults and tracks.
+    fn handle(&self, file: File, class: FileClass, path: &Path) -> Box<dyn DurableFile> {
+        let (state, plan) = (Arc::clone(&self.state), self.plan.clone());
+        Box::new(FaultedFile { file, class, path: path.to_path_buf(), state, plan })
     }
 
     fn track_open(&self, path: &Path, len: u64) {
@@ -225,13 +235,7 @@ impl JournalIo for FaultedIo {
     fn create(&self, class: FileClass, path: &Path) -> io::Result<Box<dyn DurableFile>> {
         let file = File::create(path)?;
         self.track_open(path, 0);
-        Ok(Box::new(FaultedFile {
-            file,
-            class,
-            path: path.to_path_buf(),
-            state: Arc::clone(&self.state),
-            plan: self.plan.clone(),
-        }))
+        Ok(self.handle(file, class, path))
     }
 
     fn open_append(&self, class: FileClass, path: &Path) -> io::Result<Box<dyn DurableFile>> {
@@ -243,13 +247,7 @@ impl JournalIo for FaultedIo {
         // assumes the on-disk bytes durable.
         state.files.entry(path.to_path_buf()).or_insert(FileTrack { len, durable_len: len });
         drop(state);
-        Ok(Box::new(FaultedFile {
-            file,
-            class,
-            path: path.to_path_buf(),
-            state: Arc::clone(&self.state),
-            plan: self.plan.clone(),
-        }))
+        Ok(self.handle(file, class, path))
     }
 
     fn read(&self, _class: FileClass, path: &Path) -> io::Result<Vec<u8>> {
@@ -285,15 +283,7 @@ struct FaultedFile {
 
 impl FaultedFile {
     fn decide(&self, op: IoOp) -> Option<IoFaultKind> {
-        let mut state = self.state.lock().expect("faulted io state");
-        let counter = state.counters.entry((self.class, op)).or_insert(0);
-        let index = *counter;
-        *counter += 1;
-        let fault = self.plan.decide(self.class, op, index);
-        if fault.is_some() {
-            state.injected += 1;
-        }
-        fault
+        self.state.lock().expect("faulted io state").decide(&self.plan, self.class, op)
     }
 
     fn grow(&self, by: u64) {
@@ -394,11 +384,16 @@ fn transient_write_error(e: &io::Error) -> bool {
 
 /// Appends `bytes`, retrying transient write errors up to
 /// `MAX_APPEND_RETRIES` times with capped exponential backoff (the
-/// same curve the resilience layer uses for encode retries). Counts
-/// each retry on the `journal.io_retries` vtrace counter. Permanent
-/// errors — and every sync error, per the module-level fsync-gate rule
-/// — propagate to the caller's typed abort path.
-pub fn append_retrying(file: &mut dyn DurableFile, bytes: &[u8]) -> io::Result<()> {
+/// same curve the resilience layer uses for encode retries), waited on
+/// `clock`. Counts each retry on the `journal.io_retries` vtrace
+/// counter. Permanent errors — and every sync error, per the
+/// module-level fsync-gate rule — propagate to the caller's typed abort
+/// path.
+pub fn append_retrying(
+    file: &mut dyn DurableFile,
+    bytes: &[u8],
+    clock: &dyn Clock,
+) -> io::Result<()> {
     let mut retry = 0u32;
     loop {
         match file.append(bytes) {
@@ -408,7 +403,7 @@ pub fn append_retrying(file: &mut dyn DurableFile, bytes: &[u8]) -> io::Result<(
                 vtrace::counter("journal.io_retries", 1);
                 let backoff =
                     capped_backoff_secs(APPEND_BACKOFF_BASE_SECS, APPEND_BACKOFF_CAP_SECS, retry);
-                std::thread::sleep(std::time::Duration::from_secs_f64(backoff));
+                clock.wait(std::time::Duration::from_secs_f64(backoff));
             }
             Err(e) => return Err(e),
         }
@@ -418,6 +413,7 @@ pub fn append_retrying(file: &mut dyn DurableFile, bytes: &[u8]) -> io::Result<(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::clock::WallClock;
     use vfault::IoFaultPlan;
 
     fn scratch(tag: &str) -> PathBuf {
@@ -545,13 +541,14 @@ mod tests {
         let path = scratch("retry");
         let io = FaultedIo::new(IoFaultPlan::parse("eio=journal@0,eio=journal@1").expect("plan"));
         let mut file = io.create(FileClass::Journal, &path).expect("create");
-        append_retrying(file.as_mut(), b"record\n").expect("retries past two EIOs");
+        append_retrying(file.as_mut(), b"record\n", &WallClock).expect("retries past two EIOs");
         assert_eq!(std::fs::read(&path).expect("read"), b"record\n");
 
         let path2 = scratch("retry2");
         let io = FaultedIo::new(IoFaultPlan::parse("enospc=journal@0").expect("plan"));
         let mut file = io.create(FileClass::Journal, &path2).expect("create");
-        let err = append_retrying(file.as_mut(), b"record\n").expect_err("ENOSPC is permanent");
+        let err = append_retrying(file.as_mut(), b"record\n", &WallClock)
+            .expect_err("ENOSPC is permanent");
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);
 
         // Four EIOs in a row exhaust the budget (3 retries).
@@ -561,7 +558,10 @@ mod tests {
                 .expect("plan"),
         );
         let mut file = io.create(FileClass::Journal, &path3).expect("create");
-        assert!(append_retrying(file.as_mut(), b"record\n").is_err(), "budget exhausted");
+        assert!(
+            append_retrying(file.as_mut(), b"record\n", &WallClock).is_err(),
+            "budget exhausted"
+        );
         for p in [&path, &path2, &path3] {
             let _ = std::fs::remove_file(p);
         }
@@ -578,5 +578,19 @@ mod tests {
         assert!(fb.append(b"y").is_err(), "op 1 faulted, even on another handle");
         let _ = std::fs::remove_file(&a);
         let _ = std::fs::remove_file(&b);
+    }
+
+    /// On a virtual clock three transient EIOs back off exactly 5 + 10 +
+    /// 20 ms of it before the fourth write lands.
+    #[test]
+    fn append_backoff_advances_the_clock_by_its_capped_curve() {
+        let path = scratch("retry-clock");
+        let plan = IoFaultPlan::parse("eio=journal@0,eio=journal@1,eio=journal@2").expect("plan");
+        let mut file = FaultedIo::new(plan).create(FileClass::Journal, &path).expect("create");
+        let clock = crate::exec::clock::VirtualClock::default();
+        append_retrying(file.as_mut(), b"record\n", &clock).expect("the fourth write lands");
+        assert_eq!(clock.now_us(), 35_000);
+        assert_eq!(std::fs::read(&path).expect("read"), b"record\n");
+        let _ = std::fs::remove_file(&path);
     }
 }

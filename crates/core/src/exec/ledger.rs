@@ -62,6 +62,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
+use super::clock::WallClock;
 use super::io::{append_retrying, DurableFile, JournalIo};
 use super::status::WorkerStatus;
 use crate::journal::record::{self, DoneMark, Record};
@@ -312,7 +313,7 @@ pub(crate) fn create_ledger(
     let path = ledger_path(journal);
     let mut text = record::manifest_line(fingerprint, jobs) + &record::run_line(run);
     text.extend(replayed.map(record::done_line));
-    append_retrying(io.create(FileClass::Journal, &path)?.as_mut(), text.as_bytes())?;
+    append_retrying(io.create(FileClass::Journal, &path)?.as_mut(), text.as_bytes(), &WallClock)?;
     io.open_append(FileClass::Journal, &path)
 }
 

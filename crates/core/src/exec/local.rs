@@ -26,6 +26,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use super::clock::Clock;
 use super::io::DurableFile;
 use super::{claim_order, drain, ChainResult, Ticket, WorkQueue};
 use crate::engine::Transcoder;
@@ -57,6 +58,7 @@ struct Sink {
 pub(crate) struct LocalQueue<'a> {
     jobs: &'a [EngineJob],
     policy: &'a ResilienceConfig,
+    clock: &'a dyn Clock,
     /// The batch's [`claim_order`]; `cursor` is a position in it.
     order: Vec<usize>,
     cursor: AtomicUsize,
@@ -85,6 +87,7 @@ impl<'a> LocalQueue<'a> {
         jobs: &'a [EngineJob],
         policy: &'a ResilienceConfig,
         journal: Option<OpenedJournal>,
+        clock: &'a dyn Clock,
     ) -> LocalQueue<'a> {
         let mut slots: Vec<Mutex<JobSlot>> = (0..jobs.len())
             .map(|_| Mutex::new(JobSlot { result: None, started_at: None, hedge_launched: false }))
@@ -102,6 +105,7 @@ impl<'a> LocalQueue<'a> {
         LocalQueue {
             jobs,
             policy,
+            clock,
             order: claim_order(jobs),
             cursor: AtomicUsize::new(0),
             slots,
@@ -152,7 +156,8 @@ impl<'a> LocalQueue<'a> {
                 .map_err(|e| io_err("append job record", e))?;
             return Err(JournalError::Crashed { job, point });
         }
-        record::commit_job(file.as_mut(), &line).map_err(|e| io_err("append job record", e))
+        record::commit_job(file.as_mut(), &line, self.clock)
+            .map_err(|e| io_err("append job record", e))
     }
 
     /// Finds and claims one hedge candidate: an unfinished job whose
@@ -167,7 +172,7 @@ impl<'a> LocalQueue<'a> {
             }
             let mut sorted = times.clone();
             drop(times);
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite chain times"));
+            sorted.sort_by(f64::total_cmp);
             let q = hedge.quantile.clamp(0.0, 1.0);
             let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
             sorted[idx] * hedge.factor
@@ -176,7 +181,7 @@ impl<'a> LocalQueue<'a> {
             let mut s = self.slots[i].lock().expect("slot lock");
             if s.result.is_none() && !s.hedge_launched {
                 if let Some(t0) = s.started_at {
-                    if t0.elapsed().as_secs_f64() > threshold {
+                    if (self.clock.now() - t0).as_secs_f64() > threshold {
                         s.hedge_launched = true;
                         return Some(i);
                     }
@@ -222,7 +227,7 @@ impl WorkQueue for LocalQueue<'_> {
                     self.abort_with(JournalError::Crashed { job: i, point });
                     return None;
                 }
-                let started = Instant::now();
+                let started = self.clock.now();
                 slot.started_at = Some(started);
                 return Some(Ticket { job: i, started, lease: None });
             }
@@ -236,11 +241,11 @@ impl WorkQueue for LocalQueue<'_> {
                 Some(job) => {
                     vtrace::counter("farm.hedges", 1);
                     self.hedges.fetch_add(1, Ordering::Relaxed);
-                    return Some(Ticket { job, started: Instant::now(), lease: None });
+                    return Some(Ticket { job, started: self.clock.now(), lease: None });
                 }
                 // No straggler past the threshold yet: let the
                 // in-flight primaries advance before rescanning.
-                None => std::thread::sleep(Duration::from_micros(200)),
+                None => self.clock.wait(Duration::from_micros(200)),
             }
         }
     }
@@ -265,7 +270,7 @@ impl WorkQueue for LocalQueue<'_> {
         }
         vtrace::counter("exec.jobs_completed", 1);
         // The finishing copy's own wall time, hedge copies included.
-        let secs = ticket.started.elapsed().as_secs_f64();
+        let secs = (self.clock.now() - ticket.started).as_secs_f64();
         self.chain_secs.lock().expect("chain times lock").push(secs);
         self.remaining.fetch_sub(1, Ordering::AcqRel);
         true
@@ -274,7 +279,8 @@ impl WorkQueue for LocalQueue<'_> {
 
 /// Runs `jobs` on the in-process backend: builds the queue (seeded from
 /// and committing to `journal`, when there is one), drains it on
-/// `workers` threads, and folds the slots into the batch report.
+/// `workers` threads, and folds the slots into the batch report. Every
+/// timestamp and wait reads `clock`.
 ///
 /// # Errors
 ///
@@ -288,13 +294,14 @@ pub(crate) fn run_engine_batch(
     workers: usize,
     policy: &ResilienceConfig,
     journal: Option<OpenedJournal>,
+    clock: &dyn Clock,
 ) -> Result<EngineBatchReport, JournalError> {
     let mut batch_span = vtrace::span("farm.batch");
-    let started = Instant::now();
-    let queue = LocalQueue::new(jobs, policy, journal);
-    let threads = drain(&queue, engine, jobs, workers, policy).map_err(JournalError::Batch)?;
-    let wall_secs = started.elapsed().as_secs_f64().max(1e-9);
-    let report = queue.into_report(wall_secs)?;
+    let started = clock.now();
+    let queue = LocalQueue::new(jobs, policy, journal, clock);
+    let threads =
+        drain(&queue, engine, jobs, workers, policy, clock).map_err(JournalError::Batch)?;
+    let report = queue.into_report((clock.now() - started).as_secs_f64().max(1e-9))?;
     let summary = &report.summary;
     if batch_span.id().is_some() {
         batch_span.record("jobs", jobs.len());
@@ -319,6 +326,7 @@ pub(crate) fn run_engine_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::clock::{VirtualClock, WallClock};
     use crate::exec::StdIo;
     use crate::journal::record::testing::{ok_chain, request, source, TempJournal};
     use crate::journal::record::Record;
@@ -350,18 +358,18 @@ mod tests {
             })
             .collect()
         };
-        assert_eq!(drain_order(&LocalQueue::new(&jobs, &policy, None)), [2, 1, 0]);
+        assert_eq!(drain_order(&LocalQueue::new(&jobs, &policy, None, &WallClock)), [2, 1, 0]);
 
         // The same batch resumed with the middle job already durable.
         let temp = TempJournal::new("claim-order");
         let config = JournalConfig::new(temp.path());
         let first = open_journal(&config, &jobs, &policy, &StdIo).expect("fresh journal");
-        let queue = LocalQueue::new(&jobs, &policy, Some(first));
+        let queue = LocalQueue::new(&jobs, &policy, Some(first), &WallClock);
         let mid = Ticket { job: 1, started: Instant::now(), lease: None };
         assert!(queue.publish(mid, ok_chain(b"x", 1)));
         drop(queue);
         let resumed = open_journal(&config.with_resume(true), &jobs, &policy, &StdIo);
-        let queue = LocalQueue::new(&jobs, &policy, Some(resumed.expect("resume")));
+        let queue = LocalQueue::new(&jobs, &policy, Some(resumed.expect("resume")), &WallClock);
         assert_eq!(drain_order(&queue), [2, 0]);
     }
 
@@ -384,7 +392,8 @@ mod tests {
         });
         let temp = TempJournal::new("hedge");
         let opened = open_journal(&JournalConfig::new(temp.path()), &jobs, &policy, &StdIo);
-        let queue = LocalQueue::new(&jobs, &policy, Some(opened.expect("fresh journal")));
+        let queue =
+            LocalQueue::new(&jobs, &policy, Some(opened.expect("fresh journal")), &WallClock);
 
         let tickets: Vec<Ticket> = (0..3).map(|_| queue.claim().expect("a primary")).collect();
         let [primary, a, b] = <[Ticket; 3]>::try_from(tickets).ok().expect("three tickets");
@@ -406,5 +415,29 @@ mod tests {
             .filter(|r| matches!(r, Record::Job(rec) if rec.job == straggler))
             .count();
         assert_eq!(commits, 1, "exactly one commit for the hedged job");
+    }
+
+    /// On a virtual clock a hedge launches on the first 200 µs rescan at
+    /// which the primary has run longer than factor × quantile of the
+    /// finished chains, and not one rescan earlier.
+    #[test]
+    fn a_hedge_launches_when_the_primary_crosses_the_threshold() {
+        let jobs = uneven_jobs();
+        let hedge = HedgePolicy { quantile: 0.5, factor: 2.0, min_samples: 2 };
+        let policy = ResilienceConfig::default().with_hedge(hedge);
+        let clock = VirtualClock::default();
+        let queue = LocalQueue::new(&jobs, &policy, None, &clock);
+        let tickets: Vec<Ticket> = (0..3).map(|_| queue.claim().expect("a primary")).collect();
+        let [primary, a, b] = <[Ticket; 3]>::try_from(tickets).ok().expect("three tickets");
+        clock.wait(Duration::from_millis(10));
+        assert!(queue.publish(a, ok_chain(b"a", 1)));
+        clock.wait(Duration::from_millis(10));
+        assert!(queue.publish(b, ok_chain(b"b", 1)));
+        // Chains of 10 and 20 ms: the median is 20 ms, so the threshold
+        // is 40 ms, and 40.0 ms is not past it.
+        let hedge = queue.claim().expect("the straggler's hedge");
+        assert_eq!(hedge.job, primary.job);
+        assert_eq!(clock.now_us(), 40_200);
+        assert_eq!(hedge.started - primary.started, Duration::from_micros(40_200));
     }
 }

@@ -81,6 +81,7 @@
 //! workers and dispatcher alike); per-worker completion counts ride on each worker
 //! process's `exec.worker` span.
 
+pub mod clock;
 pub mod dispatch;
 pub mod io;
 pub mod ledger;
@@ -91,18 +92,20 @@ pub mod worker;
 pub use dispatch::{run_dispatch_with_io, DispatchOptions, DispatchReport};
 pub use io::{append_retrying, DurableFile, FaultedIo, JournalIo, StdIo};
 pub use status::{
-    snapshot_from_journal, snapshot_from_text, write_atomic_io, StatusSnapshot, WorkerStatus,
+    snapshot_from_journal, snapshot_from_text, write_atomic_io, LedgerWatch, StatusSnapshot,
+    WorkerStatus,
 };
 pub use worker::{run_worker_with_io, WorkerOptions};
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::engine::{StreamOutcome, Transcoder};
 use crate::farm::{BatchError, EngineJob, JobError, JobSource};
 use crate::fleet::predict::{predict_work_pixels, JobFeatures, NEUTRAL_ENTROPY};
 use crate::resilience::{degraded_request, FaultyTranscoder, ResilienceConfig};
+use clock::Clock;
 use ledger::LeaseId;
 
 /// What one job's full attempt chain produced: the unit of work every
@@ -235,12 +238,13 @@ pub(crate) fn drain<Q: WorkQueue + Sync>(
     jobs: &[EngineJob],
     threads: usize,
     policy: &ResilienceConfig,
+    clock: &dyn Clock,
 ) -> Result<usize, BatchError> {
     if threads == 0 {
         return Err(BatchError::NoWorkers);
     }
     let threads = threads.min(jobs.len());
-    let started = Instant::now();
+    let started = clock.now();
     // The caller's span (`farm.batch` / `exec.worker`) lives on this
     // thread's stack, invisible to the spawned threads': pass it down.
     let parent = vtrace::current_span();
@@ -254,16 +258,16 @@ pub(crate) fn drain<Q: WorkQueue + Sync>(
             if vtrace::enabled() {
                 // Queue wait: how long the job sat between batch start
                 // and this thread picking it up.
-                vtrace::histogram("farm.queue_wait_us", started.elapsed().as_micros() as u64);
+                vtrace::histogram("farm.queue_wait_us", (clock.now() - started).as_micros() as u64);
                 if jobs_done > 0 {
                     // Every grab after a thread's first is a pull from
                     // the shared queue.
                     vtrace::counter("farm.steals", 1);
                 }
             }
-            let t0 = Instant::now();
-            let chain = run_attempt_chain(engine, ticket.job, &jobs[ticket.job], policy);
-            busy_us.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+            let t0 = clock.now();
+            let chain = run_attempt_chain(engine, ticket.job, &jobs[ticket.job], policy, clock);
+            busy_us.fetch_add((clock.now() - t0).as_micros() as u64, Ordering::Relaxed);
             jobs_done += 1;
             if !queue.publish(ticket, chain) {
                 stop.store(true, Ordering::Release);
@@ -287,7 +291,7 @@ pub(crate) fn drain<Q: WorkQueue + Sync>(
     }
     // Share of the threads' wall time spent inside attempt chains.
     let busy_secs = busy_us.load(Ordering::Relaxed) as f64 / 1e6;
-    let lane_secs = threads.max(1) as f64 * started.elapsed().as_secs_f64().max(1e-9);
+    let lane_secs = threads.max(1) as f64 * (clock.now() - started).as_secs_f64().max(1e-9);
     vtrace::gauge("farm.batch_utilization", busy_secs / lane_secs);
     Ok(threads)
 }
@@ -304,21 +308,22 @@ fn run_attempt_chain(
     job_index: usize,
     job: &EngineJob,
     policy: &ResilienceConfig,
+    clock: &dyn Clock,
 ) -> ChainResult {
     let deadline = job.deadline_secs.or(policy.job_deadline_secs);
     let mut degraded = 0u32;
     let mut deadline_missed = false;
     let mut attempt = 0u32;
     loop {
-        let faulty =
-            FaultyTranscoder { inner: engine, plan: &policy.fault_plan, job: job_index, attempt };
+        let plan = &policy.fault_plan;
+        let faulty = FaultyTranscoder { inner: engine, plan, job: job_index, attempt, clock };
         let request = degraded_request(&job.request, degraded);
         // A fresh pull stream per attempt: retries re-pull from frame
         // zero.
         let caught = catch_unwind(AssertUnwindSafe(|| {
             faulty.transcode_stream(job.source.open().as_mut(), &request)
         }));
-        let failure = match caught {
+        let result = match caught {
             Ok(Ok(outcome)) => match deadline {
                 Some(limit) if outcome.timings().total() > limit => {
                     deadline_missed = true;
@@ -336,49 +341,34 @@ fn run_attempt_chain(
                 Err(JobError::Panicked { message: panic_message(payload.as_ref()) })
             }
         };
-        match failure {
-            Ok(outcome) => {
-                return ChainResult {
-                    outcome: Ok(outcome),
-                    attempts: attempt + 1,
-                    degraded,
-                    deadline_missed,
-                };
+        let retryable = match &result {
+            Ok(_) => false,
+            Err(JobError::Transcode(e)) => e.is_retryable(),
+            Err(JobError::Panicked { .. } | JobError::DeadlineExceeded { .. }) => true,
+            // Never produced by a live chain; replays only come from
+            // prefilled journal slots.
+            Err(JobError::ReplayedFailure { .. }) => false,
+        };
+        let attempts = attempt + 1;
+        if attempt >= policy.max_retries || !retryable {
+            return ChainResult { outcome: result, attempts, degraded, deadline_missed };
+        }
+        if matches!(result, Err(JobError::DeadlineExceeded { .. })) {
+            if policy.degrade_on_deadline_miss {
+                degraded += 1;
+                vtrace::counter("farm.degraded", 1);
             }
-            Err(error) => {
-                let retryable = match &error {
-                    JobError::Transcode(e) => e.is_retryable(),
-                    JobError::Panicked { .. } | JobError::DeadlineExceeded { .. } => true,
-                    // Never produced by a live chain; replays only come
-                    // from prefilled journal slots.
-                    JobError::ReplayedFailure { .. } => false,
-                };
-                if attempt >= policy.max_retries || !retryable {
-                    return ChainResult {
-                        outcome: Err(error),
-                        attempts: attempt + 1,
-                        degraded,
-                        deadline_missed,
-                    };
-                }
-                if matches!(error, JobError::DeadlineExceeded { .. }) {
-                    if policy.degrade_on_deadline_miss {
-                        degraded += 1;
-                        vtrace::counter("farm.degraded", 1);
-                    }
-                } else {
-                    // Backoff applies to error/panic retries: a deadline
-                    // miss already *has* a result, waiting cannot help it.
-                    let wait = policy.backoff_secs(attempt + 1);
-                    if wait > 0.0 {
-                        vtrace::histogram("farm.backoff_wait_us", (wait * 1e6) as u64);
-                        std::thread::sleep(std::time::Duration::from_secs_f64(wait));
-                    }
-                }
-                vtrace::counter("farm.retries", 1);
-                attempt += 1;
+        } else {
+            // Backoff applies to error/panic retries: a deadline miss
+            // already *has* a result, waiting cannot help it.
+            let wait = policy.backoff_secs(attempts);
+            if wait > 0.0 {
+                vtrace::histogram("farm.backoff_wait_us", (wait * 1e6) as u64);
+                clock.wait(Duration::from_secs_f64(wait));
             }
         }
+        vtrace::counter("farm.retries", 1);
+        attempt = attempts;
     }
 }
 
@@ -397,6 +387,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::engine::{Engine, RateMode, TranscodeError, TranscodeOutcome, TranscodeRequest};
+    use crate::exec::clock::WallClock;
     use crate::farm::transcode_batch;
     use crate::journal::record::testing::{jobs, TempJournal};
     use crate::journal::{run_batch_journaled_with_io, JournalConfig, JournalError};
@@ -485,7 +476,8 @@ mod tests {
     fn every_claimed_ticket_is_published_exactly_once() {
         let jobs = jobs(&["a", "b", "c"]);
         let queue = FakeQueue::new(jobs.len(), 40, None);
-        let threads = drain(&queue, &Refuse, &jobs, 8, &ResilienceConfig::default()).expect("ran");
+        let threads = drain(&queue, &Refuse, &jobs, 8, &ResilienceConfig::default(), &WallClock)
+            .expect("ran");
         assert_eq!(threads, 3, "never more threads than jobs");
         let (claimed, published) = queue.serials();
         assert_eq!(claimed, (0..40).collect::<Vec<u64>>());
@@ -499,7 +491,7 @@ mod tests {
     fn first_refused_publish_stops_every_thread() {
         let jobs = jobs(&["a", "b", "c", "d"]);
         let queue = FakeQueue::new(jobs.len(), 100_000, Some(10));
-        drain(&queue, &Refuse, &jobs, 4, &ResilienceConfig::default()).expect("ran");
+        drain(&queue, &Refuse, &jobs, 4, &ResilienceConfig::default(), &WallClock).expect("ran");
         let (claimed, published) = queue.serials();
         assert!(claimed.contains(&10));
         assert!(claimed.len() < 100_000, "the loop stopped before the queue drained");
@@ -514,7 +506,7 @@ mod tests {
         let policy = ResilienceConfig::default()
             .with_fault_plan(vfault::FaultPlan::new().with_panic(1, u32::MAX));
         let queue = FakeQueue::new(jobs.len(), 6, None);
-        drain(&queue, &Engine, &jobs, 1, &policy).expect("ran");
+        drain(&queue, &Engine, &jobs, 1, &policy, &WallClock).expect("ran");
         let mut published = queue.published.into_inner().unwrap();
         published.sort_unstable();
         let ok: Vec<(usize, bool)> = published.iter().map(|p| (p.1, p.2)).collect();
@@ -694,5 +686,22 @@ mod tests {
         let opts =
             WorkerOptions { journal: temp.path().to_path_buf(), worker_id: 0, run: 0, threads: 3 };
         run_worker_with_io(&Refuse, &[], &policy, &opts, &StdIo).expect("worker");
+    }
+
+    /// On a virtual clock the chain's backoff waits exactly its capped
+    /// curve, 0.5 + 1 + 1.5 s over three retries, and no real time.
+    #[test]
+    fn chain_backoff_advances_the_clock_by_its_capped_curve() {
+        let jobs = jobs(&["a"]);
+        let policy = ResilienceConfig::default()
+            .with_max_retries(3)
+            .with_backoff(0.5, 1.5)
+            .with_fault_plan(vfault::FaultPlan::new().with_transient(0, 3));
+        let clock = clock::VirtualClock::default();
+        let real = Instant::now();
+        let chain = run_attempt_chain(&Refuse, 0, &jobs[0], &policy, &clock);
+        assert_eq!(chain.attempts, 4, "three injected failures, then the refusal");
+        assert_eq!(clock.now_us(), 3_000_000);
+        assert!(real.elapsed() < Duration::from_secs(1), "{:?}", real.elapsed());
     }
 }

@@ -24,9 +24,9 @@
 //! refreshing live view, both of which are handed their clock
 //! explicitly.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-use super::ledger::{replay_ledger, JobState, LedgerView};
+use super::ledger::{replay_ledger, JobState, LedgerFold, LedgerView};
 use crate::journal::record::{self, Record};
 use vtrace::json::Object;
 
@@ -125,9 +125,7 @@ impl StatusSnapshot {
     /// the caller-supplied `now_ms` / `elapsed_secs` so the document is
     /// testable with a pinned clock.
     pub fn to_json(&self, now_ms: u64, elapsed_secs: f64) -> String {
-        let throughput = if elapsed_secs > 0.0 { self.done as f64 / elapsed_secs } else { 0.0 };
-        let remaining = self.jobs.saturating_sub(self.done);
-        let eta_secs = if throughput > 0.0 { remaining as f64 / throughput } else { -1.0 };
+        let (throughput, eta_secs) = self.progress(elapsed_secs);
         let worker = |w: &WorkerStatus| {
             Object::new()
                 .field("worker", w.worker)
@@ -150,9 +148,17 @@ impl StatusSnapshot {
             .field("retries", self.retries)
             .field("expired_leases", self.expired_leases)
             .field("throughput_jps", throughput)
-            .field("eta_secs", eta_secs)
+            .field("eta_secs", eta_secs.unwrap_or(-1.0))
             .field("workers", self.workers.iter().map(worker).collect::<Vec<_>>())
             .close()
+    }
+
+    /// Throughput in jobs/s after `elapsed_secs`, and the seconds the
+    /// jobs not yet done take at that rate (`None` while it is zero).
+    pub fn progress(&self, elapsed_secs: f64) -> (f64, Option<f64>) {
+        let throughput = if elapsed_secs > 0.0 { self.done as f64 / elapsed_secs } else { 0.0 };
+        let remaining = self.jobs.saturating_sub(self.done);
+        (throughput, (throughput > 0.0).then(|| remaining as f64 / throughput))
     }
 }
 
@@ -160,15 +166,17 @@ impl StatusSnapshot {
 /// the text has no usable manifest — nothing to monitor yet (or neither
 /// kind of file).
 pub fn snapshot_from_text(text: &str) -> Option<StatusSnapshot> {
+    Some(snapshot(&replay_ledger(text, manifest_jobs(text)?)))
+}
+
+/// The job count of the manifest `text` starts with.
+fn manifest_jobs(text: &str) -> Option<usize> {
     // Invariant: the manifest's job count sizes the ledger allocation.
     // A corrupt or hostile count must not drive an unbounded `Vec` —
     // cap it at a bound no real batch approaches and treat anything
     // larger like a missing manifest (nothing to monitor).
-    let jobs = match record::records(text).next()? {
-        Record::Manifest { jobs, .. } if jobs <= MAX_MANIFEST_JOBS => jobs as usize,
-        _ => return None,
-    };
-    Some(snapshot(&replay_ledger(text, jobs)))
+    let Some(Record::Manifest { jobs, .. }) = record::records(text).next() else { return None };
+    (jobs <= MAX_MANIFEST_JOBS).then_some(jobs as usize)
 }
 
 /// The snapshot of a folded ledger: what [`snapshot_from_text`] derives,
@@ -210,8 +218,40 @@ pub(crate) fn snapshot(view: &LedgerView) -> StatusSnapshot {
 /// started a ledger beside `path`; a readable ledger with no manifest
 /// yields `Ok(None)`.
 pub fn snapshot_from_journal(path: &Path) -> std::io::Result<Option<StatusSnapshot>> {
-    let ledger = super::ledger::ledger_path(path);
-    Ok(snapshot_from_text(&record::read_text(&super::io::StdIo, &ledger)?))
+    LedgerWatch::new(path).snapshot()
+}
+
+/// The ledger of a dispatch journal, followed across reads: each
+/// [`LedgerWatch::snapshot`] parses only the lines appended since the
+/// previous one, and refolds from empty when the file did not just grow
+/// (a new run recreated it).
+pub struct LedgerWatch {
+    ledger: PathBuf,
+    /// The text last read, and its fold once it starts with a manifest.
+    text: String,
+    fold: Option<LedgerFold>,
+}
+
+impl LedgerWatch {
+    /// Follows the ledger beside the dispatch journal at `journal`.
+    pub fn new(journal: &Path) -> LedgerWatch {
+        LedgerWatch { ledger: super::ledger::ledger_path(journal), text: String::new(), fold: None }
+    }
+
+    /// Reads the ledger (read-only) and derives the snapshot
+    /// [`snapshot_from_text`] derives from all of it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the read error, like [`snapshot_from_journal`].
+    pub fn snapshot(&mut self) -> std::io::Result<Option<StatusSnapshot>> {
+        let text = record::read_text(&super::io::StdIo, &self.ledger)?;
+        if self.fold.is_none() || !text.starts_with(&self.text) {
+            self.fold = manifest_jobs(&text).map(LedgerFold::new);
+        }
+        self.text = text;
+        Ok(self.fold.as_mut().map(|fold| snapshot(fold.update(&self.text))))
+    }
 }
 
 /// Atomically and *durably* replaces `path` with `content`, through
@@ -429,6 +469,42 @@ mod tests {
             .expect("read survives invalid UTF-8")
             .expect("manifest intact");
         assert_eq!((snap.jobs, snap.done), (3, 1));
+        let _ = std::fs::remove_file(&file);
+    }
+
+    /// `vbench top`'s refreshes over a growing ledger parse each line
+    /// once, and each shows what a snapshot of the whole file shows. A
+    /// ledger a new run recreated is refolded, even when it is longer.
+    #[test]
+    fn refreshes_of_a_growing_ledger_parse_each_line_once() {
+        let mut path = std::env::temp_dir();
+        path.push(format!("vbench-status-watch-{}.jsonl", std::process::id()));
+        let file = crate::exec::ledger::ledger_path(&path);
+        let lines: Vec<String> = ledger().split_inclusive('\n').map(str::to_string).collect();
+        let mut watch = LedgerWatch::new(&path);
+        let (renders, parsed) = crate::exec::ledger::lines_folded(|| {
+            let mut text = String::new();
+            let mut renders = Vec::new();
+            for line in &lines {
+                text.push_str(line);
+                std::fs::write(&file, &text).expect("write ledger");
+                renders.push(watch.snapshot().expect("read").expect("a manifest").render());
+            }
+            renders
+        });
+        assert_eq!(parsed, lines.len(), "lines parsed over {} refreshes", lines.len());
+        for (n, render) in renders.iter().enumerate() {
+            let text = lines[..=n].concat();
+            assert_eq!(*render, snapshot_from_text(&text).expect("a manifest").render());
+        }
+
+        // The new run's worker 0 failed job 0, and job 2 was replayed.
+        let done = |ok| done_line(DoneMark { job: 0, worker: Some(0), ok, attempts: 2 });
+        let replay = done_line(DoneMark { job: 2, worker: None, ok: true, attempts: 1 });
+        let rerun = ledger().replace(&done(true), &done(false)) + &replay;
+        std::fs::write(&file, &rerun).expect("recreate ledger");
+        let snap = watch.snapshot().expect("read").expect("a manifest");
+        assert_eq!(snap.render(), snapshot_from_text(&rerun).expect("a manifest").render());
         let _ = std::fs::remove_file(&file);
     }
 

@@ -53,8 +53,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread::Thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use super::clock::{Clock, WallClock};
 use super::io::{DurableFile, JournalIo};
 use super::ledger::{self, LeaseId, LedgerFold, LedgerView};
 use super::{claim_order, drain, ChainResult, Ticket, WorkQueue};
@@ -91,6 +92,7 @@ pub struct WorkerOptions {
 /// file, fsync'd job records in the journal as publishes.
 struct JournalQueue<'a> {
     io: &'a dyn JournalIo,
+    clock: &'a dyn Clock,
     ledger_path: PathBuf,
     /// The ledger as last read, shared by every view of this process.
     fold: Mutex<LedgerFold>,
@@ -121,6 +123,7 @@ impl<'a> JournalQueue<'a> {
         policy: &'a ResilienceConfig,
         opts: &WorkerOptions,
         io: &'a dyn JournalIo,
+        clock: &'a dyn Clock,
     ) -> Result<JournalQueue<'a>, JournalError> {
         let fingerprint = journal::manifest_fingerprint(jobs, policy);
         let ledger_path = ledger::ledger_path(&opts.journal);
@@ -132,6 +135,7 @@ impl<'a> JournalQueue<'a> {
         };
         Ok(JournalQueue {
             io,
+            clock,
             fold: Mutex::new(LedgerFold::new(jobs.len())),
             ledger: Mutex::new(open(&ledger_path, "open ledger for append")?),
             journal: Mutex::new(open(&opts.journal, "open journal for append")?),
@@ -161,11 +165,11 @@ impl<'a> JournalQueue<'a> {
                     // An unpark that lands before this park makes it
                     // return at once, so the stop can never be slept
                     // through.
-                    std::thread::park_timeout(HEARTBEAT_EVERY);
+                    self.clock.wait(HEARTBEAT_EVERY);
                 }
             });
             let _stop = StopHeartbeat { done: &done, thread: heartbeats.thread() };
-            drain(self, engine, self.jobs, opts.threads, self.policy)
+            drain(self, engine, self.jobs, opts.threads, self.policy, self.clock)
         })
         .map_err(JournalError::Batch)?;
         if span.id().is_some() {
@@ -261,7 +265,7 @@ impl WorkQueue for JournalQueue<'_> {
                 // Everything unfinished is leased elsewhere. A holder
                 // may still die — its lease comes back via a dispatcher
                 // expire — so poll rather than exit.
-                std::thread::sleep(Duration::from_millis(25));
+                self.clock.wait(Duration::from_millis(25));
                 continue;
             };
             let id = LeaseId {
@@ -292,7 +296,7 @@ impl WorkQueue for JournalQueue<'_> {
                 // exactly like a SIGKILL between claim and publish.
                 std::process::abort();
             }
-            return Some(Ticket { job, started: Instant::now(), lease: Some(id) });
+            return Some(Ticket { job, started: self.clock.now(), lease: Some(id) });
         }
     }
 
@@ -310,7 +314,7 @@ impl WorkQueue for JournalQueue<'_> {
         }
         let line =
             record::job_line(job, &self.jobs[job].name, &chain, Some((self.worker, self.run)));
-        if !self.write(&self.journal, |file| record::commit_job(file, &line)) {
+        if !self.write(&self.journal, |file| record::commit_job(file, &line, self.clock)) {
             return false;
         }
         vtrace::counter("exec.jobs_completed", 1);
@@ -329,10 +333,7 @@ impl WorkQueue for JournalQueue<'_> {
 
     fn heartbeat(&self) {
         let seq = self.hb_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let t_ms = std::time::SystemTime::now()
-            .duration_since(std::time::SystemTime::UNIX_EPOCH)
-            .map(|d| d.as_millis() as u64)
-            .unwrap_or(0);
+        let t_ms = self.clock.unix_ms();
         if self.append(&record::hb_line(self.worker, seq, self.pid, t_ms)) {
             vtrace::counter("exec.heartbeats", 1);
         }
@@ -377,7 +378,7 @@ pub fn run_worker_with_io(
     opts: &WorkerOptions,
     io: &dyn JournalIo,
 ) -> Result<(), JournalError> {
-    JournalQueue::open(jobs, policy, opts, io)?.run(engine, opts)
+    JournalQueue::open(jobs, policy, opts, io, &WallClock)?.run(engine, opts)
 }
 
 /// Checks the manifest the dispatcher copied into the ledger against
@@ -632,7 +633,7 @@ mod tests {
         );
         let opts =
             WorkerOptions { journal: temp.path().to_path_buf(), worker_id: 0, run: 0, threads: 1 };
-        let queue = JournalQueue::open(&jobs, &policy, &opts, &StdIo).expect("attach");
+        let queue = JournalQueue::open(&jobs, &policy, &opts, &StdIo, &WallClock).expect("attach");
         prepare(&queue);
         let ran = queue.run(&Canned(64), &opts);
         let count = |path: &Path, kind: &str| {

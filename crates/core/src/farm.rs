@@ -29,6 +29,7 @@
 //! byte-identical to an unfaulted run.
 
 use crate::engine::{StreamOutcome, TranscodeError, TranscodeRequest, Transcoder};
+use crate::exec::clock::WallClock;
 use crate::exec::local::run_engine_batch;
 use crate::exec::{predicted_work, ChainResult};
 use crate::journal::JournalError;
@@ -430,7 +431,7 @@ pub fn transcode_batch(
     workers: usize,
     policy: &ResilienceConfig,
 ) -> Result<EngineBatchReport, BatchError> {
-    run_engine_batch(engine, jobs, workers, policy, None).map_err(|e| match e {
+    run_engine_batch(engine, jobs, workers, policy, None, &WallClock).map_err(|e| match e {
         JournalError::Batch(e) => e,
         other => unreachable!("only a journal can stop a batch early: {other}"),
     })

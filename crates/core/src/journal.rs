@@ -77,6 +77,7 @@ use std::path::{Path, PathBuf};
 pub(crate) mod record;
 
 use crate::engine::Transcoder;
+use crate::exec::clock::WallClock;
 use crate::exec::io::{append_retrying, remove_stale_temps, unique_temp, DurableFile, JournalIo};
 use crate::exec::local::run_engine_batch;
 use crate::exec::ChainResult;
@@ -198,7 +199,7 @@ pub fn run_batch_journaled_with_io(
     io: &dyn JournalIo,
 ) -> Result<EngineBatchReport, JournalError> {
     let opened = open_journal(journal, jobs, policy, io)?;
-    run_engine_batch(engine, jobs, workers, policy, Some(opened))
+    run_engine_batch(engine, jobs, workers, policy, Some(opened), &WallClock)
 }
 
 /// The batch's identity: a CRC-32 over a canonical description of every
@@ -301,7 +302,7 @@ pub(crate) fn open_journal(
         io.open_append(FileClass::Journal, &config.path)
             .map_err(|e| io_err("open journal for append", e))?
     };
-    append_run_record(file.as_mut(), scan.prior_runs)?;
+    append_synced(file.as_mut(), &record::run_line(scan.prior_runs), "write run record")?;
     if !scan.prefilled.is_empty() {
         vtrace::counter("journal.records_replayed", scan.prefilled.len() as u64);
     }
@@ -427,10 +428,8 @@ fn init_fresh(
     io: &dyn JournalIo,
 ) -> Result<Box<dyn DurableFile>, JournalError> {
     let mut file = io.create(FileClass::Journal, path).map_err(|e| io_err("create journal", e))?;
-    append_retrying(file.as_mut(), record::manifest_line(fingerprint, jobs).as_bytes())
-        .and_then(|_| file.sync())
-        .map_err(|e| io_err("write manifest", e))?;
-    append_run_record(file.as_mut(), 0)?;
+    append_synced(file.as_mut(), &record::manifest_line(fingerprint, jobs), "write manifest")?;
+    append_synced(file.as_mut(), &record::run_line(0), "write run record")?;
     Ok(file)
 }
 
@@ -452,9 +451,7 @@ fn compact(
         contents.push_str(line);
         contents.push('\n');
     }
-    append_retrying(file.as_mut(), contents.as_bytes())
-        .and_then(|_| file.sync())
-        .map_err(|e| io_err("write compacted journal", e))?;
+    append_synced(file.as_mut(), &contents, "write compacted journal")?;
     drop(file);
     io.rename(FileClass::Journal, &tmp, path)
         .and_then(|_| io.sync_parent_dir(path))
@@ -462,12 +459,14 @@ fn compact(
     io.open_append(FileClass::Journal, path).map_err(|e| io_err("reopen journal", e))
 }
 
-/// Appends and syncs one run record (one per driver invocation; the
-/// count of these is the crash-fault run index).
-fn append_run_record(file: &mut dyn DurableFile, index: u32) -> Result<(), JournalError> {
-    append_retrying(file, record::run_line(index).as_bytes())
+/// Appends `text` and syncs it: the manifest, a run record (one per
+/// driver invocation; their count is the crash-fault run index), a
+/// compacted copy, shed records. Transient write errors back off on the
+/// wall clock.
+fn append_synced(file: &mut dyn DurableFile, text: &str, what: &str) -> Result<(), JournalError> {
+    append_retrying(file, text.as_bytes(), &WallClock)
         .and_then(|_| file.sync())
-        .map_err(|e| io_err("write run record", e))
+        .map_err(|e| io_err(what, e))
 }
 
 /// Appends the service's shed events to an existing journal, one fsync
@@ -495,9 +494,7 @@ pub(crate) fn append_shed_records(
     for event in events {
         buf.push_str(&record::shed_line(event));
     }
-    append_retrying(file.as_mut(), buf.as_bytes())
-        .and_then(|_| file.sync())
-        .map_err(|e| io_err("write shed records", e))
+    append_synced(file.as_mut(), &buf, "write shed records")
 }
 
 pub(crate) fn io_err(context: &str, source: std::io::Error) -> JournalError {

@@ -33,9 +33,9 @@
 //!   [`append_ephemeral`] (ledger records, never fsync'd).
 
 use std::path::Path;
-use std::time::Instant;
 
 use crate::engine::StreamOutcome;
+use crate::exec::clock::Clock;
 use crate::exec::io::{append_retrying, DurableFile, JournalIo};
 use crate::exec::ledger::LeaseId;
 use crate::exec::ChainResult;
@@ -354,11 +354,15 @@ pub(crate) fn read_text(io: &dyn JournalIo, path: &Path) -> std::io::Result<Stri
 /// interleave *records*, never bytes within one. Transient write errors
 /// retry with capped backoff; a sync error never does (the bytes it
 /// failed on are unaccounted for).
-pub(crate) fn commit_job(file: &mut dyn DurableFile, line: &str) -> std::io::Result<()> {
-    let t0 = Instant::now();
-    append_retrying(file, line.as_bytes())?;
+pub(crate) fn commit_job(
+    file: &mut dyn DurableFile,
+    line: &str,
+    clock: &dyn Clock,
+) -> std::io::Result<()> {
+    let t0 = clock.now();
+    append_retrying(file, line.as_bytes(), clock)?;
     file.sync()?;
-    vtrace::histogram("journal.fsync_us", t0.elapsed().as_micros() as u64);
+    vtrace::histogram("journal.fsync_us", (clock.now() - t0).as_micros() as u64);
     vtrace::counter("journal.records_written", 1);
     Ok(())
 }

@@ -21,6 +21,7 @@
 use crate::engine::{
     Backend, StreamOutcome, TranscodeError, TranscodeOutcome, TranscodeRequest, Transcoder,
 };
+use crate::exec::clock::Clock;
 use vcodec::Preset;
 use vfault::{FaultKind, FaultPlan, InjectedFault};
 use vframe::source::FrameSource;
@@ -165,11 +166,7 @@ pub fn degrade_preset(preset: Preset) -> Preset {
 /// controller actually dispatches at. Saturates at
 /// [`Preset::UltraFast`], like the single-notch form.
 pub fn degrade_preset_by(preset: Preset, notches: u32) -> Preset {
-    let mut out = preset;
-    for _ in 0..notches {
-        out = degrade_preset(out);
-    }
-    out
+    (0..notches).fold(preset, |preset, _| degrade_preset(preset))
 }
 
 /// The request actually run on `attempt` of a job whose degradation
@@ -179,9 +176,7 @@ pub fn degrade_preset_by(preset: Preset, notches: u32) -> Preset {
 pub fn degraded_request(req: &TranscodeRequest, degraded_notches: u32) -> TranscodeRequest {
     let mut out = *req;
     if matches!(req.backend, Backend::Software(_)) {
-        for _ in 0..degraded_notches {
-            out.preset = degrade_preset(out.preset);
-        }
+        out.preset = degrade_preset_by(out.preset, degraded_notches);
     }
     out
 }
@@ -196,7 +191,7 @@ pub fn degraded_request(req: &TranscodeRequest, degraded_notches: u32) -> Transc
 ///   isolates it);
 /// * a `Straggler` decision runs the encode, then charges the extra
 ///   latency to the outcome's pipeline stage and measured speed — and
-///   sleeps a bounded real interval so wall-clock-driven policies
+///   waits a bounded interval on `clock` so clock-driven policies
 ///   (hedging) can observe the straggle.
 pub struct FaultyTranscoder<'a> {
     /// The engine to delegate non-faulted attempts to.
@@ -207,18 +202,20 @@ pub struct FaultyTranscoder<'a> {
     pub job: usize,
     /// Attempt number (0 = first try).
     pub attempt: u32,
+    /// What the straggle waits on.
+    pub clock: &'a dyn Clock,
 }
 
-/// Cap on the *real* sleep an injected straggler performs. The virtual
-/// latency charged to the outcome is uncapped; the sleep only exists so
-/// hedging has something to observe, and tests must not take minutes.
-const MAX_REAL_STRAGGLE_SECS: f64 = 0.5;
+/// Cap on the wait an injected straggler performs. The latency charged
+/// to the outcome is uncapped; the wait only exists so hedging has
+/// something to observe, and tests must not take minutes.
+const MAX_STRAGGLE_WAIT_SECS: f64 = 0.5;
 
 impl FaultyTranscoder<'_> {
     /// Applies the plan's pre-attempt decision: panic, typed failure, or
-    /// the bounded real straggler sleep. Returns the decision for the
-    /// post-attempt latency charge.
-    fn apply_pre_attempt(&self) -> Result<vfault::Decision, TranscodeError> {
+    /// the bounded straggler wait. Returns the injected latency for the
+    /// post-attempt charge.
+    fn apply_pre_attempt(&self) -> Result<f64, TranscodeError> {
         let decision = self.plan.decide(self.job, self.attempt);
         match decision.fail {
             Some(FaultKind::Panic) => {
@@ -234,21 +231,22 @@ impl FaultyTranscoder<'_> {
             None => {}
         }
         if decision.extra_secs > 0.0 {
-            std::thread::sleep(std::time::Duration::from_secs_f64(
-                decision.extra_secs.min(MAX_REAL_STRAGGLE_SECS),
-            ));
+            let straggle = decision.extra_secs.min(MAX_STRAGGLE_WAIT_SECS);
+            self.clock.wait(std::time::Duration::from_secs_f64(straggle));
         }
-        Ok(decision)
+        Ok(decision.extra_secs)
     }
 }
 
 /// Charges an injected straggle to the outcome's pipeline stage and
 /// slows the measured speed to match, so deadline checks and fleet math
-/// see the same latency the plan injected.
+/// see the same latency the plan injected. No straggle charges nothing.
 fn charge_straggle(timings: &mut vhw::StageSeconds, speed_pps: &mut f64, extra_secs: f64) {
-    let before = timings.total().max(1e-9);
-    timings.pipeline += extra_secs;
-    *speed_pps *= before / timings.total();
+    if extra_secs > 0.0 {
+        let before = timings.total().max(1e-9);
+        timings.pipeline += extra_secs;
+        *speed_pps *= before / timings.total();
+    }
 }
 
 impl Transcoder for FaultyTranscoder<'_> {
@@ -257,15 +255,9 @@ impl Transcoder for FaultyTranscoder<'_> {
         src: &Video,
         req: &TranscodeRequest,
     ) -> Result<TranscodeOutcome, TranscodeError> {
-        let decision = self.apply_pre_attempt()?;
+        let extra_secs = self.apply_pre_attempt()?;
         let mut outcome = self.inner.transcode(src, req)?;
-        if decision.extra_secs > 0.0 {
-            charge_straggle(
-                &mut outcome.timings,
-                &mut outcome.measurement.speed_pps,
-                decision.extra_secs,
-            );
-        }
+        charge_straggle(&mut outcome.timings, &mut outcome.measurement.speed_pps, extra_secs);
         Ok(outcome)
     }
 
@@ -274,15 +266,9 @@ impl Transcoder for FaultyTranscoder<'_> {
         src: &mut dyn FrameSource,
         req: &TranscodeRequest,
     ) -> Result<StreamOutcome, TranscodeError> {
-        let decision = self.apply_pre_attempt()?;
+        let extra_secs = self.apply_pre_attempt()?;
         let mut outcome = self.inner.transcode_stream(src, req)?;
-        if decision.extra_secs > 0.0 {
-            charge_straggle(
-                &mut outcome.timings,
-                &mut outcome.measurement.speed_pps,
-                decision.extra_secs,
-            );
-        }
+        charge_straggle(&mut outcome.timings, &mut outcome.measurement.speed_pps, extra_secs);
         Ok(outcome)
     }
 }
@@ -291,6 +277,7 @@ impl Transcoder for FaultyTranscoder<'_> {
 mod tests {
     use super::*;
     use crate::engine::{Engine, RateMode};
+    use crate::exec::clock::WallClock;
     use vcodec::CodecFamily;
     use vframe::color::{frame_from_fn, Yuv};
     use vframe::Resolution;
@@ -342,12 +329,14 @@ mod tests {
     fn faulty_transcoder_injects_typed_errors() {
         let plan = FaultPlan::new().with_transient(0, 1);
         let v = clip();
-        let first = FaultyTranscoder { inner: &Engine, plan: &plan, job: 0, attempt: 0 };
+        let first =
+            FaultyTranscoder { inner: &Engine, plan: &plan, job: 0, attempt: 0, clock: &WallClock };
         assert!(matches!(
             first.transcode(&v, &request()),
             Err(TranscodeError::Injected(InjectedFault { kind: FaultKind::Transient, .. }))
         ));
-        let second = FaultyTranscoder { inner: &Engine, plan: &plan, job: 0, attempt: 1 };
+        let second =
+            FaultyTranscoder { inner: &Engine, plan: &plan, job: 0, attempt: 1, clock: &WallClock };
         assert!(second.transcode(&v, &request()).is_ok());
     }
 
@@ -355,9 +344,10 @@ mod tests {
     fn faulty_transcoder_passthrough_is_byte_identical() {
         let plan = FaultPlan::new();
         let v = clip();
-        let wrapped = FaultyTranscoder { inner: &Engine, plan: &plan, job: 5, attempt: 0 }
-            .transcode(&v, &request())
-            .expect("clean attempt");
+        let wrapped =
+            FaultyTranscoder { inner: &Engine, plan: &plan, job: 5, attempt: 0, clock: &WallClock }
+                .transcode(&v, &request())
+                .expect("clean attempt");
         let direct = Engine.transcode(&v, &request()).expect("direct");
         assert_eq!(wrapped.output.bytes, direct.output.bytes);
     }
@@ -366,9 +356,10 @@ mod tests {
     fn straggler_charges_latency_to_timings_and_speed() {
         let plan = FaultPlan::new().with_straggler(0, 0.05);
         let v = clip();
-        let slow = FaultyTranscoder { inner: &Engine, plan: &plan, job: 0, attempt: 0 }
-            .transcode(&v, &request())
-            .expect("straggling attempt still succeeds");
+        let slow =
+            FaultyTranscoder { inner: &Engine, plan: &plan, job: 0, attempt: 0, clock: &WallClock }
+                .transcode(&v, &request())
+                .expect("straggling attempt still succeeds");
         let fast = Engine.transcode(&v, &request()).expect("direct");
         assert_eq!(slow.output.bytes, fast.output.bytes, "bytes unaffected by latency");
         // The injected 0.05 s is charged to the pipeline stage on top of
@@ -385,7 +376,8 @@ mod tests {
     fn injected_panic_panics() {
         let plan = FaultPlan::new().with_panic(2, u32::MAX);
         let v = clip();
-        let _ = FaultyTranscoder { inner: &Engine, plan: &plan, job: 2, attempt: 0 }
-            .transcode(&v, &request());
+        let _ =
+            FaultyTranscoder { inner: &Engine, plan: &plan, job: 2, attempt: 0, clock: &WallClock }
+                .transcode(&v, &request());
     }
 }

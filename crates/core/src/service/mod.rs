@@ -15,7 +15,8 @@
 //! * [`queue`] — one bounded FIFO per QoS class. Admission never
 //!   blocks: a full queue answers with a typed [`AdmissionError`].
 //! * [`sim`] — the virtual-time service loop. Time is integer
-//!   microseconds on a [`sim::VirtualClock`]; service demand is a
+//!   microseconds on the executor's
+//!   [`VirtualClock`](crate::exec::clock::VirtualClock); service demand is a
 //!   deterministic model (play-out duration × per-preset effort), so
 //!   every admit / degrade / shed decision — and therefore the whole
 //!   saturation study — is a pure function of the configuration and

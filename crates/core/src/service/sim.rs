@@ -47,36 +47,9 @@ use std::collections::{BTreeSet, BinaryHeap};
 use super::arrivals::{generate_arrivals, Arrival, HEAVY_FACTOR, US_PER_SEC};
 use super::queue::{BoundedQueue, QueuedJob};
 use super::{AdmissionError, QosClass, ServiceConfig, VideoProfile};
+use crate::exec::clock::VirtualClock;
 use crate::resilience::degrade_preset_by;
 use vcodec::Preset;
-
-/// Monotonic virtual time in integer microseconds.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct VirtualClock {
-    now_us: u64,
-}
-
-impl VirtualClock {
-    /// Current virtual time.
-    pub fn now_us(&self) -> u64 {
-        self.now_us
-    }
-
-    /// Advances to `t_us`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if time would move backwards — the event loop feeds this
-    /// clock in sorted order by construction, so a violation is a
-    /// scheduling bug, not a recoverable condition.
-    pub fn advance_to(&mut self, t_us: u64) {
-        // Invariant: events are processed in nondecreasing time order;
-        // a backwards step means the completion heap and the arrival
-        // stream disagree about ordering.
-        assert!(t_us >= self.now_us, "virtual clock moved backwards: {} -> {t_us}", self.now_us);
-        self.now_us = t_us;
-    }
-}
 
 /// Why a job was shed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -153,3 +153,40 @@ fn vprof_report_reconciles_with_the_batch_and_top_is_read_only() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `vbench top` on the ledger of a zero-job batch exits at once: every
+/// one of its zero jobs is done. Run under a timeout, so a refresh loop
+/// that waits for a first job fails the test instead of hanging it.
+#[test]
+fn top_exits_on_a_zero_job_ledger() {
+    let dir = temp_dir("top-zero");
+    let journal = dir.join("journal.jsonl");
+    std::fs::write(
+        dir.join("journal.jsonl.ledger"),
+        "{\"kind\":\"manifest\",\"version\":1,\"fingerprint\":7,\"jobs\":0}\n\
+         {\"kind\":\"run\",\"index\":0}\n",
+    )
+    .expect("write ledger");
+    let mut top = Command::new(EXE)
+        .args(["top", "--journal", &journal.display().to_string(), "--interval-ms", "10"])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("run top");
+    let give_up = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    let status = loop {
+        if let Some(status) = top.try_wait().expect("poll top") {
+            break status;
+        }
+        if std::time::Instant::now() > give_up {
+            let _ = top.kill();
+            let _ = top.wait();
+            panic!("vbench top still running on a zero-job ledger after 20 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    };
+    let out = top.wait_with_output().expect("top output");
+    assert!(status.success(), "top exited {status}");
+    let view = String::from_utf8_lossy(&out.stdout);
+    assert!(view.contains("jobs 0  done 0"), "unexpected view:\n{view}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
