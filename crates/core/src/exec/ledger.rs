@@ -488,7 +488,7 @@ mod tests {
         let id = LeaseId { worker, nonce, pid: 100 + worker };
         let line = match kind {
             0 => record::manifest_line(7, JOBS),
-            1 => record::manifest_line(7, JOBS).replace("\"version\":1", "\"version\":2"),
+            1 => record::testing::unknown_version(&record::manifest_line(7, JOBS)),
             2 => record::run_line(nonce as u32),
             3 | 4 => record::lease_line(job, id),
             5 => record::expire_line(job, id),

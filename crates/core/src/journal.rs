@@ -69,8 +69,9 @@
 //! Telemetry: `journal.records_written`, `journal.records_replayed`,
 //! and `journal.records_quarantined` counters, a `journal.io_retries`
 //! counter over transient append retries, plus a `journal.fsync_us`
-//! histogram over the per-record commit latency.
+//! histogram over the per-record fsync latency.
 
+use std::borrow::Cow;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
@@ -276,7 +277,7 @@ pub(crate) fn open_journal(
     };
 
     // Cutting lines off lets a large journal's payloads take the place of
-    // their hex; for a small one it only churns the heap (the repo
+    // their text; for a small one it only churns the heap (the repo
     // benchmark's peak resident set: +11 % with a 0.64 MB journal, −8 %
     // with a 6.9 MB one).
     let release = text.len() >= RELEASE_MIN_BYTES;
@@ -293,10 +294,17 @@ pub(crate) fn open_journal(
     // Compact whenever anything was dropped — quarantined corruption (an
     // unterminated final line included: it would otherwise merge with
     // the next append), shed telemetry, or coordination records a
-    // pre-ledger dispatcher left in the journal.
-    let needs_compact = scan.quarantined > 0 || scan.ephemeral > 0;
+    // pre-ledger dispatcher left in the journal — and when the journal is
+    // of an earlier format version, so that no journal mixes two: the
+    // compaction writes its job records again at this build's version.
+    let needs_compact =
+        scan.quarantined > 0 || scan.ephemeral > 0 || scan.version < record::JOURNAL_VERSION;
     let mut file = if needs_compact {
-        let kept: Vec<&str> = scan.kept.iter().map(|line| &text[line.clone()]).collect();
+        let kept: Vec<Cow<str>> = scan
+            .kept
+            .iter()
+            .map(|line| record::upgrade(&text[line.clone()], scan.version, jobs))
+            .collect();
         compact(&config.path, fingerprint, jobs.len(), &kept, io)?
     } else {
         io.open_append(FileClass::Journal, &config.path)
@@ -333,6 +341,9 @@ struct ScanOutcome {
     /// excluded) are in the text, in file order — what a compaction
     /// rewrites.
     kept: Vec<Range<usize>>,
+    /// The format version of the journal's manifest (0: none, and then
+    /// every line is quarantined).
+    version: u64,
 }
 
 /// Folds every journal line: validates the manifest, counts run
@@ -345,11 +356,13 @@ struct ScanOutcome {
 ///
 /// Lines are folded last first. With `release`, and while nothing met
 /// so far has to be compacted away, each line is cut off `text` once
-/// folded, so the payloads a resume decodes take the place of the hex
+/// folded, so the payloads a resume decodes take the place of the text
 /// they came from: a resume holds the text and one record's payload
-/// more, not the text and every payload. `None`: a line that has to be
-/// compacted away turned up after others were cut off, and compaction
-/// rewrites those; scan the whole text again without `release`.
+/// more, not the text and every payload. A journal of an earlier format
+/// version is compacted, so nothing of it is cut off. `None`: a line
+/// that has to be compacted away turned up after others were cut off,
+/// and compaction rewrites those; scan the whole text again without
+/// `release`.
 fn scan_journal(
     text: &mut String,
     fingerprint: u32,
@@ -357,18 +370,22 @@ fn scan_journal(
     release: bool,
 ) -> Result<Option<ScanOutcome>, JournalError> {
     let committed = record::Committed::of(text);
-    if let Some((_, found)) = committed.manifest {
-        if found != fingerprint {
+    let mut scan = ScanOutcome::default();
+    if let Some(manifest) = committed.manifest {
+        if manifest.fingerprint != fingerprint {
+            let found = manifest.fingerprint;
             return Err(JournalError::ManifestMismatch { expected: fingerprint, found });
         }
+        scan.version = manifest.version;
     }
-    let mut scan = ScanOutcome::default();
     let mut chains: Vec<Option<ChainResult>> = Vec::new();
     chains.resize_with(jobs.len(), || None);
-    // An unterminated final line, and any line before the manifest, are
-    // quarantined: the journal is known to need compaction up front.
-    let mut releasing =
-        release && committed.end == text.len() && matches!(committed.manifest, Some((0, _)));
+    // An unterminated final line, any line before the manifest, and an
+    // earlier format version all mean the journal is known to need
+    // compaction up front.
+    let mut releasing = release
+        && committed.end == text.len()
+        && matches!(committed.manifest, Some(m) if m.at == 0 && m.version == record::JOURNAL_VERSION);
     let mut released = false;
     if committed.end < text.len() {
         scan.quarantined += 1;
@@ -440,7 +457,7 @@ fn compact(
     path: &Path,
     fingerprint: u32,
     jobs: usize,
-    kept_lines: &[&str],
+    kept_lines: &[Cow<str>],
     io: &dyn JournalIo,
 ) -> Result<Box<dyn DurableFile>, JournalError> {
     let tmp = unique_temp(path);
@@ -684,19 +701,19 @@ mod tests {
         let policy = ResilienceConfig::default();
         let config = JournalConfig::new(temp.path());
         let first = run(&jobs, &policy, &config).expect("fresh run");
-        // Flip one hex digit inside job 1's recorded bitstream.
+        // Change one character of job 1's recorded bitstream to another
+        // character of the payload alphabet.
         let text = std::fs::read_to_string(temp.path()).expect("journal readable");
         let tampered: Vec<String> = text
             .lines()
             .map(|line| {
-                if line.contains("\"job\":1") {
-                    match line.rfind("00") {
-                        Some(i) => format!("{}42{}", &line[..i], &line[i + 2..]),
-                        None => line.replace("\"crc32\":", "\"crc32\":1"),
-                    }
-                } else {
-                    line.to_string()
+                let mut line = line.to_string();
+                if line.contains("\"job\":1,") {
+                    let at = line.find("\"bytes\":\"").expect("an ok record") + 9;
+                    let swap = if &line[at..=at] == "#" { "$" } else { "#" };
+                    line.replace_range(at..=at, swap);
                 }
+                line
             })
             .collect();
         std::fs::write(temp.path(), tampered.join("\n") + "\n").expect("tamper journal");
@@ -837,7 +854,7 @@ mod tests {
             &record::hb_line(7, 43, 0, 0).replace(",\"pid\":0,\"t_ms\":0", ""),
             &record::expire_line(1, id),
         ]);
-        let v2 = manifest.replace("\"version\":1", "\"version\":2");
+        let future = record::testing::unknown_version(&manifest);
         let cases: [(&str, String, (usize, u64, u64)); 8] = [
             (
                 "unterminated last line",
@@ -869,7 +886,7 @@ mod tests {
                 cat(&[&manifest, &run, &job(0, b"x").replace("\"name\":\"a\"", "\"name\":\"z\"")]),
                 (0, 1, 0),
             ),
-            ("manifest of another version", cat(&[&v2, &run, &job(0, b"x")]), (0, 3, 0)),
+            ("manifest of another version", cat(&[&future, &run, &job(0, b"x")]), (0, 3, 0)),
             (
                 "bad payload before good records",
                 cat(&[
@@ -899,21 +916,33 @@ mod tests {
         assert!(matches!(err, JournalError::ManifestMismatch { expected: 8, found: 7 }));
     }
 
-    /// A journal written by the record writer of an earlier commit (its
-    /// first line names which) resumes to what was recorded when it was
-    /// captured: the scan counts, payload CRCs and failure message, and
-    /// every `ok` record re-serializes to its line byte for byte. The
-    /// round-trip proptests pin the reader to the writer of the same
-    /// commit; this pins both to bytes already on disk. The fixture holds
-    /// 0-byte and 48 KiB payloads, a failure message and a job name full
-    /// of escapes and multibyte UTF-8, a pre-ledger lease and heartbeat,
-    /// and a torn tail.
-    #[test]
-    fn a_journal_written_by_an_earlier_commit_resumes_byte_for_byte() {
-        const FIXTURE: &str = include_str!("../../../tests/fixtures/journal_v1.jsonl");
-        let names = ["empty", "big", "b\\c\t\"d\" — ü世😀", "fail", "torn"];
-        let jobs = record::testing::jobs(&names);
-        let scan = scan(FIXTURE, 0x5eed_f1c5, &jobs).expect("the fixture's own batch");
+    /// The jobs of the cross-commit fixtures, by name.
+    const FIXTURE_JOBS: [&str; 5] = ["empty", "big", "b\\c\t\"d\" — ü世😀", "fail", "torn"];
+
+    /// The fixtures' manifest fingerprint.
+    const FIXTURE_FINGERPRINT: u32 = 0x5eed_f1c5;
+
+    const FIXTURE_V1: &str = include_str!("../../../tests/fixtures/journal_v1.jsonl");
+
+    const FIXTURE_V2: &str = include_str!("../../../tests/fixtures/journal_v2.jsonl");
+
+    /// The jobs a scan prefilled: each job's payload or failure message.
+    fn replayed(prefilled: &[(usize, ChainResult)]) -> Vec<(usize, Result<&[u8], String>)> {
+        prefilled
+            .iter()
+            .map(|(job, chain)| {
+                (*job, chain.outcome.as_ref().map(|o| o.bytes()).map_err(|e| e.to_string()))
+            })
+            .collect()
+    }
+
+    /// A cross-commit fixture resumes to what was recorded when it was
+    /// captured: the scan counts, payload CRCs and failure message. Both
+    /// fixtures hold 0-byte and 48 KiB payloads, a failure message and a
+    /// job name full of escapes and multibyte UTF-8, a pre-ledger lease and
+    /// heartbeat, and a torn tail.
+    fn assert_fixture_resumes(fixture: &str, jobs: &[EngineJob]) {
+        let scan = scan(fixture, FIXTURE_FINGERPRINT, jobs).expect("the fixture's own batch");
         let counts = (scan.prefilled.len(), scan.quarantined, scan.ephemeral, scan.prior_runs);
         assert_eq!(counts, (4, 2, 2, 2), "(replayed, quarantined, ephemeral, runs)");
         let recovered: Vec<_> = scan
@@ -935,17 +964,97 @@ mod tests {
                 (3, Err(failure)),
             ]
         );
-        let mut ok_records = 0;
-        for entry in record::scan(FIXTURE) {
-            let Some(Record::Job(rec)) = entry.record else { continue };
-            let chain = rec.load(&jobs).expect("a recorded job loads");
-            if chain.outcome.is_ok() {
-                let line =
-                    record::job_line(rec.job, names[rec.job], &chain, rec.worker.zip(rec.run));
-                assert_eq!(line, format!("{}\n", entry.line), "job {}", rec.job);
-                ok_records += 1;
-            }
+    }
+
+    /// Each `ok` job record of `text`, as this build's writer serializes
+    /// the chain it loads to, beside the line it was loaded from.
+    fn reserialized_ok_records<'a>(text: &'a str, jobs: &[EngineJob]) -> Vec<(String, &'a str)> {
+        record::scan(text)
+            .filter_map(|entry| {
+                let Some(Record::Job(rec)) = entry.record else { return None };
+                let chain = rec.load(jobs).expect("a recorded job loads");
+                let tag = rec.worker.zip(rec.run);
+                let line = record::job_line(rec.job, &jobs[rec.job].name, &chain, tag);
+                chain.outcome.is_ok().then_some((line, entry.line))
+            })
+            .collect()
+    }
+
+    /// A version 1 journal written by the record writer of an earlier
+    /// commit (its first line names which) resumes to what was recorded
+    /// when it was captured, and every `ok` record this build's writer
+    /// re-serializes equals its line with only the payload re-encoded
+    /// (hex to radix-64). The round-trip proptests pin the reader to the
+    /// writer of the same commit; this pins both to bytes already on disk.
+    #[test]
+    fn a_journal_written_by_an_earlier_commit_resumes_byte_for_byte() {
+        let jobs = record::testing::jobs(&FIXTURE_JOBS);
+        assert_fixture_resumes(FIXTURE_V1, &jobs);
+        let ok_records = reserialized_ok_records(FIXTURE_V1, &jobs);
+        for (line, recorded) in &ok_records {
+            assert_eq!(*line, format!("{}\n", record::testing::with_payload_reencoded(recorded)));
         }
-        assert_eq!(ok_records, 3);
+        assert_eq!(ok_records.len(), 3);
+    }
+
+    /// The same five jobs written at format version 2 (the fixture for the
+    /// next format change) resume to the same chains, and every `ok`
+    /// record re-serializes to its line byte for byte.
+    #[test]
+    fn a_version_2_journal_resumes_byte_for_byte() {
+        let jobs = record::testing::jobs(&FIXTURE_JOBS);
+        assert_fixture_resumes(FIXTURE_V2, &jobs);
+        let ok_records = reserialized_ok_records(FIXTURE_V2, &jobs);
+        for (line, recorded) in &ok_records {
+            assert_eq!(*line, format!("{recorded}\n"));
+        }
+        assert_eq!(ok_records.len(), 3);
+    }
+
+    /// The first resume of a version 1 journal rewrites it at this build's
+    /// version: the manifest, then the run and job lines the scan kept,
+    /// each `ok` record with its payload re-encoded, then the new run
+    /// line. A second resume replays the same chains from it with nothing
+    /// quarantined and nothing rewritten.
+    #[test]
+    fn a_resumed_v1_journal_is_rewritten_at_the_current_version() {
+        let temp = TempJournal::new("v1");
+        let jobs = record::testing::jobs(&FIXTURE_JOBS);
+        let policy = ResilienceConfig::default();
+        let fingerprint = manifest_fingerprint(&jobs, &policy);
+        let v1 = FIXTURE_V1.replace(
+            &format!("\"fingerprint\":{FIXTURE_FINGERPRINT},"),
+            &format!("\"fingerprint\":{fingerprint},"),
+        );
+        assert_ne!(v1, FIXTURE_V1);
+        std::fs::write(temp.path(), &v1).expect("seed journal");
+        let config = JournalConfig::new(temp.path()).with_resume(true);
+
+        let first = open_journal(&config, &jobs, &policy, &StdIo).expect("resume version 1");
+        assert_eq!(first.run_index, 2);
+        let mut want = record::manifest_line(fingerprint, jobs.len());
+        for entry in record::scan(&v1) {
+            match entry.record {
+                Some(Record::Run { .. }) => want.push_str(entry.line),
+                Some(Record::Job(rec)) if rec.ok => {
+                    want.push_str(&record::testing::with_payload_reencoded(entry.line))
+                }
+                Some(Record::Job(_)) => want.push_str(entry.line),
+                _ => continue,
+            }
+            want.push('\n');
+        }
+        want.push_str(&record::run_line(2));
+        let migrated = std::fs::read_to_string(temp.path()).expect("journal readable");
+        assert!(migrated == want, "the rewrite keeps every record, payloads re-encoded");
+
+        let again = scan(&migrated, fingerprint, &jobs).expect("the same batch");
+        assert_eq!((again.quarantined, again.ephemeral, again.version), (0, 0, 2));
+        let second = open_journal(&config, &jobs, &policy, &StdIo).expect("second resume");
+        assert_eq!(second.run_index, 3);
+        assert_eq!(replayed(&second.prefilled), replayed(&first.prefilled));
+        assert_eq!(replayed(&first.prefilled).len(), 4);
+        let grown = std::fs::read_to_string(temp.path()).expect("journal readable");
+        assert!(grown == migrated + &record::run_line(3), "the second resume only appends");
     }
 }

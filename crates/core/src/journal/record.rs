@@ -18,20 +18,24 @@
 //!   line never is (its write, hence its fsync, did not complete — even
 //!   if it happens to parse), nothing before the first usable manifest
 //!   is (it cannot be trusted to belong to this batch), and a manifest
-//!   of another [`JOURNAL_VERSION`] or with missing fields is not usable.
+//!   of a version past [`JOURNAL_VERSION`] or with missing fields is not
+//!   usable.
 //!   [`Committed`] holds those rules for a reader that visits the lines
 //!   in another order (the resume scan folds them last first), or that
 //!   reads a growing file again and again ([`Committed::extend`], the
 //!   lease ledger's incremental fold).
 //! * [`Record`] — the typed record. A [`JobRecord`] parses only its
 //!   header (job, status, attempts, provenance tags); the payload is
-//!   hex-decoded and CRC-verified by [`JobRecord::load`], which the
-//!   ledger and status folds never call.
+//!   decoded (radix-64 under a version 2 manifest, hex under a version 1
+//!   one) and CRC-verified by [`JobRecord::load`], which the ledger and
+//!   status folds never call. [`upgrade`] rewrites a record of an earlier
+//!   version as this build writes it.
 //! * the eight `*_line` writers, each returning one newline-terminated
 //!   line for a single-write append, and the two ways a line reaches
 //!   disk: [`commit_job`] (append + fsync — the commit point) and
 //!   [`append_ephemeral`] (ledger records, never fsync'd).
 
+use std::borrow::Cow;
 use std::path::Path;
 
 use crate::engine::StreamOutcome;
@@ -46,8 +50,11 @@ use vfault::FileClass;
 use vhw::StageSeconds;
 use vtrace::json::{self, Value};
 
-/// The journal file format version this build writes and accepts.
-const JOURNAL_VERSION: u64 = 1;
+/// The journal file format version this build writes. It reads every
+/// version from 1 on: a version 1 journal carries its payloads in hex, and
+/// the first resume of one rewrites it at this version
+/// (`journal::open_journal`).
+pub(crate) const JOURNAL_VERSION: u64 = 2;
 
 /// One committed journal record.
 #[derive(Clone, Debug, PartialEq)]
@@ -58,6 +65,8 @@ pub(crate) enum Record {
         fingerprint: u32,
         /// Jobs in the batch.
         jobs: u64,
+        /// The format version the journal's records are written in.
+        version: u64,
     },
     /// One driver invocation; the count of these is the run index
     /// scripted crashes key on.
@@ -128,6 +137,9 @@ pub(crate) struct JobRecord {
     pub(crate) worker: Option<u64>,
     /// The run index that wrote it (multi-process records only).
     pub(crate) run: Option<u32>,
+    /// The format version of the journal it was read from, which decides
+    /// how its payload decodes.
+    version: u64,
     fields: Value,
 }
 
@@ -138,8 +150,8 @@ impl JobRecord {
     }
 
     /// Verifies the record against the batch and loads its chain: the
-    /// journaled outcome (bitstream hex-decoded and CRC-checked) with
-    /// the recording run's resilience history. `None` = quarantine it.
+    /// journaled outcome (bitstream decoded and CRC-checked) with the
+    /// recording run's resilience history. `None` = quarantine it.
     pub(crate) fn load(&self, jobs: &[EngineJob]) -> Option<ChainResult> {
         let record = &self.fields;
         let f = |key: &str| record.get(key).and_then(Value::as_f64);
@@ -151,7 +163,8 @@ impl JobRecord {
         let deadline_missed = matches!(record.get("deadline_missed"), Some(Value::Bool(true)));
         let outcome = if self.ok {
             let crc = u32::try_from(u("crc32")?).ok()?;
-            let bytes = hex_decode(record.get("bytes").and_then(Value::as_str)?.as_bytes())?;
+            let field = record.get("bytes").and_then(Value::as_str)?.as_bytes();
+            let bytes = if self.version == 1 { hex_decode(field) } else { radix_decode(field) }?;
             if vpack::crc32(&bytes) != crc {
                 // The recorded stream does not match its checksum: the
                 // record lies, so the job must re-encode.
@@ -232,8 +245,32 @@ pub(crate) struct Committed {
     /// Bytes up to and including the last newline; what follows is an
     /// unterminated final line, never a record.
     pub(crate) end: usize,
-    /// Byte offset and fingerprint of the first usable manifest line.
-    pub(crate) manifest: Option<(usize, u32)>,
+    /// The first usable manifest line.
+    pub(crate) manifest: Option<ManifestAt>,
+}
+
+/// Where a journal's first usable manifest line is, and what it says.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ManifestAt {
+    /// Byte offset of the line.
+    pub(crate) at: usize,
+    /// The batch fingerprint it records.
+    pub(crate) fingerprint: u32,
+    /// The format version the records after it are written in.
+    pub(crate) version: u64,
+}
+
+impl ManifestAt {
+    /// `record`, the manifest line starting at byte offset `at`, if it is
+    /// one.
+    fn of(at: usize, record: &Record) -> Option<ManifestAt> {
+        match *record {
+            Record::Manifest { fingerprint, version, .. } => {
+                Some(ManifestAt { at, fingerprint, version })
+            }
+            _ => None,
+        }
+    }
 }
 
 impl Committed {
@@ -243,10 +280,7 @@ impl Committed {
         let manifest = text[..end].split_terminator('\n').find_map(|line| {
             let start = at;
             at += line.len() + 1;
-            match parse(line)? {
-                Record::Manifest { fingerprint, .. } => Some((start, fingerprint)),
-                _ => None,
-            }
+            ManifestAt::of(start, &parse(line, JOURNAL_VERSION)?)
         });
         Committed { end, manifest }
     }
@@ -255,11 +289,12 @@ impl Committed {
     /// nothing before the first usable manifest is one, and no later
     /// manifest is.
     pub(crate) fn record(&self, at: usize, line: &str) -> Option<Record> {
-        let (manifest, _) = self.manifest?;
-        if at < manifest {
+        let manifest = self.manifest?;
+        if at < manifest.at {
             return None;
         }
-        parse(line).filter(|r| at == manifest || !matches!(r, Record::Manifest { .. }))
+        parse(line, manifest.version)
+            .filter(|r| at == manifest.at || !matches!(r, Record::Manifest { .. }))
     }
 
     /// Extends these rules over the lines `text` completes past
@@ -278,11 +313,10 @@ impl Committed {
             let start = at;
             at += line.len() + 1;
             lines += 1;
-            let Some(record) = parse(line) else { continue };
+            let version = self.manifest.map_or(JOURNAL_VERSION, |m| m.version);
+            let Some(record) = parse(line, version) else { continue };
             match (self.manifest, &record) {
-                (None, Record::Manifest { fingerprint, .. }) => {
-                    self.manifest = Some((start, *fingerprint));
-                }
+                (None, Record::Manifest { .. }) => self.manifest = ManifestAt::of(start, &record),
                 (None, _) | (Some(_), Record::Manifest { .. }) => continue,
                 (Some(_), _) => {}
             }
@@ -299,8 +333,10 @@ pub(crate) fn records(text: &str) -> impl Iterator<Item = Record> + '_ {
     scan(text).filter_map(|entry| entry.record)
 }
 
-/// Parses one line as a well-formed record of a known kind.
-fn parse(line: &str) -> Option<Record> {
+/// Parses one line as a well-formed record of a known kind, in a journal
+/// whose manifest says `version` (which only a job record's payload
+/// depends on).
+fn parse(line: &str, version: u64) -> Option<Record> {
     let v = json::parse(line).ok()?;
     let u = |key: &str| v.get(key).and_then(Value::as_u64);
     let u32_of = |key: &str| u(key).and_then(|n| u32::try_from(n).ok());
@@ -311,8 +347,9 @@ fn parse(line: &str) -> Option<Record> {
         ))
     };
     Some(match v.get("kind").and_then(Value::as_str)? {
-        "manifest" if u("version")? == JOURNAL_VERSION => {
-            Record::Manifest { fingerprint: u32_of("fingerprint")?, jobs: u("jobs")? }
+        "manifest" => {
+            let version = u("version").filter(|v| (1..=JOURNAL_VERSION).contains(v))?;
+            Record::Manifest { fingerprint: u32_of("fingerprint")?, jobs: u("jobs")?, version }
         }
         "run" => Record::Run { index: u32_of("index")? },
         "job" => {
@@ -323,7 +360,7 @@ fn parse(line: &str) -> Option<Record> {
             };
             let (job, attempts) = (u("job")? as usize, u32_of("attempts")?);
             let (worker, run) = (u("worker"), u32_of("run"));
-            Record::Job(JobRecord { job, attempts, ok, worker, run, fields: v })
+            Record::Job(JobRecord { job, attempts, ok, worker, run, version, fields: v })
         }
         "lease" => lease().map(|(job, id)| Record::Lease { job, id })?,
         "expire" => lease().map(|(job, id)| Record::Expire { job, id })?,
@@ -359,8 +396,8 @@ pub(crate) fn commit_job(
     line: &str,
     clock: &dyn Clock,
 ) -> std::io::Result<()> {
-    let t0 = clock.now();
     append_retrying(file, line.as_bytes(), clock)?;
+    let t0 = clock.now();
     file.sync()?;
     vtrace::histogram("journal.fsync_us", (clock.now() - t0).as_micros() as u64);
     vtrace::counter("journal.records_written", 1);
@@ -435,15 +472,15 @@ pub(crate) fn job_line(
                 s.sb_split,
                 json::number(s.avg_qp),
             ));
-            // Hex digits never need JSON escaping, so they are written
-            // straight into the line. Room for the closing quote, the
-            // worker tag and `}\n` too: the line grows once.
+            // The payload's characters never need JSON escaping, so they
+            // are written straight into the line. Room for the closing
+            // quote, the worker tag and `}\n` too: the line grows once.
             let payload = outcome.bytes();
             let mut bytes = std::mem::take(&mut line).into_bytes();
-            bytes.reserve(2 * payload.len() + 64);
-            hex_encode_into(&mut bytes, payload);
+            bytes.reserve(radix_len(payload.len()) + 64);
+            radix_encode_into(&mut bytes, payload);
             bytes.push(b'"');
-            line = String::from_utf8(bytes).expect("a JSON line and hex digits");
+            line = String::from_utf8(bytes).expect("a JSON line and ASCII characters");
         }
         Err(error) => {
             line.push_str(&format!(
@@ -498,18 +535,165 @@ pub(crate) fn shed_line(event: &crate::service::ShedEvent) -> String {
     )
 }
 
-// The payload's hex codec. The alphabet is lowercase only: an uppercase
-// digit is not a digit, so a record carrying one is quarantined. Both
-// directions work on fixed blocks of payload bytes with branch-free
-// nibble arithmetic, which LLVM vectorizes at the x86-64 baseline (SSE2).
-
-/// Payload bytes per block: 64 digits, four SSE2 registers.
-const BLOCK: usize = 32;
-
-/// The digit of nibble `n` (< 16): `0`–`9`, then `a`–`f`.
-fn digit(n: u8) -> u8 {
-    n + b'0' + u8::from(n > 9) * (b'a' - b'0' - 10)
+/// `line`, a committed record of a journal whose manifest says `version`,
+/// as this build writes it. An `ok` job record of an earlier version is
+/// loaded and written again, so its payload is in this version's
+/// encoding; every other line is kept as it is (no other kind changed
+/// between versions). A job record that does not load comes back as it
+/// is; a compaction never keeps one.
+pub(crate) fn upgrade<'a>(line: &'a str, version: u64, jobs: &[EngineJob]) -> Cow<'a, str> {
+    if version == JOURNAL_VERSION {
+        return Cow::Borrowed(line);
+    }
+    let loaded = match parse(line, version) {
+        Some(Record::Job(rec)) if rec.ok => rec.load(jobs).map(|chain| (rec, chain)),
+        _ => None,
+    };
+    let Some((rec, chain)) = loaded else { return Cow::Borrowed(line) };
+    let mut line = job_line(rec.job, &jobs[rec.job].name, &chain, rec.worker.zip(rec.run));
+    line.pop();
+    Cow::Owned(line)
 }
+
+// The payload's radix-64 codec (version 2). A block of 48 payload bytes
+// is 64 characters: first the low six bits of each byte, in order, then
+// 16 characters, the i-th holding the top two bits of bytes i, i + 16
+// and i + 32 (as its bits 0-1, 2-3 and 4-5). A final block of t < 48
+// bytes is t low-bit characters and then ⌈t/3⌉ top-bit characters, the
+// i-th holding the top bits of bytes i, i + ⌈t/3⌉ and i + 2⌈t/3⌉ (bits
+// of bytes past the payload are 0 when written and ignored when read).
+// The alphabet is the 64 ASCII bytes from `#` (35) to `c` (99) without
+// `\` (92), so no character needs JSON escaping. Both directions work on
+// whole blocks with branch-free arithmetic per character, which LLVM
+// vectorizes at the x86-64 baseline (SSE2); a final block goes through
+// the same code padded to a whole one.
+
+/// Payload bytes per block.
+const BLOCK: usize = 48;
+
+/// Top-bit characters per block: one per three payload bytes.
+const LANES: usize = BLOCK / 3;
+
+/// Characters per block.
+const CHARS: usize = BLOCK + LANES;
+
+/// The character of six-bit value `v`: `#` on, stepping over `\`.
+fn radix_char(v: u8) -> u8 {
+    v + b'#' + u8::from(v >= b'\\' - b'#')
+}
+
+/// The six-bit value of character `c`. Meaningless for a byte outside the
+/// alphabet.
+fn radix_value(c: u8) -> u8 {
+    c.wrapping_sub(b'#') - u8::from(c > b'\\')
+}
+
+/// Whether `c` is a character of the alphabet.
+fn is_radix_char(c: u8) -> bool {
+    in_range(c, b'#', b'\\' - b'#') || in_range(c, b'\\' + 1, b'c' - b'\\')
+}
+
+/// The length of the field [`radix_encode_into`] writes for `n` bytes.
+fn radix_len(n: usize) -> usize {
+    let tail = n % BLOCK;
+    n / BLOCK * CHARS + tail + tail.div_ceil(3)
+}
+
+/// Writes the characters of one block of bytes whose top-bit characters
+/// each gather three bytes `lanes` apart (≤ [`LANES`]): [`LANES`] for a
+/// whole block, ⌈t/3⌉ for a final block of t bytes padded with zeros.
+/// `chars` holds the low-bit characters first and the top-bit ones from
+/// [`BLOCK`] on. Always inlined, so that the whole-block loop sees
+/// `lanes` as a constant: out of line, both directions read 1.4–1.8×
+/// more time per payload byte.
+#[inline(always)]
+fn radix_block(bytes: &[u8; BLOCK], lanes: usize, chars: &mut [u8; CHARS]) {
+    let (low, top) = chars.split_at_mut(BLOCK);
+    for (c, &b) in low.iter_mut().zip(bytes) {
+        *c = radix_char(b & 0x3F);
+    }
+    let (x, rest) = bytes.split_at(lanes);
+    let (y, z) = rest.split_at(lanes);
+    for (((c, &x), &y), &z) in top.iter_mut().zip(x).zip(y).zip(z) {
+        *c = radix_char(x >> 6 | (y >> 6) << 2 | (z >> 6) << 4);
+    }
+}
+
+/// The inverse of [`radix_block`]: writes the bytes `chars` spells to
+/// `bytes` and returns whether all of `chars` are in the alphabet.
+#[inline(always)]
+fn unradix_block(chars: &[u8; CHARS], lanes: usize, bytes: &mut [u8; BLOCK]) -> bool {
+    let mut values = [0u8; CHARS];
+    let mut valid = true;
+    for (v, &c) in values.iter_mut().zip(chars) {
+        *v = radix_value(c);
+        valid &= is_radix_char(c);
+    }
+    let (low, top) = values.split_at(BLOCK);
+    bytes.copy_from_slice(low);
+    let (x, rest) = bytes.split_at_mut(lanes);
+    let (y, z) = rest.split_at_mut(lanes);
+    for (((&t, x), y), z) in top.iter().zip(x).zip(y).zip(z) {
+        *x |= t << 6;
+        *y |= (t >> 2) << 6;
+        *z |= (t >> 4) << 6;
+    }
+    valid
+}
+
+/// Appends the characters of `bytes` to `out`.
+fn radix_encode_into(out: &mut Vec<u8>, bytes: &[u8]) {
+    let (blocks, tail) = bytes.as_chunks::<BLOCK>();
+    let mut chars = [0u8; CHARS];
+    for block in blocks {
+        radix_block(block, LANES, &mut chars);
+        out.extend_from_slice(&chars);
+    }
+    let lanes = tail.len().div_ceil(3);
+    let mut padded = [0u8; BLOCK];
+    padded[..tail.len()].copy_from_slice(tail);
+    radix_block(&padded, lanes, &mut chars);
+    out.extend_from_slice(&chars[..tail.len()]);
+    out.extend_from_slice(&chars[BLOCK..BLOCK + lanes]);
+}
+
+/// The bytes `field` spells, or `None` if a character is outside the
+/// alphabet or no payload length gives a field this long (a final block
+/// of 4k + 1 characters).
+fn radix_decode(field: &[u8]) -> Option<Vec<u8>> {
+    let (blocks, tail) = field.as_chunks::<CHARS>();
+    if tail.len() % 4 == 1 {
+        return None;
+    }
+    let lanes = tail.len().div_ceil(4);
+    let tail_bytes = tail.len() - lanes;
+    // A power-of-two capacity, like the parse string's: exact sizes
+    // fragmented the heap (EXPERIMENTS.md "Journal codec").
+    let mut out = Vec::with_capacity((blocks.len() * BLOCK + tail_bytes).next_power_of_two());
+    let mut bytes = [0u8; BLOCK];
+    for block in blocks {
+        if !unradix_block(block, LANES, &mut bytes) {
+            return None;
+        }
+        out.extend_from_slice(&bytes);
+    }
+    let mut padded = [b'#'; CHARS];
+    padded[..tail_bytes].copy_from_slice(&tail[..tail_bytes]);
+    padded[BLOCK..BLOCK + lanes].copy_from_slice(&tail[tail_bytes..]);
+    if !unradix_block(&padded, lanes, &mut bytes) {
+        return None;
+    }
+    out.extend_from_slice(&bytes[..tail_bytes]);
+    Some(out)
+}
+
+// The version 1 payload codec: hex, read only. The alphabet is lowercase
+// only: an uppercase digit is not a digit, so a record carrying one is
+// quarantined. The decoder works on fixed blocks of digits with
+// branch-free nibble arithmetic, which LLVM vectorizes at SSE2.
+
+/// Payload bytes per block of hex digits.
+const HEX_BLOCK: usize = 32;
 
 /// Whether `c` is one of the `len` bytes from `lo` on: one signed
 /// compare after a bias, since SSE2 has no unsigned byte compare.
@@ -528,17 +712,10 @@ fn value(c: u8) -> u8 {
     (c & 0xF) + 9 * ((c >> 6) & 1)
 }
 
-/// Writes the digits of `bytes` to `digits`, twice as long.
-fn encode_block(bytes: &[u8], digits: &mut [u8]) {
-    for (pair, &b) in digits.chunks_exact_mut(2).zip(bytes) {
-        pair.copy_from_slice(&[digit(b >> 4), digit(b & 0xF)]);
-    }
-}
-
 /// Writes the bytes the digit pairs of `digits` spell to `bytes`, half as
 /// long, and returns whether all of `digits` are digits.
 fn decode_block(digits: &[u8], bytes: &mut [u8]) -> bool {
-    let mut values = [0u8; 2 * BLOCK];
+    let mut values = [0u8; 2 * HEX_BLOCK];
     let mut valid = true;
     for (v, &c) in values.iter_mut().zip(digits) {
         *v = value(c);
@@ -552,29 +729,13 @@ fn decode_block(digits: &[u8], bytes: &mut [u8]) -> bool {
     valid
 }
 
-/// Appends the digits of `bytes` to `out`.
-fn hex_encode_into(out: &mut Vec<u8>, bytes: &[u8]) {
-    let mut blocks = bytes.chunks_exact(BLOCK);
-    let mut digits = [0u8; 2 * BLOCK];
-    for block in &mut blocks {
-        encode_block(block, &mut digits);
-        out.extend_from_slice(&digits);
-    }
-    let tail = blocks.remainder();
-    encode_block(tail, &mut digits);
-    out.extend_from_slice(&digits[..2 * tail.len()]);
-}
-
 fn hex_decode(hex: &[u8]) -> Option<Vec<u8>> {
     if !hex.len().is_multiple_of(2) {
         return None;
     }
-    // A power-of-two capacity: half the class of the hex string it came
-    // from, so payloads fill the holes freed parse strings leave. Exact
-    // sizes fragmented the heap (EXPERIMENTS.md "Journal codec").
     let mut out = Vec::with_capacity((hex.len() / 2).next_power_of_two());
-    let mut blocks = hex.chunks_exact(2 * BLOCK);
-    let mut bytes = [0u8; BLOCK];
+    let mut blocks = hex.chunks_exact(2 * HEX_BLOCK);
+    let mut bytes = [0u8; HEX_BLOCK];
     for block in &mut blocks {
         if !decode_block(block, &mut bytes) {
             return None;
@@ -597,6 +758,24 @@ pub(crate) mod testing {
     use vcodec::{CodecFamily, Preset};
     use vframe::color::{frame_from_fn, Yuv};
     use vframe::{Resolution, Video};
+
+    /// `manifest`, a line [`manifest_line`] wrote, at a format version
+    /// this build does not read.
+    pub(crate) fn unknown_version(manifest: &str) -> String {
+        let now = format!("\"version\":{JOURNAL_VERSION}");
+        assert!(manifest.contains(&now), "{manifest:?}");
+        manifest.replace(&now, &format!("\"version\":{}", JOURNAL_VERSION + 1))
+    }
+
+    /// `line`, a version 1 `ok` job record, with its payload written in
+    /// this version's encoding and every other byte as it was.
+    pub(crate) fn with_payload_reencoded(line: &str) -> String {
+        let (head, rest) = line.split_once("\"bytes\":\"").expect("an ok job record");
+        let (hex, tail) = rest.split_once('"').expect("a whole payload field");
+        let mut field = Vec::new();
+        radix_encode_into(&mut field, &hex_decode(hex.as_bytes()).expect("hex digits"));
+        format!("{head}\"bytes\":\"{}\"{tail}", String::from_utf8(field).expect("ASCII"))
+    }
 
     /// A successful chain whose outcome is the replay of `bytes`.
     pub(crate) fn ok_chain(bytes: &[u8], attempts: u32) -> ChainResult {
@@ -704,13 +883,14 @@ mod tests {
     const ID: LeaseId = LeaseId { worker: 3, nonce: 9, pid: 4242 };
 
     /// (a) The bytes on disk, one literal line per record kind. These are
-    /// what the commit before the record module existed wrote; a change
-    /// here is a format change and needs a `JOURNAL_VERSION` bump.
+    /// what the commit before the record module existed wrote, but for the
+    /// manifest's version and the job payload's characters (version 2); a
+    /// change here is a format change and needs a `JOURNAL_VERSION` bump.
     #[test]
     fn golden_bytes_per_record_kind() {
         assert_eq!(
             manifest_line(0xdead_beef, 15),
-            "{\"kind\":\"manifest\",\"version\":1,\"fingerprint\":3735928559,\"jobs\":15}\n"
+            "{\"kind\":\"manifest\",\"version\":2,\"fingerprint\":3735928559,\"jobs\":15}\n"
         );
         assert_eq!(run_line(2), "{\"kind\":\"run\",\"index\":2}\n");
         assert_eq!(
@@ -757,7 +937,7 @@ mod tests {
              \"quality_db\":41.75,\"submission\":0.0,\"transfer\":0.25,\"pipeline\":2.5,\
              \"chosen_bps\":null,\"encode_seconds\":2.5,\"bitstream_bytes\":4,\"frames\":6,\
              \"sb_intra\":1,\"sb_inter\":2,\"sb_skip\":3,\"sb_split\":4,\"avg_qp\":30.0,\
-             \"bytes\":\"007fff10\"";
+             \"bytes\":\"#cc3/$\"";
         assert_eq!(job_line(4, "a \"quoted\" name", &ok, None), format!("{OK}}}\n"));
         assert_eq!(
             job_line(4, "a \"quoted\" name", &ok, Some((1, 0))),
@@ -834,7 +1014,11 @@ mod tests {
             let manifest = manifest_line(index, job);
             prop_assert_eq!(
                 records(&manifest).next(),
-                Some(Record::Manifest { fingerprint: index, jobs: job as u64 })
+                Some(Record::Manifest {
+                    fingerprint: index,
+                    jobs: job as u64,
+                    version: JOURNAL_VERSION
+                })
             );
             prop_assert_eq!(records(manifest.trim_end()).count(), 0);
         }
@@ -895,17 +1079,131 @@ mod tests {
         }
     }
 
-    /// The payload alphabet.
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-
-    /// [`hex_encode_into`] into a fresh string.
-    fn hex_encode(bytes: &[u8]) -> String {
-        let mut out = Vec::new();
-        hex_encode_into(&mut out, bytes);
-        String::from_utf8(out).expect("hex digits are ASCII")
+    /// The radix-64 alphabet, spelled out: `#` to `c` without `\`.
+    fn alphabet() -> Vec<u8> {
+        (b'#'..=b'c').filter(|&c| c != b'\\').collect()
     }
 
-    /// The per-`char` encoder the block encoder replaced: its oracle.
+    /// The layout spelled out, one byte at a time: each group of up to 48
+    /// bytes is its n bytes' low six bits, in order, then ⌈n/3⌉ characters,
+    /// the i-th holding the top two bits of bytes i, i + ⌈n/3⌉ and
+    /// i + 2⌈n/3⌉ (0 for a byte past the group) as bits 0-1, 2-3 and 4-5.
+    fn radix_encode_reference(bytes: &[u8]) -> Vec<u8> {
+        let abc = alphabet();
+        let mut out = Vec::new();
+        for group in bytes.chunks(48) {
+            let lanes = group.len().div_ceil(3);
+            let top = |j: usize| group.get(j).map_or(0, |b| b >> 6);
+            for b in group {
+                out.push(abc[usize::from(b & 0x3F)]);
+            }
+            for i in 0..lanes {
+                out.push(abc[usize::from(top(i) | top(i + lanes) << 2 | top(i + 2 * lanes) << 4)]);
+            }
+        }
+        out
+    }
+
+    /// The inverse of [`radix_encode_reference`]: `None` for a character
+    /// outside the alphabet, or a group of 64 characters or fewer that no
+    /// group of bytes is written as.
+    fn radix_decode_reference(field: &[u8]) -> Option<Vec<u8>> {
+        let mut values = [None; 256];
+        for (v, &c) in alphabet().iter().enumerate() {
+            values[usize::from(c)] = Some(v as u8);
+        }
+        let mut out = Vec::new();
+        for group in field.chunks(64) {
+            let n = (1..=48usize).find(|n| n + n.div_ceil(3) == group.len())?;
+            let lanes = n.div_ceil(3);
+            let (low, top) = group.split_at(n);
+            let mut bytes: Vec<u8> =
+                low.iter().map(|&c| values[usize::from(c)]).collect::<Option<_>>()?;
+            for (i, &c) in top.iter().enumerate() {
+                let t = values[usize::from(c)]?;
+                for (k, j) in [i, i + lanes, i + 2 * lanes].into_iter().enumerate() {
+                    if let Some(b) = bytes.get_mut(j) {
+                        *b |= (t >> (2 * k) & 3) << 6;
+                    }
+                }
+            }
+            out.extend(bytes);
+        }
+        Some(out)
+    }
+
+    /// [`radix_encode_into`] into a fresh buffer.
+    fn radix_encode(bytes: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        radix_encode_into(&mut out, bytes);
+        assert_eq!(out.len(), radix_len(bytes.len()));
+        out
+    }
+
+    /// The block codec agrees with the per-byte one, both ways.
+    fn assert_matches_reference(bytes: &[u8]) {
+        let field = radix_encode(bytes);
+        assert_eq!(field, radix_encode_reference(bytes), "{} bytes", bytes.len());
+        assert_eq!(radix_decode_reference(&field).as_deref(), Some(bytes));
+        assert_eq!(radix_decode(&field).as_deref(), Some(bytes), "{} bytes", bytes.len());
+    }
+
+    proptest! {
+        /// Every payload length up to three blocks and a two-byte tail:
+        /// every whole-block count and every tail length.
+        #[test]
+        fn radix_codec_matches_the_reference_at_every_length(
+            pool in proptest::collection::vec(any::<u8>(), 3 * BLOCK + 2),
+        ) {
+            for len in 0..=pool.len() {
+                assert_matches_reference(&pool[..len]);
+            }
+        }
+
+        /// Random payloads up to 64 KiB.
+        #[test]
+        fn radix_codec_matches_the_reference_on_random_payloads(
+            bytes in proptest::collection::vec(any::<u8>(), 0..=64 * 1024),
+        ) {
+            assert_matches_reference(&bytes);
+        }
+    }
+
+    /// One character of a three-block-plus-tail payload replaced, at every
+    /// position (the tail's low- and top-bit characters included), by each
+    /// of the bytes next to the alphabet's two ranges, the quote, the
+    /// backslash the alphabet skips, and bytes that are not ASCII: the
+    /// decoder rejects exactly what the per-byte oracle rejects, and
+    /// decodes the same bytes where both accept. Then every length of a
+    /// valid field: exactly those whose final block is 4k + 1 characters
+    /// are rejected.
+    #[test]
+    fn radix_decoder_rejects_exactly_the_non_alphabet_and_impossible_lengths() {
+        let payload: Vec<u8> = (0..3 * BLOCK as u32 + 5).map(|i| (i * 73 + 11) as u8).collect();
+        let field = radix_encode(&payload);
+        assert_eq!(radix_decode(&field), Some(payload));
+        let strays = [b'"', b'\\', b'd', b'!', 0x00, 0x7F, 0x80, 0xFF];
+        for at in 0..field.len() {
+            for c in strays.into_iter().chain(*b"#[]c") {
+                let mut text = field.clone();
+                text[at] = c;
+                let want = radix_decode_reference(&text);
+                assert_eq!(want.is_none(), strays.contains(&c));
+                assert_eq!(radix_decode(&text), want, "{:?} at {at}", c as char);
+            }
+        }
+        let field = radix_encode(&(0..4 * BLOCK as u32 - 1).map(|i| i as u8).collect::<Vec<_>>());
+        for len in 0..=field.len() {
+            let want = radix_decode_reference(&field[..len]);
+            assert_eq!(want.is_none(), len % CHARS % 4 == 1, "{len} characters");
+            assert_eq!(radix_decode(&field[..len]), want, "{len} characters");
+        }
+    }
+
+    /// The hex alphabet of version 1 payloads.
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+
+    /// The per-`char` encoder that wrote version 1 payloads.
     fn hex_encode_reference(bytes: &[u8]) -> String {
         let mut out = String::with_capacity(bytes.len() * 2);
         for b in bytes {
@@ -937,8 +1235,8 @@ mod tests {
     /// the same bytes where both accept.
     #[test]
     fn hex_decoder_rejects_exactly_the_non_digits() {
-        let payload: Vec<u8> = (0..3 * BLOCK as u32 + 5).map(|i| (i * 73 + 11) as u8).collect();
-        let hex = hex_encode(&payload).into_bytes();
+        let payload: Vec<u8> = (0..3 * HEX_BLOCK as u32 + 5).map(|i| (i * 73 + 11) as u8).collect();
+        let hex = hex_encode_reference(&payload).into_bytes();
         assert_eq!(hex_decode(&hex), Some(payload));
         let strays = [b'A', b'F', b'g', b'/', b':', b'`', 0x80, 0xFF];
         for at in 0..hex.len() {
@@ -954,8 +1252,8 @@ mod tests {
 
     /// Decode agrees with the oracle on arbitrary ASCII — mostly valid
     /// digits with uppercase, out-of-alphabet and odd-length cases mixed
-    /// in — returning `None` exactly where it does; encode agrees with
-    /// its oracle and round-trips.
+    /// in — returning `None` exactly where it does, and decodes what the
+    /// version 1 encoder wrote.
     #[test]
     fn hex_codec_matches_the_reference_codec() {
         use rand::rngs::SmallRng;
@@ -964,7 +1262,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0x4e8c_0dec);
         let (mut some, mut none) = (0, 0);
         for _ in 0..4000 * scale {
-            let len = rng.gen_range(0..5 * 2 * BLOCK);
+            let len = rng.gen_range(0..5 * 2 * HEX_BLOCK);
             let mut text: Vec<u8> = (0..len).map(|_| HEX[rng.gen_range(0..16usize)]).collect();
             for _ in 0..rng.gen_range(0..3usize) {
                 if len > 0 {
@@ -990,9 +1288,7 @@ mod tests {
             }
 
             let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-            let hex = hex_encode(&bytes);
-            assert_eq!(hex, hex_encode_reference(&bytes));
-            assert_eq!(hex_decode(hex.as_bytes()), Some(bytes));
+            assert_eq!(hex_decode(hex_encode_reference(&bytes).as_bytes()), Some(bytes));
         }
         assert!(some > 400 * scale && none > 400 * scale, "{some} decoded, {none} rejected");
     }
@@ -1002,7 +1298,7 @@ mod tests {
         let jobs = jobs(&["a"]);
         let line = job_line(0, "a", &ok_chain(&[1, 2, 3, 4], 1), None);
         for tampered in [
-            line.replace("\"bytes\":\"01", "\"bytes\":\"f1"),
+            line.replace("\"bytes\":\"$", "\"bytes\":\"%"),
             line.replace("\"name\":\"a\"", "\"name\":\"b\""),
             line.replace("\"quality_db\":41.75,", ""),
         ] {
@@ -1015,12 +1311,18 @@ mod tests {
 
     #[test]
     fn only_the_first_usable_manifest_opens_the_journal() {
-        let v2 = manifest_line(7, 3).replace("\"version\":1", "\"version\":2");
+        let future = testing::unknown_version(&manifest_line(7, 3));
         let no_fingerprint = "{\"kind\":\"manifest\",\"version\":1,\"jobs\":3}\n";
         let cat = |parts: &[&str]| parts.concat();
-        let text = cat(&[&v2, no_fingerprint, &run_line(0), &manifest_line(7, 3), &run_line(1)]);
+        let text =
+            cat(&[&future, no_fingerprint, &run_line(0), &manifest_line(7, 3), &run_line(1)]);
         let got: Vec<Record> = records(&text).collect();
-        assert_eq!(got, [Record::Manifest { fingerprint: 7, jobs: 3 }, Record::Run { index: 1 }]);
+        let manifest = Record::Manifest { fingerprint: 7, jobs: 3, version: JOURNAL_VERSION };
+        assert_eq!(got, [manifest, Record::Run { index: 1 }]);
+        // A version 1 manifest is usable, and says so.
+        let v1 =
+            manifest_line(7, 3).replace(&format!("\"version\":{JOURNAL_VERSION}"), "\"version\":1");
+        assert!(matches!(records(&v1).next(), Some(Record::Manifest { version: 1, .. })));
         // A second manifest is not a record; neither is an unknown kind.
         let text = cat(&[&manifest_line(7, 3), &manifest_line(8, 3), "{\"kind\":\"future\"}\n"]);
         assert_eq!(records(&text).count(), 1);
