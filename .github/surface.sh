@@ -51,12 +51,10 @@ sources() {
     git ls-files crates | grep -E '^crates/[^/]+/src/.*\.rs$'
 }
 
-# JSON documents are written through vtrace::json::Object. A JSON object
-# in a format string (`{{\"`) on a non-test line is a hand-rolled writer
-# coming back. journal/record.rs is exempt: the journal record codec
-# formats its lines itself because it is on the benchmark's hot path, and
-# golden literals plus a cross-commit fixture pin its bytes.
-for f in $(sources | grep -vx 'crates/core/src/journal/record\.rs'); do
+# JSON documents, journal records included, are written through
+# vtrace::json::Object. A JSON object in a format string (`{{\"`) on a
+# non-test line is a hand-rolled writer coming back.
+for f in $(sources); do
     [ -f "$f" ] || continue
     if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
             index($0, "{{\\\"") { print FILENAME ":" FNR ": " $0; found = 1 }
@@ -160,7 +158,8 @@ done
 #                 fleet unit test asks it
 #   with_backoff  ResilienceConfig's backoff setter, set by one unit
 #                 test; deleted with the backoff fields when the journal
-#                 format moves to v2 (ROADMAP item 6(a))
+#                 format moves to v3 (ROADMAP item 6(a)): they enter the
+#                 manifest fingerprint
 dead_allowed='is_fixed with_backoff'
 dead=$(for f in $(git ls-files crates tests examples benchmark/src | grep -E '\.rs$'); do
     [ -f "$f" ] || continue

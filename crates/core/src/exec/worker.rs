@@ -160,7 +160,11 @@ impl<'a> JournalQueue<'a> {
         let done = AtomicBool::new(false);
         let threads = std::thread::scope(|scope| {
             let heartbeats = scope.spawn(|| {
-                while !done.load(Ordering::Acquire) {
+                // The first heartbeat does not wait for the stop flag: a
+                // drain that ends before this thread first runs still
+                // leaves one in the ledger.
+                let mut first = true;
+                while std::mem::take(&mut first) || !done.load(Ordering::Acquire) {
                     self.heartbeat();
                     // An unpark that lands before this park makes it
                     // return at once, so the stop can never be slept

@@ -30,9 +30,11 @@
 //!   one) and CRC-verified by [`JobRecord::load`], which the ledger and
 //!   status folds never call. [`upgrade`] rewrites a record of an earlier
 //!   version as this build writes it.
-//! * the eight `*_line` writers, each returning one newline-terminated
-//!   line for a single-write append, and the two ways a line reaches
-//!   disk: [`commit_job`] (append + fsync — the commit point) and
+//! * the eight `*_line` writers, each building its record through
+//!   [`vtrace::json::Object`] (a job's payload is radix-64-encoded straight
+//!   into the line) and returning one newline-terminated line for a
+//!   single-write append, and the two ways a line reaches disk:
+//!   [`commit_job`] (append + fsync — the commit point) and
 //!   [`append_ephemeral`] (ledger records, never fsync'd).
 
 use std::borrow::Cow;
@@ -48,7 +50,7 @@ use crate::measure::Measurement;
 use vcodec::EncodeStats;
 use vfault::FileClass;
 use vhw::StageSeconds;
-use vtrace::json::{self, Value};
+use vtrace::json::{self, Object, ToJson, Value};
 
 /// The journal file format version this build writes. It reads every
 /// version from 1 on: a version 1 journal carries its payloads in hex, and
@@ -412,15 +414,25 @@ pub(crate) fn append_ephemeral(file: &mut dyn DurableFile, line: &str) -> std::i
     file.append(line.as_bytes())
 }
 
+/// `record`'s text as one journal line.
+fn to_line(record: Object) -> String {
+    let mut line = record.close();
+    line.push('\n');
+    line
+}
+
 pub(crate) fn manifest_line(fingerprint: u32, jobs: usize) -> String {
-    format!(
-        "{{\"kind\":\"manifest\",\"version\":{JOURNAL_VERSION},\
-         \"fingerprint\":{fingerprint},\"jobs\":{jobs}}}\n"
+    to_line(
+        Object::new()
+            .field("kind", "manifest")
+            .field("version", JOURNAL_VERSION)
+            .field("fingerprint", fingerprint)
+            .field("jobs", jobs),
     )
 }
 
 pub(crate) fn run_line(index: u32) -> String {
-    format!("{{\"kind\":\"run\",\"index\":{index}}}\n")
+    to_line(Object::new().field("kind", "run").field("index", index))
 }
 
 /// Serializes one finished chain as a job record. Multi-process workers
@@ -432,106 +444,113 @@ pub(crate) fn job_line(
     chain: &ChainResult,
     tag: Option<(u64, u32)>,
 ) -> String {
-    let mut line = format!(
-        "{{\"kind\":\"job\",\"job\":{job},\"name\":{},\"attempts\":{},\
-         \"degraded\":{},\"deadline_missed\":{}",
-        json::string(name),
-        chain.attempts,
-        chain.degraded,
-        chain.deadline_missed,
-    );
-    match &chain.outcome {
+    let record = Object::new()
+        .field("kind", "job")
+        .field("job", job)
+        .field("name", name)
+        .field("attempts", chain.attempts)
+        .field("degraded", chain.degraded)
+        .field("deadline_missed", chain.deadline_missed);
+    let record = match &chain.outcome {
         Ok(outcome) => {
             let m = outcome.measurement();
             let t = outcome.timings();
             let s = &outcome.stats;
-            let crc = vpack::crc32(outcome.bytes());
-            line.push_str(&format!(
-                ",\"status\":\"ok\",\"crc32\":{crc},\"speed_pps\":{},\"bitrate_bpps\":{},\
-                 \"quality_db\":{},\"submission\":{},\"transfer\":{},\"pipeline\":{}",
-                json::number(m.speed_pps),
-                json::number(m.bitrate_bpps),
-                json::number(m.quality_db),
-                json::number(t.submission),
-                json::number(t.transfer),
-                json::number(t.pipeline),
-            ));
-            line.push_str(&match outcome.chosen_bps() {
-                Some(bps) => format!(",\"chosen_bps\":{bps}"),
-                None => ",\"chosen_bps\":null".to_string(),
-            });
-            line.push_str(&format!(
-                ",\"encode_seconds\":{},\"bitstream_bytes\":{},\"frames\":{},\"sb_intra\":{},\
-                 \"sb_inter\":{},\"sb_skip\":{},\"sb_split\":{},\"avg_qp\":{},\"bytes\":\"",
-                json::number(s.encode_seconds),
-                s.bitstream_bytes,
-                s.frames,
-                s.sb_intra,
-                s.sb_inter,
-                s.sb_skip,
-                s.sb_split,
-                json::number(s.avg_qp),
-            ));
-            // The payload's characters never need JSON escaping, so they
-            // are written straight into the line. Room for the closing
-            // quote, the worker tag and `}\n` too: the line grows once.
-            let payload = outcome.bytes();
-            let mut bytes = std::mem::take(&mut line).into_bytes();
-            bytes.reserve(radix_len(payload.len()) + 64);
-            radix_encode_into(&mut bytes, payload);
-            bytes.push(b'"');
-            line = String::from_utf8(bytes).expect("a JSON line and ASCII characters");
+            record
+                .field("status", "ok")
+                .field("crc32", vpack::crc32(outcome.bytes()))
+                .field("speed_pps", m.speed_pps)
+                .field("bitrate_bpps", m.bitrate_bpps)
+                .field("quality_db", m.quality_db)
+                .field("submission", t.submission)
+                .field("transfer", t.transfer)
+                .field("pipeline", t.pipeline)
+                .field("chosen_bps", outcome.chosen_bps())
+                .field("encode_seconds", s.encode_seconds)
+                .field("bitstream_bytes", s.bitstream_bytes)
+                .field("frames", s.frames)
+                .field("sb_intra", s.sb_intra)
+                .field("sb_inter", s.sb_inter)
+                .field("sb_skip", s.sb_skip)
+                .field("sb_split", s.sb_split)
+                .field("avg_qp", s.avg_qp)
+                .field("bytes", Payload(outcome.bytes()))
         }
-        Err(error) => {
-            line.push_str(&format!(
-                ",\"status\":\"failed\",\"message\":{}",
-                json::string(&error.to_string())
-            ));
-        }
+        Err(error) => record.field("status", "failed").field("message", error.to_string()),
+    };
+    to_line(match tag {
+        Some((worker, run)) => record.field("worker", worker).field("run", run),
+        None => record,
+    })
+}
+
+/// A job's bitstream as its record's `bytes` string: the radix-64
+/// characters (version 2), which never need JSON escaping.
+struct Payload<'a>(&'a [u8]);
+
+impl ToJson for Payload<'_> {
+    /// Encodes straight into the line. Room for the closing quote, the
+    /// worker tag and `}\n` too: the line grows once.
+    fn write_json(&self, out: &mut String) {
+        let mut bytes = std::mem::take(out).into_bytes();
+        bytes.reserve(radix_len(self.0.len()) + 64);
+        bytes.push(b'"');
+        radix_encode_into(&mut bytes, self.0);
+        bytes.push(b'"');
+        *out = String::from_utf8(bytes).expect("JSON text and ASCII characters");
     }
-    if let Some((worker, run)) = tag {
-        line.push_str(&format!(",\"worker\":{worker},\"run\":{run}"));
-    }
-    line.push_str("}\n");
-    line
+}
+
+/// A lease or expire record: `kind` on `job` for lease `id`.
+fn lease_record(kind: &str, job: usize, id: LeaseId) -> String {
+    to_line(
+        Object::new()
+            .field("kind", kind)
+            .field("job", job)
+            .field("worker", id.worker)
+            .field("nonce", id.nonce)
+            .field("pid", id.pid),
+    )
 }
 
 pub(crate) fn lease_line(job: usize, id: LeaseId) -> String {
-    format!(
-        "{{\"kind\":\"lease\",\"job\":{job},\"worker\":{},\"nonce\":{},\"pid\":{}}}\n",
-        id.worker, id.nonce, id.pid
-    )
+    lease_record("lease", job, id)
 }
 
 pub(crate) fn expire_line(job: usize, id: LeaseId) -> String {
-    format!(
-        "{{\"kind\":\"expire\",\"job\":{job},\"worker\":{},\"nonce\":{},\"pid\":{}}}\n",
-        id.worker, id.nonce, id.pid
-    )
+    lease_record("expire", job, id)
 }
 
 pub(crate) fn hb_line(worker: u64, seq: u64, pid: u64, t_ms: u64) -> String {
-    format!("{{\"kind\":\"hb\",\"worker\":{worker},\"seq\":{seq},\"pid\":{pid},\"t_ms\":{t_ms}}}\n")
-}
-
-pub(crate) fn done_line(mark: DoneMark) -> String {
-    let worker = mark.worker.map_or(String::new(), |w| format!("\"worker\":{w},"));
-    format!(
-        "{{\"kind\":\"done\",\"job\":{},{worker}\"ok\":{},\"attempts\":{}}}\n",
-        mark.job, mark.ok, mark.attempts
+    to_line(
+        Object::new()
+            .field("kind", "hb")
+            .field("worker", worker)
+            .field("seq", seq)
+            .field("pid", pid)
+            .field("t_ms", t_ms),
     )
 }
 
+pub(crate) fn done_line(mark: DoneMark) -> String {
+    let record = Object::new().field("kind", "done").field("job", mark.job);
+    let record = match mark.worker {
+        Some(worker) => record.field("worker", worker),
+        None => record,
+    };
+    to_line(record.field("ok", mark.ok).field("attempts", mark.attempts))
+}
+
 pub(crate) fn shed_line(event: &crate::service::ShedEvent) -> String {
-    format!(
-        "{{\"kind\":\"shed\",\"seq\":{},\"at_us\":{},\"name\":{},\"rank\":{},\
-         \"value\":{},\"reason\":{}}}\n",
-        event.seq,
-        event.at_us,
-        json::string(event.name),
-        event.rank,
-        json::number(event.value),
-        json::string(event.reason.tag()),
+    to_line(
+        Object::new()
+            .field("kind", "shed")
+            .field("seq", event.seq)
+            .field("at_us", event.at_us)
+            .field("name", event.name)
+            .field("rank", event.rank)
+            .field("value", event.value)
+            .field("reason", event.reason.tag()),
     )
 }
 

@@ -34,9 +34,8 @@
 //! assert_eq!(plan.decide(FileClass::Journal, IoOp::Write, 3), None);
 //! ```
 
-use crate::{spec_terms, PlanParseError};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use crate::{keyed_roll, spec_terms, PlanParseError};
+use rand::Rng;
 
 /// Which durable file a storage fault targets.
 ///
@@ -251,15 +250,8 @@ impl IoFaultPlan {
             return Some(f.kind);
         }
         let rate = self.rate?;
-        // Mix the full key into the seed (SplitMix64's constant) so each
-        // op gets an independent, order-free stream.
         let key = class.id() ^ op.id().rotate_left(8) ^ index.rotate_left(16);
-        let mixed = self.seed ^ key.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(17);
-        let mut rng = SmallRng::seed_from_u64(mixed);
-        let roll: f64 = rng.gen_range(0.0..1.0);
-        if roll >= rate {
-            return None;
-        }
+        let mut rng = keyed_roll(self.seed, key, rate)?;
         Some(match op {
             IoOp::Write => match rng.gen_range(0..3u32) {
                 0 => IoFaultKind::ShortWrite,

@@ -326,14 +326,7 @@ impl FaultPlan {
 
     /// The random layer's fault for `job`, derived from the seed alone.
     fn random_fault(&self, job: usize, random: RandomFaults) -> Option<JobFault> {
-        // Mix the job index into the seed (SplitMix64's constant) so each
-        // job gets an independent, order-free stream.
-        let mixed = self.seed ^ (job as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(17);
-        let mut rng = SmallRng::seed_from_u64(mixed);
-        let roll: f64 = rng.gen_range(0.0..1.0);
-        if roll >= random.rate {
-            return None;
-        }
+        let mut rng = keyed_roll(self.seed, job as u64, random.rate)?;
         // Recoverable kinds only: a seeded plan plus one retry always
         // completes (permanent faults must be scripted).
         let kind = match rng.gen_range(0..3u32) {
@@ -431,6 +424,21 @@ fn parse_job_attempts(value: &str, default_attempts: u32) -> Option<(usize, u32)
         None => Some((value.parse().ok()?, default_attempts)),
         Some((job, attempts)) => Some((job.parse().ok()?, attempts.parse().ok()?)),
     }
+}
+
+/// The one random stream behind both random layers
+/// ([`FaultPlan::with_random`], [`IoFaultPlan::with_random`]): `key` is
+/// mixed into `seed` (SplitMix64's constant) so each key gets an
+/// independent, order-free stream, whose first draw rolls against
+/// `rate`. The rest of the stream if the key is faulted, `None` if not.
+pub(crate) fn keyed_roll(seed: u64, key: u64, rate: f64) -> Option<SmallRng> {
+    let mut rng =
+        SmallRng::seed_from_u64(seed ^ key.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(17));
+    let roll: f64 = rng.gen_range(0.0..1.0);
+    if roll >= rate {
+        return None;
+    }
+    Some(rng)
 }
 
 /// The one splitter behind both plan grammars ([`FaultPlan::parse`],

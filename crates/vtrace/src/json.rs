@@ -11,10 +11,13 @@
 //! The *writer* is [`Object`] plus the [`ToJson`] value trait: keys come
 //! out in the order they are added, in one compact layout with no
 //! whitespace. Every document the workspace writes — the trace stream,
-//! `status.json`, the SAT/PARETO/CHAOS reports — goes through it; the
-//! journal record codec alone formats its lines itself, with the same
-//! scalar writers [`string`] and [`number`]. So what is written always
-//! parses back, and equal values always give equal bytes.
+//! `status.json`, the SAT/PARETO/CHAOS reports, the journal's records —
+//! goes through it. Each value appends its text to the object's one
+//! buffer, which [`Object::close`] hands back, so a document allocates
+//! only as that buffer grows. What is written always parses back, and
+//! equal values always give equal bytes.
+
+use std::fmt::Write as _;
 
 /// Maximum nesting depth accepted (the trace schema uses 2).
 const MAX_DEPTH: usize = 128;
@@ -328,7 +331,7 @@ impl<'a> Parser<'a> {
                     let start = self.pos;
                     let run = plain_run(&self.bytes[start..]);
                     self.pos += run;
-                    // Grow through powers of two: a journal payload's hex
+                    // Grow through powers of two: a journal payload's
                     // string is the largest transient allocation of a
                     // resume, and exact-size ones fragment the heap among
                     // the decoded payloads it keeps.
@@ -412,47 +415,9 @@ fn plain_run(bytes: &[u8]) -> usize {
     start + bytes[start..].iter().position(|&b| needs_escape(b)).unwrap_or(bytes.len() - start)
 }
 
-/// JSON string literal (quoted, escaped).
-pub fn string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    let mut rest = s;
-    // Runs that need no escaping are copied whole; each stops on an
-    // ASCII byte or at the end, so every slice below is on a char
-    // boundary.
-    loop {
-        let run = plain_run(rest.as_bytes());
-        out.push_str(&rest[..run]);
-        let Some(&b) = rest.as_bytes().get(run) else { break };
-        match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            c => {
-                use std::fmt::Write;
-                write!(out, "\\u{c:04x}").expect("writing to a String cannot fail");
-            }
-        }
-        rest = &rest[run + 1..];
-    }
-    out.push('"');
-    out
-}
-
-/// JSON number literal; non-finite values become `null` (JSON has no
-/// NaN/Infinity).
-pub fn number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// A JSON object being written: [`Object::field`] appends keys in call
-/// order, [`Object::close`] returns the text.
+/// A JSON object being written: [`Object::field`] appends each key and
+/// its value's text to the object's one buffer, in call order, and
+/// [`Object::close`] hands that buffer back.
 #[derive(Debug, Default)]
 pub struct Object {
     /// `{` and the fields so far; empty until the first field.
@@ -468,70 +433,127 @@ impl Object {
     /// Appends `key` with `value`.
     pub fn field(mut self, key: &str, value: impl ToJson) -> Object {
         self.out.push(if self.out.is_empty() { '{' } else { ',' });
-        self.out += &string(key);
+        key.write_json(&mut self.out);
         self.out.push(':');
-        self.out += &value.to_json();
+        value.write_json(&mut self.out);
         self
     }
 
-    /// The finished object's text.
-    pub fn close(self) -> String {
-        self.to_json()
+    /// The finished object's text: its buffer, closed, without a copy.
+    pub fn close(mut self) -> String {
+        if self.out.is_empty() {
+            self.out.push('{');
+        }
+        self.out.push('}');
+        self.out
     }
 }
 
 /// A value an [`Object`] can hold.
 pub trait ToJson {
-    /// The value's JSON text.
-    fn to_json(&self) -> String;
+    /// Appends the value's JSON text to `out`.
+    fn write_json(&self, out: &mut String);
 }
 
-/// [`ToJson`] for scalars, each through the function that formats it.
-macro_rules! scalar_to_json {
-    ($($t:ty => $format:expr),*) => {$(
+/// [`ToJson`] for integers and bools: their `Display` text.
+macro_rules! display_to_json {
+    ($($t:ty),*) => {$(
         impl ToJson for $t {
-            fn to_json(&self) -> String {
-                ($format)(self)
+            fn write_json(&self, out: &mut String) {
+                write!(out, "{self}").expect("writing to a String cannot fail");
             }
         }
     )*};
 }
 
-scalar_to_json!(u32 => u32::to_string, u64 => u64::to_string, u128 => u128::to_string,
-    usize => usize::to_string, bool => bool::to_string, f64 => |v: &f64| number(*v),
-    str => string, String => string);
+display_to_json!(u32, u64, u128, usize, bool);
+
+/// A number literal; a non-finite value is `null` (JSON has no
+/// NaN/Infinity).
+impl ToJson for f64 {
+    fn write_json(&self, out: &mut String) {
+        if self.is_finite() {
+            write!(out, "{self:?}").expect("writing to a String cannot fail");
+        } else {
+            out.push_str("null");
+        }
+    }
+}
+
+/// A string literal, quoted and escaped.
+impl ToJson for str {
+    fn write_json(&self, out: &mut String) {
+        out.push('"');
+        let mut rest = self;
+        // Runs that need no escaping are copied whole; each stops on an
+        // ASCII byte or at the end, so every slice below is on a char
+        // boundary.
+        loop {
+            let run = plain_run(rest.as_bytes());
+            out.push_str(&rest[..run]);
+            let Some(&b) = rest.as_bytes().get(run) else { break };
+            match b {
+                b'"' => out.push_str("\\\""),
+                b'\\' => out.push_str("\\\\"),
+                b'\n' => out.push_str("\\n"),
+                b'\r' => out.push_str("\\r"),
+                b'\t' => out.push_str("\\t"),
+                c => write!(out, "\\u{c:04x}").expect("writing to a String cannot fail"),
+            }
+            rest = &rest[run + 1..];
+        }
+        out.push('"');
+    }
+}
+
+impl ToJson for String {
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
+    }
+}
 
 impl<T: ToJson + ?Sized> ToJson for &T {
-    fn to_json(&self) -> String {
-        (**self).to_json()
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 
 impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> String {
-        self.as_ref().map_or_else(|| "null".to_string(), T::to_json)
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(value) => value.write_json(out),
+            None => out.push_str("null"),
+        }
     }
 }
 
 impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> String {
-        "[".to_string() + &self.iter().map(T::to_json).collect::<Vec<_>>().join(",") + "]"
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
     }
 }
 
 impl ToJson for Object {
-    fn to_json(&self) -> String {
-        (if self.out.is_empty() { "{" } else { &self.out }).to_string() + "}"
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if self.out.is_empty() { "{" } else { &self.out });
+        out.push('}');
     }
 }
 
 impl ToJson for crate::FieldValue {
-    fn to_json(&self) -> String {
+    fn write_json(&self, out: &mut String) {
         match self {
-            crate::FieldValue::U64(v) => v.to_json(),
-            crate::FieldValue::F64(v) => v.to_json(),
-            crate::FieldValue::Str(s) => s.to_json(),
-            crate::FieldValue::Bool(b) => b.to_json(),
+            crate::FieldValue::U64(v) => v.write_json(out),
+            crate::FieldValue::F64(v) => v.write_json(out),
+            crate::FieldValue::Str(s) => s.write_json(out),
+            crate::FieldValue::Bool(b) => b.write_json(out),
         }
     }
 }
@@ -613,7 +635,7 @@ mod tests {
         }
     }
 
-    /// The `char`-at-a-time escaper [`string`] replaced: its oracle.
+    /// The `char`-at-a-time escaper the `str` writer replaced: its oracle.
     fn string_per_char(s: &str) -> String {
         let mut out = String::with_capacity(s.len() + 2);
         out.push('"');
@@ -687,8 +709,8 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0x0005_7a1f);
         for _ in 0..5000 * SCALE {
             let s: String = (0..rng.gen_range(0..16usize)).map(|_| random_char(&mut rng)).collect();
-            assert_eq!(string(&s), string_per_char(&s), "{s:?}");
-            assert_eq!(parse(&string(&s)).unwrap().as_str(), Some(s.as_str()));
+            assert_eq!(text(s.as_str()), string_per_char(&s), "{s:?}");
+            assert_eq!(parse(&text(s.as_str())).unwrap().as_str(), Some(s.as_str()));
         }
     }
 
@@ -796,14 +818,83 @@ mod tests {
     #[test]
     fn written_scalars_parse_back() {
         for s in ["", "plain", "q\"b\\s", "a\nb\r\tc\u{0001}", "héllo — 世界 😀"] {
-            assert_eq!(parse(&string(s)).unwrap().as_str(), Some(s), "{s:?}");
+            assert_eq!(parse(&text(s)).unwrap().as_str(), Some(s), "{s:?}");
         }
         for v in [0.0, -1.5, 2.0, 1e-9, 123456.789e12, f64::MIN_POSITIVE] {
-            assert_eq!(parse(&number(v)).unwrap().as_f64(), Some(v));
+            assert_eq!(parse(&text(v)).unwrap().as_f64(), Some(v));
         }
-        assert_eq!((number(1.5), number(2.0)), ("1.5".to_string(), "2.0".to_string()));
-        assert_eq!(number(f64::NAN), "null");
-        assert_eq!(number(f64::INFINITY), "null");
+        assert_eq!((text(1.5), text(2.0)), ("1.5".to_string(), "2.0".to_string()));
+        assert_eq!(text(f64::NAN), "null");
+        assert_eq!(text(f64::INFINITY), "null");
+    }
+
+    /// The text one value writes.
+    fn text(value: impl ToJson) -> String {
+        let mut out = String::new();
+        value.write_json(&mut out);
+        out
+    }
+
+    /// The exact text of every [`ToJson`] impl.
+    #[test]
+    fn every_value_writes_its_golden_bytes() {
+        use crate::FieldValue;
+        let cases = [
+            (text(0u32), "0"),
+            (text(u32::MAX), "4294967295"),
+            (text(u64::MAX), "18446744073709551615"),
+            (text(u128::MAX), "340282366920938463463374607431768211455"),
+            (text(7usize), "7"),
+            (text(true), "true"),
+            (text(false), "false"),
+            (text(f64::NAN), "null"),
+            (text(f64::INFINITY), "null"),
+            (text(f64::NEG_INFINITY), "null"),
+            (text(-0.0f64), "-0.0"),
+            (text(0.0f64), "0.0"),
+            (text(2.0f64), "2.0"),
+            (text(-1.5f64), "-1.5"),
+            (text(1e-7f64), "1e-7"),
+            (text(1e300f64), "1e300"),
+            (text(1500000.0f64), "1500000.0"),
+            (text(0.1f64 + 0.2), "0.30000000000000004"),
+            (text(""), "\"\""),
+            (text("q\"b\\s/"), r#""q\"b\\s/""#),
+            (
+                text("\n\r\t\u{0}\u{1}\u{8}\u{c}\u{1f}\u{7f}"),
+                "\"\\n\\r\\t\\u0000\\u0001\\u0008\\u000c\\u001f\u{7f}\"",
+            ),
+            (text("héllo — 世界 😀"), "\"héllo — 世界 😀\""),
+            (text(String::from("a\"b")), r#""a\"b""#),
+            (text(None::<u64>), "null"),
+            (text(Some(3u64)), "3"),
+            (text(Some(f64::NAN)), "null"),
+            (text(Some("x")), r#""x""#),
+            (text(Vec::<u32>::new()), "[]"),
+            (text(vec![1u32]), "[1]"),
+            (text(vec![Some(0.5), None]), "[0.5,null]"),
+            (text(vec![vec!["a"], vec![]]), r#"[["a"],[]]"#),
+            (text(Object::new()), "{}"),
+            (text(Object::new().field("a", 1u32)), r#"{"a":1}"#),
+            (
+                text(
+                    Object::new()
+                        .field("k\"", Object::new())
+                        .field("n", Object::new().field("x", None::<bool>)),
+                ),
+                r#"{"k\"":{},"n":{"x":null}}"#,
+            ),
+            (Object::new().close(), "{}"),
+            (Object::new().field("", "").close(), r#"{"":""}"#),
+            (text(FieldValue::U64(42)), "42"),
+            (text(FieldValue::F64(0.25)), "0.25"),
+            (text(FieldValue::F64(f64::INFINITY)), "null"),
+            (text(FieldValue::Str("\"é\n".to_string())), r#""\"é\n""#),
+            (text(FieldValue::Bool(false)), "false"),
+        ];
+        for (got, want) in cases {
+            assert_eq!(got, want);
+        }
     }
 
     #[test]
